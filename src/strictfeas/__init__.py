@@ -24,6 +24,7 @@ from .exactnum import (
     qzeros,
     reconstruct_quadext,
     reconstruct_rational,
+    rref_exact,
 )
 from .model import (
     Form,
@@ -38,6 +39,7 @@ from .model import (
     problem_from_json,
     problem_to_json,
     to_double,
+    to_exact,
     validate,
 )
 from .solver import (
@@ -125,8 +127,10 @@ __all__ = [
     "reconstruct_quadext",
     "reconstruct_rational",
     "reduce_problem",
+    "rref_exact",
     "solve_sdp",
     "to_double",
+    "to_exact",
     "validate",
     "verify_bound_certificate",
     "verify_mu2_bound",

@@ -18,16 +18,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bell, certify
-from .exactnum import format_scalar
+from .exactnum import as_quad, format_scalar, rref_exact
 from .facial import (
     InconsistentConstraintsError,
-    ReducingCertificate,
     RoundingFailedError,
     SolverFailedError,
     StrictlyFeasible,
     apply_constraints,
     derive_implicit_constraints,
     find_reducing_certificate,
+    reduce_problem,
 )
 from .model import (
     SdpProblem,
@@ -35,6 +35,7 @@ from .model import (
     problem_from_json,
     problem_to_json_str,
     to_double,
+    to_exact,
     validate,
 )
 from .solver import InvalidProblemError, SolveResult, SolverOptions, diagnostics_report, solve_sdp
@@ -177,37 +178,9 @@ def _diagnose(prob: SdpProblem, args):
     )
 
 
-def _require_exact(prob: SdpProblem) -> SdpProblem:
-    if prob.pencil.scalar == "exact":
-        return prob
-    # doubles are dyadic rationals, so the conversion is exact
-    from fractions import Fraction
-
-    from .exactnum import qarray, quad
-    from .model import MatrixPencil
-
-    def conv(M):
-        return qarray([[Fraction(float(x)) for x in row] for row in M])
-
-    pencil = MatrixPencil(
-        n=prob.pencil.n,
-        scalar="exact",
-        f0=conv(prob.pencil.f0),
-        var_names=prob.pencil.var_names,
-        terms=tuple(conv(T) for T in prob.pencil.terms),
-    )
-    return SdpProblem(
-        pencil=pencil,
-        objective=tuple(quad(Fraction(float(b))) for b in prob.objective),
-        form=prob.form,
-        name=prob.name,
-        note=prob.note,
-    )
-
-
 def cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
-    prob = _require_exact(load_problem(args.file))
+    prob = to_exact(load_problem(args.file))
     report = RunReport(
         command="diagnose", inputs={"file": args.file, "name": prob.name},
         options=_echo_options(args),
@@ -239,30 +212,40 @@ def cmd_diagnose(args) -> int:
 
 def cmd_reduce(args) -> int:
     t0 = time.perf_counter()
-    prob = _require_exact(load_problem(args.file))
+    prob = to_exact(load_problem(args.file))
     report = RunReport(
         command="reduce", inputs={"file": args.file, "name": prob.name},
         options=_echo_options(args),
     )
-    outcome = _diagnose(prob, args)
-    lines = []
-    if isinstance(outcome, StrictlyFeasible):
-        reduced = prob
+    reduced, rounds, verdict = reduce_problem(
+        prob,
+        _solver_options(args),
+        eig_threshold=args.eig_threshold,
+        max_den=args.max_den,
+    )
+    report.reduction["rounds"] = [
+        {
+            "certificate": rnd.certificate.as_dict(),
+            "constraints": rnd.constraints.as_dict(),
+        }
+        for rnd in rounds
+    ]
+    report.reduction["eliminated"] = [
+        v for rnd in rounds for v in rnd.constraints.eliminated_names
+    ]
+    if isinstance(verdict, StrictlyFeasible):
         report.reduction["verdict"] = "StrictlyFeasible"
-        report.reduction["eliminated"] = []
-        lines.append("no reduction needed: problem diagnosed strictly feasible")
-    else:
-        cons = derive_implicit_constraints(prob, outcome.range_vectors)
-        reduced = apply_constraints(prob, cons)
-        report.reduction["certificate"] = outcome.as_dict()
-        report.reduction["constraints"] = cons.as_dict()
-        report.reduction["eliminated"] = list(cons.eliminated_names)
-        if cons.eliminated:
-            lines.append("eliminated variables:")
-            for v, expr in cons.eliminated:
-                lines.append(f"  {v} = {expr}")
-        else:
-            lines.append("certificate implies no substitutions; problem unchanged")
+    lines = []
+    for k, rnd in enumerate(rounds, 1):
+        lines.append(f"round {k}: eliminated variables:")
+        for v, expr in rnd.constraints.eliminated:
+            lines.append(f"  {v} = {expr}")
+    if not rounds:
+        lines.append(
+            "no reduction needed: problem diagnosed strictly feasible"
+            if verdict is not None
+            else "certificate implies no substitutions; problem unchanged"
+        )
     if args.out_problem:
         store_problem(reduced, args.out_problem)
         lines.append(f"reduced problem written to {args.out_problem}")
@@ -276,10 +259,8 @@ def cmd_reduce(args) -> int:
 
 
 def _span_canonical(vectors):
-    from .exactnum import _rref, as_quad
-
     M = np.array([[as_quad(x) for x in v] for v in vectors], dtype=object)
-    R, pivots = _rref(M)
+    R, pivots = rref_exact(M)
     return tuple(tuple(R[r]) for r in sorted(pivots.values()))
 
 
@@ -506,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("reduce", help="diagnose and substitute implicit constraints")
+    p = sub.add_parser(
+        "reduce", help="diagnose and substitute implicit constraints, round after round"
+    )
     common(p, report_out=False)
     p.add_argument(
         "--out",

@@ -352,11 +352,11 @@ def mat_vec(M: np.ndarray, v: Sequence) -> np.ndarray:
     return out
 
 
-def _rref(M: np.ndarray, column_order: Sequence[int] | None = None):
+def rref_exact(M: np.ndarray, column_order: Sequence[int] | None = None):
     """Exact reduced row-echelon form over Q(sqrt5).
 
     Returns (R, pivots) where pivots maps pivot column -> row.  The optional
-    column order controls which columns are prefered as pivots.
+    column order controls which columns are preferred as pivots.
     """
     R = np.array([[as_quad(x) for x in row] for row in M], dtype=object)
     rows, cols = R.shape
@@ -387,7 +387,7 @@ def _rref(M: np.ndarray, column_order: Sequence[int] | None = None):
 def nullspace_exact(M: np.ndarray) -> list[np.ndarray]:
     """Exact basis of {v : Mv = 0} for a rectangular exact matrix."""
     rows, cols = M.shape
-    R, pivots = _rref(M)
+    R, pivots = rref_exact(M)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -410,7 +410,7 @@ def kernel_basis_exact(M: np.ndarray) -> list[np.ndarray]:
 
 def row_space_basis_exact(M: np.ndarray) -> list[np.ndarray]:
     """Exact basis of the row space (= range, for symmetric M)."""
-    R, pivots = _rref(M)
+    R, pivots = rref_exact(M)
     return [np.array(R[r], dtype=object) for r in sorted(pivots.values())]
 
 
@@ -519,18 +519,20 @@ def primitive_integer_vector(v: Sequence) -> np.ndarray:
 # float -> exact reconstruction
 
 
-def reconstruct_rational(x: float, max_den: int = 10**6) -> Fraction | None:
+def reconstruct_rational(
+    x: float, max_den: int = 10**6, tol: float = RECONSTRUCT_TOL
+) -> Fraction | None:
     """Best bounded-denominator rational approximation of x, or None.
 
     Uses the continued-fraction convergents (via Fraction.limit_denominator)
-    and accepts only when |x - p/q| <= 1e-6.
+    and accepts only when |x - p/q| <= tol (1e-6 by default).
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     if not math.isfinite(x):
         raise NonFiniteError(f"cannot reconstruct from {x!r}")
     cand = Fraction(x).limit_denominator(max_den)
-    return cand if abs(x - float(cand)) <= RECONSTRUCT_TOL else None
+    return cand if abs(x - float(cand)) <= tol else None
 
 
 def _convergents(x: float, max_den: int, max_terms: int = 30) -> list[Fraction]:
@@ -567,6 +569,10 @@ def reconstruct_quadext(x: float, max_den: int = 10**6) -> QuadExt | None:
         raise ValueError("max_den must be >= 1")
     if not math.isfinite(x):
         raise NonFiniteError(f"cannot reconstruct from {x!r}")
+
+    if x == 0:
+        # PSLQ rejects an exact zero entry, and 0 has the smallest height
+        return QUAD_ZERO
 
     candidates: list[QuadExt] = []
 

@@ -10,23 +10,24 @@ relations produces an equivalent, smaller problem that solvers handle
 reliably.
 
 The search runs numerically (maximizing the minimum eigenvalue over the
-trace-one slice of matrices orthogonal to the pencil), the candidate is
-rationalized, and every certificate property is then verified exactly; a
-candidate that cannot be rationalized is surfaced as RoundingFailed, never
-guessed around.
+trace-one slice of matrices orthogonal to the pencil).  The candidate is
+rationalized by one path, projection then rounding: the projector onto its
+range is rounded first, which fixes the face exactly, and the coordinates
+inside that face second.  Every certificate property is then verified
+exactly; a candidate that cannot be rationalized is surfaced as
+RoundingFailed, never guessed around.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
 from .exactnum import (
     QUAD_ONE,
-    qeye,
     QUAD_ZERO,
+    RECONSTRUCT_TOL,
     QuadExt,
     as_quad,
     format_scalar,
@@ -36,11 +37,13 @@ from .exactnum import (
     nullspace_exact,
     primitive_integer_vector,
     psd_check_exact,
+    qeye,
     quad,
     qzeros,
     reconstruct_quadext,
     reconstruct_rational,
     row_space_basis_exact,
+    rref_exact,
     to_float,
 )
 from .model import (
@@ -261,24 +264,35 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem:
     )
 
 
-def _round_coords(
-    zhat: np.ndarray, max_den: int, extension: bool, tol: float | None = None
-):
-    """Snap floats to exact scalars; `tol` overrides the default acceptance.
+def _rounding_ladder(max_den: int | None) -> list[tuple[int, bool, float]]:
+    """Rungs (max_den, over Q(sqrt5), tolerance), tried in order.
 
-    A loose tolerance is sound here because every snapped candidate is then
-    verified exactly; a wrong snap fails verification and the ladder moves on.
+    Iterates sit ~sqrt(gap) off the optimal face, so the small-denominator
+    rational snaps need a loose acceptance; that is sound because exact
+    verification guards every snap.  A strict rung at a denominator that
+    already has a loose rung would rebuild the same candidate, so there is
+    none.  Q(sqrt5) reconstruction comes only after plain rationals fail.
     """
+    dens = [d for d in (100, 10**4, 10**6) if max_den is None or d <= max_den]
+    if max_den is not None and max_den not in dens:
+        dens.append(max_den)
+    tols = (1e-3, 1e-5)
+    rational = [
+        (d, False, tols[k] if k < len(tols) else RECONSTRUCT_TOL)
+        for k, d in enumerate(dens)
+    ]
+    return rational + [(d, True, RECONSTRUCT_TOL) for d in dens]
+
+
+def _round_coords(zhat: np.ndarray, max_den: int, extension: bool, tol: float):
+    """Snap floats to exact scalars, or None when one does not snap."""
     out = []
     for z in zhat:
         z = float(z)
         if extension:
             r = reconstruct_quadext(z, max_den)
-        elif tol is None:
-            r = reconstruct_rational(z, max_den)
         else:
-            cand = Fraction(z).limit_denominator(max_den)
-            r = cand if abs(z - float(cand)) <= tol else None
+            r = reconstruct_rational(z, max_den, tol)
         if r is None:
             return None
         out.append(as_quad(r))
@@ -292,9 +306,7 @@ def _affine_solve_exact(K: np.ndarray, rhs) -> tuple | None:
     aug[:, :cols] = K
     for r in range(rows):
         aug[r, cols] = as_quad(rhs[r])
-    from .exactnum import _rref
-
-    R, pivots = _rref(aug, column_order=range(cols))
+    R, pivots = rref_exact(aug, column_order=range(cols))
     for r in range(rows):
         if r not in set(pivots.values()) and bool(R[r, cols]):
             return None
@@ -305,24 +317,18 @@ def _affine_solve_exact(K: np.ndarray, rhs) -> tuple | None:
     return particular, nullspace_exact(K)
 
 
-def _exact_matrix(rows_of) -> np.ndarray:
-    out = np.empty((len(rows_of), len(rows_of[0])), dtype=object)
-    for i, row in enumerate(rows_of):
-        for j, v in enumerate(row):
-            out[i, j] = as_quad(v)
-    return out
-
-
 def _face_split_certificate(
-    prob: SdpProblem, Xnum: np.ndarray, eig_threshold: float, ladders
+    prob: SdpProblem, Xnum: np.ndarray, eig_threshold: float, max_den: int | None
 ):
-    """Certificate extraction that rounds the range projector first.
+    """Certificate extraction by projection, then rounding.
 
     The projector onto range(X) is basis independent, so it rounds to small
     exact entries even though the solver lands at an arbitrary interior point
-    of the optimal face.  With the face fixed exactly, the remaining in-face
-    coordinates are forgiving: any nearby rational point keeps the restricted
-    matrix positive definite.  Returns (certificate, None) or (None, reason).
+    of the optimal face.  With the face fixed exactly (its integer basis W),
+    the remaining in-face coordinates M of X = W M W^T are forgiving: any
+    nearby rational point keeps M positive definite.  Each rung of the
+    rounding ladder is tried in turn.  Returns (certificate, None) or
+    (None, reason of the last failed rung).
     """
     n = prob.pencil.n
     lam, V = np.linalg.eigh(Xnum)
@@ -332,113 +338,49 @@ def _face_split_certificate(
     if r == 0:
         return None, "numerical certificate has rank 0"
     Pnum = V[:, keep] @ V[:, keep].T
+    qmats = [prob.pencil.f0, *prob.pencil.terms, qeye(n)]
+    pairs_r = _upper_pairs(r)
     reason = "projector rounding never succeeded"
-    # iterates sit ~sqrt(gap) off the optimal face, so small-denominator
-    # snaps need a loose acceptance; exact verification guards every snap
-    rational_dens = [d for d, ext in ladders if not ext]
-    loose = [
-        (d, False, t)
-        for d, t in zip(rational_dens[:2], (1e-3, 1e-5))
-    ]
-    ladders = loose + [(d, ext, None) for d, ext in ladders]
-    for max_den, extension, tol in ladders:
-        flat = Pnum[np.triu_indices(n)]
-        coords = _round_coords(flat, max_den, extension, tol)
+    for max_den, extension, tol in _rounding_ladder(max_den):
+        coords = _round_coords(Pnum[np.triu_indices(n)], max_den, extension, tol)
         if coords is None:
             reason = f"projector entries not representable at max_den={max_den}"
             continue
         P = _coords_to_matrix(coords, _upper_pairs(n), n)
-        PP = _exact_matrix(
-            [
-                [
-                    sum((P[i, k] * P[k, j] for k in range(n)), QUAD_ZERO)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-        if any(PP[i, j] != P[i, j] for i in range(n) for j in range(n)):
+        if not np.array_equal(P @ P, P):
             reason = f"rounded matrix at max_den={max_den} is not a projector"
             continue
         Wrows = row_space_basis_exact(P)
         if len(Wrows) != r:
             reason = f"projector rank {len(Wrows)} != numerical rank {r}"
             continue
-        Wrows = [primitive_integer_vector(w) for w in Wrows]
+        W = np.array([primitive_integer_vector(w) for w in Wrows], dtype=object).T
         # face-restricted slice: M symmetric r x r with
         # <W^T Q W, M> = 0 for every pencil matrix Q and tr(W^T W M) = 1
-        W = np.empty((n, r), dtype=object)
-        for j, w in enumerate(Wrows):
-            for i in range(n):
-                W[i, j] = as_quad(w[i])
-
-        def congr(Q):
-            QW = _exact_matrix(
-                [
-                    [
-                        sum((as_quad(Q[i, k]) * W[k, j] for k in range(n)), QUAD_ZERO)
-                        for j in range(r)
-                    ]
-                    for i in range(n)
-                ]
-            )
-            return _exact_matrix(
-                [
-                    [
-                        sum((W[k, i] * QW[k, j] for k in range(n)), QUAD_ZERO)
-                        for j in range(r)
-                    ]
-                    for i in range(r)
-                ]
-            )
-
-        pairs_r = _upper_pairs(r)
-        qmats = [prob.pencil.f0, *prob.pencil.terms]
         K = np.array(
-            [_constraint_row(congr(Q), pairs_r) for Q in qmats]
-            + [_constraint_row(congr(qeye(n)), pairs_r)],
-            dtype=object,
+            [_constraint_row(W.T @ Q @ W, pairs_r) for Q in qmats], dtype=object
         )
-        rhs = [QUAD_ZERO] * len(qmats) + [QUAD_ONE]
+        rhs = [QUAD_ZERO] * (len(qmats) - 1) + [QUAD_ONE]
         solved = _affine_solve_exact(K, rhs)
         if solved is None:
             reason = f"face slice at max_den={max_den} is inconsistent"
             continue
         particular, homogeneous = solved
-        Wf = np.array([[float(x) for x in row] for row in W])
-        Mhat = np.linalg.pinv(Wf) @ Xnum @ np.linalg.pinv(Wf).T
-        mflat = Mhat[np.triu_indices(r)]
-        base = np.array([float(x) for x in particular])
+        Wpinv = np.linalg.pinv(to_float(W))
+        mflat = (Wpinv @ Xnum @ Wpinv.T)[np.triu_indices(r)]
+        s = []
         if homogeneous:
-            Hf = np.array([[float(x) for x in h] for h in homogeneous]).T
-            shat, *_ = np.linalg.lstsq(Hf, mflat - base, rcond=None)
+            Hf = np.array([to_float(h) for h in homogeneous]).T
+            shat, *_ = np.linalg.lstsq(Hf, mflat - to_float(particular), rcond=None)
             s = _round_coords(shat, max_den, extension, tol)
             if s is None:
                 reason = f"face coordinates not representable at max_den={max_den}"
                 continue
-        else:
-            s = []
         mcoords = np.array(particular, dtype=object)
         for sj, h in zip(s, homogeneous):
             if bool(sj):
                 mcoords = mcoords + sj * np.asarray(h, dtype=object)
-        M = _coords_to_matrix(mcoords, pairs_r, r)
-        X = _exact_matrix(
-            [
-                [
-                    sum(
-                        (
-                            W[i, a] * M[a, bcol] * W[j, bcol]
-                            for a in range(r)
-                            for bcol in range(r)
-                        ),
-                        QUAD_ZERO,
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
+        X = W @ _coords_to_matrix(mcoords, pairs_r, r) @ W.T
         problems = verify_certificate_matrix(prob, X)
         if problems:
             reason = f"face rounding at max_den={max_den}: " + "; ".join(problems)
@@ -461,12 +403,13 @@ def find_reducing_certificate(
 ):
     """Search for a reducing certificate; verify it exactly or report back.
 
-    The trace-one orthogonal slice is parameterized exactly, the minimum
-    eigenvalue of X(z) is maximized numerically (the interior-point iterate
+    The trace-one orthogonal slice is parameterized exactly and the minimum
+    eigenvalue of X(z) is maximized numerically; the interior-point iterate
     then lands in the relative interior of the optimal face, i.e. at maximal
-    rank), and the optimizer coordinates are rationalized on an escalating
-    denominator ladder (sqrt5-extension reconstruction only after plain
-    rationals fail); every certificate invariant is then re-checked exactly.
+    rank.  The candidate is rounded by projection, then rounding (see
+    `_face_split_certificate`): `eig_threshold` sets its numerical rank and
+    `max_den` caps the denominators of the rounding ladder.  Every
+    certificate invariant is re-checked exactly.
     """
     opts = opts or SolverOptions()
     chart = _slice_parameterization(prob)
@@ -508,49 +451,16 @@ def find_reducing_certificate(
             ),
         )
 
-    zhat = np.array([res.y[f"z{k+1}"] for k in range(len(B))])
-    Xnum = to_float(X0) + sum(z * to_float(Bk) for z, Bk in zip(zhat, B)) if len(B) else to_float(X0)
-    eigs = np.linalg.eigvalsh(Xnum)
-    numeric_rank = int(np.sum(eigs >= eig_threshold * max(eigs[-1], 1e-300)))
-
-    dens = [d for d in (100, 10**4, 10**6) if max_den is None or d <= max_den]
-    if max_den is not None and max_den not in dens:
-        dens.append(max_den)
-    ladders = [(d, False) for d in dens] + [(d, True) for d in dens]
-    failure = "no rounding attempt succeeded"
-    for max_den, extension in ladders:
-        coords = _round_coords(zhat, max_den, extension)
-        if coords is None:
-            failure = f"coordinates not representable at max_den={max_den}"
-            continue
-        X = np.array(X0, dtype=object)
-        for c, Bk in zip(coords, B):
-            if bool(c):
-                X = X + c * Bk
-        problems = verify_certificate_matrix(prob, X)
-        if problems:
-            failure = f"max_den={max_den}: " + "; ".join(problems)
-            continue
-        vectors = tuple(
-            primitive_integer_vector(v) for v in row_space_basis_exact(X)
-        )
-        note = (
-            f"rounded at max_den={max_den}"
-            + (" over Q(sqrt5)" if extension else "")
-            + f"; numerical rank {numeric_rank} at threshold {eig_threshold:g}"
-        )
-        if numeric_rank != len(vectors):
-            note += f" (exact rank {len(vectors)} differs)"
-        return ReducingCertificate(X=X, range_vectors=vectors, note=note)
-
-    # the direct rounding only lands when the optimal face is axis aligned;
-    # otherwise fix the face first via its projector, then round inside it
-    cert, reason = _face_split_certificate(prob, Xnum, eig_threshold, ladders)
-    if cert is not None:
-        return cert
-    raise RoundingFailedError(
-        f"could not rationalize the numerical certificate: {failure}; {reason}"
+    zhat = [res.y[f"z{k+1}"] for k in range(len(B))]
+    Xnum = to_float(X0) + sum(
+        (z * to_float(Bk) for z, Bk in zip(zhat, B)), np.zeros((n, n))
     )
+    cert, reason = _face_split_certificate(prob, Xnum, eig_threshold, max_den)
+    if cert is None:
+        raise RoundingFailedError(
+            f"could not rationalize the numerical certificate: {reason}"
+        )
+    return cert
 
 
 def verify_certificate_matrix(prob: SdpProblem, X: np.ndarray) -> list[str]:
@@ -627,9 +537,7 @@ def derive_implicit_constraints(
     order = sorted(
         (k for k, v in enumerate(names) if v not in protected), reverse=True
     )
-    from .exactnum import _rref
-
-    R, pivots = _rref(A, column_order=order)
+    R, pivots = rref_exact(A, column_order=order)
 
     equations = []
     eliminated = []
@@ -737,20 +645,26 @@ class ReductionRound:
 
 
 def reduce_problem(
-    prob: SdpProblem, opts: SolverOptions | None = None
+    prob: SdpProblem,
+    opts: SolverOptions | None = None,
+    eig_threshold: float = 1e-6,
+    max_den: int | None = None,
 ) -> tuple[SdpProblem, list[ReductionRound], StrictlyFeasible | None]:
     """Repeat diagnose -> derive -> substitute until nothing more is implied.
 
-    One round sufficed for every problem we bundle; the loop is capped at the
-    pencil dimension.  Returns the final problem, the rounds performed, and
-    the terminating verdict: a StrictlyFeasible outcome, or None when the
-    last certificate implied no further substitutions (a fixed point, e.g.
-    structurally zero rows that no substitution can remove) or the cap hit.
+    Each round may expose a smaller face, so a problem of singularity degree
+    d takes d rounds plus one search that finds nothing new; the loop is
+    capped at the pencil dimension.  `eig_threshold` and `max_den` go to
+    every certificate search.  Returns the final problem, the rounds
+    performed, and the terminating verdict: a StrictlyFeasible outcome, or
+    None when the last certificate implied no further substitutions (a fixed
+    point, e.g. structurally zero rows that no substitution can remove) or
+    the cap hit.
     """
     rounds: list[ReductionRound] = []
     current = prob
     for _ in range(prob.pencil.n):
-        outcome = find_reducing_certificate(current, opts)
+        outcome = find_reducing_certificate(current, opts, eig_threshold, max_den)
         if isinstance(outcome, StrictlyFeasible):
             return current, rounds, outcome
         cons = derive_implicit_constraints(current, outcome.range_vectors)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,6 +23,8 @@ from .exactnum import (
     format_scalar,
     frob_inner,
     parse_scalar,
+    qarray,
+    quad,
     qzeros,
     to_float,
 )
@@ -264,15 +267,41 @@ def to_double(prob: SdpProblem) -> SdpProblem:
     )
 
 
+def to_exact(prob: SdpProblem) -> SdpProblem:
+    """Exact upcast of a double problem; doubles are dyadic rationals."""
+    p = prob.pencil
+    if p.scalar == "exact":
+        return prob
+
+    def conv(M):
+        return qarray([[Fraction(float(x)) for x in row] for row in M])
+
+    pencil = MatrixPencil(
+        n=p.n,
+        scalar="exact",
+        f0=conv(p.f0),
+        var_names=p.var_names,
+        terms=tuple(conv(t) for t in p.terms),
+    )
+    return replace(
+        prob,
+        pencil=pencil,
+        objective=tuple(quad(Fraction(float(b))) for b in prob.objective),
+        objective_offset=quad(Fraction(float(prob.objective_offset))),
+    )
+
+
 # ---------------------------------------------------------------------------
 # JSON problem files
 #
 # { "name": str, "n": int, "scalar": "double"|"exact",
 #   "F0": [[i, j, value-string], ...],
 #   "vars": [ {"name": str, "b": value-string, "F": [[i,j,value-string],...]},
-#             ... ] }
+#             ... ],
+#   "offset": value-string }
 # with 1-based upper-triangle indices (i <= j) and exact value strings per
-# the exactnum grammar.
+# the exactnum grammar.  "offset" is the constant added to <b, y>; it is
+# optional, defaults to 0 and is written only when nonzero.
 
 
 def _value_to_str(v, scalar: str) -> str:
@@ -301,7 +330,7 @@ def _matrix_to_entries(M: np.ndarray, scalar: str) -> list:
 
 def problem_to_json(prob: SdpProblem) -> dict:
     p = prob.pencil
-    return {
+    doc = {
         "name": prob.name,
         "n": p.n,
         "scalar": p.scalar,
@@ -315,6 +344,9 @@ def problem_to_json(prob: SdpProblem) -> dict:
             for name, b, term in zip(p.var_names, prob.objective, p.terms)
         ],
     }
+    if bool(prob.objective_offset):
+        doc["offset"] = _value_to_str(prob.objective_offset, p.scalar)
+    return doc
 
 
 def problem_from_json(doc: dict) -> SdpProblem:
@@ -357,8 +389,11 @@ def problem_from_json(doc: dict) -> SdpProblem:
         var_entries.append((vname, entries(rv.get("F", []), f"vars[{k}].F")))
         objective.append(_value_from_str(rv.get("b", "0"), scalar))
 
+    offset = _value_from_str(doc["offset"], scalar) if "offset" in doc else 0
     pencil = MatrixPencil.from_upper(n, scalar, entries(raw_f0, "F0"), var_entries)
-    return SdpProblem(pencil=pencil, objective=tuple(objective), name=name)
+    return SdpProblem(
+        pencil=pencil, objective=tuple(objective), name=name, objective_offset=offset
+    )
 
 
 def problem_to_json_str(prob: SdpProblem) -> str:

@@ -158,8 +158,11 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
         if n:
             X_full[np.ix_(rows, rows)] = Xred
         ydict = {name: float(val) for name, val in zip(names, y)}
-        obj_p = float(np.tensordot(C, Xred, axes=2)) if n else 0.0
-        obj_d = float(b @ y)
+        # the offset is reported, never iterated on: iterates and gap are
+        # those of <b, y> alone
+        offset = float(prob.objective_offset)
+        obj_p = (float(np.tensordot(C, Xred, axes=2)) if n else 0.0) + offset
+        obj_d = float(b @ y) + offset
         diag.condition_estimate = cond
         diag.max_abs_variable = max(
             float(np.max(np.abs(y))) if m else 0.0,

@@ -15,7 +15,6 @@ from strictfeas import bell, certify
 from strictfeas.cli import main
 from strictfeas.exactnum import (
     QuadExt,
-    _rref,
     as_quad,
     psd_check_exact,
     qsign,
@@ -24,6 +23,7 @@ from strictfeas.exactnum import (
     qzeros,
     reconstruct_quadext,
     reconstruct_rational,
+    rref_exact,
 )
 from strictfeas.facial import (
     ReducingCertificate,
@@ -45,7 +45,7 @@ def report(num: int, description: str, ok: bool, elapsed: float | None = None):
 
 def span_canonical(vectors):
     M = np.array([[as_quad(x) for x in v] for v in vectors], dtype=object)
-    R, pivots = _rref(M)
+    R, pivots = rref_exact(M)
     return tuple(tuple(R[r]) for r in sorted(pivots.values()))
 
 

@@ -8,7 +8,7 @@ import pytest
 from strictfeas.cli import BUILTINS, load_problem, main, store_problem
 from strictfeas.model import problem_to_json_str, validate
 
-from helpers import random_certified_sdp
+from helpers import pinned_offset_problem, planted_chain_problem, random_certified_sdp
 
 
 @pytest.fixture()
@@ -169,3 +169,27 @@ class TestExportCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 5
         assert len(doc["vars"]) == 8
+
+
+class TestReduceRounds:
+    def test_planted_chain_both_rounds(self, tmpfile, capsys):
+        src, dst, rep = tmpfile("chain.json"), tmpfile("chain-red.json"), tmpfile("r.json")
+        store_problem(planted_chain_problem(), src)
+        assert main(["reduce", src, "--out", dst, "--report", rep]) == 0
+        out = capsys.readouterr().out
+        assert "round 1:" in out and "round 2:" in out
+        report = json.load(open(rep))
+        assert report["reduction"]["eliminated"] == ["a", "b"]
+        assert len(report["reduction"]["rounds"]) == 2
+        assert load_problem(dst).var_names == ("s",)
+
+    def test_offset_survives_reduce_then_solve(self, tmpfile, capsys):
+        # y1 = 1 is pinned: its objective constant must reach the solve
+        src, dst = tmpfile("pinned.json"), tmpfile("pinned-red.json")
+        store_problem(pinned_offset_problem(), src)
+        assert main(["reduce", src, "--out", dst]) == 0
+        assert load_problem(dst).var_names == ("y2",)
+        capsys.readouterr()
+        assert main(["solve", dst, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["solver"]["objective_dual"] - 2.0) < 1e-6

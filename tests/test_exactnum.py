@@ -221,6 +221,17 @@ class TestReconstruction:
             f = Fraction(p, q)
             assert reconstruct_rational(float(f), q) == f
 
+    def test_rational_tolerance_argument(self):
+        assert reconstruct_rational(0.3334, 100) is None
+        assert reconstruct_rational(0.3334, 100, tol=1e-3) == Fraction(1, 3)
+
+    def test_quadext_exact_zero(self):
+        # PSLQ rejects a vector with an exact zero; zero itself must still
+        # reconstruct, like any float within tolerance of it
+        assert reconstruct_quadext(0.0, 100) == quad(0)
+        assert reconstruct_quadext(-0.0, 100) == quad(0)
+        assert reconstruct_quadext(1e-20, 100) == quad(0)
+
     def test_quadext_mu2_star(self):
         assert reconstruct_quadext(0.1803398875, 100) == MU2_STAR
 

@@ -23,12 +23,12 @@ from strictfeas.bell import (
     toy_null_vectors,
 )
 from strictfeas.exactnum import (
-    _rref,
     as_quad,
     mat_vec,
     qarray,
     quad,
     qzeros,
+    rref_exact,
 )
 from strictfeas.facial import (
     InconsistentConstraintsError,
@@ -46,11 +46,13 @@ from strictfeas.facial import (
 )
 from strictfeas.model import MatrixPencil, SdpProblem, pencil_eval
 
+from helpers import planted_chain_problem
+
 
 def span_canonical(vectors):
     """Canonical RREF matrix of the span; equal spans give equal canons."""
     M = np.array([[as_quad(x) for x in v] for v in vectors], dtype=object)
-    R, pivots = _rref(M)
+    R, pivots = rref_exact(M)
     rows = sorted(pivots.values())
     return tuple(tuple(R[r]) for r in rows)
 
@@ -244,6 +246,17 @@ class TestSoundness:
                 continue
             cons = derive_implicit_constraints(prob, out.range_vectors)
             assert cons.eliminated == ()
+
+    def test_reduce_problem_two_rounds_on_planted_chain(self):
+        raw = planted_chain_problem()
+        final, rounds, _ = reduce_problem(raw)
+        assert [r.constraints.eliminated_names for r in rounds] == [("a",), ("b",)]
+        searched = [raw] + [r.problem for r in rounds[:-1]]
+        for prob, r in zip(searched, rounds):
+            ((_, expr),) = r.constraints.eliminated
+            assert not bool(expr.const) and not expr.coeffs
+            assert verify_certificate_matrix(prob, r.certificate.X) == []
+        assert final.var_names == ("s",)
 
     def test_reduce_problem_loop_terminates(self):
         final, rounds, verdict = reduce_problem(chsh_toy_pencil())

@@ -4,6 +4,8 @@ import json
 import random
 from fractions import Fraction
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from strictfeas.model import (
     problem_to_json,
     problem_to_json_str,
     to_double,
+    to_exact,
     validate,
 )
 
@@ -193,6 +196,19 @@ class TestJson:
         with pytest.raises(ValueError, match="upper triangle"):
             problem_from_json(doc)
 
+    def test_offset_round_trip(self):
+        prob = replace(small_exact_problem(), objective_offset=quad(Fraction(3, 2), 1))
+        doc = problem_to_json(prob)
+        assert doc["offset"] == "3/2+1*sqrt5"
+        assert problem_from_json(doc).objective_offset == quad(Fraction(3, 2), 1)
+        back = problem_from_json(problem_to_json(to_double(prob)))
+        assert back.objective_offset == float(quad(Fraction(3, 2), 1))
+
+    def test_offset_optional(self):
+        doc = problem_to_json(small_exact_problem())
+        assert "offset" not in doc
+        assert problem_from_json(doc).objective_offset == 0
+
     def test_double_round_trip(self):
         prob = to_double(small_exact_problem())
         back = problem_from_json(problem_to_json(prob))
@@ -207,3 +223,17 @@ class TestDowncast:
         assert d.pencil.scalar == "double"
         assert d.pencil.f0.dtype == np.float64
         assert d.objective == (1.0, 0.0)
+
+    def test_double_to_exact_is_exact_and_keeps_metadata(self):
+        prob = replace(
+            to_double(small_exact_problem()), objective_offset=0.1, note="kept"
+        )
+        e = to_exact(prob)
+        assert e.pencil.scalar == "exact"
+        assert e.pencil.f0[0, 0] == quad(1)
+        assert e.pencil.term("y2")[0, 1] == quad(Fraction(1, 2))
+        assert e.objective == (quad(1), quad(0))
+        # 0.1 is a dyadic rational, carried over exactly
+        assert e.objective_offset == quad(Fraction(0.1))
+        assert (e.name, e.note, e.form) == (prob.name, "kept", prob.form)
+        assert to_exact(e) is e

@@ -1,5 +1,7 @@
 """Interior-point solver: correctness on certified problems, honest failure modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,16 @@ class TestBasics:
         assert r1.objective_primal == r2.objective_primal
         assert r1.objective_dual == r2.objective_dual
         assert np.array_equal(r1.X, r2.X)
+
+    def test_offset_reported_not_iterated(self):
+        prob = simple_interval_problem()
+        shifted = replace(prob, objective_offset=2.5)
+        r0, r1 = solve_sdp(prob), solve_sdp(shifted)
+        assert r1.diagnostics.iterations == r0.diagnostics.iterations
+        assert r1.diagnostics.final_gap == r0.diagnostics.final_gap
+        assert r1.y == r0.y
+        assert r1.objective_dual == r0.objective_dual + 2.5
+        assert r1.objective_primal == r0.objective_primal + 2.5
 
     def test_rejects_exact_scalars(self):
         from strictfeas.exactnum import quad
