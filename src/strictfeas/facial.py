@@ -618,7 +618,8 @@ def apply_constraints(prob: SdpProblem, cons: ImplicitConstraintSet) -> SdpProbl
         terms=tuple(new_terms[v] for v in keep),
     )
     base = prob.name or "problem"
-    new_name = base[: -len("-raw")] + "-reduced" if base.endswith("-raw") else base + "-reduced"
+    base = base[: -len("-raw")] if base.endswith("-raw") else base
+    new_name = base if base.endswith("-reduced") else base + "-reduced"
     return SdpProblem(
         pencil=pencil,
         objective=tuple(new_b[v] for v in keep),

@@ -5,6 +5,18 @@ Mehrotra-style predictor-corrector, dense Cholesky on the Schur complement.
 Built for n <= ~10: everything is dense, single-threaded and deterministic
 (two runs on the same input produce bitwise-identical iterates).
 
+The constraint matrices are stacked once as an (m, n, n) array with a flat
+(m, n^2) view, so the operator A(X) and its adjoint are single matrix-vector
+products.  The Schur complement M_ij = <A_i, W A_j W> is assembled as in
+SDPA/SDPT3 (Fujisawa, Kojima & Nakata, Math. Prog. 1997): one batched matmul
+forms every W A_j W, one GEMM forms M.  Each Newton solve is refined once
+against the operator itself, which keeps the primal residual from stalling at
+the Cholesky solve's accuracy when M is ill-conditioned near the optimum.
+The NT point W is computed from the singular values of X^{1/2} Z^{1/2}
+(Todd, Toh & Tutuncu, SIAM J. Optim. 1998) without forming
+X^{1/2} Z X^{1/2}, whose tiny eigenvalues near the optimum roundoff can push
+below zero although X and Z are both positive definite.
+
 Honesty is the point: when iterates blow up, steps stagnate or the Newton
 system degenerates, the result is reported as NumericalTrouble rather than
 passing off the last iterate as optimal.  Maximization problems whose optimum
@@ -76,11 +88,10 @@ class SolveResult:
         return self.status.is_optimal
 
 
-def _structural_rows(F0: np.ndarray, terms) -> np.ndarray:
+def _structural_rows(F0: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Rows that carry any data in any pencil matrix (others are dropped)."""
     present = np.abs(F0).sum(axis=1) > 0
-    for T in terms:
-        present |= np.abs(T).sum(axis=1) > 0
+    present |= np.abs(terms).sum(axis=(0, 2)) > 0
     return np.flatnonzero(present)
 
 
@@ -103,14 +114,35 @@ def _floored_eigh(M: np.ndarray, label: str):
     return lam, U
 
 
+def _sqrtm(M: np.ndarray, label: str) -> np.ndarray:
+    lam, U = _floored_eigh(M, label)
+    return (U * np.sqrt(lam)) @ U.T
+
+
 def _nt_scaling(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """The Nesterov-Todd point W with W Z W = X."""
-    lx, Ux = _floored_eigh(X, "X")
-    Xh = (Ux * np.sqrt(lx)) @ Ux.T
-    G = _sym(Xh @ Z @ Xh)
-    lg, Ug = _floored_eigh(G, "Z")
-    Ginvh = (Ug * (lg**-0.5)) @ Ug.T
-    return _sym(Xh @ Ginvh @ Xh)
+    """The Nesterov-Todd point W with W Z W = X.
+
+    W = Xh G^{-1/2} Xh with G = Xh Z Xh.  If Xh Zh = U S V^T then
+    G = U S^2 U^T, so W = (Xh U) S^{-1} (Xh U)^T: the singular values are
+    never negative, while eigenvalues of a formed G near the optimum can be.
+    """
+    Xh = _sqrtm(X, "X")
+    U, s, _ = np.linalg.svd(Xh @ _sqrtm(Z, "Z"))
+    # singular values below eps * s_max are roundoff, not information
+    s = np.maximum(s, np.finfo(float).eps * s[0])
+    P = Xh @ U
+    return _sym((P / s) @ P.T)
+
+
+def _schur_complement(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """M_ij = <A_i, W A_j W> for a stack A of shape (m, n, n).
+
+    One batched matmul forms every W A_j W and one GEMM contracts them with
+    the flattened A_i (the SDPA/SDPT3 dense assembly).
+    """
+    m = A.shape[0]
+    WA = (W @ A @ W).reshape(m, -1)
+    return _sym(A.reshape(m, -1) @ WA.T)
 
 
 def _safe_inv(M: np.ndarray, label: str) -> np.ndarray:
@@ -146,10 +178,13 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
     m = b.size
     names = prob.pencil.var_names
 
-    rows = _structural_rows(prob.pencil.f0, prob.pencil.terms)
+    terms = np.asarray(prob.pencil.terms, dtype=float).reshape(m, n_full, n_full)
+    rows = _structural_rows(prob.pencil.f0, terms)
     C = prob.pencil.f0[np.ix_(rows, rows)].copy()
-    Gammas = [T[np.ix_(rows, rows)].copy() for T in prob.pencil.terms]
     n = rows.size
+    # standard form: sum y_i A_i + Z = C, with A_i = -F_i
+    A = -terms[:, rows[:, None], rows]
+    Aflat = A.reshape(m, n * n)
 
     diag = Diagnostics()
 
@@ -191,8 +226,8 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
             )
         return finish(SolveStatus(StatusTag.OPTIMAL, "zero pencil"), np.zeros(m), np.zeros((0, 0)), 0.0)
 
-    dead_vars = [k for k, G in enumerate(Gammas) if not np.any(G)]
-    if any(b[k] != 0 for k in dead_vars):
+    dead_vars = ~Aflat.any(axis=1)
+    if np.any(b[dead_vars] != 0):
         return finish(
             SolveStatus(
                 StatusTag.DUAL_UNBOUNDED_SUSPECTED,
@@ -208,20 +243,14 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
         msg = "no variables" if tag is StatusTag.OPTIMAL else "constant pencil is not PSD"
         return finish(SolveStatus(tag, msg), np.zeros(0), np.zeros((n, n)), 0.0)
 
-    Avec = np.array([(-G)[np.triu_indices(n)] for G in Gammas])
-    if np.linalg.matrix_rank(Avec, tol=1e-12) < m:
+    if np.linalg.matrix_rank(Aflat, tol=1e-12) < m:
         raise InvalidProblemError(["linearly dependent constraint matrices"])
 
-    A = [-G for G in Gammas]  # standard form: sum y_i A_i + Z = C
-
     def a_of(M: np.ndarray) -> np.ndarray:
-        return np.array([np.tensordot(Ai, M, axes=2) for Ai in A])
+        return Aflat @ M.ravel()
 
     def at_of(y: np.ndarray) -> np.ndarray:
-        out = np.zeros((n, n))
-        for yi, Ai in zip(y, A):
-            out += yi * Ai
-        return out
+        return (y @ Aflat).reshape(n, n)
 
     # initial point: dual-feasible start from the constant term when it is
     # strictly diagonally dominant with a positive diagonal, identity otherwise
@@ -279,9 +308,7 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
 
         try:
             W = _nt_scaling(X, Z)
-            WA = [W @ Ai @ W for Ai in A]
-            M = np.array([[np.tensordot(Ai, WAj, axes=2) for WAj in WA] for Ai in A])
-            M = _sym(M)
+            M = _schur_complement(A, W)
             cond = float(np.linalg.cond(M))
             # near convergence the Schur complement conditioning always
             # degrades (~1/mu); it only signals trouble while the gap is
@@ -309,6 +336,10 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
             def newton(Rc: np.ndarray):
                 rhs = Rp - a_of(Rc) + a_of(WRdW)
                 dy = sla.cho_solve(Mfac, rhs, check_finite=False)
+                # after a full step the primal residual is this solve's
+                # residual; refining once against the operator shrinks it
+                r = rhs - a_of(W @ at_of(dy) @ W)
+                dy = dy + sla.cho_solve(Mfac, r, check_finite=False)
                 dZ = Rd - at_of(dy)
                 dX = _sym(Rc - W @ dZ @ W)
                 return dy, dZ, dX

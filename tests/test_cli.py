@@ -182,6 +182,7 @@ class TestReduceRounds:
         assert report["reduction"]["eliminated"] == ["a", "b"]
         assert len(report["reduction"]["rounds"]) == 2
         assert load_problem(dst).var_names == ("s",)
+        assert load_problem(dst).name == "planted-chain-reduced"
 
     def test_offset_survives_reduce_then_solve(self, tmpfile, capsys):
         # y1 = 1 is pinned: its objective constant must reach the solve

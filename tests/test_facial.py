@@ -257,6 +257,9 @@ class TestSoundness:
             assert not bool(expr.const) and not expr.coeffs
             assert verify_certificate_matrix(prob, r.certificate.X) == []
         assert final.var_names == ("s",)
+        # the suffix marks a reduced problem once, however many rounds ran
+        assert [r.problem.name for r in rounds] == ["planted-chain-reduced"] * 2
+        assert final.name == "planted-chain-reduced"
 
     def test_reduce_problem_loop_terminates(self):
         final, rounds, verdict = reduce_problem(chsh_toy_pencil())

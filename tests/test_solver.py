@@ -15,6 +15,8 @@ from strictfeas.model import (
 from strictfeas.solver import (
     InvalidProblemError,
     SolverOptions,
+    _nt_scaling,
+    _schur_complement,
     diagnostics_report,
     solve_sdp,
 )
@@ -75,13 +77,16 @@ class TestBasics:
         ) <= 1e-12
 
     def test_determinism(self):
-        prob, _, _ = random_certified_sdp(np.random.default_rng(4), 4, 3)
-        r1 = solve_sdp(prob)
-        r2 = solve_sdp(prob)
-        assert r1.diagnostics.iterations == r2.diagnostics.iterations
-        assert r1.objective_primal == r2.objective_primal
-        assert r1.objective_dual == r2.objective_dual
-        assert np.array_equal(r1.X, r2.X)
+        # m = 30 is the size of a certificate search's margin problem
+        for n, m in ((4, 3), (8, 30)):
+            prob, _, _ = random_certified_sdp(np.random.default_rng(4), n, m)
+            r1 = solve_sdp(prob)
+            r2 = solve_sdp(prob)
+            assert r1.diagnostics.iterations == r2.diagnostics.iterations
+            assert r1.objective_primal == r2.objective_primal
+            assert r1.objective_dual == r2.objective_dual
+            assert r1.y == r2.y
+            assert np.array_equal(r1.X, r2.X)
 
     def test_offset_reported_not_iterated(self):
         prob = simple_interval_problem()
@@ -113,6 +118,36 @@ class TestBasics:
         )
         with pytest.raises(InvalidProblemError):
             solve_sdp(SdpProblem(pencil=pencil, objective=()))
+
+
+class TestNewtonSystem:
+    def test_schur_complement_matches_pairwise_reference(self):
+        rng = np.random.default_rng(7)
+        n, m = 9, 36
+        S = rng.standard_normal((m, n, n))
+        A = S + S.transpose(0, 2, 1)
+        B = rng.standard_normal((n, n))
+        W = B @ B.T + np.eye(n)
+        ref = np.array([[np.tensordot(Ai, W @ Aj @ W, axes=2) for Aj in A] for Ai in A])
+        M = _schur_complement(A, W)
+        assert np.array_equal(M, M.T)
+        # summation order differs from the reference, not the arithmetic
+        tol = 4 * n * n * np.finfo(float).eps * np.abs(ref).max()
+        assert np.max(np.abs(M - ref)) <= tol
+
+    def test_nt_scaling_survives_shared_tiny_eigenvalue(self):
+        # near the optimum X Z ~ 0; when X and Z share one tiny eigenvalue,
+        # Xh Z Xh has an eigenvalue ~1e-30 that roundoff can make negative
+        rng = np.random.default_rng(11)
+        tiny = 1e-15
+        for _ in range(200):
+            Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            dx = np.concatenate([rng.uniform(0.5, 2.0, 3), [tiny] * 3])
+            dz = np.concatenate([[tiny] * 4, rng.uniform(0.5, 2.0, 2)])
+            W = _nt_scaling((Q * dx) @ Q.T, (Q * dz) @ Q.T)
+            assert np.all(np.isfinite(W))
+            assert np.array_equal(W, W.T)
+            assert np.linalg.eigvalsh(W)[0] > 0
 
 
 class TestRandomCertified:
