@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -109,15 +108,11 @@ def _solver_options(args) -> SolverOptions:
 
 
 def _echo_options(args) -> dict:
-    out = {
+    return {
         "gap_tol": args.gap_tol,
         "feas_tol": args.feas_tol,
         "max_iter": args.max_iter,
-        "max_den": getattr(args, "max_den", None),
-        "eig_threshold": getattr(args, "eig_threshold", None),
-        "seed_env": os.environ.get("STRICTFEAS_SEED"),
     }
-    return out
 
 
 def _solve_summary(res: SolveResult) -> dict:
@@ -168,14 +163,20 @@ def cmd_solve(args) -> int:
     return 0 if res.status.tag is StatusTag.OPTIMAL else 2
 
 
-def _diagnose(prob: SdpProblem, args):
-    opts = _solver_options(args)
-    return find_reducing_certificate(
-        prob,
-        opts,
-        eig_threshold=args.eig_threshold,
-        max_den=args.max_den,
+def _strictly_feasible_lines(verdict: StrictlyFeasible, report: RunReport) -> list[str]:
+    """Record a StrictlyFeasible verdict, proof or evidence, and describe it."""
+    report.reduction.update(
+        verdict="StrictlyFeasible",
+        exact=verdict.exact,
+        tolerance=verdict.tolerance,
+        detail=verdict.detail,
     )
+    return [
+        "verdict: StrictlyFeasible",
+        "  (exact linear-algebra proof)" if verdict.exact
+        else f"  (numerical verdict at tolerance {verdict.tolerance:g}, not a proof)",
+        f"  {verdict.detail}",
+    ]
 
 
 def cmd_diagnose(args) -> int:
@@ -185,19 +186,10 @@ def cmd_diagnose(args) -> int:
         command="diagnose", inputs={"file": args.file, "name": prob.name},
         options=_echo_options(args),
     )
-    outcome = _diagnose(prob, args)
+    outcome = find_reducing_certificate(prob, _solver_options(args))
     lines = []
     if isinstance(outcome, StrictlyFeasible):
-        report.reduction["verdict"] = "StrictlyFeasible"
-        report.reduction["exact"] = outcome.exact
-        report.reduction["tolerance"] = outcome.tolerance
-        report.reduction["detail"] = outcome.detail
-        lines.append("verdict: StrictlyFeasible")
-        lines.append(
-            "  (exact linear-algebra proof)" if outcome.exact
-            else f"  (numerical verdict at tolerance {outcome.tolerance:g}, not a proof)"
-        )
-        lines.append(f"  {outcome.detail}")
+        lines += _strictly_feasible_lines(outcome, report)
     else:
         report.reduction["verdict"] = "ReducingCertificate"
         report.reduction["certificate"] = outcome.as_dict()
@@ -217,12 +209,7 @@ def cmd_reduce(args) -> int:
         command="reduce", inputs={"file": args.file, "name": prob.name},
         options=_echo_options(args),
     )
-    reduced, rounds, verdict = reduce_problem(
-        prob,
-        _solver_options(args),
-        eig_threshold=args.eig_threshold,
-        max_den=args.max_den,
-    )
+    reduced, rounds, verdict = reduce_problem(prob, _solver_options(args))
     report.reduction["rounds"] = [
         {
             "certificate": rnd.certificate.as_dict(),
@@ -233,19 +220,15 @@ def cmd_reduce(args) -> int:
     report.reduction["eliminated"] = [
         v for rnd in rounds for v in rnd.constraints.eliminated_names
     ]
-    if isinstance(verdict, StrictlyFeasible):
-        report.reduction["verdict"] = "StrictlyFeasible"
     lines = []
     for k, rnd in enumerate(rounds, 1):
         lines.append(f"round {k}: eliminated variables:")
         for v, expr in rnd.constraints.eliminated:
             lines.append(f"  {v} = {expr}")
-    if not rounds:
-        lines.append(
-            "no reduction needed: problem diagnosed strictly feasible"
-            if verdict is not None
-            else "certificate implies no substitutions; problem unchanged"
-        )
+    if verdict is not None:
+        lines += _strictly_feasible_lines(verdict, report)
+    elif not rounds:
+        lines.append("certificate implies no substitutions; problem unchanged")
     if args.out_problem:
         store_problem(reduced, args.out_problem)
         lines.append(f"reduced problem written to {args.out_problem}")
@@ -319,7 +302,7 @@ def _reproduce_target(target: str, args, report: RunReport) -> bool:
     )
     report.solver[f"{target}-raw"] = _solve_summary(raw_res)
 
-    outcome = _diagnose(raw, args)
+    outcome = find_reducing_certificate(raw, opts)
     if isinstance(outcome, StrictlyFeasible):
         claims.append(("diagnosis finds a reducing certificate", False, outcome.detail))
         cert = None
@@ -469,10 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gap-tol", type=float, default=1e-9, dest="gap_tol")
         p.add_argument("--feas-tol", type=float, default=1e-9, dest="feas_tol")
         p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
-        p.add_argument("--max-den", type=int, default=10**6, dest="max_den")
-        p.add_argument(
-            "--eig-threshold", type=float, default=1e-6, dest="eig_threshold"
-        )
         if report_out:
             p.add_argument("--out", dest="out", help="write the JSON run report here")
         p.add_argument(

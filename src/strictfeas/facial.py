@@ -13,8 +13,10 @@ The search runs numerically (maximizing the minimum eigenvalue over the
 trace-one slice of matrices orthogonal to the pencil).  The candidate is
 rationalized by one path, projection then rounding: the projector onto its
 range is rounded first, which fixes the face exactly, and the coordinates
-inside that face second.  Every certificate property is then verified
-exactly; a candidate that cannot be rationalized is surfaced as
+inside that face second.  The face's rank is not a setting: the search
+starts at the rank the spectrum shows and steps down one rank at a time
+until a candidate verifies.  Every certificate property is verified
+exactly; a candidate that cannot be rationalized at any rank is surfaced as
 RoundingFailed, never guessed around.
 """
 
@@ -264,35 +266,34 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem:
     )
 
 
-def _rounding_ladder(max_den: int | None) -> list[tuple[int, bool, float]]:
-    """Rungs (max_den, over Q(sqrt5), tolerance), tried in order.
+# eigenvalues of the numerical certificate at or above this fraction of the
+# largest one count toward its rank; the search starts at that rank
+RANK_CUTOFF = 1e-6
 
-    Iterates sit ~sqrt(gap) off the optimal face, so the small-denominator
-    rational snaps need a loose acceptance; that is sound because exact
-    verification guards every snap.  A strict rung at a denominator that
-    already has a loose rung would rebuild the same candidate, so there is
-    none.  Q(sqrt5) reconstruction comes only after plain rationals fail.
-    """
-    dens = [d for d in (100, 10**4, 10**6) if max_den is None or d <= max_den]
-    if max_den is not None and max_den not in dens:
-        dens.append(max_den)
-    tols = (1e-3, 1e-5)
-    rational = [
-        (d, False, tols[k] if k < len(tols) else RECONSTRUCT_TOL)
-        for k, d in enumerate(dens)
-    ]
-    return rational + [(d, True, RECONSTRUCT_TOL) for d in dens]
+# rounding rungs (max denominator, over Q(sqrt5), tolerance), tried in
+# order.  Iterates sit ~sqrt(gap) off the optimal face, so the
+# small-denominator rational snaps need a loose acceptance; that is sound
+# because exact verification guards every snap.  Q(sqrt5) reconstruction
+# comes only after plain rationals fail.
+ROUNDING_LADDER = (
+    (100, False, 1e-3),
+    (10**4, False, 1e-5),
+    (10**6, False, RECONSTRUCT_TOL),
+    (100, True, RECONSTRUCT_TOL),
+    (10**4, True, RECONSTRUCT_TOL),
+    (10**6, True, RECONSTRUCT_TOL),
+)
 
 
-def _round_coords(zhat: np.ndarray, max_den: int, extension: bool, tol: float):
+def _round_coords(zhat: np.ndarray, den: int, extension: bool, tol: float):
     """Snap floats to exact scalars, or None when one does not snap."""
     out = []
     for z in zhat:
         z = float(z)
         if extension:
-            r = reconstruct_quadext(z, max_den)
+            r = reconstruct_quadext(z, den)
         else:
-            r = reconstruct_rational(z, max_den, tol)
+            r = reconstruct_rational(z, den, tol)
         if r is None:
             return None
         out.append(as_quad(r))
@@ -317,12 +318,35 @@ def _affine_solve_exact(K: np.ndarray, rhs) -> tuple | None:
     return particular, nullspace_exact(K)
 
 
-def _face_split_certificate(
-    prob: SdpProblem, Xnum: np.ndarray, eig_threshold: float, max_den: int | None
-):
-    """Certificate extraction by projection, then rounding.
+def _face_split_certificate(prob: SdpProblem, Xnum: np.ndarray):
+    """Certificate extraction by projection, then rounding, rank by rank.
 
-    The projector onto range(X) is basis independent, so it rounds to small
+    The search starts at the rank the spectrum gives (eigenvalues at least
+    RANK_CUTOFF times the largest).  An iterate that sits ~sqrt(gap) off the
+    optimal face can carry a spurious eigenvalue above that cutoff, and then
+    no projector of that rank rounds; so when no rung verifies, the next
+    lower rank is tried, down to rank 1.  The first exactly verified
+    certificate wins.  Returns (certificate, None) or (None, the last failure
+    reason at each rank).
+    """
+    lam, V = np.linalg.eigh(Xnum)
+    lmax = max(float(lam[-1]), 1e-300)
+    top = int(np.sum(lam >= RANK_CUTOFF * lmax))
+    if top == 0:
+        return None, "numerical certificate has rank 0"
+    reasons = []
+    for r in range(top, 0, -1):
+        cert, reason = _round_face(prob, Xnum, V[:, -r:])
+        if cert is not None:
+            return cert, None
+        reasons.append(f"rank {r}: {reason}")
+    return None, "; ".join(reasons)
+
+
+def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
+    """Round the face spanned by the orthonormal columns Vr, then X in it.
+
+    The projector onto the face is basis independent, so it rounds to small
     exact entries even though the solver lands at an arbitrary interior point
     of the optimal face.  With the face fixed exactly (its integer basis W),
     the remaining in-face coordinates M of X = W M W^T are forgiving: any
@@ -331,24 +355,19 @@ def _face_split_certificate(
     (None, reason of the last failed rung).
     """
     n = prob.pencil.n
-    lam, V = np.linalg.eigh(Xnum)
-    lmax = max(float(lam[-1]), 1e-300)
-    keep = lam >= eig_threshold * lmax
-    r = int(np.sum(keep))
-    if r == 0:
-        return None, "numerical certificate has rank 0"
-    Pnum = V[:, keep] @ V[:, keep].T
+    r = Vr.shape[1]
+    Pnum = Vr @ Vr.T
     qmats = [prob.pencil.f0, *prob.pencil.terms, qeye(n)]
     pairs_r = _upper_pairs(r)
     reason = "projector rounding never succeeded"
-    for max_den, extension, tol in _rounding_ladder(max_den):
-        coords = _round_coords(Pnum[np.triu_indices(n)], max_den, extension, tol)
+    for den, extension, tol in ROUNDING_LADDER:
+        coords = _round_coords(Pnum[np.triu_indices(n)], den, extension, tol)
         if coords is None:
-            reason = f"projector entries not representable at max_den={max_den}"
+            reason = f"projector entries not representable at max_den={den}"
             continue
         P = _coords_to_matrix(coords, _upper_pairs(n), n)
         if not np.array_equal(P @ P, P):
-            reason = f"rounded matrix at max_den={max_den} is not a projector"
+            reason = f"rounded matrix at max_den={den} is not a projector"
             continue
         Wrows = row_space_basis_exact(P)
         if len(Wrows) != r:
@@ -363,7 +382,7 @@ def _face_split_certificate(
         rhs = [QUAD_ZERO] * (len(qmats) - 1) + [QUAD_ONE]
         solved = _affine_solve_exact(K, rhs)
         if solved is None:
-            reason = f"face slice at max_den={max_den} is inconsistent"
+            reason = f"face slice at max_den={den} is inconsistent"
             continue
         particular, homogeneous = solved
         Wpinv = np.linalg.pinv(to_float(W))
@@ -372,9 +391,9 @@ def _face_split_certificate(
         if homogeneous:
             Hf = np.array([to_float(h) for h in homogeneous]).T
             shat, *_ = np.linalg.lstsq(Hf, mflat - to_float(particular), rcond=None)
-            s = _round_coords(shat, max_den, extension, tol)
+            s = _round_coords(shat, den, extension, tol)
             if s is None:
-                reason = f"face coordinates not representable at max_den={max_den}"
+                reason = f"face coordinates not representable at max_den={den}"
                 continue
         mcoords = np.array(particular, dtype=object)
         for sj, h in zip(s, homogeneous):
@@ -383,11 +402,11 @@ def _face_split_certificate(
         X = W @ _coords_to_matrix(mcoords, pairs_r, r) @ W.T
         problems = verify_certificate_matrix(prob, X)
         if problems:
-            reason = f"face rounding at max_den={max_den}: " + "; ".join(problems)
+            reason = f"face rounding at max_den={den}: " + "; ".join(problems)
             continue
         vectors = tuple(primitive_integer_vector(v) for v in row_space_basis_exact(X))
         note = (
-            f"face-projector rounding at max_den={max_den}"
+            f"face-projector rounding at max_den={den}"
             + (" over Q(sqrt5)" if extension else "")
             + f"; rank {len(vectors)}"
         )
@@ -395,21 +414,15 @@ def _face_split_certificate(
     return None, reason
 
 
-def find_reducing_certificate(
-    prob: SdpProblem,
-    opts: SolverOptions | None = None,
-    eig_threshold: float = 1e-6,
-    max_den: int | None = None,
-):
+def find_reducing_certificate(prob: SdpProblem, opts: SolverOptions | None = None):
     """Search for a reducing certificate; verify it exactly or report back.
 
     The trace-one orthogonal slice is parameterized exactly and the minimum
     eigenvalue of X(z) is maximized numerically; the interior-point iterate
     then lands in the relative interior of the optimal face, i.e. at maximal
-    rank.  The candidate is rounded by projection, then rounding (see
-    `_face_split_certificate`): `eig_threshold` sets its numerical rank and
-    `max_den` caps the denominators of the rounding ladder.  Every
-    certificate invariant is re-checked exactly.
+    rank.  The candidate is rounded by projection, then rounding, from the
+    rank its spectrum gives down to rank 1 (see `_face_split_certificate`).
+    Every certificate invariant is re-checked exactly.
     """
     opts = opts or SolverOptions()
     chart = _slice_parameterization(prob)
@@ -455,7 +468,7 @@ def find_reducing_certificate(
     Xnum = to_float(X0) + sum(
         (z * to_float(Bk) for z, Bk in zip(zhat, B)), np.zeros((n, n))
     )
-    cert, reason = _face_split_certificate(prob, Xnum, eig_threshold, max_den)
+    cert, reason = _face_split_certificate(prob, Xnum)
     if cert is None:
         raise RoundingFailedError(
             f"could not rationalize the numerical certificate: {reason}"
@@ -646,17 +659,13 @@ class ReductionRound:
 
 
 def reduce_problem(
-    prob: SdpProblem,
-    opts: SolverOptions | None = None,
-    eig_threshold: float = 1e-6,
-    max_den: int | None = None,
+    prob: SdpProblem, opts: SolverOptions | None = None
 ) -> tuple[SdpProblem, list[ReductionRound], StrictlyFeasible | None]:
     """Repeat diagnose -> derive -> substitute until nothing more is implied.
 
     Each round may expose a smaller face, so a problem of singularity degree
     d takes d rounds plus one search that finds nothing new; the loop is
-    capped at the pencil dimension.  `eig_threshold` and `max_den` go to
-    every certificate search.  Returns the final problem, the rounds
+    capped at the pencil dimension.  Returns the final problem, the rounds
     performed, and the terminating verdict: a StrictlyFeasible outcome, or
     None when the last certificate implied no further substitutions (a fixed
     point, e.g. structurally zero rows that no substitution can remove) or
@@ -665,7 +674,7 @@ def reduce_problem(
     rounds: list[ReductionRound] = []
     current = prob
     for _ in range(prob.pencil.n):
-        outcome = find_reducing_certificate(current, opts, eig_threshold, max_den)
+        outcome = find_reducing_certificate(current, opts)
         if isinstance(outcome, StrictlyFeasible):
             return current, rounds, outcome
         cons = derive_implicit_constraints(current, outcome.range_vectors)

@@ -114,20 +114,14 @@ def _floored_eigh(M: np.ndarray, label: str):
     return lam, U
 
 
-def _sqrtm(M: np.ndarray, label: str) -> np.ndarray:
-    lam, U = _floored_eigh(M, label)
-    return (U * np.sqrt(lam)) @ U.T
-
-
-def _nt_scaling(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """The Nesterov-Todd point W with W Z W = X.
+def _nt_scaling(Xh: np.ndarray, Zh: np.ndarray) -> np.ndarray:
+    """The Nesterov-Todd point W with W Z W = X, from Xh = X^{1/2}, Zh = Z^{1/2}.
 
     W = Xh G^{-1/2} Xh with G = Xh Z Xh.  If Xh Zh = U S V^T then
     G = U S^2 U^T, so W = (Xh U) S^{-1} (Xh U)^T: the singular values are
     never negative, while eigenvalues of a formed G near the optimum can be.
     """
-    Xh = _sqrtm(X, "X")
-    U, s, _ = np.linalg.svd(Xh @ _sqrtm(Z, "Z"))
+    U, s, _ = np.linalg.svd(Xh @ Zh)
     # singular values below eps * s_max are roundoff, not information
     s = np.maximum(s, np.finfo(float).eps * s[0])
     P = Xh @ U
@@ -145,16 +139,9 @@ def _schur_complement(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _sym(A.reshape(m, -1) @ WA.T)
 
 
-def _safe_inv(M: np.ndarray, label: str) -> np.ndarray:
-    lam, U = _floored_eigh(M, label)
-    return _sym((U * (1.0 / lam)) @ U.T)
-
-
-def _max_step(S: np.ndarray, dS: np.ndarray) -> float:
-    """Largest alpha with S + alpha dS >= 0 (S assumed PD up to roundoff)."""
-    lam, U = _floored_eigh(S, "iterate")
-    R = (U * (lam**-0.5)) @ U.T
-    lam_min = float(np.linalg.eigvalsh(_sym(R @ dS @ R))[0])
+def _max_step(Sinvh: np.ndarray, dS: np.ndarray) -> float:
+    """Largest alpha with S + alpha dS >= 0, given Sinvh = S^{-1/2}."""
+    lam_min = float(np.linalg.eigvalsh(_sym(Sinvh @ dS @ Sinvh))[0])
     if lam_min >= 0:
         return np.inf
     return -1.0 / lam_min
@@ -307,7 +294,14 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
             break
 
         try:
-            W = _nt_scaling(X, Z)
+            # one floored eigendecomposition each of X and Z per iteration;
+            # every root and inverse below comes from these two
+            lx, Ux = _floored_eigh(X, "X")
+            lz, Uz = _floored_eigh(Z, "Z")
+            Xmh = (Ux * lx**-0.5) @ Ux.T
+            Zmh = (Uz * lz**-0.5) @ Uz.T
+            Zinv = _sym((Uz * (1.0 / lz)) @ Uz.T)
+            W = _nt_scaling((Ux * np.sqrt(lx)) @ Ux.T, (Uz * np.sqrt(lz)) @ Uz.T)
             M = _schur_complement(A, W)
             cond = float(np.linalg.cond(M))
             # near convergence the Schur complement conditioning always
@@ -330,7 +324,6 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
                     continue
             if Mfac is None:
                 raise np.linalg.LinAlgError("Schur complement factorization failed")
-            Zinv = _safe_inv(Z, "Z")
             WRdW = W @ Rd @ W
 
             def newton(Rc: np.ndarray):
@@ -346,8 +339,8 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
 
             # predictor
             dy_a, dZ_a, dX_a = newton(-X)
-            ap = min(1.0, _max_step(X, dX_a))
-            ad = min(1.0, _max_step(Z, dZ_a))
+            ap = min(1.0, _max_step(Xmh, dX_a))
+            ad = min(1.0, _max_step(Zmh, dZ_a))
             mu = float(np.tensordot(X, Z, axes=2)) / n
             mu_aff = float(
                 np.tensordot(X + ap * dX_a, Z + ad * dZ_a, axes=2)
@@ -361,8 +354,8 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
             corr = _sym(dX_a @ dZ_a @ Zinv)
             Rc = sigma * mu * Zinv - X - corr
             dy, dZ, dX = newton(Rc)
-            ap = min(1.0, tau * _max_step(X, dX))
-            ad = min(1.0, tau * _max_step(Z, dZ))
+            ap = min(1.0, tau * _max_step(Xmh, dX))
+            ad = min(1.0, tau * _max_step(Zmh, dZ))
         except np.linalg.LinAlgError as exc:
             status = SolveStatus(
                 StatusTag.NUMERICAL_TROUBLE, f"factorization failed: {exc}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from strictfeas.cli import BUILTINS, load_problem, main, store_problem
-from strictfeas.model import problem_to_json_str, validate
+from strictfeas.model import MatrixPencil, SdpProblem, problem_to_json_str, validate
 
 from helpers import pinned_offset_problem, planted_chain_problem, random_certified_sdp
 
@@ -144,6 +144,23 @@ class TestReduceCommand:
         out = capsys.readouterr().out
         assert "no substitutions" in out or "strictly feasible" in out
         assert open(src).read() == open(dst).read()
+
+    def test_numeric_verdict_reported_as_evidence(self, tmpfile, capsys):
+        # the slice orthogonal to diag(3, 1) holds no PSD matrix, which only
+        # the solver sees: reduce must not pass the verdict off as a proof
+        pencil = MatrixPencil.from_upper(2, "exact", [(0, 0, 3), (1, 1, 1)], [])
+        path = tmpfile("indefinite-slice.json")
+        store_problem(SdpProblem(pencil=pencil, objective=(), name="indefinite-slice"), path)
+        assert main(["reduce", path, "--json"]) == 0
+        reduced = json.loads(capsys.readouterr().out)["reduction"]
+        assert reduced["verdict"] == "StrictlyFeasible"
+        assert reduced["exact"] is False
+        assert reduced["tolerance"] > 0
+        assert main(["diagnose", path, "--json"]) == 0
+        diagnosed = json.loads(capsys.readouterr().out)["reduction"]
+        assert {k: reduced[k] for k in diagnosed} == diagnosed
+        assert main(["reduce", path]) == 0
+        assert "not a proof" in capsys.readouterr().out
 
 
 class TestReproduceCommand:

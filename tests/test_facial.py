@@ -34,6 +34,7 @@ from strictfeas.facial import (
     InconsistentConstraintsError,
     ReducingCertificate,
     StrictlyFeasible,
+    _face_split_certificate,
     apply_constraints,
     build_alternative_problem,
     certificate_null_vectors,
@@ -46,7 +47,7 @@ from strictfeas.facial import (
 )
 from strictfeas.model import MatrixPencil, SdpProblem, pencil_eval
 
-from helpers import planted_chain_problem
+from helpers import PLANTED_U, planted_chain_problem
 
 
 def span_canonical(vectors):
@@ -137,6 +138,23 @@ class TestFindCertificate:
         assert isinstance(out, StrictlyFeasible)
         assert not out.exact
         assert out.tolerance is not None
+
+    def test_rank_steps_down_past_spurious_eigenvalue(self):
+        # a margin iterate ~sqrt(gap) off the face: the rank-1 certificate
+        # plus a 1e-4 eigenvalue that the rank cutoff counts; no rank-2
+        # projector rounds, so the search must step down to rank 1
+        prob = planted_chain_problem()
+        face = [int(x) for x in np.rint(np.linalg.inv(PLANTED_U)[:, 0])]
+        u = np.array(face, dtype=float) / np.linalg.norm(face)
+        w = np.random.default_rng(7).standard_normal(3)
+        w -= (w @ u) * u
+        w /= np.linalg.norm(w)
+        Xnum = np.outer(u, u) + 1e-4 * np.outer(w, w)
+        cert, reason = _face_split_certificate(prob, Xnum)
+        assert reason is None
+        assert cert.rank == 1
+        assert verify_certificate_matrix(prob, cert.X) == []
+        assert_same_span(cert.range_vectors, [face])
 
     def test_certificates_are_exactly_verified(self):
         for prob in (chsh_toy_pencil(), almost_quantum_pencil(line1())):

@@ -144,7 +144,7 @@ class TestNewtonSystem:
             Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             dx = np.concatenate([rng.uniform(0.5, 2.0, 3), [tiny] * 3])
             dz = np.concatenate([[tiny] * 4, rng.uniform(0.5, 2.0, 2)])
-            W = _nt_scaling((Q * dx) @ Q.T, (Q * dz) @ Q.T)
+            W = _nt_scaling((Q * np.sqrt(dx)) @ Q.T, (Q * np.sqrt(dz)) @ Q.T)
             assert np.all(np.isfinite(W))
             assert np.array_equal(W, W.T)
             assert np.linalg.eigvalsh(W)[0] > 0
