@@ -484,6 +484,3 @@ def problem1_bound_matrix() -> np.ndarray:
             out[i, j] = M[i, j] * half
     return out
 
-
-MU1_STAR = quad(0)
-MU2_STAR = quad(-11, 5)  # 5*sqrt5 - 11

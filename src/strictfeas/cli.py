@@ -3,7 +3,7 @@
 Exit codes are a stable contract: 0 on success (for `solve`: status Optimal;
 for `reproduce`: every check passed), 2 when the solver reports a non-optimal
 status, 1 on errors.  Every command emits a JSON run report with `--json`, or
-writes it with `--out`; reports echo the options so runs can be repeated.
+writes it with `--out`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .model import (
     to_exact,
     validate,
 )
-from .solver import InvalidProblemError, SolveResult, SolverOptions, diagnostics_report, solve_sdp
+from .solver import InvalidProblemError, SolveResult, diagnostics_report, solve_sdp
 
 TROUBLE_VAR_BOUND = 1e6
 VALUE_TOL = 1e-6
@@ -89,7 +89,6 @@ BUILTINS = {
 class RunReport:
     command: str
     inputs: dict
-    options: dict
     solver: dict = field(default_factory=dict)
     reduction: dict = field(default_factory=dict)
     verification: list = field(default_factory=list)
@@ -99,20 +98,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
-
-
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        gap_tol=args.gap_tol, feas_tol=args.feas_tol, max_iter=args.max_iter
-    )
-
-
-def _echo_options(args) -> dict:
-    return {
-        "gap_tol": args.gap_tol,
-        "feas_tol": args.feas_tol,
-        "max_iter": args.max_iter,
-    }
 
 
 def _solve_summary(res: SolveResult) -> dict:
@@ -127,6 +112,7 @@ def _solve_summary(res: SolveResult) -> dict:
         "max_abs_variable": d.max_abs_variable,
         "min_slack_eigenvalue_estimate": d.min_slack_eigenvalue_estimate,
         "condition_estimate": d.condition_estimate,
+        "regularized_iterations": d.regularized_iterations,
     }
 
 
@@ -150,13 +136,12 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     prob = load_problem(args.file)
     report = RunReport(
-        command="solve", inputs={"file": args.file, "name": prob.name},
-        options=_echo_options(args),
+        command="solve", inputs={"file": args.file, "name": prob.name}
     )
     numeric, downcast = _numeric(prob)
     if downcast:
         report.solver["note"] = "exact problem downcast to double for the solver"
-    res = solve_sdp(numeric, _solver_options(args))
+    res = solve_sdp(numeric)
     report.solver.update(_solve_summary(res))
     report.timings["seconds"] = time.perf_counter() - t0
     _emit(report, args, diagnostics_report(res))
@@ -183,10 +168,9 @@ def cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     prob = to_exact(load_problem(args.file))
     report = RunReport(
-        command="diagnose", inputs={"file": args.file, "name": prob.name},
-        options=_echo_options(args),
+        command="diagnose", inputs={"file": args.file, "name": prob.name}
     )
-    outcome = find_reducing_certificate(prob, _solver_options(args))
+    outcome = find_reducing_certificate(prob)
     lines = []
     if isinstance(outcome, StrictlyFeasible):
         lines += _strictly_feasible_lines(outcome, report)
@@ -206,10 +190,9 @@ def cmd_reduce(args) -> int:
     t0 = time.perf_counter()
     prob = to_exact(load_problem(args.file))
     report = RunReport(
-        command="reduce", inputs={"file": args.file, "name": prob.name},
-        options=_echo_options(args),
+        command="reduce", inputs={"file": args.file, "name": prob.name}
     )
-    reduced, rounds, verdict = reduce_problem(prob, _solver_options(args))
+    reduced, rounds, verdict = reduce_problem(prob)
     report.reduction["rounds"] = [
         {
             "certificate": rnd.certificate.as_dict(),
@@ -268,9 +251,8 @@ def _trouble_signature(res: SolveResult, certified: float) -> bool:
     )
 
 
-def _reproduce_target(target: str, args, report: RunReport) -> bool:
+def _reproduce_target(target: str, report: RunReport) -> bool:
     claims: list[tuple[str, bool, str]] = []
-    opts = _solver_options(args)
 
     if target == "problem1":
         raw = bell.almost_quantum_pencil(bell.line1())
@@ -291,7 +273,7 @@ def _reproduce_target(target: str, args, report: RunReport) -> bool:
         relations = bell.toy_expected_relations()
         certified = 0.0
 
-    raw_res = solve_sdp(to_double(raw), opts)
+    raw_res = solve_sdp(to_double(raw))
     claims.append(
         (
             "raw solve shows the trouble signature",
@@ -302,7 +284,7 @@ def _reproduce_target(target: str, args, report: RunReport) -> bool:
     )
     report.solver[f"{target}-raw"] = _solve_summary(raw_res)
 
-    outcome = find_reducing_certificate(raw, opts)
+    outcome = find_reducing_certificate(raw)
     if isinstance(outcome, StrictlyFeasible):
         claims.append(("diagnosis finds a reducing certificate", False, outcome.detail))
         cert = None
@@ -340,7 +322,7 @@ def _reproduce_target(target: str, args, report: RunReport) -> bool:
             )
         )
 
-        red_res = solve_sdp(to_double(reduced), opts)
+        red_res = solve_sdp(to_double(reduced))
         clean = (
             red_res.status.tag is StatusTag.OPTIMAL
             and abs(red_res.objective_dual - certified) <= VALUE_TOL
@@ -416,13 +398,10 @@ def _reproduce_target(target: str, args, report: RunReport) -> bool:
 def cmd_reproduce(args) -> int:
     t0 = time.perf_counter()
     targets = ["problem1", "problem2", "chsh-toy"] if args.target == "all" else [args.target]
-    report = RunReport(
-        command="reproduce", inputs={"target": args.target},
-        options=_echo_options(args),
-    )
+    report = RunReport(command="reproduce", inputs={"target": args.target})
     ok = True
     for target in targets:
-        ok = _reproduce_target(target, args, report) and ok
+        ok = _reproduce_target(target, report) and ok
     report.timings["seconds"] = time.perf_counter() - t0
     print(f"overall: {'all checks passed' if ok else 'CHECKS FAILED'}")
     _emit(report, args)
@@ -449,9 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, problem_file=True, report_out=True):
         if problem_file:
             p.add_argument("file", help="problem JSON file")
-        p.add_argument("--gap-tol", type=float, default=1e-9, dest="gap_tol")
-        p.add_argument("--feas-tol", type=float, default=1e-9, dest="feas_tol")
-        p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
         if report_out:
             p.add_argument("--out", dest="out", help="write the JSON run report here")
         p.add_argument(
@@ -513,7 +489,6 @@ def main(argv=None) -> int:
         report = RunReport(
             command=args.command,
             inputs={"file": getattr(args, "file", None)},
-            options={},
             errors=[f"{label}{exc}"],
         )
         if getattr(args, "json", False):

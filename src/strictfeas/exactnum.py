@@ -141,9 +141,6 @@ class QuadExt:
             n >>= 1
         return result
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b)
-
     # -- comparisons ------------------------------------------------------
     def __eq__(self, other):
         other = as_quad(other)
@@ -190,7 +187,6 @@ class QuadExt:
 
 QUAD_ZERO = QuadExt(0)
 QUAD_ONE = QuadExt(1)
-SQRT5_EXACT = QuadExt(0, 1)
 
 
 def as_quad(x):
@@ -430,7 +426,7 @@ class PsdCheck:
         return self.is_psd
 
 
-def psd_check_exact(M: np.ndarray, require_symmetric: bool = True) -> PsdCheck:
+def psd_check_exact(M: np.ndarray) -> PsdCheck:
     """Exact PSD decision by pivoted symmetric Gaussian elimination.
 
     At step k: a positive pivot eliminates its row/column; a zero pivot must
@@ -441,7 +437,7 @@ def psd_check_exact(M: np.ndarray, require_symmetric: bool = True) -> PsdCheck:
     n, m = M.shape
     if n != m:
         raise NonSymmetricError("matrix is not square")
-    if require_symmetric and not is_symmetric(M):
+    if not is_symmetric(M):
         raise NonSymmetricError("matrix is not symmetric")
     A = np.array([[as_quad(x) for x in row] for row in M], dtype=object)
     # T tracks row operations: current quadratic form = T M T^T, so row k of T

@@ -22,7 +22,7 @@ RoundingFailed, never guessed around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,13 +49,12 @@ from .exactnum import (
     to_float,
 )
 from .model import (
-    Form,
     MatrixPencil,
     SdpProblem,
     StatusTag,
     UnknownVariableError,
 )
-from .solver import SolverOptions, solve_sdp
+from .solver import solve_sdp
 
 
 class RoundingFailedError(RuntimeError):
@@ -237,8 +236,6 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem:
     has an infeasible pencil of dimension 1 (constant -1), encoding exact
     infeasibility of the alternative.
     """
-    if prob.form is not Form.DUAL:
-        raise ValueError("expected a pencil (dual) form problem")
     chart = _slice_parameterization(prob)
     if isinstance(chart, StrictlyFeasible):
         pencil = MatrixPencil(
@@ -265,6 +262,10 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem:
         note="trace-normalized feasibility problem of the second alternative",
     )
 
+
+# a best slack margin below -FEAS_CUT is numerical evidence that no
+# certificate exists (ten times the solver's feasibility tolerance)
+FEAS_CUT = 1e-8
 
 # eigenvalues of the numerical certificate at or above this fraction of the
 # largest one count toward its rank; the search starts at that rank
@@ -414,7 +415,7 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     return None, reason
 
 
-def find_reducing_certificate(prob: SdpProblem, opts: SolverOptions | None = None):
+def find_reducing_certificate(prob: SdpProblem):
     """Search for a reducing certificate; verify it exactly or report back.
 
     The trace-one orthogonal slice is parameterized exactly and the minimum
@@ -424,7 +425,6 @@ def find_reducing_certificate(prob: SdpProblem, opts: SolverOptions | None = Non
     rank its spectrum gives down to rank 1 (see `_face_split_certificate`).
     Every certificate invariant is re-checked exactly.
     """
-    opts = opts or SolverOptions()
     chart = _slice_parameterization(prob)
     if isinstance(chart, StrictlyFeasible):
         return chart
@@ -441,22 +441,17 @@ def find_reducing_certificate(prob: SdpProblem, opts: SolverOptions | None = Non
         objective=tuple(0.0 for _ in B) + (1.0,),
         name=f"{prob.name or 'problem'}-alternative-margin",
     )
-    # the margin problem is strictly feasible on both sides but its optimum
-    # is heavily degenerate, so Schur conditioning is no failure signal here;
-    # every downstream conclusion is verified exactly anyway
-    inner_opts = replace(opts, cond_bound=max(opts.cond_bound, 1e30))
-    res = solve_sdp(margin_prob, inner_opts)
+    res = solve_sdp(margin_prob)
     if res.status.tag is not StatusTag.OPTIMAL:
         raise SolverFailedError(
             f"alternative-problem solve ended with {res.status.tag.value}: "
             f"{res.status.message}"
         )
     tstar = res.y["slack_margin"]
-    feas_cut = max(1e-8, 10 * opts.feas_tol)
-    if tstar < -feas_cut:
+    if tstar < -FEAS_CUT:
         return StrictlyFeasible(
             exact=False,
-            tolerance=feas_cut,
+            tolerance=FEAS_CUT,
             detail=(
                 "the alternative problem is infeasible at solver tolerance "
                 f"(best slack margin {tstar:.3e}); this is numerical evidence, "
@@ -514,9 +509,7 @@ def certificate_null_vectors(cert: ReducingCertificate) -> list[np.ndarray]:
     return [primitive_integer_vector(v) for v in row_space_basis_exact(cert.X)]
 
 
-def derive_implicit_constraints(
-    prob: SdpProblem, vectors, protect_objective: bool = True
-) -> ImplicitConstraintSet:
+def derive_implicit_constraints(prob: SdpProblem, vectors) -> ImplicitConstraintSet:
     """Stack (F0 v)_j + sum_i y_i (F_i v)_j = 0 and reduce exactly.
 
     Pivots prefer the variable of largest file index among those solvable;
@@ -528,11 +521,8 @@ def derive_implicit_constraints(
     if p.scalar != "exact":
         raise ValueError("implicit constraints are derived over exact pencils")
     names = list(p.var_names)
-    protected = set()
-    if protect_objective:
-        support = [v for v, b in zip(names, prob.objective) if bool(as_quad(b))]
-        if len(support) == 1:
-            protected = {support[0]}
+    support = [v for v, b in zip(names, prob.objective) if bool(as_quad(b))]
+    protected = set(support) if len(support) == 1 else set()
 
     rows = []
     for v in vectors:
@@ -636,7 +626,6 @@ def apply_constraints(prob: SdpProblem, cons: ImplicitConstraintSet) -> SdpProbl
     return SdpProblem(
         pencil=pencil,
         objective=tuple(new_b[v] for v in keep),
-        form=prob.form,
         name=new_name,
         note=prob.note,
         objective_offset=offset,
@@ -659,7 +648,7 @@ class ReductionRound:
 
 
 def reduce_problem(
-    prob: SdpProblem, opts: SolverOptions | None = None
+    prob: SdpProblem,
 ) -> tuple[SdpProblem, list[ReductionRound], StrictlyFeasible | None]:
     """Repeat diagnose -> derive -> substitute until nothing more is implied.
 
@@ -674,7 +663,7 @@ def reduce_problem(
     rounds: list[ReductionRound] = []
     current = prob
     for _ in range(prob.pencil.n):
-        outcome = find_reducing_certificate(current, opts)
+        outcome = find_reducing_certificate(current)
         if isinstance(outcome, StrictlyFeasible):
             return current, rounds, outcome
         cons = derive_implicit_constraints(current, outcome.range_vectors)

@@ -30,11 +30,6 @@ from .exactnum import (
 )
 
 
-class Form(str, Enum):
-    DUAL = "dual"
-    PRIMAL = "primal"
-
-
 class StatusTag(str, Enum):
     OPTIMAL = "Optimal"
     NUMERICAL_TROUBLE = "NumericalTrouble"
@@ -135,11 +130,10 @@ class MatrixPencil:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """A pencil, an objective vector over its variables, and a form tag."""
+    """A pencil and an objective vector over its variables, in pencil form."""
 
     pencil: MatrixPencil
     objective: tuple
-    form: Form = Form.DUAL
     name: str = ""
     note: str = ""
     objective_offset: object = 0
@@ -179,18 +173,6 @@ def pencil_eval(pencil: MatrixPencil, y: Mapping[str, object]) -> np.ndarray:
         if bool(c):
             out = out + c * term
     return out
-
-
-def dualize(prob: SdpProblem) -> SdpProblem:
-    """Flip between the pencil (dual) form and its primal counterpart.
-
-    The primal reading of the same data is: minimize <F0, X> subject to
-    <F_i, X> = -b_i for every pencil term, X >= 0.  Candidate primal points
-    are checked with :func:`primal_objective` / :func:`primal_residuals`.
-    Applying this twice returns the original problem up to metadata.
-    """
-    flipped = Form.PRIMAL if prob.form is Form.DUAL else Form.DUAL
-    return replace(prob, form=flipped, note=prob.note)
 
 
 def primal_objective(prob: SdpProblem, X: np.ndarray):
@@ -298,10 +280,11 @@ def to_exact(prob: SdpProblem) -> SdpProblem:
 #   "F0": [[i, j, value-string], ...],
 #   "vars": [ {"name": str, "b": value-string, "F": [[i,j,value-string],...]},
 #             ... ],
-#   "offset": value-string }
+#   "offset": value-string, "note": str }
 # with 1-based upper-triangle indices (i <= j) and exact value strings per
 # the exactnum grammar.  "offset" is the constant added to <b, y>; it is
-# optional, defaults to 0 and is written only when nonzero.
+# optional, defaults to 0 and is written only when nonzero.  "note" is free
+# text, optional and written only when nonempty.
 
 
 def _value_to_str(v, scalar: str) -> str:
@@ -346,6 +329,8 @@ def problem_to_json(prob: SdpProblem) -> dict:
     }
     if bool(prob.objective_offset):
         doc["offset"] = _value_to_str(prob.objective_offset, p.scalar)
+    if prob.note:
+        doc["note"] = prob.note
     return doc
 
 
@@ -354,12 +339,15 @@ def problem_from_json(doc: dict) -> SdpProblem:
         n = int(doc["n"])
         scalar = doc["scalar"]
         name = doc.get("name", "")
+        note = doc.get("note", "")
         raw_f0 = doc["F0"]
         raw_vars = doc["vars"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"problem file missing field: {exc}") from exc
     if scalar not in ("double", "exact"):
         raise ValueError(f"unknown scalar kind {scalar!r}")
+    if not isinstance(note, str):
+        raise ValueError("note must be a string")
 
     def entries(raw, where):
         out = []
@@ -392,7 +380,11 @@ def problem_from_json(doc: dict) -> SdpProblem:
     offset = _value_from_str(doc["offset"], scalar) if "offset" in doc else 0
     pencil = MatrixPencil.from_upper(n, scalar, entries(raw_f0, "F0"), var_entries)
     return SdpProblem(
-        pencil=pencil, objective=tuple(objective), name=name, objective_offset=offset
+        pencil=pencil,
+        objective=tuple(objective),
+        name=name,
+        note=note,
+        objective_offset=offset,
     )
 
 

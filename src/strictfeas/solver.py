@@ -22,6 +22,10 @@ system degenerates, the result is reported as NumericalTrouble rather than
 passing off the last iterate as optimal.  Maximization problems whose optimum
 is only approached as variables run off to infinity (the signature of a
 strict-feasibility failure on the primal side) reliably trigger this.
+
+The tolerances and failure signals are module constants, not options: on a
+problem that is not strictly feasible no tolerance makes the answer
+reliable, so the exact layers (`facial`, `certify`) decide instead.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .model import Form, SdpProblem, SolveStatus, StatusTag, pencil_eval, validate
+from .model import SdpProblem, SolveStatus, StatusTag, pencil_eval, validate
 
 
 class InvalidProblemError(ValueError):
@@ -44,22 +48,19 @@ class NoInteriorStartFoundError(RuntimeError):
     """No strictly positive starting point could be formed (reported, not patched)."""
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    gap_tol: float = 1e-9
-    feas_tol: float = 1e-9
-    max_iter: int = 200
-    var_bound: float = 1e8
-    min_step: float = 1e-3
-    stagnation_rounds: int = 5
-    cond_bound: float = 1e14
-    step_frac: float = 0.98
-    keep_history: bool = False
-
-    def __post_init__(self):
-        for name in ("gap_tol", "feas_tol", "var_bound", "min_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+# stopping tolerances (relative gap; residuals scaled by 1 + the data's size)
+GAP_TOL = 1e-9
+FEAS_TOL = 1e-9
+MAX_ITER = 200
+# failure signals: an iterate entry beyond VAR_BOUND, a step below MIN_STEP
+# for STAGNATION_ROUNDS iterations in a row, or a Schur complement condition
+# beyond COND_BOUND while the gap is still far from GAP_TOL
+VAR_BOUND = 1e8
+MIN_STEP = 1e-3
+STAGNATION_ROUNDS = 5
+COND_BOUND = 1e14
+# fraction of the step to the boundary of the cone
+STEP_FRAC = 0.98
 
 
 @dataclass
@@ -71,6 +72,8 @@ class Diagnostics:
     max_abs_variable: float = 0.0
     min_slack_eigenvalue_estimate: float = float("nan")
     condition_estimate: float = 0.0
+    # iterations whose Schur complement was factored only after regularization
+    regularized_iterations: int = 0
     history: list = field(default_factory=list)
 
 
@@ -147,14 +150,11 @@ def _max_step(Sinvh: np.ndarray, dS: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResult:
+def solve_sdp(prob: SdpProblem) -> SolveResult:
     """Solve max <b,y> s.t. F0 + sum y_i F_i >= 0 (numeric scalars only)."""
-    opts = opts or SolverOptions()
     violations = validate(prob)
     if violations:
         raise InvalidProblemError(violations)
-    if prob.form is not Form.DUAL:
-        raise InvalidProblemError(["solver expects the pencil (dual) form"])
     if prob.pencil.scalar != "double":
         raise InvalidProblemError(
             ["solver expects double scalars; downcast exact problems explicitly"]
@@ -226,7 +226,7 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
         )
     if m == 0:
         lam = float(np.linalg.eigvalsh(C)[0])
-        tag = StatusTag.OPTIMAL if lam >= -opts.feas_tol else StatusTag.PRIMAL_INFEASIBLE
+        tag = StatusTag.OPTIMAL if lam >= -FEAS_TOL else StatusTag.PRIMAL_INFEASIBLE
         msg = "no variables" if tag is StatusTag.OPTIMAL else "constant pencil is not PSD"
         return finish(SolveStatus(tag, msg), np.zeros(0), np.zeros((n, n)), 0.0)
 
@@ -254,10 +254,10 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
     b_scale = 1.0 + float(np.max(np.abs(b)))
     stagnant = 0
     cond = 0.0
-    tau = opts.step_frac
+    tau = STEP_FRAC
     status = None
 
-    for it in range(opts.max_iter):
+    for it in range(MAX_ITER):
         Rp = b - a_of(X)
         Rd = C - Z - at_of(y)
         obj_p = float(np.tensordot(C, X, axes=2))
@@ -271,23 +271,22 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
         diag.final_gap = gap
         diag.primal_residual = res_p
         diag.dual_residual = res_d
-        if opts.keep_history:
-            diag.history.append(
-                {"objective_primal": obj_p, "objective_dual": obj_d,
-                 "res_p": res_p, "res_d": res_d, "gap": gap}
-            )
+        diag.history.append(
+            {"objective_primal": obj_p, "objective_dual": obj_d,
+             "res_p": res_p, "res_d": res_d, "gap": gap}
+        )
 
-        if gap <= opts.gap_tol and res_p <= opts.feas_tol and res_d <= opts.feas_tol:
+        if gap <= GAP_TOL and res_p <= FEAS_TOL and res_d <= FEAS_TOL:
             status = SolveStatus(StatusTag.OPTIMAL)
             break
-        if max_var > opts.var_bound:
+        if max_var > VAR_BOUND:
             status = SolveStatus(
                 StatusTag.NUMERICAL_TROUBLE,
-                f"iterate magnitude {max_var:.2e} exceeded the bound {opts.var_bound:.0e}; "
+                f"iterate magnitude {max_var:.2e} exceeded the bound {VAR_BOUND:.0e}; "
                 "optimal solutions may fail to exist (strict feasibility suspect)",
             )
             break
-        if obj_d > 1e12 * b_scale and res_d <= np.sqrt(opts.feas_tol):
+        if obj_d > 1e12 * b_scale and res_d <= np.sqrt(FEAS_TOL):
             status = SolveStatus(
                 StatusTag.DUAL_UNBOUNDED_SUSPECTED, "objective appears unbounded above"
             )
@@ -307,11 +306,11 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
             # near convergence the Schur complement conditioning always
             # degrades (~1/mu); it only signals trouble while the gap is
             # still far from tolerance
-            far_from_done = gap > 1e4 * opts.gap_tol
-            if not np.isfinite(cond) or (cond > opts.cond_bound and far_from_done):
+            far_from_done = gap > 1e4 * GAP_TOL
+            if not np.isfinite(cond) or (cond > COND_BOUND and far_from_done):
                 status = SolveStatus(
                     StatusTag.NUMERICAL_TROUBLE,
-                    f"Newton system condition {cond:.2e} exceeded {opts.cond_bound:.0e}",
+                    f"Newton system condition {cond:.2e} exceeded {COND_BOUND:.0e}",
                 )
                 break
             Mfac = None
@@ -324,6 +323,8 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
                     continue
             if Mfac is None:
                 raise np.linalg.LinAlgError("Schur complement factorization failed")
+            if reg_scale:
+                diag.regularized_iterations += 1
             WRdW = W @ Rd @ W
 
             def newton(Rc: np.ndarray):
@@ -378,21 +379,21 @@ def solve_sdp(prob: SdpProblem, opts: SolverOptions | None = None) -> SolveResul
             ap *= 0.25
             ad *= 0.25
         X, y, Z = Xn, yn, Zn
-        tau = min(opts.step_frac, 0.9 + 0.09 * min(ap, ad))
+        tau = min(STEP_FRAC, 0.9 + 0.09 * min(ap, ad))
 
-        if min(ap, ad) < opts.min_step:
+        if min(ap, ad) < MIN_STEP:
             stagnant += 1
-            if stagnant >= opts.stagnation_rounds:
+            if stagnant >= STAGNATION_ROUNDS:
                 status = SolveStatus(
                     StatusTag.NUMERICAL_TROUBLE,
-                    f"step length below {opts.min_step} for "
-                    f"{opts.stagnation_rounds} consecutive iterations",
+                    f"step length below {MIN_STEP} for "
+                    f"{STAGNATION_ROUNDS} consecutive iterations",
                 )
                 break
         else:
             stagnant = 0
     else:
-        status = SolveStatus(StatusTag.ITERATION_LIMIT, f"no convergence in {opts.max_iter} iterations")
+        status = SolveStatus(StatusTag.ITERATION_LIMIT, f"no convergence in {MAX_ITER} iterations")
 
     if status is None:  # pragma: no cover - defensive
         status = SolveStatus(StatusTag.ITERATION_LIMIT, "no status recorded")
@@ -413,6 +414,7 @@ def diagnostics_report(res: SolveResult) -> str:
         f"largest iterate magnitude: {d.max_abs_variable:.3e}",
         f"min slack eigenvalue estimate: {d.min_slack_eigenvalue_estimate:.3e}",
         f"Newton system condition estimate: {d.condition_estimate:.3e}",
+        f"iterations with a regularized Newton system: {d.regularized_iterations}",
     ]
     troubled = (not res.status.is_optimal) or d.max_abs_variable > 1e6
     if troubled:

@@ -32,7 +32,7 @@ from strictfeas.facial import (
     find_reducing_certificate,
 )
 from strictfeas.model import StatusTag, to_double
-from strictfeas.solver import SolverOptions, solve_sdp
+from strictfeas.solver import solve_sdp
 
 from helpers import random_certified_sdp
 
@@ -190,14 +190,13 @@ def test_criterion_6_failure_mode_reproduction():
 
 def test_criterion_7_solver_baseline():
     rng = np.random.default_rng(424242)
-    opts = SolverOptions()
     ok = True
     for _ in range(20):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 7))
         m = min(m, n * (n + 1) // 2 - 1)
         prob, optimum, _ = random_certified_sdp(rng, n, max(m, 1))
-        res = solve_sdp(prob, opts)
+        res = solve_sdp(prob)
         ok = ok and res.status.tag is StatusTag.OPTIMAL
         ok = ok and abs(res.objective_dual - optimum) <= 1e-6
     report(7, "20 random certified strictly feasible SDPs solve to 1e-6", ok)

@@ -32,6 +32,13 @@ class TestLoadStore:
         store_problem(prob, again)
         assert open(path).read() == open(again).read()
 
+    def test_exported_note_survives_loading(self, tmpfile):
+        path = tmpfile("p1.json")
+        assert main(["export", "problem1-raw", "--out", path]) == 0
+        note = BUILTINS["problem1-raw"]().note
+        assert note
+        assert load_problem(path).note == note
+
     def test_loaded_builtin_validates(self, tmpfile):
         path = tmpfile("p1.json")
         write_builtin("problem1-raw", path)
@@ -126,6 +133,7 @@ class TestReduceCommand:
                 pencil=golden.pencil,
                 objective=golden.objective,
                 name=reduced.name,
+                note=reduced.note,
             )
         )
 

@@ -1,4 +1,4 @@
-"""Pencil evaluation, dualization, validation, JSON round trips."""
+"""Pencil evaluation, the primal reading, validation, JSON round trips."""
 
 import json
 import random
@@ -11,11 +11,9 @@ import pytest
 
 from strictfeas.exactnum import frob_inner, qarray, quad
 from strictfeas.model import (
-    Form,
     MatrixPencil,
     MissingVariableError,
     SdpProblem,
-    dualize,
     pencil_eval,
     primal_objective,
     primal_residuals,
@@ -104,29 +102,16 @@ class TestPencilEval:
 
 
 class TestDualize:
-    def test_involution(self):
-        prob = small_exact_problem()
-        again = dualize(dualize(prob))
-        assert again.form is Form.DUAL
-        assert again.pencil is prob.pencil
-        assert again.objective == prob.objective
+    """The primal reading: minimize <F0, X> s.t. <F_i, X> = -b_i, X >= 0."""
 
     def test_primal_candidate_checking(self):
         prob = small_exact_problem()
-        primal = dualize(prob)
-        assert primal.form is Form.PRIMAL
         X = qarray([[1, 0], [0, 1]])
         # objective <F0, X> and residuals <F_i, X> + b_i
-        assert primal_objective(primal, X) == quad(2)
-        res = primal_residuals(primal, X)
+        assert primal_objective(prob, X) == quad(2)
+        res = primal_residuals(prob, X)
         assert res[0] == quad(1)  # <diag(-1,1), I> + 1 = 0 + 1
         assert res[1] == quad(0)
-
-    def test_zero_objective_gives_zero_b(self):
-        pencil = MatrixPencil.from_upper(2, "exact", [], [("y", [(0, 0, 1)])])
-        prob = SdpProblem(pencil=pencil, objective=(quad(0),))
-        primal = dualize(prob)
-        assert all(not bool(b) for b in primal.objective)
 
 
 class TestValidate:
@@ -209,6 +194,20 @@ class TestJson:
         assert "offset" not in doc
         assert problem_from_json(doc).objective_offset == 0
 
+    def test_note_round_trip(self):
+        prob = replace(small_exact_problem(), note="face chain, degree 2")
+        doc = problem_to_json(prob)
+        assert doc["note"] == "face chain, degree 2"
+        assert problem_from_json(doc).note == "face chain, degree 2"
+        assert "note" not in problem_to_json(small_exact_problem())
+        assert problem_from_json(problem_to_json(small_exact_problem())).note == ""
+
+    def test_non_string_note_rejected(self):
+        doc = problem_to_json(small_exact_problem())
+        doc["note"] = 3
+        with pytest.raises(ValueError, match="note"):
+            problem_from_json(doc)
+
     def test_double_round_trip(self):
         prob = to_double(small_exact_problem())
         back = problem_from_json(problem_to_json(prob))
@@ -235,5 +234,5 @@ class TestDowncast:
         assert e.objective == (quad(1), quad(0))
         # 0.1 is a dyadic rational, carried over exactly
         assert e.objective_offset == quad(Fraction(0.1))
-        assert (e.name, e.note, e.form) == (prob.name, "kept", prob.form)
+        assert (e.name, e.note) == (prob.name, "kept")
         assert to_exact(e) is e

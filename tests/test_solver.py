@@ -9,12 +9,13 @@ from strictfeas.model import (
     MatrixPencil,
     SdpProblem,
     StatusTag,
-    dualize,
     pencil_eval,
 )
+from strictfeas import solver
 from strictfeas.solver import (
+    FEAS_TOL,
+    GAP_TOL,
     InvalidProblemError,
-    SolverOptions,
     _nt_scaling,
     _schur_complement,
     diagnostics_report,
@@ -56,15 +57,14 @@ class TestBasics:
         assert res.y["y"] == pytest.approx(1.0, abs=1e-7)
 
     def test_optimal_invariants(self):
-        opts = SolverOptions()
-        res = solve_sdp(simple_interval_problem(), opts)
+        res = solve_sdp(simple_interval_problem())
         d = res.diagnostics
-        assert abs(res.objective_primal - res.objective_dual) <= opts.gap_tol * (
+        assert abs(res.objective_primal - res.objective_dual) <= GAP_TOL * (
             1 + abs(res.objective_primal)
         )
-        assert d.primal_residual <= opts.feas_tol
-        assert d.dual_residual <= opts.feas_tol
-        assert d.min_slack_eigenvalue_estimate >= -10 * opts.feas_tol
+        assert d.primal_residual <= FEAS_TOL
+        assert d.dual_residual <= FEAS_TOL
+        assert d.min_slack_eigenvalue_estimate >= -10 * FEAS_TOL
         assert abs(
             sum(
                 b * res.y[v]
@@ -106,10 +106,6 @@ class TestBasics:
         with pytest.raises(InvalidProblemError):
             solve_sdp(SdpProblem(pencil=pencil, objective=(quad(1),)))
 
-    def test_rejects_primal_form(self):
-        with pytest.raises(InvalidProblemError):
-            solve_sdp(dualize(simple_interval_problem()))
-
     def test_rejects_invalid_problem(self):
         M = np.zeros((2, 2))
         M[0, 1] = 1.0
@@ -135,6 +131,23 @@ class TestNewtonSystem:
         tol = 4 * n * n * np.finfo(float).eps * np.abs(ref).max()
         assert np.max(np.abs(M - ref)) <= tol
 
+    def test_regularized_factorization_is_counted(self, monkeypatch):
+        # the first factorization of a solve is always the unregularized one
+        cho_factor = solver.sla.cho_factor
+        calls = []
+
+        def failing_once(M, **kwargs):
+            calls.append(M)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cho_factor(M, **kwargs)
+
+        monkeypatch.setattr(solver.sla, "cho_factor", failing_once)
+        res = solve_sdp(simple_interval_problem())
+        assert res.status.tag is StatusTag.OPTIMAL
+        assert res.diagnostics.regularized_iterations == 1
+        assert "regularized Newton system: 1" in diagnostics_report(res)
+
     def test_nt_scaling_survives_shared_tiny_eigenvalue(self):
         # near the optimum X Z ~ 0; when X and Z share one tiny eigenvalue,
         # Xh Z Xh has an eigenvalue ~1e-30 that roundoff can make negative
@@ -153,7 +166,6 @@ class TestNewtonSystem:
 class TestRandomCertified:
     def test_twenty_random_problems(self):
         rng = np.random.default_rng(20250810)
-        opts = SolverOptions()
         for k in range(20):
             n = int(rng.integers(2, 7))
             m = int(rng.integers(1, min(7, n * (n + 1) // 2)))
@@ -161,20 +173,19 @@ class TestRandomCertified:
             # the advertised interior point really is strictly feasible
             slack = pencil_eval(prob.pencil, interior)
             assert np.linalg.eigvalsh(slack)[0] > 0
-            res = solve_sdp(prob, opts)
+            res = solve_sdp(prob)
             assert res.status.tag is StatusTag.OPTIMAL, (k, res.status)
             assert res.objective_dual == pytest.approx(optimum, abs=1e-6)
-            assert res.diagnostics.min_slack_eigenvalue_estimate >= -10 * opts.feas_tol
+            assert res.diagnostics.min_slack_eigenvalue_estimate >= -10 * FEAS_TOL
 
     def test_weak_duality_along_iterates(self):
         rng = np.random.default_rng(7)
         prob, optimum, _ = random_certified_sdp(rng, 4, 3)
-        opts = SolverOptions(keep_history=True)
-        res = solve_sdp(prob, opts)
+        res = solve_sdp(prob)
         assert res.status.tag is StatusTag.OPTIMAL
         for snap in res.diagnostics.history:
             # primal reading upper-bounds the maximization, up to infeasibility
-            slack_allowance = 1e3 * (snap["res_p"] + snap["res_d"]) + 10 * opts.gap_tol
+            slack_allowance = 1e3 * (snap["res_p"] + snap["res_d"]) + 10 * GAP_TOL
             assert snap["objective_primal"] >= snap["objective_dual"] - slack_allowance
 
 
