@@ -566,8 +566,9 @@ def reconstruct_quadext(x: float, max_den: int = 10**6) -> QuadExt | None:
     if not math.isfinite(x):
         raise NonFiniteError(f"cannot reconstruct from {x!r}")
 
-    if x == 0:
-        # PSLQ rejects an exact zero entry, and 0 has the smallest height
+    if abs(x) <= RECONSTRUCT_TOL:
+        # 0 is admissible and has the smallest height; PSLQ would reject an
+        # exact zero, and at its working precision treats a tiny x as one
         return QUAD_ZERO
 
     candidates: list[QuadExt] = []

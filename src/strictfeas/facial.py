@@ -9,8 +9,12 @@ annihilates range(X), so each range vector v yields linear relations
 relations produces an equivalent, smaller problem that solvers handle
 reliably.
 
-The search runs numerically (maximizing the minimum eigenvalue over the
-trace-one slice of matrices orthogonal to the pencil).  The candidate is
+The search runs in floats: an orthonormal float chart of the trace-one
+slice of matrices orthogonal to the pencil, over which the minimum
+eigenvalue is maximized numerically.  The exact chart of that slice is
+computed only where a claim rests on it: the exact StrictlyFeasible verdicts
+(the slice is empty, or holds only traceless matrices) and
+`build_alternative_problem`.  The candidate is
 rationalized by one path, projection then rounding: the projector onto its
 range is rounded first, which fixes the face exactly, and the coordinates
 inside that face second.  The face's rank is not a setting: the search
@@ -34,7 +38,7 @@ from .exactnum import (
     as_quad,
     format_scalar,
     frob_inner,
-    kernel_basis_exact,
+    kernel_basis_exact,  # noqa: F401  (perfbench/spans.py times it here)
     mat_vec,
     nullspace_exact,
     primitive_integer_vector,
@@ -224,6 +228,56 @@ def _slice_parameterization(prob: SdpProblem):
         basis.append([v - f * p0 for v, p0 in zip(vec, kernel[pivot])])
     X0 = _coords_to_matrix(x0, pairs, n)
     B = [_coords_to_matrix(b, pairs, n) for b in basis]
+    return X0, B
+
+
+# slice coordinates below this are roundoff: they are set to exactly 0, so
+# that rows no pencil matrix touches stay structurally zero for the solver
+CHART_ZERO = 1e-13
+
+# a trace functional on the float slice below this norm is roundoff: the
+# exact chart decides whether the slice is traceless
+TRACE_FLOOR = 1e-9
+
+
+def _float_slice_chart(prob: SdpProblem):
+    """Orthonormal float chart of {X symmetric: <F0,X> = <F_i,X> = 0, tr X = 1}.
+
+    In sqrt2-weighted upper-triangle coordinates the Frobenius inner product
+    is the dot product, so the SVD nullspace N of the constraint rows is an
+    orthonormal basis of the orthogonal slice.  With tau = N^T t for the
+    trace functional t, X0 = N tau / |tau|^2 is its minimum-norm trace-one
+    point and one QR gives an orthonormal basis B of the complement of tau
+    in span N (the traceless directions).  Returns (X0, [B_k]) as float
+    matrices, or None when N is empty or tau is at roundoff level; the exact
+    chart then decides.
+    """
+    p = prob.pencil
+    n = p.n
+    iu = np.triu_indices(n)
+    diag = iu[0] == iu[1]
+    w = np.where(diag, 1.0, np.sqrt(2.0))
+    K = np.array([to_float(Q)[iu] * w for Q in (p.f0, *p.terms)])
+    _, s, Vt = np.linalg.svd(K)
+    # numpy's matrix_rank tolerance
+    rank = int(np.sum(s > max(K.shape) * np.finfo(float).eps * s[0]))
+    N = Vt[rank:].T
+    if N.shape[1] == 0:
+        return None
+    tau = N.T @ diag.astype(float)
+    norm = float(np.linalg.norm(tau))
+    if norm < TRACE_FLOOR:
+        return None
+    Qtau, _ = np.linalg.qr(tau[:, None], mode="complete")
+    coords = [N @ tau / norm**2] + list((N @ Qtau[:, 1:]).T)
+
+    def to_matrix(c):
+        c = np.where(np.abs(c) < CHART_ZERO, 0.0, c) / w
+        M = np.zeros((n, n))
+        M[iu] = c
+        return M + np.triu(M, 1).T
+
+    X0, *B = (to_matrix(c) for c in coords)
     return X0, B
 
 
@@ -418,23 +472,28 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
 def find_reducing_certificate(prob: SdpProblem):
     """Search for a reducing certificate; verify it exactly or report back.
 
-    The trace-one orthogonal slice is parameterized exactly and the minimum
-    eigenvalue of X(z) is maximized numerically; the interior-point iterate
-    then lands in the relative interior of the optimal face, i.e. at maximal
-    rank.  The candidate is rounded by projection, then rounding, from the
-    rank its spectrum gives down to rank 1 (see `_face_split_certificate`).
-    Every certificate invariant is re-checked exactly.
+    The trace-one orthogonal slice gets an orthonormal float chart (see
+    `_float_slice_chart`) and the minimum eigenvalue of X(z) is maximized
+    numerically; the interior-point iterate then lands in the relative
+    interior of the optimal face, i.e. at maximal rank.  The exact chart is
+    computed only when the float chart finds the slice empty or traceless:
+    it either proves StrictlyFeasible(exact=True) or supplies the chart.
+    The candidate is rounded by projection, then rounding, from the rank its
+    spectrum gives down to rank 1 (see `_face_split_certificate`).  Every
+    certificate invariant is re-checked exactly.
     """
-    chart = _slice_parameterization(prob)
-    if isinstance(chart, StrictlyFeasible):
-        return chart
+    chart = _float_slice_chart(prob)
+    if chart is None:
+        exact = _slice_parameterization(prob)
+        if isinstance(exact, StrictlyFeasible):
+            return exact
+        chart = to_float(exact[0]), [to_float(Bk) for Bk in exact[1]]
     X0, B = chart
     n = prob.pencil.n
 
     names = tuple(f"z{k+1}" for k in range(len(B))) + ("slack_margin",)
-    terms = tuple(to_float(Bk) for Bk in B) + (-np.eye(n),)
     pencil = MatrixPencil(
-        n=n, scalar="double", f0=to_float(X0), var_names=names, terms=terms
+        n=n, scalar="double", f0=X0, var_names=names, terms=(*B, -np.eye(n))
     )
     margin_prob = SdpProblem(
         pencil=pencil,
@@ -460,9 +519,7 @@ def find_reducing_certificate(prob: SdpProblem):
         )
 
     zhat = [res.y[f"z{k+1}"] for k in range(len(B))]
-    Xnum = to_float(X0) + sum(
-        (z * to_float(Bk) for z, Bk in zip(zhat, B)), np.zeros((n, n))
-    )
+    Xnum = X0 + sum((z * Bk for z, Bk in zip(zhat, B)), np.zeros((n, n)))
     cert, reason = _face_split_certificate(prob, Xnum)
     if cert is None:
         raise RoundingFailedError(
@@ -487,26 +544,6 @@ def verify_certificate_matrix(prob: SdpProblem, X: np.ndarray) -> list[str]:
         if bool(v):
             problems.append(f"<F_{name}, X> = {format_scalar(v)} != 0")
     return problems
-
-
-def verify_range_vectors(cert: ReducingCertificate) -> list[str]:
-    """Each stored vector must lie in range(X) = kernel(X)^perp, exactly."""
-    problems = []
-    kernel = kernel_basis_exact(cert.X)
-    for idx, v in enumerate(cert.range_vectors):
-        for k in kernel:
-            dot = QUAD_ZERO
-            for a, b in zip(v, k):
-                dot = dot + as_quad(a) * as_quad(b)
-            if bool(dot):
-                problems.append(f"range vector {idx} is not orthogonal to ker X")
-                break
-    return problems
-
-
-def certificate_null_vectors(cert: ReducingCertificate) -> list[np.ndarray]:
-    """Primitive integer-scaled exact basis of range(X)."""
-    return [primitive_integer_vector(v) for v in row_space_basis_exact(cert.X)]
 
 
 def derive_implicit_constraints(prob: SdpProblem, vectors) -> ImplicitConstraintSet:

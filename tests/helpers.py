@@ -3,7 +3,7 @@ and small exact problems that need reduction."""
 
 import numpy as np
 
-from strictfeas.exactnum import qarray, quad
+from strictfeas.exactnum import QUAD_ZERO, qarray, quad
 from strictfeas.model import MatrixPencil, SdpProblem
 
 
@@ -94,3 +94,69 @@ def pinned_offset_problem() -> SdpProblem:
         [("y1", [(0, 0, 1), (1, 1, -1)]), ("y2", [(2, 2, -1)])],
     )
     return SdpProblem(pencil=pencil, objective=(quad(1), quad(1)), name="pinned-offset")
+
+
+# the golden ratio (1 + sqrt5)/2, the Q(sqrt5) coefficient of planted_chain
+GOLDEN = quad("1/2", "1/2")
+
+
+def _unimodular(rng: np.random.Generator, n: int, ops: int) -> np.ndarray:
+    """Integer U with det 1, a product of random row additions."""
+    U = np.eye(n, dtype=np.int64)
+    for _ in range(ops):
+        i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+        U[i, :] += int(rng.choice((-1, 1))) * U[j, :]
+    return U
+
+
+def planted_chain(
+    rng: np.random.Generator, n: int, d: int, sqrt5: bool = False
+) -> SdpProblem:
+    """A hidden face chain of singularity degree d (n >= d + 1).
+
+    Before the congruence, S[k, d] = a_{k+1} for k < d and
+    S[k+1, k+1] = a_{k+1} for k + 1 < d, and every entry of the trailing
+    block (rows d..n-1) is a variable of its own, with constant I.  PSD
+    forces a1 = 0 (row 0), then a2 = 0 (row 1), and so on: d rounds.  With
+    sqrt5 the coefficient of a_{k+1} at S[k, d] is the golden ratio, so the
+    data lie in Q(sqrt5).  The objective, maximize -s{d}_{d}, never touches
+    the chain.  S' = U^T S U with a random unimodular U hides the chain;
+    for d = 2 this is the planted-reduce benchmark problem.
+    """
+    U = _unimodular(rng, n, ops=2 * n)
+    hide = lambda M: U.T @ M @ U  # noqa: E731
+
+    def exact(M):
+        return qarray(hide(M).tolist())
+
+    terms, names = [], []
+    for k in range(d):
+        F = np.zeros((n, n), dtype=object)
+        F[...] = QUAD_ZERO
+        F[k, d] = F[d, k] = GOLDEN if sqrt5 else quad(1)
+        if k + 1 < d:
+            F[k + 1, k + 1] = quad(1)
+        terms.append(hide(F))
+        names.append(f"a{k + 1}")
+    for i in range(d, n):
+        for j in range(i, n):
+            E = np.zeros((n, n), dtype=np.int64)
+            E[i, j] = E[j, i] = 1
+            terms.append(exact(E))
+            names.append(f"s{i}_{j}")
+    F0 = np.zeros((n, n), dtype=np.int64)
+    F0[d:, d:] = np.eye(n - d, dtype=np.int64)
+    objective = [quad(0)] * len(terms)
+    objective[names.index(f"s{d}_{d}")] = quad(-1)
+    pencil = MatrixPencil(
+        n=n,
+        scalar="exact",
+        f0=exact(F0),
+        var_names=tuple(names),
+        terms=tuple(terms),
+    )
+    return SdpProblem(
+        pencil=pencil,
+        objective=tuple(objective),
+        name=f"planted-chain-{d}-{n}" + ("-sqrt5" if sqrt5 else ""),
+    )

@@ -232,6 +232,11 @@ class TestReconstruction:
         assert reconstruct_quadext(-0.0, 100) == quad(0)
         assert reconstruct_quadext(1e-20, 100) == quad(0)
 
+    def test_quadext_tiny_values_are_zero(self):
+        # below mpmath's working precision PSLQ sees a zero entry and raises
+        for x in (1e-100, -1e-100, 5e-324):
+            assert reconstruct_quadext(x, 10**6) == quad(0)
+
     def test_quadext_mu2_star(self):
         assert reconstruct_quadext(0.1803398875, 100) == MU2_STAR
 

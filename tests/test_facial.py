@@ -24,30 +24,37 @@ from strictfeas.bell import (
 )
 from strictfeas.exactnum import (
     as_quad,
+    kernel_basis_exact,
     mat_vec,
+    nullspace_exact,
+    primitive_integer_vector,
     qarray,
     quad,
     qzeros,
+    row_space_basis_exact,
     rref_exact,
+    to_float,
 )
 from strictfeas.facial import (
     InconsistentConstraintsError,
     ReducingCertificate,
+    RoundingFailedError,
     StrictlyFeasible,
+    _constraint_row,
     _face_split_certificate,
+    _float_slice_chart,
+    _upper_pairs,
     apply_constraints,
     build_alternative_problem,
-    certificate_null_vectors,
     derive_implicit_constraints,
     find_reducing_certificate,
     lift_assignment,
     reduce_problem,
     verify_certificate_matrix,
-    verify_range_vectors,
 )
 from strictfeas.model import MatrixPencil, SdpProblem, pencil_eval
 
-from helpers import PLANTED_U, planted_chain_problem
+from helpers import PLANTED_U, planted_chain, planted_chain_problem
 
 
 def span_canonical(vectors):
@@ -112,7 +119,11 @@ class TestFindCertificate:
         cert = find_reducing_certificate(almost_quantum_pencil(line1()))
         assert isinstance(cert, ReducingCertificate)
         assert_same_span(cert.range_vectors, line1_null_vectors())
-        assert verify_range_vectors(cert) == []
+        # each range vector lies in range(X) = ker(X)^perp, exactly
+        for v in cert.range_vectors:
+            for k in kernel_basis_exact(cert.X):
+                dot = sum((as_quad(a) * as_quad(b) for a, b in zip(v, k)), quad(0))
+                assert not bool(dot)
 
     def test_problem2_span(self):
         cert = find_reducing_certificate(almost_quantum_pencil(line2()))
@@ -127,6 +138,30 @@ class TestFindCertificate:
         out = find_reducing_certificate(identity_pencil_problem())
         assert isinstance(out, StrictlyFeasible)
         assert out.exact
+
+    def test_empty_slice_is_exact_verdict(self):
+        # no nonzero symmetric 2x2 matrix is orthogonal to I, diag(1, -1)
+        # and the off-diagonal unit
+        pencil = MatrixPencil.from_upper(
+            2,
+            "exact",
+            [(0, 0, 1), (1, 1, 1)],
+            [("y1", [(0, 0, 1), (1, 1, -1)]), ("y2", [(0, 1, 1)])],
+        )
+        prob = SdpProblem(pencil=pencil, objective=(quad(0), quad(0)), name="empty")
+        out = find_reducing_certificate(prob)
+        assert isinstance(out, StrictlyFeasible)
+        assert out.exact
+        assert "no nonzero symmetric matrix" in out.detail
+
+    def test_traceless_slice_is_exact_verdict(self):
+        # f0 = I and no variables: the orthogonal slice is tr X = 0
+        pencil = MatrixPencil.from_upper(2, "exact", [(0, 0, 1), (1, 1, 1)], [])
+        prob = SdpProblem(pencil=pencil, objective=(), name="traceless")
+        out = find_reducing_certificate(prob)
+        assert isinstance(out, StrictlyFeasible)
+        assert out.exact
+        assert "traceless" in out.detail
 
     def test_numeric_strictly_feasible_verdict(self):
         # the orthogonal slice holds trace-one matrices but none PSD:
@@ -164,12 +199,40 @@ class TestFindCertificate:
             assert tr == quad(1)
 
 
+class TestFloatSliceChart:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: almost_quantum_pencil(line1()),
+            lambda: almost_quantum_pencil(line2()),
+            chsh_toy_pencil,
+        ],
+        ids=["line1", "line2", "toy"],
+    )
+    def test_chart_is_orthonormal_trace_one_slice(self, make):
+        prob = make()
+        p = prob.pencil
+        X0, B = _float_slice_chart(prob)
+        assert np.trace(X0) == pytest.approx(1.0, abs=1e-12)
+        gram = np.array([[np.sum(a * b) for b in B] for a in B])
+        assert np.abs(gram - np.eye(len(B))).max() < 1e-12
+        for Q in (p.f0, *p.terms):
+            Qf = to_float(Q)
+            for M in (X0, *B):
+                assert abs(np.sum(Qf * M)) < 1e-12
+        for Bk in B:
+            assert abs(np.trace(Bk)) < 1e-12
+        pairs = _upper_pairs(p.n)
+        K = np.array([_constraint_row(Q, pairs) for Q in (p.f0, *p.terms)], dtype=object)
+        assert len(B) == len(nullspace_exact(K)) - 1
+
+
 class TestNullVectors:
     def test_rank_one_projector(self):
         X = qzeros(5)
         X[3, 3] = quad(1)
         cert = ReducingCertificate(X=X, range_vectors=())
-        vecs = certificate_null_vectors(cert)
+        vecs = [primitive_integer_vector(v) for v in row_space_basis_exact(cert.X)]
         assert len(vecs) == 1
         assert list(vecs[0]) == [quad(0), quad(0), quad(0), quad(1), quad(0)]
 
@@ -278,6 +341,26 @@ class TestSoundness:
         # the suffix marks a reduced problem once, however many rounds ran
         assert [r.problem.name for r in rounds] == ["planted-chain-reduced"] * 2
         assert final.name == "planted-chain-reduced"
+
+    @pytest.mark.parametrize("sqrt5", [False, True], ids=["rational", "sqrt5"])
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_reduce_problem_planted_degree_two(self, n, sqrt5):
+        prob = planted_chain(np.random.default_rng(100 + n), n, 2, sqrt5)
+        _, rounds, _ = reduce_problem(prob)
+        assert [r.constraints.eliminated_names for r in rounds] == [("a1",), ("a2",)]
+        for r in rounds:
+            ((_, expr),) = r.constraints.eliminated
+            assert not bool(expr.const) and not expr.coeffs
+
+    @pytest.mark.xfail(strict=True, raises=RoundingFailedError)
+    def test_reduce_problem_planted_degree_three(self):
+        # the first margin iterate sits ~gap^(1/4) off the face, so no
+        # projector of any rank rounds
+        prob = planted_chain(np.random.default_rng(104), 4, 3)
+        _, rounds, _ = reduce_problem(prob)
+        assert [r.constraints.eliminated_names for r in rounds] == [
+            ("a1",), ("a2",), ("a3",)
+        ]
 
     def test_reduce_problem_loop_terminates(self):
         final, rounds, verdict = reduce_problem(chsh_toy_pencil())

@@ -148,6 +148,31 @@ class TestNewtonSystem:
         assert res.diagnostics.regularized_iterations == 1
         assert "regularized Newton system: 1" in diagnostics_report(res)
 
+    def test_non_finite_newton_system_is_trouble(self, monkeypatch):
+        monkeypatch.setattr(
+            solver, "_schur_complement", lambda A, W: np.full((A.shape[0],) * 2, np.nan)
+        )
+        res = solve_sdp(simple_interval_problem())
+        assert res.status.tag is StatusTag.NUMERICAL_TROUBLE
+
+    def test_condition_estimate_tracks_the_schur_complement(self, monkeypatch):
+        # the Cholesky-based estimate of the last factored matrix is within
+        # the 1-norm/2-norm factor m of its exact condition number
+        schur = solver._schur_complement
+        seen = []
+
+        def recording(A, W):
+            seen.append(schur(A, W))
+            return seen[-1]
+
+        monkeypatch.setattr(solver, "_schur_complement", recording)
+        prob, _, _ = random_certified_sdp(np.random.default_rng(5), 5, 4)
+        res = solve_sdp(prob)
+        assert res.diagnostics.regularized_iterations == 0
+        exact = np.linalg.cond(seen[-1])
+        m = seen[-1].shape[0]
+        assert exact / m <= res.diagnostics.condition_estimate <= m * exact
+
     def test_nt_scaling_survives_shared_tiny_eigenvalue(self):
         # near the optimum X Z ~ 0; when X and Z share one tiny eigenvalue,
         # Xh Z Xh has an eigenvalue ~1e-30 that roundoff can make negative
