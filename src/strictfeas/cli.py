@@ -491,11 +491,7 @@ def main(argv=None) -> int:
             inputs={"file": getattr(args, "file", None)},
             errors=[f"{label}{exc}"],
         )
-        if getattr(args, "json", False):
-            sys.stdout.write(report.to_json())
-        if getattr(args, "out", None):
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
+        _emit(report, args)
         return 1
 
 

@@ -11,10 +11,11 @@ reliably.
 
 The search runs in floats: an orthonormal float chart of the trace-one
 slice of matrices orthogonal to the pencil, over which the minimum
-eigenvalue is maximized numerically.  The exact chart of that slice is
-computed only where a claim rests on it: the exact StrictlyFeasible verdicts
-(the slice is empty, or holds only traceless matrices) and
-`build_alternative_problem`.  The candidate is
+eigenvalue is maximized numerically; `build_alternative_problem` is the
+feasibility problem on that same chart.  The one exact claim about the
+slice itself, that it is empty or holds only traceless matrices (an exact
+StrictlyFeasible verdict), is the linear-algebra fact I in span{F0, F_i},
+decided by one exact solve.  The candidate is
 rationalized by one path, projection then rounding: the projector onto its
 range is rounded first, which fixes the face exactly, and the coordinates
 inside that face second.  The face's rank is not a setting: the search
@@ -26,7 +27,7 @@ RoundingFailed, never guessed around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,59 +185,12 @@ def _coords_to_matrix(coords, pairs, n: int) -> np.ndarray:
     return M
 
 
-def _slice_parameterization(prob: SdpProblem):
-    """Exact affine chart of {X symmetric: <F0,X> = <F_i,X> = 0, tr X = 1}.
-
-    Returns (X0, basis) with X0 in the slice and basis spanning its traceless
-    orthogonal directions, or a StrictlyFeasible verdict when the slice is
-    empty (an exact alternative-1 proof).
-    """
-    p = prob.pencil
-    n = p.n
-    pairs = _upper_pairs(n)
-    rows = [_constraint_row(p.f0, pairs)]
-    rows += [_constraint_row(T, pairs) for T in p.terms]
-    K = np.array(rows, dtype=object)
-    kernel = nullspace_exact(K)
-    if not kernel:
-        return StrictlyFeasible(
-            exact=True,
-            tolerance=None,
-            detail="no nonzero symmetric matrix is orthogonal to the pencil",
-        )
-    traces = []
-    for vec in kernel:
-        t = QUAD_ZERO
-        for (i, j), v in zip(pairs, vec):
-            if i == j:
-                t = t + v
-        traces.append(t)
-    pivot = next((k for k, t in enumerate(traces) if bool(t)), None)
-    if pivot is None:
-        return StrictlyFeasible(
-            exact=True,
-            tolerance=None,
-            detail="every matrix orthogonal to the pencil is traceless, "
-            "so none is PSD and nonzero",
-        )
-    x0 = [v / traces[pivot] for v in kernel[pivot]]
-    basis = []
-    for k, vec in enumerate(kernel):
-        if k == pivot:
-            continue
-        f = traces[k] / traces[pivot]
-        basis.append([v - f * p0 for v, p0 in zip(vec, kernel[pivot])])
-    X0 = _coords_to_matrix(x0, pairs, n)
-    B = [_coords_to_matrix(b, pairs, n) for b in basis]
-    return X0, B
-
-
 # slice coordinates below this are roundoff: they are set to exactly 0, so
 # that rows no pencil matrix touches stay structurally zero for the solver
 CHART_ZERO = 1e-13
 
-# a trace functional on the float slice below this norm is roundoff: the
-# exact chart decides whether the slice is traceless
+# a trace functional on the float slice below this norm is roundoff: one
+# exact solve then decides whether the slice is traceless
 TRACE_FLOOR = 1e-9
 
 
@@ -249,8 +203,8 @@ def _float_slice_chart(prob: SdpProblem):
     trace functional t, X0 = N tau / |tau|^2 is its minimum-norm trace-one
     point and one QR gives an orthonormal basis B of the complement of tau
     in span N (the traceless directions).  Returns (X0, [B_k]) as float
-    matrices, or None when N is empty or tau is at roundoff level; the exact
-    chart then decides.
+    matrices.  When tau is at roundoff level (an empty N gives tau = 0) the
+    slice looks traceless, and `_traceless_verdict` decides that exactly.
     """
     p = prob.pencil
     n = p.n
@@ -262,12 +216,10 @@ def _float_slice_chart(prob: SdpProblem):
     # numpy's matrix_rank tolerance
     rank = int(np.sum(s > max(K.shape) * np.finfo(float).eps * s[0]))
     N = Vt[rank:].T
-    if N.shape[1] == 0:
-        return None
     tau = N.T @ diag.astype(float)
     norm = float(np.linalg.norm(tau))
     if norm < TRACE_FLOOR:
-        return None
+        return _traceless_verdict(prob)
     Qtau, _ = np.linalg.qr(tau[:, None], mode="complete")
     coords = [N @ tau / norm**2] + list((N @ Qtau[:, 1:]).T)
 
@@ -281,40 +233,77 @@ def _float_slice_chart(prob: SdpProblem):
     return X0, B
 
 
-def build_alternative_problem(prob: SdpProblem) -> SdpProblem:
-    """The feasibility SDP of the second alternative, trace-normalized.
+def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
+    """Exact proof that every matrix orthogonal to the pencil is traceless.
 
-    Solutions X(z) = X0 + sum_k z_k B_k satisfy X >= 0, <F0, X> = 0,
-    <F_i, X> = 0 and tr X = 1 (the normalization excludes X = 0).  The
-    objective is zero.  When the slice is already empty the returned problem
-    has an infeasible pencil of dimension 1 (constant -1), encoding exact
-    infeasibility of the alternative.
+    That holds exactly when I = sum_j c_j Q_j over the pencil matrices Q_j
+    (then <I, X> = sum_j c_j <Q_j, X> = 0), so one exact solve over the
+    upper triangles decides it; the rank of the same system tells whether
+    the orthogonal complement is {0} altogether.  Either way no nonzero
+    X >= 0 is orthogonal to the pencil.  When I is not in the span the
+    float chart misjudged an ill-conditioned slice: SolverFailedError.
     """
-    chart = _slice_parameterization(prob)
+    p = prob.pencil
+    qmats = (p.f0, *p.terms)
+    pairs = _upper_pairs(p.n)
+    K = np.array([[Q[i, j] for Q in qmats] for i, j in pairs], dtype=object)
+    rhs = [QUAD_ONE if i == j else QUAD_ZERO for i, j in pairs]
+    solved = _affine_solve_exact(K, rhs)
+    if solved is None:
+        raise SolverFailedError(
+            "the float chart of the orthogonal slice is traceless at roundoff "
+            "level, but I is not in the span of the pencil matrices"
+        )
+    if len(qmats) - len(solved[1]) == len(pairs):
+        detail = "no nonzero symmetric matrix is orthogonal to the pencil"
+    else:
+        detail = (
+            "every matrix orthogonal to the pencil is traceless, "
+            "so none is PSD and nonzero"
+        )
+    return StrictlyFeasible(exact=True, tolerance=None, detail=detail)
+
+
+def _alternative_on_chart(prob: SdpProblem, chart) -> SdpProblem:
+    name = f"{prob.name or 'problem'}-alternative"
     if isinstance(chart, StrictlyFeasible):
         pencil = MatrixPencil(
-            n=1, scalar="exact", f0=qzeros(1) - 1, var_names=(), terms=()
+            n=1, scalar="double", f0=-np.ones((1, 1)), var_names=(), terms=()
         )
         return SdpProblem(
             pencil=pencil,
             objective=(),
-            name=f"{prob.name or 'problem'}-alternative",
+            name=name,
             note=f"alternative infeasible: {chart.detail}",
         )
     X0, B = chart
     pencil = MatrixPencil(
         n=prob.pencil.n,
-        scalar="exact",
+        scalar="double",
         f0=X0,
         var_names=tuple(f"z{k+1}" for k in range(len(B))),
         terms=tuple(B),
     )
     return SdpProblem(
         pencil=pencil,
-        objective=tuple(QUAD_ZERO for _ in B),
-        name=f"{prob.name or 'problem'}-alternative",
+        objective=tuple(0.0 for _ in B),
+        name=name,
         note="trace-normalized feasibility problem of the second alternative",
     )
+
+
+def build_alternative_problem(prob: SdpProblem) -> SdpProblem:
+    """The feasibility SDP of the second alternative, trace-normalized.
+
+    Over the float chart of `_float_slice_chart`, solutions
+    X(z) = X0 + sum_k z_k B_k satisfy X >= 0, <F0, X> = 0, <F_i, X> = 0 and
+    tr X = 1 (the normalization excludes X = 0), to roundoff.  The objective
+    is zero.  When the slice is exactly empty or traceless the returned
+    problem has an infeasible pencil of dimension 1 (constant -1), encoding
+    exact infeasibility of the alternative.  `find_reducing_certificate`
+    solves this problem with one more variable, the slack margin.
+    """
+    return _alternative_on_chart(prob, _float_slice_chart(prob))
 
 
 # a best slack margin below -FEAS_CUT is numerical evidence that no
@@ -356,21 +345,22 @@ def _round_coords(zhat: np.ndarray, den: int, extension: bool, tol: float):
 
 
 def _affine_solve_exact(K: np.ndarray, rhs) -> tuple | None:
-    """Exact particular solution and nullspace basis of K x = rhs, or None."""
+    """Exact particular solution and nullspace basis of K x = rhs, or None.
+
+    One elimination of [K | -rhs]: the system is consistent exactly when the
+    last column is free, and then its basis vector (last entry 1) carries
+    the particular solution while the others span the homogeneous solutions.
+    """
     rows, cols = K.shape
     aug = np.empty((rows, cols + 1), dtype=object)
     aug[:, :cols] = K
     for r in range(rows):
-        aug[r, cols] = as_quad(rhs[r])
-    R, pivots = rref_exact(aug, column_order=range(cols))
-    for r in range(rows):
-        if r not in set(pivots.values()) and bool(R[r, cols]):
-            return None
-    particular = np.empty(cols, dtype=object)
-    particular[...] = QUAD_ZERO
-    for c, r in pivots.items():
-        particular[c] = R[r, cols]
-    return particular, nullspace_exact(K)
+        aug[r, cols] = -as_quad(rhs[r])
+    basis = nullspace_exact(aug)
+    if not basis or not bool(basis[-1][cols]):
+        return None
+    *homogeneous, particular = basis
+    return particular[:cols], [h[:cols] for h in homogeneous]
 
 
 def _face_split_certificate(prob: SdpProblem, Xnum: np.ndarray):
@@ -475,30 +465,28 @@ def find_reducing_certificate(prob: SdpProblem):
     The trace-one orthogonal slice gets an orthonormal float chart (see
     `_float_slice_chart`) and the minimum eigenvalue of X(z) is maximized
     numerically; the interior-point iterate then lands in the relative
-    interior of the optimal face, i.e. at maximal rank.  The exact chart is
-    computed only when the float chart finds the slice empty or traceless:
-    it either proves StrictlyFeasible(exact=True) or supplies the chart.
+    interior of the optimal face, i.e. at maximal rank.  The problem solved
+    is `build_alternative_problem` plus a slack-margin variable.  When the
+    chart finds the slice empty or traceless, one exact solve proves
+    StrictlyFeasible(exact=True) instead (see `_traceless_verdict`).
     The candidate is rounded by projection, then rounding, from the rank its
     spectrum gives down to rank 1 (see `_face_split_certificate`).  Every
     certificate invariant is re-checked exactly.
     """
     chart = _float_slice_chart(prob)
-    if chart is None:
-        exact = _slice_parameterization(prob)
-        if isinstance(exact, StrictlyFeasible):
-            return exact
-        chart = to_float(exact[0]), [to_float(Bk) for Bk in exact[1]]
+    if isinstance(chart, StrictlyFeasible):
+        return chart
     X0, B = chart
     n = prob.pencil.n
-
-    names = tuple(f"z{k+1}" for k in range(len(B))) + ("slack_margin",)
-    pencil = MatrixPencil(
-        n=n, scalar="double", f0=X0, var_names=names, terms=(*B, -np.eye(n))
-    )
+    alt = _alternative_on_chart(prob, chart)
     margin_prob = SdpProblem(
-        pencil=pencil,
-        objective=tuple(0.0 for _ in B) + (1.0,),
-        name=f"{prob.name or 'problem'}-alternative-margin",
+        pencil=replace(
+            alt.pencil,
+            var_names=(*alt.var_names, "slack_margin"),
+            terms=(*alt.pencil.terms, -np.eye(n)),
+        ),
+        objective=(*alt.objective, 1.0),
+        name=f"{alt.name}-margin",
     )
     res = solve_sdp(margin_prob)
     if res.status.tag is not StatusTag.OPTIMAL:

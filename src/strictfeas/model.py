@@ -226,6 +226,11 @@ def validate(prob: SdpProblem) -> list[str]:
             )
             if bad:
                 violations.append(f"NotSymmetric: {name} at {bad}")
+    if p.scalar == "double":
+        if not np.all(np.isfinite(np.asarray(prob.objective, dtype=float))):
+            violations.append("NonFinite: objective contains NaN or infinity")
+        if not np.isfinite(float(prob.objective_offset)):
+            violations.append("NonFinite: offset is NaN or infinity")
     return violations
 
 

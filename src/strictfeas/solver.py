@@ -45,10 +45,6 @@ class InvalidProblemError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-class NoInteriorStartFoundError(RuntimeError):
-    """No strictly positive starting point could be formed (reported, not patched)."""
-
-
 # stopping tolerances (relative gap; residuals scaled by 1 + the data's size)
 GAP_TOL = 1e-9
 FEAS_TOL = 1e-9
@@ -249,8 +245,6 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
     xi = max(1.0, float(np.max(np.abs(b))), c_scale)
     X = xi * np.eye(n)
     y = np.zeros(m)
-    if not np.all(np.isfinite(Z)) or not np.all(np.isfinite(X)):
-        raise NoInteriorStartFoundError("could not form a finite interior start")
 
     b_scale = 1.0 + float(np.max(np.abs(b)))
     stagnant = 0

@@ -160,3 +160,37 @@ def planted_chain(
         objective=tuple(objective),
         name=f"planted-chain-{d}-{n}" + ("-sqrt5" if sqrt5 else ""),
     )
+
+
+def golden_face_problem() -> SdpProblem:
+    """A face whose projector is irrational, hidden by a Q(sqrt5) congruence.
+
+    Before the congruence the slack is
+    [[0, a, b], [a, 1 + s11, s12], [b, s12, 1 + s22]]: PSD forces a = b = 0
+    (row 0).  U is unit lower triangular with U[1, 0] = phi, the golden
+    ratio, and U[2, 1] = 1, so the face U^{-1} e0 = (1, -phi, phi) has a
+    projector with entries outside Q: only the Q(sqrt5) rungs round it.
+    The objective, maximize -s22, has optimum 1.
+    """
+    U = np.array(
+        [[quad(1), quad(0), quad(0)], [GOLDEN, quad(1), quad(0)], [quad(0), quad(1), quad(1)]],
+        dtype=object,
+    )
+
+    def hide(entries):
+        M = np.zeros((3, 3), dtype=object)
+        M[...] = QUAD_ZERO
+        for i, j in entries:
+            M[i, j] = M[j, i] = quad(1)
+        return U.T @ M @ U
+
+    names = ("a", "b", "s12", "s11", "s22")
+    pencil = MatrixPencil(
+        n=3,
+        scalar="exact",
+        f0=hide([(1, 1), (2, 2)]),
+        var_names=names,
+        terms=tuple(hide([e]) for e in [(0, 1), (0, 2), (1, 2), (1, 1), (2, 2)]),
+    )
+    objective = (quad(0),) * 4 + (quad(-1),)
+    return SdpProblem(pencil=pencil, objective=objective, name="golden-face")

@@ -52,6 +52,27 @@ class TestLoadStore:
             json.dump(doc, fh)
         assert main(["solve", path]) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "diagnose", "reduce"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("b", "inf"), ("b", "nan"), ("offset", "-inf"), ("offset", "nan")],
+    )
+    def test_non_finite_objective_or_offset_rejected(
+        self, tmpfile, capsys, command, field, value
+    ):
+        prob, _, _ = random_certified_sdp(np.random.default_rng(77), 3, 2)
+        doc = json.loads(problem_to_json_str(prob))
+        if field == "b":
+            doc["vars"][0]["b"] = value
+        else:
+            doc["offset"] = value
+        path = tmpfile("non-finite.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main([command, path, "--json"]) == 1
+        errors = json.loads(capsys.readouterr().out)["errors"]
+        assert len(errors) == 1 and "NonFinite" in errors[0]
+
     def test_parse_error_position(self, tmpfile, capsys):
         path = tmpfile("bad.json")
         with open(path, "w") as fh:

@@ -39,7 +39,9 @@ from strictfeas.facial import (
     InconsistentConstraintsError,
     ReducingCertificate,
     RoundingFailedError,
+    SolverFailedError,
     StrictlyFeasible,
+    _affine_solve_exact,
     _constraint_row,
     _face_split_certificate,
     _float_slice_chart,
@@ -54,7 +56,12 @@ from strictfeas.facial import (
 )
 from strictfeas.model import MatrixPencil, SdpProblem, pencil_eval
 
-from helpers import PLANTED_U, planted_chain, planted_chain_problem
+from helpers import (
+    PLANTED_U,
+    golden_face_problem,
+    planted_chain,
+    planted_chain_problem,
+)
 
 
 def span_canonical(vectors):
@@ -113,6 +120,15 @@ class TestAlternativeProblem:
         assert alt.pencil.m > 0
         assert all(not bool(b) for b in alt.objective)
 
+    def test_alternative_problem_is_the_search_chart(self):
+        prob = almost_quantum_pencil(line2())
+        alt = build_alternative_problem(prob)
+        X0, B = _float_slice_chart(prob)
+        assert alt.pencil.scalar == "double"
+        assert np.array_equal(alt.pencil.f0, X0)
+        assert len(alt.pencil.terms) == len(B)
+        assert all(np.array_equal(T, Bk) for T, Bk in zip(alt.pencil.terms, B))
+
 
 class TestFindCertificate:
     def test_problem1_span(self):
@@ -162,6 +178,24 @@ class TestFindCertificate:
         assert isinstance(out, StrictlyFeasible)
         assert out.exact
         assert "traceless" in out.detail
+
+    def test_ill_conditioned_traceless_chart_raises(self):
+        # diag(1, 1 + 1e-10) with no variables: the slice's trace functional
+        # is ~1e-10 in floats, but I is not a multiple of f0, so there is no
+        # exact traceless verdict to give
+        pencil = MatrixPencil.from_upper(
+            2, "exact", [(0, 0, 1), (1, 1, Fraction(10**10 + 1, 10**10))], []
+        )
+        prob = SdpProblem(pencil=pencil, objective=(), name="near-identity")
+        with pytest.raises(SolverFailedError):
+            find_reducing_certificate(prob)
+
+    def test_irrational_face_rounds_over_sqrt5(self):
+        prob = golden_face_problem()
+        cert = find_reducing_certificate(prob)
+        assert cert.note == "face-projector rounding at max_den=100 over Q(sqrt5); rank 1"
+        assert verify_certificate_matrix(prob, cert.X) == []
+        assert_same_span(cert.range_vectors, [[quad(2), quad(-1, -1), quad(1, 1)]])
 
     def test_numeric_strictly_feasible_verdict(self):
         # the orthogonal slice holds trace-one matrices but none PSD:
@@ -225,6 +259,27 @@ class TestFloatSliceChart:
         pairs = _upper_pairs(p.n)
         K = np.array([_constraint_row(Q, pairs) for Q in (p.f0, *p.terms)], dtype=object)
         assert len(B) == len(nullspace_exact(K)) - 1
+
+
+class TestAffineSolve:
+    def test_particular_and_homogeneous(self):
+        K = qarray([[1, 2], [2, 4]])
+        particular, homogeneous = _affine_solve_exact(K, [quad(1), quad(2)])
+        assert list(particular) == [quad(1), quad(0)]
+        assert [list(h) for h in homogeneous] == [[quad(-2), quad(1)]]
+
+    def test_unique_solution_has_no_homogeneous_part(self):
+        particular, homogeneous = _affine_solve_exact(qarray([[2]]), [quad(3)])
+        assert list(particular) == [quad(Fraction(3, 2))]
+        assert homogeneous == []
+
+    @pytest.mark.parametrize(
+        "K, rhs",
+        [([[1, 2], [2, 4]], [1, 3]), ([[1], [0]], [0, 1])],
+        ids=["rank-deficient", "no-free-column"],
+    )
+    def test_inconsistent_is_none(self, K, rhs):
+        assert _affine_solve_exact(qarray(K), [quad(r) for r in rhs]) is None
 
 
 class TestNullVectors:
@@ -361,6 +416,13 @@ class TestSoundness:
         assert [r.constraints.eliminated_names for r in rounds] == [
             ("a1",), ("a2",), ("a3",)
         ]
+
+    def test_reduce_problem_golden_face(self):
+        final, rounds, _ = reduce_problem(golden_face_problem())
+        assert [r.constraints.eliminated_names for r in rounds] == [("b", "a")]
+        for _, expr in rounds[0].constraints.eliminated:
+            assert not bool(expr.const) and not expr.coeffs
+        assert final.var_names == ("s12", "s11", "s22")
 
     def test_reduce_problem_loop_terminates(self):
         final, rounds, verdict = reduce_problem(chsh_toy_pencil())

@@ -147,6 +147,18 @@ class TestValidate:
         prob = SdpProblem(pencil=pencil, objective=())
         assert any(v.startswith("NonFinite") for v in validate(prob))
 
+    def test_non_finite_objective_and_offset(self):
+        pencil = MatrixPencil(
+            n=1, scalar="double", f0=np.eye(1), var_names=("y",), terms=(np.eye(1),)
+        )
+        prob = SdpProblem(
+            pencil=pencil, objective=(float("inf"),), objective_offset=float("nan")
+        )
+        assert [v for v in validate(prob) if v.startswith("NonFinite")] == [
+            "NonFinite: objective contains NaN or infinity",
+            "NonFinite: offset is NaN or infinity",
+        ]
+
     def test_duplicate_variables(self):
         pencil = MatrixPencil.from_upper(
             2, "double", [], [("y", [(0, 0, 1)]), ("y", [(1, 1, 1)])]
