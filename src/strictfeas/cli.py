@@ -251,7 +251,8 @@ def _trouble_signature(res: SolveResult, certified: float) -> bool:
     )
 
 
-def _reproduce_target(target: str, report: RunReport) -> bool:
+def _reproduce_target(target: str, report: RunReport) -> list[str]:
+    """Check every claim of one target into `report`; return its text lines."""
     claims: list[tuple[str, bool, str]] = []
 
     if target == "problem1":
@@ -383,28 +384,27 @@ def _reproduce_target(target: str, report: RunReport) -> bool:
                 )
             )
 
-    all_ok = all(ok for _, ok, _ in claims)
+    lines = []
     for name, ok, detail in claims:
-        print(f"[{'PASS' if ok else 'FAIL'}] {target}: {name}")
+        lines.append(f"[{'PASS' if ok else 'FAIL'}] {target}: {name}")
         if not ok:
-            print(f"       {detail}")
+            lines.append(f"       {detail}")
     report.claims.extend(
         {"target": target, "claim": name, "ok": ok, "detail": detail}
         for name, ok, detail in claims
     )
-    return all_ok
+    return lines
 
 
 def cmd_reproduce(args) -> int:
     t0 = time.perf_counter()
     targets = ["problem1", "problem2", "chsh-toy"] if args.target == "all" else [args.target]
     report = RunReport(command="reproduce", inputs={"target": args.target})
-    ok = True
-    for target in targets:
-        ok = _reproduce_target(target, report) and ok
+    lines = [line for target in targets for line in _reproduce_target(target, report)]
     report.timings["seconds"] = time.perf_counter() - t0
-    print(f"overall: {'all checks passed' if ok else 'CHECKS FAILED'}")
-    _emit(report, args)
+    ok = all(claim["ok"] for claim in report.claims)
+    lines.append(f"overall: {'all checks passed' if ok else 'CHECKS FAILED'}")
+    _emit(report, args, "\n".join(lines))
     return 0 if ok else 1
 
 

@@ -5,6 +5,12 @@ Scalars are either :class:`fractions.Fraction` (rationals) or :class:`QuadExt`
 numpy object arrays whose entries are QuadExt; see :func:`qarray`.  Everything
 here is immutable and side-effect free, so values can be shared freely.
 
+Exact products (:func:`qmatmul`, and through it :func:`frob_inner`,
+:func:`mat_vec` and :func:`quadratic_form`) do not multiply QuadExt entry by
+entry: each operand is written once as (A + B*sqrt5)/d, with A and B object
+arrays of Python ints and d a common denominator, and numpy's object matmul
+multiplies the integer parts.  Only the result becomes QuadExt again.
+
 The exact scalar string grammar is ``p/q`` for rationals and
 ``p/q+r/s*sqrt5`` for extension elements (signs inline, either term may be
 omitted, no whitespace, locale independent).
@@ -12,7 +18,9 @@ omitted, no whitespace, locale independent).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -328,24 +336,81 @@ def is_symmetric(M: np.ndarray) -> bool:
     return all(M[i, j] == M[j, i] for i in range(n) for j in range(i + 1, n))
 
 
+# ---------------------------------------------------------------------------
+# exact products over an integer split
+
+
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
+
+
+def _split(X) -> tuple:
+    """(A, B, d) with X = (A + B*sqrt5)/d entrywise.
+
+    A and B are object arrays of Python ints, which never overflow, and d is
+    the least common denominator of every entry; B is None when X is
+    rational, so a rational product costs one integer matmul, not four.
+    """
+    X = np.asarray(X, dtype=object)
+    quads = list(map(as_quad, X.flat))
+    if any(q is NotImplemented for q in quads):
+        raise TypeError("exact products expect exact entries")
+    a = [q.a for q in quads]
+    b = [q.b for q in quads]
+    d = math.lcm(*set(map(_denominator, a)), *set(map(_denominator, b)))
+
+    def scaled(parts) -> np.ndarray:
+        if d == 1:
+            ints = list(map(_numerator, parts))
+        else:
+            ints = [f.numerator * (d // f.denominator) for f in parts]
+        return np.array(ints, dtype=object).reshape(X.shape)
+
+    return scaled(a), scaled(b) if any(map(_numerator, b)) else None, d
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    # (A1 + B1 s)(A2 + B2 s) = A1 A2 + 5 B1 B2 + (A1 B2 + B1 A2) s, s = sqrt5
+    A1, B1, d1 = x
+    A2, B2, d2 = y
+    A = A1 @ A2
+    B = None if B2 is None else A1 @ B2
+    if B1 is not None:
+        B = B1 @ A2 if B is None else B + B1 @ A2
+        if B2 is not None:
+            A = A + 5 * (B1 @ B2)
+    return A, B, d1 * d2
+
+
+def qmatmul(X, Y, *more):
+    """Exact product X @ Y (@ more...) over Q(sqrt5), with numpy's shapes.
+
+    Operands are exact arrays (QuadExt, Fraction or int entries): matrices,
+    vectors or stacks of matrices such as (k, n, n), which broadcast as in
+    numpy's matmul.  Each operand is split once into integer arrays over a
+    common denominator (see `_split`) and the whole chain is multiplied by
+    numpy's object matmul on Python ints; the result goes back to QuadExt
+    entries only at the end.  A vector-times-vector product is a QuadExt.
+    """
+    A, B, d = functools.reduce(_times, map(_split, (Y, *more)), _split(X))
+    A = np.asarray(A, dtype=object)
+    B = np.zeros(A.shape, dtype=object) if B is None else np.asarray(B, dtype=object)
+    pairs = list(zip(A.flat, B.flat))
+    # products repeat few values (mostly 0): build each QuadExt once
+    value = {ab: QuadExt(Fraction(ab[0], d), Fraction(ab[1], d)) for ab in set(pairs)}
+    out = np.empty(A.size, dtype=object)
+    out[:] = [value[ab] for ab in pairs]
+    return out.reshape(A.shape) if A.ndim else out[0]
+
+
 def frob_inner(A: np.ndarray, B: np.ndarray) -> QuadExt:
     """Exact Frobenius inner product sum_ij A_ij B_ij."""
-    total = QUAD_ZERO
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            total = total + as_quad(A[i, j]) * as_quad(B[i, j])
-    return total
+    return qmatmul(np.ravel(A), np.ravel(B))
 
 
 def mat_vec(M: np.ndarray, v: Sequence) -> np.ndarray:
-    n, m = M.shape
-    out = np.empty(n, dtype=object)
-    for i in range(n):
-        acc = QUAD_ZERO
-        for j in range(m):
-            acc = acc + as_quad(M[i, j]) * as_quad(v[j])
-        out[i] = acc
-    return out
+    """Exact M v."""
+    return qmatmul(M, v)
 
 
 def rref_exact(M: np.ndarray, column_order: Sequence[int] | None = None):
@@ -480,11 +545,7 @@ def psd_check_exact(M: np.ndarray) -> PsdCheck:
 
 def quadratic_form(M: np.ndarray, v: Sequence) -> QuadExt:
     """Exact v^T M v."""
-    Mv = mat_vec(M, v)
-    acc = QUAD_ZERO
-    for i in range(len(v)):
-        acc = acc + as_quad(v[i]) * Mv[i]
-    return acc
+    return qmatmul(v, M, v)
 
 
 def primitive_integer_vector(v: Sequence) -> np.ndarray:

@@ -38,13 +38,13 @@ from .exactnum import (
     QuadExt,
     as_quad,
     format_scalar,
-    frob_inner,
+    frob_inner,  # noqa: F401  (perfbench/spans.py times it here)
     kernel_basis_exact,  # noqa: F401  (perfbench/spans.py times it here)
-    mat_vec,
     nullspace_exact,
     primitive_integer_vector,
     psd_check_exact,
     qeye,
+    qmatmul,
     quad,
     qzeros,
     reconstruct_quadext,
@@ -402,7 +402,7 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     n = prob.pencil.n
     r = Vr.shape[1]
     Pnum = Vr @ Vr.T
-    qmats = [prob.pencil.f0, *prob.pencil.terms, qeye(n)]
+    qmats = np.stack([prob.pencil.f0, *prob.pencil.terms, qeye(n)])
     pairs_r = _upper_pairs(r)
     reason = "projector rounding never succeeded"
     for den, extension, tol in ROUNDING_LADDER:
@@ -411,7 +411,7 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
             reason = f"projector entries not representable at max_den={den}"
             continue
         P = _coords_to_matrix(coords, _upper_pairs(n), n)
-        if not np.array_equal(P @ P, P):
+        if not np.array_equal(qmatmul(P, P), P):
             reason = f"rounded matrix at max_den={den} is not a projector"
             continue
         Wrows = row_space_basis_exact(P)
@@ -422,7 +422,8 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
         # face-restricted slice: M symmetric r x r with
         # <W^T Q W, M> = 0 for every pencil matrix Q and tr(W^T W M) = 1
         K = np.array(
-            [_constraint_row(W.T @ Q @ W, pairs_r) for Q in qmats], dtype=object
+            [_constraint_row(C, pairs_r) for C in qmatmul(W.T, qmats, W)],
+            dtype=object,
         )
         rhs = [QUAD_ZERO] * (len(qmats) - 1) + [QUAD_ONE]
         solved = _affine_solve_exact(K, rhs)
@@ -444,7 +445,7 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
         for sj, h in zip(s, homogeneous):
             if bool(sj):
                 mcoords = mcoords + sj * np.asarray(h, dtype=object)
-        X = W @ _coords_to_matrix(mcoords, pairs_r, r) @ W.T
+        X = qmatmul(W, _coords_to_matrix(mcoords, pairs_r, r), W.T)
         problems = verify_certificate_matrix(prob, X)
         if problems:
             reason = f"face rounding at max_den={den}: " + "; ".join(problems)
@@ -524,13 +525,13 @@ def verify_certificate_matrix(prob: SdpProblem, X: np.ndarray) -> list[str]:
     check = psd_check_exact(X)
     if not check.is_psd:
         problems.append(f"X is not PSD (step {check.bad_index})")
-    v = frob_inner(prob.pencil.f0, X)
-    if bool(v):
-        problems.append(f"<F0, X> = {format_scalar(v)} != 0")
-    for name, T in zip(prob.pencil.var_names, prob.pencil.terms):
-        v = frob_inner(T, X)
+    p = prob.pencil
+    # every <Q, X> at once: the stacked pencil, flattened, times vec(X)
+    pencil = np.stack([p.f0, *p.terms]).reshape(p.m + 1, -1)
+    labels = ("F0", *(f"F_{name}" for name in p.var_names))
+    for label, v in zip(labels, qmatmul(pencil, np.ravel(X))):
         if bool(v):
-            problems.append(f"<F_{name}, X> = {format_scalar(v)} != 0")
+            problems.append(f"<{label}, X> = {format_scalar(v)} != 0")
     return problems
 
 
@@ -549,14 +550,11 @@ def derive_implicit_constraints(prob: SdpProblem, vectors) -> ImplicitConstraint
     support = [v for v, b in zip(names, prob.objective) if bool(as_quad(b))]
     protected = set(support) if len(support) == 1 else set()
 
-    rows = []
-    for v in vectors:
-        const_col = mat_vec(p.f0, v)
-        coeff_cols = [mat_vec(T, v) for T in p.terms]
-        for j in range(p.n):
-            row = [col[j] for col in coeff_cols] + [const_col[j]]
-            if any(bool(x) for x in row):
-                rows.append(row)
+    V = np.array(list(vectors), dtype=object).reshape(-1, p.n).T
+    # one stacked product gives (F_i v)_j for every term i (F0 last), range
+    # vector v and index j; transposed, it is one row per (v, j)
+    cols = qmatmul(np.stack([*p.terms, p.f0]), V)
+    rows = [row for row in cols.T.reshape(-1, p.m + 1) if any(bool(x) for x in row)]
     if not rows:
         return ImplicitConstraintSet(equations=(), eliminated=())
 

@@ -1,9 +1,9 @@
 """Shared test utilities: random strictly feasible SDPs with known optima,
-and small exact problems that need reduction."""
+small exact problems that need reduction, and loop-based exact products."""
 
 import numpy as np
 
-from strictfeas.exactnum import QUAD_ZERO, qarray, quad
+from strictfeas.exactnum import QUAD_ZERO, as_quad, qarray, quad
 from strictfeas.model import MatrixPencil, SdpProblem
 
 
@@ -194,3 +194,61 @@ def golden_face_problem() -> SdpProblem:
     )
     objective = (quad(0),) * 4 + (quad(-1),)
     return SdpProblem(pencil=pencil, objective=objective, name="golden-face")
+
+
+# ---------------------------------------------------------------------------
+# exact products as plain loops of QuadExt arithmetic: the reference that
+# the integer-split kernels of exactnum are checked against
+
+
+def reference_frob_inner(A, B):
+    """sum_ij A_ij B_ij, one QuadExt product at a time."""
+    total = QUAD_ZERO
+    for i in range(A.shape[0]):
+        for j in range(A.shape[1]):
+            total = total + as_quad(A[i, j]) * as_quad(B[i, j])
+    return total
+
+
+def reference_mat_vec(M, v):
+    """M v, one QuadExt product at a time."""
+    n, m = M.shape
+    out = np.empty(n, dtype=object)
+    for i in range(n):
+        acc = QUAD_ZERO
+        for j in range(m):
+            acc = acc + as_quad(M[i, j]) * as_quad(v[j])
+        out[i] = acc
+    return out
+
+
+def reference_matmul(X, Y):
+    """X @ Y by triple loops over QuadExt, with the shapes of numpy's matmul
+    for vectors, matrices and stacks of matrices (k, n, m)."""
+    X, Y = np.asarray(X, dtype=object), np.asarray(Y, dtype=object)
+    if Y.ndim == 1:
+        return reference_matmul(X, Y[:, None])[..., 0][()]
+    if X.ndim == 1:
+        return reference_matmul(X[None, :], Y)[..., 0, :]
+    if X.ndim == 3 or Y.ndim == 3:
+        k = len(X) if X.ndim == 3 else len(Y)
+        out = np.empty((k, X.shape[-2], Y.shape[-1]), dtype=object)
+        for t in range(k):
+            out[t] = reference_matmul(X[t] if X.ndim == 3 else X, Y[t] if Y.ndim == 3 else Y)
+        return out
+    out = np.empty((X.shape[0], Y.shape[1]), dtype=object)
+    for i in range(X.shape[0]):
+        for j in range(Y.shape[1]):
+            acc = QUAD_ZERO
+            for t in range(X.shape[1]):
+                acc = acc + as_quad(X[i, t]) * as_quad(Y[t, j])
+            out[i, j] = acc
+    return out
+
+
+def reference_qmatmul(X, Y, *more):
+    """The chain X @ Y @ ... of `reference_matmul`s."""
+    out = reference_matmul(X, Y)
+    for Z in more:
+        out = reference_matmul(out, Z)
+    return out

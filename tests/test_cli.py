@@ -199,6 +199,19 @@ class TestReproduceCommand:
         assert "[FAIL]" not in out
         assert "all checks passed" in out
 
+    def test_json_stdout_is_only_json(self, capsys):
+        assert main(["reproduce", "chsh-toy", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == "reproduce"
+        assert doc["claims"] and all(c["ok"] for c in doc["claims"])
+
+    def test_plain_run_prints_every_claim(self, capsys):
+        assert main(["reproduce", "chsh-toy"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "overall: all checks passed"
+        claims = [line for line in lines if line.startswith("[PASS] chsh-toy: ")]
+        assert len(claims) == len(lines) - 1 == 6
+
     def test_report_deterministic(self, tmpfile, capsys):
         r1, r2 = tmpfile("r1.json"), tmpfile("r2.json")
         assert main(["reproduce", "chsh-toy", "--out", r1]) == 0

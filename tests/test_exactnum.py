@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +22,20 @@ from strictfeas.exactnum import (
     psd_check_exact,
     qarray,
     qeye,
+    qmatmul,
     qsign,
     quad,
     quadratic_form,
     qzeros,
     reconstruct_quadext,
     reconstruct_rational,
+)
+
+from helpers import (
+    reference_frob_inner,
+    reference_mat_vec,
+    reference_matmul,
+    reference_qmatmul,
 )
 
 MU2_STAR = quad(-11, 5)  # 5*sqrt5 - 11
@@ -298,3 +307,107 @@ class TestVectors:
         A = qeye(2)
         B = qarray([[2, 1], [1, 3]])
         assert frob_inner(A, B) == quad(5)
+
+
+# entries for the product kernels: small and huge numerators (beyond 2**63,
+# where a fixed-width integer would wrap), mixed denominators, nonzero sqrt5
+# parts, and plain ints and Fractions among the QuadExt
+huge_fractions_st = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.integers(min_value=1, max_value=2**70),
+)
+entries_st = st.one_of(
+    quads_st,
+    st.builds(QuadExt, huge_fractions_st, huge_fractions_st),
+    st.builds(QuadExt, fractions_st),
+    fractions_st,
+    st.integers(min_value=-3, max_value=3),
+)
+dims_st = st.integers(min_value=0, max_value=3)
+
+
+def exact_arrays(*shape):
+    size = int(np.prod(shape))
+
+    def build(entries):
+        out = np.empty(size, dtype=object)
+        out[:] = entries
+        return out.reshape(shape)
+
+    return st.lists(entries_st, min_size=size, max_size=size).map(build)
+
+
+def assert_same(got, want):
+    """Equal exact values, returned as QuadExt (a scalar or an object array)."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == object
+        assert got.shape == want.shape
+        assert all(isinstance(x, QuadExt) for x in got.flat)
+        assert all(g == w for g, w in zip(got.flat, want.flat))
+    else:
+        assert isinstance(got, QuadExt) and got == want
+
+
+class TestExactProducts:
+    @given(st.data(), dims_st, dims_st, dims_st)
+    @settings(max_examples=50, deadline=None)
+    def test_qmatmul_matches_triple_loop(self, data, n, k, m):
+        X = data.draw(exact_arrays(n, k))
+        Y = data.draw(exact_arrays(k, m))
+        assert_same(qmatmul(X, Y), reference_matmul(X, Y))
+
+    @given(st.data(), st.integers(min_value=1, max_value=3), dims_st, dims_st)
+    @settings(max_examples=50, deadline=None)
+    def test_stacked_congruence(self, data, k, n, r):
+        S = data.draw(exact_arrays(k, n, n))
+        W = data.draw(exact_arrays(n, r))
+        assert_same(qmatmul(W.T, S, W), reference_qmatmul(W.T, S, W))
+        assert_same(qmatmul(S, W), reference_matmul(S, W))
+
+    @given(st.data(), dims_st, dims_st)
+    @settings(max_examples=50, deadline=None)
+    def test_vectors(self, data, n, k):
+        M = data.draw(exact_arrays(n, k))
+        v = data.draw(exact_arrays(k))
+        w = data.draw(exact_arrays(k))
+        assert_same(qmatmul(M, v), reference_matmul(M, v))
+        assert_same(mat_vec(M, v), reference_mat_vec(M, v))
+        assert_same(mat_vec(M, list(v)), reference_mat_vec(M, v))
+        assert_same(qmatmul(v, w), reference_matmul(v, w))
+        u = data.draw(exact_arrays(n))
+        assert_same(qmatmul(u, M, v), reference_qmatmul(u, M, v))
+
+    @given(st.data(), dims_st, dims_st)
+    @settings(max_examples=50, deadline=None)
+    def test_frob_inner_matches_double_loop(self, data, n, m):
+        A = data.draw(exact_arrays(n, m))
+        B = data.draw(exact_arrays(n, m))
+        assert_same(frob_inner(A, B), reference_frob_inner(A, B))
+
+    def test_no_overflow_beyond_64_bits(self):
+        big = quad(2**63 + 1, Fraction(-(2**64), 3))
+        X = qarray([[big, 1], [2, big]])
+        got = qmatmul(X, X)
+        assert_same(got, reference_matmul(X, X))
+        assert got[0, 0] == big * big + 2
+        assert frob_inner(X, X) == 2 * big * big + 5
+
+    @pytest.mark.parametrize(
+        "xshape, yshape, shape",
+        [((2, 0), (0, 3), (2, 3)), ((0, 2), (2, 0), (0, 0)), ((3, 0, 0), (0, 2), (3, 0, 2))],
+    )
+    def test_zero_size_shapes(self, xshape, yshape, shape):
+        got = qmatmul(np.empty(xshape, dtype=object), np.empty(yshape, dtype=object))
+        assert got.shape == shape
+        assert all(isinstance(x, QuadExt) and not x for x in got.flat)
+
+    def test_empty_inner_products_are_zero(self):
+        empty = np.empty(0, dtype=object)
+        assert_same(qmatmul(empty, empty), quad(0))
+        assert_same(frob_inner(qzeros(0), qzeros(0)), quad(0))
+        assert_same(mat_vec(np.empty((2, 0), dtype=object), []), qarray([0, 0]))
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            qmatmul(np.eye(2), qeye(2))

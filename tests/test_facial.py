@@ -35,7 +35,9 @@ from strictfeas.exactnum import (
     rref_exact,
     to_float,
 )
+from strictfeas import facial
 from strictfeas.facial import (
+    ImplicitConstraintSet,
     InconsistentConstraintsError,
     ReducingCertificate,
     RoundingFailedError,
@@ -54,13 +56,14 @@ from strictfeas.facial import (
     reduce_problem,
     verify_certificate_matrix,
 )
-from strictfeas.model import MatrixPencil, SdpProblem, pencil_eval
+from strictfeas.model import MatrixPencil, SdpProblem, pencil_eval, problem_to_json_str
 
 from helpers import (
     PLANTED_U,
     golden_face_problem,
     planted_chain,
     planted_chain_problem,
+    reference_qmatmul,
 )
 
 
@@ -428,6 +431,70 @@ class TestSoundness:
         final, rounds, verdict = reduce_problem(chsh_toy_pencil())
         assert len(rounds) == 1
         assert final.var_names == ("pA0", "pA1", "a01")
+
+
+class TestExactProductSites:
+    """The stacked exact products of facial, at their edges and against the
+    loop-based products they replace."""
+
+    def test_pencil_without_variables(self):
+        # the stacked pencil is F0 alone
+        pencil = MatrixPencil.from_upper(2, "exact", [(0, 0, 1)], [])
+        prob = SdpProblem(pencil=pencil, objective=())
+        assert verify_certificate_matrix(prob, qarray([[0, 0], [0, 1]])) == []
+        assert verify_certificate_matrix(prob, qarray([[1, 0], [0, 1]])) == [
+            "<F0, X> = 1 != 0"
+        ]
+        cons = derive_implicit_constraints(prob, [qarray([0, 1])])
+        assert cons == ImplicitConstraintSet(equations=(), eliminated=())
+        with pytest.raises(InconsistentConstraintsError, match="inconsistent"):
+            derive_implicit_constraints(prob, [qarray([1, 0])])
+
+    def test_no_range_vectors(self):
+        cons = derive_implicit_constraints(planted_chain_problem(), [])
+        assert cons == ImplicitConstraintSet(equations=(), eliminated=())
+
+    def test_verify_reports_every_nonzero_inner_product(self):
+        prob = planted_chain_problem()
+        problems = verify_certificate_matrix(prob, qarray(np.eye(3, dtype=int).tolist()))
+        # <Q, I> = tr Q, in pencil order, for F0 and every term
+        traces = [
+            (label, sum(Q[i, i] for i in range(3)))
+            for label, Q in zip(
+                ("F0", "F_a", "F_b", "F_s"), (prob.pencil.f0, *prob.pencil.terms)
+            )
+        ]
+        assert problems == [f"<{label}, X> = {t} != 0" for label, t in traces if t]
+        assert len(problems) >= 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: planted_chain(np.random.default_rng(4), 4, 2),
+            lambda: planted_chain(np.random.default_rng(4), 4, 2, sqrt5=True),
+            lambda: planted_chain(np.random.default_rng(8), 8, 2),
+            lambda: planted_chain(np.random.default_rng(8), 8, 2, sqrt5=True),
+            golden_face_problem,
+        ],
+        ids=["n4-rational", "n4-sqrt5", "n8-rational", "n8-sqrt5", "golden-face"],
+    )
+    def test_reduction_equals_loop_products(self, make, monkeypatch):
+        prob = make()
+
+        def outcome():
+            final, rounds, verdict = reduce_problem(prob)
+            X = rounds[0].certificate.X
+            return (
+                [(r.certificate.as_dict(), r.constraints.as_dict()) for r in rounds],
+                problem_to_json_str(final),
+                verdict,
+                verify_certificate_matrix(prob, X + X),
+                verify_certificate_matrix(prob, qarray(np.eye(prob.pencil.n, dtype=int).tolist())),
+            )
+
+        fast = outcome()
+        monkeypatch.setattr(facial, "qmatmul", reference_qmatmul)
+        assert outcome() == fast
 
 
 class TestSerialization:
