@@ -10,6 +10,19 @@ Exact products (:func:`qmatmul`, and through it :func:`frob_inner`,
 entry: each operand is written once as (A + B*sqrt5)/d, with A and B object
 arrays of Python ints and d a common denominator, and numpy's object matmul
 multiplies the integer parts.  Only the result becomes QuadExt again.
+:func:`to_float` reads the same split: A/d and B/d are correctly rounded
+integer divisions.
+
+Eliminations work over the same split without fractions.  On A + B*sqrt5
+(d scales every row alike, so it drops out) each step is the Bareiss update
+(p X - c r)/prev, done as numpy object-array outer products over Z[sqrt5]:
+every entry it produces is a minor of the input (Sylvester's identity), so
+the division by the previous pivot is exact, and it is done by multiplying
+with the conjugate and dividing by the integer norm.  A division that
+leaves a remainder raises AssertionError.  :func:`rref_exact` is the
+fraction-free Gauss-Jordan form and divides once at the end;
+:func:`psd_check_exact` is a fraction-free LDL^T that signs its pivots
+with :func:`qsign` and divides only a witness back.
 
 The exact scalar string grammar is ``p/q`` for rationals and
 ``p/q+r/s*sqrt5`` for extension elements (signs inline, either term may be
@@ -323,10 +336,15 @@ def qeye(n: int) -> np.ndarray:
 
 
 def to_float(M: np.ndarray) -> np.ndarray:
-    """Lossy downcast of an exact matrix/vector to float64."""
-    return np.array([[float(x) for x in row] for row in M]) if M.ndim == 2 else np.array(
-        [float(x) for x in M]
-    )
+    """Lossy downcast of an exact array to float64.
+
+    From the integer split: A/d and B/d are Python int true divisions,
+    correctly rounded like float(Fraction), so each entry is bit for bit
+    float(QuadExt) = float(a) + float(b)*sqrt5.
+    """
+    A, B, d = _split(M)
+    out = (A / d).astype(float)
+    return out if B is None else out + (B / d).astype(float) * SQRT5
 
 
 def is_symmetric(M: np.ndarray) -> bool:
@@ -382,6 +400,35 @@ def _times(x: tuple, y: tuple) -> tuple:
     return A, B, d1 * d2
 
 
+def _times_conjugate(A, B, q) -> tuple:
+    """(A', B', N) with (A + B*sqrt5)/q = (A' + B'*sqrt5)/N, N the integer
+    norm of q = qa + qb*sqrt5 (B None for 0)."""
+    qa, qb = q
+    if not qb:
+        return A, B, qa
+    B0 = 0 if B is None else B
+    return A * qa - 5 * B0 * qb, B0 * qa - A * qb, qa * qa - 5 * qb * qb
+
+
+def _join(A, B, d, q=(1, 0)) -> np.ndarray:
+    """Object array of the QuadExt (A + B*sqrt5) / (d*q), entrywise.
+
+    A and B (None for 0) are integer arrays, d is a nonzero int and q =
+    qa + qb*sqrt5 a nonzero element of Z[sqrt5]; dividing by q multiplies
+    by its conjugate and divides by its integer norm.
+    """
+    A, B, norm = _times_conjugate(A, B, q)
+    A = np.asarray(A, dtype=object)
+    B = np.zeros(A.shape, dtype=object) if B is None else np.asarray(B, dtype=object)
+    d = d * norm
+    pairs = list(zip(A.flat, B.flat))
+    # results repeat few values (mostly 0): build each QuadExt once
+    value = {ab: QuadExt(Fraction(ab[0], d), Fraction(ab[1], d)) for ab in set(pairs)}
+    out = np.empty(A.size, dtype=object)
+    out[:] = [value[ab] for ab in pairs]
+    return out.reshape(A.shape)
+
+
 def qmatmul(X, Y, *more):
     """Exact product X @ Y (@ more...) over Q(sqrt5), with numpy's shapes.
 
@@ -392,15 +439,8 @@ def qmatmul(X, Y, *more):
     numpy's object matmul on Python ints; the result goes back to QuadExt
     entries only at the end.  A vector-times-vector product is a QuadExt.
     """
-    A, B, d = functools.reduce(_times, map(_split, (Y, *more)), _split(X))
-    A = np.asarray(A, dtype=object)
-    B = np.zeros(A.shape, dtype=object) if B is None else np.asarray(B, dtype=object)
-    pairs = list(zip(A.flat, B.flat))
-    # products repeat few values (mostly 0): build each QuadExt once
-    value = {ab: QuadExt(Fraction(ab[0], d), Fraction(ab[1], d)) for ab in set(pairs)}
-    out = np.empty(A.size, dtype=object)
-    out[:] = [value[ab] for ab in pairs]
-    return out.reshape(A.shape) if A.ndim else out[0]
+    out = _join(*functools.reduce(_times, map(_split, (Y, *more)), _split(X)))
+    return out if out.ndim else out[()]
 
 
 def frob_inner(A: np.ndarray, B: np.ndarray) -> QuadExt:
@@ -413,35 +453,95 @@ def mat_vec(M: np.ndarray, v: Sequence) -> np.ndarray:
     return qmatmul(M, v)
 
 
+# ---------------------------------------------------------------------------
+# fraction-free elimination over the integer split
+
+
+_divmod = np.frompyfunc(divmod, 2, 2)
+
+
+def _divide_exact(A, B, q) -> tuple:
+    """(A + B*sqrt5) / q for q = qa + qb*sqrt5 in Z[sqrt5], known to be exact.
+
+    Multiplies by the conjugate of q and divides both parts by its integer
+    norm.  Every division is a divmod, and a nonzero remainder (the quotient
+    is not in Z[sqrt5], so q was not a minor of the input) raises
+    AssertionError instead of flooring silently.
+    """
+    A, B, norm = _times_conjugate(A, B, q)
+    if norm == 1:
+        return A, B
+    out = []
+    for part in (A, B):
+        if part is not None:
+            part, rem = _divmod(part, norm)
+            if any(rem.flat):
+                raise AssertionError("fraction-free division left a remainder")
+        out.append(part)
+    return tuple(out)
+
+
+def _bareiss_step(A, B, rows, cols, r: int, c: int, prev: tuple) -> None:
+    """One fraction-free elimination step on X = A + B*sqrt5, in place.
+
+    For i in rows and j in cols, X[i, j] <- (p X[i, j] - X[i, c] X[r, j]) / prev
+    with the pivot p = X[r, c] and prev the pivot of the previous step
+    (Bareiss, Math. Comp. 1968).  Every entry this produces is a minor of
+    the input (Sylvester's identity), so the division is exact in Z[sqrt5].
+    A and B are object arrays of Python ints; B is None for a rational X.
+    """
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    block = np.ix_(rows, cols)
+    pa, ca, ra = A[r, c], A[rows, c][:, None], A[r, cols]
+    if B is None:
+        A[block], _ = _divide_exact(pa * A[block] - ca * ra, None, prev)
+        return
+    pb, cb, rb = B[r, c], B[rows, c][:, None], B[r, cols]
+    XA, XB = A[block], B[block]
+    NA = pa * XA + 5 * pb * XB - ca * ra - 5 * cb * rb
+    NB = pa * XB + pb * XA - ca * rb - cb * ra
+    A[block], B[block] = _divide_exact(NA, NB, prev)
+
+
+def _entry(A, B, i: int, j: int) -> tuple:
+    return A[i, j], 0 if B is None else B[i, j]
+
+
 def rref_exact(M: np.ndarray, column_order: Sequence[int] | None = None):
     """Exact reduced row-echelon form over Q(sqrt5).
 
     Returns (R, pivots) where pivots maps pivot column -> row.  The optional
     column order controls which columns are preferred as pivots.
+
+    Fraction-free Gauss-Jordan on the integer split M = (A + B*sqrt5)/d:
+    each pivot updates every other row by `_bareiss_step`, so all entries
+    stay in Z[sqrt5] and every pivot row ends with the last pivot p at its
+    pivot column.  One division at the end gives the unique RREF: pivot rows
+    by p, the remaining rows (the Schur complement of d*M) by d*p.
     """
-    R = np.array([[as_quad(x) for x in row] for row in M], dtype=object)
-    rows, cols = R.shape
+    A, B, d = _split(M)
+    rows, cols = A.shape
     order = list(column_order) if column_order is not None else list(range(cols))
     pivots: dict[int, int] = {}
+    prev = (1, 0)
     r = 0
     for c in order:
         if r >= rows:
             break
-        pivot_row = next((i for i in range(r, rows) if bool(R[i, c])), None)
+        pivot_row = next((i for i in range(r, rows) if any(_entry(A, B, i, c))), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            R[[r, pivot_row]] = R[[pivot_row, r]]
-        inv = R[r, c].inverse()
-        for j in range(cols):
-            R[r, j] = R[r, j] * inv
-        for i in range(rows):
-            if i != r and bool(R[i, c]):
-                f = R[i, c]
-                for j in range(cols):
-                    R[i, j] = R[i, j] - f * R[r, j]
+        for X in (A, B):
+            if X is not None:
+                X[[r, pivot_row]] = X[[pivot_row, r]]
+        others = [i for i in range(rows) if i != r]
+        _bareiss_step(A, B, others, range(cols), r, c, prev)
+        prev = _entry(A, B, r, c)
         pivots[c] = r
         r += 1
+    R = np.empty((rows, cols), dtype=object)
+    R[:r] = _join(A[:r], None if B is None else B[:r], 1, prev)
+    R[r:] = _join(A[r:], None if B is None else B[r:], d, prev)
     return R, pivots
 
 
@@ -498,48 +598,50 @@ def psd_check_exact(M: np.ndarray) -> PsdCheck:
     have an all-zero remaining row (otherwise an indefinite 2x2 block gives a
     witness); a negative pivot yields its own witness direction.  Returns PSD
     iff M >= 0 exactly.
+
+    The elimination is fraction-free (an LDL^T by `_bareiss_step`) on the
+    integer split d*M = A + B*sqrt5, next to the rows of T that track it:
+    the current form is T M T^T.  Each stored row is its fractional value
+    times the last positive pivot, which is positive, so every sign is the
+    sign of a stored entry; witnesses are divided back by that pivot.
     """
     n, m = M.shape
     if n != m:
         raise NonSymmetricError("matrix is not square")
     if not is_symmetric(M):
         raise NonSymmetricError("matrix is not symmetric")
-    A = np.array([[as_quad(x) for x in row] for row in M], dtype=object)
-    # T tracks row operations: current quadratic form = T M T^T, so row k of T
-    # maps the current k-th basis direction back to original coordinates.
-    T = qeye(n)
+    A, B, d = _split(M)
+    # [A | T] with T = I; a rational M keeps a rational T, so B stays None
+    eye = np.eye(n, dtype=int).astype(object)
+    A = np.hstack([A, eye])
+    B = None if B is None else np.hstack([B, eye * 0])
+    prev = (1, 0)
 
-    def witness_at(row: int) -> tuple:
-        return tuple(T[row])
+    def row(i: int) -> np.ndarray:
+        return _join(A[i, n:], None if B is None else B[i, n:], 1, prev)
+
+    def value(i: int, j: int) -> QuadExt:
+        return QuadExt(*_entry(A, B, i, j))
 
     for k in range(n):
-        pivot = A[k, k]
-        s = qsign(pivot)
+        s = qsign(value(k, k))
         if s < 0:
-            return PsdCheck(False, k, witness_at(k))
+            return PsdCheck(False, k, tuple(row(k)))
         if s == 0:
-            bad = next((j for j in range(k + 1, n) if bool(A[k, j])), None)
+            bad = next((j for j in range(k + 1, n) if any(_entry(A, B, k, j))), None)
             if bad is None:
                 continue
-            d = A[bad, bad]
-            sd = qsign(d)
+            sd = qsign(value(bad, bad))
             if sd < 0:
-                return PsdCheck(False, k, witness_at(bad))
-            # u = e_k + t e_bad has value 2 t A[k,bad] + t^2 A[bad,bad] < 0
-            t = -A[k, bad] if sd == 0 else -A[k, bad] / d
-            vec = tuple(T[k, j] + t * T[bad, j] for j in range(n))
-            return PsdCheck(False, k, vec)
-        # one congruence step: trailing block becomes the Schur complement
-        factors = {i: A[i, k] / pivot for i in range(k + 1, n) if bool(A[i, k])}
-        row_k = [A[k, j] for j in range(n)]
-        for i, f in factors.items():
-            for j in range(k + 1, n):
-                A[i, j] = A[i, j] - f * row_k[j]
-            for j in range(n):
-                T[i, j] = T[i, j] - f * T[k, j]
-        for i in factors:
-            A[i, k] = QUAD_ZERO
-            A[k, i] = QUAD_ZERO
+                return PsdCheck(False, k, tuple(row(bad)))
+            # u = e_k + t e_bad has value 2 t A[k,bad] + t^2 A[bad,bad] < 0,
+            # with A the form of M itself: stored entries are d * prev * A
+            t = -value(k, bad) / (QuadExt(*prev) * d if sd == 0 else value(bad, bad))
+            Tk, Tbad = row(k), row(bad)
+            return PsdCheck(False, k, tuple(Tk[j] + t * Tbad[j] for j in range(n)))
+        # one congruence step: the trailing block becomes the Schur complement
+        _bareiss_step(A, B, range(k + 1, n), range(k + 1, 2 * n), k, k, prev)
+        prev = _entry(A, B, k, k)
     return PsdCheck(True)
 
 

@@ -619,39 +619,44 @@ def apply_constraints(prob: SdpProblem, cons: ImplicitConstraintSet) -> SdpProbl
 
     eliminated = dict(cons.eliminated)
     keep = [v for v in names if v not in eliminated]
-    term_of = dict(zip(names, p.terms))
-    b_of = dict(zip(names, prob.objective))
-
-    f0 = np.array(p.f0, dtype=object)
-    new_terms = {v: np.array(term_of[v], dtype=object) for v in keep}
-    offset = as_quad(prob.objective_offset)
-    new_b = {v: as_quad(b_of[v]) for v in keep}
-    for v, expr in eliminated.items():
-        T = term_of[v]
-        bv = as_quad(b_of[v])
-        if bool(expr.const):
-            f0 = f0 + expr.const * T
-        offset = offset + bv * expr.const
+    # the stack (F0, F_1, ..., F_m) flattened, with the objective (offset
+    # first) as one more column; the reduced problem takes the rows of F0
+    # and of the kept terms, each plus its combination of eliminated rows
+    stack = np.stack([p.f0, *p.terms]).reshape(1 + p.m, -1)
+    objective = np.array([prob.objective_offset, *prob.objective], dtype=object)
+    data = np.column_stack([stack, objective])
+    row_of = {v: 1 + j for j, v in enumerate(keep)}
+    C = np.zeros((1 + len(keep), len(eliminated)), dtype=object)
+    for k, expr in enumerate(eliminated.values()):
+        C[0, k] = expr.const
         for w, c in expr.coeffs.items():
-            new_terms[w] = new_terms[w] + c * T
-            new_b[w] = new_b[w] + bv * c
+            C[row_of[w], k] = c
+    out = data[[0, *(1 + names.index(v) for v in keep)]]
+    out[:, -1] = [as_quad(b) for b in out[:, -1]]
+    touched = [i for i in range(len(out)) if any(map(bool, C[i]))]
+    if touched:
+        # one product for every touched row: [I | C] times [rows; eliminated]
+        gone = data[[1 + names.index(v) for v in eliminated]]
+        coeffs = np.hstack([np.eye(len(touched), dtype=int), C[touched]])
+        out[touched] = qmatmul(coeffs, np.vstack([out[touched], gone]))
+    mats = out[:, :-1].reshape(-1, p.n, p.n)
 
     pencil = MatrixPencil(
         n=p.n,
         scalar="exact",
-        f0=f0,
+        f0=mats[0],
         var_names=tuple(keep),
-        terms=tuple(new_terms[v] for v in keep),
+        terms=tuple(mats[1:]),
     )
     base = prob.name or "problem"
     base = base[: -len("-raw")] if base.endswith("-raw") else base
     new_name = base if base.endswith("-reduced") else base + "-reduced"
     return SdpProblem(
         pencil=pencil,
-        objective=tuple(new_b[v] for v in keep),
+        objective=tuple(out[1:, -1]),
         name=new_name,
         note=prob.note,
-        objective_offset=offset,
+        objective_offset=out[0, -1],
     )
 
 

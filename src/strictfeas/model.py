@@ -19,11 +19,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exactnum import (
+    QUAD_ONE,
     as_quad,
     format_scalar,
     frob_inner,
     parse_scalar,
     qarray,
+    qmatmul,
     quad,
     qzeros,
     to_float,
@@ -164,15 +166,16 @@ def pencil_eval(pencil: MatrixPencil, y: Mapping[str, object]) -> np.ndarray:
         for name, term in zip(pencil.var_names, pencil.terms):
             out = out + float(y[name]) * term
         return out
-    out = np.array(pencil.f0, dtype=object)
-    for name, term in zip(pencil.var_names, pencil.terms):
+    coeffs = [QUAD_ONE]
+    for name in pencil.var_names:
         c = y[name]
         c = parse_scalar(c) if isinstance(c, str) else as_quad(c)
         if c is NotImplemented:
             raise TypeError(f"assignment for {name} is not an exact scalar")
-        if bool(c):
-            out = out + c * term
-    return out
+        coeffs.append(c)
+    # one product: (1, y_1, ..., y_m) times the flattened stack (F0, F_1, ...)
+    stack = np.stack([pencil.f0, *pencil.terms]).reshape(pencil.m + 1, -1)
+    return qmatmul(coeffs, stack).reshape(pencil.n, pencil.n)
 
 
 def primal_objective(prob: SdpProblem, X: np.ndarray):

@@ -1,10 +1,26 @@
 """Shared test utilities: random strictly feasible SDPs with known optima,
-small exact problems that need reduction, and loop-based exact products."""
+small exact problems that need reduction, and loop-based exact kernels."""
 
 import numpy as np
 
-from strictfeas.exactnum import QUAD_ZERO, as_quad, qarray, quad
-from strictfeas.model import MatrixPencil, SdpProblem
+from strictfeas.exactnum import (
+    QUAD_ZERO,
+    NonSymmetricError,
+    PsdCheck,
+    as_quad,
+    is_symmetric,
+    parse_scalar,
+    qarray,
+    qeye,
+    qsign,
+    quad,
+)
+from strictfeas.model import (
+    MatrixPencil,
+    MissingVariableError,
+    SdpProblem,
+    UnknownVariableError,
+)
 
 
 def random_certified_sdp(rng: np.random.Generator, n: int, m: int):
@@ -252,3 +268,141 @@ def reference_qmatmul(X, Y, *more):
     for Z in more:
         out = reference_matmul(out, Z)
     return out
+
+
+# ---------------------------------------------------------------------------
+# eliminations and substitutions as plain loops of QuadExt arithmetic: the
+# reference that the fraction-free kernels of exactnum, the one-product
+# pencil evaluation and the one-product substitution are checked against
+
+
+def reference_rref_exact(M, column_order=None):
+    """Gauss-Jordan over Q(sqrt5), one QuadExt operation at a time."""
+    R = np.array([[as_quad(x) for x in row] for row in M], dtype=object)
+    rows, cols = R.shape
+    order = list(column_order) if column_order is not None else list(range(cols))
+    pivots = {}
+    r = 0
+    for c in order:
+        if r >= rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if bool(R[i, c])), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            R[[r, pivot_row]] = R[[pivot_row, r]]
+        inv = R[r, c].inverse()
+        for j in range(cols):
+            R[r, j] = R[r, j] * inv
+        for i in range(rows):
+            if i != r and bool(R[i, c]):
+                f = R[i, c]
+                for j in range(cols):
+                    R[i, j] = R[i, j] - f * R[r, j]
+        pivots[c] = r
+        r += 1
+    return R, pivots
+
+
+def reference_psd_check_exact(M):
+    """Pivoted symmetric elimination over Q(sqrt5), with the witness rules of
+    `exactnum.psd_check_exact`, one QuadExt operation at a time."""
+    n, m = M.shape
+    if n != m:
+        raise NonSymmetricError("matrix is not square")
+    if not is_symmetric(M):
+        raise NonSymmetricError("matrix is not symmetric")
+    A = np.array([[as_quad(x) for x in row] for row in M], dtype=object)
+    # current quadratic form = T M T^T
+    T = qeye(n)
+    for k in range(n):
+        pivot = A[k, k]
+        s = qsign(pivot)
+        if s < 0:
+            return PsdCheck(False, k, tuple(T[k]))
+        if s == 0:
+            bad = next((j for j in range(k + 1, n) if bool(A[k, j])), None)
+            if bad is None:
+                continue
+            d = A[bad, bad]
+            sd = qsign(d)
+            if sd < 0:
+                return PsdCheck(False, k, tuple(T[bad]))
+            t = -A[k, bad] if sd == 0 else -A[k, bad] / d
+            return PsdCheck(False, k, tuple(T[k, j] + t * T[bad, j] for j in range(n)))
+        factors = {i: A[i, k] / pivot for i in range(k + 1, n) if bool(A[i, k])}
+        row_k = [A[k, j] for j in range(n)]
+        for i, f in factors.items():
+            for j in range(k + 1, n):
+                A[i, j] = A[i, j] - f * row_k[j]
+            for j in range(n):
+                T[i, j] = T[i, j] - f * T[k, j]
+        for i in factors:
+            A[i, k] = QUAD_ZERO
+            A[k, i] = QUAD_ZERO
+    return PsdCheck(True)
+
+
+def reference_pencil_eval(pencil, y):
+    """F0 + sum_i y_i F_i of an exact pencil, one term at a time."""
+    missing = [v for v in pencil.var_names if v not in y]
+    if missing:
+        raise MissingVariableError(f"missing assignment for {missing}")
+    out = np.array(pencil.f0, dtype=object)
+    for name, term in zip(pencil.var_names, pencil.terms):
+        c = y[name]
+        c = parse_scalar(c) if isinstance(c, str) else as_quad(c)
+        if c is NotImplemented:
+            raise TypeError(f"assignment for {name} is not an exact scalar")
+        if bool(c):
+            out = out + c * term
+    return out
+
+
+def reference_apply_constraints(prob, cons):
+    """`facial.apply_constraints`, substituting one eliminated variable and
+    one matrix at a time."""
+    p = prob.pencil
+    names = list(p.var_names)
+    for v, expr in cons.eliminated:
+        if v not in names:
+            raise UnknownVariableError(v)
+        for w in expr.coeffs:
+            if w not in names:
+                raise UnknownVariableError(w)
+    if not cons.eliminated:
+        return prob
+    eliminated = dict(cons.eliminated)
+    keep = [v for v in names if v not in eliminated]
+    term_of = dict(zip(names, p.terms))
+    b_of = dict(zip(names, prob.objective))
+    f0 = np.array(p.f0, dtype=object)
+    new_terms = {v: np.array(term_of[v], dtype=object) for v in keep}
+    offset = as_quad(prob.objective_offset)
+    new_b = {v: as_quad(b_of[v]) for v in keep}
+    for v, expr in eliminated.items():
+        T = term_of[v]
+        bv = as_quad(b_of[v])
+        if bool(expr.const):
+            f0 = f0 + expr.const * T
+        offset = offset + bv * expr.const
+        for w, c in expr.coeffs.items():
+            new_terms[w] = new_terms[w] + c * T
+            new_b[w] = new_b[w] + bv * c
+    pencil = MatrixPencil(
+        n=p.n,
+        scalar="exact",
+        f0=f0,
+        var_names=tuple(keep),
+        terms=tuple(new_terms[v] for v in keep),
+    )
+    base = prob.name or "problem"
+    base = base[: -len("-raw")] if base.endswith("-raw") else base
+    new_name = base if base.endswith("-reduced") else base + "-reduced"
+    return SdpProblem(
+        pencil=pencil,
+        objective=tuple(new_b[v] for v in keep),
+        name=new_name,
+        note=prob.note,
+        objective_offset=offset,
+    )

@@ -22,7 +22,15 @@ from strictfeas.certify import (
     verify_mu2_bound,
     verify_primal_point,
 )
-from strictfeas.exactnum import qeye, qsign, quad, qzeros, quadratic_form
+from strictfeas.exactnum import (
+    format_scalar,
+    psd_check_exact,
+    qeye,
+    qsign,
+    quad,
+    quadratic_form,
+    qzeros,
+)
 from strictfeas.model import (
     MatrixPencil,
     MissingVariableError,
@@ -30,6 +38,8 @@ from strictfeas.model import (
     pencil_eval,
     to_double,
 )
+
+from helpers import reference_frob_inner
 
 
 class TestPrimalPoint:
@@ -98,6 +108,26 @@ class TestBoundCertificate:
                 assert qsign(cert.certified_bound - point["mu"]) >= 0
                 checked += 1
         assert checked >= 1
+
+    def test_every_violation_in_pencil_order(self):
+        # the stacked product reports what one <F_i, X> at a time reports
+        prob = problem1_simplified()
+        rng = np.random.default_rng(5)
+        S = rng.integers(-3, 4, size=(9, 9))
+        for X in (S + S.T, S @ S.T, -np.eye(9, dtype=int)):
+            X = np.array(X.tolist(), dtype=object) * quad(1)
+            out = verify_bound_certificate(prob, X, "mu")
+            check = psd_check_exact(X)
+            want = [] if check else [f"X is not PSD (elimination step {check.bad_index})"]
+            for name, term in zip(prob.var_names, prob.pencil.terms):
+                ip = reference_frob_inner(term, X)
+                if name == "mu" and qsign(ip) >= 0:
+                    want.append(f"normalization <F_mu, X> = {format_scalar(ip)} is not negative")
+                elif name != "mu" and bool(ip):
+                    want.append(f"<F_{name}, X> = {format_scalar(ip)} != 0")
+            assert isinstance(out, InvalidCertificate)
+            assert list(out.violations) == want
+            assert len(want) >= 2
 
     def test_dict_round(self):
         cert = verify_bound_certificate(

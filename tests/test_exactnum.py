@@ -1,6 +1,7 @@
 """Exact arithmetic: field axioms, sign oracle, PSD decisions, reconstruction."""
 
 import random
+from unittest import mock
 from fractions import Fraction
 
 import mpmath
@@ -9,14 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strictfeas import exactnum
 from strictfeas.exactnum import (
     NonFiniteError,
     NonSymmetricError,
     QuadExt,
+    as_quad,
     format_scalar,
     frob_inner,
     kernel_basis_exact,
     mat_vec,
+    nullspace_exact,
     parse_scalar,
     primitive_integer_vector,
     psd_check_exact,
@@ -29,13 +33,18 @@ from strictfeas.exactnum import (
     qzeros,
     reconstruct_quadext,
     reconstruct_rational,
+    row_space_basis_exact,
+    rref_exact,
+    to_float,
 )
 
 from helpers import (
     reference_frob_inner,
     reference_mat_vec,
     reference_matmul,
+    reference_psd_check_exact,
     reference_qmatmul,
+    reference_rref_exact,
 )
 
 MU2_STAR = quad(-11, 5)  # 5*sqrt5 - 11
@@ -411,3 +420,150 @@ class TestExactProducts:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             qmatmul(np.eye(2), qeye(2))
+
+
+# matrices for the eliminations: low rank (a product U V with a short inner
+# dimension, so pivots are skipped and rows stay unpivoted) or arbitrary
+dims1_st = st.integers(min_value=1, max_value=4)
+
+
+@st.composite
+def elimination_matrices(draw):
+    rows, cols = draw(dims1_st), draw(dims1_st)
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=2))
+        return reference_matmul(draw(exact_arrays(rows, k)), draw(exact_arrays(k, cols)))
+    return draw(exact_arrays(rows, cols))
+
+
+@st.composite
+def gram_matrices(draw):
+    n = draw(dims1_st)
+    G = draw(exact_arrays(draw(st.integers(min_value=0, max_value=n)), n))
+    return reference_matmul(G.T, G)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(dims1_st)
+    M = draw(exact_arrays(n, n))
+    for i in range(n):
+        for j in range(i):
+            M[i, j] = M[j, i]
+    return M
+
+
+@st.composite
+def zero_pivot_matrices(draw, sign):
+    """L (D + S) L^T with a positive diagonal D of size k, then a zero pivot
+    whose row meets a diagonal entry c of the given sign first: S = [[0, a],
+    [a, c]] (plus a free trailing entry).  L is unit lower triangular with an
+    identity trailing block, so after k positive steps the trailing block is
+    S itself."""
+    k = draw(st.integers(min_value=0, max_value=2))
+    tail = draw(st.integers(min_value=0, max_value=1))
+    n = k + 2 + tail
+    nonzero = entries_st.filter(bool)
+    M = qzeros(n)
+    for i in range(k):
+        x = as_quad(draw(nonzero))
+        M[i, i] = x * x
+    a, x = draw(nonzero), as_quad(draw(nonzero))
+    M[k, k + 1] = M[k + 1, k] = as_quad(a)
+    M[k + 1, k + 1] = sign * (x * x)
+    if tail:
+        M[k, n - 1] = M[n - 1, k] = as_quad(draw(entries_st))
+        M[k + 1, n - 1] = M[n - 1, k + 1] = as_quad(draw(entries_st))
+        M[n - 1, n - 1] = as_quad(draw(entries_st))
+    L = qeye(n)
+    for i in range(n):
+        for j in range(min(i, k)):
+            L[i, j] = as_quad(draw(entries_st))
+    return reference_qmatmul(L, M, L.T)
+
+
+def assert_same_rref(got, want):
+    (R, pivots), (R0, pivots0) = got, want
+    assert_same(R, R0)
+    assert list(pivots.items()) == list(pivots0.items())
+
+
+def assert_same_check(got, want):
+    # equal verdict, step and witness, entry by entry and in exact repr
+    assert got == want
+    assert repr(got) == repr(want)
+    assert got.witness is None or all(isinstance(x, QuadExt) for x in got.witness)
+
+
+class TestFractionFree:
+    """The fraction-free eliminations against the QuadExt loop references."""
+
+    @given(st.data(), elimination_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_rref_matches_reference(self, data, M):
+        cols = M.shape[1]
+        order = data.draw(st.permutations(range(cols)))
+        order = order[: data.draw(st.integers(min_value=0, max_value=cols))]
+        assert_same_rref(rref_exact(M), reference_rref_exact(M))
+        assert_same_rref(rref_exact(M, order), reference_rref_exact(M, order))
+
+    @given(elimination_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_bases_match_reference(self, M):
+        fast = (nullspace_exact(M), row_space_basis_exact(M))
+        with mock.patch.object(exactnum, "rref_exact", reference_rref_exact):
+            slow = (nullspace_exact(M), row_space_basis_exact(M))
+        for got, want in zip(fast, slow):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same(g, w)
+
+    @given(gram_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_psd_check_on_gram_matrices(self, M):
+        got = psd_check_exact(M)
+        assert got.is_psd
+        assert_same_check(got, reference_psd_check_exact(M))
+
+    @given(symmetric_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_psd_check_on_symmetric_matrices(self, M):
+        got = psd_check_exact(M)
+        assert_same_check(got, reference_psd_check_exact(M))
+        if not got.is_psd:
+            assert qsign(quadratic_form(M, got.witness)) < 0
+
+    @pytest.mark.parametrize("sign", [-1, 0, 1], ids=["negative", "zero", "positive"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_psd_check_zero_pivot_with_nonzero_row(self, sign, data):
+        M = data.draw(zero_pivot_matrices(sign))
+        got = psd_check_exact(M)
+        assert not got.is_psd
+        assert qsign(quadratic_form(M, got.witness)) < 0
+        assert_same_check(got, reference_psd_check_exact(M))
+
+    def test_psd_check_skips_zero_rows(self):
+        M = qarray([[0, 0, 0], [0, "2+sqrt5", 1], [0, 1, "1/3"]])
+        assert_same_check(psd_check_exact(M), reference_psd_check_exact(M))
+        assert psd_check_exact(M).is_psd
+
+    def test_inexact_step_raises(self):
+        # a divisor that is no minor of the input: (1*2 - 1*1)/3 is not an
+        # integer, and 1/(1 + sqrt5) is not in Z[sqrt5]
+        for prev, B in (((3, 0), None), ((1, 1), np.zeros((2, 2), dtype=object))):
+            A = np.array([[1, 1], [1, 2]], dtype=object)
+            with pytest.raises(AssertionError, match="remainder"):
+                exactnum._bareiss_step(A, B, [1], [1], 0, 0, prev)
+
+
+class TestToFloat:
+    @given(st.data(), dims_st, dims_st)
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_entrywise_float(self, data, n, m):
+        for shape in ((n, m), (n,)):
+            M = data.draw(exact_arrays(*shape))
+            got = to_float(M)
+            want = np.array([float(as_quad(x)) for x in M.flat]).reshape(shape)
+            assert got.dtype == np.float64 and got.shape == shape
+            assert got.tobytes() == want.tobytes()

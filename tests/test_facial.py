@@ -23,6 +23,7 @@ from strictfeas.bell import (
     toy_null_vectors,
 )
 from strictfeas.exactnum import (
+    QuadExt,
     as_quad,
     kernel_basis_exact,
     mat_vec,
@@ -37,6 +38,7 @@ from strictfeas.exactnum import (
 )
 from strictfeas import facial
 from strictfeas.facial import (
+    AffineExpr,
     ImplicitConstraintSet,
     InconsistentConstraintsError,
     ReducingCertificate,
@@ -63,6 +65,7 @@ from helpers import (
     golden_face_problem,
     planted_chain,
     planted_chain_problem,
+    reference_apply_constraints,
     reference_qmatmul,
 )
 
@@ -365,6 +368,96 @@ class TestApplyConstraints:
             A = pencil_eval(reduced.pencil, partial)
             Bm = pencil_eval(raw.pencil, full)
             assert all(A[i, j] == Bm[i, j] for i in range(9) for j in range(9))
+
+
+def random_relations(prob, rng):
+    """Eliminate about half the variables by random affine expressions in the
+    rest, with rational and Q(sqrt5) constants and coefficients."""
+    names = list(prob.var_names)
+    gone = set(rng.sample(names, max(1, len(names) // 2)))
+    keep = [v for v in names if v not in gone]
+
+    def scalar():
+        a = Fraction(rng.randint(-2**80, 2**80), rng.randint(1, 9))
+        return quad(a, Fraction(rng.randint(-3, 3), 2)) if rng.random() < 0.5 else quad(a)
+
+    eliminated = tuple(
+        (v, AffineExpr(const=scalar(), coeffs={w: scalar() for w in keep if rng.random() < 0.6}))
+        for v in names
+        if v in gone
+    )
+    return ImplicitConstraintSet(equations=(), eliminated=eliminated)
+
+
+def assert_same_problem(got, want):
+    assert problem_to_json_str(got) == problem_to_json_str(want)
+    assert (got.name, got.note) == (want.name, want.note)
+    assert got.objective_offset == want.objective_offset
+    mats = [got.pencil.f0, *got.pencil.terms, np.array(got.objective, dtype=object)]
+    assert all(isinstance(x, QuadExt) for M in mats for x in M.flat)
+    assert_problems_equal(got, want)
+
+
+class TestSubstitutionProduct:
+    """`apply_constraints` as one product, against substitution one variable
+    and one matrix at a time."""
+
+    @pytest.mark.parametrize(
+        "line, vectors",
+        [(line1, line1_null_vectors), (line2, line2_null_vectors)],
+        ids=["line1", "line2"],
+    )
+    def test_bell_lines(self, line, vectors):
+        raw = almost_quantum_pencil(line())
+        cons = derive_implicit_constraints(raw, vectors())
+        assert_same_problem(apply_constraints(raw, cons), reference_apply_constraints(raw, cons))
+        rng = random.Random(line().name)
+        cons = random_relations(raw, rng)
+        assert_same_problem(apply_constraints(raw, cons), reference_apply_constraints(raw, cons))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: planted_chain(np.random.default_rng(4), 4, 2),
+            lambda: planted_chain(np.random.default_rng(4), 4, 2, sqrt5=True),
+            lambda: planted_chain(np.random.default_rng(8), 8, 2),
+            lambda: planted_chain(np.random.default_rng(8), 8, 2, sqrt5=True),
+            golden_face_problem,
+        ],
+        ids=["n4-rational", "n4-sqrt5", "n8-rational", "n8-sqrt5", "golden-face"],
+    )
+    def test_planted_and_golden(self, make):
+        prob = make()
+        # the relation the reduction finds, v = 0, touches no kept row
+        trivial = ((prob.var_names[0], AffineExpr(const=quad(0), coeffs={})),)
+        cons = ImplicitConstraintSet(equations=(), eliminated=trivial)
+        assert_same_problem(apply_constraints(prob, cons), reference_apply_constraints(prob, cons))
+        rng = random.Random(prob.name)
+        for _ in range(3):
+            cons = random_relations(prob, rng)
+            got = apply_constraints(prob, cons)
+            assert_same_problem(got, reference_apply_constraints(prob, cons))
+            if got.var_names:
+                # a second round substitutes into a reduced problem, with its offset
+                again = random_relations(got, rng)
+                assert_same_problem(
+                    apply_constraints(got, again), reference_apply_constraints(got, again)
+                )
+
+    def test_relation_on_an_eliminated_variable_is_rejected(self):
+        # as in the reference: an expression may only use kept variables
+        prob = planted_chain_problem()
+        cons = ImplicitConstraintSet(
+            equations=(),
+            eliminated=(
+                ("a", AffineExpr(const=quad(0), coeffs={"b": quad(1)})),
+                ("b", AffineExpr(const=quad(1), coeffs={})),
+            ),
+        )
+        with pytest.raises(KeyError):
+            reference_apply_constraints(prob, cons)
+        with pytest.raises(KeyError):
+            apply_constraints(prob, cons)
 
 
 class TestSoundness:

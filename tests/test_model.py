@@ -8,8 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strictfeas.exactnum import frob_inner, qarray, quad
+from strictfeas.exactnum import QuadExt, format_scalar, frob_inner, qarray, quad
 from strictfeas.model import (
     MatrixPencil,
     MissingVariableError,
@@ -24,6 +26,8 @@ from strictfeas.model import (
     to_exact,
     validate,
 )
+
+from helpers import GOLDEN, reference_pencil_eval
 
 
 def small_exact_problem():
@@ -68,6 +72,47 @@ class TestPencilEval:
         assert out[0, 0] == quad(Fraction(2, 3))
         assert out[0, 1] == quad(1)
         assert out[1, 1] == quad(Fraction(4, 3))
+
+    def test_string_coefficients_are_parsed(self):
+        prob = small_exact_problem()
+        out = pencil_eval(prob.pencil, {"y1": "1/3", "y2": "-2+sqrt5"})
+        assert out[0, 0] == quad(Fraction(2, 3))
+        assert out[0, 1] == quad(-1, Fraction(1, 2))
+        with pytest.raises(ValueError, match="malformed"):
+            pencil_eval(prob.pencil, {"y1": "1 / 3", "y2": 0})
+
+    def test_inexact_coefficient_rejected(self):
+        prob = small_exact_problem()
+        with pytest.raises(TypeError, match="y2 is not an exact scalar"):
+            pencil_eval(prob.pencil, {"y1": 1, "y2": 0.5})
+
+    def test_double_pencil_stays_float(self):
+        # the solver's slack path: float64 in, float64 out, no exact work
+        prob = to_double(small_exact_problem())
+        out = pencil_eval(prob.pencil, {"y1": 0.25, "y2": 3})
+        assert out.dtype == np.float64
+        assert out.tobytes() == np.array([[0.75, 1.5], [1.5, 1.25]]).tobytes()
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_term_by_term_evaluation(self, seed, m):
+        rng = random.Random(seed)
+        pencil = random_exact_pencil(rng, n=rng.randint(1, 4), m=m)
+        if rng.random() < 0.5:
+            # Q(sqrt5) data
+            pencil = replace(pencil, terms=tuple(GOLDEN * t for t in pencil.terms))
+        kinds = [
+            lambda: rng.randint(-3, 3),
+            lambda: Fraction(rng.randint(-2**80, 2**80), rng.randint(1, 2**40)),
+            lambda: quad(Fraction(rng.randint(-5, 5), 3), rng.randint(-2, 2)),
+            lambda: format_scalar(quad(rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 7))),
+            lambda: 0,
+        ]
+        y = {v: rng.choice(kinds)() for v in pencil.var_names}
+        got, want = pencil_eval(pencil, y), reference_pencil_eval(pencil, y)
+        assert got.shape == want.shape == (pencil.n, pencil.n)
+        assert all(isinstance(x, QuadExt) for x in got.flat)
+        assert all(g == w for g, w in zip(got.flat, want.flat))
 
     def test_affine_in_y(self):
         rng = random.Random(11)
