@@ -114,10 +114,9 @@ def verify_bound_certificate(
     if not check.is_psd:
         violations.append(f"X is not PSD (elimination step {check.bad_index})")
     p = prob.pencil
-    # every <F_i, X> and <F0, X> (last) at once: the stacked pencil,
-    # flattened, times vec(X)
-    stack = np.stack([*p.terms, p.f0]).reshape(p.m + 1, -1)
-    *inner, f0_inner = qmatmul(stack, np.ravel(X))
+    # every <F0, X> and <F_i, X> at once: the pencil's split, flattened,
+    # times vec(X)
+    f0_inner, *inner = qmatmul(p.split.reshape(p.m + 1, -1), np.ravel(X))
     for name, ip in zip(prob.var_names, inner):
         if name == objective_var:
             norm = ip

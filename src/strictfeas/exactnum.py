@@ -7,11 +7,14 @@ here is immutable and side-effect free, so values can be shared freely.
 
 Exact products (:func:`qmatmul`, and through it :func:`frob_inner`,
 :func:`mat_vec` and :func:`quadratic_form`) do not multiply QuadExt entry by
-entry: each operand is written once as (A + B*sqrt5)/d, with A and B object
-arrays of Python ints and d a common denominator, and numpy's object matmul
-multiplies the integer parts.  Only the result becomes QuadExt again.
-:func:`to_float` reads the same split: A/d and B/d are correctly rounded
-integer divisions.
+entry: each operand is written once as a :class:`QSplit` (A + B*sqrt5)/d,
+with A and B object arrays of Python ints and d a common denominator, and
+numpy's object matmul multiplies the integer parts.  Only the result becomes
+QuadExt again.  :func:`to_float` reads the same split: A/d and B/d are
+correctly rounded integer divisions.  Reading the Fractions is the costly
+part, so a split can be kept and passed where an exact array goes:
+`qmatmul` and `to_float` take one as it is, and an exact pencil keeps the
+split of its whole stack (`model.MatrixPencil.split`), made once.
 
 Eliminations work over the same split without fractions.  On A + B*sqrt5
 (d scales every row alike, so it drops out) each step is the Bareiss update
@@ -335,16 +338,16 @@ def qeye(n: int) -> np.ndarray:
     return out
 
 
-def to_float(M: np.ndarray) -> np.ndarray:
-    """Lossy downcast of an exact array to float64.
+def to_float(M) -> np.ndarray:
+    """Lossy downcast of an exact array, or of its split, to float64.
 
     From the integer split: A/d and B/d are Python int true divisions,
     correctly rounded like float(Fraction), so each entry is bit for bit
-    float(QuadExt) = float(a) + float(b)*sqrt5.
+    float(QuadExt) = float(a) + float(b)*sqrt5, whatever d is.
     """
-    A, B, d = _split(M)
-    out = (A / d).astype(float)
-    return out if B is None else out + (B / d).astype(float) * SQRT5
+    X = split(M)
+    out = (X.A / X.d).astype(float)
+    return out if X.B is None else out + (X.B / X.d).astype(float) * SQRT5
 
 
 def is_symmetric(M: np.ndarray) -> bool:
@@ -362,13 +365,60 @@ _numerator = operator.attrgetter("numerator")
 _denominator = operator.attrgetter("denominator")
 
 
-def _split(X) -> tuple:
-    """(A, B, d) with X = (A + B*sqrt5)/d entrywise.
+@dataclass(frozen=True, eq=False)
+class QSplit:
+    """An exact array written once as X = (A + B*sqrt5)/d, entrywise.
 
     A and B are object arrays of Python ints, which never overflow, and d is
-    the least common denominator of every entry; B is None when X is
-    rational, so a rational product costs one integer matmul, not four.
+    a positive int; B None stands for 0 (`split` gives None exactly when X
+    is rational), so a rational product costs one integer matmul, not four.
+    :func:`split` makes one, `@` multiplies two without leaving the
+    integers, and :meth:`join` turns one back into QuadExt entries.
+    Indexing and reshaping act on A and B alike.
     """
+
+    A: np.ndarray
+    B: np.ndarray | None
+    d: int
+
+    @property
+    def shape(self) -> tuple:
+        return self.A.shape
+
+    def _map(self, f) -> "QSplit":
+        return QSplit(f(self.A), None if self.B is None else f(self.B), self.d)
+
+    def __getitem__(self, key) -> "QSplit":
+        return self._map(operator.itemgetter(key))
+
+    def reshape(self, *shape) -> "QSplit":
+        return self._map(lambda X: X.reshape(*shape))
+
+    def scaled(self, w) -> "QSplit":
+        """Entrywise times the integers w (broadcast as in numpy)."""
+        return self._map(lambda X: X * w)
+
+    def __matmul__(self, other: "QSplit") -> "QSplit":
+        # (A1 + B1 s)(A2 + B2 s) = A1 A2 + 5 B1 B2 + (A1 B2 + B1 A2) s, s = sqrt5
+        A1, B1, A2, B2 = self.A, self.B, other.A, other.B
+        A = A1 @ A2
+        B = None if B2 is None else A1 @ B2
+        if B1 is not None:
+            B = B1 @ A2 if B is None else B + B1 @ A2
+            if B2 is not None:
+                A = A + 5 * (B1 @ B2)
+        return QSplit(A, B, self.d * other.d)
+
+    def join(self) -> np.ndarray:
+        """Object array of the QuadExt entries (A + B*sqrt5)/d."""
+        return _join(self.A, self.B, self.d)
+
+
+def split(X) -> QSplit:
+    """The integer split of an exact array, over the least common
+    denominator of its entries; a QSplit is returned as it is."""
+    if isinstance(X, QSplit):
+        return X
     X = np.asarray(X, dtype=object)
     quads = list(map(as_quad, X.flat))
     if any(q is NotImplemented for q in quads):
@@ -384,20 +434,34 @@ def _split(X) -> tuple:
             ints = [f.numerator * (d // f.denominator) for f in parts]
         return np.array(ints, dtype=object).reshape(X.shape)
 
-    return scaled(a), scaled(b) if any(map(_numerator, b)) else None, d
+    return QSplit(scaled(a), scaled(b) if any(map(_numerator, b)) else None, d)
 
 
-def _times(x: tuple, y: tuple) -> tuple:
-    # (A1 + B1 s)(A2 + B2 s) = A1 A2 + 5 B1 B2 + (A1 B2 + B1 A2) s, s = sqrt5
-    A1, B1, d1 = x
-    A2, B2, d2 = y
-    A = A1 @ A2
-    B = None if B2 is None else A1 @ B2
-    if B1 is not None:
-        B = B1 @ A2 if B is None else B + B1 @ A2
-        if B2 is not None:
-            A = A + 5 * (B1 @ B2)
-    return A, B, d1 * d2
+def qconcat(parts, axis: int = 0) -> QSplit:
+    """np.concatenate of exact arrays or splits, as one split.
+
+    The parts are brought to a common denominator and the result is reduced
+    by the gcd of d and every integer, so d is again the least common
+    denominator of the entries: the same split `split` makes of the joined
+    array.
+    """
+    parts = [split(x) for x in parts]
+    d = math.lcm(*(x.d for x in parts))
+
+    def over_d(X, x: QSplit) -> np.ndarray:
+        if X is None:
+            return np.zeros(x.shape, dtype=object)
+        return X if x.d == d else X * (d // x.d)
+
+    A = np.concatenate([over_d(x.A, x) for x in parts], axis)
+    B = None
+    if any(x.B is not None for x in parts):
+        B = np.concatenate([over_d(x.B, x) for x in parts], axis)
+        B = B if any(B.flat) else None
+    g = math.gcd(d, *A.flat, *(() if B is None else B.flat))
+    if g > 1:
+        A, B, d = A // g, None if B is None else B // g, d // g
+    return QSplit(A, B, d)
 
 
 def _times_conjugate(A, B, q) -> tuple:
@@ -432,14 +496,14 @@ def _join(A, B, d, q=(1, 0)) -> np.ndarray:
 def qmatmul(X, Y, *more):
     """Exact product X @ Y (@ more...) over Q(sqrt5), with numpy's shapes.
 
-    Operands are exact arrays (QuadExt, Fraction or int entries): matrices,
-    vectors or stacks of matrices such as (k, n, n), which broadcast as in
-    numpy's matmul.  Each operand is split once into integer arrays over a
-    common denominator (see `_split`) and the whole chain is multiplied by
+    Operands are exact arrays (QuadExt, Fraction or int entries) or their
+    splits: matrices, vectors or stacks of matrices such as (k, n, n), which
+    broadcast as in numpy's matmul.  Each operand is split once (see
+    `split`; a QSplit is used as it is) and the whole chain is multiplied by
     numpy's object matmul on Python ints; the result goes back to QuadExt
     entries only at the end.  A vector-times-vector product is a QuadExt.
     """
-    out = _join(*functools.reduce(_times, map(_split, (Y, *more)), _split(X)))
+    out = functools.reduce(operator.matmul, map(split, (Y, *more)), split(X)).join()
     return out if out.ndim else out[()]
 
 
@@ -519,7 +583,8 @@ def rref_exact(M: np.ndarray, column_order: Sequence[int] | None = None):
     pivot column.  One division at the end gives the unique RREF: pivot rows
     by p, the remaining rows (the Schur complement of d*M) by d*p.
     """
-    A, B, d = _split(M)
+    S = split(M)
+    A, B, d = S.A, S.B, S.d
     rows, cols = A.shape
     order = list(column_order) if column_order is not None else list(range(cols))
     pivots: dict[int, int] = {}
@@ -610,7 +675,8 @@ def psd_check_exact(M: np.ndarray) -> PsdCheck:
         raise NonSymmetricError("matrix is not square")
     if not is_symmetric(M):
         raise NonSymmetricError("matrix is not symmetric")
-    A, B, d = _split(M)
+    S = split(M)
+    A, B, d = S.A, S.B, S.d
     # [A | T] with T = I; a rational M keeps a rational T, so B stays None
     eye = np.eye(n, dtype=int).astype(object)
     A = np.hstack([A, eye])

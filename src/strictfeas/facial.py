@@ -23,6 +23,13 @@ starts at the rank the spectrum shows and steps down one rank at a time
 until a candidate verifies.  Every certificate property is verified
 exactly; a candidate that cannot be rationalized at any rank is surfaced as
 RoundingFailed, never guessed around.
+
+Every pencil-wide step reads the pencil's integer split
+(`MatrixPencil.split`), not its Fractions: the float chart is one
+`to_float` of it, and the face congruence, the exact verification, the
+derivation and the substitution are products with it.  A problem's
+Fractions are read once; the substitution builds the reduced pencil's split
+from those integers and hands it on, so later rounds never split again.
 """
 
 from __future__ import annotations
@@ -39,18 +46,19 @@ from .exactnum import (
     as_quad,
     format_scalar,
     frob_inner,  # noqa: F401  (perfbench/spans.py times it here)
-    kernel_basis_exact,  # noqa: F401  (perfbench/spans.py times it here)
+    kernel_basis_exact,
     nullspace_exact,
     primitive_integer_vector,
     psd_check_exact,
+    qconcat,
     qeye,
     qmatmul,
-    quad,
     qzeros,
     reconstruct_quadext,
     reconstruct_rational,
     row_space_basis_exact,
     rref_exact,
+    split,
     to_float,
 )
 from .model import (
@@ -170,11 +178,16 @@ def _upper_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _constraint_row(Q: np.ndarray, pairs) -> list:
-    # <Q, X> as a functional of the upper-triangle entries of symmetric X
-    return [
-        Q[i, j] * (QUAD_ONE if i == j else quad(2)) for i, j in pairs
-    ]
+def _congruence_rows(W: np.ndarray, qmats) -> np.ndarray:
+    """<W^T Q W, M> as functionals of the upper-triangle entries of a
+    symmetric M, one row per matrix Q of the stack `qmats` (a split).
+
+    The congruence is one product on the integers, weighted there (1 on the
+    diagonal, 2 off it, where M_ij counts twice) and joined once.
+    """
+    iu = np.triu_indices(W.shape[1])
+    C = split(W.T) @ qmats @ split(W)
+    return C[:, iu[0], iu[1]].scaled(np.where(iu[0] == iu[1], 1, 2)).join()
 
 
 def _coords_to_matrix(coords, pairs, n: int) -> np.ndarray:
@@ -211,7 +224,7 @@ def _float_slice_chart(prob: SdpProblem):
     iu = np.triu_indices(n)
     diag = iu[0] == iu[1]
     w = np.where(diag, 1.0, np.sqrt(2.0))
-    K = np.array([to_float(Q)[iu] * w for Q in (p.f0, *p.terms)])
+    K = to_float(p.split)[:, iu[0], iu[1]] * w
     _, s, Vt = np.linalg.svd(K)
     # numpy's matrix_rank tolerance
     rank = int(np.sum(s > max(K.shape) * np.finfo(float).eps * s[0]))
@@ -241,7 +254,9 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
     upper triangles decides it; the rank of the same system tells whether
     the orthogonal complement is {0} altogether.  Either way no nonzero
     X >= 0 is orthogonal to the pencil.  When I is not in the span the
-    float chart misjudged an ill-conditioned slice: SolverFailedError.
+    float chart misjudged an ill-conditioned slice; then y = 0 is tried as
+    a witness (F0 positive definite, decided exactly: PSD with a trivial
+    kernel), and SolverFailedError is raised only when that fails too.
     """
     p = prob.pencil
     qmats = (p.f0, *p.terms)
@@ -250,9 +265,16 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
     rhs = [QUAD_ONE if i == j else QUAD_ZERO for i, j in pairs]
     solved = _affine_solve_exact(K, rhs)
     if solved is None:
+        if psd_check_exact(p.f0) and not kernel_basis_exact(p.f0):
+            return StrictlyFeasible(
+                exact=True,
+                tolerance=None,
+                detail="F0 is positive definite, so y = 0 is a strictly feasible point",
+            )
         raise SolverFailedError(
             "the float chart of the orthogonal slice is traceless at roundoff "
-            "level, but I is not in the span of the pencil matrices"
+            "level, but I is not in the span of the pencil matrices and F0 is "
+            "not positive definite"
         )
     if len(qmats) - len(solved[1]) == len(pairs):
         detail = "no nonzero symmetric matrix is orthogonal to the pencil"
@@ -402,7 +424,8 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     n = prob.pencil.n
     r = Vr.shape[1]
     Pnum = Vr @ Vr.T
-    qmats = np.stack([prob.pencil.f0, *prob.pencil.terms, qeye(n)])
+    # the pencil's split and I, for the face congruence of every matrix
+    qmats = qconcat([prob.pencil.split, qeye(n)[None]])
     pairs_r = _upper_pairs(r)
     reason = "projector rounding never succeeded"
     for den, extension, tol in ROUNDING_LADDER:
@@ -421,11 +444,8 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
         W = np.array([primitive_integer_vector(w) for w in Wrows], dtype=object).T
         # face-restricted slice: M symmetric r x r with
         # <W^T Q W, M> = 0 for every pencil matrix Q and tr(W^T W M) = 1
-        K = np.array(
-            [_constraint_row(C, pairs_r) for C in qmatmul(W.T, qmats, W)],
-            dtype=object,
-        )
-        rhs = [QUAD_ZERO] * (len(qmats) - 1) + [QUAD_ONE]
+        K = _congruence_rows(W, qmats)
+        rhs = [QUAD_ZERO] * (len(K) - 1) + [QUAD_ONE]
         solved = _affine_solve_exact(K, rhs)
         if solved is None:
             reason = f"face slice at max_den={den} is inconsistent"
@@ -526,10 +546,9 @@ def verify_certificate_matrix(prob: SdpProblem, X: np.ndarray) -> list[str]:
     if not check.is_psd:
         problems.append(f"X is not PSD (step {check.bad_index})")
     p = prob.pencil
-    # every <Q, X> at once: the stacked pencil, flattened, times vec(X)
-    pencil = np.stack([p.f0, *p.terms]).reshape(p.m + 1, -1)
+    # every <Q, X> at once: the pencil's split, flattened, times vec(X)
     labels = ("F0", *(f"F_{name}" for name in p.var_names))
-    for label, v in zip(labels, qmatmul(pencil, np.ravel(X))):
+    for label, v in zip(labels, qmatmul(p.split.reshape(p.m + 1, -1), np.ravel(X))):
         if bool(v):
             problems.append(f"<{label}, X> = {format_scalar(v)} != 0")
     return problems
@@ -551,9 +570,10 @@ def derive_implicit_constraints(prob: SdpProblem, vectors) -> ImplicitConstraint
     protected = set(support) if len(support) == 1 else set()
 
     V = np.array(list(vectors), dtype=object).reshape(-1, p.n).T
-    # one stacked product gives (F_i v)_j for every term i (F0 last), range
-    # vector v and index j; transposed, it is one row per (v, j)
-    cols = qmatmul(np.stack([*p.terms, p.f0]), V)
+    # one product with the pencil's split gives (F_i v)_j for every term i,
+    # range vector v and index j; F0 moved last and transposed, it is one
+    # row per (v, j)
+    cols = np.roll(qmatmul(p.split, V), -1, axis=0)
     rows = [row for row in cols.T.reshape(-1, p.m + 1) if any(bool(x) for x in row)]
     if not rows:
         return ImplicitConstraintSet(equations=(), eliminated=())
@@ -619,44 +639,50 @@ def apply_constraints(prob: SdpProblem, cons: ImplicitConstraintSet) -> SdpProbl
 
     eliminated = dict(cons.eliminated)
     keep = [v for v in names if v not in eliminated]
-    # the stack (F0, F_1, ..., F_m) flattened, with the objective (offset
-    # first) as one more column; the reduced problem takes the rows of F0
-    # and of the kept terms, each plus its combination of eliminated rows
-    stack = np.stack([p.f0, *p.terms]).reshape(1 + p.m, -1)
-    objective = np.array([prob.objective_offset, *prob.objective], dtype=object)
-    data = np.column_stack([stack, objective])
+    # rows of the stack (F0, F_1, ..., F_m), flattened: the reduced problem
+    # takes the rows of F0 and of the kept terms, each plus its combination
+    # of eliminated rows, and so does the objective (offset first)
+    kept = [0, *(1 + names.index(v) for v in keep)]
+    gone = [1 + names.index(v) for v in eliminated]
     row_of = {v: 1 + j for j, v in enumerate(keep)}
-    C = np.zeros((1 + len(keep), len(eliminated)), dtype=object)
+    C = np.zeros((len(kept), len(eliminated)), dtype=object)
     for k, expr in enumerate(eliminated.values()):
         C[0, k] = expr.const
         for w, c in expr.coeffs.items():
             C[row_of[w], k] = c
-    out = data[[0, *(1 + names.index(v) for v in keep)]]
-    out[:, -1] = [as_quad(b) for b in out[:, -1]]
-    touched = [i for i in range(len(out)) if any(map(bool, C[i]))]
-    if touched:
-        # one product for every touched row: [I | C] times [rows; eliminated]
-        gone = data[[1 + names.index(v) for v in eliminated]]
-        coeffs = np.hstack([np.eye(len(touched), dtype=int), C[touched]])
-        out[touched] = qmatmul(coeffs, np.vstack([out[touched], gone]))
-    mats = out[:, :-1].reshape(-1, p.n, p.n)
-
-    pencil = MatrixPencil(
-        n=p.n,
-        scalar="exact",
-        f0=mats[0],
-        var_names=tuple(keep),
-        terms=tuple(mats[1:]),
+    stack = p.split.reshape(1 + p.m, -1)
+    mats = [(p.f0, *p.terms)[j] for j in kept]
+    objective = np.array(
+        [as_quad(b) for b in (prob.objective_offset, *prob.objective)], dtype=object
     )
+    b = list(objective[kept])
+    touched = [i for i in range(len(kept)) if any(map(bool, C[i]))]
+    untouched = [i for i in range(len(kept)) if i not in touched]
+    parts = [stack[[kept[i] for i in untouched]]]
+    if touched:
+        # one product for every touched row, on the integers: [I | C] times
+        # [rows; eliminated rows], with the objective as one more column
+        rows = [kept[i] for i in touched] + gone
+        data = qconcat([stack[rows], objective[rows][:, None]], axis=1)
+        coeffs = np.hstack([np.eye(len(touched), dtype=int), C[touched]])
+        new = split(coeffs) @ data
+        for i, row in zip(touched, new.join()):
+            mats[i], b[i] = row[:-1].reshape(p.n, p.n), row[-1]
+        parts.append(new[:, :-1])
+    # the reduced pencil's split, from these integers alone: its rows in
+    # pencil order, over their least common denominator
+    reduced = qconcat(parts)[np.argsort(untouched + touched)]
+
+    pencil = MatrixPencil.from_stack(mats, keep, reduced.reshape(-1, p.n, p.n))
     base = prob.name or "problem"
     base = base[: -len("-raw")] if base.endswith("-raw") else base
     new_name = base if base.endswith("-reduced") else base + "-reduced"
     return SdpProblem(
         pencil=pencil,
-        objective=tuple(out[1:, -1]),
+        objective=tuple(b[1:]),
         name=new_name,
         note=prob.note,
-        objective_offset=out[0, -1],
+        objective_offset=b[0],
     )
 
 

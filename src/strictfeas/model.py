@@ -4,12 +4,17 @@ An SDP here is ``maximize <b, y>  s.t.  F0 + sum_i y_i F_i >= 0``: the dual
 form.  Its primal is ``minimize <F0, X>  s.t.  <F_i, X> = -b_i, X >= 0``.
 One data model carries both numeric (float64) and exact (QuadExt) entries,
 tagged by ``scalar``; exact -> double conversion is explicit and lossy.
+An exact pencil is split into integers once: `MatrixPencil.split` holds the
+integer split of its stack (F0, F_1, ..., F_m), made on first use and then
+carried, and every pencil-wide exact operation (evaluation, the downcast,
+the products of `facial` and `certify`) reads it instead of the Fractions.
 
 Problems are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -20,6 +25,7 @@ import numpy as np
 
 from .exactnum import (
     QUAD_ONE,
+    QSplit,
     as_quad,
     format_scalar,
     frob_inner,
@@ -28,6 +34,7 @@ from .exactnum import (
     qmatmul,
     quad,
     qzeros,
+    split,
     to_float,
 )
 
@@ -64,6 +71,10 @@ def _freeze(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _freeze_split(s: QSplit) -> QSplit:
+    return QSplit(_freeze(s.A), None if s.B is None else _freeze(s.B), s.d)
+
+
 @dataclass(frozen=True)
 class MatrixPencil:
     """Affine symmetric-matrix family F0 + sum_i y_i F_i.
@@ -90,6 +101,32 @@ class MatrixPencil:
     @property
     def m(self) -> int:
         return len(self.var_names)
+
+    @functools.cached_property
+    def split(self) -> QSplit:
+        """Integer split of the stack (F0, F_1, ..., F_m), of shape (m+1, n, n).
+
+        Exact pencils only.  It is made on first use, never at construction,
+        and then kept (read-only, like the matrices).
+        """
+        if self.scalar != "exact":
+            raise ValueError("only an exact pencil has an integer split")
+        return _freeze_split(split(np.stack([self.f0, *self.terms])))
+
+    @staticmethod
+    def from_stack(mats: Sequence[np.ndarray], var_names: Sequence[str], split: QSplit):
+        """The exact pencil of the matrices `mats` (F0, F_1, ..., F_m), whose
+        stack's integer split is already known: it becomes the pencil's
+        `split` as it is, so these Fractions are never split again."""
+        pencil = MatrixPencil(
+            n=len(mats[0]),
+            scalar="exact",
+            f0=mats[0],
+            var_names=tuple(var_names),
+            terms=tuple(mats[1:]),
+        )
+        pencil.__dict__["split"] = _freeze_split(split)
+        return pencil
 
     def term(self, name: str) -> np.ndarray:
         try:
@@ -174,7 +211,7 @@ def pencil_eval(pencil: MatrixPencil, y: Mapping[str, object]) -> np.ndarray:
             raise TypeError(f"assignment for {name} is not an exact scalar")
         coeffs.append(c)
     # one product: (1, y_1, ..., y_m) times the flattened stack (F0, F_1, ...)
-    stack = np.stack([pencil.f0, *pencil.terms]).reshape(pencil.m + 1, -1)
+    stack = pencil.split.reshape(pencil.m + 1, -1)
     return qmatmul(coeffs, stack).reshape(pencil.n, pencil.n)
 
 
@@ -242,12 +279,9 @@ def to_double(prob: SdpProblem) -> SdpProblem:
     p = prob.pencil
     if p.scalar == "double":
         return prob
+    F = to_float(p.split)
     pencil = MatrixPencil(
-        n=p.n,
-        scalar="double",
-        f0=to_float(p.f0),
-        var_names=p.var_names,
-        terms=tuple(to_float(t) for t in p.terms),
+        n=p.n, scalar="double", f0=F[0], var_names=p.var_names, terms=tuple(F[1:])
     )
     return replace(
         prob,

@@ -4,9 +4,11 @@ small exact problems that need reduction, and loop-based exact kernels."""
 import numpy as np
 
 from strictfeas.exactnum import (
+    QUAD_ONE,
     QUAD_ZERO,
     NonSymmetricError,
     PsdCheck,
+    QSplit,
     as_quad,
     is_symmetric,
     parse_scalar,
@@ -14,6 +16,7 @@ from strictfeas.exactnum import (
     qeye,
     qsign,
     quad,
+    split,
 )
 from strictfeas.model import (
     MatrixPencil,
@@ -238,10 +241,15 @@ def reference_mat_vec(M, v):
     return out
 
 
+def _joined(X):
+    return X.join() if isinstance(X, QSplit) else np.asarray(X, dtype=object)
+
+
 def reference_matmul(X, Y):
     """X @ Y by triple loops over QuadExt, with the shapes of numpy's matmul
-    for vectors, matrices and stacks of matrices (k, n, m)."""
-    X, Y = np.asarray(X, dtype=object), np.asarray(Y, dtype=object)
+    for vectors, matrices and stacks of matrices (k, n, m).  A split operand
+    (QSplit) is joined to its QuadExt entries first."""
+    X, Y = _joined(X), _joined(Y)
     if Y.ndim == 1:
         return reference_matmul(X, Y[:, None])[..., 0][()]
     if X.ndim == 1:
@@ -268,6 +276,21 @@ def reference_qmatmul(X, Y, *more):
     for Z in more:
         out = reference_matmul(out, Z)
     return out
+
+
+def reference_split_matmul(X, Y):
+    """`QSplit.__matmul__` by way of `reference_matmul`: the split of the
+    loop product of the joined operands."""
+    return split(reference_matmul(X, Y))
+
+
+def reference_constraint_rows(mats, pairs):
+    """<Q, M> as a functional of the upper-triangle entries (i, j) in pairs
+    of a symmetric M, one row per matrix Q, one QuadExt product at a time."""
+    return np.array(
+        [[Q[i, j] * (QUAD_ONE if i == j else quad(2)) for i, j in pairs] for Q in mats],
+        dtype=object,
+    )
 
 
 # ---------------------------------------------------------------------------

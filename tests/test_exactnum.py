@@ -1,5 +1,6 @@
 """Exact arithmetic: field axioms, sign oracle, PSD decisions, reconstruction."""
 
+import math
 import random
 from unittest import mock
 from fractions import Fraction
@@ -14,6 +15,7 @@ from strictfeas import exactnum
 from strictfeas.exactnum import (
     NonFiniteError,
     NonSymmetricError,
+    QSplit,
     QuadExt,
     as_quad,
     format_scalar,
@@ -25,6 +27,7 @@ from strictfeas.exactnum import (
     primitive_integer_vector,
     psd_check_exact,
     qarray,
+    qconcat,
     qeye,
     qmatmul,
     qsign,
@@ -35,6 +38,7 @@ from strictfeas.exactnum import (
     reconstruct_rational,
     row_space_basis_exact,
     rref_exact,
+    split,
     to_float,
 )
 
@@ -567,3 +571,62 @@ class TestToFloat:
             want = np.array([float(as_quad(x)) for x in M.flat]).reshape(shape)
             assert got.dtype == np.float64 and got.shape == shape
             assert got.tobytes() == want.tobytes()
+
+
+def assert_canonical_split(got: QSplit, values: np.ndarray):
+    """got is the split of values over the least common denominator."""
+    flat = [as_quad(x) for x in values.flat]
+    lcm = math.lcm(*(f.denominator for x in flat for f in (x.a, x.b)))
+    assert got.shape == values.shape and got.d == lcm
+    assert (got.B is None) == all(x.b == 0 for x in flat)
+    assert all(isinstance(a, int) for a in got.A.flat)
+    assert_same(got.join(), values if values.size else qarray(values))
+
+
+class TestSplit:
+    """The integer split as a value: made once, used as an operand as it is."""
+
+    @given(st.data(), dims_st, dims_st, dims_st)
+    @settings(max_examples=60, deadline=None)
+    def test_join_gives_back_the_entries(self, data, k, n, m):
+        X = data.draw(exact_arrays(k, n, m))
+        S = split(X)
+        assert_canonical_split(S, X)
+        assert split(S) is S
+
+    @given(st.data(), dims_st, dims_st, dims_st)
+    @settings(max_examples=50, deadline=None)
+    def test_split_operands(self, data, n, k, m):
+        X = data.draw(exact_arrays(n, k))
+        Y = data.draw(exact_arrays(k, m))
+        v = data.draw(exact_arrays(m))
+        want = reference_qmatmul(X, Y, v)
+        for ops in ((split(X), Y, v), (X, split(Y), split(v)), (split(X), split(Y), split(v))):
+            assert_same(qmatmul(*ops), want)
+        assert_same((split(X) @ split(Y)).join(), reference_matmul(X, Y))
+        assert to_float(split(X)).tobytes() == to_float(X).tobytes()
+
+    @given(st.data(), st.integers(min_value=1, max_value=3), dims_st)
+    @settings(max_examples=50, deadline=None)
+    def test_indexing_reshaping_scaling(self, data, k, n):
+        X = data.draw(exact_arrays(k, n, n))
+        S = split(X)
+        iu = np.triu_indices(n)
+        w = np.where(iu[0] == iu[1], 1, 2)
+        assert_same(S[:, iu[0], iu[1]].scaled(w).join(), X[:, iu[0], iu[1]] * w)
+        assert_same(S[[k - 1, 0]].join(), X[[k - 1, 0]])
+        assert_same(S.reshape(k, -1).join(), X.reshape(k, -1))
+
+    @given(st.data(), dims_st, dims_st, dims_st, st.sampled_from([0, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_concatenation_is_the_split_of_the_joined_array(self, data, n, k, m, axis):
+        shapes = [(n, k), (m, k)] if axis == 0 else [(k, n), (k, m)]
+        X, Y = (data.draw(exact_arrays(*shape)) for shape in shapes)
+        # a product's split is not over its least common denominator
+        P = split(X) @ split(np.ones((X.shape[1], X.shape[1]), dtype=int) * QuadExt(1, 2) / 6)
+        got = qconcat([P, split(Y) if k % 2 else Y], axis)
+        want = np.concatenate([P.join(), Y], axis)
+        assert_canonical_split(got, want)
+        fresh = split(want)
+        assert got.d == fresh.d and np.array_equal(got.A, fresh.A)
+        assert (got.B is None and fresh.B is None) or np.array_equal(got.B, fresh.B)

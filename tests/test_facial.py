@@ -23,6 +23,7 @@ from strictfeas.bell import (
     toy_null_vectors,
 )
 from strictfeas.exactnum import (
+    QSplit,
     QuadExt,
     as_quad,
     kernel_basis_exact,
@@ -30,13 +31,15 @@ from strictfeas.exactnum import (
     nullspace_exact,
     primitive_integer_vector,
     qarray,
+    qeye,
     quad,
     qzeros,
     row_space_basis_exact,
     rref_exact,
+    split,
     to_float,
 )
-from strictfeas import facial
+from strictfeas import certify, cli, exactnum, facial, model, solver
 from strictfeas.facial import (
     AffineExpr,
     ImplicitConstraintSet,
@@ -46,7 +49,7 @@ from strictfeas.facial import (
     SolverFailedError,
     StrictlyFeasible,
     _affine_solve_exact,
-    _constraint_row,
+    _congruence_rows,
     _face_split_certificate,
     _float_slice_chart,
     _upper_pairs,
@@ -66,7 +69,9 @@ from helpers import (
     planted_chain,
     planted_chain_problem,
     reference_apply_constraints,
+    reference_constraint_rows,
     reference_qmatmul,
+    reference_split_matmul,
 )
 
 
@@ -185,15 +190,31 @@ class TestFindCertificate:
         assert out.exact
         assert "traceless" in out.detail
 
-    def test_ill_conditioned_traceless_chart_raises(self):
+    def test_ill_conditioned_chart_with_definite_f0_is_exact_verdict(self):
         # diag(1, 1 + 1e-10) with no variables: the slice's trace functional
         # is ~1e-10 in floats, but I is not a multiple of f0, so there is no
-        # exact traceless verdict to give
+        # exact traceless verdict; f0 is positive definite, so y = 0 proves
+        # strict feasibility exactly
         pencil = MatrixPencil.from_upper(
             2, "exact", [(0, 0, 1), (1, 1, Fraction(10**10 + 1, 10**10))], []
         )
         prob = SdpProblem(pencil=pencil, objective=(), name="near-identity")
-        with pytest.raises(SolverFailedError):
+        out = find_reducing_certificate(prob)
+        assert out == StrictlyFeasible(
+            exact=True,
+            tolerance=None,
+            detail="F0 is positive definite, so y = 0 is a strictly feasible point",
+        )
+
+    def test_ill_conditioned_traceless_chart_raises(self):
+        # the same near-identity matrix as the one variable's term, F0 = 0:
+        # the chart looks traceless, I is not in the span, and y = 0 is no
+        # witness, so there is no exact verdict to give
+        pencil = MatrixPencil.from_upper(
+            2, "exact", [], [("y", [(0, 0, 1), (1, 1, Fraction(10**10 + 1, 10**10))])]
+        )
+        prob = SdpProblem(pencil=pencil, objective=(quad(0),), name="near-identity-term")
+        with pytest.raises(SolverFailedError, match="not positive definite"):
             find_reducing_certificate(prob)
 
     def test_irrational_face_rounds_over_sqrt5(self):
@@ -263,7 +284,10 @@ class TestFloatSliceChart:
         for Bk in B:
             assert abs(np.trace(Bk)) < 1e-12
         pairs = _upper_pairs(p.n)
-        K = np.array([_constraint_row(Q, pairs) for Q in (p.f0, *p.terms)], dtype=object)
+        # with W = I the congruence rows are the constraint rows of the
+        # pencil matrices themselves
+        K = _congruence_rows(qeye(p.n), p.split)
+        assert np.array_equal(K, reference_constraint_rows((p.f0, *p.terms), pairs))
         assert len(B) == len(nullspace_exact(K)) - 1
 
 
@@ -586,8 +610,87 @@ class TestExactProductSites:
             )
 
         fast = outcome()
+        # every pencil product (congruence, verification, derivation,
+        # substitution) is a qmatmul or a product of splits
         monkeypatch.setattr(facial, "qmatmul", reference_qmatmul)
+        monkeypatch.setattr(QSplit, "__matmul__", reference_split_matmul)
         assert outcome() == fast
+
+
+def assert_split_handed_on(pencil):
+    """The pencil carries its stack's split, made without reading its
+    Fractions, and equal by value to a fresh split over the same least
+    common denominator."""
+    assert "split" in vars(pencil)
+    S, fresh = pencil.split, split(np.stack([pencil.f0, *pencil.terms]))
+    assert S.shape == fresh.shape and S.d == fresh.d
+    assert all(g == w for g, w in zip(S.join().flat, fresh.join().flat))
+
+
+class TestSplitCarried:
+    """A pencil is split once; a reduced pencil gets its split handed on."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: planted_chain(np.random.default_rng(4), 4, 2),
+            lambda: planted_chain(np.random.default_rng(4), 4, 2, sqrt5=True),
+            lambda: planted_chain(np.random.default_rng(8), 8, 2),
+            lambda: planted_chain(np.random.default_rng(8), 8, 2, sqrt5=True),
+            golden_face_problem,
+        ],
+        ids=["n4-rational", "n4-sqrt5", "n8-rational", "n8-sqrt5", "golden-face"],
+    )
+    def test_reduction_hands_on_the_split(self, make):
+        prob = make()
+        _, rounds, _ = reduce_problem(prob)
+        assert rounds
+        for r in rounds:
+            assert_split_handed_on(r.problem.pencil)
+        # relations that touch kept rows, with sqrt5 parts and denominators
+        rng = random.Random(prob.name)
+        for _ in range(2):
+            assert_split_handed_on(apply_constraints(prob, random_relations(prob, rng)).pencil)
+
+    @pytest.mark.parametrize(
+        "line, vectors",
+        [(line1, line1_null_vectors), (line2, line2_null_vectors)],
+        ids=["line1", "line2"],
+    )
+    def test_bell_reductions_hand_on_the_split(self, line, vectors):
+        raw = almost_quantum_pencil(line())
+        cons = derive_implicit_constraints(raw, vectors())
+        assert_split_handed_on(apply_constraints(raw, cons).pencil)
+
+    def test_each_pencil_is_split_at_most_once(self, monkeypatch):
+        prob = planted_chain(np.random.default_rng(8), 8, 2)
+        seen = []
+
+        def recording(X, real=exactnum.split):
+            seen.append(X)
+            return real(X)
+
+        for module in (exactnum, model, facial, certify, solver, cli):
+            if hasattr(module, "split"):
+                monkeypatch.setattr(module, "split", recording)
+        _, rounds, _ = reduce_problem(prob)
+        assert len(rounds) == 2
+
+        def splits_of(pencil):
+            # the stack, or any one of its matrices, split from its Fractions
+            mats = (pencil.f0, *pencil.terms)
+            shape = (len(mats), pencil.n, pencil.n)
+            return sum(
+                any(X is M for M in mats)
+                or (np.shape(X) == shape and np.array_equal(X, np.stack(mats)))
+                for X in seen
+                if not isinstance(X, QSplit)
+            )
+
+        assert splits_of(prob.pencil) == 1
+        for r in rounds:
+            assert "split" in vars(r.problem.pencil)
+            assert splits_of(r.problem.pencil) == 0
 
 
 class TestSerialization:

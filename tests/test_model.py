@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strictfeas.exactnum import QuadExt, format_scalar, frob_inner, qarray, quad
+from strictfeas.exactnum import (
+    QuadExt,
+    format_scalar,
+    frob_inner,
+    qarray,
+    quad,
+    split,
+    to_float,
+)
 from strictfeas.model import (
     MatrixPencil,
     MissingVariableError,
@@ -293,3 +301,44 @@ class TestDowncast:
         assert e.objective_offset == quad(Fraction(0.1))
         assert (e.name, e.note) == (prob.name, "kept")
         assert to_exact(e) is e
+
+
+class TestPencilSplit:
+    """An exact pencil's stack is split once, on first use, and kept."""
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_join_gives_back_the_stack(self, seed, m):
+        rng = random.Random(seed)
+        pencil = random_exact_pencil(rng, n=rng.randint(1, 4), m=m)
+        if rng.random() < 0.5:
+            # Q(sqrt5) data
+            pencil = replace(pencil, terms=tuple(GOLDEN * t for t in pencil.terms))
+        assert "split" not in vars(pencil)
+        S = pencil.split
+        assert pencil.split is S
+        stack = np.stack([pencil.f0, *pencil.terms])
+        assert S.shape == stack.shape == (pencil.m + 1, pencil.n, pencil.n)
+        assert all(g == w for g, w in zip(S.join().flat, stack.flat))
+        fresh = split(stack)
+        assert S.d == fresh.d and np.array_equal(S.A, fresh.A)
+        assert (S.B is None) == (fresh.B is None)
+        assert not S.A.flags.writeable
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_to_double_is_the_per_matrix_downcast(self, seed, m):
+        rng = random.Random(seed)
+        pencil = random_exact_pencil(rng, n=rng.randint(1, 4), m=m)
+        if rng.random() < 0.5:
+            pencil = replace(pencil, terms=tuple(GOLDEN * t for t in pencil.terms))
+        prob = SdpProblem(pencil=pencil, objective=(quad(1),) * m)
+        got = to_double(prob).pencil
+        assert got.f0.tobytes() == to_float(pencil.f0).tobytes()
+        assert len(got.terms) == m
+        for g, t in zip(got.terms, pencil.terms):
+            assert g.dtype == np.float64 and g.tobytes() == to_float(t).tobytes()
+
+    def test_double_pencil_has_no_split(self):
+        with pytest.raises(ValueError, match="exact"):
+            to_double(small_exact_problem()).pencil.split
