@@ -721,23 +721,16 @@ def primitive_integer_vector(v: Sequence) -> np.ndarray:
 
     The result is an integer multiple of v with coefficient content 1 (gcd of
     all integer coefficients, over both the rational and sqrt5 parts) and a
-    positive leading entry.
+    positive leading entry.  On the integer split d*v = A + B*sqrt5 that is
+    (A + B*sqrt5)/g, with g the gcd of A and B signed like the lead entry.
     """
-    vals = [as_quad(x) for x in v]
-    denoms = [f.denominator for x in vals for f in (x.a, x.b)]
-    scale = Fraction(math.lcm(*denoms)) if denoms else Fraction(1)
-    scaled = [x * scale for x in vals]
-    numerators = [abs(int(f)) for x in scaled for f in (x.a, x.b) if f != 0]
-    if numerators:
-        g = math.gcd(*numerators)
-        if g > 1:
-            scaled = [x / g for x in scaled]
-    lead = next((x for x in scaled if bool(x)), None)
+    S = split(list(v))
+    B = np.zeros_like(S.A) if S.B is None else S.B
+    g = math.gcd(*S.A.tolist(), *B.tolist()) or 1
+    lead = next((QuadExt(a, b) for a, b in zip(S.A, B) if a or b), None)
     if lead is not None and qsign(lead) < 0:
-        scaled = [-x for x in scaled]
-    out = np.empty(len(scaled), dtype=object)
-    out[:] = scaled
-    return out
+        g = -g
+    return _join(S.A, S.B, g)
 
 
 # ---------------------------------------------------------------------------

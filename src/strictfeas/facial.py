@@ -66,6 +66,7 @@ from .model import (
     SdpProblem,
     StatusTag,
     UnknownVariableError,
+    pencil_eval,
 )
 from .solver import solve_sdp
 
@@ -247,16 +248,23 @@ def _float_slice_chart(prob: SdpProblem):
 
 
 def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
-    """Exact proof that every matrix orthogonal to the pencil is traceless.
+    """Exact proof of strict feasibility where the float chart finds the
+    orthogonal slice empty or traceless, or SolverFailedError.
 
-    That holds exactly when I = sum_j c_j Q_j over the pencil matrices Q_j
-    (then <I, X> = sum_j c_j <Q_j, X> = 0), so one exact solve over the
-    upper triangles decides it; the rank of the same system tells whether
-    the orthogonal complement is {0} altogether.  Either way no nonzero
-    X >= 0 is orthogonal to the pencil.  When I is not in the span the
-    float chart misjudged an ill-conditioned slice; then y = 0 is tried as
-    a witness (F0 positive definite, decided exactly: PSD with a trivial
-    kernel), and SolverFailedError is raised only when that fails too.
+    One exact solve of I = c0 F0 + sum_i c_i F_i over the upper triangles
+    decides the chart's reading: a solution makes every matrix orthogonal to
+    the pencil traceless (<I, X> = sum_j c_j <Q_j, X> = 0), so no nonzero
+    X >= 0 is orthogonal to it, and the rank of the same system tells
+    whether that complement is {0} altogether.  That settles the
+    homogenized pencil y0 F0 + sum_i y_i F_i only (F0 = -I passes), so the
+    verdict is exact only with a witness y whose F(y) is positive definite,
+    decided exactly (PSD with a trivial kernel).  Witnesses, cheapest first:
+
+    - a solution with c0 > 0 (shifted there along a homogeneous solution
+      when c0 is free): y = c / c0 gives F(y) = I / c0;
+    - a solution with c0 = 0: y = t c gives F(y) = F0 + t I, positive
+      definite for t = 1 + the largest absolute row sum of F0;
+    - y = 0.
     """
     p = prob.pencil
     qmats = (p.f0, *p.terms)
@@ -264,17 +272,34 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
     K = np.array([[Q[i, j] for Q in qmats] for i, j in pairs], dtype=object)
     rhs = [QUAD_ONE if i == j else QUAD_ZERO for i, j in pairs]
     solved = _affine_solve_exact(K, rhs)
+    candidates = []
+    if solved is not None:
+        c, homogeneous = solved
+        free = next((h for h in homogeneous if bool(h[0])), None)
+        if not c[0] > 0 and free is not None:
+            shift = (QUAD_ONE - c[0]) / free[0]
+            c = [ci + shift * hi for ci, hi in zip(c, free)]
+        if c[0] > 0:
+            candidates.append([ci / c[0] for ci in c[1:]])
+        elif not bool(c[0]):
+            t = QUAD_ONE + max(sum(map(abs, row), QUAD_ZERO) for row in p.f0)
+            candidates.append([t * ci for ci in c[1:]])
+    candidates.append([QUAD_ZERO] * p.m)
+    witness = next(
+        (y for y in candidates if _positive_definite(pencil_eval(p, dict(zip(p.var_names, y))))),
+        None,
+    )
     if solved is None:
-        if psd_check_exact(p.f0) and not kernel_basis_exact(p.f0):
-            return StrictlyFeasible(
-                exact=True,
-                tolerance=None,
-                detail="F0 is positive definite, so y = 0 is a strictly feasible point",
+        if witness is None:
+            raise SolverFailedError(
+                "the float chart of the orthogonal slice is traceless at roundoff "
+                "level, but I is not in the span of the pencil matrices and F0 is "
+                "not positive definite"
             )
-        raise SolverFailedError(
-            "the float chart of the orthogonal slice is traceless at roundoff "
-            "level, but I is not in the span of the pencil matrices and F0 is "
-            "not positive definite"
+        return StrictlyFeasible(
+            exact=True,
+            tolerance=None,
+            detail="F0 is positive definite, so y = 0 is a strictly feasible point",
         )
     if len(qmats) - len(solved[1]) == len(pairs):
         detail = "no nonzero symmetric matrix is orthogonal to the pencil"
@@ -283,7 +308,22 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
             "every matrix orthogonal to the pencil is traceless, "
             "so none is PSD and nonzero"
         )
+    if witness is None:
+        raise SolverFailedError(
+            f"{detail}, but I = c0 F0 + sum_i c_i F_i only with c0 < 0 and F0 is "
+            "not positive definite: no witness y proves strict feasibility"
+        )
+    if p.m:
+        point = ", ".join(f"{v} = {format_scalar(c)}" for v, c in zip(p.var_names, witness))
+        detail += f"; F(y) is positive definite at {point}"
+    else:
+        detail += "; F0 is positive definite"
     return StrictlyFeasible(exact=True, tolerance=None, detail=detail)
+
+
+def _positive_definite(M: np.ndarray) -> bool:
+    """M > 0 exactly: PSD with a trivial kernel."""
+    return bool(psd_check_exact(M)) and not kernel_basis_exact(M)
 
 
 def _alternative_on_chart(prob: SdpProblem, chart) -> SdpProblem:

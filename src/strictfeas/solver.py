@@ -17,6 +17,20 @@ The NT point W is computed from the singular values of X^{1/2} Z^{1/2}
 X^{1/2} Z X^{1/2}, whose tiny eigenvalues near the optimum roundoff can push
 below zero although X and Z are both positive definite.
 
+At n <= ~12 an iteration costs numpy and scipy call overhead, not flops, so
+one iteration makes as few calls as its arithmetic allows:
+- one stacked eigh of (X, Z), from which every root and inverse is formed;
+- one SVD for the NT point, one batched matmul and one GEMM for M;
+- one LAPACK dpotrf of M (dpocon reads its condition off the same factor)
+  and two dpotrs per Newton solve, predictor and corrector each;
+- one stacked eigvalsh for the predictor's two step lengths, one for the
+  corrector's;
+- the residuals Rp, Rd and <X, Z> of the accepted merit trial, carried into
+  the next iteration rather than recomputed.
+Inner products are flat dot products, a.ravel() @ b.ravel().  Each of these
+is the same float arithmetic as its per-matrix or wrapper form, so the
+iterates do not depend on the layout.
+
 Honesty is the point: when iterates blow up, steps stagnate or the Newton
 system degenerates, the result is reported as NumericalTrouble rather than
 passing off the last iterate as optimal.  Maximization problems whose optimum
@@ -33,8 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dpocon
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .model import SdpProblem, SolveStatus, StatusTag, pencil_eval, validate
 
@@ -99,19 +112,24 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _floored_eigh(M: np.ndarray, label: str):
-    """Eigendecomposition with tiny roundoff-negative eigenvalues floored.
+def _floored_eigh(X: np.ndarray, Z: np.ndarray):
+    """Eigendecompositions (lam, U) of X and of Z, tiny roundoff-negative
+    eigenvalues floored; one stacked eigh serves both.
 
     Iterates stay PD by construction; values at -1e-13 scale are float noise
-    near the boundary, not genuine indefiniteness.  Anything worse raises.
+    near the boundary, not genuine indefiniteness.  Anything worse raises,
+    for X first.
     """
-    lam, U = np.linalg.eigh(M)
-    top = max(float(lam[-1]), 1e-300)
-    if lam[0] <= 0:
-        if lam[0] < -1e-10 * top:
-            raise np.linalg.LinAlgError(f"{label} lost positive definiteness")
-        lam = np.maximum(lam, 1e-14 * top)
-    return lam, U
+    lams, Us = np.linalg.eigh(np.array((X, Z)))
+    out = []
+    for lam, U, label in zip(lams, Us, "XZ"):
+        top = max(float(lam[-1]), 1e-300)
+        if lam[0] <= 0:
+            if lam[0] < -1e-10 * top:
+                raise np.linalg.LinAlgError(f"{label} lost positive definiteness")
+            lam = np.maximum(lam, 1e-14 * top)
+        out.append((lam, U))
+    return out
 
 
 def _nt_scaling(Xh: np.ndarray, Zh: np.ndarray) -> np.ndarray:
@@ -139,12 +157,12 @@ def _schur_complement(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _sym(A.reshape(m, -1) @ WA.T)
 
 
-def _max_step(Sinvh: np.ndarray, dS: np.ndarray) -> float:
-    """Largest alpha with S + alpha dS >= 0, given Sinvh = S^{-1/2}."""
-    lam_min = float(np.linalg.eigvalsh(_sym(Sinvh @ dS @ Sinvh))[0])
-    if lam_min >= 0:
-        return np.inf
-    return -1.0 / lam_min
+def _max_steps(Xmh: np.ndarray, dX: np.ndarray, Zmh: np.ndarray, dZ: np.ndarray):
+    """Largest alphas with X + alpha dX >= 0 and Z + alpha dZ >= 0, given
+    Xmh = X^{-1/2} and Zmh = Z^{-1/2}; one stacked eigvalsh serves both."""
+    scaled = np.array((_sym(Xmh @ dX @ Xmh), _sym(Zmh @ dZ @ Zmh)))
+    lam_min = np.linalg.eigvalsh(scaled)[:, 0].tolist()
+    return tuple(np.inf if lam >= 0 else -1.0 / lam for lam in lam_min)
 
 
 def solve_sdp(prob: SdpProblem) -> SolveResult:
@@ -180,12 +198,12 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
         # the offset is reported, never iterated on: iterates and gap are
         # those of <b, y> alone
         offset = float(prob.objective_offset)
-        obj_p = (float(np.tensordot(C, Xred, axes=2)) if n else 0.0) + offset
+        obj_p = (float(C.ravel() @ Xred.ravel()) if n else 0.0) + offset
         obj_d = float(b @ y) + offset
         diag.condition_estimate = cond
         diag.max_abs_variable = max(
-            float(np.max(np.abs(y))) if m else 0.0,
-            float(np.max(np.abs(Xred))) if n else 0.0,
+            float(np.abs(y).max()) if m else 0.0,
+            float(np.abs(Xred).max()) if n else 0.0,
         )
         slack = pencil_eval(prob.pencil, ydict)
         diag.min_slack_eigenvalue_estimate = float(np.linalg.eigvalsh(slack)[0])
@@ -236,31 +254,39 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
     def at_of(y: np.ndarray) -> np.ndarray:
         return (y @ Aflat).reshape(n, n)
 
+    def residuals(X: np.ndarray, y: np.ndarray, Z: np.ndarray) -> tuple:
+        """Rp, Rd, their max norms and <X, Z> at one point: what the merit
+        test of a trial step needs, and the next iteration reuses."""
+        Rp = b - a_of(X)
+        Rd = C - Z - at_of(y)
+        xz = float(X.ravel() @ Z.ravel())
+        return Rp, Rd, float(np.abs(Rp).max()), float(np.abs(Rd).max()), xz
+
     # initial point: dual-feasible start from the constant term when it is
     # strictly diagonally dominant with a positive diagonal, identity otherwise
-    c_scale = float(np.max(np.abs(C))) if np.any(C) else 1.0
+    c_scale = float(np.abs(C).max()) if np.any(C) else 1.0
     d = np.diag(C)
     dom = np.all(d > 0) and np.all(2 * d > np.abs(C).sum(axis=1))
     Z = C.copy() if dom else max(1.0, c_scale) * np.eye(n)
-    xi = max(1.0, float(np.max(np.abs(b))), c_scale)
+    xi = max(1.0, float(np.abs(b).max()), c_scale)
     X = xi * np.eye(n)
     y = np.zeros(m)
+    state = residuals(X, y, Z)
 
-    b_scale = 1.0 + float(np.max(np.abs(b)))
+    b_scale = 1.0 + float(np.abs(b).max())
     stagnant = 0
     cond = 0.0
     tau = STEP_FRAC
     status = None
 
     for it in range(MAX_ITER):
-        Rp = b - a_of(X)
-        Rd = C - Z - at_of(y)
-        obj_p = float(np.tensordot(C, X, axes=2))
+        Rp, Rd, rp_max, rd_max, xz = state
+        obj_p = float(C.ravel() @ X.ravel())
         obj_d = float(b @ y)
         gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p))
-        res_p = float(np.max(np.abs(Rp))) / b_scale
-        res_d = float(np.max(np.abs(Rd))) / (1.0 + c_scale)
-        max_var = max(float(np.max(np.abs(y))), float(np.max(np.abs(X))))
+        res_p = rp_max / b_scale
+        res_d = rd_max / (1.0 + c_scale)
+        max_var = max(float(np.abs(y).max()), float(np.abs(X).max()))
 
         diag.iterations = it
         diag.final_gap = gap
@@ -290,8 +316,7 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
         try:
             # one floored eigendecomposition each of X and Z per iteration;
             # every root and inverse below comes from these two
-            lx, Ux = _floored_eigh(X, "X")
-            lz, Uz = _floored_eigh(Z, "Z")
+            (lx, Ux), (lz, Uz) = _floored_eigh(X, Z)
             Xmh = (Ux * lx**-0.5) @ Ux.T
             Zmh = (Uz * lz**-0.5) @ Uz.T
             Zinv = _sym((Uz * (1.0 / lz)) @ Uz.T)
@@ -302,23 +327,21 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
                     StatusTag.NUMERICAL_TROUBLE, "Newton system is not finite"
                 )
                 break
-            Mfac = None
+            # dpotrf keeps the upper Cholesky factor in the upper triangle
+            # (clean=0 leaves the lower one as it was); dpotrs and dpocon
+            # read only that triangle
             for reg_scale in (0.0, 1e-14, 1e-10):
                 Mreg = M + reg_scale * max(float(np.trace(M)) / m, 1.0) * np.eye(m)
-                try:
-                    Mfac = sla.cho_factor(Mreg, check_finite=False)
+                Mfac, info = dpotrf(Mreg, clean=0)
+                if info == 0:
                     break
-                except np.linalg.LinAlgError:
-                    continue
-            if Mfac is None:
+            else:
                 raise np.linalg.LinAlgError("Schur complement factorization failed")
             if reg_scale:
                 diag.regularized_iterations += 1
             # 1-norm condition estimate of the factored matrix, read off its
             # Cholesky factor (LAPACK dpocon) in O(m^2)
-            rcond, _ = dpocon(
-                Mfac[0], np.linalg.norm(Mreg, 1), uplo="L" if Mfac[1] else "U"
-            )
+            rcond, _ = dpocon(Mfac, np.linalg.norm(Mreg, 1))
             cond = 1.0 / float(rcond) if rcond > 0 else np.inf
             # near convergence the Schur complement conditioning always
             # degrades (~1/mu); it only signals trouble while the gap is
@@ -333,23 +356,20 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
 
             def newton(Rc: np.ndarray):
                 rhs = Rp - a_of(Rc) + a_of(WRdW)
-                dy = sla.cho_solve(Mfac, rhs, check_finite=False)
+                dy = dpotrs(Mfac, rhs)[0]
                 # after a full step the primal residual is this solve's
                 # residual; refining once against the operator shrinks it
                 r = rhs - a_of(W @ at_of(dy) @ W)
-                dy = dy + sla.cho_solve(Mfac, r, check_finite=False)
+                dy = dy + dpotrs(Mfac, r)[0]
                 dZ = Rd - at_of(dy)
                 dX = _sym(Rc - W @ dZ @ W)
                 return dy, dZ, dX
 
             # predictor
             dy_a, dZ_a, dX_a = newton(-X)
-            ap = min(1.0, _max_step(Xmh, dX_a))
-            ad = min(1.0, _max_step(Zmh, dZ_a))
-            mu = float(np.tensordot(X, Z, axes=2)) / n
-            mu_aff = float(
-                np.tensordot(X + ap * dX_a, Z + ad * dZ_a, axes=2)
-            ) / n
+            ap, ad = (min(1.0, a) for a in _max_steps(Xmh, dX_a, Zmh, dZ_a))
+            mu = xz / n
+            mu_aff = float((X + ap * dX_a).ravel() @ (Z + ad * dZ_a).ravel()) / n
             # centering: the exponent backs off to 1 when steps are blocked,
             # so boundary-crawling iterates get re-centered instead of stalling
             expon = max(1.0, 3.0 * min(ap, ad) ** 2)
@@ -359,25 +379,23 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
             corr = _sym(dX_a @ dZ_a @ Zinv)
             Rc = sigma * mu * Zinv - X - corr
             dy, dZ, dX = newton(Rc)
-            ap = min(1.0, tau * _max_step(Xmh, dX))
-            ad = min(1.0, tau * _max_step(Zmh, dZ))
+            ap, ad = (min(1.0, tau * a) for a in _max_steps(Xmh, dX, Zmh, dZ))
         except np.linalg.LinAlgError as exc:
             status = SolveStatus(
                 StatusTag.NUMERICAL_TROUBLE, f"factorization failed: {exc}"
             )
             break
         # merit safeguard: near-singular Newton systems can emit destructive
-        # directions; retract the step rather than let residuals explode
-        merit = abs(np.tensordot(X, Z, axes=2)) / n + float(
-            np.max(np.abs(Rp))
-        ) + float(np.max(np.abs(Rd)))
+        # directions; retract the step rather than let residuals explode.
+        # The accepted trial's residuals are the next iteration's.
+        merit = abs(xz) / n + rp_max + rd_max
         for _ in range(3):
             Xn = _sym(X + ap * dX)
             yn = y + ad * dy
             Zn = _sym(Z + ad * dZ)
-            merit_new = abs(np.tensordot(Xn, Zn, axes=2)) / n + float(
-                np.max(np.abs(b - a_of(Xn)))
-            ) + float(np.max(np.abs(C - Zn - at_of(yn))))
+            state = residuals(Xn, yn, Zn)
+            _, _, rp_new, rd_new, xz_new = state
+            merit_new = abs(xz_new) / n + rp_new + rd_new
             if merit_new <= 10.0 * merit + 1e-14:
                 break
             ap *= 0.25

@@ -1,6 +1,9 @@
 """Shared test utilities: random strictly feasible SDPs with known optima,
 small exact problems that need reduction, and loop-based exact kernels."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from strictfeas.exactnum import (
@@ -227,6 +230,26 @@ def reference_frob_inner(A, B):
         for j in range(A.shape[1]):
             total = total + as_quad(A[i, j]) * as_quad(B[i, j])
     return total
+
+
+def reference_primitive_integer_vector(v):
+    """v scaled to integer entries with content 1 and a positive lead entry,
+    one QuadExt product and division at a time."""
+    vals = [as_quad(x) for x in v]
+    denoms = [f.denominator for x in vals for f in (x.a, x.b)]
+    scale = Fraction(math.lcm(*denoms)) if denoms else Fraction(1)
+    scaled = [x * scale for x in vals]
+    numerators = [abs(int(f)) for x in scaled for f in (x.a, x.b) if f != 0]
+    if numerators:
+        g = math.gcd(*numerators)
+        if g > 1:
+            scaled = [x / g for x in scaled]
+    lead = next((x for x in scaled if bool(x)), None)
+    if lead is not None and qsign(lead) < 0:
+        scaled = [-x for x in scaled]
+    out = np.empty(len(scaled), dtype=object)
+    out[:] = scaled
+    return out
 
 
 def reference_mat_vec(M, v):

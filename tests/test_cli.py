@@ -139,6 +139,21 @@ class TestDiagnoseCommand:
         assert "StrictlyFeasible" in capsys.readouterr().out
 
 
+    def test_infeasible_traceless_pencil_is_no_proof(self, tmpfile, capsys):
+        # -I + y diag(1, -1) >= 0 has no solution; the exact layer once
+        # called it strictly feasible by exact proof
+        pencil = MatrixPencil.from_upper(
+            2, "exact", [(0, 0, -1), (1, 1, -1)], [("y", [(0, 0, 1), (1, 1, -1)])]
+        )
+        path = tmpfile("infeasible-traceless.json")
+        store_problem(SdpProblem(pencil=pencil, objective=(0,), name="infeasible"), path)
+        for command in ("diagnose", "reduce"):
+            assert main([command, path]) == 1
+            captured = capsys.readouterr()
+            assert "StrictlyFeasible" not in captured.out
+            assert "SolverFailedError" in captured.err
+
+
 class TestReduceCommand:
     def test_problem1_reduction_file(self, tmpfile, capsys):
         src = tmpfile("p1raw.json")

@@ -46,6 +46,7 @@ from helpers import (
     reference_frob_inner,
     reference_mat_vec,
     reference_matmul,
+    reference_primitive_integer_vector,
     reference_psd_check_exact,
     reference_qmatmul,
     reference_rref_exact,
@@ -316,6 +317,11 @@ class TestVectors:
         out = primitive_integer_vector(v)
         assert list(out) == [quad(1), quad(-2), quad(0)]
 
+    def test_primitive_sign_follows_the_lead_entry_over_sqrt5(self):
+        # 4 - 2 sqrt5 < 0 although its rational part is positive
+        v = [quad(0), quad(Fraction(4, 3), Fraction(-2, 3)), quad(1)]
+        assert list(primitive_integer_vector(v)) == [quad(0), quad(-4, 2), quad(-3)]
+
     def test_frobenius_inner(self):
         A = qeye(2)
         B = qarray([[2, 1], [1, 3]])
@@ -360,6 +366,20 @@ def assert_same(got, want):
         assert all(g == w for g, w in zip(got.flat, want.flat))
     else:
         assert isinstance(got, QuadExt) and got == want
+
+
+class TestPrimitiveVector:
+    """The integer-split primitive_integer_vector against its QuadExt loop."""
+
+    @given(st.lists(fractions_st, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_over_q(self, v):
+        assert_same(primitive_integer_vector(v), reference_primitive_integer_vector(v))
+
+    @given(st.lists(entries_st, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_over_sqrt5(self, v):
+        assert_same(primitive_integer_vector(v), reference_primitive_integer_vector(v))
 
 
 class TestExactProducts:

@@ -180,6 +180,7 @@ class TestFindCertificate:
         assert isinstance(out, StrictlyFeasible)
         assert out.exact
         assert "no nonzero symmetric matrix" in out.detail
+        assert out.detail.endswith("; F(y) is positive definite at y1 = 0, y2 = 0")
 
     def test_traceless_slice_is_exact_verdict(self):
         # f0 = I and no variables: the orthogonal slice is tr X = 0
@@ -189,6 +190,7 @@ class TestFindCertificate:
         assert isinstance(out, StrictlyFeasible)
         assert out.exact
         assert "traceless" in out.detail
+        assert out.detail.endswith("; F0 is positive definite")
 
     def test_ill_conditioned_chart_with_definite_f0_is_exact_verdict(self):
         # diag(1, 1 + 1e-10) with no variables: the slice's trace functional
@@ -215,6 +217,50 @@ class TestFindCertificate:
         )
         prob = SdpProblem(pencil=pencil, objective=(quad(0),), name="near-identity-term")
         with pytest.raises(SolverFailedError, match="not positive definite"):
+            find_reducing_certificate(prob)
+
+    def test_traceless_verdict_names_its_witness(self):
+        # I = 0 * F0 + F_1 with F0 the off-diagonal unit: c0 = 0, so the
+        # witness is y = t with t = 1 + max row sum of |F0| = 2
+        pencil = MatrixPencil.from_upper(2, "exact", [(0, 1, 1)], [("y", [(0, 0, 1), (1, 1, 1)])])
+        out = find_reducing_certificate(
+            SdpProblem(pencil=pencil, objective=(quad(0),), name="offdiag-f0")
+        )
+        assert out.exact
+        assert out.detail.endswith("; F(y) is positive definite at y = 2")
+        # F0 = -I with dependent terms I and 2I: c0 shifts to 1
+        pencil = MatrixPencil.from_upper(
+            2,
+            "exact",
+            [(0, 0, -1), (1, 1, -1)],
+            [("y", [(0, 0, 1), (1, 1, 1)]), ("z", [(0, 0, 2), (1, 1, 2)])],
+        )
+        out = find_reducing_certificate(
+            SdpProblem(pencil=pencil, objective=(quad(0), quad(0)), name="shifted")
+        )
+        assert out.exact
+        assert out.detail.endswith("; F(y) is positive definite at y = 2, z = 0")
+
+    @pytest.mark.parametrize(
+        "f0, terms",
+        [
+            # infeasible: y - 1 >= 0 and -y - 1 >= 0
+            ([(0, 0, -1), (1, 1, -1)], [("y", [(0, 0, 1), (1, 1, -1)])]),
+            # infeasible: F0 = -I, no variables
+            ([(0, 0, -1), (1, 1, -1)], []),
+            # infeasible: the (1, 1) entry is -2 whatever y is
+            ([(0, 0, -1), (1, 1, -2)], [("y", [(0, 0, 1)])]),
+            # strictly feasible for y > 1, but no cheap witness: y = 0 fails
+            ([(0, 0, -1), (1, 1, -1)], [("y", [(0, 0, 1), (1, 1, 2)])]),
+        ],
+    )
+    def test_traceless_pencil_without_witness_gets_no_exact_proof(self, f0, terms):
+        # I is in the span of the pencil matrices only with a negative F0
+        # coefficient: that proves the homogenized pencil strictly feasible,
+        # not this one
+        pencil = MatrixPencil.from_upper(2, "exact", f0, terms)
+        prob = SdpProblem(pencil=pencil, objective=tuple(quad(0) for _ in terms))
+        with pytest.raises(SolverFailedError, match="no witness y"):
             find_reducing_certificate(prob)
 
     def test_irrational_face_rounds_over_sqrt5(self):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from strictfeas.model import (
     MatrixPencil,
@@ -16,6 +18,8 @@ from strictfeas.solver import (
     FEAS_TOL,
     GAP_TOL,
     InvalidProblemError,
+    _floored_eigh,
+    _max_steps,
     _nt_scaling,
     _schur_complement,
     diagnostics_report,
@@ -133,16 +137,16 @@ class TestNewtonSystem:
 
     def test_regularized_factorization_is_counted(self, monkeypatch):
         # the first factorization of a solve is always the unregularized one
-        cho_factor = solver.sla.cho_factor
+        factor = solver.dpotrf
         calls = []
 
         def failing_once(M, **kwargs):
             calls.append(M)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("not positive definite")
-            return cho_factor(M, **kwargs)
+            c, info = factor(M, **kwargs)
+            # LAPACK's report of a leading minor that is not positive definite
+            return c, (1 if len(calls) == 1 else info)
 
-        monkeypatch.setattr(solver.sla, "cho_factor", failing_once)
+        monkeypatch.setattr(solver, "dpotrf", failing_once)
         res = solve_sdp(simple_interval_problem())
         assert res.status.tag is StatusTag.OPTIMAL
         assert res.diagnostics.regularized_iterations == 1
@@ -186,6 +190,82 @@ class TestNewtonSystem:
             assert np.all(np.isfinite(W))
             assert np.array_equal(W, W.T)
             assert np.linalg.eigvalsh(W)[0] > 0
+
+
+def _spd(rng, n):
+    B = rng.standard_normal((n, n))
+    return B @ B.T + 1e-3 * np.eye(n)
+
+
+class TestCallLayout:
+    """The iteration's direct and stacked calls are the same float arithmetic
+    as the wrapper and per-matrix calls they replace: equal bit for bit."""
+
+    def test_direct_cholesky_matches_the_scipy_wrappers(self):
+        rng = np.random.default_rng(31)
+        for m in (1, 2, 5, 9, 35):
+            for _ in range(5):
+                M = _spd(rng, m)
+                rhs = rng.standard_normal(m)
+                c, info = dpotrf(M, clean=0)
+                ref = sla.cho_factor(M, check_finite=False)
+                assert info == 0 and ref[1] is False
+                assert np.array_equal(c, ref[0])
+                x = dpotrs(c, rhs)[0]
+                assert np.array_equal(x, sla.cho_solve(ref, rhs, check_finite=False))
+                anorm = np.linalg.norm(M, 1)
+                assert dpocon(c, anorm) == dpocon(ref[0], anorm, uplo="U")
+
+    def test_direct_cholesky_reports_what_the_wrapper_raises(self):
+        M = np.diag([1.0, -1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            sla.cho_factor(M, check_finite=False)
+        assert dpotrf(M, clean=0)[1] > 0
+
+    def test_stacked_eigh_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(32)
+        for n in (1, 3, 9, 12):
+            X, Z = _spd(rng, n), _spd(rng, n)
+            for (lam, U), M in zip(_floored_eigh(X, Z), (X, Z)):
+                ref_lam, ref_U = np.linalg.eigh(M)
+                assert np.array_equal(lam, ref_lam)
+                assert np.array_equal(U, ref_U)
+
+    def test_floor_and_error_per_matrix(self):
+        rng = np.random.default_rng(33)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        good = (Q * np.array([1.0, 2.0, 3.0, 4.0])) @ Q.T
+        # roundoff-negative: floored to 1e-14 of the largest eigenvalue
+        noisy = (Q * np.array([-1e-13, 2.0, 3.0, 4.0])) @ Q.T
+        (_, _), (lam, _) = _floored_eigh(good, noisy)
+        assert lam[0] > 0
+        bad = (Q * np.array([-1.0, 2.0, 3.0, 4.0])) @ Q.T
+        with pytest.raises(np.linalg.LinAlgError, match="X lost"):
+            _floored_eigh(bad, bad)
+        with pytest.raises(np.linalg.LinAlgError, match="Z lost"):
+            _floored_eigh(good, bad)
+
+    def test_stacked_step_lengths_match_per_matrix_calls(self):
+        rng = np.random.default_rng(34)
+
+        def one(Sinvh, dS):
+            M = Sinvh @ dS @ Sinvh
+            lam_min = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+            return np.inf if lam_min >= 0 else -1.0 / lam_min
+
+        for n in (2, 9, 12):
+            Xmh, Zmh = _spd(rng, n), _spd(rng, n)
+            S = rng.standard_normal((n, n))
+            dX, dZ = S + S.T, _spd(rng, n)  # dZ >= 0: an unbounded step
+            steps = _max_steps(Xmh, dX, Zmh, dZ)
+            assert steps == (one(Xmh, dX), one(Zmh, dZ))
+            assert steps[1] == np.inf
+
+    def test_flat_dot_matches_tensordot(self):
+        rng = np.random.default_rng(35)
+        for n in (1, 4, 9, 12):
+            a, b = rng.standard_normal((2, n, n))
+            assert a.ravel() @ b.ravel() == np.tensordot(a, b, axes=2)
 
 
 class TestRandomCertified:
