@@ -5,16 +5,17 @@ Scalars are either :class:`fractions.Fraction` (rationals) or :class:`QuadExt`
 numpy object arrays whose entries are QuadExt; see :func:`qarray`.  Everything
 here is immutable and side-effect free, so values can be shared freely.
 
-Exact products (:func:`qmatmul`, and through it :func:`frob_inner`,
-:func:`mat_vec` and :func:`quadratic_form`) do not multiply QuadExt entry by
-entry: each operand is written once as a :class:`QSplit` (A + B*sqrt5)/d,
-with A and B object arrays of Python ints and d a common denominator, and
-numpy's object matmul multiplies the integer parts.  Only the result becomes
+Exact products (:func:`qmatmul`, and through it :func:`frob_inner`) do not
+multiply QuadExt entry by entry: each operand is written once as a
+:class:`QSplit` (A + B*sqrt5)/d, with A and B object arrays of Python ints
+and d a common denominator, and numpy's object matmul multiplies the
+integer parts.  Only the result becomes
 QuadExt again.  :func:`to_float` reads the same split: A/d and B/d are
 correctly rounded integer divisions.  Reading the Fractions is the costly
 part, so a split can be kept and passed where an exact array goes:
-`qmatmul` and `to_float` take one as it is, and an exact pencil keeps the
-split of its whole stack (`model.MatrixPencil.split`), made once.
+`qmatmul`, `to_float`, the eliminations and `psd_check_exact` take one as it
+is (an elimination works on a copy), and an exact pencil keeps the split of
+its whole stack (`model.MatrixPencil.split`), made once.
 
 Eliminations work over the same split without fractions.  On A + B*sqrt5
 (d scales every row alike, so it drops out) each step is the Bareiss update
@@ -350,13 +351,6 @@ def to_float(M) -> np.ndarray:
     return out if X.B is None else out + (X.B / X.d).astype(float) * SQRT5
 
 
-def is_symmetric(M: np.ndarray) -> bool:
-    n, m = M.shape
-    if n != m:
-        return False
-    return all(M[i, j] == M[j, i] for i in range(n) for j in range(i + 1, n))
-
-
 # ---------------------------------------------------------------------------
 # exact products over an integer split
 
@@ -394,6 +388,10 @@ class QSplit:
     def reshape(self, *shape) -> "QSplit":
         return self._map(lambda X: X.reshape(*shape))
 
+    @property
+    def T(self) -> "QSplit":
+        return self._map(np.transpose)
+
     def scaled(self, w) -> "QSplit":
         """Entrywise times the integers w (broadcast as in numpy)."""
         return self._map(lambda X: X * w)
@@ -416,15 +414,19 @@ class QSplit:
 
 def split(X) -> QSplit:
     """The integer split of an exact array, over the least common
-    denominator of its entries; a QSplit is returned as it is."""
+    denominator of its entries; a QSplit is returned as it is.  Fraction
+    entries are read as they are, with no QuadExt made of them."""
     if isinstance(X, QSplit):
         return X
     X = np.asarray(X, dtype=object)
-    quads = list(map(as_quad, X.flat))
-    if any(q is NotImplemented for q in quads):
-        raise TypeError("exact products expect exact entries")
-    a = [q.a for q in quads]
-    b = [q.b for q in quads]
+    a = X.ravel().tolist()
+    b = []
+    if not all(type(x) is Fraction for x in a):
+        quads = list(map(as_quad, a))
+        if any(q is NotImplemented for q in quads):
+            raise TypeError("exact products expect exact entries")
+        a = [q.a for q in quads]
+        b = [q.b for q in quads]
     d = math.lcm(*set(map(_denominator, a)), *set(map(_denominator, b)))
 
     def scaled(parts) -> np.ndarray:
@@ -512,11 +514,6 @@ def frob_inner(A: np.ndarray, B: np.ndarray) -> QuadExt:
     return qmatmul(np.ravel(A), np.ravel(B))
 
 
-def mat_vec(M: np.ndarray, v: Sequence) -> np.ndarray:
-    """Exact M v."""
-    return qmatmul(M, v)
-
-
 # ---------------------------------------------------------------------------
 # fraction-free elimination over the integer split
 
@@ -575,7 +572,8 @@ def rref_exact(M: np.ndarray, column_order: Sequence[int] | None = None):
     """Exact reduced row-echelon form over Q(sqrt5).
 
     Returns (R, pivots) where pivots maps pivot column -> row.  The optional
-    column order controls which columns are preferred as pivots.
+    column order controls which columns are preferred as pivots.  M is an
+    exact matrix or its split; a split operand is left as it is.
 
     Fraction-free Gauss-Jordan on the integer split M = (A + B*sqrt5)/d:
     each pivot updates every other row by `_bareiss_step`, so all entries
@@ -585,6 +583,10 @@ def rref_exact(M: np.ndarray, column_order: Sequence[int] | None = None):
     """
     S = split(M)
     A, B, d = S.A, S.B, S.d
+    if S is M:
+        # the caller's split (perhaps a read-only pencil slice): eliminate on
+        # a copy
+        A, B = A.copy(), None if B is None else B.copy()
     rows, cols = A.shape
     order = list(column_order) if column_order is not None else list(range(cols))
     pivots: dict[int, int] = {}
@@ -668,15 +670,16 @@ def psd_check_exact(M: np.ndarray) -> PsdCheck:
     integer split d*M = A + B*sqrt5, next to the rows of T that track it:
     the current form is T M T^T.  Each stored row is its fractional value
     times the last positive pivot, which is positive, so every sign is the
-    sign of a stored entry; witnesses are divided back by that pivot.
+    sign of a stored entry; witnesses are divided back by that pivot.  M is
+    an exact matrix or its split, and symmetry is decided on the integers.
     """
     n, m = M.shape
     if n != m:
         raise NonSymmetricError("matrix is not square")
-    if not is_symmetric(M):
-        raise NonSymmetricError("matrix is not symmetric")
     S = split(M)
     A, B, d = S.A, S.B, S.d
+    if not all(X is None or np.array_equal(X, X.T) for X in (A, B)):
+        raise NonSymmetricError("matrix is not symmetric")
     # [A | T] with T = I; a rational M keeps a rational T, so B stays None
     eye = np.eye(n, dtype=int).astype(object)
     A = np.hstack([A, eye])
@@ -709,11 +712,6 @@ def psd_check_exact(M: np.ndarray) -> PsdCheck:
         _bareiss_step(A, B, range(k + 1, n), range(k + 1, 2 * n), k, k, prev)
         prev = _entry(A, B, k, k)
     return PsdCheck(True)
-
-
-def quadratic_form(M: np.ndarray, v: Sequence) -> QuadExt:
-    """Exact v^T M v."""
-    return qmatmul(v, M, v)
 
 
 def primitive_integer_vector(v: Sequence) -> np.ndarray:
@@ -775,6 +773,90 @@ def _height(f: Fraction) -> int:
     return max(abs(f.numerator), f.denominator)
 
 
+# PSLQ relations between (x, 1, sqrt5), tried at these tolerances in turn
+_PSLQ_TOLS = ("1e-12", "1e-9", "1e-7")
+
+
+class QuadCandidates:
+    """The Q(sqrt5) reconstruction of one float, for any max_den.
+
+    `reconstruct_quadext(x, max_den)` is `QuadCandidates(x).best(max_den)`.
+    The PSLQ relations, the costly candidates, depend on max_den only
+    through their maxcoeff, max(max_den, 10**6); each is computed once per
+    object, so snapping one value at several denominator bounds runs PSLQ at
+    most once per tolerance.
+    """
+
+    __slots__ = ("x", "_relations")
+
+    def __init__(self, x: float):
+        if not math.isfinite(x):
+            raise NonFiniteError(f"cannot reconstruct from {x!r}")
+        self.x = x
+        self._relations: dict = {}
+
+    def _relation(self, maxcoeff: int, tol: str):
+        key = (maxcoeff, tol)
+        if key not in self._relations:
+            with mpmath.workdps(40):
+                self._relations[key] = mpmath.pslq(
+                    [mpmath.mpf(self.x), mpmath.mpf(1), mpmath.sqrt(5)],
+                    tol=mpmath.mpf(tol),
+                    maxcoeff=maxcoeff,
+                    maxsteps=10000,
+                )
+        return self._relations[key]
+
+    def best(self, max_den: int) -> QuadExt | None:
+        """Small-height a + b*sqrt5 within 1e-6 of x, or None (see
+        `reconstruct_quadext`)."""
+        if max_den < 1:
+            raise ValueError("max_den must be >= 1")
+        x = self.x
+        if abs(x) <= RECONSTRUCT_TOL:
+            # 0 is admissible and has the smallest height; PSLQ would reject
+            # an exact zero, and at its working precision treats a tiny x as
+            # one
+            return QUAD_ZERO
+
+        candidates: list[QuadExt] = []
+
+        r = reconstruct_rational(x, max_den)
+        if r is not None:
+            candidates.append(QuadExt(r))
+
+        for a in [Fraction(0)] + _convergents(x, max_den):
+            b = Fraction((x - float(a)) / SQRT5).limit_denominator(max_den)
+            candidates.append(QuadExt(a, b))
+
+        def admissible(q: QuadExt) -> bool:
+            return (
+                q.a.denominator <= max_den
+                and q.b.denominator <= max_den
+                and abs(x - float(q)) <= RECONSTRUCT_TOL
+            )
+
+        for tol in _PSLQ_TOLS:
+            rel = self._relation(max(max_den, 10**6), tol)
+            if rel and rel[0] != 0:
+                cand = QuadExt(Fraction(-rel[1], rel[0]), Fraction(-rel[2], rel[0]))
+                candidates.append(cand)
+                if admissible(cand):
+                    break
+
+        verified = [q for q in candidates if admissible(q)]
+        if not verified:
+            return None
+        return min(
+            verified,
+            key=lambda q: (
+                max(_height(q.a), _height(q.b)),
+                _height(q.b),
+                _height(q.a),
+            ),
+        )
+
+
 def reconstruct_quadext(x: float, max_den: int = 10**6) -> QuadExt | None:
     """Small-height a + b*sqrt5 with |x - (a + b*sqrt5)| <= 1e-6, or None.
 
@@ -783,55 +865,4 @@ def reconstruct_quadext(x: float, max_den: int = 10**6) -> QuadExt | None:
     (x - a)/sqrt5, and a PSLQ integer relation between (x, 1, sqrt5).  The
     verified candidate of smallest height wins.
     """
-    if max_den < 1:
-        raise ValueError("max_den must be >= 1")
-    if not math.isfinite(x):
-        raise NonFiniteError(f"cannot reconstruct from {x!r}")
-
-    if abs(x) <= RECONSTRUCT_TOL:
-        # 0 is admissible and has the smallest height; PSLQ would reject an
-        # exact zero, and at its working precision treats a tiny x as one
-        return QUAD_ZERO
-
-    candidates: list[QuadExt] = []
-
-    r = reconstruct_rational(x, max_den)
-    if r is not None:
-        candidates.append(QuadExt(r))
-
-    for a in [Fraction(0)] + _convergents(x, max_den):
-        b = Fraction((x - float(a)) / SQRT5).limit_denominator(max_den)
-        candidates.append(QuadExt(a, b))
-
-    def admissible(q: QuadExt) -> bool:
-        return (
-            q.a.denominator <= max_den
-            and q.b.denominator <= max_den
-            and abs(x - float(q)) <= RECONSTRUCT_TOL
-        )
-
-    with mpmath.workdps(40):
-        for tol in ("1e-12", "1e-9", "1e-7"):
-            rel = mpmath.pslq(
-                [mpmath.mpf(x), mpmath.mpf(1), mpmath.sqrt(5)],
-                tol=mpmath.mpf(tol),
-                maxcoeff=max(max_den, 10**6),
-                maxsteps=10000,
-            )
-            if rel and rel[0] != 0:
-                cand = QuadExt(Fraction(-rel[1], rel[0]), Fraction(-rel[2], rel[0]))
-                candidates.append(cand)
-                if admissible(cand):
-                    break
-
-    verified = [q for q in candidates if admissible(q)]
-    if not verified:
-        return None
-    return min(
-        verified,
-        key=lambda q: (
-            max(_height(q.a), _height(q.b)),
-            _height(q.b),
-            _height(q.a),
-        ),
-    )
+    return QuadCandidates(x).best(max_den)

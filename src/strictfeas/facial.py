@@ -30,11 +30,16 @@ Every pencil-wide step reads the pencil's integer split
 derivation and the substitution are products with it.  A problem's
 Fractions are read once; the substitution builds the reduced pencil's split
 from those integers and hands it on, so later rounds never split again.
+Face rounding stays on integers too: each projector entry is snapped once,
+the projector is split straight from the snapped values and checked,
+reduced and pushed through the congruence as a split, and the candidate
+X = W M W^T is one split that the verification reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,6 +47,8 @@ from .exactnum import (
     QUAD_ONE,
     QUAD_ZERO,
     RECONSTRUCT_TOL,
+    QSplit,
+    QuadCandidates,
     QuadExt,
     as_quad,
     format_scalar,
@@ -51,10 +58,8 @@ from .exactnum import (
     primitive_integer_vector,
     psd_check_exact,
     qconcat,
-    qeye,
     qmatmul,
-    qzeros,
-    reconstruct_quadext,
+    reconstruct_quadext,  # noqa: F401  (perfbench/spans.py times it here)
     reconstruct_rational,
     row_space_basis_exact,
     rref_exact,
@@ -179,24 +184,41 @@ def _upper_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+def _upper_functionals(C: QSplit) -> QSplit:
+    """<C_k, M> as functionals of the upper-triangle entries of a symmetric
+    M, one row per matrix C_k of the stack C (one row for a matrix C):
+    weighted on the integers, 1 on the diagonal and 2 off it, where M_ij
+    counts twice."""
+    iu = np.triu_indices(C.shape[-1])
+    return C[..., iu[0], iu[1]].scaled(np.where(iu[0] == iu[1], 1, 2))
+
+
 def _congruence_rows(W: np.ndarray, qmats) -> np.ndarray:
     """<W^T Q W, M> as functionals of the upper-triangle entries of a
     symmetric M, one row per matrix Q of the stack `qmats` (a split).
 
-    The congruence is one product on the integers, weighted there (1 on the
-    diagonal, 2 off it, where M_ij counts twice) and joined once.
+    The congruence is one product on the integers, weighted there and
+    joined once.
     """
-    iu = np.triu_indices(W.shape[1])
-    C = split(W.T) @ qmats @ split(W)
-    return C[:, iu[0], iu[1]].scaled(np.where(iu[0] == iu[1], 1, 2)).join()
+    W = split(W)
+    return _upper_functionals(W.T @ split(qmats) @ W).join()
 
 
-def _coords_to_matrix(coords, pairs, n: int) -> np.ndarray:
-    M = qzeros(n)
-    for (i, j), v in zip(pairs, coords):
-        M[i, j] = v
-        M[j, i] = v
-    return M
+def _symmetric_split(coords, n: int) -> QSplit:
+    """The split of the symmetric n x n matrix whose upper triangle, row by
+    row, holds the exact scalars `coords`."""
+    S = split(coords)
+    iu = np.triu_indices(n)
+
+    def full(U):
+        if U is None:
+            return None
+        M = np.empty((n, n), dtype=object)
+        M[iu] = U
+        M[iu[1], iu[0]] = U
+        return M
+
+    return QSplit(full(S.A), full(S.B), S.d)
 
 
 # slice coordinates below this are roundoff: they are set to exactly 0, so
@@ -221,10 +243,8 @@ def _float_slice_chart(prob: SdpProblem):
     slice looks traceless, and `_traceless_verdict` decides that exactly.
     """
     p = prob.pencil
-    n = p.n
-    iu = np.triu_indices(n)
+    iu, w = _chart_coordinates(p.n)
     diag = iu[0] == iu[1]
-    w = np.where(diag, 1.0, np.sqrt(2.0))
     K = to_float(p.split)[:, iu[0], iu[1]] * w
     _, s, Vt = np.linalg.svd(K)
     # numpy's matrix_rank tolerance
@@ -235,16 +255,26 @@ def _float_slice_chart(prob: SdpProblem):
     if norm < TRACE_FLOOR:
         return _traceless_verdict(prob)
     Qtau, _ = np.linalg.qr(tau[:, None], mode="complete")
-    coords = [N @ tau / norm**2] + list((N @ Qtau[:, 1:]).T)
-
-    def to_matrix(c):
-        c = np.where(np.abs(c) < CHART_ZERO, 0.0, c) / w
-        M = np.zeros((n, n))
-        M[iu] = c
-        return M + np.triu(M, 1).T
-
-    X0, *B = (to_matrix(c) for c in coords)
+    coords = np.vstack([N @ tau / norm**2, (N @ Qtau[:, 1:]).T])
+    X0, *B = _chart_matrices(coords, p.n)
     return X0, B
+
+
+def _chart_coordinates(n: int):
+    """The upper-triangle indices of an n x n matrix and their sqrt2
+    weights, under which the Frobenius product is the dot product."""
+    iu = np.triu_indices(n)
+    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+
+
+def _chart_matrices(coords: np.ndarray, n: int) -> np.ndarray:
+    """The (k, n, n) stack of symmetric matrices whose weighted upper
+    triangles are the rows of `coords`, roundoff-level coordinates
+    (below CHART_ZERO) set to exactly 0; built in one step."""
+    iu, w = _chart_coordinates(n)
+    M = np.zeros((len(coords), n, n))
+    M[:, iu[0], iu[1]] = np.where(np.abs(coords) < CHART_ZERO, 0.0, coords) / w
+    return M + np.triu(M, 1).transpose(0, 2, 1)
 
 
 def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
@@ -380,7 +410,10 @@ RANK_CUTOFF = 1e-6
 # order.  Iterates sit ~sqrt(gap) off the optimal face, so the
 # small-denominator rational snaps need a loose acceptance; that is sound
 # because exact verification guards every snap.  Q(sqrt5) reconstruction
-# comes only after plain rationals fail.
+# comes only after plain rationals fail.  A rung snaps every entry the way
+# `reconstruct_rational` or `reconstruct_quadext` would, but `_Snaps` does
+# each entry's work once across the rungs: a rational zero needs no
+# Fraction, and the Q(sqrt5) rungs share one PSLQ per entry.
 ROUNDING_LADDER = (
     (100, False, 1e-3),
     (10**4, False, 1e-5),
@@ -391,34 +424,72 @@ ROUNDING_LADDER = (
 )
 
 
-def _round_coords(zhat: np.ndarray, den: int, extension: bool, tol: float):
-    """Snap floats to exact scalars, or None when one does not snap."""
-    out = []
-    for z in zhat:
-        z = float(z)
+_FRACTION_ZERO = Fraction(0)
+
+
+class _Snaps:
+    """The rounding ladder's snaps of one float vector, each entry's work
+    done once.
+
+    At a rational rung (den, tol) an entry with |x| < 1/(2 den) snaps to 0,
+    which is then the closest fraction with denominator at most den and so
+    what `reconstruct_rational` returns, and it is accepted iff |x| <= tol;
+    any other entry goes through `reconstruct_rational`.  At a Q(sqrt5) rung
+    each entry's candidates are built once (`QuadCandidates`) and filtered
+    by den, so PSLQ runs at most once per entry and tolerance.
+    """
+
+    def __init__(self, values):
+        self.x = np.asarray(values, dtype=float)
+        self._quads: list[QuadCandidates] | None = None
+
+    def at(self, den: int, extension: bool, tol: float) -> list | None:
+        """The snapped exact scalars (Fractions at a rational rung, QuadExt
+        over Q(sqrt5)), or None when an entry does not snap."""
+        xs = self.x.tolist()
         if extension:
-            r = reconstruct_quadext(z, den)
+            if self._quads is None:
+                self._quads = [QuadCandidates(x) for x in xs]
+            snapped = (q.best(den) for q in self._quads)
         else:
-            r = reconstruct_rational(z, den, tol)
-        if r is None:
-            return None
-        out.append(as_quad(r))
-    return out
+            # rounding is monotone, so a float product below 1 is an exact one
+            tiny = (np.abs(self.x) * (2 * den) < 1.0).tolist()
+            snapped = (
+                (_FRACTION_ZERO if abs(x) <= tol else None)
+                if zero
+                else reconstruct_rational(x, den, tol)
+                for x, zero in zip(xs, tiny)
+            )
+        out = []
+        for r in snapped:
+            if r is None:
+                return None
+            out.append(r)
+        return out
 
 
-def _affine_solve_exact(K: np.ndarray, rhs) -> tuple | None:
+def _is_projector(P: QSplit) -> bool:
+    """P @ P == P on the integers: P @ P = (A' + B'*sqrt5)/d' equals
+    P = (A + B*sqrt5)/d iff d A' = d' A and d B' = d' B, part by part
+    since sqrt5 is irrational."""
+    PP = P @ P
+    return all(
+        np.all(P.d * (0 if X is None else X) == PP.d * (0 if Y is None else Y))
+        for X, Y in ((PP.A, P.A), (PP.B, P.B))
+    )
+
+
+def _affine_solve_exact(K, rhs) -> tuple | None:
     """Exact particular solution and nullspace basis of K x = rhs, or None.
 
-    One elimination of [K | -rhs]: the system is consistent exactly when the
-    last column is free, and then its basis vector (last entry 1) carries
-    the particular solution while the others span the homogeneous solutions.
+    One elimination of [K | -rhs] (K an exact matrix or its split): the
+    system is consistent exactly when the last column is free, and then its
+    basis vector (last entry 1) carries the particular solution while the
+    others span the homogeneous solutions.
     """
     rows, cols = K.shape
-    aug = np.empty((rows, cols + 1), dtype=object)
-    aug[:, :cols] = K
-    for r in range(rows):
-        aug[r, cols] = -as_quad(rhs[r])
-    basis = nullspace_exact(aug)
+    last = np.array([-as_quad(x) for x in rhs], dtype=object).reshape(rows, 1)
+    basis = nullspace_exact(qconcat([K, last], axis=1))
     if not basis or not bool(basis[-1][cols]):
         return None
     *homogeneous, particular = basis
@@ -460,32 +531,40 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     nearby rational point keeps M positive definite.  Each rung of the
     rounding ladder is tried in turn.  Returns (certificate, None) or
     (None, reason of the last failed rung).
+
+    The projector's entries are snapped once for all rungs (`_Snaps`), and
+    from there the exact work stays on integer splits: P is split straight
+    from the snapped scalars, and its projector test, its row space, the
+    face congruence, X and X's verification all read splits.  When M is
+    nonsingular, range(X) = range(W) = rowspace(P), whose reduced row
+    echelon basis is unique, so W's columns are X's range vectors.
     """
-    n = prob.pencil.n
+    p = prob.pencil
+    n = p.n
     r = Vr.shape[1]
-    Pnum = Vr @ Vr.T
-    # the pencil's split and I, for the face congruence of every matrix
-    qmats = qconcat([prob.pencil.split, qeye(n)[None]])
-    pairs_r = _upper_pairs(r)
+    snaps = _Snaps((Vr @ Vr.T)[np.triu_indices(n)])
     reason = "projector rounding never succeeded"
     for den, extension, tol in ROUNDING_LADDER:
-        coords = _round_coords(Pnum[np.triu_indices(n)], den, extension, tol)
+        coords = snaps.at(den, extension, tol)
         if coords is None:
             reason = f"projector entries not representable at max_den={den}"
             continue
-        P = _coords_to_matrix(coords, _upper_pairs(n), n)
-        if not np.array_equal(qmatmul(P, P), P):
+        P = _symmetric_split(coords, n)
+        if not _is_projector(P):
             reason = f"rounded matrix at max_den={den} is not a projector"
             continue
         Wrows = row_space_basis_exact(P)
         if len(Wrows) != r:
             reason = f"projector rank {len(Wrows)} != numerical rank {r}"
             continue
-        W = np.array([primitive_integer_vector(w) for w in Wrows], dtype=object).T
+        Wcols = [primitive_integer_vector(w) for w in Wrows]
+        W = split(np.array(Wcols, dtype=object).T)
         # face-restricted slice: M symmetric r x r with
         # <W^T Q W, M> = 0 for every pencil matrix Q and tr(W^T W M) = 1
-        K = _congruence_rows(W, qmats)
-        rhs = [QUAD_ZERO] * (len(K) - 1) + [QUAD_ONE]
+        K = qconcat(
+            [_upper_functionals(W.T @ p.split @ W), _upper_functionals(W.T @ W)[None]]
+        )
+        rhs = [QUAD_ZERO] * (K.shape[0] - 1) + [QUAD_ONE]
         solved = _affine_solve_exact(K, rhs)
         if solved is None:
             reason = f"face slice at max_den={den} is inconsistent"
@@ -497,26 +576,30 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
         if homogeneous:
             Hf = np.array([to_float(h) for h in homogeneous]).T
             shat, *_ = np.linalg.lstsq(Hf, mflat - to_float(particular), rcond=None)
-            s = _round_coords(shat, den, extension, tol)
+            s = _Snaps(shat).at(den, extension, tol)
             if s is None:
                 reason = f"face coordinates not representable at max_den={den}"
                 continue
         mcoords = np.array(particular, dtype=object)
         for sj, h in zip(s, homogeneous):
             if bool(sj):
-                mcoords = mcoords + sj * np.asarray(h, dtype=object)
-        X = qmatmul(W, _coords_to_matrix(mcoords, pairs_r, r), W.T)
+                mcoords = mcoords + as_quad(sj) * np.asarray(h, dtype=object)
+        M = _symmetric_split(mcoords, r)
+        X = W @ M @ W.T
         problems = verify_certificate_matrix(prob, X)
         if problems:
             reason = f"face rounding at max_den={den}: " + "; ".join(problems)
             continue
-        vectors = tuple(primitive_integer_vector(v) for v in row_space_basis_exact(X))
+        if kernel_basis_exact(M):
+            vectors = tuple(primitive_integer_vector(v) for v in row_space_basis_exact(X))
+        else:
+            vectors = tuple(Wcols)
         note = (
             f"face-projector rounding at max_den={den}"
             + (" over Q(sqrt5)" if extension else "")
             + f"; rank {len(vectors)}"
         )
-        return ReducingCertificate(X=X, range_vectors=vectors, note=note), None
+        return ReducingCertificate(X=X.join(), range_vectors=vectors, note=note), None
     return None, reason
 
 
@@ -577,10 +660,12 @@ def find_reducing_certificate(prob: SdpProblem):
     return cert
 
 
-def verify_certificate_matrix(prob: SdpProblem, X: np.ndarray) -> list[str]:
-    """Exact invariant check for a candidate certificate; [] when valid."""
+def verify_certificate_matrix(prob: SdpProblem, X) -> list[str]:
+    """Exact invariant check for a candidate certificate, an exact matrix or
+    its split; [] when valid.  Every check reads X's one split."""
+    X = split(X)
     problems = []
-    if not any(bool(as_quad(x)) for x in X.ravel()):
+    if not any(X.A.flat) and (X.B is None or not any(X.B.flat)):
         problems.append("X is zero")
     check = psd_check_exact(X)
     if not check.is_psd:
@@ -588,7 +673,7 @@ def verify_certificate_matrix(prob: SdpProblem, X: np.ndarray) -> list[str]:
     p = prob.pencil
     # every <Q, X> at once: the pencil's split, flattened, times vec(X)
     labels = ("F0", *(f"F_{name}" for name in p.var_names))
-    for label, v in zip(labels, qmatmul(p.split.reshape(p.m + 1, -1), np.ravel(X))):
+    for label, v in zip(labels, (p.split.reshape(p.m + 1, -1) @ X.reshape(-1)).join()):
         if bool(v):
             problems.append(f"<{label}, X> = {format_scalar(v)} != 0")
     return problems

@@ -234,7 +234,12 @@ def primal_residuals(prob: SdpProblem, X: np.ndarray) -> list:
 
 
 def validate(prob: SdpProblem) -> list[str]:
-    """Structural checks; an empty list means the problem is well formed."""
+    """Structural checks; an empty list means the problem is well formed.
+
+    A double pencil of square matrices is checked as one (m+1, n, n) stack,
+    finite and equal to its transpose; only when that fails are the
+    matrices checked one by one, to word each violation.
+    """
     violations: list[str] = []
     p = prob.pencil
     mats = [("F0", p.f0)] + list(zip(p.var_names, p.terms))
@@ -243,29 +248,34 @@ def validate(prob: SdpProblem) -> list[str]:
         if name in seen:
             violations.append(f"DuplicateVariable: {name}")
         seen.add(name)
-    for name, M in mats:
-        if M.shape != (p.n, p.n):
-            violations.append(
-                f"DimensionMismatch: {name} has shape {M.shape}, expected {(p.n, p.n)}"
-            )
-            continue
-        if p.scalar == "double":
-            if not np.all(np.isfinite(M)):
-                violations.append(f"NonFinite: {name} contains NaN or infinity")
-            if not np.array_equal(M, M.T):
-                violations.append(f"NotSymmetric: {name}")
-        else:
-            bad = next(
-                (
-                    (i, j)
-                    for i in range(p.n)
-                    for j in range(i + 1, p.n)
-                    if M[i, j] != M[j, i]
-                ),
-                None,
-            )
-            if bad:
-                violations.append(f"NotSymmetric: {name} at {bad}")
+    clean = False
+    if p.scalar == "double" and all(M.shape == (p.n, p.n) for _, M in mats):
+        S = np.stack([M for _, M in mats])
+        clean = bool(np.isfinite(S).all()) and np.array_equal(S, S.transpose(0, 2, 1))
+    if not clean:
+        for name, M in mats:
+            if M.shape != (p.n, p.n):
+                violations.append(
+                    f"DimensionMismatch: {name} has shape {M.shape}, expected {(p.n, p.n)}"
+                )
+                continue
+            if p.scalar == "double":
+                if not np.all(np.isfinite(M)):
+                    violations.append(f"NonFinite: {name} contains NaN or infinity")
+                if not np.array_equal(M, M.T):
+                    violations.append(f"NotSymmetric: {name}")
+            else:
+                bad = next(
+                    (
+                        (i, j)
+                        for i in range(p.n)
+                        for j in range(i + 1, p.n)
+                        if M[i, j] != M[j, i]
+                    ),
+                    None,
+                )
+                if bad:
+                    violations.append(f"NotSymmetric: {name} at {bad}")
     if p.scalar == "double":
         if not np.all(np.isfinite(np.asarray(prob.objective, dtype=float))):
             violations.append("NonFinite: objective contains NaN or infinity")

@@ -1,5 +1,6 @@
 """Shared test utilities: random strictly feasible SDPs with known optima,
-small exact problems that need reduction, and loop-based exact kernels."""
+small exact problems that need reduction, exact products the tests use and
+loop-based exact kernels."""
 
 import math
 from fractions import Fraction
@@ -13,10 +14,10 @@ from strictfeas.exactnum import (
     PsdCheck,
     QSplit,
     as_quad,
-    is_symmetric,
     parse_scalar,
     qarray,
     qeye,
+    qmatmul,
     qsign,
     quad,
     split,
@@ -218,6 +219,16 @@ def golden_face_problem() -> SdpProblem:
     return SdpProblem(pencil=pencil, objective=objective, name="golden-face")
 
 
+def mat_vec(M, v):
+    """Exact M v."""
+    return qmatmul(M, v)
+
+
+def quadratic_form(M, v):
+    """Exact v^T M v."""
+    return qmatmul(v, M, v)
+
+
 # ---------------------------------------------------------------------------
 # exact products as plain loops of QuadExt arithmetic: the reference that
 # the integer-split kernels of exactnum are checked against
@@ -307,6 +318,24 @@ def reference_split_matmul(X, Y):
     return split(reference_matmul(X, Y))
 
 
+def reference_chart_matrices(coords, n):
+    """The float chart's matrices built one coordinate vector at a time:
+    roundoff-level entries (below `facial.CHART_ZERO`) set to 0, the sqrt2
+    weights divided out and the upper triangle mirrored."""
+    from strictfeas.facial import CHART_ZERO
+
+    iu = np.triu_indices(n)
+    w = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+
+    def to_matrix(c):
+        c = np.where(np.abs(c) < CHART_ZERO, 0.0, c) / w
+        M = np.zeros((n, n))
+        M[iu] = c
+        return M + np.triu(M, 1).T
+
+    return [to_matrix(c) for c in coords]
+
+
 def reference_constraint_rows(mats, pairs):
     """<Q, M> as a functional of the upper-triangle entries (i, j) in pairs
     of a symmetric M, one row per matrix Q, one QuadExt product at a time."""
@@ -356,7 +385,7 @@ def reference_psd_check_exact(M):
     n, m = M.shape
     if n != m:
         raise NonSymmetricError("matrix is not square")
-    if not is_symmetric(M):
+    if any(M[i, j] != M[j, i] for i in range(n) for j in range(i + 1, n)):
         raise NonSymmetricError("matrix is not symmetric")
     A = np.array([[as_quad(x) for x in row] for row in M], dtype=object)
     # current quadratic form = T M T^T

@@ -19,7 +19,6 @@ from strictfeas.exactnum import (
     psd_check_exact,
     qsign,
     quad,
-    quadratic_form,
     qzeros,
     reconstruct_quadext,
     reconstruct_rational,
@@ -34,7 +33,7 @@ from strictfeas.facial import (
 from strictfeas.model import StatusTag, to_double
 from strictfeas.solver import solve_sdp
 
-from helpers import random_certified_sdp
+from helpers import quadratic_form, random_certified_sdp
 
 
 def report(num: int, description: str, ok: bool, elapsed: float | None = None):

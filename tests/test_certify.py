@@ -28,7 +28,6 @@ from strictfeas.exactnum import (
     qeye,
     qsign,
     quad,
-    quadratic_form,
     qzeros,
 )
 from strictfeas.model import (
@@ -39,7 +38,7 @@ from strictfeas.model import (
     to_double,
 )
 
-from helpers import reference_frob_inner
+from helpers import mat_vec, quadratic_form, reference_frob_inner
 
 
 class TestPrimalPoint:
@@ -171,7 +170,7 @@ class TestIntervalBound:
     def test_boundary_kernel_nontrivial(self):
         # at the endpoint the pencil is singular: exact kernel of dim >= 1,
         # cross-checked by the numeric eigensolver finding a near-zero value
-        from strictfeas.exactnum import kernel_basis_exact, mat_vec, to_float
+        from strictfeas.exactnum import kernel_basis_exact, to_float
 
         prob = problem2_simplified()
         M = pencil_eval(prob.pencil, {"mu": MU2_STAR})

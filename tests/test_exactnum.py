@@ -16,12 +16,12 @@ from strictfeas.exactnum import (
     NonFiniteError,
     NonSymmetricError,
     QSplit,
+    QuadCandidates,
     QuadExt,
     as_quad,
     format_scalar,
     frob_inner,
     kernel_basis_exact,
-    mat_vec,
     nullspace_exact,
     parse_scalar,
     primitive_integer_vector,
@@ -32,7 +32,6 @@ from strictfeas.exactnum import (
     qmatmul,
     qsign,
     quad,
-    quadratic_form,
     qzeros,
     reconstruct_quadext,
     reconstruct_rational,
@@ -41,8 +40,11 @@ from strictfeas.exactnum import (
     split,
     to_float,
 )
+from strictfeas.model import MatrixPencil
 
 from helpers import (
+    mat_vec,
+    quadratic_form,
     reference_frob_inner,
     reference_mat_vec,
     reference_matmul,
@@ -271,6 +273,21 @@ class TestReconstruction:
         # with the 50-digit oracle: float(ALPHA.decimal(50)) -> 0.17799821111...
         assert float(ALPHA.decimal(50)) == pytest.approx(0.1779982111, abs=5e-11)
         assert reconstruct_quadext(0.1779982111, 100) == ALPHA
+
+    @given(
+        st.one_of(
+            quads_st.map(float),
+            st.floats(min_value=-3, max_value=3),
+            st.sampled_from([0.0, -0.0, 1e-7, -2e-6, 5e-324]),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_candidates_serve_every_bound(self, x):
+        # one QuadCandidates, its PSLQ relations reused, against a fresh
+        # reconstruction at each bound
+        cands = QuadCandidates(x)
+        for den in (100, 10**4, 10**6, 10**7, 100):
+            assert repr(cands.best(den)) == repr(reconstruct_quadext(x, den))
 
     def test_quadext_round_trip(self):
         rng = random.Random(5)
@@ -579,6 +596,58 @@ class TestFractionFree:
             A = np.array([[1, 1], [1, 2]], dtype=object)
             with pytest.raises(AssertionError, match="remainder"):
                 exactnum._bareiss_step(A, B, [1], [1], 0, 0, prev)
+
+
+class TestSplitOperands:
+    """The eliminations and the PSD check take a split where they take an
+    exact matrix, with the same results, and leave it as it was."""
+
+    @staticmethod
+    def parts(S):
+        return [X.copy() for X in (S.A, S.B) if X is not None]
+
+    @given(elimination_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_eliminations_leave_the_split(self, M):
+        S = split(M)
+        before = self.parts(S)
+        assert_same_rref(rref_exact(S), rref_exact(M))
+        for basis in (nullspace_exact, row_space_basis_exact):
+            got, want = basis(S), basis(M)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same(g, w)
+        assert all(np.array_equal(a, b) for a, b in zip(self.parts(S), before))
+
+    @given(symmetric_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_psd_check_on_a_split(self, M):
+        S = split(M)
+        before = self.parts(S)
+        assert_same_check(psd_check_exact(S), psd_check_exact(M))
+        assert all(np.array_equal(a, b) for a, b in zip(self.parts(S), before))
+
+    def test_non_symmetric_split_rejected(self):
+        with pytest.raises(NonSymmetricError):
+            psd_check_exact(split(qarray([[1, "sqrt5"], [0, 1]])))
+
+    def test_frozen_pencil_slices(self):
+        # a pencil's split is read-only; eliminating on one of its slices
+        # used to write into it
+        pencil = MatrixPencil.from_upper(
+            3,
+            "exact",
+            [(0, 0, 2), (0, 1, "1/2"), (1, 1, "sqrt5")],
+            [("y", [(0, 2, 2), (2, 2, -1)]), ("z", [(1, 2, "1/3")])],
+        )
+        S = pencil.split
+        before = self.parts(S)
+        for k, Q in enumerate((pencil.f0, *pencil.terms)):
+            assert not S[k].A.flags.writeable
+            assert_same_rref(rref_exact(S[k]), rref_exact(Q))
+            assert len(nullspace_exact(S[k])) == len(nullspace_exact(Q))
+            assert len(row_space_basis_exact(S[k])) == len(row_space_basis_exact(Q))
+        assert all(np.array_equal(a, b) for a, b in zip(self.parts(S), before))
 
 
 class TestToFloat:

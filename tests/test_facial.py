@@ -1,10 +1,13 @@
 """Diagnosis, certificate extraction, constraint derivation, substitution."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strictfeas.bell import (
     almost_quantum_pencil,
@@ -27,13 +30,14 @@ from strictfeas.exactnum import (
     QuadExt,
     as_quad,
     kernel_basis_exact,
-    mat_vec,
     nullspace_exact,
     primitive_integer_vector,
     qarray,
     qeye,
     quad,
     qzeros,
+    reconstruct_quadext,
+    reconstruct_rational,
     row_space_basis_exact,
     rref_exact,
     split,
@@ -47,11 +51,17 @@ from strictfeas.facial import (
     ReducingCertificate,
     RoundingFailedError,
     SolverFailedError,
+    ROUNDING_LADDER,
     StrictlyFeasible,
     _affine_solve_exact,
+    _chart_matrices,
     _congruence_rows,
     _face_split_certificate,
     _float_slice_chart,
+    _is_projector,
+    _round_face,
+    _Snaps,
+    _symmetric_split,
     _upper_pairs,
     apply_constraints,
     build_alternative_problem,
@@ -64,11 +74,13 @@ from strictfeas.facial import (
 from strictfeas.model import MatrixPencil, SdpProblem, pencil_eval, problem_to_json_str
 
 from helpers import (
+    mat_vec,
     PLANTED_U,
     golden_face_problem,
     planted_chain,
     planted_chain_problem,
     reference_apply_constraints,
+    reference_chart_matrices,
     reference_constraint_rows,
     reference_qmatmul,
     reference_split_matmul,
@@ -335,6 +347,181 @@ class TestFloatSliceChart:
         K = _congruence_rows(qeye(p.n), p.split)
         assert np.array_equal(K, reference_constraint_rows((p.f0, *p.terms), pairs))
         assert len(B) == len(nullspace_exact(K)) - 1
+
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_chart_stack_is_the_per_vector_build(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        entry = st.one_of(
+            st.floats(min_value=-2, max_value=2),
+            st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 9.9e-14, -1.1e-13, 5e-324]),
+        )
+        size = n * (n + 1) // 2
+        coords = np.array(
+            data.draw(st.lists(st.lists(entry, min_size=size, max_size=size), min_size=k, max_size=k))
+        )
+        got = _chart_matrices(coords, n)
+        want = np.stack(reference_chart_matrices(coords, n))
+        assert got.shape == (k, n, n)
+        assert got.tobytes() == want.tobytes()
+
+
+# floats at and around each rational rung's zero bound 1/(2 den), with
+# either sign, next to signed zeros and generic and near-rational values
+_ZERO_BOUNDS = sorted({1 / (2 * den) for den, extension, _ in ROUNDING_LADDER if not extension})
+snap_floats = st.one_of(
+    st.sampled_from(
+        [
+            s * v
+            for h in _ZERO_BOUNDS
+            for v in (h, math.nextafter(h, 0), math.nextafter(h, 1), 0.999 * h, 1.001 * h)
+            for s in (1, -1)
+        ]
+        + [0.0, -0.0, 1e-7, -1e-7, 5e-324]
+        + [s * tol for _, _, tol in ROUNDING_LADDER for s in (1, -1)]
+    ),
+    st.floats(min_value=-2, max_value=2),
+    st.tuples(
+        st.integers(min_value=-40, max_value=40),
+        st.integers(min_value=1, max_value=60),
+        st.floats(min_value=-1e-5, max_value=1e-5),
+    ).map(lambda t: t[0] / t[1] + t[2]),
+    st.sampled_from([(1 + 5**0.5) / 2, 5**0.5 - 2, 0.1803398875, -0.1779982111]),
+)
+
+
+class TestSnaps:
+    """The once-per-entry snapper of the rounding ladder against the
+    reconstruction it replaces, rung by rung."""
+
+    @given(st.lists(snap_floats, min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_snaps_equal_reconstruction_rung_by_rung(self, xs):
+        snaps = _Snaps(np.array(xs))
+        for den, extension, tol in ROUNDING_LADDER:
+            want = [
+                reconstruct_quadext(x, den) if extension else reconstruct_rational(x, den, tol)
+                for x in xs
+            ]
+            want = None if any(w is None for w in want) else want
+            assert repr(snaps.at(den, extension, tol)) == repr(want)
+
+    @pytest.mark.parametrize("den", [1, 2, 3, 100, 10**4, 10**6])
+    def test_rational_snaps_at_the_zero_bound(self, den):
+        # a few ulps either side of 1/(2 den), where the float test of the
+        # zero path and the exact bound can disagree, under tolerances both
+        # tighter and looser than the bound
+        xs = []
+        for direction in (0.0, math.inf):
+            x = 1 / (2 * den)
+            for _ in range(4):
+                xs += [x, -x]
+                x = math.nextafter(x, direction)
+        for tol in (1.0, 1 / den, 1e-3, 1e-6):
+            snaps = _Snaps(xs)
+            want = [reconstruct_rational(x, den, tol) for x in xs]
+            for k, x in enumerate(xs):
+                assert repr(_Snaps([x]).at(den, False, tol)) == repr(
+                    None if want[k] is None else [want[k]]
+                )
+            assert repr(snaps.at(den, False, tol)) == repr(
+                None if None in want else want
+            )
+
+    def test_zero_snap_rejected_by_tolerance(self):
+        # 0.004 < 1/200 snaps to 0 at max_den 100, but lies further than 1e-3
+        # from it
+        assert reconstruct_rational(0.004, 100, 1e-3) is None
+        assert _Snaps([0.5, 0.004]).at(100, False, 1e-3) is None
+        assert _Snaps([0.5, -0.0009]).at(100, False, 1e-3) == [Fraction(1, 2), Fraction(0)]
+
+    def test_signed_zeros(self):
+        for den, extension, tol in ROUNDING_LADDER:
+            got = _Snaps([0.0, -0.0]).at(den, extension, tol)
+            assert repr(got) == repr([Fraction(0)] * 2 if not extension else [quad(0)] * 2)
+
+
+class TestProjectorSplit:
+    """The rounded projector, split from its snapped upper triangle and
+    tested for P @ P == P on the integers."""
+
+    @pytest.mark.parametrize(
+        "coords,n,projector",
+        [
+            # diag(1, 0) and the rank-one projector onto (1, 1)
+            ([Fraction(1), Fraction(0), Fraction(0)], 2, True),
+            ([Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)], 2, True),
+            ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)], 2, False),
+            # onto (1, phi): entries (1, phi, phi^2)/(1 + phi^2), in Q(sqrt5)
+            ([quad("1/2", "-1/10"), quad(0, "1/5"), quad("1/2", "1/10")], 2, True),
+            ([quad("1/2", "-1/10"), quad(0, "1/5"), quad("1/2", "1/9")], 2, False),
+            ([quad(1), quad(0), quad(0, 1)], 2, False),
+        ],
+    )
+    def test_projector_test(self, coords, n, projector):
+        P = _symmetric_split(coords, n)
+        full = P.join()
+        pairs = _upper_pairs(n)
+        assert all(full[i, j] == full[j, i] == as_quad(c) for (i, j), c in zip(pairs, coords))
+        assert _is_projector(P) is projector
+        assert np.array_equal(reference_qmatmul(full, full), full) is projector
+
+    @given(st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3)]), min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_projector_test_matches_quadext_products(self, coords):
+        P = _symmetric_split(coords, 3)
+        full = P.join()
+        assert _is_projector(P) is np.array_equal(reference_qmatmul(full, full), full)
+
+
+class TestRangeReuse:
+    """Range vectors taken from the face basis W equal the row-space pass
+    over X that they replace."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            planted_chain_problem,
+            golden_face_problem,
+            lambda: planted_chain(np.random.default_rng(4), 4, 2),
+            lambda: planted_chain(np.random.default_rng(4), 4, 2, sqrt5=True),
+            lambda: planted_chain(np.random.default_rng(8), 8, 2),
+            lambda: planted_chain(np.random.default_rng(8), 8, 2, sqrt5=True),
+            lambda: almost_quantum_pencil(line1()),
+            lambda: almost_quantum_pencil(line2()),
+        ],
+        ids=["chain", "golden", "n4", "n4-sqrt5", "n8", "n8-sqrt5", "line1", "line2"],
+    )
+    def test_every_certificate_of_a_reduction(self, make, monkeypatch):
+        certs = []
+        search = facial.find_reducing_certificate
+
+        def spy(prob):
+            out = search(prob)
+            certs.append(out)
+            return out
+
+        monkeypatch.setattr(facial, "find_reducing_certificate", spy)
+        reduce_problem(make())
+        certs = [c for c in certs if isinstance(c, ReducingCertificate)]
+        assert certs
+        for cert in certs:
+            want = [primitive_integer_vector(v) for v in row_space_basis_exact(cert.X)]
+            assert repr(list(cert.range_vectors)) == repr(want)
+
+    def test_singular_face_coordinates_take_the_row_space_pass(self):
+        # the face span(e0, e1) rounds exactly, but X = diag(1, 0, 0) gives
+        # M = diag(1, 0): range(X) is smaller than the face, so the range
+        # vectors come from X itself
+        pencil = MatrixPencil.from_upper(3, "exact", [(2, 2, 1)], [])
+        prob = SdpProblem(pencil=pencil, objective=())
+        cert, reason = _round_face(prob, np.diag([1.0, 0.0, 0.0]), np.eye(3)[:, :2])
+        assert reason is None
+        assert cert.rank == 1
+        assert [list(v) for v in cert.range_vectors] == [[quad(1), quad(0), quad(0)]]
+        assert cert.note == "face-projector rounding at max_den=100; rank 1"
 
 
 class TestAffineSolve:

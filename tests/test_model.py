@@ -212,6 +212,33 @@ class TestValidate:
             "NonFinite: offset is NaN or infinity",
         ]
 
+    @staticmethod
+    def double_problem(*terms):
+        names = tuple(f"y{k + 1}" for k in range(len(terms)))
+        pencil = MatrixPencil(
+            n=3, scalar="double", f0=np.eye(3), var_names=names, terms=terms
+        )
+        return SdpProblem(pencil=pencil, objective=(1.0,) * len(terms))
+
+    def test_stacked_check_passes_a_clean_pencil(self):
+        rng = np.random.default_rng(0)
+        terms = [S + S.T for S in rng.standard_normal((4, 3, 3))]
+        assert validate(self.double_problem(*terms)) == []
+
+    def test_nan_in_one_term_is_worded_per_matrix(self):
+        # NaN != NaN, so the term also fails its symmetry test, as it did
+        # when every matrix was checked on its own
+        bad = np.eye(3)
+        bad[1, 1] = float("nan")
+        prob = self.double_problem(np.eye(3), bad, np.zeros((3, 3)))
+        assert validate(prob) == ["NonFinite: y2 contains NaN or infinity", "NotSymmetric: y2"]
+
+    def test_one_asymmetric_term_is_worded_per_matrix(self):
+        bad = np.zeros((3, 3))
+        bad[0, 2] = 1.0
+        prob = self.double_problem(np.eye(3), np.eye(3), bad)
+        assert validate(prob) == ["NotSymmetric: y3"]
+
     def test_duplicate_variables(self):
         pencil = MatrixPencil.from_upper(
             2, "double", [], [("y", [(0, 0, 1)]), ("y", [(1, 1, 1)])]
