@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import QUAD_ONE, QUAD_ZERO, QuadExt, as_quad, qarray, qsign, quad, qzeros
+from .exactnum import QUAD_ONE, QuadExt, as_quad, qarray, qsign, quad, qzeros
 from .model import MatrixPencil, SdpProblem
 
 
@@ -134,11 +134,7 @@ def line_behavior(line: BehaviorLine, mu) -> CollinsGisinTable:
     if qsign(mu) < 0 or qsign(mu - 1) > 0:
         raise ParameterOutOfRangeError("mu must lie in [0,1]")
     P, Q = line.endpoint_P.entries, line.endpoint_Q.entries
-    out = qzeros(3)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = mu * P[i, j] + (QUAD_ONE - mu) * Q[i, j]
-    return CollinsGisinTable(out)
+    return CollinsGisinTable(mu * P + (1 - mu) * Q)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +209,8 @@ def almost_quantum_pencil(line: BehaviorLine) -> SdpProblem:
     first appearance scanning the upper triangle, with mu first.
     """
     n = len(BASIS)
-    f0 = qzeros(n)
-    gamma_mu = qzeros(n)
-    var_terms: dict[str, np.ndarray] = {}
-    order: list[str] = []
-
+    upper = {}
+    names = ["mu"]
     for i in range(n):
         for j in range(i, n):
             word = canonical_word(word_product(BASIS[i], BASIS[j]))
@@ -225,26 +218,18 @@ def almost_quantum_pencil(line: BehaviorLine) -> SdpProblem:
             if len(alice) <= 1 and len(bob) <= 1:
                 vp = _known_value(word, line.endpoint_P)
                 vq = _known_value(word, line.endpoint_Q)
-                f0[i, j] = f0[j, i] = vq
-                coeff = vp - vq
-                if bool(coeff):
-                    gamma_mu[i, j] = gamma_mu[j, i] = coeff
+                upper[i, j] = (vq, {"mu": vp - vq})
             else:
                 name = moment_name(word)
-                if name not in var_terms:
-                    var_terms[name] = qzeros(n)
-                    order.append(name)
-                var_terms[name][i, j] = QUAD_ONE
-                var_terms[name][j, i] = QUAD_ONE
-
-    names = ("mu", *order)
-    terms = (gamma_mu, *(var_terms[v] for v in order))
-    pencil = MatrixPencil(n=n, scalar="exact", f0=f0, var_names=names, terms=terms)
-    objective = tuple(QUAD_ONE if v == "mu" else QUAD_ZERO for v in names)
-    return SdpProblem(
-        pencil=pencil,
-        objective=objective,
-        name=f"{line.name or 'line'}-raw",
+                if name not in names:
+                    names.append(name)
+                upper[i, j] = (0, {name: 1})
+    return _affine_problem(
+        n,
+        names,
+        upper,
+        f"{line.name or 'line'}-raw",
+        {"mu": 1},
         note="maximize mu over the Almost Quantum moment pencil",
     )
 
@@ -272,42 +257,32 @@ def chsh_toy_pencil() -> SdpProblem:
         (2, 4): "p11",
         (3, 4): "b01",
     }
-    order = ["pA0", "pA1", "a01", "p00", "p01", "p10", "p11", "b01"]
-    terms = {v: qzeros(5) for v in order}
-    for (i, j), v in entries.items():
-        terms[v][i, j] = QUAD_ONE
-        terms[v][j, i] = QUAD_ONE
-    f0 = qzeros(5)
-    f0[0, 0] = QUAD_ONE
-    coeffs = {"pA0": -1, "p00": 1, "p01": 1, "p10": 1, "p11": -1}
-    pencil = MatrixPencil(
-        n=5,
-        scalar="exact",
-        f0=f0,
-        var_names=tuple(order),
-        terms=tuple(terms[v] for v in order),
-    )
-    objective = tuple(quad(coeffs.get(v, 0)) for v in order)
-    return SdpProblem(
-        pencil=pencil,
-        objective=objective,
-        name="chsh-toy-raw",
+    upper = {(0, 0): (1, {}), **{ij: (0, {v: 1}) for ij, v in entries.items()}}
+    return _affine_problem(
+        5,
+        ["pA0", "pA1", "a01", "p00", "p01", "p10", "p11", "b01"],
+        upper,
+        "chsh-toy-raw",
+        {"pA0": -1, "p00": 1, "p01": 1, "p10": 1, "p11": -1},
         note="level-1 CHSH with zero Bob marginals",
     )
 
 
 # ---------------------------------------------------------------------------
-# hand-entered reduced problems (golden copies, transcribed entry by entry)
+# the exact pencil builder, and the hand-entered reduced problems (golden
+# copies, transcribed entry by entry)
 
 
 def _affine_problem(
-    n: int, names: list[str], upper: dict, name: str, objective_var: str = "mu"
+    n: int, names: list[str], upper: dict, name: str, objective: dict, note: str = ""
 ) -> SdpProblem:
-    """Build an exact pencil from {(i, j): (const, {var: coeff})} entries."""
+    """The exact problem of the upper-triangle entries {(i, j): (const,
+    {var: coeff})} over the variables `names`, maximizing the sum of
+    objective[var] * var (absent variables have coefficient 0)."""
     f0 = qzeros(n)
     terms = {v: qzeros(n) for v in names}
     for (i, j), (const, coeffs) in upper.items():
-        f0[i, j] = f0[j, i] = as_quad(const) if not isinstance(const, QuadExt) else const
+        f0[i, j] = f0[j, i] = as_quad(const)
         for v, c in coeffs.items():
             terms[v][i, j] = terms[v][j, i] = terms[v][i, j] + as_quad(c)
     pencil = MatrixPencil(
@@ -317,8 +292,12 @@ def _affine_problem(
         var_names=tuple(names),
         terms=tuple(terms[v] for v in names),
     )
-    objective = tuple(QUAD_ONE if v == objective_var else QUAD_ZERO for v in names)
-    return SdpProblem(pencil=pencil, objective=objective, name=name)
+    return SdpProblem(
+        pencil=pencil,
+        objective=tuple(as_quad(objective.get(v, 0)) for v in names),
+        name=name,
+        note=note,
+    )
 
 
 def problem1_simplified() -> SdpProblem:
@@ -348,7 +327,7 @@ def problem1_simplified() -> SdpProblem:
         (8, 8): R,
     }
     return _affine_problem(
-        9, ["mu", "a01", "b01", "c0,01"], upper, "problem1-simplified"
+        9, ["mu", "a01", "b01", "c0,01"], upper, "problem1-simplified", {"mu": 1}
     )
 
 
@@ -373,7 +352,7 @@ def problem2_simplified() -> SdpProblem:
         (7, 7): K1, (7, 8): Z,
         (8, 8): Z,
     }
-    return _affine_problem(9, ["mu"], upper, "problem2-simplified")
+    return _affine_problem(9, ["mu"], upper, "problem2-simplified", {"mu": 1})
 
 
 def chsh_toy_simplified() -> SdpProblem:
@@ -386,12 +365,8 @@ def chsh_toy_simplified() -> SdpProblem:
         (1, 2): (0, {"a01": 1}),
         (2, 2): (0, {"pA1": 1}),
     }
-    prob = _affine_problem(
-        5, ["pA0", "pA1", "a01"], upper, "chsh-toy-simplified", objective_var=""
-    )
-    objective = (quad(-1), QUAD_ZERO, QUAD_ZERO)
-    return SdpProblem(
-        pencil=prob.pencil, objective=objective, name=prob.name
+    return _affine_problem(
+        5, ["pA0", "pA1", "a01"], upper, "chsh-toy-simplified", {"pA0": -1}
     )
 
 
@@ -476,11 +451,5 @@ def problem1_bound_matrix() -> np.ndarray:
         [0, 0, 0, 0, 0, 0, 0, 0, 0],
         [0, 3, 0, 0, 0, -3, -3, 0, 3],
     ]
-    M = qarray(rows)
-    half = quad(Fraction(1, 2))
-    out = qzeros(9)
-    for i in range(9):
-        for j in range(9):
-            out[i, j] = M[i, j] * half
-    return out
+    return qarray(rows) * quad(Fraction(1, 2))
 

@@ -19,18 +19,18 @@ from fractions import Fraction
 import numpy as np
 
 from .exactnum import (
+    NonSymmetricError,
     PsdCheck,
     QuadExt,
     as_quad,
     format_scalar,
     frob_inner,  # noqa: F401  (perfbench/spans.py times it here)
     psd_check_exact,
-    qmatmul,
     qsign,
     quad,
     to_float,
 )
-from .model import MissingVariableError, SdpProblem, pencil_eval
+from .model import MissingVariableError, SdpProblem, pencil_eval, pencil_pairing
 
 MU2_STAR = quad(-11, 5)  # 5*sqrt5 - 11
 
@@ -109,14 +109,17 @@ def verify_bound_certificate(
         return InvalidCertificate(("problem must be exact",))
     if objective_var not in prob.var_names:
         return InvalidCertificate((f"unknown objective variable {objective_var!r}",))
+    n = prob.pencil.n
+    if np.shape(X) != (n, n):
+        return InvalidCertificate((f"X has shape {np.shape(X)}, expected {(n, n)}",))
+    try:
+        check = psd_check_exact(X)
+    except NonSymmetricError:
+        return InvalidCertificate(("X is not symmetric",))
     violations = []
-    check = psd_check_exact(X)
     if not check.is_psd:
         violations.append(f"X is not PSD (elimination step {check.bad_index})")
-    p = prob.pencil
-    # every <F0, X> and <F_i, X> at once: the pencil's split, flattened,
-    # times vec(X)
-    f0_inner, *inner = qmatmul(p.split.reshape(p.m + 1, -1), np.ravel(X))
+    f0_inner, *inner = pencil_pairing(prob.pencil, X)
     for name, ip in zip(prob.var_names, inner):
         if name == objective_var:
             norm = ip

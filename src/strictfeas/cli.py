@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bell, certify
-from .exactnum import as_quad, format_scalar, rref_exact
+from .exactnum import format_scalar, row_space_basis_exact
 from .facial import (
     InconsistentConstraintsError,
     RoundingFailedError,
@@ -32,6 +32,7 @@ from .model import (
     SdpProblem,
     StatusTag,
     problem_from_json,
+    problem_to_json,
     problem_to_json_str,
     to_double,
     to_exact,
@@ -224,23 +225,11 @@ def cmd_reduce(args) -> int:
 # reproduce: the full pipeline on the bundled problems with known answers
 
 
-def _span_canonical(vectors):
-    M = np.array([[as_quad(x) for x in v] for v in vectors], dtype=object)
-    R, pivots = rref_exact(M)
-    return tuple(tuple(R[r]) for r in sorted(pivots.values()))
-
-
 def _problems_equal(a: SdpProblem, b: SdpProblem) -> bool:
-    pa, pb = a.pencil, b.pencil
-    if pa.n != pb.n or pa.var_names != pb.var_names:
-        return False
-    mats = [(pa.f0, pb.f0), *zip(pa.terms, pb.terms)]
-    for ma, mb in mats:
-        for i in range(pa.n):
-            for j in range(pa.n):
-                if ma[i, j] != mb[i, j]:
-                    return False
-    return tuple(a.objective) == tuple(b.objective)
+    """Same dimension, variable names, entries and objective: the same
+    canonical problem file, up to name, note and offset."""
+    da, db = problem_to_json(a), problem_to_json(b)
+    return all(da[key] == db[key] for key in ("n", "F0", "vars"))
 
 
 def _trouble_signature(res: SolveResult, certified: float) -> bool:
@@ -291,7 +280,12 @@ def _reproduce_target(target: str, report: RunReport) -> list[str]:
         cert = None
     else:
         cert = outcome
-        ok = _span_canonical(cert.range_vectors) == _span_canonical(vectors)
+        # equal spans have equal reduced row-echelon bases
+        bases = [
+            np.array(row_space_basis_exact(np.array(vs, dtype=object)))
+            for vs in (cert.range_vectors, vectors)
+        ]
+        ok = np.array_equal(*bases)
         claims.append(
             (
                 "certificate range matches the known null directions exactly",

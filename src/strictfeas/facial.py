@@ -26,8 +26,10 @@ RoundingFailed, never guessed around.
 
 Every pencil-wide step reads the pencil's integer split
 (`MatrixPencil.split`), not its Fractions: the float chart is one
-`to_float` of it, and the face congruence, the exact verification, the
-derivation and the substitution are products with it.  A problem's
+`to_float` of it, the traceless verdict solves over its upper triangles,
+and the face congruence, the exact verification (`pencil_pairing`), the
+derivation and the substitution are products with it; the derivation drops
+zero relations on those integers too.  A problem's
 Fractions are read once; the substitution builds the reduced pencil's split
 from those integers and hands it on, so later rounds never split again.
 Face rounding stays on integers too: each projector entry is snapped once,
@@ -58,7 +60,6 @@ from .exactnum import (
     primitive_integer_vector,
     psd_check_exact,
     qconcat,
-    qmatmul,
     reconstruct_quadext,  # noqa: F401  (perfbench/spans.py times it here)
     reconstruct_rational,
     row_space_basis_exact,
@@ -71,7 +72,9 @@ from .model import (
     SdpProblem,
     StatusTag,
     UnknownVariableError,
+    matrix_entries,
     pencil_eval,
+    pencil_pairing,
 )
 from .solver import solve_sdp
 
@@ -150,15 +153,9 @@ class ReducingCertificate:
         return len(self.range_vectors)
 
     def as_dict(self) -> dict:
-        n = self.X.shape[0]
         return {
-            "n": n,
-            "X": [
-                [i + 1, j + 1, format_scalar(self.X[i, j])]
-                for i in range(n)
-                for j in range(i, n)
-                if bool(as_quad(self.X[i, j]))
-            ],
+            "n": self.X.shape[0],
+            "X": matrix_entries(self.X, "exact"),
             "range_vectors": [
                 [format_scalar(x) for x in v] for v in self.range_vectors
             ],
@@ -180,10 +177,6 @@ class StrictlyFeasible:
     detail: str = ""
 
 
-def _upper_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def _upper_functionals(C: QSplit) -> QSplit:
     """<C_k, M> as functionals of the upper-triangle entries of a symmetric
     M, one row per matrix C_k of the stack C (one row for a matrix C):
@@ -191,17 +184,6 @@ def _upper_functionals(C: QSplit) -> QSplit:
     counts twice."""
     iu = np.triu_indices(C.shape[-1])
     return C[..., iu[0], iu[1]].scaled(np.where(iu[0] == iu[1], 1, 2))
-
-
-def _congruence_rows(W: np.ndarray, qmats) -> np.ndarray:
-    """<W^T Q W, M> as functionals of the upper-triangle entries of a
-    symmetric M, one row per matrix Q of the stack `qmats` (a split).
-
-    The congruence is one product on the integers, weighted there and
-    joined once.
-    """
-    W = split(W)
-    return _upper_functionals(W.T @ split(qmats) @ W).join()
 
 
 def _symmetric_split(coords, n: int) -> QSplit:
@@ -297,11 +279,10 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
     - y = 0.
     """
     p = prob.pencil
-    qmats = (p.f0, *p.terms)
-    pairs = _upper_pairs(p.n)
-    K = np.array([[Q[i, j] for Q in qmats] for i, j in pairs], dtype=object)
-    rhs = [QUAD_ONE if i == j else QUAD_ZERO for i, j in pairs]
-    solved = _affine_solve_exact(K, rhs)
+    iu = np.triu_indices(p.n)
+    # one row per upper-triangle entry (i, j), with right-hand side I_ij
+    K = p.split[:, iu[0], iu[1]].T
+    solved = _affine_solve_exact(K, (iu[0] == iu[1]).astype(int))
     candidates = []
     if solved is not None:
         c, homogeneous = solved
@@ -331,7 +312,7 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
             tolerance=None,
             detail="F0 is positive definite, so y = 0 is a strictly feasible point",
         )
-    if len(qmats) - len(solved[1]) == len(pairs):
+    if p.m + 1 - len(solved[1]) == len(iu[0]):
         detail = "no nonzero symmetric matrix is orthogonal to the pencil"
     else:
         detail = (
@@ -670,10 +651,8 @@ def verify_certificate_matrix(prob: SdpProblem, X) -> list[str]:
     check = psd_check_exact(X)
     if not check.is_psd:
         problems.append(f"X is not PSD (step {check.bad_index})")
-    p = prob.pencil
-    # every <Q, X> at once: the pencil's split, flattened, times vec(X)
-    labels = ("F0", *(f"F_{name}" for name in p.var_names))
-    for label, v in zip(labels, (p.split.reshape(p.m + 1, -1) @ X.reshape(-1)).join()):
+    labels = ("F0", *(f"F_{name}" for name in prob.var_names))
+    for label, v in zip(labels, pencil_pairing(prob.pencil, X)):
         if bool(v):
             problems.append(f"<{label}, X> = {format_scalar(v)} != 0")
     return problems
@@ -694,21 +673,22 @@ def derive_implicit_constraints(prob: SdpProblem, vectors) -> ImplicitConstraint
     support = [v for v, b in zip(names, prob.objective) if bool(as_quad(b))]
     protected = set(support) if len(support) == 1 else set()
 
-    V = np.array(list(vectors), dtype=object).reshape(-1, p.n).T
+    V = split(np.array(list(vectors), dtype=object).reshape(-1, p.n).T)
     # one product with the pencil's split gives (F_i v)_j for every term i,
     # range vector v and index j; F0 moved last and transposed, it is one
-    # row per (v, j)
-    cols = np.roll(qmatmul(p.split, V), -1, axis=0)
-    rows = [row for row in cols.T.reshape(-1, p.m + 1) if any(bool(x) for x in row)]
-    if not rows:
+    # row per (v, j), and all-zero rows are dropped on the integers
+    S = (p.split @ V)[[*range(1, p.m + 1), 0]].T.reshape(-1, p.m + 1)
+    nonzero = (S.A != 0).any(axis=1)
+    if S.B is not None:
+        nonzero |= (S.B != 0).any(axis=1)
+    if not nonzero.any():
         return ImplicitConstraintSet(equations=(), eliminated=())
 
-    A = np.array(rows, dtype=object)
     ncols = len(names)
     order = sorted(
         (k for k, v in enumerate(names) if v not in protected), reverse=True
     )
-    R, pivots = rref_exact(A, column_order=order)
+    R, pivots = rref_exact(S[nonzero], column_order=order)
 
     equations = []
     eliminated = []

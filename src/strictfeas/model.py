@@ -1,13 +1,15 @@
 """Linear matrix pencils and small dense SDPs in pencil (dual) form.
 
 An SDP here is ``maximize <b, y>  s.t.  F0 + sum_i y_i F_i >= 0``: the dual
-form.  Its primal is ``minimize <F0, X>  s.t.  <F_i, X> = -b_i, X >= 0``.
+form.  Its primal is ``minimize <F0, X>  s.t.  <F_i, X> = -b_i, X >= 0``,
+whose values `pencil_pairing` gives exactly.
 One data model carries both numeric (float64) and exact (QuadExt) entries,
 tagged by ``scalar``; exact -> double conversion is explicit and lossy.
 An exact pencil is split into integers once: `MatrixPencil.split` holds the
 integer split of its stack (F0, F_1, ..., F_m), made on first use and then
-carried, and every pencil-wide exact operation (evaluation, the downcast,
-the products of `facial` and `certify`) reads it instead of the Fractions.
+carried, and every pencil-wide exact operation (evaluation, the pairing
+with a matrix X, the downcast, the products of `facial`) reads it instead
+of the Fractions.
 
 Problems are immutable after construction and safe for concurrent reads.
 """
@@ -28,7 +30,7 @@ from .exactnum import (
     QSplit,
     as_quad,
     format_scalar,
-    frob_inner,
+    frob_inner,  # noqa: F401  (perfbench/spans.py times it here)
     parse_scalar,
     qarray,
     qmatmul,
@@ -215,22 +217,14 @@ def pencil_eval(pencil: MatrixPencil, y: Mapping[str, object]) -> np.ndarray:
     return qmatmul(coeffs, stack).reshape(pencil.n, pencil.n)
 
 
-def primal_objective(prob: SdpProblem, X: np.ndarray):
-    """<F0, X> for a candidate primal matrix, exact when both sides are."""
-    if prob.pencil.scalar == "double":
-        return float(np.tensordot(prob.pencil.f0, X, axes=2))
-    return frob_inner(prob.pencil.f0, X)
-
-
-def primal_residuals(prob: SdpProblem, X: np.ndarray) -> list:
-    """Constraint residuals <F_i, X> + b_i of the primal reading."""
-    out = []
-    for term, b in zip(prob.pencil.terms, prob.objective):
-        if prob.pencil.scalar == "double":
-            out.append(float(np.tensordot(term, X, axes=2)) + float(b))
-        else:
-            out.append(frob_inner(term, X) + as_quad(b))
-    return out
+def pencil_pairing(pencil: MatrixPencil, X) -> np.ndarray:
+    """(<F0, X>, <F_1, X>, ..., <F_m, X>) for an exact n x n matrix X or its
+    split, the adjoint of `pencil_eval`: one product of the pencil's split,
+    flattened, with vec(X).  ValueError when X is not n x n."""
+    X = split(X)
+    if X.shape != (pencil.n, pencil.n):
+        raise ValueError(f"X has shape {X.shape}, expected {(pencil.n, pencil.n)}")
+    return (pencil.split.reshape(pencil.m + 1, -1) @ X.reshape(-1)).join()
 
 
 def validate(prob: SdpProblem) -> list[str]:
@@ -334,7 +328,8 @@ def to_exact(prob: SdpProblem) -> SdpProblem:
 #             ... ],
 #   "offset": value-string, "note": str }
 # with 1-based upper-triangle indices (i <= j) and exact value strings per
-# the exactnum grammar.  "offset" is the constant added to <b, y>; it is
+# the exactnum grammar (a reader also takes a JSON integer there, and a
+# number in a double file).  "offset" is the constant added to <b, y>; it is
 # optional, defaults to 0 and is written only when nonzero.  "note" is free
 # text, optional and written only when nonempty.
 
@@ -345,13 +340,29 @@ def _value_to_str(v, scalar: str) -> str:
     return format_scalar(v)
 
 
-def _value_from_str(s, scalar: str):
+def _value_from_json(v, scalar: str, where: str):
+    """A file value: for an exact problem a grammar string or a JSON integer,
+    for a double one a number or a numeric string; ValueError naming the
+    field `where` for anything else (a bool, null or list, say)."""
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise ValueError(f"{where}: {v!r} is not a scalar value")
     if scalar == "double":
-        return float(s)
-    return parse_scalar(s) if isinstance(s, str) else as_quad(s)
+        try:
+            return float(v)
+        except (ValueError, OverflowError):
+            raise ValueError(f"{where}: {v!r} is not a number") from None
+    if isinstance(v, float):
+        raise ValueError(f"{where}: exact value {v!r} must be a string or an integer")
+    if isinstance(v, int):
+        return as_quad(v)
+    try:
+        return parse_scalar(v)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{where}: malformed exact scalar {v!r}") from None
 
 
-def _matrix_to_entries(M: np.ndarray, scalar: str) -> list:
+def matrix_entries(M: np.ndarray, scalar: str) -> list:
+    """The nonzero upper-triangle entries of M as 1-based [i, j, value-string]."""
     n = M.shape[0]
     out = []
     for i in range(n):
@@ -369,12 +380,12 @@ def problem_to_json(prob: SdpProblem) -> dict:
         "name": prob.name,
         "n": p.n,
         "scalar": p.scalar,
-        "F0": _matrix_to_entries(p.f0, p.scalar),
+        "F0": matrix_entries(p.f0, p.scalar),
         "vars": [
             {
                 "name": name,
                 "b": _value_to_str(b, p.scalar),
-                "F": _matrix_to_entries(term, p.scalar),
+                "F": matrix_entries(term, p.scalar),
             }
             for name, b, term in zip(p.var_names, prob.objective, p.terms)
         ],
@@ -398,28 +409,36 @@ def problem_from_json(doc: dict) -> SdpProblem:
         raise ValueError(f"problem file missing field: {exc}") from exc
     if scalar not in ("double", "exact"):
         raise ValueError(f"unknown scalar kind {scalar!r}")
-    if not isinstance(note, str):
-        raise ValueError("note must be a string")
+    for field, text in (("name", name), ("note", note)):
+        if not isinstance(text, str):
+            raise ValueError(f"{field} must be a string")
+
+    def listed(raw, where):
+        if not isinstance(raw, list):
+            raise ValueError(f"{where} must be a list")
+        return raw
 
     def entries(raw, where):
         out = []
-        for k, item in enumerate(raw):
+        for k, item in enumerate(listed(raw, where)):
             try:
                 i, j, v = item
+                i, j = int(i), int(j)
             except (TypeError, ValueError):
                 raise ValueError(f"{where}[{k}]: expected [i, j, value]") from None
-            i, j = int(i), int(j)
             if not (1 <= i <= j <= n):
                 raise ValueError(
                     f"{where}[{k}]: index ({i},{j}) outside 1-based upper triangle"
                 )
-            out.append((i - 1, j - 1, _value_from_str(v, scalar)))
+            out.append((i - 1, j - 1, _value_from_json(v, scalar, f"{where}[{k}]")))
         return out
 
     seen = set()
     var_entries = []
     objective = []
-    for k, rv in enumerate(raw_vars):
+    for k, rv in enumerate(listed(raw_vars, "vars")):
+        if not isinstance(rv, dict):
+            raise ValueError(f"vars[{k}] must be an object")
         vname = rv.get("name")
         if not vname or not isinstance(vname, str):
             raise ValueError(f"vars[{k}]: missing variable name")
@@ -427,9 +446,9 @@ def problem_from_json(doc: dict) -> SdpProblem:
             raise ValueError(f"vars[{k}]: duplicate variable name {vname!r}")
         seen.add(vname)
         var_entries.append((vname, entries(rv.get("F", []), f"vars[{k}].F")))
-        objective.append(_value_from_str(rv.get("b", "0"), scalar))
+        objective.append(_value_from_json(rv.get("b", "0"), scalar, f"vars[{k}].b"))
 
-    offset = _value_from_str(doc["offset"], scalar) if "offset" in doc else 0
+    offset = _value_from_json(doc["offset"], scalar, "offset") if "offset" in doc else 0
     pencil = MatrixPencil.from_upper(n, scalar, entries(raw_f0, "F0"), var_entries)
     return SdpProblem(
         pencil=pencil,

@@ -228,12 +228,12 @@ class TestKnownPoints:
     def test_toy_primal_reading_minimizes_corner_entry(self):
         # the primal counterpart of the toy minimizes <F0, X> = X[0,0]
         from strictfeas.exactnum import qzeros
-        from strictfeas.model import primal_objective
+        from strictfeas.model import pencil_pairing
 
         X = qzeros(5)
         X[0, 0] = quad(7)
         X[2, 2] = quad(3)  # does not enter the objective
-        assert primal_objective(chsh_toy_pencil(), X) == quad(7)
+        assert pencil_pairing(chsh_toy_pencil().pencil, X)[0] == quad(7)
 
     def test_toy_at_zero_assignment(self):
         # all variables zero leaves only the normalization corner, which is PSD

@@ -84,6 +84,19 @@ class TestBoundCertificate:
         assert isinstance(out, InvalidCertificate)
         assert any("normalization" in v for v in out.violations)
 
+    @pytest.mark.parametrize(
+        "X, violation",
+        [
+            (problem1_bound_matrix()[:3, :3], "X has shape (3, 3), expected (9, 9)"),
+            (problem1_bound_matrix()[0], "X has shape (9,), expected (9, 9)"),
+            (np.triu(problem1_bound_matrix()), "X is not symmetric"),
+        ],
+        ids=["3x3", "vector", "upper-triangle"],
+    )
+    def test_malformed_matrix_is_an_invalid_value(self, X, violation):
+        out = verify_bound_certificate(problem1_simplified(), X, "mu")
+        assert out == InvalidCertificate((violation,))
+
     def test_perturbed_certificate_recomputed_exactly(self):
         # adding 1 at entry (1,1) keeps all orthogonality conditions (no term
         # touches that entry) and shifts the bound to exactly 1

@@ -1,11 +1,14 @@
 """CLI contract: exit codes, JSON reports, file round trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from strictfeas.cli import BUILTINS, load_problem, main, store_problem
+from strictfeas.bell import problem1_simplified
+from strictfeas.cli import BUILTINS, _problems_equal, load_problem, main, store_problem
+from strictfeas.exactnum import quad
 from strictfeas.model import MatrixPencil, SdpProblem, problem_to_json_str, validate
 
 from helpers import pinned_offset_problem, planted_chain_problem, random_certified_sdp
@@ -80,6 +83,46 @@ class TestLoadStore:
         assert main(["solve", path]) == 1
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
+
+    @pytest.mark.parametrize(
+        "scalar, patch, message",
+        [
+            ("exact", {"vars": 5}, "vars must be a list"),
+            ("exact", {"F0": 5}, "F0 must be a list"),
+            ("exact", {"vars": [1]}, "vars[0] must be an object"),
+            ("exact", {"vars": [{"name": "y", "F": 5}]}, "vars[0].F must be a list"),
+            ("exact", {"name": 5}, "name must be a string"),
+            ("exact", {"F0": [[1, 1, 1.5]]}, "F0[0]: exact value 1.5 must be a string"),
+            ("exact", {"F0": [[1, 1, True]]}, "F0[0]: True is not a scalar value"),
+            ("exact", {"F0": [[1, 1, None]]}, "F0[0]: None is not a scalar value"),
+            ("exact", {"F0": [[1, 1, "1/0"]]}, "F0[0]: malformed exact scalar '1/0'"),
+            ("exact", {"F0": [[[1], 1, "1"]]}, "F0[0]: expected [i, j, value]"),
+            ("exact", {"vars": [{"name": "y", "b": [1]}]}, "vars[0].b: [1] is not"),
+            ("exact", {"offset": [2]}, "offset: [2] is not a scalar value"),
+            ("double", {"vars": [{"name": "y", "b": [1]}]}, "vars[0].b: [1] is not"),
+            ("double", {"F0": [[1, 1, None]]}, "F0[0]: None is not a scalar value"),
+            ("double", {"F0": [[1, 1, "one"]]}, "F0[0]: 'one' is not a number"),
+        ],
+    )
+    def test_malformed_problem_file_is_a_reported_error(
+        self, tmpfile, capsys, scalar, patch, message
+    ):
+        doc = {
+            "name": "bad",
+            "n": 2,
+            "scalar": scalar,
+            "F0": [[1, 1, "1"], [2, 2, "1"]],
+            "vars": [{"name": "y", "b": "1", "F": [[1, 2, "1"]]}],
+            **patch,
+        }
+        path = tmpfile("bad.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["diagnose", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        (error,) = json.loads(captured.out)["errors"]
+        assert message in error
 
 
 class TestSolveCommand:
@@ -235,6 +278,34 @@ class TestReproduceCommand:
         d1, d2 = json.load(open(r1)), json.load(open(r2))
         d1.pop("timings"), d2.pop("timings")
         assert d1 == d2
+
+
+class TestProblemComparison:
+    """The reproduce claim "substitution reproduces the reduced pencil entry
+    for entry" compares dimension, names, every entry and the objective."""
+
+    def test_fresh_copy_is_equal(self):
+        assert _problems_equal(problem1_simplified(), problem1_simplified())
+
+    def test_one_entry_differs(self):
+        golden = problem1_simplified()
+        p = golden.pencil
+        term = p.terms[2].copy()
+        term[3, 4] = term[4, 3] = term[3, 4] + quad(0, 1)
+        terms = (*p.terms[:2], term, *p.terms[3:])
+        pencil = MatrixPencil(n=p.n, scalar="exact", f0=p.f0, var_names=p.var_names, terms=terms)
+        assert not _problems_equal(replace(golden, pencil=pencil), golden)
+
+    def test_one_objective_coefficient_differs(self):
+        golden = problem1_simplified()
+        objective = (*golden.objective[:-1], quad(1))
+        assert not _problems_equal(replace(golden, objective=objective), golden)
+
+    def test_one_variable_name_differs(self):
+        golden = problem1_simplified()
+        names = ("mu", "a01", "b01", "c0,10")
+        pencil = replace(golden.pencil, var_names=names)
+        assert not _problems_equal(replace(golden, pencil=pencil), golden)
 
 
 class TestExportCommand:

@@ -33,7 +33,6 @@ from strictfeas.exactnum import (
     nullspace_exact,
     primitive_integer_vector,
     qarray,
-    qeye,
     quad,
     qzeros,
     reconstruct_quadext,
@@ -55,14 +54,13 @@ from strictfeas.facial import (
     StrictlyFeasible,
     _affine_solve_exact,
     _chart_matrices,
-    _congruence_rows,
     _face_split_certificate,
     _float_slice_chart,
     _is_projector,
     _round_face,
     _Snaps,
     _symmetric_split,
-    _upper_pairs,
+    _upper_functionals,
     apply_constraints,
     build_alternative_problem,
     derive_implicit_constraints,
@@ -341,10 +339,10 @@ class TestFloatSliceChart:
                 assert abs(np.sum(Qf * M)) < 1e-12
         for Bk in B:
             assert abs(np.trace(Bk)) < 1e-12
-        pairs = _upper_pairs(p.n)
-        # with W = I the congruence rows are the constraint rows of the
-        # pencil matrices themselves
-        K = _congruence_rows(qeye(p.n), p.split)
+        pairs = list(zip(*np.triu_indices(p.n)))
+        # the functionals of the pencil's split are the constraint rows of
+        # the pencil matrices themselves
+        K = _upper_functionals(p.split).join()
         assert np.array_equal(K, reference_constraint_rows((p.f0, *p.terms), pairs))
         assert len(B) == len(nullspace_exact(K)) - 1
 
@@ -463,7 +461,7 @@ class TestProjectorSplit:
     def test_projector_test(self, coords, n, projector):
         P = _symmetric_split(coords, n)
         full = P.join()
-        pairs = _upper_pairs(n)
+        pairs = zip(*np.triu_indices(n))
         assert all(full[i, j] == full[j, i] == as_quad(c) for (i, j), c in zip(pairs, coords))
         assert _is_projector(P) is projector
         assert np.array_equal(reference_qmatmul(full, full), full) is projector
@@ -844,8 +842,7 @@ class TestExactProductSites:
 
         fast = outcome()
         # every pencil product (congruence, verification, derivation,
-        # substitution) is a qmatmul or a product of splits
-        monkeypatch.setattr(facial, "qmatmul", reference_qmatmul)
+        # substitution) is a product of splits
         monkeypatch.setattr(QSplit, "__matmul__", reference_split_matmul)
         assert outcome() == fast
 

@@ -1,4 +1,5 @@
-"""Pencil evaluation, the primal reading, validation, JSON round trips."""
+"""Pencil evaluation, the pairing with X (the primal reading), validation,
+JSON round trips."""
 
 import json
 import random
@@ -25,8 +26,7 @@ from strictfeas.model import (
     MissingVariableError,
     SdpProblem,
     pencil_eval,
-    primal_objective,
-    primal_residuals,
+    pencil_pairing,
     problem_from_json,
     problem_to_json,
     problem_to_json_str,
@@ -161,10 +161,39 @@ class TestDualize:
         prob = small_exact_problem()
         X = qarray([[1, 0], [0, 1]])
         # objective <F0, X> and residuals <F_i, X> + b_i
-        assert primal_objective(prob, X) == quad(2)
-        res = primal_residuals(prob, X)
+        f0_inner, *inner = pencil_pairing(prob.pencil, X)
+        assert f0_inner == quad(2)
+        res = [ip + b for ip, b in zip(inner, prob.objective)]
         assert res[0] == quad(1)  # <diag(-1,1), I> + 1 = 0 + 1
         assert res[1] == quad(0)
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_pairing_is_the_per_matrix_inner_product(self, seed, m):
+        rng = random.Random(seed)
+        pencil = random_exact_pencil(rng, n=rng.randint(1, 4), m=m)
+        if rng.random() < 0.5:
+            # Q(sqrt5) data
+            pencil = replace(pencil, f0=GOLDEN * pencil.f0)
+        entries = [
+            lambda: rng.randint(-3, 3),
+            lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            lambda: quad(Fraction(rng.randint(-5, 5), 3), rng.randint(-2, 2)),
+        ]
+        X = qarray([[rng.choice(entries)() for _ in range(pencil.n)] for _ in range(pencil.n)])
+        want = [frob_inner(Q, X) for Q in (pencil.f0, *pencil.terms)]
+        for operand in (X, split(X)):
+            got = pencil_pairing(pencil, operand)
+            assert len(got) == pencil.m + 1
+            assert all(isinstance(g, QuadExt) and g == w for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4,), (1, 1)])
+    def test_pairing_rejects_a_wrong_shape(self, shape):
+        X = qarray(np.ones(shape, dtype=int).tolist())
+        with pytest.raises(ValueError, match=r"X has shape .*, expected \(2, 2\)"):
+            pencil_pairing(small_exact_problem().pencil, X)
+        with pytest.raises(ValueError, match="expected"):
+            pencil_pairing(small_exact_problem().pencil, split(X))
 
 
 class TestValidate:
