@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import QUAD_ONE, QuadExt, as_quad, qarray, qsign, quad, qzeros
+from .exactnum import QUAD_ONE, QuadExt, as_quad, qarray, qsign, quad
 from .model import MatrixPencil, SdpProblem
 
 
@@ -279,19 +279,12 @@ def _affine_problem(
     """The exact problem of the upper-triangle entries {(i, j): (const,
     {var: coeff})} over the variables `names`, maximizing the sum of
     objective[var] * var (absent variables have coefficient 0)."""
-    f0 = qzeros(n)
-    terms = {v: qzeros(n) for v in names}
+    f0, terms = [], {v: [] for v in names}
     for (i, j), (const, coeffs) in upper.items():
-        f0[i, j] = f0[j, i] = as_quad(const)
+        f0.append((i, j, const))
         for v, c in coeffs.items():
-            terms[v][i, j] = terms[v][j, i] = terms[v][i, j] + as_quad(c)
-    pencil = MatrixPencil(
-        n=n,
-        scalar="exact",
-        f0=f0,
-        var_names=tuple(names),
-        terms=tuple(terms[v] for v in names),
-    )
+            terms[v].append((i, j, c))
+    pencil = MatrixPencil.from_upper(n, "exact", f0, [(v, terms[v]) for v in names])
     return SdpProblem(
         pencil=pencil,
         objective=tuple(as_quad(objective.get(v, 0)) for v in names),

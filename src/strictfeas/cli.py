@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 on success (for `solve`: status Optimal;
 for `reproduce`: every check passed), 2 when the solver reports a non-optimal
-status, 1 on errors.  Every command emits a JSON run report with `--json`, or
-writes it with `--out`.
+status, 1 on errors.  `main` makes every run report: `--json` prints it, and
+`--out` writes it (`--report` for `reduce`); `export` writes none.
 """
 
 from __future__ import annotations
@@ -117,36 +117,15 @@ def _solve_summary(res: SolveResult) -> dict:
     }
 
 
-def _emit(report: RunReport, args, human_text: str | None = None) -> None:
-    if getattr(args, "json", False):
-        sys.stdout.write(report.to_json())
-    elif human_text:
-        print(human_text)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-
-
-def _numeric(prob: SdpProblem) -> tuple[SdpProblem, bool]:
-    if prob.pencil.scalar == "double":
-        return prob, False
-    return to_double(prob), True
-
-
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
+def cmd_solve(args, report: RunReport) -> tuple[int, str]:
     prob = load_problem(args.file)
-    report = RunReport(
-        command="solve", inputs={"file": args.file, "name": prob.name}
-    )
-    numeric, downcast = _numeric(prob)
-    if downcast:
+    report.inputs["name"] = prob.name
+    if prob.pencil.scalar != "double":
         report.solver["note"] = "exact problem downcast to double for the solver"
-    res = solve_sdp(numeric)
+        prob = to_double(prob)
+    res = solve_sdp(prob)
     report.solver.update(_solve_summary(res))
-    report.timings["seconds"] = time.perf_counter() - t0
-    _emit(report, args, diagnostics_report(res))
-    return 0 if res.status.tag is StatusTag.OPTIMAL else 2
+    return (0 if res.status.tag is StatusTag.OPTIMAL else 2), diagnostics_report(res)
 
 
 def _strictly_feasible_lines(verdict: StrictlyFeasible, report: RunReport) -> list[str]:
@@ -165,12 +144,9 @@ def _strictly_feasible_lines(verdict: StrictlyFeasible, report: RunReport) -> li
     ]
 
 
-def cmd_diagnose(args) -> int:
-    t0 = time.perf_counter()
+def cmd_diagnose(args, report: RunReport) -> tuple[int, str]:
     prob = to_exact(load_problem(args.file))
-    report = RunReport(
-        command="diagnose", inputs={"file": args.file, "name": prob.name}
-    )
+    report.inputs["name"] = prob.name
     outcome = find_reducing_certificate(prob)
     lines = []
     if isinstance(outcome, StrictlyFeasible):
@@ -182,17 +158,12 @@ def cmd_diagnose(args) -> int:
         lines.append("null vectors (range of the certificate):")
         for v in outcome.range_vectors:
             lines.append("  (" + ", ".join(format_scalar(x) for x in v) + ")")
-    report.timings["seconds"] = time.perf_counter() - t0
-    _emit(report, args, "\n".join(lines))
-    return 0
+    return 0, "\n".join(lines)
 
 
-def cmd_reduce(args) -> int:
-    t0 = time.perf_counter()
+def cmd_reduce(args, report: RunReport) -> tuple[int, str]:
     prob = to_exact(load_problem(args.file))
-    report = RunReport(
-        command="reduce", inputs={"file": args.file, "name": prob.name}
-    )
+    report.inputs["name"] = prob.name
     reduced, rounds, verdict = reduce_problem(prob)
     report.reduction["rounds"] = [
         {
@@ -216,13 +187,38 @@ def cmd_reduce(args) -> int:
     if args.out_problem:
         store_problem(reduced, args.out_problem)
         lines.append(f"reduced problem written to {args.out_problem}")
-    report.timings["seconds"] = time.perf_counter() - t0
-    _emit(report, args, "\n".join(lines))
-    return 0
+    return 0, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # reproduce: the full pipeline on the bundled problems with known answers
+
+# target -> (raw problem, hand-entered reduction, known null vectors, known
+# relations, certified optimum).  The lambdas look `bell` and `certify` up when
+# called, so perfbench's tracer, which wraps their functions, sees every call.
+REPRODUCE = {
+    "problem1": lambda: (
+        bell.almost_quantum_pencil(bell.line1()),
+        bell.problem1_simplified(),
+        bell.line1_null_vectors(),
+        bell.line1_expected_relations(),
+        0.0,
+    ),
+    "problem2": lambda: (
+        bell.almost_quantum_pencil(bell.line2()),
+        bell.problem2_simplified(),
+        bell.line2_null_vectors(),
+        bell.line2_expected_relations(),
+        float(certify.MU2_STAR),
+    ),
+    "chsh-toy": lambda: (
+        bell.chsh_toy_pencil(),
+        bell.chsh_toy_simplified(),
+        bell.toy_null_vectors(),
+        bell.toy_expected_relations(),
+        0.0,
+    ),
+}
 
 
 def _problems_equal(a: SdpProblem, b: SdpProblem) -> bool:
@@ -240,81 +236,55 @@ def _trouble_signature(res: SolveResult, certified: float) -> bool:
     )
 
 
-def _reproduce_target(target: str, report: RunReport) -> list[str]:
-    """Check every claim of one target into `report`; return its text lines."""
-    claims: list[tuple[str, bool, str]] = []
+def _reproduce_target(target: str, report: RunReport) -> None:
+    """Check every claim of one target into `report`."""
 
-    if target == "problem1":
-        raw = bell.almost_quantum_pencil(bell.line1())
-        golden = bell.problem1_simplified()
-        vectors = bell.line1_null_vectors()
-        relations = bell.line1_expected_relations()
-        certified = 0.0
-    elif target == "problem2":
-        raw = bell.almost_quantum_pencil(bell.line2())
-        golden = bell.problem2_simplified()
-        vectors = bell.line2_null_vectors()
-        relations = bell.line2_expected_relations()
-        certified = float(certify.MU2_STAR)
-    else:
-        raw = bell.chsh_toy_pencil()
-        golden = bell.chsh_toy_simplified()
-        vectors = bell.toy_null_vectors()
-        relations = bell.toy_expected_relations()
-        certified = 0.0
+    def claim(name: str, ok: bool, detail: str) -> None:
+        report.claims.append({"target": target, "claim": name, "ok": ok, "detail": detail})
+
+    raw, golden, vectors, relations, certified = REPRODUCE[target]()
 
     raw_res = solve_sdp(to_double(raw))
-    claims.append(
-        (
-            "raw solve shows the trouble signature",
-            _trouble_signature(raw_res, certified),
-            f"status {raw_res.status.tag.value}, objective {raw_res.objective_dual:.3e}, "
-            f"max |variable| {raw_res.diagnostics.max_abs_variable:.3e}",
-        )
+    claim(
+        "raw solve shows the trouble signature",
+        _trouble_signature(raw_res, certified),
+        f"status {raw_res.status.tag.value}, objective {raw_res.objective_dual:.3e}, "
+        f"max |variable| {raw_res.diagnostics.max_abs_variable:.3e}",
     )
     report.solver[f"{target}-raw"] = _solve_summary(raw_res)
 
-    outcome = find_reducing_certificate(raw)
-    if isinstance(outcome, StrictlyFeasible):
-        claims.append(("diagnosis finds a reducing certificate", False, outcome.detail))
-        cert = None
+    cert = find_reducing_certificate(raw)
+    red_res = None
+    if isinstance(cert, StrictlyFeasible):
+        claim("diagnosis finds a reducing certificate", False, cert.detail)
     else:
-        cert = outcome
         # equal spans have equal reduced row-echelon bases
         bases = [
             np.array(row_space_basis_exact(np.array(vs, dtype=object)))
             for vs in (cert.range_vectors, vectors)
         ]
-        ok = np.array_equal(*bases)
-        claims.append(
-            (
-                "certificate range matches the known null directions exactly",
-                ok,
-                cert.note,
-            )
+        claim(
+            "certificate range matches the known null directions exactly",
+            np.array_equal(*bases),
+            cert.note,
         )
         report.reduction[f"{target}-certificate"] = cert.as_dict()
 
-    if cert is not None:
         cons = derive_implicit_constraints(raw, cert.range_vectors)
         got = {v: (e.const, dict(e.coeffs)) for v, e in cons.eliminated}
         want = {v: (c, dict(co)) for v, (c, co) in relations.items()}
-        claims.append(
-            (
-                "implicit constraints match the known relations symbol for symbol",
-                got == want,
-                "; ".join(f"{v} = {e}" for v, e in cons.eliminated),
-            )
+        claim(
+            "implicit constraints match the known relations symbol for symbol",
+            got == want,
+            "; ".join(f"{v} = {e}" for v, e in cons.eliminated),
         )
         report.reduction[f"{target}-constraints"] = cons.as_dict()
 
         reduced = apply_constraints(raw, cons)
-        claims.append(
-            (
-                "substitution reproduces the reduced pencil entry for entry",
-                _problems_equal(reduced, golden),
-                f"{len(reduced.var_names)} variables remain",
-            )
+        claim(
+            "substitution reproduces the reduced pencil entry for entry",
+            _problems_equal(reduced, golden),
+            f"{len(reduced.var_names)} variables remain",
         )
 
         red_res = solve_sdp(to_double(reduced))
@@ -323,20 +293,16 @@ def _reproduce_target(target: str, report: RunReport) -> list[str]:
             and abs(red_res.objective_dual - certified) <= VALUE_TOL
             and red_res.diagnostics.max_abs_variable < 1e3
         )
-        claims.append(
-            (
-                "reduced problem solves cleanly to the certified value",
-                clean,
-                f"status {red_res.status.tag.value}, objective {red_res.objective_dual:.10f}",
-            )
+        claim(
+            "reduced problem solves cleanly to the certified value",
+            clean,
+            f"status {red_res.status.tag.value}, objective {red_res.objective_dual:.10f}",
         )
         report.solver[f"{target}-reduced"] = _solve_summary(red_res)
 
     if target == "problem1":
         verdict = certify.verify_primal_point(golden, bell.problem1_optimal_point())
-        claims.append(
-            ("known optimal point is exactly feasible", verdict.feasible, "mu = 0")
-        )
+        claim("known optimal point is exactly feasible", verdict.feasible, "mu = 0")
         report.verification.append(verdict.as_dict())
         bound = certify.verify_bound_certificate(
             golden, bell.problem1_bound_matrix(), "mu"
@@ -344,72 +310,50 @@ def _reproduce_target(target: str, report: RunReport) -> list[str]:
         ok = isinstance(bound, certify.BoundCertificate) and not bool(
             bound.certified_bound
         )
-        claims.append(
-            (
-                "dual matrix certifies the optimum exactly (mu* = 0)",
-                ok,
-                bound.as_dict().get("certified_bound", "invalid"),
-            )
+        claim(
+            "dual matrix certifies the optimum exactly (mu* = 0)",
+            ok,
+            bound.as_dict().get("certified_bound", "invalid"),
         )
         report.verification.append(bound.as_dict())
     elif target == "problem2":
         verdict = certify.verify_mu2_bound(golden)
-        claims.append(
-            (
-                "pencil is exactly PSD at 5*sqrt5 - 11 and exactly not above",
-                verdict.confirmed,
-                verdict.detail,
-            )
+        claim(
+            "pencil is exactly PSD at 5*sqrt5 - 11 and exactly not above",
+            verdict.confirmed,
+            verdict.detail,
         )
         report.verification.append(verdict.as_dict())
         formula = certify.check_eigenvalue_formula(golden)
-        claims.append(
-            ("closed-form eigenvalue branch confirmed", formula.confirmed, formula.detail)
-        )
+        claim("closed-form eigenvalue branch confirmed", formula.confirmed, formula.detail)
         report.verification.append(formula.as_dict())
-    else:
-        if cert is not None:
-            tiny = abs(red_res.objective_dual) <= 1e-8
-            claims.append(
-                (
-                    "reduced toy optimum is zero to 1e-8",
-                    tiny,
-                    f"objective {red_res.objective_dual:.3e}",
-                )
-            )
+    elif red_res is not None:
+        claim(
+            "reduced toy optimum is zero to 1e-8",
+            abs(red_res.objective_dual) <= 1e-8,
+            f"objective {red_res.objective_dual:.3e}",
+        )
 
+
+def cmd_reproduce(args, report: RunReport) -> tuple[int, str]:
+    for target in list(REPRODUCE) if args.target == "all" else [args.target]:
+        _reproduce_target(target, report)
     lines = []
-    for name, ok, detail in claims:
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {target}: {name}")
-        if not ok:
-            lines.append(f"       {detail}")
-    report.claims.extend(
-        {"target": target, "claim": name, "ok": ok, "detail": detail}
-        for name, ok, detail in claims
-    )
-    return lines
-
-
-def cmd_reproduce(args) -> int:
-    t0 = time.perf_counter()
-    targets = ["problem1", "problem2", "chsh-toy"] if args.target == "all" else [args.target]
-    report = RunReport(command="reproduce", inputs={"target": args.target})
-    lines = [line for target in targets for line in _reproduce_target(target, report)]
-    report.timings["seconds"] = time.perf_counter() - t0
-    ok = all(claim["ok"] for claim in report.claims)
+    for c in report.claims:
+        lines.append(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['target']}: {c['claim']}")
+        if not c["ok"]:
+            lines.append(f"       {c['detail']}")
+    ok = all(c["ok"] for c in report.claims)
     lines.append(f"overall: {'all checks passed' if ok else 'CHECKS FAILED'}")
-    _emit(report, args, "\n".join(lines))
-    return 0 if ok else 1
+    return (0 if ok else 1), "\n".join(lines)
 
 
-def cmd_export(args) -> int:
+def cmd_export(args, report: RunReport) -> tuple[int, str]:
     prob = BUILTINS[args.target]()
-    if args.out_problem:
-        store_problem(prob, args.out_problem)
-        print(f"{args.target} written to {args.out_problem}")
-    else:
-        sys.stdout.write(problem_to_json_str(prob))
-    return 0
+    if not args.out_problem:
+        return 0, problem_to_json_str(prob).removesuffix("\n")
+    store_problem(prob, args.out_problem)
+    return 0, f"{args.target} written to {args.out_problem}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,9 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("reproduce", help="run the bundled end-to-end reproductions")
-    p.add_argument(
-        "target", choices=["problem1", "problem2", "chsh-toy", "all"]
-    )
+    p.add_argument("target", choices=[*REPRODUCE, "all"])
     common(p, problem_file=False)
     p.set_defaults(func=cmd_reproduce)
 
@@ -468,8 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    key = "file" if hasattr(args, "file") else "target"
+    report = RunReport(command=args.command, inputs={key: getattr(args, key)})
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code, text = args.func(args, report)
+        report.timings["seconds"] = time.perf_counter() - t0
     except (
         CliError,
         InvalidProblemError,
@@ -479,14 +425,17 @@ def main(argv=None) -> int:
     ) as exc:
         label = "" if isinstance(exc, CliError) else f"{type(exc).__name__}: "
         print(f"error: {label}{exc}", file=sys.stderr)
-        # reports stay valid JSON on error paths too
-        report = RunReport(
-            command=args.command,
-            inputs={"file": getattr(args, "file", None)},
-            errors=[f"{label}{exc}"],
-        )
-        _emit(report, args)
-        return 1
+        # reports stay valid JSON on error paths too, with the inputs read so far
+        report = RunReport(report.command, report.inputs, errors=[f"{label}{exc}"])
+        code, text = 1, ""
+    if getattr(args, "json", False):
+        sys.stdout.write(report.to_json())
+    elif text:
+        print(text)
+    if getattr(args, "out", None):
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
+    return code
 
 
 if __name__ == "__main__":

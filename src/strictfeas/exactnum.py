@@ -46,7 +46,6 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-Rational = Fraction
 
 #: tolerance used by the float -> exact reconstruction helpers
 RECONSTRUCT_TOL = 1e-6
@@ -257,9 +256,10 @@ def qsign(x) -> int:
 # scalar string grammar
 
 
-_RATIONAL_RE = r"[+-]?\d+(?:/\d+)?"
+# an unsigned p or p/q; a denominator of zeros ("1/0", "1/00") is malformed
+_RATIONAL_RE = r"\d+(?:/0*[1-9]\d*)?"
 _SCALAR_RE = re.compile(
-    rf"^(?P<a>{_RATIONAL_RE})?(?P<b>(?:[+-]|^)(?:\d+(?:/\d+)?\*)?sqrt5)?$"
+    rf"^(?P<a>[+-]?{_RATIONAL_RE})?(?P<b>(?:[+-]|^)(?:{_RATIONAL_RE}\*)?sqrt5)?$"
 )
 
 

@@ -49,6 +49,7 @@ from .exactnum import (
     QUAD_ONE,
     QUAD_ZERO,
     RECONSTRUCT_TOL,
+    NonSymmetricError,
     QSplit,
     QuadCandidates,
     QuadExt,
@@ -168,8 +169,9 @@ class StrictlyFeasible:
     """Verdict that no reducing certificate exists.
 
     `exact` verdicts are proved by linear algebra (the orthogonal slice is
-    trivial); numeric verdicts carry the solver tolerance and are evidence,
-    not proof.
+    trivial) together with a witness y whose F(y) is positive definite, which
+    `detail` names; numeric verdicts carry the solver tolerance and are
+    evidence, not proof.
     """
 
     exact: bool
@@ -643,12 +645,19 @@ def find_reducing_certificate(prob: SdpProblem):
 
 def verify_certificate_matrix(prob: SdpProblem, X) -> list[str]:
     """Exact invariant check for a candidate certificate, an exact matrix or
-    its split; [] when valid.  Every check reads X's one split."""
+    its split; [] when valid, and a wrong shape or an asymmetric X is a
+    problem too.  Every check reads X's one split."""
     X = split(X)
+    n = prob.pencil.n
+    if X.shape != (n, n):
+        return [f"X has shape {X.shape}, expected {(n, n)}"]
     problems = []
     if not any(X.A.flat) and (X.B is None or not any(X.B.flat)):
         problems.append("X is zero")
-    check = psd_check_exact(X)
+    try:
+        check = psd_check_exact(X)
+    except NonSymmetricError:
+        return ["X is not symmetric"]
     if not check.is_psd:
         problems.append(f"X is not PSD (step {check.bad_index})")
     labels = ("F0", *(f"F_{name}" for name in prob.var_names))

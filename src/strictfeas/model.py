@@ -188,12 +188,6 @@ class SdpProblem:
     def var_names(self) -> tuple[str, ...]:
         return self.pencil.var_names
 
-    def b_of(self, name: str) -> object:
-        try:
-            return self.objective[self.var_names.index(name)]
-        except ValueError:
-            raise UnknownVariableError(name) from None
-
 
 def pencil_eval(pencil: MatrixPencil, y: Mapping[str, object]) -> np.ndarray:
     """Evaluate F0 + sum_i y_i F_i; exact when the pencil is exact."""
@@ -329,9 +323,10 @@ def to_exact(prob: SdpProblem) -> SdpProblem:
 #   "offset": value-string, "note": str }
 # with 1-based upper-triangle indices (i <= j) and exact value strings per
 # the exactnum grammar (a reader also takes a JSON integer there, and a
-# number in a double file).  "offset" is the constant added to <b, y>; it is
-# optional, defaults to 0 and is written only when nonzero.  "note" is free
-# text, optional and written only when nonempty.
+# number in a double file).  "n", i and j must be JSON integers.  "offset"
+# is the constant added to <b, y>; it is optional, defaults to 0 and is
+# written only when nonzero.  "note" is free text, optional and written
+# only when nonempty.
 
 
 def _value_to_str(v, scalar: str) -> str:
@@ -357,7 +352,7 @@ def _value_from_json(v, scalar: str, where: str):
         return as_quad(v)
     try:
         return parse_scalar(v)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ValueError(f"{where}: malformed exact scalar {v!r}") from None
 
 
@@ -397,9 +392,14 @@ def problem_to_json(prob: SdpProblem) -> dict:
     return doc
 
 
+def _is_integer(v) -> bool:
+    """A JSON integer: an int that is not a bool (so not 2.0, "2" or true)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def problem_from_json(doc: dict) -> SdpProblem:
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         scalar = doc["scalar"]
         name = doc.get("name", "")
         note = doc.get("note", "")
@@ -407,6 +407,8 @@ def problem_from_json(doc: dict) -> SdpProblem:
         raw_vars = doc["vars"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"problem file missing field: {exc}") from exc
+    if not _is_integer(n):
+        raise ValueError(f"n must be an integer, not {n!r}")
     if scalar not in ("double", "exact"):
         raise ValueError(f"unknown scalar kind {scalar!r}")
     for field, text in (("name", name), ("note", note)):
@@ -421,11 +423,11 @@ def problem_from_json(doc: dict) -> SdpProblem:
     def entries(raw, where):
         out = []
         for k, item in enumerate(listed(raw, where)):
-            try:
-                i, j, v = item
-                i, j = int(i), int(j)
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}[{k}]: expected [i, j, value]") from None
+            if not (
+                isinstance(item, list) and len(item) == 3 and all(map(_is_integer, item[:2]))
+            ):
+                raise ValueError(f"{where}[{k}]: expected [i, j, value] with integer i, j")
+            i, j, v = item
             if not (1 <= i <= j <= n):
                 raise ValueError(
                     f"{where}[{k}]: index ({i},{j}) outside 1-based upper triangle"

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from strictfeas import cli
 from strictfeas.bell import problem1_simplified
 from strictfeas.cli import BUILTINS, _problems_equal, load_problem, main, store_problem
 from strictfeas.exactnum import quad
+from strictfeas.facial import RoundingFailedError
 from strictfeas.model import MatrixPencil, SdpProblem, problem_to_json_str, validate
 
 from helpers import pinned_offset_problem, planted_chain_problem, random_certified_sdp
@@ -102,6 +104,13 @@ class TestLoadStore:
             ("double", {"vars": [{"name": "y", "b": [1]}]}, "vars[0].b: [1] is not"),
             ("double", {"F0": [[1, 1, None]]}, "F0[0]: None is not a scalar value"),
             ("double", {"F0": [[1, 1, "one"]]}, "F0[0]: 'one' is not a number"),
+            ("exact", {"n": 2.9}, "n must be an integer, not 2.9"),
+            ("exact", {"n": "2"}, "n must be an integer, not '2'"),
+            ("exact", {"n": True}, "n must be an integer, not True"),
+            ("exact", {"F0": [[1.7, True, "1"]]}, "F0[0]: expected [i, j, value] with integer"),
+            ("exact", {"F0": [[1, "2", "1"]]}, "F0[0]: expected [i, j, value] with integer"),
+            ("double", {"F0": [[1.0, 1, 1.0]]}, "F0[0]: expected [i, j, value] with integer"),
+            ("exact", {"vars": [{"name": "y", "F": [[1, 2]]}]}, "vars[0].F[0]: expected [i, j"),
         ],
     )
     def test_malformed_problem_file_is_a_reported_error(
@@ -123,6 +132,48 @@ class TestLoadStore:
         assert captured.err.startswith("error: ") and message in captured.err
         (error,) = json.loads(captured.out)["errors"]
         assert message in error
+
+
+def rounding_fails(prob):
+    raise RoundingFailedError("no candidate verified")
+
+
+class TestErrorReports:
+    """`main` writes one report per run; on a caught error it keeps the inputs
+    read so far and adds the error."""
+
+    def test_reproduce_error_names_the_target(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "find_reducing_certificate", rounding_fails)
+        assert main(["reproduce", "chsh-toy", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: RoundingFailedError: no candidate verified\n"
+        doc = json.loads(captured.out)
+        assert doc["command"] == "reproduce"
+        assert doc["inputs"] == {"target": "chsh-toy"}
+        assert doc["errors"] == ["RoundingFailedError: no candidate verified"]
+        assert doc["claims"] == [] and doc["timings"] == {}
+
+    def test_diagnose_error_keeps_the_inputs_of_a_successful_run(
+        self, tmpfile, monkeypatch, capsys
+    ):
+        path = tmpfile("toy.json")
+        write_builtin("chsh-toy", path)
+        assert main(["diagnose", path, "--json"]) == 0
+        ok = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(cli, "find_reducing_certificate", rounding_fails)
+        assert main(["diagnose", path, "--json"]) == 1
+        failed = json.loads(capsys.readouterr().out)
+        assert failed["inputs"] == ok["inputs"] == {"file": path, "name": "chsh-toy-raw"}
+        assert failed["errors"] == ["RoundingFailedError: no candidate verified"]
+        assert failed["reduction"] == {}
+
+    def test_unreadable_file_reports_the_file(self, tmpfile, capsys):
+        path = tmpfile("missing.json")
+        assert main(["solve", path, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["inputs"] == {"file": path}
+        (error,) = doc["errors"]
+        assert error.startswith(f"cannot read {path}")
 
 
 class TestSolveCommand:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from unittest import mock
 from fractions import Fraction
 
@@ -322,9 +323,11 @@ class TestScalarStrings:
     def test_format_parse_round_trip(self, x):
         assert parse_scalar(format_scalar(x)) == x
 
-    @pytest.mark.parametrize("bad", ["1 /2", "2sqrt5", "sqrt5*2", "1/2+", "", "a"])
+    @pytest.mark.parametrize(
+        "bad", ["1 /2", "2sqrt5", "sqrt5*2", "1/2+", "", "a", "1/0", "1/0*sqrt5", "1/2-3/00*sqrt5"]
+    )
     def test_malformed_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'malformed exact scalar {bad!r}')}$"):
             parse_scalar(bad)
 
 

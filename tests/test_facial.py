@@ -798,6 +798,15 @@ class TestExactProductSites:
         with pytest.raises(InconsistentConstraintsError, match="inconsistent"):
             derive_implicit_constraints(prob, [qarray([1, 0])])
 
+    def test_verify_reports_a_wrong_shape_or_asymmetry(self):
+        toy = chsh_toy_pencil()
+        assert verify_certificate_matrix(toy, qarray([[1, 0], [0, 1]])) == [
+            "X has shape (2, 2), expected (5, 5)"
+        ]
+        X = qzeros(5)
+        X[3, 4] = quad(1)
+        assert verify_certificate_matrix(toy, X) == ["X is not symmetric"]
+
     def test_no_range_vectors(self):
         cons = derive_implicit_constraints(planted_chain_problem(), [])
         assert cons == ImplicitConstraintSet(equations=(), eliminated=())

@@ -89,6 +89,13 @@ class TestPencilEval:
         with pytest.raises(ValueError, match="malformed"):
             pencil_eval(prob.pencil, {"y1": "1 / 3", "y2": 0})
 
+    def test_zero_denominator_is_malformed(self):
+        prob = small_exact_problem()
+        with pytest.raises(ValueError, match="malformed exact scalar '1/0'"):
+            pencil_eval(prob.pencil, {"y1": "1/0", "y2": 0})
+        with pytest.raises(ValueError, match="malformed exact scalar '1/0'"):
+            MatrixPencil.from_upper(2, "exact", [(0, 0, "1/0")], [])
+
     def test_inexact_coefficient_rejected(self):
         prob = small_exact_problem()
         with pytest.raises(TypeError, match="y2 is not an exact scalar"):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from strictfeas.cli import main
+from strictfeas.cli import BUILTINS, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -42,3 +42,9 @@ def test_library_example_runs(capsys):
     exec(_block("Library", "python"), {})
     objective = float(capsys.readouterr().out.split()[0])
     assert objective == pytest.approx(0.1803398875, abs=1e-8)
+
+
+def test_builtin_export_targets_are_listed():
+    # in the order `strictfeas export --help` shows them
+    listed = re.search(r"Builtin export\s+targets:(.*?)\.\n", README, re.S).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == sorted(BUILTINS)
