@@ -3,7 +3,8 @@
 Both problems maximize the line parameter mu under membership of the 9x9
 Almost Quantum moment matrix.  Numerically the raw formulations misbehave;
 after the implicit-constraint substitution, the optima are not just stable
-but provable: mu1* = 0 and mu2* = 5*sqrt5 - 11, with zero-tolerance checks.
+but provable: mu1* = 0 and mu2* = 5*sqrt5 - 11, each by a feasible point at
+the optimum and a weak-duality dual matrix, checked with zero tolerance.
 """
 
 from strictfeas import (
@@ -14,7 +15,6 @@ from strictfeas import (
     solve_sdp,
     to_double,
     verify_bound_certificate,
-    verify_mu2_bound,
     verify_primal_point,
 )
 from strictfeas.bell import (
@@ -25,6 +25,8 @@ from strictfeas.bell import (
     problem1_bound_matrix,
     problem1_optimal_point,
     problem1_simplified,
+    problem2_bound_matrix,
+    problem2_optimal_point,
     problem2_simplified,
 )
 
@@ -48,8 +50,11 @@ print("=> the optimum is exactly 0")
 # ---- problem 2: the line from H to the PR box --------------------------
 print("\n== problem 2 ==")
 reduced2 = problem2_simplified()
-verdict = verify_mu2_bound(reduced2)
-print("interval endpoint confirmed?", verdict.confirmed, "at", format_scalar(verdict.value))
+point2 = problem2_optimal_point()
+print("known point feasible (exact)?", verify_primal_point(reduced2, point2).feasible)
+bound2 = verify_bound_certificate(reduced2, problem2_bound_matrix(), "mu")
+print("certified upper bound on mu:", format_scalar(bound2.certified_bound))
+print("=> the optimum is exactly 5*sqrt5 - 11")
 print("closed-form eigenvalue branch:", check_eigenvalue_formula(reduced2).confirmed)
 res = solve_sdp(to_double(reduced2))
 print(f"numeric solve of the reduced pencil: {res.objective_dual:.10f}")

@@ -39,7 +39,6 @@ from .certify import (
     InvalidCertificate,
     check_eigenvalue_formula,
     verify_bound_certificate,
-    verify_mu2_bound,
     verify_primal_point,
 )
 from . import bell
@@ -81,6 +80,5 @@ __all__ = [
     "solve_sdp",
     "to_double",
     "verify_bound_certificate",
-    "verify_mu2_bound",
     "verify_primal_point",
 ]

@@ -49,7 +49,10 @@ class CollinsGisinTable:
                 v = as_quad(M[i, j])
                 if qsign(v) < 0 or qsign(v - 1) > 0:
                     raise ValueError(f"entry ({i},{j}) outside [0,1]")
+        # a read-only copy: the caller's array stays the caller's
+        M = M.copy()
         M.setflags(write=False)
+        object.__setattr__(self, "entries", M)
 
     @staticmethod
     def from_rows(rows) -> "CollinsGisinTable":
@@ -88,6 +91,7 @@ class BuiltinPoints(NamedTuple):
 
 
 ALPHA = quad(Fraction(9, 38), Fraction(-1, 38))  # (9 - sqrt5)/38
+MU2_STAR = quad(-11, 5)  # 5*sqrt5 - 11, the optimum of problem 2
 
 
 def builtin_points() -> BuiltinPoints:
@@ -446,3 +450,17 @@ def problem1_bound_matrix() -> np.ndarray:
     ]
     return qarray(rows) * quad(Fraction(1, 2))
 
+
+def problem2_optimal_point() -> dict:
+    """The feasible assignment of the reduced problem 2 at its optimum."""
+    return {"mu": MU2_STAR}
+
+
+def problem2_bound_matrix() -> np.ndarray:
+    """Exact dual matrix certifying mu <= 5*sqrt5 - 11 for the reduced problem 2.
+
+    X = v v^T with v in the kernel of the pencil at 5*sqrt5 - 11, so
+    <F0, X> + mu* <F_mu, X> = 0, and <F_mu, X> = -(100 + 48 sqrt5)/19 < 0.
+    """
+    v = qarray([[0, "1+sqrt5", 2, "-1-sqrt5", -2, 0, 0, 0, 0]])
+    return v.T * v

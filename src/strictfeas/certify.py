@@ -3,11 +3,12 @@
 Primal feasibility is decided by exact PSD elimination; upper bounds come
 from weak duality: a PSD matrix X with <F_i, X> = 0 for every non-objective
 variable and <F_mu, X> < 0 proves mu <= -<F0, X>/<F_mu, X> for every feasible
-point, since 0 <= <pencil(y), X> = <F0, X> + mu <F_mu, X>.
+point, since 0 <= <pencil(y), X> = <F0, X> + mu <F_mu, X>.  Every dual
+matrix, a bound certificate here or a reducing certificate in `facial`, is
+read by one check, `check_dual_matrix`; each caller judges the pairing.
 
-The bundled problems come with known closed-form data: problem 1 carries a
-feasible point at mu = 0 and a dual matrix certifying mu <= 0; problem 2 is a
-one-variable pencil whose feasible interval ends exactly at 5*sqrt5 - 11.
+The bundled Bell problems each carry a feasible point at their optimum
+(mu = 0 and mu = 5*sqrt5 - 11) and a dual matrix certifying it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bell import MU2_STAR
 from .exactnum import (
     NonSymmetricError,
     PsdCheck,
@@ -28,11 +30,10 @@ from .exactnum import (
     psd_check_exact,
     qsign,
     quad,
+    split,
     to_float,
 )
 from .model import MissingVariableError, SdpProblem, pencil_eval, pencil_pairing
-
-MU2_STAR = quad(-11, 5)  # 5*sqrt5 - 11
 
 
 class WrongShapeError(ValueError):
@@ -64,6 +65,31 @@ def verify_primal_point(prob: SdpProblem, assignment) -> PrimalVerdict:
         witness_index=check.bad_index,
         witness=check.witness,
     )
+
+
+def check_dual_matrix(prob: SdpProblem, X) -> tuple:
+    """(X's split, problems, pairing) of X, an exact matrix or its split,
+    against an exact problem's pencil.
+
+    X is split once.  A non-exact entry, a wrong shape or an asymmetric X is
+    the one problem, with split and pairing None.  Otherwise one exact
+    elimination decides X >= 0 (a failure is the problem) and the pairing is
+    (<F0, X>, <F_1, X>, ..., <F_m, X>), for the caller to judge.
+    """
+    try:
+        S = split(X)
+    except TypeError:
+        return None, ["X has a non-exact entry"], None
+    try:
+        pairing = pencil_pairing(prob.pencil, S)
+    except ValueError as exc:  # X is not n x n, or the pencil is not exact
+        return None, [str(exc)], None
+    try:
+        check = psd_check_exact(S)
+    except NonSymmetricError:
+        return None, ["X is not symmetric"], None
+    problems = [] if check.is_psd else [f"X is not PSD (elimination step {check.bad_index})"]
+    return S, problems, pairing
 
 
 @dataclass(frozen=True)
@@ -100,8 +126,8 @@ def verify_bound_certificate(
 ) -> BoundCertificate | InvalidCertificate:
     """Exactly check X as a weak-duality certificate for maximize objective_var.
 
-    Requires X >= 0, <F_i, X> = 0 for every other variable and
-    <F_obj, X> < 0; then every feasible point satisfies
+    Requires X >= 0 (`check_dual_matrix`), <F_i, X> = 0 for every other
+    variable and <F_obj, X> < 0; then every feasible point satisfies
     objective_var <= -<F0, X> / <F_obj, X>.  All violated conditions are
     reported (Invalid is a value, not an error).
     """
@@ -109,17 +135,10 @@ def verify_bound_certificate(
         return InvalidCertificate(("problem must be exact",))
     if objective_var not in prob.var_names:
         return InvalidCertificate((f"unknown objective variable {objective_var!r}",))
-    n = prob.pencil.n
-    if np.shape(X) != (n, n):
-        return InvalidCertificate((f"X has shape {np.shape(X)}, expected {(n, n)}",))
-    try:
-        check = psd_check_exact(X)
-    except NonSymmetricError:
-        return InvalidCertificate(("X is not symmetric",))
-    violations = []
-    if not check.is_psd:
-        violations.append(f"X is not PSD (elimination step {check.bad_index})")
-    f0_inner, *inner = pencil_pairing(prob.pencil, X)
+    _, violations, pairing = check_dual_matrix(prob, X)
+    if pairing is None:
+        return InvalidCertificate(tuple(violations))
+    f0_inner, *inner = pairing
     for name, ip in zip(prob.var_names, inner):
         if name == objective_var:
             norm = ip
@@ -133,60 +152,6 @@ def verify_bound_certificate(
         return InvalidCertificate(tuple(violations))
     bound = -f0_inner / norm
     return BoundCertificate(X=X, normalization=norm, certified_bound=bound)
-
-
-@dataclass(frozen=True)
-class IntervalBoundVerdict:
-    confirmed: bool
-    value: QuadExt | None
-    detail: str
-
-    def as_dict(self) -> dict:
-        out = {
-            "claim": "one-variable pencil stays PSD exactly up to the claimed value",
-            "verdict": "BoundConfirmed" if self.confirmed else "Failed",
-            "detail": self.detail,
-        }
-        if self.value is not None:
-            out["certified_bound"] = format_scalar(self.value)
-        return out
-
-
-def _single_variable(prob: SdpProblem) -> str:
-    if len(prob.var_names) != 1:
-        raise WrongShapeError(
-            f"expected a one-variable pencil, got {len(prob.var_names)} variables"
-        )
-    return prob.var_names[0]
-
-
-def verify_mu2_bound(prob2_simplified: SdpProblem) -> IntervalBoundVerdict:
-    """Confirm that the reduced problem-2 pencil peaks exactly at 5*sqrt5 - 11.
-
-    Exact checks: PSD at the claimed value, not PSD at the claimed value plus
-    1/1000, 1/100 and 1/10, and PSD at 0 and at half the claimed value.  For
-    a one-variable pencil the feasible parameter set is an interval, so PSD
-    at the value plus failure everywhere sampled above it pins the endpoint.
-    """
-    var = _single_variable(prob2_simplified)
-    mu_star = MU2_STAR
-
-    def check_at(mu) -> PsdCheck:
-        return psd_check_exact(pencil_eval(prob2_simplified.pencil, {var: mu}))
-
-    if not check_at(mu_star).is_psd:
-        return IntervalBoundVerdict(False, None, "pencil is not PSD at the claimed value")
-    for delta in (Fraction(1, 1000), Fraction(1, 100), Fraction(1, 10)):
-        if check_at(mu_star + quad(delta)).is_psd:
-            return IntervalBoundVerdict(
-                False, None, f"pencil stays PSD at claimed value + {delta}"
-            )
-    for below in (quad(0), mu_star / 2):
-        if not check_at(below).is_psd:
-            return IntervalBoundVerdict(
-                False, None, f"pencil is not PSD at {format_scalar(below)}"
-            )
-    return IntervalBoundVerdict(True, mu_star, "exact PSD up to the value, exact failure above")
 
 
 @dataclass(frozen=True)
@@ -218,7 +183,10 @@ def check_eigenvalue_formula(prob2_simplified: SdpProblem) -> FormulaVerdict:
     pencil to 1e-10; the branch vanishes at 5*sqrt5 - 11 and goes negative
     above it.
     """
-    var = _single_variable(prob2_simplified)
+    names = prob2_simplified.var_names
+    if len(names) != 1:
+        raise WrongShapeError(f"expected a one-variable pencil, got {len(names)} variables")
+    (var,) = names
     samples = [quad(0), quad(Fraction(1, 10)), MU2_STAR, quad(Fraction(1, 4))]
     details = []
     for mu in samples:

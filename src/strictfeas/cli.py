@@ -194,8 +194,10 @@ def cmd_reduce(args, report: RunReport) -> tuple[int, str]:
 # reproduce: the full pipeline on the bundled problems with known answers
 
 # target -> (raw problem, hand-entered reduction, known null vectors, known
-# relations, certified optimum).  The lambdas look `bell` and `certify` up when
-# called, so perfbench's tracer, which wraps their functions, sees every call.
+# relations, certified optimum, and for the Bell problems the reduction's
+# exact optimal point and the dual matrix that certifies it).  The lambdas
+# look `bell` and `certify` up when called, so perfbench's tracer, which
+# wraps their functions, sees every call.
 REPRODUCE = {
     "problem1": lambda: (
         bell.almost_quantum_pencil(bell.line1()),
@@ -203,6 +205,8 @@ REPRODUCE = {
         bell.line1_null_vectors(),
         bell.line1_expected_relations(),
         0.0,
+        bell.problem1_optimal_point(),
+        bell.problem1_bound_matrix(),
     ),
     "problem2": lambda: (
         bell.almost_quantum_pencil(bell.line2()),
@@ -210,6 +214,8 @@ REPRODUCE = {
         bell.line2_null_vectors(),
         bell.line2_expected_relations(),
         float(certify.MU2_STAR),
+        bell.problem2_optimal_point(),
+        bell.problem2_bound_matrix(),
     ),
     "chsh-toy": lambda: (
         bell.chsh_toy_pencil(),
@@ -217,6 +223,8 @@ REPRODUCE = {
         bell.toy_null_vectors(),
         bell.toy_expected_relations(),
         0.0,
+        None,
+        None,
     ),
 }
 
@@ -242,7 +250,7 @@ def _reproduce_target(target: str, report: RunReport) -> None:
     def claim(name: str, ok: bool, detail: str) -> None:
         report.claims.append({"target": target, "claim": name, "ok": ok, "detail": detail})
 
-    raw, golden, vectors, relations, certified = REPRODUCE[target]()
+    raw, golden, vectors, relations, certified, point, bound_matrix = REPRODUCE[target]()
 
     raw_res = solve_sdp(to_double(raw))
     claim(
@@ -300,39 +308,30 @@ def _reproduce_target(target: str, report: RunReport) -> None:
         )
         report.solver[f"{target}-reduced"] = _solve_summary(red_res)
 
-    if target == "problem1":
-        verdict = certify.verify_primal_point(golden, bell.problem1_optimal_point())
-        claim("known optimal point is exactly feasible", verdict.feasible, "mu = 0")
+    if point is not None:
+        optimum = format_scalar(point["mu"])
+        verdict = certify.verify_primal_point(golden, point)
+        claim("known optimal point is exactly feasible", verdict.feasible, f"mu = {optimum}")
         report.verification.append(verdict.as_dict())
-        bound = certify.verify_bound_certificate(
-            golden, bell.problem1_bound_matrix(), "mu"
-        )
-        ok = isinstance(bound, certify.BoundCertificate) and not bool(
-            bound.certified_bound
-        )
+        bound = certify.verify_bound_certificate(golden, bound_matrix, "mu")
+        ok = isinstance(bound, certify.BoundCertificate)
+        ok = ok and bound.certified_bound == point["mu"]
         claim(
-            "dual matrix certifies the optimum exactly (mu* = 0)",
+            f"dual matrix certifies the optimum exactly (mu* = {optimum})",
             ok,
             bound.as_dict().get("certified_bound", "invalid"),
         )
         report.verification.append(bound.as_dict())
-    elif target == "problem2":
-        verdict = certify.verify_mu2_bound(golden)
-        claim(
-            "pencil is exactly PSD at 5*sqrt5 - 11 and exactly not above",
-            verdict.confirmed,
-            verdict.detail,
-        )
-        report.verification.append(verdict.as_dict())
-        formula = certify.check_eigenvalue_formula(golden)
-        claim("closed-form eigenvalue branch confirmed", formula.confirmed, formula.detail)
-        report.verification.append(formula.as_dict())
     elif red_res is not None:
         claim(
             "reduced toy optimum is zero to 1e-8",
             abs(red_res.objective_dual) <= 1e-8,
             f"objective {red_res.objective_dual:.3e}",
         )
+    if target == "problem2":
+        formula = certify.check_eigenvalue_formula(golden)
+        claim("closed-form eigenvalue branch confirmed", formula.confirmed, formula.detail)
+        report.verification.append(formula.as_dict())
 
 
 def cmd_reproduce(args, report: RunReport) -> tuple[int, str]:

@@ -194,7 +194,8 @@ class QuadExt:
         return float(self.a) + float(self.b) * SQRT5
 
     def decimal(self, dps: int = 50) -> mpmath.mpf:
-        """Evaluate to a decimal with `dps` digits (the sign oracle)."""
+        """Evaluate to a decimal with `dps` digits, for display; signs are
+        decided exactly by `qsign`, not from this value."""
         with mpmath.workdps(dps):
             value = (
                 mpmath.mpf(self.a.numerator) / self.a.denominator
@@ -647,12 +648,15 @@ class PsdCheck:
     """Outcome of the exact PSD decision.
 
     When not PSD, `bad_index` is the 0-based elimination step that failed and
-    `witness` is an exact vector with witness^T M witness < 0.
+    `witness` is an exact vector with witness^T M witness < 0.  `rank` counts
+    the positive pivots eliminated; for a PSD matrix it is the rank, so M is
+    positive definite iff it is PSD with rank n.
     """
 
     is_psd: bool
     bad_index: int | None = None
     witness: tuple | None = None
+    rank: int = 0
 
     def __bool__(self) -> bool:
         return self.is_psd
@@ -672,6 +676,7 @@ def psd_check_exact(M: np.ndarray) -> PsdCheck:
     times the last positive pivot, which is positive, so every sign is the
     sign of a stored entry; witnesses are divided back by that pivot.  M is
     an exact matrix or its split, and symmetry is decided on the integers.
+    Each positive pivot counts towards `PsdCheck.rank`.
     """
     n, m = M.shape
     if n != m:
@@ -685,6 +690,7 @@ def psd_check_exact(M: np.ndarray) -> PsdCheck:
     A = np.hstack([A, eye])
     B = None if B is None else np.hstack([B, eye * 0])
     prev = (1, 0)
+    rank = 0
 
     def row(i: int) -> np.ndarray:
         return _join(A[i, n:], None if B is None else B[i, n:], 1, prev)
@@ -695,23 +701,24 @@ def psd_check_exact(M: np.ndarray) -> PsdCheck:
     for k in range(n):
         s = qsign(value(k, k))
         if s < 0:
-            return PsdCheck(False, k, tuple(row(k)))
+            return PsdCheck(False, k, tuple(row(k)), rank)
         if s == 0:
             bad = next((j for j in range(k + 1, n) if any(_entry(A, B, k, j))), None)
             if bad is None:
                 continue
             sd = qsign(value(bad, bad))
             if sd < 0:
-                return PsdCheck(False, k, tuple(row(bad)))
+                return PsdCheck(False, k, tuple(row(bad)), rank)
             # u = e_k + t e_bad has value 2 t A[k,bad] + t^2 A[bad,bad] < 0,
             # with A the form of M itself: stored entries are d * prev * A
             t = -value(k, bad) / (QuadExt(*prev) * d if sd == 0 else value(bad, bad))
             Tk, Tbad = row(k), row(bad)
-            return PsdCheck(False, k, tuple(Tk[j] + t * Tbad[j] for j in range(n)))
+            return PsdCheck(False, k, tuple(Tk[j] + t * Tbad[j] for j in range(n)), rank)
         # one congruence step: the trailing block becomes the Schur complement
         _bareiss_step(A, B, range(k + 1, n), range(k + 1, 2 * n), k, k, prev)
         prev = _entry(A, B, k, k)
-    return PsdCheck(True)
+        rank += 1
+    return PsdCheck(True, rank=rank)
 
 
 def primitive_integer_vector(v: Sequence) -> np.ndarray:

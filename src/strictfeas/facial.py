@@ -27,11 +27,12 @@ RoundingFailed, never guessed around.
 Every pencil-wide step reads the pencil's integer split
 (`MatrixPencil.split`), not its Fractions: the float chart is one
 `to_float` of it, the traceless verdict solves over its upper triangles,
-and the face congruence, the exact verification (`pencil_pairing`), the
-derivation and the substitution are products with it; the derivation drops
-zero relations on those integers too.  A problem's
-Fractions are read once; the substitution builds the reduced pencil's split
-from those integers and hands it on, so later rounds never split again.
+and the face congruence, the exact verification (`pencil_pairing`, in
+`certify.check_dual_matrix`), the derivation and the substitution are
+products with it; the derivation drops zero relations on those integers
+too.  A problem's Fractions are read once; the substitution builds the
+reduced pencil's split from those integers and hands it on, so later
+rounds never split again.
 Face rounding stays on integers too: each projector entry is snapped once,
 the projector is split straight from the snapped values and checked,
 reduced and pushed through the congruence as a split, and the candidate
@@ -45,11 +46,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .certify import check_dual_matrix
 from .exactnum import (
     QUAD_ONE,
     QUAD_ZERO,
     RECONSTRUCT_TOL,
-    NonSymmetricError,
     QSplit,
     QuadCandidates,
     QuadExt,
@@ -75,7 +76,6 @@ from .model import (
     UnknownVariableError,
     matrix_entries,
     pencil_eval,
-    pencil_pairing,
 )
 from .solver import solve_sdp
 
@@ -335,8 +335,9 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
 
 
 def _positive_definite(M: np.ndarray) -> bool:
-    """M > 0 exactly: PSD with a trivial kernel."""
-    return bool(psd_check_exact(M)) and not kernel_basis_exact(M)
+    """M > 0 exactly: PSD of full rank, in one elimination."""
+    check = psd_check_exact(M)
+    return check.is_psd and check.rank == len(M)
 
 
 def _alternative_on_chart(prob: SdpProblem, chart) -> SdpProblem:
@@ -645,23 +646,16 @@ def find_reducing_certificate(prob: SdpProblem):
 
 def verify_certificate_matrix(prob: SdpProblem, X) -> list[str]:
     """Exact invariant check for a candidate certificate, an exact matrix or
-    its split; [] when valid, and a wrong shape or an asymmetric X is a
-    problem too.  Every check reads X's one split."""
-    X = split(X)
-    n = prob.pencil.n
-    if X.shape != (n, n):
-        return [f"X has shape {X.shape}, expected {(n, n)}"]
-    problems = []
+    its split; [] when valid.  `check_dual_matrix` reads X once and reports
+    an unreadable or non-PSD X; here X must also be nonzero and orthogonal
+    to F0 and to every F_i."""
+    X, problems, pairing = check_dual_matrix(prob, X)
+    if pairing is None:
+        return problems
     if not any(X.A.flat) and (X.B is None or not any(X.B.flat)):
         problems.append("X is zero")
-    try:
-        check = psd_check_exact(X)
-    except NonSymmetricError:
-        return ["X is not symmetric"]
-    if not check.is_psd:
-        problems.append(f"X is not PSD (step {check.bad_index})")
     labels = ("F0", *(f"F_{name}" for name in prob.var_names))
-    for label, v in zip(labels, pencil_pairing(prob.pencil, X)):
+    for label, v in zip(labels, pairing):
         if bool(v):
             problems.append(f"<{label}, X> = {format_scalar(v)} != 0")
     return problems

@@ -381,7 +381,8 @@ def reference_rref_exact(M, column_order=None):
 
 def reference_psd_check_exact(M):
     """Pivoted symmetric elimination over Q(sqrt5), with the witness rules of
-    `exactnum.psd_check_exact`, one QuadExt operation at a time."""
+    `exactnum.psd_check_exact` and its count of positive pivots, one QuadExt
+    operation at a time."""
     n, m = M.shape
     if n != m:
         raise NonSymmetricError("matrix is not square")
@@ -390,11 +391,12 @@ def reference_psd_check_exact(M):
     A = np.array([[as_quad(x) for x in row] for row in M], dtype=object)
     # current quadratic form = T M T^T
     T = qeye(n)
+    rank = 0
     for k in range(n):
         pivot = A[k, k]
         s = qsign(pivot)
         if s < 0:
-            return PsdCheck(False, k, tuple(T[k]))
+            return PsdCheck(False, k, tuple(T[k]), rank)
         if s == 0:
             bad = next((j for j in range(k + 1, n) if bool(A[k, j])), None)
             if bad is None:
@@ -402,9 +404,9 @@ def reference_psd_check_exact(M):
             d = A[bad, bad]
             sd = qsign(d)
             if sd < 0:
-                return PsdCheck(False, k, tuple(T[bad]))
+                return PsdCheck(False, k, tuple(T[bad]), rank)
             t = -A[k, bad] if sd == 0 else -A[k, bad] / d
-            return PsdCheck(False, k, tuple(T[k, j] + t * T[bad, j] for j in range(n)))
+            return PsdCheck(False, k, tuple(T[k, j] + t * T[bad, j] for j in range(n)), rank)
         factors = {i: A[i, k] / pivot for i in range(k + 1, n) if bool(A[i, k])}
         row_k = [A[k, j] for j in range(n)]
         for i, f in factors.items():
@@ -415,7 +417,8 @@ def reference_psd_check_exact(M):
         for i in factors:
             A[i, k] = QUAD_ZERO
             A[k, i] = QUAD_ZERO
-    return PsdCheck(True)
+        rank += 1
+    return PsdCheck(True, rank=rank)
 
 
 def reference_pencil_eval(pencil, y):

@@ -88,17 +88,21 @@ def test_criterion_2_problem2_optimum():
     just_above = psd_check_exact(
         pencil_eval(prob.pencil, {"mu": mu_star + quad(Fraction(1, 1000))})
     )
+    bound = certify.verify_bound_certificate(prob, bell.problem2_bound_matrix(), "mu")
     res = solve_sdp(to_double(prob))
     elapsed = time.perf_counter() - t0
     ok = (
         at_star.is_psd
         and not just_above.is_psd
+        and isinstance(bound, certify.BoundCertificate)
+        and bound.certified_bound == mu_star
         and res.status.tag is StatusTag.OPTIMAL
         and abs(res.objective_dual - 0.1803398875) <= 1e-6
         and elapsed < 1.0
     )
     report(2, "problem 2: exact PSD at 5*sqrt5-11, exact failure at +1/1000, "
-              "numeric solve within 1e-6", ok, elapsed)
+              "dual certificate of mu <= 5*sqrt5-11, numeric solve within 1e-6",
+           ok, elapsed)
 
 
 def test_criterion_3_null_vector_recovery():

@@ -126,6 +126,15 @@ class TestBuiltinPoints:
         with pytest.raises(ValueError):
             CollinsGisinTable.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
 
+    def test_table_freezes_a_copy(self):
+        # the caller's array stays writable; the table's does not
+        arr = builtin_points().P.entries.copy()
+        table = CollinsGisinTable(arr)
+        arr[0, 1] = quad(Fraction(1, 3))
+        assert table.pB(0) == quad(HALF)
+        with pytest.raises(ValueError, match="read-only"):
+            table.entries[0, 1] = quad(0)
+
 
 class TestLines:
     def test_endpoints(self):

@@ -1,4 +1,4 @@
-"""Exact certification: feasibility, weak-duality bounds, the interval endpoint."""
+"""Exact certification: feasibility, weak-duality bounds of both problems."""
 
 from fractions import Fraction
 
@@ -9,6 +9,8 @@ from strictfeas.bell import (
     problem1_bound_matrix,
     problem1_optimal_point,
     problem1_simplified,
+    problem2_bound_matrix,
+    problem2_optimal_point,
     problem2_simplified,
 )
 from strictfeas.certify import (
@@ -19,16 +21,17 @@ from strictfeas.certify import (
     check_eigenvalue_formula,
     eigenvalue_branch_coefficients,
     verify_bound_certificate,
-    verify_mu2_bound,
     verify_primal_point,
 )
 from strictfeas.exactnum import (
     format_scalar,
+    kernel_basis_exact,
     psd_check_exact,
     qeye,
     qsign,
     quad,
     qzeros,
+    to_float,
 )
 from strictfeas.model import (
     MatrixPencil,
@@ -47,7 +50,12 @@ class TestPrimalPoint:
         assert verdict.feasible
 
     def test_problem2_feasible_at_mu_star(self):
-        verdict = verify_primal_point(problem2_simplified(), {"mu": MU2_STAR})
+        point = problem2_optimal_point()
+        assert point == {"mu": MU2_STAR}
+        assert verify_primal_point(problem2_simplified(), point).feasible
+
+    def test_problem2_feasible_at_zero(self):
+        verdict = verify_primal_point(problem2_simplified(), {"mu": 0})
         assert verdict.feasible
 
     def test_problem2_infeasible_above_mu_star(self):
@@ -90,8 +98,9 @@ class TestBoundCertificate:
             (problem1_bound_matrix()[:3, :3], "X has shape (3, 3), expected (9, 9)"),
             (problem1_bound_matrix()[0], "X has shape (9,), expected (9, 9)"),
             (np.triu(problem1_bound_matrix()), "X is not symmetric"),
+            (np.eye(9), "X has a non-exact entry"),
         ],
-        ids=["3x3", "vector", "upper-triangle"],
+        ids=["3x3", "vector", "upper-triangle", "float"],
     )
     def test_malformed_matrix_is_an_invalid_value(self, X, violation):
         out = verify_bound_certificate(problem1_simplified(), X, "mu")
@@ -150,15 +159,31 @@ class TestBoundCertificate:
         assert doc["certified_bound"] == "0"
 
 
-class TestIntervalBound:
-    def test_bound_confirmed(self):
-        verdict = verify_mu2_bound(problem2_simplified())
-        assert verdict.confirmed
-        assert verdict.value == MU2_STAR
+class TestProblem2Bound:
+    def test_problem2_bound_is_mu_star(self):
+        cert = verify_bound_certificate(problem2_simplified(), problem2_bound_matrix(), "mu")
+        assert isinstance(cert, BoundCertificate)
+        assert cert.certified_bound == MU2_STAR
+        assert cert.normalization == -quad(Fraction(100, 19), Fraction(48, 19))
+        assert cert.as_dict()["certified_bound"] == "-11+5*sqrt5"
 
-    def test_sanity_fat_pencil_fails(self):
-        # replacing the constant term by 2*I keeps PSD above the value, so
-        # the check itself must report failure
+    def test_bound_vector_in_exact_kernel(self):
+        # X = v v^T with F(mu*) v = 0, cross-checked by the numeric
+        # eigensolver finding a near-zero value
+        prob = problem2_simplified()
+        M = pencil_eval(prob.pencil, {"mu": MU2_STAR})
+        X = problem2_bound_matrix()
+        v = X[1] / X[1, 1]  # v_1 = 1 + sqrt5 is nonzero
+        assert all(X[i, j] == X[1, i] * X[1, j] / X[1, 1] for i in range(9) for j in range(9))
+        kernel = kernel_basis_exact(M)
+        assert len(kernel) >= 1
+        for w in (v, *kernel):
+            assert all(not bool(x) for x in mat_vec(M, w))
+        assert min(abs(np.linalg.eigvalsh(to_float(M)))) < 1e-12
+
+    def test_fat_pencil_certifies_another_bound(self):
+        # with 2*I for the constant term the same matrix still certifies, but
+        # its bound is -<2I, X>/<F_mu, X> = -2 tr(X)/<F_mu, X>, not mu*
         base = problem2_simplified()
         pencil = MatrixPencil(
             n=9,
@@ -168,30 +193,12 @@ class TestIntervalBound:
             terms=base.pencil.terms,
         )
         fat = SdpProblem(pencil=pencil, objective=base.objective, name="fat")
-        verdict = verify_mu2_bound(fat)
-        assert not verdict.confirmed
-        assert "stays PSD" in verdict.detail
-
-    def test_wrong_shape(self):
-        with pytest.raises(WrongShapeError):
-            verify_mu2_bound(problem1_simplified())
-
-    def test_psd_at_zero(self):
-        verdict = verify_primal_point(problem2_simplified(), {"mu": 0})
-        assert verdict.feasible
-
-    def test_boundary_kernel_nontrivial(self):
-        # at the endpoint the pencil is singular: exact kernel of dim >= 1,
-        # cross-checked by the numeric eigensolver finding a near-zero value
-        from strictfeas.exactnum import kernel_basis_exact, to_float
-
-        prob = problem2_simplified()
-        M = pencil_eval(prob.pencil, {"mu": MU2_STAR})
-        kernel = kernel_basis_exact(M)
-        assert len(kernel) >= 1
-        for v in kernel:
-            assert all(not bool(x) for x in mat_vec(M, v))
-        assert min(abs(np.linalg.eigvalsh(to_float(M)))) < 1e-12
+        X = problem2_bound_matrix()
+        cert = verify_bound_certificate(fat, X, "mu")
+        assert isinstance(cert, BoundCertificate)
+        want = -2 * sum(X[i, i] for i in range(9)) / cert.normalization
+        assert cert.certified_bound == want
+        assert qsign(cert.certified_bound - MU2_STAR) > 0
 
 
 class TestEigenvalueFormula:

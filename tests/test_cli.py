@@ -308,6 +308,26 @@ class TestReproduceCommand:
         assert "[FAIL]" not in out
         assert "all checks passed" in out
 
+    def test_problem2_bound_comes_from_the_dual_matrix(self, capsys):
+        assert main(["reproduce", "problem2", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        claims = {c["claim"]: c for c in doc["claims"]}
+        assert claims["known optimal point is exactly feasible"]["detail"] == (
+            "mu = -11+5*sqrt5"
+        )
+        bound = claims["dual matrix certifies the optimum exactly (mu* = -11+5*sqrt5)"]
+        assert bound["ok"] and bound["detail"] == "-11+5*sqrt5"
+        assert all(c["ok"] for c in doc["claims"])
+        assert doc["verification"][:2] == [
+            {"claim": "primal point is feasible", "verdict": "Feasible"},
+            {
+                "claim": "objective variable is bounded above",
+                "verdict": "Valid",
+                "certified_bound": "-11+5*sqrt5",
+                "normalization": "-100/19-48/19*sqrt5",
+            },
+        ]
+
     def test_json_stdout_is_only_json(self, capsys):
         assert main(["reproduce", "chsh-toy", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

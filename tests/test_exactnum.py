@@ -488,6 +488,17 @@ def gram_matrices(draw):
 
 
 @st.composite
+def field_gram_matrices(draw, entries):
+    """G^T G with G's entries drawn from `entries` (one field), of any rank."""
+    n = draw(dims1_st)
+    size = draw(st.integers(min_value=0, max_value=n)) * n
+    G = np.empty(size, dtype=object)
+    G[:] = draw(st.lists(entries, min_size=size, max_size=size))
+    G = G.reshape(-1, n)
+    return reference_matmul(G.T, G)
+
+
+@st.composite
 def symmetric_matrices(draw):
     n = draw(dims1_st)
     M = draw(exact_arrays(n, n))
@@ -568,6 +579,19 @@ class TestFractionFree:
         got = psd_check_exact(M)
         assert got.is_psd
         assert_same_check(got, reference_psd_check_exact(M))
+
+    @pytest.mark.parametrize(
+        "entries", [fractions_st, quads_st], ids=["rational", "sqrt5"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_psd_rank_is_the_rank(self, entries, data):
+        # the positive pivots of a PSD matrix count its rank
+        M = data.draw(field_gram_matrices(entries))
+        n = M.shape[0]
+        got = psd_check_exact(M)
+        assert got.is_psd
+        assert got.rank == n - len(kernel_basis_exact(M))
 
     @given(symmetric_matrices())
     @settings(max_examples=80, deadline=None)

@@ -806,6 +806,8 @@ class TestExactProductSites:
         X = qzeros(5)
         X[3, 4] = quad(1)
         assert verify_certificate_matrix(toy, X) == ["X is not symmetric"]
+        # a float X is a problem too, not a TypeError from its split
+        assert verify_certificate_matrix(toy, np.eye(5)) == ["X has a non-exact entry"]
 
     def test_no_range_vectors(self):
         cons = derive_implicit_constraints(planted_chain_problem(), [])
