@@ -3,10 +3,10 @@
 The pipeline: model an SDP as a linear matrix pencil (`model`), solve it with
 an honest interior-point method (`solver`), detect failure of strict
 feasibility through the orthogonal-certificate alternative and substitute the
-implied linear constraints (`facial`), and verify optima analytically over
-Q(sqrt5) (`exactnum`, `certify`).  A Bell-scenario frontend (`bell`) builds
-the bundled Almost Quantum problems whose exact optima are 0 and
-5*sqrt5 - 11.
+implied linear constraints (`facial`), then prove the optimum over Q(sqrt5)
+from the reduced solve (`facial.certify_optimum`, checked by `certify`).  A
+Bell-scenario frontend (`bell`) builds the bundled Almost Quantum problems
+whose exact optima are 0 and 5*sqrt5 - 11.
 """
 
 from .exactnum import (
@@ -29,6 +29,7 @@ from .facial import (
     RoundingFailedError,
     StrictlyFeasible,
     apply_constraints,
+    certify_optimum,
     derive_implicit_constraints,
     find_reducing_certificate,
     reduce_problem,
@@ -63,6 +64,7 @@ __all__ = [
     "StrictlyFeasible",
     "apply_constraints",
     "bell",
+    "certify_optimum",
     "check_eigenvalue_formula",
     "derive_implicit_constraints",
     "diagnostics_report",

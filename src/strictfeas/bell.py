@@ -2,13 +2,14 @@
 
 Covers the 2-party / 2-setting / 2-outcome scenario only.  The 9x9 Almost
 Quantum moment pencil is generated by word reduction over the operator basis
-(1, A0, A1, B0, B1, A0B0, A0B1, A1B0, A1B1) and the bundled problems carry
-known analytical optima used by the certification layer:
+(1, A0, A1, B0, B1, A0B0, A0B1, A1B0, A1B1).  The bundled problems carry
+the source paper's reference data, which `reproduce` checks its answers
+against, and known optima that it proves from the reduced solves:
 
 * problem 1: the line from a local point L to the PR box P; its maximal
   Almost Quantum parameter is exactly 0.
 * problem 2: the line from a Hardy-type point H to the PR box; its maximal
-  Almost Quantum parameter is exactly 5*sqrt5 - 11.
+  Almost Quantum parameter is exactly 5*sqrt5 - 11 (`MU2_STAR`).
 
 All tables and pencils are exact (QuadExt entries); downcast explicitly for
 the numeric solver.
@@ -423,44 +424,3 @@ def line2_expected_relations() -> dict:
 
 def toy_expected_relations() -> dict:
     return {v: (quad(0), {}) for v in ("p00", "p01", "p10", "p11", "b01")}
-
-
-def problem1_optimal_point() -> dict:
-    """A feasible assignment of the reduced problem 1 attaining mu = 0."""
-    return {
-        "mu": quad(0),
-        "a01": quad(Fraction(1, 3)),
-        "b01": quad(Fraction(1, 6)),
-        "c0,01": quad(Fraction(1, 6)),
-    }
-
-
-def problem1_bound_matrix() -> np.ndarray:
-    """Exact dual matrix certifying mu <= 0 for the reduced problem 1."""
-    rows = [
-        [1, -1, -1, 0, -1, 1, 1, 0, 0],
-        [-1, 4, 1, 0, 1, -4, -4, 0, 3],
-        [-1, 1, 1, 0, 1, -1, -1, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [-1, 1, 1, 0, 1, -1, -1, 0, 0],
-        [1, -4, -1, 0, -1, 4, 4, 0, -3],
-        [1, -4, -1, 0, -1, 4, 4, 0, -3],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 3, 0, 0, 0, -3, -3, 0, 3],
-    ]
-    return qarray(rows) * quad(Fraction(1, 2))
-
-
-def problem2_optimal_point() -> dict:
-    """The feasible assignment of the reduced problem 2 at its optimum."""
-    return {"mu": MU2_STAR}
-
-
-def problem2_bound_matrix() -> np.ndarray:
-    """Exact dual matrix certifying mu <= 5*sqrt5 - 11 for the reduced problem 2.
-
-    X = v v^T with v in the kernel of the pencil at 5*sqrt5 - 11, so
-    <F0, X> + mu* <F_mu, X> = 0, and <F_mu, X> = -(100 + 48 sqrt5)/19 < 0.
-    """
-    v = qarray([[0, "1+sqrt5", 2, "-1-sqrt5", -2, 0, 0, 0, 0]])
-    return v.T * v

@@ -1,14 +1,14 @@
 """Exact analytical verification of optima for pencil-form SDPs.
 
 Primal feasibility is decided by exact PSD elimination; upper bounds come
-from weak duality: a PSD matrix X with <F_i, X> = 0 for every non-objective
-variable and <F_mu, X> < 0 proves mu <= -<F0, X>/<F_mu, X> for every feasible
-point, since 0 <= <pencil(y), X> = <F0, X> + mu <F_mu, X>.  Every dual
-matrix, a bound certificate here or a reducing certificate in `facial`, is
-read by one check, `check_dual_matrix`; each caller judges the pairing.
+from weak duality: a PSD matrix X with <F_i, X> = -s b_i for every variable
+and one scale s > 0 proves <b, y> <= <F0, X>/s for every feasible y, since
+0 <= <pencil(y), X> = <F0, X> - s <b, y>.  Every dual matrix, a bound
+certificate here or a reducing certificate in `facial`, is read by one
+check, `check_dual_matrix`; each caller judges the pairing.
 
-The bundled Bell problems each carry a feasible point at their optimum
-(mu = 0 and mu = 5*sqrt5 - 11) and a dual matrix certifying it.
+`facial.certify_optimum` rounds the point and X from a solve: none is stored.
+`check_eigenvalue_formula` checks the paper's closed form for problem 2.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .bell import MU2_STAR
 from .exactnum import (
     NonSymmetricError,
-    PsdCheck,
     QuadExt,
     as_quad,
     format_scalar,
@@ -33,7 +32,7 @@ from .exactnum import (
     split,
     to_float,
 )
-from .model import MissingVariableError, SdpProblem, pencil_eval, pencil_pairing
+from .model import SdpProblem, pencil_eval, pencil_pairing
 
 
 class WrongShapeError(ValueError):
@@ -43,7 +42,6 @@ class WrongShapeError(ValueError):
 @dataclass(frozen=True)
 class PrimalVerdict:
     feasible: bool
-    witness_index: int | None = None
     witness: tuple | None = None
 
     def as_dict(self) -> dict:
@@ -54,17 +52,10 @@ class PrimalVerdict:
 
 
 def verify_primal_point(prob: SdpProblem, assignment) -> PrimalVerdict:
-    """Exact feasibility decision of the pencil at an exact assignment."""
-    missing = [v for v in prob.var_names if v not in assignment]
-    if missing:
-        raise MissingVariableError(f"missing assignment for {missing}")
-    M = pencil_eval(prob.pencil, assignment)
-    check: PsdCheck = psd_check_exact(M)
-    return PrimalVerdict(
-        feasible=check.is_psd,
-        witness_index=check.bad_index,
-        witness=check.witness,
-    )
+    """Exact feasibility decision of the pencil at an exact assignment
+    (MissingVariableError, from `pencil_eval`, when a variable has none)."""
+    check = psd_check_exact(pencil_eval(prob.pencil, assignment))
+    return PrimalVerdict(feasible=check.is_psd, witness=check.witness)
 
 
 def check_dual_matrix(prob: SdpProblem, X) -> tuple:
@@ -94,18 +85,18 @@ def check_dual_matrix(prob: SdpProblem, X) -> tuple:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Weak-duality upper bound on a single objective variable, exact."""
+    """Weak-duality upper bound on the whole objective, exact."""
 
     X: np.ndarray
-    normalization: QuadExt  # <F_mu, X>, necessarily negative
+    scale: QuadExt  # s > 0 with <F_i, X> = -s b_i for every i
     certified_bound: QuadExt
 
     def as_dict(self) -> dict:
         return {
-            "claim": "objective variable is bounded above",
+            "claim": "objective is bounded above",
             "verdict": "Valid",
             "certified_bound": format_scalar(self.certified_bound),
-            "normalization": format_scalar(self.normalization),
+            "scale": format_scalar(self.scale),
         }
 
 
@@ -115,43 +106,45 @@ class InvalidCertificate:
 
     def as_dict(self) -> dict:
         return {
-            "claim": "objective variable is bounded above",
+            "claim": "objective is bounded above",
             "verdict": "Invalid",
             "violations": list(self.violations),
         }
 
 
-def verify_bound_certificate(
-    prob: SdpProblem, X: np.ndarray, objective_var: str
-) -> BoundCertificate | InvalidCertificate:
-    """Exactly check X as a weak-duality certificate for maximize objective_var.
+def verify_bound_certificate(prob: SdpProblem, X) -> BoundCertificate | InvalidCertificate:
+    """Exactly check X, an exact matrix or its split, as a weak-duality
+    certificate for maximize <b, y> + objective_offset.
 
-    Requires X >= 0 (`check_dual_matrix`), <F_i, X> = 0 for every other
-    variable and <F_obj, X> < 0; then every feasible point satisfies
-    objective_var <= -<F0, X> / <F_obj, X>.  All violated conditions are
-    reported (Invalid is a value, not an error).
+    Requires X >= 0 (`check_dual_matrix`) and <F_i, X> = -s b_i for every
+    variable with one scale s > 0, read off the first nonzero b_i; then
+    every feasible y has 0 <= <F(y), X> = <F0, X> - s <b, y>, so the
+    objective is at most <F0, X>/s + objective_offset.  All violated
+    conditions are reported (Invalid is a value, not an error).
     """
-    if prob.pencil.scalar != "exact":
-        return InvalidCertificate(("problem must be exact",))
-    if objective_var not in prob.var_names:
-        return InvalidCertificate((f"unknown objective variable {objective_var!r}",))
-    _, violations, pairing = check_dual_matrix(prob, X)
+    S, violations, pairing = check_dual_matrix(prob, X)  # an inexact pencil is a problem
     if pairing is None:
         return InvalidCertificate(tuple(violations))
+    b = [as_quad(c) for c in prob.objective]
+    lead = next((k for k, c in enumerate(b) if bool(c)), None)
+    if lead is None:
+        return InvalidCertificate(("the objective has no variable term",))
     f0_inner, *inner = pairing
-    for name, ip in zip(prob.var_names, inner):
-        if name == objective_var:
-            norm = ip
-            if qsign(ip) >= 0:
-                violations.append(
-                    f"normalization <F_{name}, X> = {format_scalar(ip)} is not negative"
-                )
-        elif bool(ip):
-            violations.append(f"<F_{name}, X> = {format_scalar(ip)} != 0")
+    scale = -inner[lead] / b[lead]
+    if qsign(scale) <= 0:
+        name = prob.var_names[lead]
+        violations.append(
+            f"scale s = -<F_{name}, X>/b_{name} = {format_scalar(scale)} is not positive"
+        )
+    for name, ip, bi in zip(prob.var_names, inner, b):
+        if ip != -scale * bi:
+            violations.append(
+                f"<F_{name}, X> = {format_scalar(ip)} != -s*b_{name} = {format_scalar(-scale * bi)}"
+            )
     if violations:
         return InvalidCertificate(tuple(violations))
-    bound = -f0_inner / norm
-    return BoundCertificate(X=X, normalization=norm, certified_bound=bound)
+    bound = f0_inner / scale + as_quad(prob.objective_offset)
+    return BoundCertificate(X=S.join(), scale=scale, certified_bound=bound)
 
 
 @dataclass(frozen=True)

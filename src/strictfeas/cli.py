@@ -17,13 +17,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bell, certify
-from .exactnum import format_scalar, row_space_basis_exact
+from .exactnum import format_scalar, quad, row_space_basis_exact
 from .facial import (
     InconsistentConstraintsError,
     RoundingFailedError,
     SolverFailedError,
     StrictlyFeasible,
     apply_constraints,
+    certify_optimum,
     derive_implicit_constraints,
     find_reducing_certificate,
     reduce_problem,
@@ -194,37 +195,30 @@ def cmd_reduce(args, report: RunReport) -> tuple[int, str]:
 # reproduce: the full pipeline on the bundled problems with known answers
 
 # target -> (raw problem, hand-entered reduction, known null vectors, known
-# relations, certified optimum, and for the Bell problems the reduction's
-# exact optimal point and the dual matrix that certifies it).  The lambdas
-# look `bell` and `certify` up when called, so perfbench's tracer, which
-# wraps their functions, sees every call.
+# relations, the paper's exact optimum, which `certify_optimum` must prove
+# from the reduced solve).  The lambdas look `bell` up when called, so
+# perfbench's tracer, which wraps its functions, sees every call.
 REPRODUCE = {
     "problem1": lambda: (
         bell.almost_quantum_pencil(bell.line1()),
         bell.problem1_simplified(),
         bell.line1_null_vectors(),
         bell.line1_expected_relations(),
-        0.0,
-        bell.problem1_optimal_point(),
-        bell.problem1_bound_matrix(),
+        quad(0),
     ),
     "problem2": lambda: (
         bell.almost_quantum_pencil(bell.line2()),
         bell.problem2_simplified(),
         bell.line2_null_vectors(),
         bell.line2_expected_relations(),
-        float(certify.MU2_STAR),
-        bell.problem2_optimal_point(),
-        bell.problem2_bound_matrix(),
+        bell.MU2_STAR,
     ),
     "chsh-toy": lambda: (
         bell.chsh_toy_pencil(),
         bell.chsh_toy_simplified(),
         bell.toy_null_vectors(),
         bell.toy_expected_relations(),
-        0.0,
-        None,
-        None,
+        quad(0),
     ),
 }
 
@@ -250,84 +244,78 @@ def _reproduce_target(target: str, report: RunReport) -> None:
     def claim(name: str, ok: bool, detail: str) -> None:
         report.claims.append({"target": target, "claim": name, "ok": ok, "detail": detail})
 
-    raw, golden, vectors, relations, certified, point, bound_matrix = REPRODUCE[target]()
+    raw, golden, vectors, relations, optimum = REPRODUCE[target]()
 
     raw_res = solve_sdp(to_double(raw))
     claim(
         "raw solve shows the trouble signature",
-        _trouble_signature(raw_res, certified),
+        _trouble_signature(raw_res, float(optimum)),
         f"status {raw_res.status.tag.value}, objective {raw_res.objective_dual:.3e}, "
         f"max |variable| {raw_res.diagnostics.max_abs_variable:.3e}",
     )
     report.solver[f"{target}-raw"] = _solve_summary(raw_res)
 
     cert = find_reducing_certificate(raw)
-    red_res = None
     if isinstance(cert, StrictlyFeasible):
         claim("diagnosis finds a reducing certificate", False, cert.detail)
-    else:
-        # equal spans have equal reduced row-echelon bases
-        bases = [
-            np.array(row_space_basis_exact(np.array(vs, dtype=object)))
-            for vs in (cert.range_vectors, vectors)
-        ]
-        claim(
-            "certificate range matches the known null directions exactly",
-            np.array_equal(*bases),
-            cert.note,
-        )
-        report.reduction[f"{target}-certificate"] = cert.as_dict()
+        return
+    # equal spans have equal reduced row-echelon bases
+    bases = [
+        np.array(row_space_basis_exact(np.array(vs, dtype=object)))
+        for vs in (cert.range_vectors, vectors)
+    ]
+    claim(
+        "certificate range matches the known null directions exactly",
+        np.array_equal(*bases),
+        cert.note,
+    )
+    report.reduction[f"{target}-certificate"] = cert.as_dict()
 
-        cons = derive_implicit_constraints(raw, cert.range_vectors)
-        got = {v: (e.const, dict(e.coeffs)) for v, e in cons.eliminated}
-        want = {v: (c, dict(co)) for v, (c, co) in relations.items()}
-        claim(
-            "implicit constraints match the known relations symbol for symbol",
-            got == want,
-            "; ".join(f"{v} = {e}" for v, e in cons.eliminated),
-        )
-        report.reduction[f"{target}-constraints"] = cons.as_dict()
+    cons = derive_implicit_constraints(raw, cert.range_vectors)
+    got = {v: (e.const, dict(e.coeffs)) for v, e in cons.eliminated}
+    want = {v: (c, dict(co)) for v, (c, co) in relations.items()}
+    claim(
+        "implicit constraints match the known relations symbol for symbol",
+        got == want,
+        "; ".join(f"{v} = {e}" for v, e in cons.eliminated),
+    )
+    report.reduction[f"{target}-constraints"] = cons.as_dict()
 
-        reduced = apply_constraints(raw, cons)
-        claim(
-            "substitution reproduces the reduced pencil entry for entry",
-            _problems_equal(reduced, golden),
-            f"{len(reduced.var_names)} variables remain",
-        )
+    reduced = apply_constraints(raw, cons)
+    claim(
+        "substitution reproduces the reduced pencil entry for entry",
+        _problems_equal(reduced, golden),
+        f"{len(reduced.var_names)} variables remain",
+    )
 
-        red_res = solve_sdp(to_double(reduced))
-        clean = (
-            red_res.status.tag is StatusTag.OPTIMAL
-            and abs(red_res.objective_dual - certified) <= VALUE_TOL
-            and red_res.diagnostics.max_abs_variable < 1e3
-        )
-        claim(
-            "reduced problem solves cleanly to the certified value",
-            clean,
-            f"status {red_res.status.tag.value}, objective {red_res.objective_dual:.10f}",
-        )
-        report.solver[f"{target}-reduced"] = _solve_summary(red_res)
+    red_res = solve_sdp(to_double(reduced))
+    clean = (
+        red_res.status.tag is StatusTag.OPTIMAL
+        and abs(red_res.objective_dual - float(optimum)) <= VALUE_TOL
+        and red_res.diagnostics.max_abs_variable < 1e3
+    )
+    claim(
+        "reduced problem solves cleanly to the certified value",
+        clean,
+        f"status {red_res.status.tag.value}, objective {red_res.objective_dual:.10f}",
+    )
+    report.solver[f"{target}-reduced"] = _solve_summary(red_res)
 
-    if point is not None:
-        optimum = format_scalar(point["mu"])
-        verdict = certify.verify_primal_point(golden, point)
-        claim("known optimal point is exactly feasible", verdict.feasible, f"mu = {optimum}")
-        report.verification.append(verdict.as_dict())
-        bound = certify.verify_bound_certificate(golden, bound_matrix, "mu")
-        ok = isinstance(bound, certify.BoundCertificate)
-        ok = ok and bound.certified_bound == point["mu"]
-        claim(
-            f"dual matrix certifies the optimum exactly (mu* = {optimum})",
-            ok,
-            bound.as_dict().get("certified_bound", "invalid"),
-        )
-        report.verification.append(bound.as_dict())
-    elif red_res is not None:
-        claim(
-            "reduced toy optimum is zero to 1e-8",
-            abs(red_res.objective_dual) <= 1e-8,
-            f"objective {red_res.objective_dual:.3e}",
-        )
+    # the reduced solve, rounded, proves the optimum by weak duality
+    point, feasible, bound = certify_optimum(reduced, red_res)
+    value = sum((b * point[v] for v, b in zip(reduced.var_names, reduced.objective)), quad(0))
+    claim(
+        "rounded optimal point is exactly feasible and attains the optimum",
+        feasible.feasible and value + reduced.objective_offset == optimum,
+        ", ".join(f"{v} = {format_scalar(x)}" for v, x in point.items()),
+    )
+    report.verification.append(feasible.as_dict())
+    claim(
+        f"rounded dual certificate proves the optimum exactly ({format_scalar(optimum)})",
+        bound.certified_bound == optimum,
+        format_scalar(bound.certified_bound),
+    )
+    report.verification.append(bound.as_dict())
     if target == "problem2":
         formula = certify.check_eigenvalue_formula(golden)
         claim("closed-form eigenvalue branch confirmed", formula.confirmed, formula.detail)
@@ -414,7 +402,6 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code, text = args.func(args, report)
-        report.timings["seconds"] = time.perf_counter() - t0
     except (
         CliError,
         InvalidProblemError,
@@ -424,9 +411,10 @@ def main(argv=None) -> int:
     ) as exc:
         label = "" if isinstance(exc, CliError) else f"{type(exc).__name__}: "
         print(f"error: {label}{exc}", file=sys.stderr)
-        # reports stay valid JSON on error paths too, with the inputs read so far
-        report = RunReport(report.command, report.inputs, errors=[f"{label}{exc}"])
+        # reports stay valid JSON on error paths too, with what ran before
+        report.errors.append(f"{label}{exc}")
         code, text = 1, ""
+    report.timings["seconds"] = time.perf_counter() - t0
     if getattr(args, "json", False):
         sys.stdout.write(report.to_json())
     elif text:

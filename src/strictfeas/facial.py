@@ -25,18 +25,13 @@ exactly; a candidate that cannot be rationalized at any rank is surfaced as
 RoundingFailed, never guessed around.
 
 Every pencil-wide step reads the pencil's integer split
-(`MatrixPencil.split`), not its Fractions: the float chart is one
-`to_float` of it, the traceless verdict solves over its upper triangles,
-and the face congruence, the exact verification (`pencil_pairing`, in
-`certify.check_dual_matrix`), the derivation and the substitution are
-products with it; the derivation drops zero relations on those integers
-too.  A problem's Fractions are read once; the substitution builds the
-reduced pencil's split from those integers and hands it on, so later
-rounds never split again.
-Face rounding stays on integers too: each projector entry is snapped once,
-the projector is split straight from the snapped values and checked,
-reduced and pushed through the congruence as a split, and the candidate
-X = W M W^T is one split that the verification reads.
+(`MatrixPencil.split`), not its Fractions: the float chart, the traceless
+verdict, the face congruence, the exact verification, the derivation and
+the substitution, which hands the reduced pencil's split on, so later
+rounds never split again.  Face rounding stays on integers too, up to the
+candidate X = W M W^T that the verification reads.  Its in-face step has
+an affine right-hand side, so it also rounds the bound certificate by
+which `certify_optimum` proves an optimum from a solve.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certify import check_dual_matrix
+from .certify import BoundCertificate, PrimalVerdict, check_dual_matrix, verify_bound_certificate
 from .exactnum import (
     QUAD_ONE,
     QUAD_ZERO,
@@ -77,7 +72,7 @@ from .model import (
     matrix_entries,
     pencil_eval,
 )
-from .solver import solve_sdp
+from .solver import SolveResult, solve_sdp
 
 
 class RoundingFailedError(RuntimeError):
@@ -480,6 +475,11 @@ def _affine_solve_exact(K, rhs) -> tuple | None:
     return particular[:cols], [h[:cols] for h in homogeneous]
 
 
+def _numerical_rank(lam: np.ndarray) -> int:
+    """How many of the ascending eigenvalues lam count toward the rank."""
+    return int(np.sum(lam >= RANK_CUTOFF * max(float(lam[-1]), 1e-300)))
+
+
 def _face_split_certificate(prob: SdpProblem, Xnum: np.ndarray):
     """Certificate extraction by projection, then rounding, rank by rank.
 
@@ -492,8 +492,7 @@ def _face_split_certificate(prob: SdpProblem, Xnum: np.ndarray):
     reason at each rank).
     """
     lam, V = np.linalg.eigh(Xnum)
-    lmax = max(float(lam[-1]), 1e-300)
-    top = int(np.sum(lam >= RANK_CUTOFF * lmax))
+    top = _numerical_rank(lam)
     if top == 0:
         return None, "numerical certificate has rank 0"
     reasons = []
@@ -512,24 +511,23 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     exact entries even though the solver lands at an arbitrary interior point
     of the optimal face.  With the face fixed exactly (its integer basis W),
     the remaining in-face coordinates M of X = W M W^T are forgiving: any
-    nearby rational point keeps M positive definite.  Each rung of the
-    rounding ladder is tried in turn.  Returns (certificate, None) or
-    (None, reason of the last failed rung).
+    nearby rational point keeps M positive definite (`_round_in_face`).
+    Each rung of the rounding ladder is tried in turn.  Returns
+    (certificate, None) or (None, reason of the last failed rung).
 
     The projector's entries are snapped once for all rungs (`_Snaps`), and
-    from there the exact work stays on integer splits: P is split straight
-    from the snapped scalars, and its projector test, its row space, the
-    face congruence, X and X's verification all read splits.  When M is
-    nonsingular, range(X) = range(W) = rowspace(P), whose reduced row
-    echelon basis is unique, so W's columns are X's range vectors.
+    P is split straight from the snapped scalars.  When M is nonsingular,
+    range(X) = range(W) = rowspace(P), whose reduced row echelon basis is
+    unique, so W's columns are X's range vectors.
     """
     p = prob.pencil
     n = p.n
     r = Vr.shape[1]
     snaps = _Snaps((Vr @ Vr.T)[np.triu_indices(n)])
     reason = "projector rounding never succeeded"
-    for den, extension, tol in ROUNDING_LADDER:
-        coords = snaps.at(den, extension, tol)
+    for rung in ROUNDING_LADDER:
+        den, extension, _ = rung
+        coords = snaps.at(*rung)
         if coords is None:
             reason = f"projector entries not representable at max_den={den}"
             continue
@@ -543,37 +541,15 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
             continue
         Wcols = [primitive_integer_vector(w) for w in Wrows]
         W = split(np.array(Wcols, dtype=object).T)
-        # face-restricted slice: M symmetric r x r with
         # <W^T Q W, M> = 0 for every pencil matrix Q and tr(W^T W M) = 1
-        K = qconcat(
-            [_upper_functionals(W.T @ p.split @ W), _upper_functionals(W.T @ W)[None]]
+        rows = qconcat([W.T @ p.split @ W, (W.T @ W)[None]])
+        rhs = [QUAD_ZERO] * (p.m + 1) + [QUAD_ONE]
+        found, reason = _round_in_face(
+            W, rows, rhs, Xnum, [rung], lambda X: (X, verify_certificate_matrix(prob, X))
         )
-        rhs = [QUAD_ZERO] * (K.shape[0] - 1) + [QUAD_ONE]
-        solved = _affine_solve_exact(K, rhs)
-        if solved is None:
-            reason = f"face slice at max_den={den} is inconsistent"
+        if found is None:
             continue
-        particular, homogeneous = solved
-        Wpinv = np.linalg.pinv(to_float(W))
-        mflat = (Wpinv @ Xnum @ Wpinv.T)[np.triu_indices(r)]
-        s = []
-        if homogeneous:
-            Hf = np.array([to_float(h) for h in homogeneous]).T
-            shat, *_ = np.linalg.lstsq(Hf, mflat - to_float(particular), rcond=None)
-            s = _Snaps(shat).at(den, extension, tol)
-            if s is None:
-                reason = f"face coordinates not representable at max_den={den}"
-                continue
-        mcoords = np.array(particular, dtype=object)
-        for sj, h in zip(s, homogeneous):
-            if bool(sj):
-                mcoords = mcoords + as_quad(sj) * np.asarray(h, dtype=object)
-        M = _symmetric_split(mcoords, r)
-        X = W @ M @ W.T
-        problems = verify_certificate_matrix(prob, X)
-        if problems:
-            reason = f"face rounding at max_den={den}: " + "; ".join(problems)
-            continue
+        X, M = found
         if kernel_basis_exact(M):
             vectors = tuple(primitive_integer_vector(v) for v in row_space_basis_exact(X))
         else:
@@ -584,6 +560,38 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
             + f"; rank {len(vectors)}"
         )
         return ReducingCertificate(X=X.join(), range_vectors=vectors, note=note), None
+    return None, reason
+
+
+def _round_in_face(W: QSplit, rows: QSplit, rhs, Xnum: np.ndarray, rungs, verify):
+    """X = W M W^T for a symmetric M with <rows_k, M> = rhs_k exactly:
+    ((result, M), None) at the first rung where `verify(X)` returns (result,
+    no problems), else (None, reason).  M = particular + sum_j s_j h_j from
+    one exact solve, s fitted to Xnum and snapped; the solutions are one
+    split, so each rung's M is one product on the integers.
+    """
+    r = W.shape[1]
+    solved = _affine_solve_exact(_upper_functionals(rows), rhs)
+    if solved is None:
+        return None, "face slice is inconsistent"
+    basis = split(np.array([solved[0], *solved[1]], dtype=object))
+    Wpinv = np.linalg.pinv(to_float(W))
+    mflat = (Wpinv @ Xnum @ Wpinv.T)[np.triu_indices(r)]
+    # to_float of a split is float(QuadExt) bit for bit, row by row
+    Bf = to_float(basis)
+    snaps = _Snaps(np.linalg.lstsq(Bf[1:].T, mflat - Bf[0], rcond=None)[0])
+    reason = "no rung to try"
+    for den, extension, tol in rungs:
+        s = snaps.at(den, extension, tol)
+        if s is None:
+            reason = f"face coordinates not representable at max_den={den}"
+            continue
+        M = _symmetric_split(split([Fraction(1), *s]) @ basis, r)
+        result, problems = verify(W @ M @ W.T)
+        if problems:
+            reason = f"face rounding at max_den={den}: " + "; ".join(problems)
+            continue
+        return (result, M), None
     return None, reason
 
 
@@ -642,6 +650,54 @@ def find_reducing_certificate(prob: SdpProblem):
             f"could not rationalize the numerical certificate: {reason}"
         )
     return cert
+
+
+KERNEL_TOL = 1e-9  # float eigenvalues of F(y) this close to 0 pass the screen
+
+
+def certify_optimum(
+    prob: SdpProblem, res: SolveResult
+) -> tuple[dict, PrimalVerdict, BoundCertificate]:
+    """Prove an exact problem's optimum from `res`, its numeric solve: (an
+    exact y, the verdict F(y) >= 0, a bound certificate), or
+    RoundingFailedError.
+
+    y* is snapped rung by rung until F(y) is exactly PSD with a kernel as
+    large as the solver X's numerical rank.  X = W M W^T over an integer
+    kernel basis W with <W^T F_i W, M> = -b_i (`_round_in_face`) has
+    <F(y), X> = 0, so it bounds the objective by its value at y: zero gap.
+    Only a strictly feasible (reduced) problem's solve is worth rounding.
+    """
+    p = prob.pencil
+    rank = max(1, _numerical_rank(np.linalg.eigvalsh(res.X)))
+    snaps = _Snaps([res.y[v] for v in p.var_names])
+    rhs = [-as_quad(c) for c in prob.objective]
+
+    def bound(X):
+        out = verify_bound_certificate(prob, X)
+        return out, getattr(out, "violations", ())
+
+    reason = "no rung to try"
+    for den, extension, tol in ROUNDING_LADDER:
+        at = f"y at max_den={den}" + (" over Q(sqrt5)" if extension else "")
+        y = snaps.at(den, extension, tol)
+        if y is None:
+            reason = f"{at} is not representable"
+            continue
+        point = dict(zip(p.var_names, map(as_quad, y)))
+        F = split(pencil_eval(p, point))
+        # the float spectrum screens out what the exact check would reject
+        lamF = np.linalg.eigvalsh(to_float(F))
+        check = lamF[0] >= -KERNEL_TOL and np.sum(lamF <= KERNEL_TOL) >= rank and psd_check_exact(F)
+        if not (check and p.n - check.rank >= rank):
+            reason = f"{at}: F(y) is not exactly PSD with a kernel of dimension {rank}"
+            continue
+        W = split(np.array([primitive_integer_vector(w) for w in kernel_basis_exact(F)]).T)
+        found, why = _round_in_face(W, (W.T @ p.split @ W)[1:], rhs, res.X, ROUNDING_LADDER, bound)
+        if found is not None:
+            return point, PrimalVerdict(feasible=True), found[0]
+        reason = f"{at}: {why}"
+    raise RoundingFailedError(f"could not certify the optimum: {reason}")
 
 
 def verify_certificate_matrix(prob: SdpProblem, X) -> list[str]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from strictfeas.bell import MU2_STAR
 from strictfeas.exactnum import (
     QUAD_ONE,
     QUAD_ZERO,
@@ -123,13 +124,17 @@ def pinned_offset_problem() -> SdpProblem:
 GOLDEN = quad("1/2", "1/2")
 
 
-def _unimodular(rng: np.random.Generator, n: int, ops: int) -> np.ndarray:
-    """Integer U with det 1, a product of random row additions."""
+def _unimodular(rng: np.random.Generator, n: int, ops: int) -> tuple:
+    """Integer U with det 1, a product of random row additions, and its
+    integer inverse."""
     U = np.eye(n, dtype=np.int64)
+    Uinv = np.eye(n, dtype=np.int64)
     for _ in range(ops):
         i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
-        U[i, :] += int(rng.choice((-1, 1))) * U[j, :]
-    return U
+        t = int(rng.choice((-1, 1)))
+        U[i, :] += t * U[j, :]  # U <- (I + t e_i e_j^T) U
+        Uinv[:, j] -= t * Uinv[:, i]  # Uinv <- Uinv (I - t e_i e_j^T)
+    return U, Uinv
 
 
 def planted_chain(
@@ -146,7 +151,7 @@ def planted_chain(
     the chain.  S' = U^T S U with a random unimodular U hides the chain;
     for d = 2 this is the planted-reduce benchmark problem.
     """
-    U = _unimodular(rng, n, ops=2 * n)
+    U, _ = _unimodular(rng, n, ops=2 * n)
     hide = lambda M: U.T @ M @ U  # noqa: E731
 
     def exact(M):
@@ -185,6 +190,40 @@ def planted_chain(
     )
 
 
+def interior_problem(rng: np.random.Generator, n: int, m: int, rank: int):
+    """A strictly feasible exact SDP with a known integer optimum.
+
+    X* = P Dx P^T and Z* = P^-T Dz P^-1 for a unimodular P and complementary
+    positive integer diagonals, so <X*, Z*> = 0 and rank X* + rank Z* = n:
+    a strictly complementary pair.  F_1 = B B^T + n I is positive definite,
+    F0 = Z* - sum_k y*_k F_k and b_k = -<F_k, X*>.  Weak duality bounds every
+    feasible <b, y> by <F0, X*>, the integer point y* attains it, and
+    y* + t e_1 is strictly feasible for t > 0.  Returns (problem, optimum).
+    """
+    P, Pinv = _unimodular(rng, n, ops=n)
+    dx = np.concatenate([rng.integers(1, 4, size=rank), np.zeros(n - rank, np.int64)])
+    dz = np.concatenate([np.zeros(rank, np.int64), rng.integers(1, 4, size=n - rank)])
+    Xstar = P @ np.diag(dx) @ P.T
+    Zstar = Pinv.T @ np.diag(dz) @ Pinv
+    B = rng.integers(-2, 3, size=(n, n))
+    terms = [B @ B.T + n * np.eye(n, dtype=np.int64)]
+    for _ in range(m - 1):
+        S = rng.integers(-2, 3, size=(n, n))
+        terms.append(S + S.T)
+    ystar = rng.integers(-2, 3, size=m)
+    F0 = Zstar - sum(int(yk) * Fk for yk, Fk in zip(ystar, terms))
+    pencil = MatrixPencil(
+        n=n,
+        scalar="exact",
+        f0=qarray(F0.tolist()),
+        var_names=tuple(f"y{k}" for k in range(m)),
+        terms=tuple(qarray(T.tolist()) for T in terms),
+    )
+    objective = tuple(quad(-int(np.sum(T * Xstar))) for T in terms)
+    prob = SdpProblem(pencil=pencil, objective=objective, name=f"interior-{n}x{m}-{rank}")
+    return prob, int(np.sum(F0 * Xstar))
+
+
 def golden_face_problem() -> SdpProblem:
     """A face whose projector is irrational, hidden by a Q(sqrt5) congruence.
 
@@ -217,6 +256,53 @@ def golden_face_problem() -> SdpProblem:
     )
     objective = (quad(0),) * 4 + (quad(-1),)
     return SdpProblem(pencil=pencil, objective=objective, name="golden-face")
+
+
+# ---------------------------------------------------------------------------
+# the reduced Bell problems' optima, entered by hand from the source paper:
+# reference answers for the certificates that `facial.certify_optimum`
+# computes, never an input of the program
+
+
+def problem1_optimal_point() -> dict:
+    """A feasible assignment of the reduced problem 1 attaining mu = 0."""
+    return {
+        "mu": quad(0),
+        "a01": quad(Fraction(1, 3)),
+        "b01": quad(Fraction(1, 6)),
+        "c0,01": quad(Fraction(1, 6)),
+    }
+
+
+def problem1_bound_matrix() -> np.ndarray:
+    """Exact dual matrix certifying mu <= 0 for the reduced problem 1."""
+    rows = [
+        [1, -1, -1, 0, -1, 1, 1, 0, 0],
+        [-1, 4, 1, 0, 1, -4, -4, 0, 3],
+        [-1, 1, 1, 0, 1, -1, -1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [-1, 1, 1, 0, 1, -1, -1, 0, 0],
+        [1, -4, -1, 0, -1, 4, 4, 0, -3],
+        [1, -4, -1, 0, -1, 4, 4, 0, -3],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 3, 0, 0, 0, -3, -3, 0, 3],
+    ]
+    return qarray(rows) * quad(Fraction(1, 2))
+
+
+def problem2_optimal_point() -> dict:
+    """The feasible assignment of the reduced problem 2 at its optimum."""
+    return {"mu": MU2_STAR}
+
+
+def problem2_bound_matrix() -> np.ndarray:
+    """Exact dual matrix certifying mu <= 5*sqrt5 - 11 for the reduced problem 2.
+
+    X = v v^T with v in the kernel of the pencil at 5*sqrt5 - 11, so
+    <F0, X> + mu* <F_mu, X> = 0, and <F_mu, X> = -(100 + 48 sqrt5)/19 < 0.
+    """
+    v = qarray([[0, "1+sqrt5", 2, "-1-sqrt5", -2, 0, 0, 0, 0]])
+    return v.T * v
 
 
 def mat_vec(M, v):

@@ -27,13 +27,19 @@ from strictfeas.exactnum import (
 from strictfeas.facial import (
     ReducingCertificate,
     apply_constraints,
+    certify_optimum,
     derive_implicit_constraints,
     find_reducing_certificate,
 )
 from strictfeas.model import StatusTag, to_double
 from strictfeas.solver import solve_sdp
 
-from helpers import quadratic_form, random_certified_sdp
+from helpers import (
+    problem1_optimal_point,
+    problem2_bound_matrix,
+    quadratic_form,
+    random_certified_sdp,
+)
 
 
 def report(num: int, description: str, ok: bool, elapsed: float | None = None):
@@ -61,16 +67,16 @@ def problems_equal(a, b) -> bool:
 
 
 def test_criterion_1_problem1_optimum_certified_exactly():
-    # the timed budget covers the exact certification; the end-to-end
-    # reproduction (which also runs the numeric stages) is asserted untimed
+    # the timed budget covers the reduced solve and its exact rounding; the
+    # end-to-end reproduction is asserted untimed
     t0 = time.perf_counter()
     prob = bell.problem1_simplified()
-    feas = certify.verify_primal_point(prob, bell.problem1_optimal_point())
-    bound = certify.verify_bound_certificate(prob, bell.problem1_bound_matrix(), "mu")
+    point, feas, bound = certify_optimum(prob, solve_sdp(to_double(prob)))
     elapsed = time.perf_counter() - t0
     ok = (
         feas.feasible
-        and isinstance(bound, certify.BoundCertificate)
+        and point == problem1_optimal_point()
+        and certify.verify_primal_point(prob, point).feasible
         and bound.certified_bound == quad(0)
         and elapsed < 1.0
     )
@@ -88,20 +94,25 @@ def test_criterion_2_problem2_optimum():
     just_above = psd_check_exact(
         pencil_eval(prob.pencil, {"mu": mu_star + quad(Fraction(1, 1000))})
     )
-    bound = certify.verify_bound_certificate(prob, bell.problem2_bound_matrix(), "mu")
     res = solve_sdp(to_double(prob))
+    point, feas, bound = certify_optimum(prob, res)
+    # the reference dual matrix of the source paper certifies the same bound
+    reference = certify.verify_bound_certificate(prob, problem2_bound_matrix())
     elapsed = time.perf_counter() - t0
     ok = (
         at_star.is_psd
         and not just_above.is_psd
-        and isinstance(bound, certify.BoundCertificate)
+        and feas.feasible
+        and point == {"mu": mu_star}
         and bound.certified_bound == mu_star
+        and reference.certified_bound == mu_star
         and res.status.tag is StatusTag.OPTIMAL
         and abs(res.objective_dual - 0.1803398875) <= 1e-6
         and elapsed < 1.0
     )
     report(2, "problem 2: exact PSD at 5*sqrt5-11, exact failure at +1/1000, "
-              "dual certificate of mu <= 5*sqrt5-11, numeric solve within 1e-6",
+              "dual certificate of mu <= 5*sqrt5-11 rounded from the solve, "
+              "numeric solve within 1e-6",
            ok, elapsed)
 
 

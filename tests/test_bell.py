@@ -222,7 +222,7 @@ class TestMomentPencils:
 
 class TestKnownPoints:
     def test_problem1_point_gives_psd_like_matrix_diag(self):
-        from strictfeas.bell import problem1_optimal_point
+        from helpers import problem1_optimal_point
 
         prob = problem1_simplified()
         M = pencil_eval(prob.pencil, problem1_optimal_point())

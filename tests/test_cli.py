@@ -139,8 +139,9 @@ def rounding_fails(prob):
 
 
 class TestErrorReports:
-    """`main` writes one report per run; on a caught error it keeps the inputs
-    read so far and adds the error."""
+    """`main` writes one report per run; on a caught error it keeps what ran
+    before the error (inputs, claims, solver entries, the run's time) and
+    adds the error."""
 
     def test_reproduce_error_names_the_target(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "find_reducing_certificate", rounding_fails)
@@ -151,7 +152,10 @@ class TestErrorReports:
         assert doc["command"] == "reproduce"
         assert doc["inputs"] == {"target": "chsh-toy"}
         assert doc["errors"] == ["RoundingFailedError: no candidate verified"]
-        assert doc["claims"] == [] and doc["timings"] == {}
+        # the raw solve ran before the diagnosis failed, and its results stay
+        assert [c["claim"] for c in doc["claims"]] == ["raw solve shows the trouble signature"]
+        assert list(doc["solver"]) == ["chsh-toy-raw"]
+        assert doc["timings"]["seconds"] > 0
 
     def test_diagnose_error_keeps_the_inputs_of_a_successful_run(
         self, tmpfile, monkeypatch, capsys
@@ -309,24 +313,32 @@ class TestReproduceCommand:
         assert "all checks passed" in out
 
     def test_problem2_bound_comes_from_the_dual_matrix(self, capsys):
+        # both halves of the proof are rounded from the reduced solve
         assert main(["reproduce", "problem2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         claims = {c["claim"]: c for c in doc["claims"]}
-        assert claims["known optimal point is exactly feasible"]["detail"] == (
-            "mu = -11+5*sqrt5"
-        )
-        bound = claims["dual matrix certifies the optimum exactly (mu* = -11+5*sqrt5)"]
+        point = claims["rounded optimal point is exactly feasible and attains the optimum"]
+        assert point["ok"] and point["detail"] == "mu = -11+5*sqrt5"
+        bound = claims["rounded dual certificate proves the optimum exactly (-11+5*sqrt5)"]
         assert bound["ok"] and bound["detail"] == "-11+5*sqrt5"
         assert all(c["ok"] for c in doc["claims"])
         assert doc["verification"][:2] == [
             {"claim": "primal point is feasible", "verdict": "Feasible"},
             {
-                "claim": "objective variable is bounded above",
+                "claim": "objective is bounded above",
                 "verdict": "Valid",
                 "certified_bound": "-11+5*sqrt5",
-                "normalization": "-100/19-48/19*sqrt5",
+                "scale": "1",
             },
         ]
+
+    def test_toy_optimum_is_proved_exactly(self, capsys):
+        assert main(["reproduce", "chsh-toy", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        claims = {c["claim"]: c for c in doc["claims"]}
+        assert claims["rounded dual certificate proves the optimum exactly (0)"]["ok"]
+        assert not any("1e-8" in c["claim"] for c in doc["claims"])
+        assert [v["verdict"] for v in doc["verification"]] == ["Feasible", "Valid"]
 
     def test_json_stdout_is_only_json(self, capsys):
         assert main(["reproduce", "chsh-toy", "--json"]) == 0
@@ -339,7 +351,7 @@ class TestReproduceCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "overall: all checks passed"
         claims = [line for line in lines if line.startswith("[PASS] chsh-toy: ")]
-        assert len(claims) == len(lines) - 1 == 6
+        assert len(claims) == len(lines) - 1 == 7
 
     def test_report_deterministic(self, tmpfile, capsys):
         r1, r2 = tmpfile("r1.json"), tmpfile("r2.json")

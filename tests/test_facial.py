@@ -1,5 +1,7 @@
 """Diagnosis, certificate extraction, constraint derivation, substitution."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,7 +21,6 @@ from strictfeas.bell import (
     line2,
     line2_expected_relations,
     line2_null_vectors,
-    problem1_optimal_point,
     problem1_simplified,
     problem2_simplified,
     toy_expected_relations,
@@ -77,6 +78,7 @@ from helpers import (
     golden_face_problem,
     planted_chain,
     planted_chain_problem,
+    problem1_optimal_point,
     reference_apply_constraints,
     reference_chart_matrices,
     reference_constraint_rows,
@@ -522,6 +524,45 @@ class TestRangeReuse:
         assert cert.note == "face-projector rounding at max_den=100; rank 1"
 
 
+def certificate_digest(certs) -> str:
+    """sha256 of the certificates' report form, canonical JSON."""
+    doc = json.dumps([c.as_dict() for c in certs], sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+class TestPinnedCertificates:
+    """Certificates stay byte-identical across refactors of the rounding:
+    the digests of their report form are pinned."""
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (lambda: almost_quantum_pencil(line1()),
+             "ce321ebcb74b23c8ea75c019c33ec476276682800374f16cc82f47cdfadd2371"),
+            (lambda: almost_quantum_pencil(line2()),
+             "7e25097bd96b5bd31ca94317d1ef37c73abe7a467e297a09414946bd221cba7f"),
+            (chsh_toy_pencil,
+             "93a0b3ce8235df69b9e1b4c79278fbea4347ac445c6a8486e0d8a561870194da"),
+        ],
+        ids=["line1", "line2", "toy"],
+    )
+    def test_bundled_raw_problems(self, make, digest):
+        assert certificate_digest([find_reducing_certificate(make())]) == digest
+
+    @pytest.mark.parametrize("sqrt5", [False, True], ids=["Q", "Q(sqrt5)"])
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (4, "5fa2e4104557dca61991fe2017fc22a542c02982f24dfcf090698a1cfeced3da"),
+            (8, "f0fdc5458dd92c57e53f2f758b4df447546cfc18e86b30fe489d49bb2cb01e77"),
+        ],
+        ids=["n4", "n8"],
+    )
+    def test_planted_chains_of_degree_two(self, n, digest, sqrt5):
+        _, rounds, _ = reduce_problem(planted_chain(np.random.default_rng(n), n, 2, sqrt5))
+        assert certificate_digest([r.certificate for r in rounds]) == digest
+
+
 class TestAffineSolve:
     def test_particular_and_homogeneous(self):
         K = qarray([[1, 2], [2, 4]])
@@ -779,6 +820,34 @@ class TestSoundness:
         final, rounds, verdict = reduce_problem(chsh_toy_pencil())
         assert len(rounds) == 1
         assert final.var_names == ("pA0", "pA1", "a01")
+
+
+class TestInfeasibleSide:
+    """Infeasible pencils, whose verdicts are wrong today: both tests flip
+    once infeasible input gets an exact Infeasible verdict."""
+
+    @pytest.mark.xfail(strict=True, reason="the numeric branch calls it strictly feasible")
+    def test_strongly_infeasible_pencil_is_never_strictly_feasible(self):
+        # F0 = -diag(1, 2, 3), F_y = diag(1, -1, 1) + (E12 + E21)/3: the
+        # Farkas matrix X = diag(0, 1, 1) has <F_y, X> = 0 and <F0, X> = -5
+        pencil = MatrixPencil.from_upper(
+            3,
+            "exact",
+            [(0, 0, -1), (1, 1, -2), (2, 2, -3)],
+            [("y", [(0, 0, 1), (1, 1, -1), (2, 2, 1), (0, 1, Fraction(1, 3))])],
+        )
+        prob = SdpProblem(pencil=pencil, objective=(quad(0),), name="farkas")
+        X = qarray([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert list(model.pencil_pairing(pencil, X)) == [quad(-5), quad(0)]
+        assert not isinstance(find_reducing_certificate(prob), StrictlyFeasible)
+
+    @pytest.mark.xfail(strict=True, raises=InconsistentConstraintsError)
+    def test_weakly_infeasible_pencil_reduces_to_a_verdict(self):
+        # F(y) = [[y, 1], [1, 0]]: the certificate e2 e2^T implies 1 = 0, an
+        # exact proof of infeasibility that is raised as an error today
+        pencil = MatrixPencil.from_upper(2, "exact", [(0, 1, 1)], [("y", [(0, 0, 1)])])
+        prob = SdpProblem(pencil=pencil, objective=(quad(1),), name="weakly-infeasible")
+        reduce_problem(prob)
 
 
 class TestExactProductSites:
