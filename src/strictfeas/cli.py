@@ -162,10 +162,9 @@ def cmd_diagnose(args, report: RunReport) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def cmd_reduce(args, report: RunReport) -> tuple[int, str]:
-    prob = to_exact(load_problem(args.file))
-    report.inputs["name"] = prob.name
-    reduced, rounds, verdict = reduce_problem(prob)
+def _record_rounds(report: RunReport, rounds, failed=None) -> None:
+    """Every completed round's certificate and constraints, and the verified
+    certificate of a round that failed after its search."""
     report.reduction["rounds"] = [
         {
             "certificate": rnd.certificate.as_dict(),
@@ -176,6 +175,19 @@ def cmd_reduce(args, report: RunReport) -> tuple[int, str]:
     report.reduction["eliminated"] = [
         v for rnd in rounds for v in rnd.constraints.eliminated_names
     ]
+    if failed is not None:
+        report.reduction["failed_round"] = {"certificate": failed.as_dict()}
+
+
+def cmd_reduce(args, report: RunReport) -> tuple[int, str]:
+    prob = to_exact(load_problem(args.file))
+    report.inputs["name"] = prob.name
+    try:
+        reduced, rounds, verdict = reduce_problem(prob)
+    except (InconsistentConstraintsError, RoundingFailedError, SolverFailedError) as exc:
+        _record_rounds(report, exc.rounds, exc.certificate)
+        raise
+    _record_rounds(report, rounds)
     lines = []
     for k, rnd in enumerate(rounds, 1):
         lines.append(f"round {k}: eliminated variables:")

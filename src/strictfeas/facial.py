@@ -877,18 +877,29 @@ def reduce_problem(
     None when the last certificate implied no further substitutions (a fixed
     point, e.g. structurally zero rows that no substitution can remove) or
     the cap hit.
+
+    A RoundingFailedError, SolverFailedError or InconsistentConstraintsError
+    of any round is re-raised carrying what was found before it: `rounds`,
+    the rounds completed, and `certificate`, the failing round's verified
+    certificate (None when its search itself failed).
     """
     rounds: list[ReductionRound] = []
-    current = prob
-    for _ in range(prob.pencil.n):
-        outcome = find_reducing_certificate(current)
-        if isinstance(outcome, StrictlyFeasible):
-            return current, rounds, outcome
-        cons = derive_implicit_constraints(current, outcome.range_vectors)
-        if not cons.eliminated:
-            return current, rounds, None
-        current = apply_constraints(current, cons)
-        rounds.append(
-            ReductionRound(certificate=outcome, constraints=cons, problem=current)
-        )
+    current, pending = prob, None
+    try:
+        for _ in range(prob.pencil.n):
+            outcome = find_reducing_certificate(current)
+            if isinstance(outcome, StrictlyFeasible):
+                return current, rounds, outcome
+            pending = outcome
+            cons = derive_implicit_constraints(current, outcome.range_vectors)
+            if not cons.eliminated:
+                return current, rounds, None
+            current = apply_constraints(current, cons)
+            rounds.append(
+                ReductionRound(certificate=outcome, constraints=cons, problem=current)
+            )
+            pending = None
+    except (RoundingFailedError, SolverFailedError, InconsistentConstraintsError) as exc:
+        exc.rounds, exc.certificate = rounds, pending
+        raise
     return current, rounds, None

@@ -17,19 +17,22 @@ The NT point W is computed from the singular values of X^{1/2} Z^{1/2}
 X^{1/2} Z X^{1/2}, whose tiny eigenvalues near the optimum roundoff can push
 below zero although X and Z are both positive definite.
 
-At n <= ~12 an iteration costs numpy and scipy call overhead, not flops, so
-one iteration makes as few calls as its arithmetic allows:
+At n <= ~12 an iteration costs numpy call overhead, not flops, so one
+iteration makes as few calls as its arithmetic allows:
 - one stacked eigh of (X, Z), from which every root and inverse is formed;
 - one SVD for the NT point, one batched matmul and one GEMM for M;
-- one LAPACK dpotrf of M (dpocon reads its condition off the same factor)
-  and two dpotrs per Newton solve, predictor and corrector each;
+- one Cholesky factorization L L^T of M, which is also the test that M is
+  positive definite, and one inverse Li = L^{-1}; each of the four Newton
+  solves (predictor and corrector, each refined once) is then the two
+  matrix-vector products Li^T (Li r), and the exact 1-norm condition number
+  of M is ||M||_1 ||Li^T Li||_1;
 - one stacked eigvalsh for the predictor's two step lengths, one for the
   corrector's;
 - the residuals Rp, Rd and <X, Z> of the accepted merit trial, carried into
   the next iteration rather than recomputed.
 Inner products are flat dot products, a.ravel() @ b.ravel().  Each of these
-is the same float arithmetic as its per-matrix or wrapper form, so the
-iterates do not depend on the layout.
+is the same float arithmetic as its per-matrix form, so the iterates do not
+depend on the layout.
 
 Honesty is the point: when iterates blow up, steps stagnate or the Newton
 system degenerates, the result is reported as NumericalTrouble rather than
@@ -47,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .model import SdpProblem, SolveStatus, StatusTag, pencil_eval, validate
 
@@ -81,6 +83,8 @@ class Diagnostics:
     dual_residual: float = float("inf")
     max_abs_variable: float = 0.0
     min_slack_eigenvalue_estimate: float = float("nan")
+    # exact 1-norm condition number of the last factored Schur complement,
+    # regularization included
     condition_estimate: float = 0.0
     # iterations whose Schur complement was factored only after regularization
     regularized_iterations: int = 0
@@ -155,6 +159,33 @@ def _schur_complement(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     m = A.shape[0]
     WA = (W @ A @ W).reshape(m, -1)
     return _sym(A.reshape(m, -1) @ WA.T)
+
+
+def _factor_schur(M: np.ndarray):
+    """(Li, cond, regularized) for a symmetric Schur complement M.
+
+    Li = L^{-1} for the lower Cholesky factor L of the factored matrix, so
+    its inverse is Li^T Li; cond is that matrix's exact 1-norm condition
+    number.  The factored matrix is M itself when M is positive definite,
+    the Cholesky factorization being the test, else M plus the smallest
+    diagonal shift of (1e-14, 1e-10) times max(tr M / m, 1) that factors
+    (regularized is then True).  Raises LinAlgError when neither does.
+    """
+    m = M.shape[0]
+    for reg_scale in (0.0, 1e-14, 1e-10):
+        Mreg = M
+        if reg_scale:
+            Mreg = M + reg_scale * max(float(np.trace(M)) / m, 1.0) * np.eye(m)
+        try:
+            L = np.linalg.cholesky(Mreg)
+            break
+        except np.linalg.LinAlgError:
+            pass
+    else:
+        raise np.linalg.LinAlgError("Schur complement factorization failed")
+    Li = np.linalg.inv(L)
+    cond = float(np.linalg.norm(Mreg, 1) * np.linalg.norm(Li.T @ Li, 1))
+    return Li, cond, bool(reg_scale)
 
 
 def _max_steps(Xmh: np.ndarray, dX: np.ndarray, Zmh: np.ndarray, dZ: np.ndarray):
@@ -327,22 +358,8 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
                     StatusTag.NUMERICAL_TROUBLE, "Newton system is not finite"
                 )
                 break
-            # dpotrf keeps the upper Cholesky factor in the upper triangle
-            # (clean=0 leaves the lower one as it was); dpotrs and dpocon
-            # read only that triangle
-            for reg_scale in (0.0, 1e-14, 1e-10):
-                Mreg = M + reg_scale * max(float(np.trace(M)) / m, 1.0) * np.eye(m)
-                Mfac, info = dpotrf(Mreg, clean=0)
-                if info == 0:
-                    break
-            else:
-                raise np.linalg.LinAlgError("Schur complement factorization failed")
-            if reg_scale:
-                diag.regularized_iterations += 1
-            # 1-norm condition estimate of the factored matrix, read off its
-            # Cholesky factor (LAPACK dpocon) in O(m^2)
-            rcond, _ = dpocon(Mfac, np.linalg.norm(Mreg, 1))
-            cond = 1.0 / float(rcond) if rcond > 0 else np.inf
+            Li, cond, regularized = _factor_schur(M)
+            diag.regularized_iterations += regularized
             # near convergence the Schur complement conditioning always
             # degrades (~1/mu); it only signals trouble while the gap is
             # still far from tolerance
@@ -356,11 +373,11 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
 
             def newton(Rc: np.ndarray):
                 rhs = Rp - a_of(Rc) + a_of(WRdW)
-                dy = dpotrs(Mfac, rhs)[0]
+                dy = Li.T @ (Li @ rhs)
                 # after a full step the primal residual is this solve's
                 # residual; refining once against the operator shrinks it
                 r = rhs - a_of(W @ at_of(dy) @ W)
-                dy = dy + dpotrs(Mfac, r)[0]
+                dy = dy + Li.T @ (Li @ r)
                 dZ = Rd - at_of(dy)
                 dX = _sym(Rc - W @ dZ @ W)
                 return dy, dZ, dX
@@ -435,7 +452,7 @@ def diagnostics_report(res: SolveResult) -> str:
         f"iterations: {d.iterations}",
         f"largest iterate magnitude: {d.max_abs_variable:.3e}",
         f"min slack eigenvalue estimate: {d.min_slack_eigenvalue_estimate:.3e}",
-        f"Newton system condition estimate: {d.condition_estimate:.3e}",
+        f"Newton system condition number (1-norm): {d.condition_estimate:.3e}",
         f"iterations with a regularized Newton system: {d.regularized_iterations}",
     ]
     troubled = (not res.status.is_optimal) or d.max_abs_variable > 1e6

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from strictfeas import cli
+from strictfeas import cli, facial
 from strictfeas.bell import problem1_simplified
 from strictfeas.cli import BUILTINS, _problems_equal, load_problem, main, store_problem
 from strictfeas.exactnum import quad
@@ -170,6 +170,45 @@ class TestErrorReports:
         assert failed["inputs"] == ok["inputs"] == {"file": path, "name": "chsh-toy-raw"}
         assert failed["errors"] == ["RoundingFailedError: no candidate verified"]
         assert failed["reduction"] == {}
+
+    def test_reduce_error_keeps_the_certificate_found_before_it(self, tmpfile, capsys):
+        # F(y) = [[y, 1], [1, 0]]: e2 e2^T is a verified certificate, and its
+        # relation 1 = 0 is inconsistent
+        path, rep = tmpfile("weak.json"), tmpfile("weak-report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(
+                {"name": "weak", "n": 2, "scalar": "exact", "F0": [[1, 2, "1"]],
+                 "vars": [{"name": "y", "b": "0", "F": [[1, 1, "1"]]}]},
+                fh,
+            )
+        assert main(["reduce", path, "--report", rep]) == 1
+        assert capsys.readouterr().err == (
+            "error: InconsistentConstraintsError: the implied linear relations "
+            "are inconsistent: the original SDP is infeasible\n"
+        )
+        reduction = json.load(open(rep))["reduction"]
+        assert reduction["rounds"] == [] and reduction["eliminated"] == []
+        cert = reduction["failed_round"]["certificate"]
+        assert cert["X"] == [[2, 2, "1"]]
+        assert cert["range_vectors"] == [["0", "1"]]
+
+    def test_reduce_error_keeps_the_completed_rounds(self, tmpfile, monkeypatch, capsys):
+        search = facial.find_reducing_certificate
+        calls = []
+
+        def second_round_fails(prob):
+            calls.append(prob)
+            return search(prob) if len(calls) == 1 else rounding_fails(prob)
+
+        monkeypatch.setattr(facial, "find_reducing_certificate", second_round_fails)
+        path = tmpfile("chain.json")
+        store_problem(planted_chain_problem(), path)
+        assert main(["reduce", path, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["errors"] == ["RoundingFailedError: no candidate verified"]
+        assert doc["reduction"]["eliminated"] == ["a"]
+        assert len(doc["reduction"]["rounds"]) == 1
+        assert "failed_round" not in doc["reduction"]
 
     def test_unreadable_file_reports_the_file(self, tmpfile, capsys):
         path = tmpfile("missing.json")

@@ -532,22 +532,37 @@ def certificate_digest(certs) -> str:
 
 class TestPinnedCertificates:
     """Certificates stay byte-identical across refactors of the rounding:
-    the digests of their report form are pinned."""
+    the digests of their report form are pinned.  A bundled certificate's
+    face, the RREF of its range vectors, and its note are pinned apart in
+    the clear: when the margin problem's optimal face is not a single point,
+    a change of the solver's float path may move X inside the face, never
+    the face itself."""
 
     @pytest.mark.parametrize(
-        "make, digest",
+        "make, digest, rref, note",
         [
             (lambda: almost_quantum_pencil(line1()),
-             "ce321ebcb74b23c8ea75c019c33ec476276682800374f16cc82f47cdfadd2371"),
+             "be61f75114a323f0fa7d2e05c97d1fbaba583bc18448d13c4a3064214a6229e6",
+             [[1, 0, -1, 0, -1, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0, 0, -1, 0]],
+             "face-projector rounding at max_den=100; rank 2"),
             (lambda: almost_quantum_pencil(line2()),
-             "7e25097bd96b5bd31ca94317d1ef37c73abe7a467e297a09414946bd221cba7f"),
+             "7e25097bd96b5bd31ca94317d1ef37c73abe7a467e297a09414946bd221cba7f",
+             [[0, 1, 0, 0, 0, 0, -1, 0, 0], [0, 0, 0, 1, 0, 0, 0, -1, 0],
+              [0, 0, 0, 0, 0, 0, 0, 0, 1]],
+             "face-projector rounding at max_den=100; rank 3"),
             (chsh_toy_pencil,
-             "93a0b3ce8235df69b9e1b4c79278fbea4347ac445c6a8486e0d8a561870194da"),
+             "93a0b3ce8235df69b9e1b4c79278fbea4347ac445c6a8486e0d8a561870194da",
+             [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+             "face-projector rounding at max_den=100; rank 2"),
         ],
         ids=["line1", "line2", "toy"],
     )
-    def test_bundled_raw_problems(self, make, digest):
-        assert certificate_digest([find_reducing_certificate(make())]) == digest
+    def test_bundled_raw_problems(self, make, digest, rref, note):
+        cert = find_reducing_certificate(make())
+        R, _ = rref_exact(np.array(cert.range_vectors, dtype=object))
+        assert R.tolist() == [[quad(x) for x in row] for row in rref]
+        assert cert.note == note
+        assert certificate_digest([cert]) == digest
 
     @pytest.mark.parametrize("sqrt5", [False, True], ids=["Q", "Q(sqrt5)"])
     @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
-"""Package layout: modules share only public names."""
+"""Package layout: modules share only public names and need only numpy and
+mpmath."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import strictfeas
@@ -35,3 +39,20 @@ def test_every_exported_non_class_is_documented():
         and not any(re.search(rf"\b{name}\b", text) for text in texts)
     ]
     assert unused == []
+
+
+def test_a_pipeline_run_imports_no_scipy():
+    # a whole reproduction, not just the import: a lazy import inside a
+    # solve would only move the start-up cost into the first run
+    code = (
+        "import contextlib, io, sys\n"
+        "from strictfeas import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['reproduce', 'chsh-toy'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "0 []\n"
