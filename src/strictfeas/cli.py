@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -103,8 +104,10 @@ class RunReport:
 
 
 def _solve_summary(res: SolveResult) -> dict:
+    """The solve's status and diagnostics; a non-finite float is written as
+    null, since JSON has no Infinity or NaN."""
     d = res.diagnostics
-    return {
+    summary = {
         "status": res.status.tag.value,
         "message": res.status.message,
         "objective_primal": res.objective_primal,
@@ -115,6 +118,10 @@ def _solve_summary(res: SolveResult) -> dict:
         "min_slack_eigenvalue_estimate": d.min_slack_eigenvalue_estimate,
         "condition_estimate": d.condition_estimate,
         "regularized_iterations": d.regularized_iterations,
+    }
+    return {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in summary.items()
     }
 
 

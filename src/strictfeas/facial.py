@@ -10,12 +10,12 @@ relations produces an equivalent, smaller problem that solvers handle
 reliably.
 
 The search runs in floats: an orthonormal float chart of the trace-one
-slice of matrices orthogonal to the pencil, over which the minimum
-eigenvalue is maximized numerically; `build_alternative_problem` is the
-feasibility problem on that same chart.  The one exact claim about the
-slice itself, that it is empty or holds only traceless matrices (an exact
-StrictlyFeasible verdict), is the linear-algebra fact I in span{F0, F_i},
-decided by one exact solve.  The candidate is
+slice of matrices orthogonal to the pencil yields the margin problem
+(`build_alternative_problem`), which maximizes the minimum eigenvalue over
+the slice, and that one solve decides the search's verdict.  The one exact
+claim about the slice itself, that it is empty or holds only traceless
+matrices (an exact StrictlyFeasible verdict), is the linear-algebra fact
+I in span{F0, F_i}, decided by one exact solve.  The candidate is
 rationalized by one path, projection then rounding: the projector onto its
 range is rounded first, which fixes the face exactly, and the coordinates
 inside that face second.  The face's rank is not a setting: the search
@@ -36,7 +36,7 @@ which `certify_optimum` proves an optimum from a solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -218,8 +218,9 @@ def _float_slice_chart(prob: SdpProblem):
     trace functional t, X0 = N tau / |tau|^2 is its minimum-norm trace-one
     point and one QR gives an orthonormal basis B of the complement of tau
     in span N (the traceless directions).  Returns (X0, [B_k]) as float
-    matrices.  When tau is at roundoff level (an empty N gives tau = 0) the
-    slice looks traceless, and `_traceless_verdict` decides that exactly.
+    matrices, or None when tau is at roundoff level (an empty N gives
+    tau = 0): the slice looks traceless, and `_traceless_verdict` decides
+    that exactly.
     """
     p = prob.pencil
     iu, w = _chart_coordinates(p.n)
@@ -232,7 +233,7 @@ def _float_slice_chart(prob: SdpProblem):
     tau = N.T @ diag.astype(float)
     norm = float(np.linalg.norm(tau))
     if norm < TRACE_FLOOR:
-        return _traceless_verdict(prob)
+        return None
     Qtau, _ = np.linalg.qr(tau[:, None], mode="complete")
     coords = np.vstack([N @ tau / norm**2, (N @ Qtau[:, 1:]).T])
     X0, *B = _chart_matrices(coords, p.n)
@@ -335,46 +336,36 @@ def _positive_definite(M: np.ndarray) -> bool:
     return check.is_psd and check.rank == len(M)
 
 
-def _alternative_on_chart(prob: SdpProblem, chart) -> SdpProblem:
-    name = f"{prob.name or 'problem'}-alternative"
-    if isinstance(chart, StrictlyFeasible):
-        pencil = MatrixPencil(
-            n=1, scalar="double", f0=-np.ones((1, 1)), var_names=(), terms=()
-        )
-        return SdpProblem(
-            pencil=pencil,
-            objective=(),
-            name=name,
-            note=f"alternative infeasible: {chart.detail}",
-        )
+def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
+    """The margin SDP of the second alternative, or None on a traceless slice.
+
+    Over the float chart of `_float_slice_chart`, X(z) = X0 + sum_k z_k B_k
+    satisfies <F0, X> = 0, <F_i, X> = 0 and tr X = 1 (the normalization
+    excludes X = 0), to roundoff.  The SDP maximizes t subject to
+    X(z) - t I >= 0: variables z1..zk and slack_margin, terms B_k and -I,
+    objective (0, ..., 0, 1).  Its best margin is the largest minimum
+    eigenvalue on the slice, nonnegative iff a reducing certificate exists.
+    None means the chart finds the slice empty or traceless, which
+    `_traceless_verdict` decides exactly.
+    """
+    chart = _float_slice_chart(prob)
+    if chart is None:
+        return None
     X0, B = chart
+    n = prob.pencil.n
     pencil = MatrixPencil(
-        n=prob.pencil.n,
+        n=n,
         scalar="double",
         f0=X0,
-        var_names=tuple(f"z{k+1}" for k in range(len(B))),
-        terms=tuple(B),
+        var_names=(*(f"z{k+1}" for k in range(len(B))), "slack_margin"),
+        terms=(*B, -np.eye(n)),
     )
     return SdpProblem(
         pencil=pencil,
-        objective=tuple(0.0 for _ in B),
-        name=name,
-        note="trace-normalized feasibility problem of the second alternative",
+        objective=(*(0.0 for _ in B), 1.0),
+        name=f"{prob.name or 'problem'}-alternative-margin",
+        note="trace-normalized margin problem of the second alternative",
     )
-
-
-def build_alternative_problem(prob: SdpProblem) -> SdpProblem:
-    """The feasibility SDP of the second alternative, trace-normalized.
-
-    Over the float chart of `_float_slice_chart`, solutions
-    X(z) = X0 + sum_k z_k B_k satisfy X >= 0, <F0, X> = 0, <F_i, X> = 0 and
-    tr X = 1 (the normalization excludes X = 0), to roundoff.  The objective
-    is zero.  When the slice is exactly empty or traceless the returned
-    problem has an infeasible pencil of dimension 1 (constant -1), encoding
-    exact infeasibility of the alternative.  `find_reducing_certificate`
-    solves this problem with one more variable, the slack margin.
-    """
-    return _alternative_on_chart(prob, _float_slice_chart(prob))
 
 
 # a best slack margin below -FEAS_CUT is numerical evidence that no
@@ -598,32 +589,21 @@ def _round_in_face(W: QSplit, rows: QSplit, rhs, Xnum: np.ndarray, rungs, verify
 def find_reducing_certificate(prob: SdpProblem):
     """Search for a reducing certificate; verify it exactly or report back.
 
-    The trace-one orthogonal slice gets an orthonormal float chart (see
-    `_float_slice_chart`) and the minimum eigenvalue of X(z) is maximized
-    numerically; the interior-point iterate then lands in the relative
-    interior of the optimal face, i.e. at maximal rank.  The problem solved
-    is `build_alternative_problem` plus a slack-margin variable.  When the
-    chart finds the slice empty or traceless, one exact solve proves
-    StrictlyFeasible(exact=True) instead (see `_traceless_verdict`).
-    The candidate is rounded by projection, then rounding, from the rank its
-    spectrum gives down to rank 1 (see `_face_split_certificate`).  Every
+    The float chart of the trace-one orthogonal slice (see
+    `_float_slice_chart`) yields the margin problem that is solved,
+    `build_alternative_problem`, and the search decides every verdict: the
+    minimum eigenvalue of X(z) is maximized numerically, and the
+    interior-point iterate lands in the relative interior of the optimal
+    face, i.e. at maximal rank.  When the chart finds the slice empty or
+    traceless, one exact solve proves StrictlyFeasible(exact=True) instead
+    (see `_traceless_verdict`).  X(z) is read back from the solved pencil
+    and rounded by projection, then rounding, from the rank its spectrum
+    gives down to rank 1 (see `_face_split_certificate`).  Every
     certificate invariant is re-checked exactly.
     """
-    chart = _float_slice_chart(prob)
-    if isinstance(chart, StrictlyFeasible):
-        return chart
-    X0, B = chart
-    n = prob.pencil.n
-    alt = _alternative_on_chart(prob, chart)
-    margin_prob = SdpProblem(
-        pencil=replace(
-            alt.pencil,
-            var_names=(*alt.var_names, "slack_margin"),
-            terms=(*alt.pencil.terms, -np.eye(n)),
-        ),
-        objective=(*alt.objective, 1.0),
-        name=f"{alt.name}-margin",
-    )
+    margin_prob = build_alternative_problem(prob)
+    if margin_prob is None:
+        return _traceless_verdict(prob)
     res = solve_sdp(margin_prob)
     if res.status.tag is not StatusTag.OPTIMAL:
         raise SolverFailedError(
@@ -642,8 +622,9 @@ def find_reducing_certificate(prob: SdpProblem):
             ),
         )
 
-    zhat = [res.y[f"z{k+1}"] for k in range(len(B))]
-    Xnum = X0 + sum((z * Bk for z, Bk in zip(zhat, B)), np.zeros((n, n)))
+    p = margin_prob.pencil
+    zhat = [res.y[v] for v in p.var_names[:-1]]
+    Xnum = p.f0 + sum((z * Bk for z, Bk in zip(zhat, p.terms)), np.zeros((p.n, p.n)))
     cert, reason = _face_split_certificate(prob, Xnum)
     if cert is None:
         raise RoundingFailedError(

@@ -422,6 +422,7 @@ def problem_from_json(doc: dict) -> SdpProblem:
 
     def entries(raw, where):
         out = []
+        placed = set()
         for k, item in enumerate(listed(raw, where)):
             if not (
                 isinstance(item, list) and len(item) == 3 and all(map(_is_integer, item[:2]))
@@ -432,6 +433,10 @@ def problem_from_json(doc: dict) -> SdpProblem:
                 raise ValueError(
                     f"{where}[{k}]: index ({i},{j}) outside 1-based upper triangle"
                 )
+            # a later entry would silently overwrite an earlier one
+            if (i, j) in placed:
+                raise ValueError(f"{where}[{k}]: duplicate entry ({i},{j})")
+            placed.add((i, j))
             out.append((i - 1, j - 1, _value_from_json(v, scalar, f"{where}[{k}]")))
         return out
 

@@ -257,6 +257,8 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
                 np.zeros((0, 0)),
                 0.0,
             )
+        # y = 0 is exactly optimal: no gap and no residuals
+        diag.final_gap = diag.primal_residual = diag.dual_residual = 0.0
         return finish(SolveStatus(StatusTag.OPTIMAL, "zero pencil"), np.zeros(m), np.zeros((0, 0)), 0.0)
 
     dead_vars = ~Aflat.any(axis=1)
@@ -274,6 +276,9 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
         lam = float(np.linalg.eigvalsh(C)[0])
         tag = StatusTag.OPTIMAL if lam >= -FEAS_TOL else StatusTag.PRIMAL_INFEASIBLE
         msg = "no variables" if tag is StatusTag.OPTIMAL else "constant pencil is not PSD"
+        if tag is StatusTag.OPTIMAL:
+            # X = 0 with Z = F0 is exactly optimal: no gap and no residuals
+            diag.final_gap = diag.primal_residual = diag.dual_residual = 0.0
         return finish(SolveStatus(tag, msg), np.zeros(0), np.zeros((n, n)), 0.0)
 
     if np.linalg.matrix_rank(Aflat, tol=1e-12) < m:

@@ -28,6 +28,20 @@ def write_builtin(name, path):
     store_problem(BUILTINS[name](), path)
 
 
+def strict_json(text):
+    """json.loads that rejects Infinity, -Infinity and NaN, as JSON does."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in a JSON report")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def write_doc(doc, path):
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
 class TestLoadStore:
     def test_round_trip_canonical_bytes(self, tmpfile):
         path = tmpfile("p2.json")
@@ -56,6 +70,14 @@ class TestLoadStore:
         with open(path, "w") as fh:
             json.dump(doc, fh)
         assert main(["solve", path]) == 1
+
+    def test_duplicate_entry_rejected(self, tmpfile, capsys):
+        path = tmpfile("dup-entry.json")
+        write_doc(
+            {"n": 2, "scalar": "exact", "F0": [[1, 1, "1"], [1, 1, "2"]], "vars": []}, path
+        )
+        assert main(["solve", path]) == 1
+        assert "F0[1]: duplicate entry (1,1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "diagnose", "reduce"])
     @pytest.mark.parametrize(
@@ -251,6 +273,24 @@ class TestSolveCommand:
         on_disk = json.load(open(report_path))
         assert on_disk["solver"]["status"] == "Optimal"
 
+    def test_optimum_without_iterations_reports_zero_gap(self, tmpfile, capsys):
+        path = tmpfile("one-entry.json")
+        write_doc({"n": 1, "scalar": "exact", "F0": [[1, 1, "1"]], "vars": []}, path)
+        assert main(["solve", path, "--json"]) == 0
+        solver = strict_json(capsys.readouterr().out)["solver"]
+        assert solver["status"] == "Optimal"
+        assert solver["final_gap"] == 0.0
+
+    def test_non_finite_diagnostics_are_null(self, tmpfile, capsys):
+        # a constant pencil that is not PSD stops before any iteration, with
+        # no gap to report
+        path = tmpfile("not-psd.json")
+        write_doc({"n": 1, "scalar": "exact", "F0": [[1, 1, "-1"]], "vars": []}, path)
+        assert main(["solve", path, "--json"]) == 2
+        solver = strict_json(capsys.readouterr().out)["solver"]
+        assert solver["status"] == "PrimalInfeasible"
+        assert solver["final_gap"] is None
+
 
 class TestDiagnoseCommand:
     def test_problem2_prints_three_null_vectors(self, tmpfile, capsys):
@@ -383,6 +423,11 @@ class TestReproduceCommand:
         assert main(["reproduce", "chsh-toy", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["command"] == "reproduce"
+        assert doc["claims"] and all(c["ok"] for c in doc["claims"])
+
+    def test_full_report_is_strict_json(self, capsys):
+        assert main(["reproduce", "all", "--json"]) == 0
+        doc = strict_json(capsys.readouterr().out)
         assert doc["claims"] and all(c["ok"] for c in doc["claims"])
 
     def test_plain_run_prints_every_claim(self, capsys):

@@ -125,12 +125,10 @@ class TestAlternativeProblem:
             X[idx, idx] = quad(1)
             assert verify_certificate_matrix(toy, X) == []
 
-    def test_strictly_feasible_encodes_infeasible_alternative(self):
-        alt = build_alternative_problem(identity_pencil_problem())
-        assert "infeasible" in alt.note
-        assert alt.pencil.m == 0
+    def test_traceless_slice_has_no_margin_problem(self):
+        assert build_alternative_problem(identity_pencil_problem()) is None
 
-    def test_problem1_alternative_solutions_supported_on_span(self):
+    def test_problem1_margin_objective_is_the_slack_margin(self):
         prob = almost_quantum_pencil(line1())
         v1, v2 = line1_null_vectors()
         X = qzeros(9)
@@ -140,17 +138,47 @@ class TestAlternativeProblem:
                     X[i, j] = X[i, j] + w * v[i] * v[j]
         assert verify_certificate_matrix(prob, X) == []
         alt = build_alternative_problem(prob)
-        assert alt.pencil.m > 0
-        assert all(not bool(b) for b in alt.objective)
+        assert alt.pencil.m > 1
+        assert alt.var_names[-1] == "slack_margin"
+        assert alt.objective == (0.0,) * (alt.pencil.m - 1) + (1.0,)
 
-    def test_alternative_problem_is_the_search_chart(self):
+    def test_margin_problem_is_the_search_chart(self):
         prob = almost_quantum_pencil(line2())
         alt = build_alternative_problem(prob)
         X0, B = _float_slice_chart(prob)
         assert alt.pencil.scalar == "double"
+        assert alt.name == f"{prob.name}-alternative-margin"
         assert np.array_equal(alt.pencil.f0, X0)
-        assert len(alt.pencil.terms) == len(B)
-        assert all(np.array_equal(T, Bk) for T, Bk in zip(alt.pencil.terms, B))
+        want = [*B, -np.eye(prob.pencil.n)]
+        assert len(alt.pencil.terms) == len(want)
+        assert all(np.array_equal(T, W) for T, W in zip(alt.pencil.terms, want))
+        assert alt.var_names == (*(f"z{k+1}" for k in range(len(B))), "slack_margin")
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: almost_quantum_pencil(line2()), planted_chain_problem],
+        ids=["line2", "chain"],
+    )
+    def test_the_search_solves_the_margin_problem(self, make, monkeypatch):
+        prob = make()
+        solved = []
+        solve = facial.solve_sdp
+
+        def spy(problem):
+            solved.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(facial, "solve_sdp", spy)
+        find_reducing_certificate(prob)
+        want = build_alternative_problem(prob)
+        (got,) = solved
+        assert got.name == want.name
+        assert got.var_names == want.var_names
+        assert got.objective == want.objective
+        assert got.pencil.scalar == want.pencil.scalar
+        assert np.array_equal(got.pencil.f0, want.pencil.f0)
+        assert len(got.pencil.terms) == len(want.pencil.terms)
+        assert all(np.array_equal(a, b) for a, b in zip(got.pencil.terms, want.pencil.terms))
 
 
 class TestFindCertificate:

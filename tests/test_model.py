@@ -303,6 +303,19 @@ class TestJson:
         with pytest.raises(ValueError, match="duplicate"):
             problem_from_json(doc)
 
+    def test_duplicate_f0_entry_rejected(self):
+        doc = {"n": 2, "scalar": "exact", "F0": [[1, 1, "1"], [1, 1, "2"]], "vars": []}
+        with pytest.raises(ValueError, match=r"^F0\[1\]: duplicate entry \(1,1\)$"):
+            problem_from_json(doc)
+
+    def test_duplicate_variable_entry_rejected(self):
+        doc = problem_to_json(small_exact_problem())
+        F = doc["vars"][0]["F"]
+        F.append(list(F[0]))
+        i, j = F[0][:2]
+        with pytest.raises(ValueError, match=rf"^vars\[0\]\.F\[{len(F) - 1}\]: duplicate entry \({i},{j}\)$"):
+            problem_from_json(doc)
+
     def test_bad_index_rejected(self):
         doc = problem_to_json(small_exact_problem())
         doc["F0"].append([2, 1, "1"])
