@@ -20,6 +20,7 @@ from .exactnum import (
     quad,
     reconstruct_quadext,
     reconstruct_rational,
+    to_quad,
 )
 from .model import MatrixPencil, SdpProblem, StatusTag, to_double
 from .solver import InvalidProblemError, SolveResult, diagnostics_report, solve_sdp
@@ -81,6 +82,7 @@ __all__ = [
     "reduce_problem",
     "solve_sdp",
     "to_double",
+    "to_quad",
     "verify_bound_certificate",
     "verify_primal_point",
 ]

@@ -3,7 +3,9 @@
 Scalars are either :class:`fractions.Fraction` (rationals) or :class:`QuadExt`
 (numbers of the form a + b*sqrt(5) with rational a, b).  Exact matrices are
 numpy object arrays whose entries are QuadExt; see :func:`qarray`.  Everything
-here is immutable and side-effect free, so values can be shared freely.
+here is immutable and side-effect free, so values can be shared freely, and
+they are: :func:`qarray` and :meth:`QSplit.join` build each distinct entry
+once and put that one QuadExt wherever the value repeats.
 
 Exact products (:func:`qmatmul`, and through it :func:`frob_inner`) do not
 multiply QuadExt entry by entry: each operand is written once as a
@@ -61,7 +63,16 @@ class NonSymmetricError(ValueError):
     """Raised when a matrix claimed symmetric is not."""
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 def _fraction(x) -> Fraction:
+    # the exact types first: an ABC isinstance check costs more than the
+    # Fraction it guards, and most parts are plain ints (0 above all)
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x) if x else _FRACTION_ZERO
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, np.integer)):
@@ -223,6 +234,17 @@ def as_quad(x):
     return NotImplemented
 
 
+def to_quad(x) -> QuadExt:
+    """An exact scalar as QuadExt: a QuadExt as it is, a string by the
+    grammar of :func:`parse_scalar`, an int or Fraction embedded.  TypeError
+    for anything else (a float, say); ValueError for a malformed string."""
+    if isinstance(x, QuadExt):
+        return x
+    if isinstance(x, str):
+        return parse_scalar(x)
+    return QuadExt(x)
+
+
 def quad(a=0, b=0) -> QuadExt:
     """Build a + b*sqrt5 from ints, Fractions or fraction strings."""
     return QuadExt(a, b)
@@ -310,21 +332,27 @@ def format_scalar(x) -> str:
 # exact matrices (numpy object arrays of QuadExt)
 
 
+def _shared(keys: list, make, shape) -> np.ndarray:
+    """Object array of `shape` holding make(k) for each key k of the flat
+    list `keys`.  make runs once per distinct key, and every entry with that
+    key holds the one result: exact arrays repeat few values (mostly 0)."""
+    value = {k: make(k) for k in set(keys)}
+    out = np.empty(len(keys), dtype=object)
+    out[:] = [value[k] for k in keys]
+    return out.reshape(shape)
+
+
 def qarray(rows) -> np.ndarray:
-    """Object ndarray of QuadExt from nested ints/Fractions/QuadExt/strings."""
+    """Object ndarray of QuadExt from nested ints/Fractions/QuadExt/strings.
 
-    def conv(x):
-        if isinstance(x, QuadExt):
-            return x
-        if isinstance(x, str):
-            return parse_scalar(x)
-        return QuadExt(x)
-
+    Each distinct entry is converted once (:func:`to_quad`), and equal
+    entries share the one QuadExt.  Entries count as equal only with equal
+    types too, so a float next to an equal exact value still raises
+    TypeError.
+    """
     data = np.asarray(rows, dtype=object)
-    out = np.empty(data.shape, dtype=object)
-    for idx in np.ndindex(data.shape):
-        out[idx] = conv(data[idx])
-    return out
+    flat = data.ravel().tolist()
+    return _shared(list(zip(map(type, flat), flat)), lambda k: to_quad(k[1]), data.shape)
 
 
 def qzeros(n: int, m: int | None = None) -> np.ndarray:
@@ -489,11 +517,7 @@ def _join(A, B, d, q=(1, 0)) -> np.ndarray:
     B = np.zeros(A.shape, dtype=object) if B is None else np.asarray(B, dtype=object)
     d = d * norm
     pairs = list(zip(A.flat, B.flat))
-    # results repeat few values (mostly 0): build each QuadExt once
-    value = {ab: QuadExt(Fraction(ab[0], d), Fraction(ab[1], d)) for ab in set(pairs)}
-    out = np.empty(A.size, dtype=object)
-    out[:] = [value[ab] for ab in pairs]
-    return out.reshape(A.shape)
+    return _shared(pairs, lambda ab: QuadExt(Fraction(ab[0], d), Fraction(ab[1], d)), A.shape)
 
 
 def qmatmul(X, Y, *more):

@@ -31,13 +31,13 @@ from .exactnum import (
     as_quad,
     format_scalar,
     frob_inner,  # noqa: F401  (perfbench/spans.py times it here)
-    parse_scalar,
     qarray,
     qmatmul,
     quad,
     qzeros,
     split,
     to_float,
+    to_quad,
 )
 
 
@@ -143,18 +143,24 @@ class MatrixPencil:
         f0_entries: Iterable[tuple[int, int, object]],
         var_entries: Sequence[tuple[str, Iterable[tuple[int, int, object]]]],
     ) -> "MatrixPencil":
-        """Build from 0-based upper-triangle (i, j, value) triples."""
+        """Build from 0-based upper-triangle (i, j, value) triples; each
+        (i, j) at most once per matrix (ValueError on a repeat, which would
+        otherwise overwrite the earlier value)."""
 
         def build(entries):
             if scalar == "exact":
                 M = qzeros(n)
-                coerce = lambda v: parse_scalar(v) if isinstance(v, str) else as_quad(v)
+                coerce = to_quad
             else:
                 M = np.zeros((n, n))
                 coerce = float
+            placed = set()
             for i, j, v in entries:
                 if not (0 <= i <= j < n):
                     raise ValueError(f"entry ({i},{j}) outside upper triangle of n={n}")
+                if (i, j) in placed:
+                    raise ValueError(f"duplicate entry ({i},{j})")
+                placed.add((i, j))
                 M[i, j] = coerce(v)
                 M[j, i] = M[i, j]
             return M
@@ -201,11 +207,10 @@ def pencil_eval(pencil: MatrixPencil, y: Mapping[str, object]) -> np.ndarray:
         return out
     coeffs = [QUAD_ONE]
     for name in pencil.var_names:
-        c = y[name]
-        c = parse_scalar(c) if isinstance(c, str) else as_quad(c)
-        if c is NotImplemented:
-            raise TypeError(f"assignment for {name} is not an exact scalar")
-        coeffs.append(c)
+        try:
+            coeffs.append(to_quad(y[name]))
+        except TypeError:
+            raise TypeError(f"assignment for {name} is not an exact scalar") from None
     # one product: (1, y_1, ..., y_m) times the flattened stack (F0, F_1, ...)
     stack = pencil.split.reshape(pencil.m + 1, -1)
     return qmatmul(coeffs, stack).reshape(pencil.n, pencil.n)
@@ -348,10 +353,8 @@ def _value_from_json(v, scalar: str, where: str):
             raise ValueError(f"{where}: {v!r} is not a number") from None
     if isinstance(v, float):
         raise ValueError(f"{where}: exact value {v!r} must be a string or an integer")
-    if isinstance(v, int):
-        return as_quad(v)
     try:
-        return parse_scalar(v)
+        return to_quad(v)
     except ValueError:
         raise ValueError(f"{where}: malformed exact scalar {v!r}") from None
 

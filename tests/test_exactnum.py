@@ -331,6 +331,74 @@ class TestScalarStrings:
             parse_scalar(bad)
 
 
+class TestQarray:
+    @pytest.mark.parametrize(
+        "entry,value",
+        [
+            (3, QuadExt(3)),
+            (0, QuadExt(0)),
+            (np.int64(-4), QuadExt(-4)),
+            (Fraction(1, 2), QuadExt(Fraction(1, 2))),
+            ("1/2", QuadExt(Fraction(1, 2))),
+            ("2+sqrt5", QuadExt(2, 1)),
+            (QuadExt(-1, 3), QuadExt(-1, 3)),
+            (True, QuadExt(1)),
+            (False, QuadExt(0)),
+        ],
+    )
+    def test_entries_are_the_per_entry_quadext(self, entry, value):
+        out = qarray([[entry, entry], [0, entry]])
+        for x in (out[0, 0], out[0, 1], out[1, 1]):
+            assert x == value
+            assert type(x) is QuadExt
+            assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert out[1, 0] == QuadExt(0)
+
+    def test_mixed_input_types(self):
+        rows = [[1, np.int64(1), Fraction(1), "1", QuadExt(1), True, "1+sqrt5"]]
+        out = qarray(rows)
+        assert list(out[0]) == [QuadExt(1)] * 6 + [QuadExt(1, 1)]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[Fraction(1, 2), 0.5]], [[1, 1.0]], [[0.5, Fraction(1, 2)]], [[1.0, 1]], [[0.0]]],
+    )
+    def test_float_next_to_an_equal_exact_entry_rejected(self, rows):
+        with pytest.raises(TypeError, match="float"):
+            qarray(rows)
+
+    def test_equal_entries_are_one_object(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(-2, 3, size=(6, 7)).tolist()
+        out = qarray(rows)
+        distinct = {x for row in rows for x in row}
+        assert len({id(x) for x in out.flat}) == len(distinct)
+        strings = qarray([["1/2", "sqrt5", "1/2"], ["sqrt5", "0", "1/2"]])
+        assert len({id(x) for x in strings.flat}) == 3
+        assert strings[0, 0] is strings[0, 2] is strings[1, 2]
+
+    @pytest.mark.parametrize("shape", [(), (0,), (4,), (2, 3), (2, 3, 4), (3, 0, 2)])
+    def test_shape_is_kept(self, shape):
+        # an integer array as it is: nested lists lose the dimensions after a 0
+        rows = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape) % 3
+        out = qarray(rows)
+        assert out.shape == shape and out.dtype == object
+        assert all(x == QuadExt(int(v)) for x, v in zip(out.flat, rows.flat))
+
+    def test_to_quad(self):
+        q = QuadExt(2, 1)
+        assert exactnum.to_quad(q) is q
+        assert exactnum.to_quad("2+sqrt5") == q
+        assert exactnum.to_quad(Fraction(1, 3)) == QuadExt(Fraction(1, 3))
+        assert exactnum.to_quad(np.int64(7)) == QuadExt(7)
+        with pytest.raises(TypeError, match="float"):
+            exactnum.to_quad(0.5)
+        with pytest.raises(TypeError):
+            exactnum.to_quad(None)
+        with pytest.raises(ValueError, match="malformed"):
+            exactnum.to_quad("1 / 2")
+
+
 class TestVectors:
     def test_primitive_scaling(self):
         v = qarray([[Fraction(-2, 3), Fraction(4, 3), 0]])[0]

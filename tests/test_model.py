@@ -283,6 +283,30 @@ class TestValidate:
         assert any(v.startswith("DuplicateVariable") for v in validate(prob))
 
 
+class TestFromUpper:
+    @pytest.mark.parametrize("scalar", ["exact", "double"])
+    def test_repeated_f0_entry_rejected(self, scalar):
+        # a later entry used to overwrite an earlier one: F0 = diag(2, 0)
+        with pytest.raises(ValueError, match=r"^duplicate entry \(0,0\)$"):
+            MatrixPencil.from_upper(2, scalar, [(0, 0, 1), (0, 0, 2)], [])
+
+    @pytest.mark.parametrize("scalar", ["exact", "double"])
+    def test_repeated_variable_entry_rejected(self, scalar):
+        entries = [(0, 1, 1), (1, 1, 3), (0, 1, 1)]
+        with pytest.raises(ValueError, match=r"^duplicate entry \(0,1\)$"):
+            MatrixPencil.from_upper(2, scalar, [(0, 0, 1)], [("y", entries)])
+
+    def test_same_entry_in_different_matrices_accepted(self):
+        pencil = MatrixPencil.from_upper(
+            2, "exact", [(0, 1, 1)], [("y1", [(0, 1, 2)]), ("y2", [(0, 1, "sqrt5")])]
+        )
+        assert [M[1, 0] for M in (pencil.f0, *pencil.terms)] == [1, 2, quad(0, 1)]
+
+    def test_inexact_exact_entry_rejected(self):
+        with pytest.raises(TypeError):
+            MatrixPencil.from_upper(2, "exact", [(0, 0, 0.5)], [])
+
+
 class TestJson:
     def test_round_trip_exact(self):
         prob = small_exact_problem()
