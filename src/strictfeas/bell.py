@@ -292,7 +292,7 @@ def _affine_problem(
     pencil = MatrixPencil.from_upper(n, "exact", f0, [(v, terms[v]) for v in names])
     return SdpProblem(
         pencil=pencil,
-        objective=tuple(as_quad(objective.get(v, 0)) for v in names),
+        objective=tuple(objective.get(v, 0) for v in names),
         name=name,
         note=note,
     )

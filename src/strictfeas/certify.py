@@ -125,7 +125,7 @@ def verify_bound_certificate(prob: SdpProblem, X) -> BoundCertificate | InvalidC
     S, violations, pairing = check_dual_matrix(prob, X)  # an inexact pencil is a problem
     if pairing is None:
         return InvalidCertificate(tuple(violations))
-    b = [as_quad(c) for c in prob.objective]
+    b = prob.objective
     lead = next((k for k, c in enumerate(b) if bool(c)), None)
     if lead is None:
         return InvalidCertificate(("the objective has no variable term",))
@@ -143,7 +143,7 @@ def verify_bound_certificate(prob: SdpProblem, X) -> BoundCertificate | InvalidC
             )
     if violations:
         return InvalidCertificate(tuple(violations))
-    bound = f0_inner / scale + as_quad(prob.objective_offset)
+    bound = f0_inner / scale + prob.objective_offset
     return BoundCertificate(X=S.join(), scale=scale, certified_bound=bound)
 
 

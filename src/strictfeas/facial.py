@@ -16,13 +16,13 @@ the slice, and that one solve decides the search's verdict.  The one exact
 claim about the slice itself, that it is empty or holds only traceless
 matrices (an exact StrictlyFeasible verdict), is the linear-algebra fact
 I in span{F0, F_i}, decided by one exact solve.  The candidate is
-rationalized by one path, projection then rounding: the projector onto its
-range is rounded first, which fixes the face exactly, and the coordinates
-inside that face second.  The face's rank is not a setting: the search
-starts at the rank the spectrum shows and steps down one rank at a time
-until a candidate verifies.  Every certificate property is verified
-exactly; a candidate that cannot be rationalized at any rank is surfaced as
-RoundingFailed, never guessed around.
+rationalized by one path, face then coordinates: a pivot-normalized basis
+of its range is rounded first, which fixes the face exactly, and the
+coordinates inside that face second.  The face's rank is not a setting:
+the search starts at the rank the spectrum shows and steps down one rank
+at a time until a candidate verifies.  Every certificate property is
+verified exactly; a candidate that cannot be rationalized at any rank is
+surfaced as RoundingFailed, never guessed around.
 
 Every pencil-wide step reads the pencil's integer split
 (`MatrixPencil.split`), not its Fractions: the float chart, the traceless
@@ -438,17 +438,6 @@ class _Snaps:
         return out
 
 
-def _is_projector(P: QSplit) -> bool:
-    """P @ P == P on the integers: P @ P = (A' + B'*sqrt5)/d' equals
-    P = (A + B*sqrt5)/d iff d A' = d' A and d B' = d' B, part by part
-    since sqrt5 is irrational."""
-    PP = P @ P
-    return all(
-        np.all(P.d * (0 if X is None else X) == PP.d * (0 if Y is None else Y))
-        for X, Y in ((PP.A, P.A), (PP.B, P.B))
-    )
-
-
 def _affine_solve_exact(K, rhs) -> tuple | None:
     """Exact particular solution and nullspace basis of K x = rhs, or None.
 
@@ -472,12 +461,12 @@ def _numerical_rank(lam: np.ndarray) -> int:
 
 
 def _face_split_certificate(prob: SdpProblem, Xnum: np.ndarray):
-    """Certificate extraction by projection, then rounding, rank by rank.
+    """Certificate extraction by face rounding, rank by rank.
 
     The search starts at the rank the spectrum gives (eigenvalues at least
     RANK_CUTOFF times the largest).  An iterate that sits ~sqrt(gap) off the
     optimal face can carry a spurious eigenvalue above that cutoff, and then
-    no projector of that rank rounds; so when no rung verifies, the next
+    no face of that rank rounds; so when no rung verifies, the next
     lower rank is tried, down to rank 1.  The first exactly verified
     certificate wins.  Returns (certificate, None) or (None, the last failure
     reason at each rank).
@@ -498,39 +487,41 @@ def _face_split_certificate(prob: SdpProblem, Xnum: np.ndarray):
 def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     """Round the face spanned by the orthonormal columns Vr, then X in it.
 
-    The projector onto the face is basis independent, so it rounds to small
-    exact entries even though the solver lands at an arbitrary interior point
-    of the optimal face.  With the face fixed exactly (its integer basis W),
-    the remaining in-face coordinates M of X = W M W^T are forgiving: any
-    nearby rational point keeps M positive definite (`_round_in_face`).
-    Each rung of the rounding ladder is tried in turn.  Returns
-    (certificate, None) or (None, reason of the last failed rung).
-
-    The projector's entries are snapped once for all rungs (`_Snaps`), and
-    P is split straight from the snapped scalars.  When M is nonsingular,
-    range(X) = range(W) = rowspace(P), whose reduced row echelon basis is
-    unique, so W's columns are X's range vectors.
+    A column-pivoted Gram-Schmidt pass over the columns of Vr^T (each step
+    takes the one of largest residual norm and projects it out) picks r
+    pivots, and E = Vr^T[:, piv]^-1 Vr^T is the face's basis with
+    E[:, piv] = I.  Only E's other entries are snapped, once for all rungs
+    (`_Snaps`); E depends on the face and the pivots alone, so they round
+    to small exact entries even though the solver lands at an arbitrary
+    interior point of the optimal face.  With the face fixed exactly (W's columns: the unique
+    reduced row echelon basis of the snapped rows), the remaining in-face
+    coordinates M of X = W M W^T are forgiving: any nearby rational point
+    keeps M positive definite (`_round_in_face`).  Each rung of the
+    rounding ladder is tried in turn.  Returns (certificate, None) or
+    (None, reason of the last failed rung).  When M is nonsingular,
+    range(X) = range(W), so W's columns are X's range vectors.
     """
     p = prob.pencil
-    n = p.n
-    r = Vr.shape[1]
-    snaps = _Snaps((Vr @ Vr.T)[np.triu_indices(n)])
-    reason = "projector rounding never succeeded"
+    n, r = Vr.shape
+    residual, piv = Vr.T.copy(), []
+    for _ in range(r):
+        k = int(np.argmax(np.linalg.norm(residual, axis=0)))
+        q = residual[:, k] / np.linalg.norm(residual[:, k])
+        residual -= np.outer(q, q @ residual)
+        piv.append(k)
+    free = [k for k in range(n) if k not in piv]
+    snaps = _Snaps(np.linalg.solve(Vr.T[:, piv], Vr.T)[:, free].ravel())
+    basis = np.full((r, n), _FRACTION_ZERO, dtype=object)
+    basis[range(r), piv] = Fraction(1)
+    reason = "no rung to try"
     for rung in ROUNDING_LADDER:
         den, extension, _ = rung
         coords = snaps.at(*rung)
         if coords is None:
-            reason = f"projector entries not representable at max_den={den}"
+            reason = f"face basis entries not representable at max_den={den}"
             continue
-        P = _symmetric_split(coords, n)
-        if not _is_projector(P):
-            reason = f"rounded matrix at max_den={den} is not a projector"
-            continue
-        Wrows = row_space_basis_exact(P)
-        if len(Wrows) != r:
-            reason = f"projector rank {len(Wrows)} != numerical rank {r}"
-            continue
-        Wcols = [primitive_integer_vector(w) for w in Wrows]
+        basis[:, free] = np.array(coords, dtype=object).reshape(r, n - r)
+        Wcols = [primitive_integer_vector(w) for w in row_space_basis_exact(basis)]
         W = split(np.array(Wcols, dtype=object).T)
         # <W^T Q W, M> = 0 for every pencil matrix Q and tr(W^T W M) = 1
         rows = qconcat([W.T @ p.split @ W, (W.T @ W)[None]])
@@ -546,7 +537,7 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
         else:
             vectors = tuple(Wcols)
         note = (
-            f"face-projector rounding at max_den={den}"
+            f"face rounding at max_den={den}"
             + (" over Q(sqrt5)" if extension else "")
             + f"; rank {len(vectors)}"
         )
@@ -597,8 +588,8 @@ def find_reducing_certificate(prob: SdpProblem):
     face, i.e. at maximal rank.  When the chart finds the slice empty or
     traceless, one exact solve proves StrictlyFeasible(exact=True) instead
     (see `_traceless_verdict`).  X(z) is read back from the solved pencil
-    and rounded by projection, then rounding, from the rank its spectrum
-    gives down to rank 1 (see `_face_split_certificate`).  Every
+    and rounded, face first and coordinates second, from the rank its
+    spectrum gives down to rank 1 (see `_face_split_certificate`).  Every
     certificate invariant is re-checked exactly.
     """
     margin_prob = build_alternative_problem(prob)
@@ -652,7 +643,7 @@ def certify_optimum(
     p = prob.pencil
     rank = max(1, _numerical_rank(np.linalg.eigvalsh(res.X)))
     snaps = _Snaps([res.y[v] for v in p.var_names])
-    rhs = [-as_quad(c) for c in prob.objective]
+    rhs = [-c for c in prob.objective]
 
     def bound(X):
         out = verify_bound_certificate(prob, X)
@@ -710,7 +701,7 @@ def derive_implicit_constraints(prob: SdpProblem, vectors) -> ImplicitConstraint
     if p.scalar != "exact":
         raise ValueError("implicit constraints are derived over exact pencils")
     names = list(p.var_names)
-    support = [v for v, b in zip(names, prob.objective) if bool(as_quad(b))]
+    support = [v for v, b in zip(names, prob.objective) if bool(b)]
     protected = set(support) if len(support) == 1 else set()
 
     V = split(np.array(list(vectors), dtype=object).reshape(-1, p.n).T)
@@ -797,9 +788,7 @@ def apply_constraints(prob: SdpProblem, cons: ImplicitConstraintSet) -> SdpProbl
             C[row_of[w], k] = c
     stack = p.split.reshape(1 + p.m, -1)
     mats = [(p.f0, *p.terms)[j] for j in kept]
-    objective = np.array(
-        [as_quad(b) for b in (prob.objective_offset, *prob.objective)], dtype=object
-    )
+    objective = np.array([prob.objective_offset, *prob.objective], dtype=object)
     b = list(objective[kept])
     touched = [i for i in range(len(kept)) if any(map(bool, C[i]))]
     untouched = [i for i in range(len(kept)) if i not in touched]

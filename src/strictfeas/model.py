@@ -33,7 +33,6 @@ from .exactnum import (
     frob_inner,  # noqa: F401  (perfbench/spans.py times it here)
     qarray,
     qmatmul,
-    quad,
     qzeros,
     split,
     to_float,
@@ -177,7 +176,11 @@ class MatrixPencil:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """A pencil and an objective vector over its variables, in pencil form."""
+    """A pencil and an objective vector over its variables, in pencil form.
+
+    The objective and its offset are coerced once, to the pencil's scalars:
+    `to_quad` for an exact pencil (a float is a TypeError), float for a
+    double one."""
 
     pencil: MatrixPencil
     objective: tuple
@@ -188,7 +191,9 @@ class SdpProblem:
     def __post_init__(self):
         if len(self.objective) != self.pencil.m:
             raise ValueError("objective length must match the number of pencil terms")
-        object.__setattr__(self, "objective", tuple(self.objective))
+        coerce = float if self.pencil.scalar == "double" else to_quad
+        object.__setattr__(self, "objective", tuple(map(coerce, self.objective)))
+        object.__setattr__(self, "objective_offset", coerce(self.objective_offset))
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -286,12 +291,7 @@ def to_double(prob: SdpProblem) -> SdpProblem:
     pencil = MatrixPencil(
         n=p.n, scalar="double", f0=F[0], var_names=p.var_names, terms=tuple(F[1:])
     )
-    return replace(
-        prob,
-        pencil=pencil,
-        objective=tuple(float(b) for b in prob.objective),
-        objective_offset=float(prob.objective_offset),
-    )
+    return replace(prob, pencil=pencil)
 
 
 def to_exact(prob: SdpProblem) -> SdpProblem:
@@ -313,8 +313,8 @@ def to_exact(prob: SdpProblem) -> SdpProblem:
     return replace(
         prob,
         pencil=pencil,
-        objective=tuple(quad(Fraction(float(b))) for b in prob.objective),
-        objective_offset=quad(Fraction(float(prob.objective_offset))),
+        objective=tuple(map(Fraction, prob.objective)),
+        objective_offset=Fraction(prob.objective_offset),
     )
 
 

@@ -225,13 +225,13 @@ def interior_problem(rng: np.random.Generator, n: int, m: int, rank: int):
 
 
 def golden_face_problem() -> SdpProblem:
-    """A face whose projector is irrational, hidden by a Q(sqrt5) congruence.
+    """An irrational face, hidden by a Q(sqrt5) congruence.
 
     Before the congruence the slack is
     [[0, a, b], [a, 1 + s11, s12], [b, s12, 1 + s22]]: PSD forces a = b = 0
     (row 0).  U is unit lower triangular with U[1, 0] = phi, the golden
-    ratio, and U[2, 1] = 1, so the face U^{-1} e0 = (1, -phi, phi) has a
-    projector with entries outside Q: only the Q(sqrt5) rungs round it.
+    ratio, and U[2, 1] = 1, so the face U^{-1} e0 = (1, -phi, phi) has no
+    basis vector inside Q^3: only the Q(sqrt5) rungs round it.
     The objective, maximize -s22, has optimum 1.
     """
     U = np.array(

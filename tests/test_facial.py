@@ -1,10 +1,13 @@
 """Diagnosis, certificate extraction, constraint derivation, substitution."""
 
 import hashlib
+import importlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +60,6 @@ from strictfeas.facial import (
     _chart_matrices,
     _face_split_certificate,
     _float_slice_chart,
-    _is_projector,
     _round_face,
     _Snaps,
     _symmetric_split,
@@ -306,7 +308,7 @@ class TestFindCertificate:
     def test_irrational_face_rounds_over_sqrt5(self):
         prob = golden_face_problem()
         cert = find_reducing_certificate(prob)
-        assert cert.note == "face-projector rounding at max_den=100 over Q(sqrt5); rank 1"
+        assert cert.note == "face rounding at max_den=100 over Q(sqrt5); rank 1"
         assert verify_certificate_matrix(prob, cert.X) == []
         assert_same_span(cert.range_vectors, [[quad(2), quad(-1, -1), quad(1, 1)]])
 
@@ -324,7 +326,7 @@ class TestFindCertificate:
     def test_rank_steps_down_past_spurious_eigenvalue(self):
         # a margin iterate ~sqrt(gap) off the face: the rank-1 certificate
         # plus a 1e-4 eigenvalue that the rank cutoff counts; no rank-2
-        # projector rounds, so the search must step down to rank 1
+        # face rounds, so the search must step down to rank 1
         prob = planted_chain_problem()
         face = [int(x) for x in np.rint(np.linalg.inv(PLANTED_U)[:, 0])]
         u = np.array(face, dtype=float) / np.linalg.norm(face)
@@ -471,9 +473,41 @@ class TestSnaps:
             assert repr(got) == repr([Fraction(0)] * 2 if not extension else [quad(0)] * 2)
 
 
+class _FirstFace(Exception):
+    """Raised with (W's columns, rungs) by the first in-face step."""
+
+
+class TestEchelonSnap:
+    """A face given by a noisy orthonormal basis rounds, at the first rung,
+    to the reduced row echelon basis of the integer rows G that span it."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_first_rung_gives_the_rref_of_an_integer_face(self, r, n, monkeypatch):
+        def first_face(W, rows, rhs, Xnum, rungs, verify):
+            raise _FirstFace(W.join().T.tolist(), rungs)
+
+        monkeypatch.setattr(facial, "_round_in_face", first_face)
+        prob = SdpProblem(pencil=MatrixPencil.from_upper(n, "exact", [], []), objective=())
+        rng = np.random.default_rng(10 * n + r)
+        faces = 0
+        while faces < 4:
+            G = rng.integers(-2, 3, size=(r, n))
+            if np.linalg.matrix_rank(G) < r:
+                continue
+            faces += 1
+            Q, _ = np.linalg.qr(G.T.astype(float))
+            Vr = Q + rng.uniform(-1e-6, 1e-6, size=Q.shape)
+            want = [primitive_integer_vector(w) for w in row_space_basis_exact(qarray(G.tolist()))]
+            with pytest.raises(_FirstFace) as face:
+                _round_face(prob, Vr @ Vr.T / r, Vr)
+            assert face.value.args == ([list(w) for w in want], [ROUNDING_LADDER[0]])
+
+
 class TestProjectorSplit:
-    """The rounded projector, split from its snapped upper triangle and
-    tested for P @ P == P on the integers."""
+    """A symmetric matrix split from its snapped upper triangle, as the
+    in-face step builds M, joins back to those entries on both triangles;
+    the cases are labelled by whether the matrix is a projector."""
 
     @pytest.mark.parametrize(
         "coords,n,projector",
@@ -493,15 +527,14 @@ class TestProjectorSplit:
         full = P.join()
         pairs = zip(*np.triu_indices(n))
         assert all(full[i, j] == full[j, i] == as_quad(c) for (i, j), c in zip(pairs, coords))
-        assert _is_projector(P) is projector
         assert np.array_equal(reference_qmatmul(full, full), full) is projector
 
     @given(st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3)]), min_size=6, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_projector_test_matches_quadext_products(self, coords):
-        P = _symmetric_split(coords, 3)
-        full = P.join()
-        assert _is_projector(P) is np.array_equal(reference_qmatmul(full, full), full)
+        full = _symmetric_split(coords, 3).join()
+        pairs = zip(*np.triu_indices(3))
+        assert all(full[i, j] == full[j, i] == as_quad(c) for (i, j), c in zip(pairs, coords))
 
 
 class TestRangeReuse:
@@ -549,7 +582,7 @@ class TestRangeReuse:
         assert reason is None
         assert cert.rank == 1
         assert [list(v) for v in cert.range_vectors] == [[quad(1), quad(0), quad(0)]]
-        assert cert.note == "face-projector rounding at max_den=100; rank 1"
+        assert cert.note == "face rounding at max_den=100; rank 1"
 
 
 def certificate_digest(certs) -> str:
@@ -570,18 +603,18 @@ class TestPinnedCertificates:
         "make, digest, rref, note",
         [
             (lambda: almost_quantum_pencil(line1()),
-             "be61f75114a323f0fa7d2e05c97d1fbaba583bc18448d13c4a3064214a6229e6",
+             "1ee0f9658bad1e5292b20e86a16ee53f256b18dda7f68dd8da96483ecc097685",
              [[1, 0, -1, 0, -1, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0, 0, -1, 0]],
-             "face-projector rounding at max_den=100; rank 2"),
+             "face rounding at max_den=100; rank 2"),
             (lambda: almost_quantum_pencil(line2()),
-             "7e25097bd96b5bd31ca94317d1ef37c73abe7a467e297a09414946bd221cba7f",
+             "4431b7cd32bd871c4897b5354b59f5ab8a8e2398eddc9383b7e097eb4aaf424c",
              [[0, 1, 0, 0, 0, 0, -1, 0, 0], [0, 0, 0, 1, 0, 0, 0, -1, 0],
               [0, 0, 0, 0, 0, 0, 0, 0, 1]],
-             "face-projector rounding at max_den=100; rank 3"),
+             "face rounding at max_den=100; rank 3"),
             (chsh_toy_pencil,
-             "93a0b3ce8235df69b9e1b4c79278fbea4347ac445c6a8486e0d8a561870194da",
+             "39d73cbf03c41d89b30e411c71d7433deeeaf23e551e080cee46a89358eaa45f",
              [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
-             "face-projector rounding at max_den=100; rank 2"),
+             "face rounding at max_den=100; rank 2"),
         ],
         ids=["line1", "line2", "toy"],
     )
@@ -596,8 +629,8 @@ class TestPinnedCertificates:
     @pytest.mark.parametrize(
         "n, digest",
         [
-            (4, "5fa2e4104557dca61991fe2017fc22a542c02982f24dfcf090698a1cfeced3da"),
-            (8, "f0fdc5458dd92c57e53f2f758b4df447546cfc18e86b30fe489d49bb2cb01e77"),
+            (4, "6f6b11e8ae0a5ae44925394589d66bdf698e4bdd52a1f98bda77e555856fa632"),
+            (8, "de416e390666b118b82f804e79441a719b757a261567e2a443281e19c1558f12"),
         ],
         ids=["n4", "n8"],
     )
@@ -646,6 +679,16 @@ class TestNullVectors:
 
 
 class TestDeriveConstraints:
+    def test_objective_variable_kept_whatever_its_scalars_were(self):
+        # e1 gives a + b = 0; the objective is b alone, so a is eliminated.
+        # Objective scalars are exact once the problem is made: "0" is zero
+        pencil = MatrixPencil.from_upper(
+            2, "exact", [(1, 1, 1)], [("a", [(0, 0, 1)]), ("b", [(0, 0, 1)])]
+        )
+        prob = SdpProblem(pencil=pencil, objective=("0", 1))
+        cons = derive_implicit_constraints(prob, [[quad(1), quad(0)]])
+        assert cons.eliminated_names == ("a",)
+
     def test_problem1_relations_match(self):
         prob = almost_quantum_pencil(line1())
         cons = derive_implicit_constraints(prob, line1_null_vectors())
@@ -842,10 +885,24 @@ class TestSoundness:
             ((_, expr),) = r.constraints.eliminated
             assert not bool(expr.const) and not expr.coeffs
 
+    def test_reduce_problem_planted_reduce_seed_4903_problem_27(self, monkeypatch):
+        # a degree-2 benchmark problem (n = 9) whose faces round from a
+        # pivot-normalized basis, though their projectors snap at no rung
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        prob = workloads.build_inputs("planted-reduce", 4903)[27]
+        _, rounds, _ = reduce_problem(prob)
+        assert [r.constraints.eliminated_names for r in rounds] == [("a",), ("b",)]
+        for r in rounds:
+            ((_, expr),) = r.constraints.eliminated
+            assert not bool(expr.const) and not expr.coeffs
+
     @pytest.mark.xfail(strict=True, raises=RoundingFailedError)
     def test_reduce_problem_planted_degree_three(self):
-        # the first margin iterate sits ~gap^(1/4) off the face, so no
-        # projector of any rank rounds
+        # the first margin iterate sits ~gap^(1/4) off the face, beyond the
+        # ladder's tolerances for ~sqrt(gap) iterates: the basis snaps only
+        # to a wrong face, whose slice is inconsistent, at every rank
         prob = planted_chain(np.random.default_rng(104), 4, 3)
         _, rounds, _ = reduce_problem(prob)
         assert [r.constraints.eliminated_names for r in rounds] == [

@@ -283,6 +283,32 @@ class TestValidate:
         assert any(v.startswith("DuplicateVariable") for v in validate(prob))
 
 
+class TestObjectiveScalars:
+    """The objective and its offset take the pencil's scalars once, when the
+    problem is made."""
+
+    def test_exact_objective_coerced_to_quadext(self):
+        pencil = MatrixPencil.from_upper(1, "exact", [], [("a", [(0, 0, 1)]), ("b", [])])
+        prob = SdpProblem(pencil=pencil, objective=("1/2", 0), objective_offset=Fraction(3))
+        assert prob.objective == (quad(Fraction(1, 2)), quad(0))
+        assert all(type(b) is QuadExt for b in prob.objective)
+        assert type(prob.objective_offset) is QuadExt and prob.objective_offset == quad(3)
+
+    @pytest.mark.parametrize(
+        "objective, offset", [((0.0, 1), 0), ((0, 1), 0.5)], ids=["objective", "offset"]
+    )
+    def test_float_in_exact_problem_rejected(self, objective, offset):
+        pencil = MatrixPencil.from_upper(1, "exact", [], [("a", [(0, 0, 1)]), ("b", [])])
+        with pytest.raises(TypeError):
+            SdpProblem(pencil=pencil, objective=objective, objective_offset=offset)
+
+    def test_double_objective_coerced_to_float(self):
+        pencil = MatrixPencil.from_upper(1, "double", [], [("a", [(0, 0, 1)])])
+        prob = SdpProblem(pencil=pencil, objective=(quad(2),), objective_offset=1)
+        assert prob.objective == (2.0,) and type(prob.objective[0]) is float
+        assert type(prob.objective_offset) is float
+
+
 class TestFromUpper:
     @pytest.mark.parametrize("scalar", ["exact", "double"])
     def test_repeated_f0_entry_rejected(self, scalar):
