@@ -27,6 +27,7 @@ from .solver import InvalidProblemError, SolveResult, diagnostics_report, solve_
 from .facial import (
     InconsistentConstraintsError,
     ReducingCertificate,
+    ReductionError,
     RoundingFailedError,
     StrictlyFeasible,
     apply_constraints,
@@ -58,6 +59,7 @@ __all__ = [
     "MatrixPencil",
     "QuadExt",
     "ReducingCertificate",
+    "ReductionError",
     "RoundingFailedError",
     "SdpProblem",
     "SolveResult",

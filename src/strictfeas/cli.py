@@ -20,9 +20,7 @@ import numpy as np
 from . import bell, certify
 from .exactnum import format_scalar, quad, row_space_basis_exact
 from .facial import (
-    InconsistentConstraintsError,
-    RoundingFailedError,
-    SolverFailedError,
+    ReductionError,
     StrictlyFeasible,
     apply_constraints,
     certify_optimum,
@@ -40,9 +38,14 @@ from .model import (
     to_exact,
     validate,
 )
-from .solver import InvalidProblemError, SolveResult, diagnostics_report, solve_sdp
+from .solver import (
+    TROUBLE_VAR_BOUND,
+    InvalidProblemError,
+    SolveResult,
+    diagnostics_report,
+    solve_sdp,
+)
 
-TROUBLE_VAR_BOUND = 1e6
 VALUE_TOL = 1e-6
 
 
@@ -191,7 +194,7 @@ def cmd_reduce(args, report: RunReport) -> tuple[int, str]:
     report.inputs["name"] = prob.name
     try:
         reduced, rounds, verdict = reduce_problem(prob)
-    except (InconsistentConstraintsError, RoundingFailedError, SolverFailedError) as exc:
+    except ReductionError as exc:
         _record_rounds(report, exc.rounds, exc.certificate)
         raise
     _record_rounds(report, rounds)
@@ -421,13 +424,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code, text = args.func(args, report)
-    except (
-        CliError,
-        InvalidProblemError,
-        InconsistentConstraintsError,
-        RoundingFailedError,
-        SolverFailedError,
-    ) as exc:
+    except (CliError, InvalidProblemError, ReductionError) as exc:
         label = "" if isinstance(exc, CliError) else f"{type(exc).__name__}: "
         print(f"error: {label}{exc}", file=sys.stderr)
         # reports stay valid JSON on error paths too, with what ran before

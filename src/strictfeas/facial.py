@@ -7,7 +7,9 @@ every i.  Such an X is a *reducing certificate*: every feasible slack matrix
 annihilates range(X), so each range vector v yields linear relations
 (F0 v)_j + sum_i y_i (F_i v)_j = 0 among the variables.  Substituting those
 relations produces an equivalent, smaller problem that solvers handle
-reliably.
+reliably.  One exact RREF in one fixed column order solves them (see
+`derive_implicit_constraints`); relations that reduce to 0 = 1 prove the
+SDP infeasible.
 
 The search runs in floats: an orthonormal float chart of the trace-one
 slice of matrices orthogonal to the pencil yields the margin problem
@@ -75,16 +77,26 @@ from .model import (
 from .solver import SolveResult, solve_sdp
 
 
-class RoundingFailedError(RuntimeError):
+class ReductionError(Exception):
+    """A diagnosis or reduction step that could not finish.  Raised out of
+    `reduce_problem`, it carries `rounds`, the rounds completed before it,
+    and `certificate`, the failing round's verified certificate (None when
+    its search itself failed)."""
+
+    rounds = ()
+    certificate = None
+
+
+class RoundingFailedError(ReductionError, RuntimeError):
     """The numerical certificate could not be rationalized and verified."""
 
 
-class SolverFailedError(RuntimeError):
+class SolverFailedError(ReductionError, RuntimeError):
     """The numerical stage of the diagnosis did not converge."""
 
 
-class InconsistentConstraintsError(ValueError):
-    """The implied linear relations admit no solution: the SDP is infeasible."""
+class InconsistentConstraintsError(ReductionError, ValueError):
+    """The implied linear relations reduce to 0 = 1: the SDP is infeasible."""
 
 
 @dataclass(frozen=True)
@@ -120,9 +132,9 @@ class AffineExpr:
 
 @dataclass(frozen=True)
 class ImplicitConstraintSet:
-    """Reduced consistent relations and a triangular elimination order."""
+    """The implied relations, solved: each (v, expr) reads v = expr, where
+    expr uses only variables that are not eliminated."""
 
-    equations: tuple[AffineExpr, ...]  # each reads: expression = 0
     eliminated: tuple[tuple[str, AffineExpr], ...]
 
     @property
@@ -130,10 +142,7 @@ class ImplicitConstraintSet:
         return tuple(v for v, _ in self.eliminated)
 
     def as_dict(self) -> dict:
-        return {
-            "equations": [e.as_dict() for e in self.equations],
-            "eliminated": [[v, e.as_dict()] for v, e in self.eliminated],
-        }
+        return {"eliminated": [[v, e.as_dict()] for v, e in self.eliminated]}
 
 
 @dataclass(frozen=True)
@@ -692,17 +701,20 @@ def verify_certificate_matrix(prob: SdpProblem, X) -> list[str]:
 def derive_implicit_constraints(prob: SdpProblem, vectors) -> ImplicitConstraintSet:
     """Stack (F0 v)_j + sum_i y_i (F_i v)_j = 0 and reduce exactly.
 
-    Pivots prefer the variable of largest file index among those solvable;
-    when the objective is a single variable it is never eliminated.  Raises
-    InconsistentConstraintsError when the relations admit no solution, which
-    means the original SDP itself is infeasible.
+    One RREF over every variable column solves the relations for its pivots.
+    The elimination order is fixed: columns by descending file index, except
+    that a single-variable objective's variable comes last, so it is
+    eliminated only when the relations fix it (its value then moves into the
+    objective offset).  Raises InconsistentConstraintsError when the
+    relations reduce to 0 = 1, which means the original SDP is infeasible.
     """
     p = prob.pencil
     if p.scalar != "exact":
         raise ValueError("implicit constraints are derived over exact pencils")
-    names = list(p.var_names)
-    support = [v for v, b in zip(names, prob.objective) if bool(b)]
-    protected = set(support) if len(support) == 1 else set()
+    names = p.var_names
+    support = [k for k, b in enumerate(prob.objective) if bool(b)]
+    last = support if len(support) == 1 else []
+    order = [k for k in reversed(range(p.m)) if k not in last] + last
 
     V = split(np.array(list(vectors), dtype=object).reshape(-1, p.n).T)
     # one product with the pencil's split gives (F_i v)_j for every term i,
@@ -712,46 +724,25 @@ def derive_implicit_constraints(prob: SdpProblem, vectors) -> ImplicitConstraint
     nonzero = (S.A != 0).any(axis=1)
     if S.B is not None:
         nonzero |= (S.B != 0).any(axis=1)
-    if not nonzero.any():
-        return ImplicitConstraintSet(equations=(), eliminated=())
-
-    ncols = len(names)
-    order = sorted(
-        (k for k, v in enumerate(names) if v not in protected), reverse=True
-    )
     R, pivots = rref_exact(S[nonzero], column_order=order)
-
-    equations = []
-    eliminated = []
-    for c, r in sorted(pivots.items(), key=lambda kv: -kv[0]):
-        coeffs = {
-            names[k]: R[r, k] for k in range(ncols) if k != c and bool(R[r, k])
-        }
-        const = R[r, ncols]
-        equations.append(
-            AffineExpr(const=const, coeffs={names[c]: QUAD_ONE, **coeffs})
+    # every variable column is ordered, so the rows past the pivot rows read
+    # 0 = their constant
+    if any(map(bool, R[len(pivots):, p.m])):
+        raise InconsistentConstraintsError(
+            "the implied linear relations are inconsistent: "
+            "the original SDP is infeasible"
         )
-        eliminated.append(
-            (names[c], AffineExpr(const=-const, coeffs={v: -x for v, x in coeffs.items()}))
-        )
-    # rows with no pivot must be trivially satisfied
-    pivot_rows = set(pivots.values())
-    for r in range(R.shape[0]):
-        if r in pivot_rows:
-            continue
-        if any(bool(R[r, k]) for k in range(ncols)):
-            bad = [names[k] for k in range(ncols) if bool(R[r, k])]
-            raise InconsistentConstraintsError(
-                "the relations pin protected variable(s) "
-                f"{bad}; the problem cannot be reduced by substitution"
-            )
-        if bool(R[r, ncols]):
-            raise InconsistentConstraintsError(
-                "the implied linear relations are inconsistent: "
-                "the original SDP is infeasible"
-            )
     return ImplicitConstraintSet(
-        equations=tuple(equations), eliminated=tuple(eliminated)
+        eliminated=tuple(
+            (
+                names[c],
+                AffineExpr(
+                    const=-R[r, p.m],
+                    coeffs={names[k]: -R[r, k] for k in range(p.m) if k != c},
+                ),
+            )
+            for c, r in pivots.items()
+        )
     )
 
 
@@ -841,22 +832,22 @@ def reduce_problem(
     """Repeat diagnose -> derive -> substitute until nothing more is implied.
 
     Each round may expose a smaller face, so a problem of singularity degree
-    d takes d rounds plus one search that finds nothing new; the loop is
-    capped at the pencil dimension.  Returns the final problem, the rounds
-    performed, and the terminating verdict: a StrictlyFeasible outcome, or
-    None when the last certificate implied no further substitutions (a fixed
-    point, e.g. structurally zero rows that no substitution can remove) or
-    the cap hit.
+    d takes d rounds plus one search that finds nothing new.  Every round
+    that goes on eliminates a variable, so there are at most m + 1 searches.
+    Returns the final problem, the rounds performed, and the terminating
+    verdict: a StrictlyFeasible outcome, or None when the last certificate
+    implied no further substitutions (a fixed point, e.g. structurally zero
+    rows that no substitution can remove).
 
-    A RoundingFailedError, SolverFailedError or InconsistentConstraintsError
-    of any round is re-raised carrying what was found before it: `rounds`,
-    the rounds completed, and `certificate`, the failing round's verified
-    certificate (None when its search itself failed).
+    A ReductionError of any round is re-raised carrying what was found
+    before it: `rounds`, the rounds completed, and `certificate`, the
+    failing round's verified certificate (None when its search itself
+    failed).
     """
     rounds: list[ReductionRound] = []
     current, pending = prob, None
     try:
-        for _ in range(prob.pencil.n):
+        while True:
             outcome = find_reducing_certificate(current)
             if isinstance(outcome, StrictlyFeasible):
                 return current, rounds, outcome
@@ -869,7 +860,6 @@ def reduce_problem(
                 ReductionRound(certificate=outcome, constraints=cons, problem=current)
             )
             pending = None
-    except (RoundingFailedError, SolverFailedError, InconsistentConstraintsError) as exc:
+    except ReductionError as exc:
         exc.rounds, exc.certificate = rounds, pending
         raise
-    return current, rounds, None

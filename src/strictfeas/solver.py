@@ -73,6 +73,9 @@ STAGNATION_ROUNDS = 5
 COND_BOUND = 1e14
 # fraction of the step to the boundary of the cone
 STEP_FRAC = 0.98
+# the trouble signature `diagnostics_report` warns of: a non-optimal status,
+# or a final iterate entry beyond TROUBLE_VAR_BOUND
+TROUBLE_VAR_BOUND = 1e6
 
 
 @dataclass
@@ -99,10 +102,6 @@ class SolveResult:
     objective_primal: float
     objective_dual: float
     diagnostics: Diagnostics
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status.is_optimal
 
 
 def _structural_rows(F0: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -460,7 +459,7 @@ def diagnostics_report(res: SolveResult) -> str:
         f"Newton system condition number (1-norm): {d.condition_estimate:.3e}",
         f"iterations with a regularized Newton system: {d.regularized_iterations}",
     ]
-    troubled = (not res.status.is_optimal) or d.max_abs_variable > 1e6
+    troubled = (not res.status.is_optimal) or d.max_abs_variable > TROUBLE_VAR_BOUND
     if troubled:
         lines.append(
             "strict-feasibility warning: iterates or status indicate that optimal "

@@ -120,6 +120,21 @@ def pinned_offset_problem() -> SdpProblem:
     return SdpProblem(pencil=pencil, objective=(quad(1), quad(1)), name="pinned-offset")
 
 
+def pinned_objective_problem() -> SdpProblem:
+    """[[0, mu - 1/2], [mu - 1/2, a]], maximize mu; the optimum is 1/2.
+
+    The certificate e1 e1^T implies mu = 1/2, which fixes the objective's
+    only variable: reduction eliminates it into objective_offset.
+    """
+    pencil = MatrixPencil.from_upper(
+        2,
+        "exact",
+        [(0, 1, Fraction(-1, 2))],
+        [("mu", [(0, 1, 1)]), ("a", [(1, 1, 1)])],
+    )
+    return SdpProblem(pencil=pencil, objective=(quad(1), quad(0)), name="pinned-objective")
+
+
 # the golden ratio (1 + sqrt5)/2, the Q(sqrt5) coefficient of planted_chain
 GOLDEN = quad("1/2", "1/2")
 

@@ -13,7 +13,12 @@ from strictfeas.exactnum import quad
 from strictfeas.facial import RoundingFailedError
 from strictfeas.model import MatrixPencil, SdpProblem, problem_to_json_str, validate
 
-from helpers import pinned_offset_problem, planted_chain_problem, random_certified_sdp
+from helpers import (
+    pinned_objective_problem,
+    pinned_offset_problem,
+    planted_chain_problem,
+    random_certified_sdp,
+)
 
 
 @pytest.fixture()
@@ -365,6 +370,21 @@ class TestReduceCommand:
         out = capsys.readouterr().out
         assert "no substitutions" in out or "strictly feasible" in out
         assert open(src).read() == open(dst).read()
+
+    def test_pinned_objective_moves_into_the_offset(self, tmpfile, capsys):
+        # the relations fix mu, the objective's only variable: it is
+        # eliminated, and solve on the reduced file reports the optimum
+        src, dst = tmpfile("pinned.json"), tmpfile("pinned-red.json")
+        store_problem(pinned_objective_problem(), src)
+        assert main(["reduce", src, "--out", dst, "--json"]) == 0
+        reduction = json.loads(capsys.readouterr().out)["reduction"]
+        assert reduction["eliminated"] == ["mu"]
+        assert reduction["rounds"][0]["constraints"] == {
+            "eliminated": [["mu", {"const": "1/2", "coeffs": {}}]]
+        }
+        assert main(["solve", dst, "--json"]) == 0
+        solved = json.loads(capsys.readouterr().out)["solver"]
+        assert solved["objective_dual"] == pytest.approx(0.5, abs=1e-9)
 
     def test_numeric_verdict_reported_as_evidence(self, tmpfile, capsys):
         # the slice orthogonal to diag(3, 1) holds no PSD matrix, which only

@@ -52,6 +52,7 @@ from strictfeas.facial import (
     ImplicitConstraintSet,
     InconsistentConstraintsError,
     ReducingCertificate,
+    ReductionError,
     RoundingFailedError,
     SolverFailedError,
     ROUNDING_LADDER,
@@ -80,6 +81,7 @@ from helpers import (
     golden_face_problem,
     planted_chain,
     planted_chain_problem,
+    pinned_objective_problem,
     problem1_optimal_point,
     reference_apply_constraints,
     reference_chart_matrices,
@@ -703,6 +705,19 @@ class TestDeriveConstraints:
         cons = derive_implicit_constraints(chsh_toy_pencil(), toy_null_vectors())
         assert relations_as_dict(cons) == expected_as_dict(toy_expected_relations())
 
+    def test_pinned_objective_variable_moves_into_the_offset(self):
+        # the objective's only variable comes last in the elimination order,
+        # so it is eliminated exactly when the relations fix it
+        prob = pinned_objective_problem()
+        cons = derive_implicit_constraints(prob, [qarray([1, 0])])
+        assert cons == ImplicitConstraintSet(
+            eliminated=(("mu", AffineExpr(const=quad("1/2"), coeffs={})),)
+        )
+        reduced = apply_constraints(prob, cons)
+        assert reduced.var_names == ("a",)
+        assert reduced.objective == (quad(0),)
+        assert reduced.objective_offset == quad("1/2")
+
     def test_objective_variable_never_eliminated(self):
         prob = almost_quantum_pencil(line2())
         cons = derive_implicit_constraints(prob, line2_null_vectors())
@@ -768,7 +783,7 @@ def random_relations(prob, rng):
         for v in names
         if v in gone
     )
-    return ImplicitConstraintSet(equations=(), eliminated=eliminated)
+    return ImplicitConstraintSet(eliminated=eliminated)
 
 
 def assert_same_problem(got, want):
@@ -812,7 +827,7 @@ class TestSubstitutionProduct:
         prob = make()
         # the relation the reduction finds, v = 0, touches no kept row
         trivial = ((prob.var_names[0], AffineExpr(const=quad(0), coeffs={})),)
-        cons = ImplicitConstraintSet(equations=(), eliminated=trivial)
+        cons = ImplicitConstraintSet(eliminated=trivial)
         assert_same_problem(apply_constraints(prob, cons), reference_apply_constraints(prob, cons))
         rng = random.Random(prob.name)
         for _ in range(3):
@@ -830,7 +845,6 @@ class TestSubstitutionProduct:
         # as in the reference: an expression may only use kept variables
         prob = planted_chain_problem()
         cons = ImplicitConstraintSet(
-            equations=(),
             eliminated=(
                 ("a", AffineExpr(const=quad(0), coeffs={"b": quad(1)})),
                 ("b", AffineExpr(const=quad(1), coeffs={})),
@@ -916,10 +930,36 @@ class TestSoundness:
             assert not bool(expr.const) and not expr.coeffs
         assert final.var_names == ("s12", "s11", "s22")
 
+    def test_reduce_problem_pinned_objective(self):
+        final, rounds, verdict = reduce_problem(pinned_objective_problem())
+        assert [r.constraints.eliminated_names for r in rounds] == [("mu",)]
+        ((_, expr),) = rounds[0].constraints.eliminated
+        assert expr.const == quad("1/2") and not expr.coeffs
+        assert final.var_names == ("a",)
+        assert final.objective_offset == quad("1/2")
+        # the second search finds e1 e1^T again, which now implies nothing
+        assert verdict is None
+
     def test_reduce_problem_loop_terminates(self):
         final, rounds, verdict = reduce_problem(chsh_toy_pencil())
         assert len(rounds) == 1
         assert final.var_names == ("pA0", "pA1", "a01")
+
+
+class TestReductionErrors:
+    @pytest.mark.parametrize(
+        "cls, base",
+        [
+            (RoundingFailedError, RuntimeError),
+            (SolverFailedError, RuntimeError),
+            (InconsistentConstraintsError, ValueError),
+        ],
+    )
+    def test_one_family_on_the_old_bases(self, cls, base):
+        assert issubclass(cls, ReductionError) and issubclass(cls, base)
+        # raised outside reduce_problem, an error carries no rounds
+        exc = cls("failed")
+        assert exc.rounds == () and exc.certificate is None
 
 
 class TestInfeasibleSide:
@@ -963,7 +1003,7 @@ class TestExactProductSites:
             "<F0, X> = 1 != 0"
         ]
         cons = derive_implicit_constraints(prob, [qarray([0, 1])])
-        assert cons == ImplicitConstraintSet(equations=(), eliminated=())
+        assert cons == ImplicitConstraintSet(eliminated=())
         with pytest.raises(InconsistentConstraintsError, match="inconsistent"):
             derive_implicit_constraints(prob, [qarray([1, 0])])
 
@@ -980,7 +1020,7 @@ class TestExactProductSites:
 
     def test_no_range_vectors(self):
         cons = derive_implicit_constraints(planted_chain_problem(), [])
-        assert cons == ImplicitConstraintSet(equations=(), eliminated=())
+        assert cons == ImplicitConstraintSet(eliminated=())
 
     def test_verify_reports_every_nonzero_inner_product(self):
         prob = planted_chain_problem()

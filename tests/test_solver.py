@@ -338,6 +338,35 @@ class TestFailureModes:
         assert res.status.tag is StatusTag.DUAL_UNBOUNDED_SUSPECTED
 
 
+def zero_pencil_problem(b: float) -> SdpProblem:
+    # F(y) = 0 for every y: every y is feasible
+    pencil = MatrixPencil(
+        n=2, scalar="double", f0=np.zeros((2, 2)), var_names=("y",), terms=(np.zeros((2, 2)),)
+    )
+    return SdpProblem(pencil=pencil, objective=(b,))
+
+
+class TestDegenerateCases:
+    def test_zero_pencil_nonzero_objective_is_unbounded(self):
+        res = solve_sdp(zero_pencil_problem(1.0))
+        assert res.status.tag is StatusTag.DUAL_UNBOUNDED_SUSPECTED
+        assert res.status.message == "zero pencil, nonzero objective"
+
+    def test_zero_pencil_zero_objective_is_optimal(self):
+        res = solve_sdp(zero_pencil_problem(0.0))
+        assert res.status.tag is StatusTag.OPTIMAL
+        assert res.diagnostics.final_gap == 0.0
+        assert res.objective_dual == res.objective_primal == 0.0
+
+    def test_equal_terms_are_rejected(self):
+        F = np.diag([1.0, -1.0])
+        pencil = MatrixPencil(
+            n=2, scalar="double", f0=np.eye(2), var_names=("y", "z"), terms=(F, F.copy())
+        )
+        with pytest.raises(InvalidProblemError, match="linearly dependent constraint matrices"):
+            solve_sdp(SdpProblem(pencil=pencil, objective=(1.0, 0.0)))
+
+
 class TestStructurallyZeroRows:
     def test_zero_rows_are_ignored(self):
         # rows 2,3 carry no data at all; the live 1x1 block gives y* = 2
