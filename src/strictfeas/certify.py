@@ -117,7 +117,8 @@ def verify_bound_certificate(prob: SdpProblem, X) -> BoundCertificate | InvalidC
     certificate for maximize <b, y> + objective_offset.
 
     Requires X >= 0 (`check_dual_matrix`) and <F_i, X> = -s b_i for every
-    variable with one scale s > 0, read off the first nonzero b_i; then
+    variable with one scale s > 0, read off the first nonzero b_i (s = 1
+    when b = 0: the objective is the constant objective_offset); then
     every feasible y has 0 <= <F(y), X> = <F0, X> - s <b, y>, so the
     objective is at most <F0, X>/s + objective_offset.  All violated
     conditions are reported (Invalid is a value, not an error).
@@ -127,10 +128,9 @@ def verify_bound_certificate(prob: SdpProblem, X) -> BoundCertificate | InvalidC
         return InvalidCertificate(tuple(violations))
     b = prob.objective
     lead = next((k for k, c in enumerate(b) if bool(c)), None)
-    if lead is None:
-        return InvalidCertificate(("the objective has no variable term",))
     f0_inner, *inner = pairing
-    scale = -inner[lead] / b[lead]
+    # a constant objective is bounded by its offset: scale 1, <F_i, X> = 0
+    scale = quad(1) if lead is None else -inner[lead] / b[lead]
     if qsign(scale) <= 0:
         name = prob.var_names[lead]
         violations.append(

@@ -7,20 +7,33 @@ Built for n <= ~10: everything is dense, single-threaded and deterministic
 
 The constraint matrices are stacked once as an (m, n, n) array with a flat
 (m, n^2) view, so the operator A(X) and its adjoint are single matrix-vector
-products.  The Schur complement M_ij = <A_i, W A_j W> is assembled as in
-SDPA/SDPT3 (Fujisawa, Kojima & Nakata, Math. Prog. 1997): one batched matmul
-forms every W A_j W, one GEMM forms M.  Each Newton solve is refined once
-against the operator itself, which keeps the primal residual from stalling at
-the Cholesky solve's accuracy when M is ill-conditioned near the optimum.
-The NT point W is computed from the singular values of X^{1/2} Z^{1/2}
-(Todd, Toh & Tutuncu, SIAM J. Optim. 1998) without forming
-X^{1/2} Z X^{1/2}, whose tiny eigenvalues near the optimum roundoff can push
-below zero although X and Z are both positive definite.
+products.
+
+Each Newton step is taken in the Nesterov-Todd scaled frame (Todd, Toh &
+Tutuncu, SIAM J. Optim. 1998).  From the SVD X^{1/2} Z^{1/2} = U S V^T,
+G = X^{1/2} U S^{-1/2} scales X and Z to one diagonal,
+G^{-1} X G^{-T} = G^T Z G = D = diag(s), and W = G G^T is the NT point; the
+singular values are never negative, while eigenvalues of a formed
+X^{1/2} Z X^{1/2} near the optimum roundoff can push below zero.  Over the
+scaled matrices A^_i = G^T A_i G the Schur complement is
+M_ij = <A^_i, A^_j> = <A_i, W A_j W>, assembled as in SDPA/SDPT3
+(Fujisawa, Kojima & Nakata, Math. Prog. 1997): one batched matmul forms
+every A^_i, one GEMM forms M.  In the frame the complementarity equation is linearized at
+X^ = Z^ = D, where the two commute: the predictor's right-hand side is -D,
+and the corrector's is the symmetric NT one of SDPT3 (Toh, Todd & Tutuncu,
+Optim. Methods Softw. 1999),
+    (sigma mu / d_i - d_i) delta_ij - (P + P^T)_ij / (d_i + d_j),
+with P = dX^_a dZ^_a the predictor's second-order term.  Each Newton solve
+is refined once against A^ itself, which keeps the primal residual from
+stalling at the Cholesky solve's accuracy when M is ill-conditioned near the
+optimum.  Step lengths are read off D^{-1/2} dX^ D^{-1/2}, an entrywise
+scaling, and only the corrector's direction is mapped back:
+dX = G dX^ G^T, and dZ = Rd - A^T dy from the dual equation itself.
 
 At n <= ~12 an iteration costs numpy call overhead, not flops, so one
 iteration makes as few calls as its arithmetic allows:
-- one stacked eigh of (X, Z), from which every root and inverse is formed;
-- one SVD for the NT point, one batched matmul and one GEMM for M;
+- one stacked eigh of (X, Z), for the square roots the SVD takes;
+- one SVD for G, one batched matmul for the A^_i and one GEMM for M;
 - one Cholesky factorization L L^T of M, which is also the test that M is
   positive definite, and one inverse Li = L^{-1}; each of the four Newton
   solves (predictor and corrector, each refined once) is then the two
@@ -28,11 +41,14 @@ iteration makes as few calls as its arithmetic allows:
   of M is ||M||_1 ||Li^T Li||_1;
 - one stacked eigvalsh for the predictor's two step lengths, one for the
   corrector's;
+- two products each to scale the dual residual into the frame and to map
+  dX back;
 - the residuals Rp, Rd and <X, Z> of the accepted merit trial, carried into
   the next iteration rather than recomputed.
 Inner products are flat dot products, a.ravel() @ b.ravel().  Each of these
 is the same float arithmetic as its per-matrix form, so the iterates do not
-depend on the layout.
+depend on the layout.  Each history entry records the iterate's objectives,
+residuals and gap, and the primal step, dual step and sigma taken from it.
 
 Honesty is the point: when iterates blow up, steps stagnate or the Newton
 system degenerates, the result is reported as NumericalTrouble rather than
@@ -135,29 +151,32 @@ def _floored_eigh(X: np.ndarray, Z: np.ndarray):
     return out
 
 
-def _nt_scaling(Xh: np.ndarray, Zh: np.ndarray) -> np.ndarray:
-    """The Nesterov-Todd point W with W Z W = X, from Xh = X^{1/2}, Zh = Z^{1/2}.
+def _nt_frame(Xh: np.ndarray, Zh: np.ndarray):
+    """(G, d): the Nesterov-Todd scaling G and the scaled point d, from
+    Xh = X^{1/2} and Zh = Z^{1/2}.
 
-    W = Xh G^{-1/2} Xh with G = Xh Z Xh.  If Xh Zh = U S V^T then
-    G = U S^2 U^T, so W = (Xh U) S^{-1} (Xh U)^T: the singular values are
-    never negative, while eigenvalues of a formed G near the optimum can be.
+    If Xh Zh = U S V^T then G = Xh U S^{-1/2} gives G^{-1} X G^{-T} =
+    G^T Z G = D = diag(s), and W = G G^T is the NT point, W Z W = X.  The
+    singular values are never negative, while eigenvalues of a formed
+    Xh Z Xh near the optimum can be.
     """
     U, s, _ = np.linalg.svd(Xh @ Zh)
     # singular values below eps * s_max are roundoff, not information
     s = np.maximum(s, np.finfo(float).eps * s[0])
-    P = Xh @ U
-    return _sym((P / s) @ P.T)
+    return (Xh @ U) / np.sqrt(s), s
 
 
-def _schur_complement(A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """M_ij = <A_i, W A_j W> for a stack A of shape (m, n, n).
+def _scaled_schur(A: np.ndarray, G: np.ndarray):
+    """(Af, M) for a stack A of shape (m, n, n): the scaled matrices
+    G^T A_i G flattened into the rows of Af, and M = Af Af^T.
 
-    One batched matmul forms every W A_j W and one GEMM contracts them with
-    the flattened A_i (the SDPA/SDPT3 dense assembly).
+    M_ij = <A_i, W A_j W> with W = G G^T.  One batched matmul forms every
+    scaled matrix and one GEMM contracts them (the SDPA/SDPT3 dense
+    assembly).  numpy forms a matrix times its own transpose as a
+    symmetric product (syrk), so M needs no symmetrizing.
     """
-    m = A.shape[0]
-    WA = (W @ A @ W).reshape(m, -1)
-    return _sym(A.reshape(m, -1) @ WA.T)
+    Af = (G.T @ A @ G).reshape(A.shape[0], -1)
+    return Af, Af @ Af.T
 
 
 def _factor_schur(M: np.ndarray):
@@ -187,12 +206,29 @@ def _factor_schur(M: np.ndarray):
     return Li, cond, bool(reg_scale)
 
 
-def _max_steps(Xmh: np.ndarray, dX: np.ndarray, Zmh: np.ndarray, dZ: np.ndarray):
-    """Largest alphas with X + alpha dX >= 0 and Z + alpha dZ >= 0, given
-    Xmh = X^{-1/2} and Zmh = Z^{-1/2}; one stacked eigvalsh serves both."""
-    scaled = np.array((_sym(Xmh @ dX @ Xmh), _sym(Zmh @ dZ @ Zmh)))
-    lam_min = np.linalg.eigvalsh(scaled)[:, 0].tolist()
+def _max_steps(scale: np.ndarray, dXh: np.ndarray, dZh: np.ndarray):
+    """Largest alphas with D + alpha dXh >= 0 and D + alpha dZh >= 0 for
+    D = diag(d) > 0, given scale_ij = 1/sqrt(d_i d_j): D^{-1/2} dS D^{-1/2}
+    is dS * scale, and one stacked eigvalsh serves both."""
+    lam_min = np.linalg.eigvalsh(np.array((dXh, dZh)) * scale)[:, 0].tolist()
     return tuple(np.inf if lam >= 0 else -1.0 / lam for lam in lam_min)
+
+
+def _newton(Af: np.ndarray, Li: np.ndarray, Rp: np.ndarray, Rd: np.ndarray, Rc: np.ndarray):
+    """(dy, dXh, dZh) of one Newton solve in the scaled frame:
+    Af dXh = Rp, Af^T dy + dZh = Rd and dXh + dZh = Rc, where Li is the
+    inverse Cholesky factor of M = Af Af^T.
+
+    The solve is refined once against Af itself: after a full step the
+    primal residual is this solve's residual, and refining shrinks it when
+    M is ill-conditioned near the optimum.
+    """
+    rhs = Rp + Af @ (Rd - Rc).ravel()
+    dy = Li.T @ (Li @ rhs)
+    r = rhs - Af @ (dy @ Af)
+    dy = dy + Li.T @ (Li @ r)
+    dZh = Rd - (dy @ Af).reshape(Rd.shape)
+    return dy, Rc - dZh, dZh
 
 
 def solve_sdp(prob: SdpProblem) -> SolveResult:
@@ -300,8 +336,8 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
     # initial point: dual-feasible start from the constant term when it is
     # strictly diagonally dominant with a positive diagonal, identity otherwise
     c_scale = float(np.abs(C).max()) if np.any(C) else 1.0
-    d = np.diag(C)
-    dom = np.all(d > 0) and np.all(2 * d > np.abs(C).sum(axis=1))
+    c_diag = np.diag(C)
+    dom = np.all(c_diag > 0) and np.all(2 * c_diag > np.abs(C).sum(axis=1))
     Z = C.copy() if dom else max(1.0, c_scale) * np.eye(n)
     xi = max(1.0, float(np.abs(b).max()), c_scale)
     X = xi * np.eye(n)
@@ -329,7 +365,9 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
         diag.dual_residual = res_d
         diag.history.append(
             {"objective_primal": obj_p, "objective_dual": obj_d,
-             "res_p": res_p, "res_d": res_d, "gap": gap}
+             "res_p": res_p, "res_d": res_d, "gap": gap,
+             # the step taken from this iterate; None where none is
+             "step_p": None, "step_d": None, "sigma": None}
         )
 
         if gap <= GAP_TOL and res_p <= FEAS_TOL and res_d <= FEAS_TOL:
@@ -350,13 +388,11 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
 
         try:
             # one floored eigendecomposition each of X and Z per iteration;
-            # every root and inverse below comes from these two
+            # their square roots give the NT frame, in which X and Z are
+            # both D = diag(d) and every Newton step is taken
             (lx, Ux), (lz, Uz) = _floored_eigh(X, Z)
-            Xmh = (Ux * lx**-0.5) @ Ux.T
-            Zmh = (Uz * lz**-0.5) @ Uz.T
-            Zinv = _sym((Uz * (1.0 / lz)) @ Uz.T)
-            W = _nt_scaling((Ux * np.sqrt(lx)) @ Ux.T, (Uz * np.sqrt(lz)) @ Uz.T)
-            M = _schur_complement(A, W)
+            G, d = _nt_frame((Ux * np.sqrt(lx)) @ Ux.T, (Uz * np.sqrt(lz)) @ Uz.T)
+            Af, M = _scaled_schur(A, G)
             if not np.all(np.isfinite(M)):
                 status = SolveStatus(
                     StatusTag.NUMERICAL_TROUBLE, "Newton system is not finite"
@@ -373,34 +409,34 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
                     f"Newton system condition {cond:.2e} exceeded {COND_BOUND:.0e}",
                 )
                 break
-            WRdW = W @ Rd @ W
-
-            def newton(Rc: np.ndarray):
-                rhs = Rp - a_of(Rc) + a_of(WRdW)
-                dy = Li.T @ (Li @ rhs)
-                # after a full step the primal residual is this solve's
-                # residual; refining once against the operator shrinks it
-                r = rhs - a_of(W @ at_of(dy) @ W)
-                dy = dy + Li.T @ (Li @ r)
-                dZ = Rd - at_of(dy)
-                dX = _sym(Rc - W @ dZ @ W)
-                return dy, dZ, dX
+            Rdh = G.T @ Rd @ G
 
             # predictor
-            dy_a, dZ_a, dX_a = newton(-X)
-            ap, ad = (min(1.0, a) for a in _max_steps(Xmh, dX_a, Zmh, dZ_a))
-            mu = xz / n
-            mu_aff = float((X + ap * dX_a).ravel() @ (Z + ad * dZ_a).ravel()) / n
+            D = np.diag(d)
+            _, dXh_a, dZh_a = _newton(Af, Li, Rp, Rdh, -D)
+            r = 1.0 / np.sqrt(d)
+            scale = np.outer(r, r)
+            ap, ad = (min(1.0, a) for a in _max_steps(scale, dXh_a, dZh_a))
+            # <X, Z> = <D, D>: both complementarity measures in the frame
+            mu = float(d @ d) / n
+            mu_aff = float((D + ap * dXh_a).ravel() @ (D + ad * dZh_a).ravel()) / n
             # centering: the exponent backs off to 1 when steps are blocked,
             # so boundary-crawling iterates get re-centered instead of stalling
             expon = max(1.0, 3.0 * min(ap, ad) ** 2)
             sigma = min(1.0, max(0.0, max(mu_aff, 0.0) / mu) ** expon)
 
-            # corrector
-            corr = _sym(dX_a @ dZ_a @ Zinv)
-            Rc = sigma * mu * Zinv - X - corr
-            dy, dZ, dX = newton(Rc)
-            ap, ad = (min(1.0, tau * a) for a in _max_steps(Xmh, dX, Zmh, dZ))
+            # corrector: the NT second-order term (SDPT3), symmetric in the
+            # scaled frame where X and Z commute
+            P = dXh_a @ dZh_a
+            Rc = -(P + P.T) / np.add.outer(d, d)
+            Rc.flat[:: n + 1] += sigma * mu / d - d
+            dy, dXh, dZh = _newton(Af, Li, Rp, Rdh, Rc)
+            ap, ad = (min(1.0, tau * a) for a in _max_steps(scale, dXh, dZh))
+            # back to the original frame once: dX = G dXh G^T, and dZ from
+            # the dual equation itself, which needs no inverse of G and
+            # keeps A^T dy + dZ = Rd to roundoff
+            dX = G @ dXh @ G.T
+            dZ = Rd - at_of(dy)
         except np.linalg.LinAlgError as exc:
             status = SolveStatus(
                 StatusTag.NUMERICAL_TROUBLE, f"factorization failed: {exc}"
@@ -422,6 +458,7 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
             ap *= 0.25
             ad *= 0.25
         X, y, Z = Xn, yn, Zn
+        diag.history[-1].update(step_p=ap, step_d=ad, sigma=sigma)
         tau = min(STEP_FRAC, 0.9 + 0.09 * min(ap, ad))
 
         if min(ap, ad) < MIN_STEP:

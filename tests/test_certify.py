@@ -49,6 +49,7 @@ from strictfeas.solver import solve_sdp
 from helpers import (
     interior_problem,
     mat_vec,
+    pinned_objective_problem,
     pinned_offset_problem,
     planted_chain_problem,
     problem1_bound_matrix,
@@ -280,9 +281,22 @@ class TestWholeObjective:
         assert out == InvalidCertificate(("only an exact pencil has an integer split",))
 
     def test_objective_without_a_variable_term(self):
-        prob = replace(chsh_toy_pencil(), objective=(quad(0),) * 8)
+        # a constant objective is its offset: scale 1, and X must be
+        # orthogonal to every F_i, which the toy's own bound matrix is not
+        prob = replace(chsh_toy_pencil(), objective=(quad(0),) * 8, objective_offset=quad(3))
         out = verify_bound_certificate(prob, toy_bound_matrix())
-        assert out == InvalidCertificate(("the objective has no variable term",))
+        assert out == InvalidCertificate(
+            (
+                "<F_pA0, X> = 1 != -s*b_pA0 = 0",
+                "<F_p00, X> = -1 != -s*b_p00 = 0",
+                "<F_p01, X> = -1 != -s*b_p01 = 0",
+                "<F_p10, X> = -1 != -s*b_p10 = 0",
+                "<F_p11, X> = 1 != -s*b_p11 = 0",
+            )
+        )
+        cert = verify_bound_certificate(prob, qzeros(5))
+        assert cert.scale == quad(1)
+        assert cert.certified_bound == quad(3)
 
 
 def objective_at(prob, point):
@@ -335,6 +349,15 @@ class TestCertifyOptimum:
         assert reduced.objective_offset == quad(1)
         _, bound = certified(reduced)
         assert bound.certified_bound == quad(2)
+
+    def test_reduced_constant_objective(self):
+        # reduction fixes the objective's only variable: the objective is
+        # the constant 1/2 in objective_offset
+        reduced, _, _ = reduce_problem(pinned_objective_problem())
+        assert not any(bool(c) for c in reduced.objective)
+        _, bound = certified(reduced)
+        assert bound.scale == quad(1)
+        assert bound.certified_bound == quad("1/2")
 
     def test_reduced_planted_chain(self):
         reduced, rounds, _ = reduce_problem(planted_chain_problem())

@@ -605,11 +605,11 @@ class TestPinnedCertificates:
         "make, digest, rref, note",
         [
             (lambda: almost_quantum_pencil(line1()),
-             "1ee0f9658bad1e5292b20e86a16ee53f256b18dda7f68dd8da96483ecc097685",
+             "6e5378f02bfc92210e538773a4ac4f687b54fe4982aabe5a280431780301dde3",
              [[1, 0, -1, 0, -1, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0, 0, -1, 0]],
              "face rounding at max_den=100; rank 2"),
             (lambda: almost_quantum_pencil(line2()),
-             "4431b7cd32bd871c4897b5354b59f5ab8a8e2398eddc9383b7e097eb4aaf424c",
+             "ca6ceaf145ab29130f0c25de6fa1937431a1af456ae06e24e9de596adaa7c799",
              [[0, 1, 0, 0, 0, 0, -1, 0, 0], [0, 0, 0, 1, 0, 0, 0, -1, 0],
               [0, 0, 0, 0, 0, 0, 0, 0, 1]],
              "face rounding at max_den=100; rank 3"),

@@ -11,7 +11,7 @@ from strictfeas.model import (
     StatusTag,
     pencil_eval,
 )
-from strictfeas import solver
+from strictfeas import facial, solver
 from strictfeas.solver import (
     FEAS_TOL,
     GAP_TOL,
@@ -19,14 +19,14 @@ from strictfeas.solver import (
     _factor_schur,
     _floored_eigh,
     _max_steps,
-    _nt_scaling,
-    _schur_complement,
+    _nt_frame,
+    _scaled_schur,
     _sym,
     diagnostics_report,
     solve_sdp,
 )
 
-from helpers import random_certified_sdp
+from helpers import interior_problem, random_certified_sdp
 
 
 def simple_interval_problem():
@@ -126,14 +126,16 @@ class TestNewtonSystem:
         n, m = 9, 36
         S = rng.standard_normal((m, n, n))
         A = S + S.transpose(0, 2, 1)
-        B = rng.standard_normal((n, n))
-        W = B @ B.T + np.eye(n)
+        G = rng.standard_normal((n, n)) + 2 * np.eye(n)
+        W = G @ G.T
         ref = np.array([[np.tensordot(Ai, W @ Aj @ W, axes=2) for Aj in A] for Ai in A])
-        M = _schur_complement(A, W)
+        Af, M = _scaled_schur(A, G)
         assert np.array_equal(M, M.T)
         # summation order differs from the reference, not the arithmetic
         tol = 4 * n * n * np.finfo(float).eps * np.abs(ref).max()
         assert np.max(np.abs(M - ref)) <= tol
+        # the rows of Af are the scaled matrices G^T A_i G
+        assert np.array_equal(Af, np.array([(G.T @ Ai @ G).ravel() for Ai in A]))
 
     def test_regularized_factorization_is_counted(self, monkeypatch):
         factor = solver._factor_schur
@@ -152,7 +154,9 @@ class TestNewtonSystem:
 
     def test_non_finite_newton_system_is_trouble(self, monkeypatch):
         monkeypatch.setattr(
-            solver, "_schur_complement", lambda A, W: np.full((A.shape[0],) * 2, np.nan)
+            solver,
+            "_scaled_schur",
+            lambda A, G: (np.zeros((A.shape[0], G.size)), np.full((A.shape[0],) * 2, np.nan)),
         )
         res = solve_sdp(simple_interval_problem())
         assert res.status.tag is StatusTag.NUMERICAL_TROUBLE
@@ -160,14 +164,15 @@ class TestNewtonSystem:
     def test_condition_estimate_tracks_the_schur_complement(self, monkeypatch):
         # the reported value is the 1-norm condition number of the last
         # factored matrix, up to the rounding of its inverse
-        schur = solver._schur_complement
+        schur = solver._scaled_schur
         seen = []
 
-        def recording(A, W):
-            seen.append(schur(A, W))
-            return seen[-1]
+        def recording(A, G):
+            Af, M = schur(A, G)
+            seen.append(M)
+            return Af, M
 
-        monkeypatch.setattr(solver, "_schur_complement", recording)
+        monkeypatch.setattr(solver, "_scaled_schur", recording)
         prob, _, _ = random_certified_sdp(np.random.default_rng(5), 5, 4)
         res = solve_sdp(prob)
         assert res.diagnostics.regularized_iterations == 0
@@ -186,10 +191,25 @@ class TestNewtonSystem:
             Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             dx = np.concatenate([rng.uniform(0.5, 2.0, 3), [tiny] * 3])
             dz = np.concatenate([[tiny] * 4, rng.uniform(0.5, 2.0, 2)])
-            W = _nt_scaling((Q * np.sqrt(dx)) @ Q.T, (Q * np.sqrt(dz)) @ Q.T)
-            assert np.all(np.isfinite(W))
+            G, d = _nt_frame((Q * np.sqrt(dx)) @ Q.T, (Q * np.sqrt(dz)) @ Q.T)
+            W = G @ G.T
+            assert np.all(np.isfinite(G)) and np.all(d > 0)
             assert np.array_equal(W, W.T)
             assert np.linalg.eigvalsh(W)[0] > 0
+
+    def test_nt_frame_scales_x_and_z_to_one_diagonal(self):
+        # G^{-1} X G^{-T} = G^T Z G = diag(d), and W = G G^T has W Z W = X
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 9):
+            X, Z = _spd(rng, n), _spd(rng, n)
+            (lx, Ux), (lz, Uz) = _floored_eigh(X, Z)
+            G, d = _nt_frame((Ux * np.sqrt(lx)) @ Ux.T, (Uz * np.sqrt(lz)) @ Uz.T)
+            Gi = np.linalg.inv(G)
+            scale = np.abs(d).max()
+            assert np.abs(Gi @ X @ Gi.T - np.diag(d)).max() <= 1e-9 * scale
+            assert np.abs(G.T @ Z @ G - np.diag(d)).max() <= 1e-9 * scale
+            W = G @ G.T
+            assert np.abs(W @ Z @ W - X).max() <= 1e-9 * np.abs(X).max()
 
 
 def _spd(rng, n):
@@ -256,24 +276,106 @@ class TestCallLayout:
     def test_stacked_step_lengths_match_per_matrix_calls(self):
         rng = np.random.default_rng(34)
 
-        def one(Sinvh, dS):
-            M = Sinvh @ dS @ Sinvh
-            lam_min = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+        def one(d, dS):
+            # D^{-1/2} dS D^{-1/2}, entry by entry
+            r = 1.0 / np.sqrt(d)
+            lam_min = float(np.linalg.eigvalsh(dS * np.outer(r, r))[0])
             return np.inf if lam_min >= 0 else -1.0 / lam_min
 
         for n in (2, 9, 12):
-            Xmh, Zmh = _spd(rng, n), _spd(rng, n)
+            d = rng.uniform(1e-3, 2.0, n)
             S = rng.standard_normal((n, n))
             dX, dZ = S + S.T, _spd(rng, n)  # dZ >= 0: an unbounded step
-            steps = _max_steps(Xmh, dX, Zmh, dZ)
-            assert steps == (one(Xmh, dX), one(Zmh, dZ))
+            r = 1.0 / np.sqrt(d)
+            steps = _max_steps(np.outer(r, r), dX, dZ)
+            assert steps == (one(d, dX), one(d, dZ))
             assert steps[1] == np.inf
+            # the step found is the one to the boundary: D + a dX is singular
+            lam = np.linalg.eigvalsh(np.diag(d) + steps[0] * dX)
+            assert abs(lam[0]) <= 1e-9 * np.abs(lam).max()
 
     def test_flat_dot_matches_tensordot(self):
         rng = np.random.default_rng(35)
         for n in (1, 4, 9, 12):
             a, b = rng.standard_normal((2, n, n))
             assert a.ravel() @ b.ravel() == np.tensordot(a, b, axes=2)
+
+
+class TestNtDirection:
+    """The direction of one iteration, recorded from the solver's own calls,
+    against the Newton system it is to solve."""
+
+    def test_direction_solves_the_nt_newton_system(self, monkeypatch):
+        frames, solves = [], []
+        frame, newton = solver._nt_frame, solver._newton
+
+        def recording_frame(Xh, Zh):
+            frames.append(frame(Xh, Zh))
+            return frames[-1]
+
+        def recording_newton(Af, Li, Rp, Rd, Rc):
+            solves.append(((Rp, Rd, Rc), newton(Af, Li, Rp, Rd, Rc)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(solver, "_nt_frame", recording_frame)
+        monkeypatch.setattr(solver, "_newton", recording_newton)
+        prob, _, _ = random_certified_sdp(np.random.default_rng(9), 6, 5)
+        res = solve_sdp(prob)
+        assert res.status.tag is StatusTag.OPTIMAL
+        A = -np.array(prob.pencil.terms)
+        n = A.shape[1]
+        for k in (0, 3, len(frames) - 1):
+            G, d = frames[k]
+            D = np.diag(d)
+            _, (_, dX_a, dZ_a) = solves[2 * k]
+            (Rp, Rd_h, _), (dy, dX_h, dZ_h) = solves[2 * k + 1]
+            # A(dX) = Rp for the dX taken, G dXh G^T; A^T dy + dZ = Rd is
+            # read in the scaled frame, G^T (A^T dy) G + dZh = G^T Rd G,
+            # since mapping dZh back would add the conditioning of G.
+            # Each is relative to the size of the terms summed, Rp and Rd
+            # being roundoff once the iterate is feasible.
+            dX = G @ dX_h @ G.T
+            AdX = np.tensordot(A, dX, axes=2)
+            size = np.tensordot(np.abs(A), np.abs(dX), axes=2)
+            assert np.all(np.abs(AdX - Rp) <= 1e-9 * size.max())
+            A_h = G.T @ A @ G
+            Aty = np.tensordot(dy, A_h, axes=1)
+            size = np.tensordot(np.abs(dy), np.abs(A_h), axes=1) + np.abs(dZ_h)
+            assert np.all(np.abs(Aty + dZ_h - Rd_h) <= 1e-9 * size.max())
+            # NT complementarity, linearized at X^ = Z^ = D, with the
+            # second-order term of the predictor
+            sigma = res.diagnostics.history[k]["sigma"]
+            mu = d @ d / n
+            lhs = D @ (dX_h + dZ_h) + (dX_h + dZ_h) @ D
+            P = dX_a @ dZ_a
+            rhs = 2 * sigma * mu * np.eye(n) - 2 * D @ D - (P + P.T)
+            assert np.abs(lhs - rhs).max() <= 1e-9 * np.abs(rhs).max()
+
+    def test_history_records_each_step(self):
+        res = solve_sdp(simple_interval_problem())
+        *steps, last = res.diagnostics.history
+        assert steps
+        for snap in steps:
+            assert 0 < snap["step_p"] <= 1 and 0 < snap["step_d"] <= 1
+            assert 0 <= snap["sigma"] <= 1
+        # no step is taken from the final iterate
+        assert last["step_p"] is last["step_d"] is last["sigma"] is None
+
+
+class TestIterationGuard:
+    def test_margin_solves_of_interior_problems(self):
+        # the margin problems of strictly feasible pencils are strictly
+        # complementary; an NT corrector solves each in about ten iterations
+        total = 0
+        for seed in (778, 779, 905):
+            rng = np.random.default_rng(seed)
+            for rank in range(1, 9):
+                prob, _ = interior_problem(rng, 9, 8, rank)
+                res = solve_sdp(facial.build_alternative_problem(prob))
+                assert res.status.tag is StatusTag.OPTIMAL, (seed, rank, res.status)
+                assert res.diagnostics.iterations <= 12, (seed, rank)
+                total += res.diagnostics.iterations
+        assert total <= 250
 
 
 class TestRandomCertified:
