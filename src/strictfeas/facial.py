@@ -11,28 +11,29 @@ reliably.  One exact RREF in one fixed column order solves them (see
 `derive_implicit_constraints`); relations that reduce to 0 = 1 prove the
 SDP infeasible.
 
-The search runs in floats: an orthonormal float chart of the trace-one
-slice of matrices orthogonal to the pencil yields the margin problem
-(`build_alternative_problem`), which maximizes the minimum eigenvalue over
-the slice, and that one solve decides the search's verdict.  The one exact
-claim about the slice itself, that it is empty or holds only traceless
-matrices (an exact StrictlyFeasible verdict), is the linear-algebra fact
-I in span{F0, F_i}, decided by one exact solve.  The candidate is
-rationalized by one path, face then coordinates: a pivot-normalized basis
-of its range is rounded first, which fixes the face exactly, and the
-coordinates inside that face second.  The face's rank is not a setting:
-the search starts at the rank the spectrum shows and steps down one rank
-at a time until a candidate verifies.  Every certificate property is
-verified exactly; a candidate that cannot be rationalized at any rank is
-surfaced as RoundingFailed, never guessed around.
+The search runs in floats: an orthonormal float basis of the pencil's span
+L = span{F0, F_i} yields the margin problem (`build_alternative_problem`),
+the dual of maximizing the minimum eigenvalue over the trace-one slice of
+matrices orthogonal to L, and that one solve decides the search's verdict.
+Its primal iterate, shifted along I, is the candidate certificate.  The one
+exact claim about the slice itself, that it is empty or holds only
+traceless matrices (an exact StrictlyFeasible verdict), is the
+linear-algebra fact I in span{F0, F_i}, decided by one exact solve.  The
+candidate is rationalized by one path, face then coordinates: a
+pivot-normalized basis of its range is rounded first, which fixes the face
+exactly, and the coordinates inside that face second.  The face's rank is
+not a setting: the search starts at the rank the spectrum shows and steps
+down one rank at a time until a candidate verifies.  Every certificate
+property is verified exactly; a candidate that cannot be rationalized at
+any rank is surfaced as RoundingFailed, never guessed around.
 
 Every pencil-wide step reads the pencil's integer split
-(`MatrixPencil.split`), not its Fractions: the float chart, the traceless
-verdict, the face congruence, the exact verification, the derivation and
-the substitution, which hands the reduced pencil's split on, so later
-rounds never split again.  Face rounding stays on integers too, up to the
-candidate X = W M W^T that the verification reads.  Its in-face step has
-an affine right-hand side, so it also rounds the bound certificate by
+(`MatrixPencil.split`), not its Fractions: the float span basis, the
+traceless verdict, the face congruence, the exact verification, the
+derivation and the substitution, which hands the reduced pencil's split on,
+so later rounds never split again.  Face rounding stays on integers too, up
+to the candidate X = W M W^T that the verification reads.  Its in-face step
+has an affine right-hand side, so it also rounds the bound certificate by
 which `certify_optimum` proves an optimum from a solve.
 """
 
@@ -209,44 +210,13 @@ def _symmetric_split(coords, n: int) -> QSplit:
     return QSplit(full(S.A), full(S.B), S.d)
 
 
-# slice coordinates below this are roundoff: they are set to exactly 0, so
-# that rows no pencil matrix touches stay structurally zero for the solver
+# chart coordinates below this are roundoff: they are set to exactly 0, so
+# that rows no pencil matrix touches stay structurally zero
 CHART_ZERO = 1e-13
 
-# a trace functional on the float slice below this norm is roundoff: one
-# exact solve then decides whether the slice is traceless
+# a distance of I from the pencil's span below this norm is roundoff: one
+# exact solve then decides whether the orthogonal slice is traceless
 TRACE_FLOOR = 1e-9
-
-
-def _float_slice_chart(prob: SdpProblem):
-    """Orthonormal float chart of {X symmetric: <F0,X> = <F_i,X> = 0, tr X = 1}.
-
-    In sqrt2-weighted upper-triangle coordinates the Frobenius inner product
-    is the dot product, so the SVD nullspace N of the constraint rows is an
-    orthonormal basis of the orthogonal slice.  With tau = N^T t for the
-    trace functional t, X0 = N tau / |tau|^2 is its minimum-norm trace-one
-    point and one QR gives an orthonormal basis B of the complement of tau
-    in span N (the traceless directions).  Returns (X0, [B_k]) as float
-    matrices, or None when tau is at roundoff level (an empty N gives
-    tau = 0): the slice looks traceless, and `_traceless_verdict` decides
-    that exactly.
-    """
-    p = prob.pencil
-    iu, w = _chart_coordinates(p.n)
-    diag = iu[0] == iu[1]
-    K = to_float(p.split)[:, iu[0], iu[1]] * w
-    _, s, Vt = np.linalg.svd(K)
-    # numpy's matrix_rank tolerance
-    rank = int(np.sum(s > max(K.shape) * np.finfo(float).eps * s[0]))
-    N = Vt[rank:].T
-    tau = N.T @ diag.astype(float)
-    norm = float(np.linalg.norm(tau))
-    if norm < TRACE_FLOOR:
-        return None
-    Qtau, _ = np.linalg.qr(tau[:, None], mode="complete")
-    coords = np.vstack([N @ tau / norm**2, (N @ Qtau[:, 1:]).T])
-    X0, *B = _chart_matrices(coords, p.n)
-    return X0, B
 
 
 def _chart_coordinates(n: int):
@@ -267,11 +237,12 @@ def _chart_matrices(coords: np.ndarray, n: int) -> np.ndarray:
 
 
 def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
-    """Exact proof of strict feasibility where the float chart finds the
-    orthogonal slice empty or traceless, or SolverFailedError.
+    """Exact proof of strict feasibility where I lies in the pencil's span
+    in floats (the orthogonal slice looks empty or traceless), or
+    SolverFailedError.
 
     One exact solve of I = c0 F0 + sum_i c_i F_i over the upper triangles
-    decides the chart's reading: a solution makes every matrix orthogonal to
+    decides the float reading: a solution makes every matrix orthogonal to
     the pencil traceless (<I, X> = sum_j c_j <Q_j, X> = 0), so no nonzero
     X >= 0 is orthogonal to it, and the rank of the same system tells
     whether that complement is {0} altogether.  That settles the
@@ -310,9 +281,8 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
     if solved is None:
         if witness is None:
             raise SolverFailedError(
-                "the float chart of the orthogonal slice is traceless at roundoff "
-                "level, but I is not in the span of the pencil matrices and F0 is "
-                "not positive definite"
+                "I is in the span of the pencil matrices at float roundoff level, "
+                "but not exactly, and F0 is not positive definite"
             )
         return StrictlyFeasible(
             exact=True,
@@ -348,32 +318,54 @@ def _positive_definite(M: np.ndarray) -> bool:
 def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
     """The margin SDP of the second alternative, or None on a traceless slice.
 
-    Over the float chart of `_float_slice_chart`, X(z) = X0 + sum_k z_k B_k
-    satisfies <F0, X> = 0, <F_i, X> = 0 and tr X = 1 (the normalization
-    excludes X = 0), to roundoff.  The SDP maximizes t subject to
-    X(z) - t I >= 0: variables z1..zk and slack_margin, terms B_k and -I,
-    objective (0, ..., 0, 1).  Its best margin is the largest minimum
-    eigenvalue on the slice, nonnegative iff a reducing certificate exists.
-    None means the chart finds the slice empty or traceless, which
-    `_traceless_verdict` decides exactly.
+    The search's margin is t* = max t s.t. X - t I >= 0, X orthogonal to
+    L = span{F0, F_i} and tr X = 1: the largest minimum eigenvalue on that
+    slice, nonnegative iff a reducing certificate exists.  This is its dual,
+    min mu s.t. S = mu I + Y >= 0, tr S = 1 and Y in L, with the same
+    optimum and the same PSD pair (X - t I, S), the solver's primal and
+    dual roles swapped.  It has one variable per dimension of L, not of
+    L's complement.
+
+    In sqrt2-weighted upper-triangle coordinates the Frobenius inner product
+    is the dot product, so the SVD of the pencil's constraint rows gives an
+    orthonormal basis V of L and one of its complement; the distance of I
+    from L is the norm of I's part in the complement.  One more SVD
+    orthonormalizes the trace-free parts of V: Q_k = Y_k - (c_k / n) I for
+    some Y_k in L with tr Y_k = c_k.  With Y = -sum_k q_k Y_k the trace
+    condition eliminates mu = (1 + c.q) / n, so S = I/n - sum_k q_k Q_k,
+    and maximizing -mu is objective -c/n with offset -1/n.  Variables
+    q1..qk, terms -Q_k.
+
+    None means I lies in L up to roundoff (TRACE_FLOOR): the slice looks
+    empty or traceless, which `_traceless_verdict` decides exactly.
     """
-    chart = _float_slice_chart(prob)
-    if chart is None:
+    p = prob.pencil
+    n = p.n
+    iu, w = _chart_coordinates(n)
+    eye = (iu[0] == iu[1]).astype(float)
+    K = to_float(p.split)[:, iu[0], iu[1]] * w
+    _, s, Vt = np.linalg.svd(K)
+    # numpy's matrix_rank tolerance
+    rank = int(np.sum(s > max(K.shape) * np.finfo(float).eps * s[0]))
+    if np.linalg.norm(Vt[rank:] @ eye) < TRACE_FLOOR:
         return None
-    X0, B = chart
-    n = prob.pencil.n
+    V = Vt[:rank]
+    traces = V @ eye
+    U, sq, Q = np.linalg.svd(V - np.outer(traces / n, eye), full_matrices=False)
+    c = (U.T @ traces) / sq
     pencil = MatrixPencil(
         n=n,
         scalar="double",
-        f0=X0,
-        var_names=(*(f"z{k+1}" for k in range(len(B))), "slack_margin"),
-        terms=(*B, -np.eye(n)),
+        f0=np.eye(n) / n,
+        var_names=tuple(f"q{k+1}" for k in range(len(Q))),
+        terms=tuple(_chart_matrices(-Q, n)),
     )
     return SdpProblem(
         pencil=pencil,
-        objective=(*(0.0 for _ in B), 1.0),
+        objective=tuple((-c / n).tolist()),
         name=f"{prob.name or 'problem'}-alternative-margin",
-        note="trace-normalized margin problem of the second alternative",
+        note="trace-normalized margin problem of the second alternative, over the pencil's span",
+        objective_offset=-1.0 / n,
     )
 
 
@@ -589,17 +581,19 @@ def _round_in_face(W: QSplit, rows: QSplit, rhs, Xnum: np.ndarray, rungs, verify
 def find_reducing_certificate(prob: SdpProblem):
     """Search for a reducing certificate; verify it exactly or report back.
 
-    The float chart of the trace-one orthogonal slice (see
-    `_float_slice_chart`) yields the margin problem that is solved,
-    `build_alternative_problem`, and the search decides every verdict: the
-    minimum eigenvalue of X(z) is maximized numerically, and the
-    interior-point iterate lands in the relative interior of the optimal
-    face, i.e. at maximal rank.  When the chart finds the slice empty or
-    traceless, one exact solve proves StrictlyFeasible(exact=True) instead
-    (see `_traceless_verdict`).  X(z) is read back from the solved pencil
-    and rounded, face first and coordinates second, from the rank its
-    spectrum gives down to rank 1 (see `_face_split_certificate`).  Every
-    certificate invariant is re-checked exactly.
+    A float basis of the pencil's span yields the margin problem that is
+    solved, `build_alternative_problem`, and the search decides every
+    verdict: its optimum is t* = -objective_dual, the largest minimum
+    eigenvalue of a trace-one X orthogonal to the pencil, and a margin below
+    -FEAS_CUT is numeric StrictlyFeasible evidence.  The solver's primal X~
+    lands in the relative interior of the optimal face, i.e. at maximal
+    rank, and X = X~ + ((1 - tr X~) / n) I is the slice point with
+    X - t* I = X~.  When I lies in the span (the slice is empty or
+    traceless), one exact solve proves StrictlyFeasible(exact=True) instead
+    (see `_traceless_verdict`).  X is rounded, face first and coordinates
+    second, from the rank its spectrum gives down to rank 1 (see
+    `_face_split_certificate`).  Every certificate invariant is re-checked
+    exactly.
     """
     margin_prob = build_alternative_problem(prob)
     if margin_prob is None:
@@ -610,7 +604,7 @@ def find_reducing_certificate(prob: SdpProblem):
             f"alternative-problem solve ended with {res.status.tag.value}: "
             f"{res.status.message}"
         )
-    tstar = res.y["slack_margin"]
+    tstar = -res.objective_dual
     if tstar < -FEAS_CUT:
         return StrictlyFeasible(
             exact=False,
@@ -622,9 +616,10 @@ def find_reducing_certificate(prob: SdpProblem):
             ),
         )
 
-    p = margin_prob.pencil
-    zhat = [res.y[v] for v in p.var_names[:-1]]
-    Xnum = p.f0 + sum((z * Bk for z, Bk in zip(zhat, p.terms)), np.zeros((p.n, p.n)))
+    # the solver's primal X~ pairs with Q_k as -c_k / n; shifted along I to
+    # trace one it is orthogonal to L, and X - t* I = X~
+    n = prob.pencil.n
+    Xnum = res.X + ((1.0 - np.trace(res.X)) / n) * np.eye(n)
     cert, reason = _face_split_certificate(prob, Xnum)
     if cert is None:
         raise RoundingFailedError(

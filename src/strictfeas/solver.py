@@ -10,16 +10,16 @@ The constraint matrices are stacked once as an (m, n, n) array with a flat
 products.
 
 Each Newton step is taken in the Nesterov-Todd scaled frame (Todd, Toh &
-Tutuncu, SIAM J. Optim. 1998).  From the SVD X^{1/2} Z^{1/2} = U S V^T,
-G = X^{1/2} U S^{-1/2} scales X and Z to one diagonal,
-G^{-1} X G^{-T} = G^T Z G = D = diag(s), and W = G G^T is the NT point; the
-singular values are never negative, while eigenvalues of a formed
-X^{1/2} Z X^{1/2} near the optimum roundoff can push below zero.  Over the
-scaled matrices A^_i = G^T A_i G the Schur complement is
-M_ij = <A^_i, A^_j> = <A_i, W A_j W>, assembled as in SDPA/SDPT3
+Tutuncu, SIAM J. Optim. 1998).  From the Cholesky factors X = Lx Lx^T and
+Z = Lz Lz^T and the SVD Lz^T Lx = U S V^T, G = Lx V S^{-1/2} scales X and Z
+to one diagonal, G^{-1} X G^{-T} = G^T Z G = D = diag(s), and W = G G^T is
+the NT point, as in SDPT3; the singular values are never negative, while
+eigenvalues of a formed X^{1/2} Z X^{1/2} near the optimum roundoff can push
+below zero.  Over the scaled matrices A^_i = G^T A_i G the Schur complement
+is M_ij = <A^_i, A^_j> = <A_i, W A_j W>, assembled as in SDPA/SDPT3
 (Fujisawa, Kojima & Nakata, Math. Prog. 1997): one batched matmul forms
-every A^_i, one GEMM forms M.  In the frame the complementarity equation is linearized at
-X^ = Z^ = D, where the two commute: the predictor's right-hand side is -D,
+every A^_i, one GEMM forms M.  In the frame the complementarity equation is
+linearized at X^ = Z^ = D, where the two commute: the predictor's right-hand side is -D,
 and the corrector's is the symmetric NT one of SDPT3 (Toh, Todd & Tutuncu,
 Optim. Methods Softw. 1999),
     (sigma mu / d_i - d_i) delta_ij - (P + P^T)_ij / (d_i + d_j),
@@ -32,7 +32,9 @@ dX = G dX^ G^T, and dZ = Rd - A^T dy from the dual equation itself.
 
 At n <= ~12 an iteration costs numpy call overhead, not flops, so one
 iteration makes as few calls as its arithmetic allows:
-- one stacked eigh of (X, Z), for the square roots the SVD takes;
+- one stacked Cholesky factorization of (X, Z), whose factors the SVD
+  takes; it is also the test that both are positive definite, and a
+  failed one ends the solve as NumericalTrouble;
 - one SVD for G, one batched matmul for the A^_i and one GEMM for M;
 - one Cholesky factorization L L^T of M, which is also the test that M is
   positive definite, and one inverse Li = L^{-1}; each of the four Newton
@@ -131,39 +133,19 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _floored_eigh(X: np.ndarray, Z: np.ndarray):
-    """Eigendecompositions (lam, U) of X and of Z, tiny roundoff-negative
-    eigenvalues floored; one stacked eigh serves both.
-
-    Iterates stay PD by construction; values at -1e-13 scale are float noise
-    near the boundary, not genuine indefiniteness.  Anything worse raises,
-    for X first.
-    """
-    lams, Us = np.linalg.eigh(np.array((X, Z)))
-    out = []
-    for lam, U, label in zip(lams, Us, "XZ"):
-        top = max(float(lam[-1]), 1e-300)
-        if lam[0] <= 0:
-            if lam[0] < -1e-10 * top:
-                raise np.linalg.LinAlgError(f"{label} lost positive definiteness")
-            lam = np.maximum(lam, 1e-14 * top)
-        out.append((lam, U))
-    return out
-
-
-def _nt_frame(Xh: np.ndarray, Zh: np.ndarray):
+def _nt_frame(Lx: np.ndarray, Lz: np.ndarray):
     """(G, d): the Nesterov-Todd scaling G and the scaled point d, from
-    Xh = X^{1/2} and Zh = Z^{1/2}.
+    Cholesky factors X = Lx Lx^T and Z = Lz Lz^T.
 
-    If Xh Zh = U S V^T then G = Xh U S^{-1/2} gives G^{-1} X G^{-T} =
+    If Lz^T Lx = U S V^T then G = Lx V S^{-1/2} gives G^{-1} X G^{-T} =
     G^T Z G = D = diag(s), and W = G G^T is the NT point, W Z W = X.  The
     singular values are never negative, while eigenvalues of a formed
-    Xh Z Xh near the optimum can be.
+    X^{1/2} Z X^{1/2} near the optimum can be.
     """
-    U, s, _ = np.linalg.svd(Xh @ Zh)
+    _, s, Vt = np.linalg.svd(Lz.T @ Lx)
     # singular values below eps * s_max are roundoff, not information
     s = np.maximum(s, np.finfo(float).eps * s[0])
-    return (Xh @ U) / np.sqrt(s), s
+    return (Lx @ Vt.T) / np.sqrt(s), s
 
 
 def _scaled_schur(A: np.ndarray, G: np.ndarray):
@@ -387,11 +369,12 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
             break
 
         try:
-            # one floored eigendecomposition each of X and Z per iteration;
-            # their square roots give the NT frame, in which X and Z are
-            # both D = diag(d) and every Newton step is taken
-            (lx, Ux), (lz, Uz) = _floored_eigh(X, Z)
-            G, d = _nt_frame((Ux * np.sqrt(lx)) @ Ux.T, (Uz * np.sqrt(lz)) @ Uz.T)
+            # one stacked Cholesky factorization of X and Z per iteration,
+            # which is also the test that both are positive definite; the
+            # factors give the NT frame, in which X and Z are both
+            # D = diag(d) and every Newton step is taken
+            Lx, Lz = np.linalg.cholesky(np.array((X, Z)))
+            G, d = _nt_frame(Lx, Lz)
             Af, M = _scaled_schur(A, G)
             if not np.all(np.isfinite(M)):
                 status = SolveStatus(

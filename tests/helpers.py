@@ -437,6 +437,50 @@ def reference_chart_matrices(coords, n):
     return [to_matrix(c) for c in coords]
 
 
+def reference_chart_margin_problem(prob):
+    """The margin SDP posed over an orthonormal float chart of the trace-one
+    slice {X: <F0, X> = <F_i, X> = 0, tr X = 1}, or None when the slice
+    looks traceless: max t s.t. X0 + sum_k z_k B_k - t I >= 0, variables
+    z1..zk and slack_margin.  Its optimum t* is the search's margin, which
+    `facial.build_alternative_problem` reaches from the dual side.
+
+    The SVD nullspace N of the sqrt2-weighted constraint rows is an
+    orthonormal basis of the orthogonal slice; with tau = N^T t for the trace
+    functional t, X0 = N tau / |tau|^2 is its minimum-norm trace-one point
+    and one QR gives an orthonormal basis B of the traceless directions.
+    """
+    from strictfeas.exactnum import to_float
+    from strictfeas.facial import TRACE_FLOOR
+
+    p = prob.pencil
+    iu = np.triu_indices(p.n)
+    diag = iu[0] == iu[1]
+    w = np.where(diag, 1.0, np.sqrt(2.0))
+    K = to_float(p.split)[:, iu[0], iu[1]] * w
+    _, s, Vt = np.linalg.svd(K)
+    rank = int(np.sum(s > max(K.shape) * np.finfo(float).eps * s[0]))
+    N = Vt[rank:].T
+    tau = N.T @ diag.astype(float)
+    norm = float(np.linalg.norm(tau))
+    if norm < TRACE_FLOOR:
+        return None
+    Qtau, _ = np.linalg.qr(tau[:, None], mode="complete")
+    coords = np.vstack([N @ tau / norm**2, (N @ Qtau[:, 1:]).T])
+    X0, *B = reference_chart_matrices(coords, p.n)
+    pencil = MatrixPencil(
+        n=p.n,
+        scalar="double",
+        f0=X0,
+        var_names=(*(f"z{k+1}" for k in range(len(B))), "slack_margin"),
+        terms=(*B, -np.eye(p.n)),
+    )
+    return SdpProblem(
+        pencil=pencil,
+        objective=(*(0.0 for _ in B), 1.0),
+        name=f"{prob.name or 'problem'}-chart-margin",
+    )
+
+
 def reference_constraint_rows(mats, pairs):
     """<Q, M> as a functional of the upper-triangle entries (i, j) in pairs
     of a symmetric M, one row per matrix Q, one QuadExt product at a time."""

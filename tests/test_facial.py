@@ -60,7 +60,6 @@ from strictfeas.facial import (
     _affine_solve_exact,
     _chart_matrices,
     _face_split_certificate,
-    _float_slice_chart,
     _round_face,
     _Snaps,
     _symmetric_split,
@@ -79,11 +78,13 @@ from helpers import (
     mat_vec,
     PLANTED_U,
     golden_face_problem,
+    interior_problem,
     planted_chain,
     planted_chain_problem,
     pinned_objective_problem,
     problem1_optimal_point,
     reference_apply_constraints,
+    reference_chart_margin_problem,
     reference_chart_matrices,
     reference_constraint_rows,
     reference_qmatmul,
@@ -133,6 +134,9 @@ class TestAlternativeProblem:
         assert build_alternative_problem(identity_pencil_problem()) is None
 
     def test_problem1_margin_objective_is_the_slack_margin(self):
+        # at every point q of the margin problem, S(q) = mu I + Y with Y in
+        # the pencil's span, and its objective is -mu; a trace-one X
+        # orthogonal to the pencil reads mu = <S(q), X> whatever q is
         prob = almost_quantum_pencil(line1())
         v1, v2 = line1_null_vectors()
         X = qzeros(9)
@@ -141,22 +145,43 @@ class TestAlternativeProblem:
                 for j in range(9):
                     X[i, j] = X[i, j] + w * v[i] * v[j]
         assert verify_certificate_matrix(prob, X) == []
+        Xf = to_float(split(X))
+        Xf /= np.trace(Xf)
         alt = build_alternative_problem(prob)
+        n = prob.pencil.n
         assert alt.pencil.m > 1
-        assert alt.var_names[-1] == "slack_margin"
-        assert alt.objective == (0.0,) * (alt.pencil.m - 1) + (1.0,)
+        assert np.array_equal(alt.pencil.f0, np.eye(n) / n)
+        assert alt.objective_offset == -1.0 / n
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            q = rng.standard_normal(alt.pencil.m)
+            S = pencil_eval(alt.pencil, dict(zip(alt.var_names, q)))
+            mu = -(alt.objective_offset + np.dot(alt.objective, q))
+            assert np.sum(S * Xf) == pytest.approx(mu, abs=1e-12 * (1 + np.abs(q).sum()))
 
     def test_margin_problem_is_the_search_chart(self):
+        # the terms -Q_k are an orthonormal trace-free basis of the pencil's
+        # span projected off I: orthogonal to every direction of the float
+        # chart of the trace-one orthogonal slice, and together with it they
+        # fill the trace-free matrices; the chart's origin X0 meets the
+        # margin problem's equality constraints <Q_k, X> = b_k
         prob = almost_quantum_pencil(line2())
         alt = build_alternative_problem(prob)
-        X0, B = _float_slice_chart(prob)
+        ref = reference_chart_margin_problem(prob)
+        n = prob.pencil.n
+        X0, B = ref.pencil.f0, ref.pencil.terms[:-1]
+        Q = -np.array(alt.pencil.terms)
         assert alt.pencil.scalar == "double"
         assert alt.name == f"{prob.name}-alternative-margin"
-        assert np.array_equal(alt.pencil.f0, X0)
-        want = [*B, -np.eye(prob.pencil.n)]
-        assert len(alt.pencil.terms) == len(want)
-        assert all(np.array_equal(T, W) for T, W in zip(alt.pencil.terms, want))
-        assert alt.var_names == (*(f"z{k+1}" for k in range(len(B))), "slack_margin")
+        assert alt.var_names == tuple(f"q{k+1}" for k in range(len(Q)))
+        assert np.array_equal(alt.pencil.f0, np.eye(n) / n)
+        assert alt.objective_offset == -1.0 / n
+        gram = np.tensordot(Q, Q, axes=([1, 2], [1, 2]))
+        assert np.abs(gram - np.eye(len(Q))).max() < 1e-12
+        assert np.abs(np.trace(Q, axis1=1, axis2=2)).max() < 1e-12
+        assert np.abs(np.tensordot(Q, np.array(B), axes=([1, 2], [1, 2]))).max() < 1e-12
+        assert len(Q) + len(B) == n * (n + 1) // 2 - 1
+        assert np.tensordot(Q, X0, axes=2) == pytest.approx(alt.objective, abs=1e-12)
 
     @pytest.mark.parametrize(
         "make",
@@ -350,7 +375,93 @@ class TestFindCertificate:
             assert tr == quad(1)
 
 
+def _zero_pencil_problem(m):
+    pencil = MatrixPencil.from_upper(3, "exact", [], [(f"y{k}", []) for k in range(m)])
+    return SdpProblem(pencil=pencil, objective=(quad(0),) * m, name=f"zero-{m}")
+
+
+def _margin_inputs():
+    """(id, problem) of every search the equivalence test compares: the
+    bundled problems, each search of the planted chains' reductions, the
+    zero pencil and strictly feasible interior problems."""
+    yield "line1", almost_quantum_pencil(line1())
+    yield "line2", almost_quantum_pencil(line2())
+    yield "toy", chsh_toy_pencil()
+    for n in (4, 8):
+        for sqrt5 in (False, True):
+            prob = planted_chain(np.random.default_rng(n), n, 2, sqrt5)
+            _, rounds, _ = reduce_problem(prob)
+            for k, p in enumerate([prob, *(r.problem for r in rounds)]):
+                yield f"{prob.name}-search{k}", p
+    for m in (0, 1):
+        yield f"zero-{m}", _zero_pencil_problem(m)
+    rng = np.random.default_rng(778)
+    for rank in range(1, 9):
+        yield f"interior-{rank}", interior_problem(rng, 9, 8, rank)[0]
+
+
+def _margin(prob: SdpProblem, read) -> float:
+    res = solver.solve_sdp(prob)
+    assert res.status.tag is model.StatusTag.OPTIMAL, (prob.name, res.status)
+    return read(res)
+
+
+class TestMarginEquivalence:
+    """The margin problem over the pencil's span against the one over the
+    float chart of the trace-one orthogonal slice: two sides of one
+    primal-dual pair, so the same optimum and the same verdict."""
+
+    def test_every_search_matches_the_chart_side(self):
+        seen = 0
+        for label, prob in _margin_inputs():
+            alt = build_alternative_problem(prob)
+            ref = reference_chart_margin_problem(prob)
+            assert (alt is None) == (ref is None), label
+            assert alt is not None, label
+            got = _margin(alt, lambda r: -r.objective_dual)
+            want = _margin(ref, lambda r: r.y["slack_margin"])
+            assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (label, got, want)
+            outcome = find_reducing_certificate(prob)
+            if want < -facial.FEAS_CUT:
+                assert isinstance(outcome, StrictlyFeasible) and not outcome.exact, label
+            else:
+                assert isinstance(outcome, ReducingCertificate), label
+            seen += 1
+        assert seen == 3 + 4 * 3 + 2 + 8
+
+    @pytest.mark.parametrize("k", [2, 4, 6], ids=["1e-2", "1e-4", "1e-6"])
+    def test_span_nearly_holding_the_identity(self, k):
+        # F_a = I + eps diag(1, 0, -1) lies ~eps from I: the slice is nearly
+        # traceless and its best margin -(1 - eps) / (3 eps) is far below 0,
+        # yet the trace-free basis of the span is orthonormal, so the solve
+        # stays well scaled
+        eps = Fraction(1, 10**k)
+        prob = _near_identity_span(eps)
+        out = find_reducing_certificate(prob)
+        assert isinstance(out, StrictlyFeasible) and not out.exact
+        got = _margin(build_alternative_problem(prob), lambda r: -r.objective_dual)
+        assert got == pytest.approx(-float((1 - eps) / (3 * eps)), rel=1e-8)
+
+    def test_span_at_roundoff_from_the_identity_fails(self):
+        with pytest.raises(SolverFailedError):
+            find_reducing_certificate(_near_identity_span(Fraction(1, 10**8)))
+
+
+def _near_identity_span(eps):
+    pencil = MatrixPencil.from_upper(
+        3,
+        "exact",
+        [(0, 0, 1), (1, 1, -1)],
+        [("a", [(0, 0, 1 + eps), (1, 1, 1), (2, 2, 1 - eps)]), ("b", [(0, 1, 1)])],
+    )
+    return SdpProblem(pencil=pencil, objective=(quad(0), quad(0)), name="near-identity-span")
+
+
 class TestFloatSliceChart:
+    """The float chart of the trace-one orthogonal slice that
+    `reference_chart_margin_problem` poses the margin problem over, and the
+    chart matrices the margin problem's terms are built with."""
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -363,7 +474,8 @@ class TestFloatSliceChart:
     def test_chart_is_orthonormal_trace_one_slice(self, make):
         prob = make()
         p = prob.pencil
-        X0, B = _float_slice_chart(prob)
+        ref = reference_chart_margin_problem(prob)
+        X0, B = ref.pencil.f0, ref.pencil.terms[:-1]
         assert np.trace(X0) == pytest.approx(1.0, abs=1e-12)
         gram = np.array([[np.sum(a * b) for b in B] for a in B])
         assert np.abs(gram - np.eye(len(B))).max() < 1e-12
@@ -605,11 +717,11 @@ class TestPinnedCertificates:
         "make, digest, rref, note",
         [
             (lambda: almost_quantum_pencil(line1()),
-             "6e5378f02bfc92210e538773a4ac4f687b54fe4982aabe5a280431780301dde3",
+             "f8b55fbc759a97e3e9d91fef45a1f5113ea1a1fdf9eeaf2db8b422921d7c402c",
              [[1, 0, -1, 0, -1, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0, 0, -1, 0]],
              "face rounding at max_den=100; rank 2"),
             (lambda: almost_quantum_pencil(line2()),
-             "ca6ceaf145ab29130f0c25de6fa1937431a1af456ae06e24e9de596adaa7c799",
+             "9617a62fcfad3eb89d03f1f2f7da2273881d4119361cd251c0c4c748b5ac47a7",
              [[0, 1, 0, 0, 0, 0, -1, 0, 0], [0, 0, 0, 1, 0, 0, 0, -1, 0],
               [0, 0, 0, 0, 0, 0, 0, 0, 1]],
              "face rounding at max_den=100; rank 3"),

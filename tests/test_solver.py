@@ -17,7 +17,6 @@ from strictfeas.solver import (
     GAP_TOL,
     InvalidProblemError,
     _factor_schur,
-    _floored_eigh,
     _max_steps,
     _nt_frame,
     _scaled_schur,
@@ -161,6 +160,38 @@ class TestNewtonSystem:
         res = solve_sdp(simple_interval_problem())
         assert res.status.tag is StatusTag.NUMERICAL_TROUBLE
 
+    @pytest.mark.parametrize("which", ["X", "Z"])
+    def test_lost_definiteness_is_trouble(self, which, monkeypatch):
+        # a full step that leaves X (dX^ shifted by -1e3 I) or Z (dy pushed
+        # along diag(1, -1)) indefinite fails the next iteration's Cholesky
+        # factorization of (X, Z): the solve ends as NumericalTrouble and
+        # does not raise
+        newton, cholesky = solver._newton, np.linalg.cholesky
+        failed = []
+
+        def overshooting(Af, Li, Rp, Rd, Rc):
+            dy, dXh, dZh = newton(Af, Li, Rp, Rd, Rc)
+            if which == "X":
+                return dy, dXh - 1e3 * np.eye(len(dXh)), dZh
+            return dy + 1e3, dXh, dZh
+
+        def recording(M):
+            try:
+                return cholesky(M)
+            except np.linalg.LinAlgError:
+                failed.append(M)
+                raise
+
+        monkeypatch.setattr(solver, "_max_steps", lambda scale, dXh, dZh: (1.0, 1.0))
+        monkeypatch.setattr(solver, "_newton", overshooting)
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        res = solve_sdp(simple_interval_problem())
+        assert res.status.tag is StatusTag.NUMERICAL_TROUBLE
+        assert res.status.message.startswith("factorization failed")
+        assert res.diagnostics.iterations == 1
+        (XZ,) = failed
+        assert dict(zip("XZ", np.linalg.eigvalsh(XZ)[:, 0]))[which] < 0
+
     def test_condition_estimate_tracks_the_schur_complement(self, monkeypatch):
         # the reported value is the 1-norm condition number of the last
         # factored matrix, up to the rounding of its inverse
@@ -184,14 +215,15 @@ class TestNewtonSystem:
 
     def test_nt_scaling_survives_shared_tiny_eigenvalue(self):
         # near the optimum X Z ~ 0; when X and Z share one tiny eigenvalue,
-        # Xh Z Xh has an eigenvalue ~1e-30 that roundoff can make negative
+        # Lz^T Lx has a singular value ~1e-15 at roundoff level
         rng = np.random.default_rng(11)
         tiny = 1e-15
         for _ in range(200):
             Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             dx = np.concatenate([rng.uniform(0.5, 2.0, 3), [tiny] * 3])
             dz = np.concatenate([[tiny] * 4, rng.uniform(0.5, 2.0, 2)])
-            G, d = _nt_frame((Q * np.sqrt(dx)) @ Q.T, (Q * np.sqrt(dz)) @ Q.T)
+            X, Z = _sym((Q * dx) @ Q.T), _sym((Q * dz) @ Q.T)
+            G, d = _nt_frame(*np.linalg.cholesky(np.array((X, Z))))
             W = G @ G.T
             assert np.all(np.isfinite(G)) and np.all(d > 0)
             assert np.array_equal(W, W.T)
@@ -202,8 +234,7 @@ class TestNewtonSystem:
         rng = np.random.default_rng(12)
         for n in (1, 3, 9):
             X, Z = _spd(rng, n), _spd(rng, n)
-            (lx, Ux), (lz, Uz) = _floored_eigh(X, Z)
-            G, d = _nt_frame((Ux * np.sqrt(lx)) @ Ux.T, (Uz * np.sqrt(lz)) @ Uz.T)
+            G, d = _nt_frame(np.linalg.cholesky(X), np.linalg.cholesky(Z))
             Gi = np.linalg.inv(G)
             scale = np.abs(d).max()
             assert np.abs(Gi @ X @ Gi.T - np.diag(d)).max() <= 1e-9 * scale
@@ -249,29 +280,6 @@ class TestCallLayout:
             assert np.all(np.isfinite(Li)) and np.isfinite(cond)
             with pytest.raises(np.linalg.LinAlgError, match="factorization failed"):
                 _factor_schur(M - 2 * np.eye(m))
-
-    def test_stacked_eigh_matches_per_matrix_calls(self):
-        rng = np.random.default_rng(32)
-        for n in (1, 3, 9, 12):
-            X, Z = _spd(rng, n), _spd(rng, n)
-            for (lam, U), M in zip(_floored_eigh(X, Z), (X, Z)):
-                ref_lam, ref_U = np.linalg.eigh(M)
-                assert np.array_equal(lam, ref_lam)
-                assert np.array_equal(U, ref_U)
-
-    def test_floor_and_error_per_matrix(self):
-        rng = np.random.default_rng(33)
-        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        good = (Q * np.array([1.0, 2.0, 3.0, 4.0])) @ Q.T
-        # roundoff-negative: floored to 1e-14 of the largest eigenvalue
-        noisy = (Q * np.array([-1e-13, 2.0, 3.0, 4.0])) @ Q.T
-        (_, _), (lam, _) = _floored_eigh(good, noisy)
-        assert lam[0] > 0
-        bad = (Q * np.array([-1.0, 2.0, 3.0, 4.0])) @ Q.T
-        with pytest.raises(np.linalg.LinAlgError, match="X lost"):
-            _floored_eigh(bad, bad)
-        with pytest.raises(np.linalg.LinAlgError, match="Z lost"):
-            _floored_eigh(good, bad)
 
     def test_stacked_step_lengths_match_per_matrix_calls(self):
         rng = np.random.default_rng(34)
