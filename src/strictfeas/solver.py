@@ -19,9 +19,9 @@ below zero.  Over the scaled matrices A^_i = G^T A_i G the Schur complement
 is M_ij = <A^_i, A^_j> = <A_i, W A_j W>, assembled as in SDPA/SDPT3
 (Fujisawa, Kojima & Nakata, Math. Prog. 1997): one batched matmul forms
 every A^_i, one GEMM forms M.  In the frame the complementarity equation is
-linearized at X^ = Z^ = D, where the two commute: the predictor's right-hand side is -D,
-and the corrector's is the symmetric NT one of SDPT3 (Toh, Todd & Tutuncu,
-Optim. Methods Softw. 1999),
+linearized at X^ = Z^ = D, where the two commute: the predictor's
+right-hand side is -D, and the corrector's is the symmetric NT one of SDPT3
+(Toh, Todd & Tutuncu, Optim. Methods Softw. 1999),
     (sigma mu / d_i - d_i) delta_ij - (P + P^T)_ij / (d_i + d_j),
 with P = dX^_a dZ^_a the predictor's second-order term.  Each Newton solve
 is refined once against A^ itself, which keeps the primal residual from
