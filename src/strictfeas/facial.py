@@ -370,7 +370,11 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
 
 
 # a best slack margin below -FEAS_CUT is numerical evidence that no
-# certificate exists (ten times the solver's feasibility tolerance)
+# certificate exists (ten times the solver's feasibility tolerance).  It is
+# also the margin solve's objective cut: the first strictly feasible point
+# of the margin problem with slack margin mu(q) < -FEAS_CUT settles that
+# verdict, since t* <= mu(q), so the solve stops there.  A certificate
+# means t* >= 0, which no such point can beat
 FEAS_CUT = 1e-8
 
 # eigenvalues of the numerical certificate at or above this fraction of the
@@ -585,9 +589,14 @@ def find_reducing_certificate(prob: SdpProblem):
     solved, `build_alternative_problem`, and the search decides every
     verdict: its optimum is t* = -objective_dual, the largest minimum
     eigenvalue of a trace-one X orthogonal to the pencil, and a margin below
-    -FEAS_CUT is numeric StrictlyFeasible evidence.  The solver's primal X~
-    lands in the relative interior of the optimal face, i.e. at maximal
-    rank, and X = X~ + ((1 - tr X~) / n) I is the slice point with
+    -FEAS_CUT is numeric StrictlyFeasible evidence.  The solve's objective
+    cut is FEAS_CUT (its objective is -mu), so on that side it stops at the
+    first strictly feasible q with mu(q) < -FEAS_CUT, and the verdict's
+    detail states the bound "slack margin at most mu(q)", not t* itself.
+    Where a certificate exists t* >= 0, so the cut is never reached and the
+    solve runs to the optimum.  The solver's primal X~ lands in the
+    relative interior of the optimal face, i.e. at maximal rank, and
+    X = X~ + ((1 - tr X~) / n) I is the slice point with
     X - t* I = X~.  When I lies in the span (the slice is empty or
     traceless), one exact solve proves StrictlyFeasible(exact=True) instead
     (see `_traceless_verdict`).  X is rounded, face first and coordinates
@@ -598,20 +607,22 @@ def find_reducing_certificate(prob: SdpProblem):
     margin_prob = build_alternative_problem(prob)
     if margin_prob is None:
         return _traceless_verdict(prob)
-    res = solve_sdp(margin_prob)
-    if res.status.tag is not StatusTag.OPTIMAL:
+    res = solve_sdp(margin_prob, stop_above=FEAS_CUT)
+    if res.status.tag not in (StatusTag.OPTIMAL, StatusTag.OBJECTIVE_CUT_REACHED):
         raise SolverFailedError(
             f"alternative-problem solve ended with {res.status.tag.value}: "
             f"{res.status.message}"
         )
-    tstar = -res.objective_dual
-    if tstar < -FEAS_CUT:
+    # mu(q) = -objective_dual at the solver's y: t* itself at an optimum, an
+    # upper bound on t* below -FEAS_CUT at the cut
+    margin = -res.objective_dual
+    if margin < -FEAS_CUT:
         return StrictlyFeasible(
             exact=False,
             tolerance=FEAS_CUT,
             detail=(
                 "the alternative problem is infeasible at solver tolerance "
-                f"(best slack margin {tstar:.3e}); this is numerical evidence, "
+                f"(slack margin at most {margin:.3e}); this is numerical evidence, "
                 "not an exact proof"
             ),
         )

@@ -46,6 +46,9 @@ class StatusTag(str, Enum):
     PRIMAL_INFEASIBLE = "PrimalInfeasible"
     DUAL_UNBOUNDED_SUSPECTED = "DualUnboundedSuspected"
     ITERATION_LIMIT = "IterationLimit"
+    # a strictly feasible y whose objective beats the caller's cut: a lower
+    # bound on the maximum, not an optimum
+    OBJECTIVE_CUT_REACHED = "ObjectiveCutReached"
 
 
 @dataclass(frozen=True)

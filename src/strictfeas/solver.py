@@ -61,6 +61,14 @@ strict-feasibility failure on the primal side) reliably trigger this.
 The tolerances and failure signals are module constants, not options: on a
 problem that is not strictly feasible no tolerance makes the answer
 reliable, so the exact layers (`facial`, `certify`) decide instead.
+
+A caller that needs only to know whether the maximum exceeds some value
+passes it as the objective cut `stop_above`.  The first iterate, not
+already Optimal, with <b, y> + offset above the cut and a float Cholesky
+factor of F(y) = C - A^T y (the pencil itself, not the iterate Z) ends the
+solve as ObjectiveCutReached: by weak duality that y proves the maximum is
+at least its objective.  Such a result is a bound, not an optimum.  Without
+a cut the test is never made, so it cannot change an iterate.
 """
 
 from __future__ import annotations
@@ -213,8 +221,13 @@ def _newton(Af: np.ndarray, Li: np.ndarray, Rp: np.ndarray, Rd: np.ndarray, Rc: 
     return dy, Rc - dZh, dZh
 
 
-def solve_sdp(prob: SdpProblem) -> SolveResult:
-    """Solve max <b,y> s.t. F0 + sum y_i F_i >= 0 (numeric scalars only)."""
+def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResult:
+    """Solve max <b,y> s.t. F0 + sum y_i F_i >= 0 (numeric scalars only).
+
+    With stop_above, the solve ends as ObjectiveCutReached at the first
+    strictly feasible y whose objective, offset included, exceeds it (see
+    the module docstring).
+    """
     violations = validate(prob)
     if violations:
         raise InvalidProblemError(violations)
@@ -238,14 +251,15 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
 
     diag = Diagnostics()
 
+    # the offset is reported and compared with the cut, never iterated on:
+    # iterates and gap are those of <b, y> alone
+    offset = float(prob.objective_offset)
+
     def finish(status: SolveStatus, y, Xred, cond) -> SolveResult:
         X_full = np.zeros((n_full, n_full))
         if n:
             X_full[np.ix_(rows, rows)] = Xred
         ydict = {name: float(val) for name, val in zip(names, y)}
-        # the offset is reported, never iterated on: iterates and gap are
-        # those of <b, y> alone
-        offset = float(prob.objective_offset)
         obj_p = (float(C.ravel() @ Xred.ravel()) if n else 0.0) + offset
         obj_d = float(b @ y) + offset
         diag.condition_estimate = cond
@@ -355,6 +369,20 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
         if gap <= GAP_TOL and res_p <= FEAS_TOL and res_d <= FEAS_TOL:
             status = SolveStatus(StatusTag.OPTIMAL)
             break
+        if stop_above is not None and obj_d + offset > stop_above:
+            # F(y) itself, C - A^T y on the solver's rows, not the iterate
+            # Z, which differs from it by the dual residual
+            try:
+                np.linalg.cholesky(C - at_of(y))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                status = SolveStatus(
+                    StatusTag.OBJECTIVE_CUT_REACHED,
+                    f"objective {obj_d + offset:.6e} above the cut {stop_above:.6e} "
+                    "at a strictly feasible point",
+                )
+                break
         if max_var > VAR_BOUND:
             status = SolveStatus(
                 StatusTag.NUMERICAL_TROUBLE,
@@ -464,7 +492,8 @@ def solve_sdp(prob: SdpProblem) -> SolveResult:
 
 
 def diagnostics_report(res: SolveResult) -> str:
-    """Plain-text summary of a solve, with a strict-feasibility warning."""
+    """Plain-text summary of a solve, with a strict-feasibility warning
+    (a solve stopped at the objective cut gets its own line instead)."""
     d = res.diagnostics
     lines = [
         f"status: {res.status.tag.value}"
@@ -480,7 +509,9 @@ def diagnostics_report(res: SolveResult) -> str:
         f"iterations with a regularized Newton system: {d.regularized_iterations}",
     ]
     troubled = (not res.status.is_optimal) or d.max_abs_variable > TROUBLE_VAR_BOUND
-    if troubled:
+    if res.status.tag is StatusTag.OBJECTIVE_CUT_REACHED:
+        lines.append("stopped at the objective cut; not an optimum.")
+    elif troubled:
         lines.append(
             "strict-feasibility warning: iterates or status indicate that optimal "
             "solutions may not exist for this formulation."

@@ -11,7 +11,8 @@ from strictfeas.bell import problem1_simplified
 from strictfeas.cli import BUILTINS, _problems_equal, load_problem, main, store_problem
 from strictfeas.exactnum import quad
 from strictfeas.facial import RoundingFailedError
-from strictfeas.model import MatrixPencil, SdpProblem, problem_to_json_str, validate
+from strictfeas.model import MatrixPencil, SdpProblem, StatusTag, problem_to_json_str, validate
+from strictfeas.solver import solve_sdp
 
 from helpers import (
     pinned_objective_problem,
@@ -388,20 +389,30 @@ class TestReduceCommand:
 
     def test_numeric_verdict_reported_as_evidence(self, tmpfile, capsys):
         # the slice orthogonal to diag(3, 1) holds no PSD matrix, which only
-        # the solver sees: reduce must not pass the verdict off as a proof
-        pencil = MatrixPencil.from_upper(2, "exact", [(0, 0, 3), (1, 1, 1)], [])
-        path = tmpfile("indefinite-slice.json")
-        store_problem(SdpProblem(pencil=pencil, objective=(), name="indefinite-slice"), path)
-        assert main(["reduce", path, "--json"]) == 0
-        reduced = json.loads(capsys.readouterr().out)["reduction"]
-        assert reduced["verdict"] == "StrictlyFeasible"
-        assert reduced["exact"] is False
-        assert reduced["tolerance"] > 0
-        assert main(["diagnose", path, "--json"]) == 0
-        diagnosed = json.loads(capsys.readouterr().out)["reduction"]
-        assert {k: reduced[k] for k in diagnosed} == diagnosed
-        assert main(["reduce", path]) == 0
-        assert "not a proof" in capsys.readouterr().out
+        # the solver sees: reduce must not pass the verdict off as a proof.
+        # With the off-diagonal unit as a variable's term, the margin solve
+        # stops at the objective cut instead of the optimum
+        offdiag = [("y", [(0, 1, 1)])]
+        for name, terms in (("indefinite-slice", []), ("offdiag-variable", offdiag)):
+            pencil = MatrixPencil.from_upper(2, "exact", [(0, 0, 3), (1, 1, 1)], terms)
+            prob = SdpProblem(pencil=pencil, objective=(quad(1),) * len(terms), name=name)
+            if terms:
+                margin = facial.build_alternative_problem(prob)
+                cut = solve_sdp(margin, stop_above=facial.FEAS_CUT)
+                assert cut.status.tag is StatusTag.OBJECTIVE_CUT_REACHED
+            path = tmpfile(f"{name}.json")
+            store_problem(prob, path)
+            assert main(["reduce", path, "--json"]) == 0
+            reduced = json.loads(capsys.readouterr().out)["reduction"]
+            assert reduced["verdict"] == "StrictlyFeasible"
+            assert reduced["exact"] is False
+            assert reduced["tolerance"] > 0
+            assert "slack margin at most" in reduced["detail"]
+            assert main(["diagnose", path, "--json"]) == 0
+            diagnosed = json.loads(capsys.readouterr().out)["reduction"]
+            assert {k: reduced[k] for k in diagnosed} == diagnosed
+            assert main(["reduce", path]) == 0
+            assert "not a proof" in capsys.readouterr().out
 
 
 class TestReproduceCommand:

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -193,14 +194,15 @@ class TestAlternativeProblem:
         solved = []
         solve = facial.solve_sdp
 
-        def spy(problem):
-            solved.append(problem)
-            return solve(problem)
+        def spy(problem, *, stop_above=None):
+            solved.append((problem, stop_above))
+            return solve(problem, stop_above=stop_above)
 
         monkeypatch.setattr(facial, "solve_sdp", spy)
         find_reducing_certificate(prob)
         want = build_alternative_problem(prob)
-        (got,) = solved
+        ((got, stop_above),) = solved
+        assert stop_above == facial.FEAS_CUT
         assert got.name == want.name
         assert got.var_names == want.var_names
         assert got.objective == want.objective
@@ -442,9 +444,60 @@ class TestMarginEquivalence:
         got = _margin(build_alternative_problem(prob), lambda r: -r.objective_dual)
         assert got == pytest.approx(-float((1 - eps) / (3 * eps)), rel=1e-8)
 
-    def test_span_at_roundoff_from_the_identity_fails(self):
-        with pytest.raises(SolverFailedError):
-            find_reducing_certificate(_near_identity_span(Fraction(1, 10**8)))
+    @pytest.mark.parametrize(
+        "k",
+        [
+            8,
+            # I is in the span at float roundoff, so the search takes the
+            # traceless branch, which finds no witness, although F(a = 2,
+            # b = 0) is exactly positive definite
+            pytest.param(10, marks=pytest.mark.xfail(strict=True, raises=SolverFailedError)),
+        ],
+        ids=["1e-8", "1e-10"],
+    )
+    def test_span_at_roundoff_from_the_identity_is_numeric_evidence(self, k):
+        # the margin solve's iterates grow like 1/eps, but a strictly
+        # feasible one beats the cut long before they reach the bound
+        out = find_reducing_certificate(_near_identity_span(Fraction(1, 10**k)))
+        assert isinstance(out, StrictlyFeasible) and not out.exact
+        assert out.tolerance == facial.FEAS_CUT
+
+
+def _detail_margin(verdict: StrictlyFeasible) -> float:
+    """The slack margin bound a numeric verdict's detail states."""
+    (margin,) = re.findall(r"slack margin at most (\S+)\)", verdict.detail)
+    return float(margin)
+
+
+class TestObjectiveCut:
+    """The margin solve stops at the first strictly feasible point that
+    proves t* < -FEAS_CUT; a pencil with a certificate has t* >= 0, so no
+    such point exists and its solve runs to the optimum."""
+
+    def test_interior_verdicts_bound_the_full_margin(self):
+        for seed in (778, 779, 905):
+            rng = np.random.default_rng(seed)
+            for rank in range(1, 9):
+                prob, _ = interior_problem(rng, 9, 8, rank)
+                out = find_reducing_certificate(prob)
+                assert isinstance(out, StrictlyFeasible) and not out.exact, (seed, rank)
+                assert out.tolerance == facial.FEAS_CUT
+                tstar = _margin(build_alternative_problem(prob), lambda r: -r.objective_dual)
+                margin = _detail_margin(out)
+                assert tstar <= margin < -facial.FEAS_CUT, (seed, rank, tstar, margin)
+
+    def test_no_certificate_carrier_reaches_the_cut(self):
+        carriers = 0
+        for label, prob in _margin_inputs():
+            alt = build_alternative_problem(prob)
+            full = solver.solve_sdp(alt)
+            if -full.objective_dual < -facial.FEAS_CUT:
+                continue
+            cut = solver.solve_sdp(alt, stop_above=facial.FEAS_CUT)
+            assert cut.status.tag is model.StatusTag.OPTIMAL, label
+            assert np.array_equal(cut.X, full.X) and cut.y == full.y, label
+            carriers += 1
+        assert carriers == 3 + 4 * 3 + 2
 
 
 def _near_identity_span(eps):

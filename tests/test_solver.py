@@ -10,8 +10,9 @@ from strictfeas.model import (
     SdpProblem,
     StatusTag,
     pencil_eval,
+    to_double,
 )
-from strictfeas import facial, solver
+from strictfeas import bell, facial, solver
 from strictfeas.solver import (
     FEAS_TOL,
     GAP_TOL,
@@ -386,6 +387,75 @@ class TestIterationGuard:
         assert total <= 250
 
 
+def _same_iterates(r1, r2) -> bool:
+    return (
+        np.array_equal(r1.X, r2.X)
+        and r1.y == r2.y
+        and r1.diagnostics.history == r2.diagnostics.history
+    )
+
+
+def _cut_cases():
+    """(id, double problem, an upper bound on its maximum)."""
+    yield "problem1-raw", to_double(bell.almost_quantum_pencil(bell.line1())), 0.0
+    yield "problem2-raw", to_double(bell.almost_quantum_pencil(bell.line2())), 0.2
+    yield "chsh-toy", to_double(bell.chsh_toy_pencil()), 0.0
+    prob, optimum = interior_problem(np.random.default_rng(778), 9, 8, 3)
+    yield "interior", to_double(prob), float(optimum)
+
+
+class TestObjectiveCut:
+    @pytest.mark.parametrize("case", list(_cut_cases()), ids=lambda c: c[0])
+    def test_unreached_cut_changes_no_iterate(self, case):
+        _, prob, bound = case
+        plain = solve_sdp(prob)
+        for stop_above in (None, bound + 1e-3):
+            res = solve_sdp(prob, stop_above=stop_above)
+            assert res.status == plain.status
+            assert _same_iterates(res, plain)
+
+    def test_reached_cut_stops_at_a_strictly_feasible_point(self):
+        prob = facial.build_alternative_problem(
+            interior_problem(np.random.default_rng(778), 9, 8, 3)[0]
+        )
+        full = solve_sdp(prob)
+        res = solve_sdp(prob, stop_above=facial.FEAS_CUT)
+        assert res.status.tag is StatusTag.OBJECTIVE_CUT_REACHED
+        assert facial.FEAS_CUT < res.objective_dual <= full.objective_dual
+        assert res.diagnostics.iterations < full.diagnostics.iterations
+        np.linalg.cholesky(pencil_eval(prob.pencil, res.y))
+        # the steps up to the cut are the full solve's
+        *steps, _ = res.diagnostics.history
+        assert steps == full.diagnostics.history[: len(steps)]
+
+    def test_cut_on_the_interval_problem(self):
+        # maximize y s.t. diag(1 - y, 1 + y) >= 0: any 0.5 < y < 1 beats 0.5
+        res = solve_sdp(simple_interval_problem(), stop_above=0.5)
+        assert res.status.tag is StatusTag.OBJECTIVE_CUT_REACHED
+        assert 0.5 < res.y["y"] < 1.0
+
+    def test_failed_check_lets_the_solve_go_on(self, monkeypatch):
+        # every F(y) (2 x 2; the Schur complement is 1 x 1 and the iterate
+        # stack 2 x 2 x 2) fails its factorization: the solve runs to the
+        # optimum as without a cut, and the failures are not reported
+        plain = solve_sdp(simple_interval_problem())
+        cholesky = np.linalg.cholesky
+        refused = []
+
+        def refusing(M):
+            if M.shape == (2, 2):
+                refused.append(M)
+                raise np.linalg.LinAlgError("refused")
+            return cholesky(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refusing)
+        res = solve_sdp(simple_interval_problem(), stop_above=0.5)
+        assert refused
+        assert res.status == plain.status and res.status.tag is StatusTag.OPTIMAL
+        assert _same_iterates(res, plain)
+        assert "refused" not in diagnostics_report(res)
+
+
 class TestRandomCertified:
     def test_twenty_random_problems(self):
         rng = np.random.default_rng(20250810)
@@ -500,6 +570,14 @@ class TestReport:
         text = diagnostics_report(res)
         assert "no strict-feasibility warning" in text
         assert "status: Optimal" in text
+
+    def test_cut_report(self):
+        res = solve_sdp(simple_interval_problem(), stop_above=0.5)
+        text = diagnostics_report(res)
+        assert "status: ObjectiveCutReached" in text
+        assert "stopped at the objective cut; not an optimum." in text
+        assert "strict-feasibility warning" not in text
+        assert "recommendation" not in text
 
     def test_troubled_report(self):
         res = solve_sdp(unattained_problem())
