@@ -18,23 +18,29 @@ matrices orthogonal to L, and that one solve decides the search's verdict.
 Its primal iterate, shifted along I, is the candidate certificate.  The one
 exact claim about the slice itself, that it is empty or holds only
 traceless matrices (an exact StrictlyFeasible verdict), is the
-linear-algebra fact I in span{F0, F_i}, decided by one exact solve.  The
-candidate is rationalized by one path, face then coordinates: a
-pivot-normalized basis of its range is rounded first, which fixes the face
-exactly, and the coordinates inside that face second.  The face's rank is
-not a setting: the search starts at the rank the spectrum shows and steps
-down one rank at a time until a candidate verifies.  Every certificate
-property is verified exactly; a candidate that cannot be rationalized at
-any rank is surfaced as RoundingFailed, never guessed around.
+linear-algebra fact I in span{F0, F_i}, decided by one exact solve.
+
+Every exact object rounded from a solver's floats comes out of one loop,
+`_round_ladder`, the only walk of ROUNDING_LADDER: at each rung a face
+builder fixes an exact face W and affine conditions on the coordinates M
+of X = W M W^T; the conditions are solved exactly once per face, and the
+coordinates, fitted to the iterate, are snapped at every rung in ladder
+order until X verifies.  The certificate search builds its face by snapping a
+pivot-normalized basis of the candidate's range; `certify_optimum` builds
+its face as the kernel of F(y) at a snapped y, and rounds the bound
+certificate by which it proves an optimum from a solve.  The face's rank
+is not a setting: the search starts at the rank the spectrum shows and
+steps down one rank at a time until a candidate verifies.  Every
+certificate property is verified exactly; a candidate that cannot be
+rationalized at any rank is surfaced as RoundingFailed, never guessed
+around.
 
 Every pencil-wide step reads the pencil's integer split
 (`MatrixPencil.split`), not its Fractions: the float span basis, the
 traceless verdict, the face congruence, the exact verification, the
 derivation and the substitution, which hands the reduced pencil's split on,
-so later rounds never split again.  Face rounding stays on integers too, up
-to the candidate X = W M W^T that the verification reads.  Its in-face step
-has an affine right-hand side, so it also rounds the bound certificate by
-which `certify_optimum` proves an optimum from a solve.
+so later rounds never split again.  Rounding stays on integers too, up to
+the candidate X = W M W^T that the verification reads.
 """
 
 from __future__ import annotations
@@ -210,10 +216,6 @@ def _symmetric_split(coords, n: int) -> QSplit:
     return QSplit(full(S.A), full(S.B), S.d)
 
 
-# chart coordinates below this are roundoff: they are set to exactly 0, so
-# that rows no pencil matrix touches stay structurally zero
-CHART_ZERO = 1e-13
-
 # a distance of I from the pencil's span below this norm is roundoff: one
 # exact solve then decides whether the orthogonal slice is traceless
 TRACE_FLOOR = 1e-9
@@ -228,12 +230,24 @@ def _chart_coordinates(n: int):
 
 def _chart_matrices(coords: np.ndarray, n: int) -> np.ndarray:
     """The (k, n, n) stack of symmetric matrices whose weighted upper
-    triangles are the rows of `coords`, roundoff-level coordinates
-    (below CHART_ZERO) set to exactly 0; built in one step."""
+    triangles are the rows of `coords`, built in one step."""
     iu, w = _chart_coordinates(n)
     M = np.zeros((len(coords), n, n))
-    M[:, iu[0], iu[1]] = np.where(np.abs(coords) < CHART_ZERO, 0.0, coords) / w
+    M[:, iu[0], iu[1]] = coords / w
     return M + np.triu(M, 1).transpose(0, 2, 1)
+
+
+def _span_witness(c, f0):
+    """The witness y that a solution c of I = c0 F0 + sum_i c_i F_i gives,
+    or None when c0 < 0: y = c / c0 gives F(y) = I / c0 when c0 > 0, and
+    when c0 = 0, y = t c gives F(y) = F0 + t I, positive definite for
+    t = 1 + the largest absolute row sum of F0."""
+    if c[0] > 0:
+        return [ci / c[0] for ci in c[1:]]
+    if bool(c[0]):
+        return None
+    t = QUAD_ONE + max(sum(map(abs, row), QUAD_ZERO) for row in f0)
+    return [t * ci for ci in c[1:]]
 
 
 def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
@@ -248,47 +262,55 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
     whether that complement is {0} altogether.  That settles the
     homogenized pencil y0 F0 + sum_i y_i F_i only (F0 = -I passes), so the
     verdict is exact only with a witness y whose F(y) is positive definite,
-    decided exactly (PSD with a trivial kernel).  Witnesses, cheapest first:
+    decided exactly (PSD with a trivial kernel).  The candidates are the
+    witness of a solution c (`_span_witness`; a free c0 is first shifted
+    to 1 along a homogeneous solution), then y = 0.
 
-    - a solution with c0 > 0 (shifted there along a homogeneous solution
-      when c0 is free): y = c / c0 gives F(y) = I / c0;
-    - a solution with c0 = 0: y = t c gives F(y) = F0 + t I, positive
-      definite for t = 1 + the largest absolute row sum of F0;
-    - y = 0.
+    Where I lies in the span in floats only, no exact solution exists and
+    the verdict says nothing about the slice: y = 0 is tried first, then
+    the witness of the least-squares c, snapped at the ladder's first rung.
     """
     p = prob.pencil
     iu = np.triu_indices(p.n)
     # one row per upper-triangle entry (i, j), with right-hand side I_ij
     K = p.split[:, iu[0], iu[1]].T
-    solved = _affine_solve_exact(K, (iu[0] == iu[1]).astype(int))
-    candidates = []
-    if solved is not None:
+    eye = (iu[0] == iu[1]).astype(int)
+    solved = _affine_solve_exact(K, eye)
+    candidates = [[QUAD_ZERO] * p.m]
+    if solved is None:
+        fit = _Snaps(np.linalg.lstsq(to_float(K), eye, rcond=None)[0]).at(*ROUNDING_LADDER[0])
+        if fit is not None:
+            candidates.append(_span_witness([as_quad(x) for x in fit], p.f0))
+    else:
         c, homogeneous = solved
         free = next((h for h in homogeneous if bool(h[0])), None)
         if not c[0] > 0 and free is not None:
             shift = (QUAD_ONE - c[0]) / free[0]
             c = [ci + shift * hi for ci, hi in zip(c, free)]
-        if c[0] > 0:
-            candidates.append([ci / c[0] for ci in c[1:]])
-        elif not bool(c[0]):
-            t = QUAD_ONE + max(sum(map(abs, row), QUAD_ZERO) for row in p.f0)
-            candidates.append([t * ci for ci in c[1:]])
-    candidates.append([QUAD_ZERO] * p.m)
+        candidates.insert(0, _span_witness(c, p.f0))
     witness = next(
-        (y for y in candidates if _positive_definite(pencil_eval(p, dict(zip(p.var_names, y))))),
+        (
+            y
+            for y in candidates
+            if y is not None and _positive_definite(pencil_eval(p, dict(zip(p.var_names, y))))
+        ),
         None,
     )
+    if witness is not None and p.m:
+        point = ", ".join(f"{v} = {format_scalar(c)}" for v, c in zip(p.var_names, witness))
+        proof = f"F(y) is positive definite at {point}"
+    else:
+        proof = "F0 is positive definite"
     if solved is None:
         if witness is None:
             raise SolverFailedError(
                 "I is in the span of the pencil matrices at float roundoff level, "
-                "but not exactly, and F0 is not positive definite"
+                "but not exactly, and F(y) is positive definite neither at y = 0 "
+                "nor at the snapped least-squares fit of I"
             )
-        return StrictlyFeasible(
-            exact=True,
-            tolerance=None,
-            detail="F0 is positive definite, so y = 0 is a strictly feasible point",
-        )
+        if not p.m:
+            proof += ", so y = 0 is a strictly feasible point"
+        return StrictlyFeasible(exact=True, tolerance=None, detail=proof)
     if p.m + 1 - len(solved[1]) == len(iu[0]):
         detail = "no nonzero symmetric matrix is orthogonal to the pencil"
     else:
@@ -301,12 +323,7 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
             f"{detail}, but I = c0 F0 + sum_i c_i F_i only with c0 < 0 and F0 is "
             "not positive definite: no witness y proves strict feasibility"
         )
-    if p.m:
-        point = ", ".join(f"{v} = {format_scalar(c)}" for v, c in zip(p.var_names, witness))
-        detail += f"; F(y) is positive definite at {point}"
-    else:
-        detail += "; F0 is positive definite"
-    return StrictlyFeasible(exact=True, tolerance=None, detail=detail)
+    return StrictlyFeasible(exact=True, tolerance=None, detail=f"{detail}; {proof}")
 
 
 def _positive_definite(M: np.ndarray) -> bool:
@@ -381,14 +398,19 @@ FEAS_CUT = 1e-8
 # largest one count toward its rank; the search starts at that rank
 RANK_CUTOFF = 1e-6
 
-# rounding rungs (max denominator, over Q(sqrt5), tolerance), tried in
-# order.  Iterates sit ~sqrt(gap) off the optimal face, so the
-# small-denominator rational snaps need a loose acceptance; that is sound
-# because exact verification guards every snap.  Q(sqrt5) reconstruction
-# comes only after plain rationals fail.  A rung snaps every entry the way
-# `reconstruct_rational` or `reconstruct_quadext` would, but `_Snaps` does
-# each entry's work once across the rungs: a rational zero needs no
-# Fraction, and the Q(sqrt5) rungs share one PSLQ per entry.
+# rounding rungs (max denominator, over Q(sqrt5), tolerance), walked by
+# `_round_ladder` alone, in order.  Iterates sit ~sqrt(gap) off the optimal
+# face, so the small-denominator rational snaps need a loose acceptance;
+# that is sound because exact verification guards every snap.  Q(sqrt5)
+# reconstruction comes only after plain rationals fail.  The last, coarse
+# rung is for chains of singularity degree d >= 3, whose iterates sit about
+# gap^(2^-d) off the face (Sturm, SIAM J. Optim. 2000), beyond the first
+# rung's tolerance: a face with small integer entries still snaps at den 10
+# within 1e-2.  It comes last, so it is tried only where every other rung
+# fails.  A rung snaps every entry the way `reconstruct_rational` or
+# `reconstruct_quadext` would, but `_Snaps` does each entry's work once
+# across the rungs: a rational zero needs no Fraction, and the Q(sqrt5)
+# rungs share one PSLQ per entry.
 ROUNDING_LADDER = (
     (100, False, 1e-3),
     (10**4, False, 1e-5),
@@ -396,7 +418,13 @@ ROUNDING_LADDER = (
     (100, True, RECONSTRUCT_TOL),
     (10**4, True, RECONSTRUCT_TOL),
     (10**6, True, RECONSTRUCT_TOL),
+    (10, False, 1e-2),
 )
+
+
+def _rung_name(rung) -> str:
+    den, extension, _ = rung
+    return f"max_den={den}" + (" over Q(sqrt5)" if extension else "")
 
 
 _FRACTION_ZERO = Fraction(0)
@@ -473,8 +501,8 @@ def _face_split_certificate(prob: SdpProblem, Xnum: np.ndarray):
     optimal face can carry a spurious eigenvalue above that cutoff, and then
     no face of that rank rounds; so when no rung verifies, the next
     lower rank is tried, down to rank 1.  The first exactly verified
-    certificate wins.  Returns (certificate, None) or (None, the last failure
-    reason at each rank).
+    certificate wins.  Returns (certificate, None) or (None, every failure,
+    named by its rank and its face's rung).
     """
     lam, V = np.linalg.eigh(Xnum)
     top = _numerical_rank(lam)
@@ -482,10 +510,10 @@ def _face_split_certificate(prob: SdpProblem, Xnum: np.ndarray):
         return None, "numerical certificate has rank 0"
     reasons = []
     for r in range(top, 0, -1):
-        cert, reason = _round_face(prob, Xnum, V[:, -r:])
+        cert, failures = _round_face(prob, Xnum, V[:, -r:])
         if cert is not None:
             return cert, None
-        reasons.append(f"rank {r}: {reason}")
+        reasons += [f"rank {r}, face at {_rung_name(rung)}: {why}" for rung, why in failures]
     return None, "; ".join(reasons)
 
 
@@ -498,13 +526,15 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     E[:, piv] = I.  Only E's other entries are snapped, once for all rungs
     (`_Snaps`); E depends on the face and the pivots alone, so they round
     to small exact entries even though the solver lands at an arbitrary
-    interior point of the optimal face.  With the face fixed exactly (W's columns: the unique
-    reduced row echelon basis of the snapped rows), the remaining in-face
-    coordinates M of X = W M W^T are forgiving: any nearby rational point
-    keeps M positive definite (`_round_in_face`).  Each rung of the
-    rounding ladder is tried in turn.  Returns (certificate, None) or
-    (None, reason of the last failed rung).  When M is nonsingular,
-    range(X) = range(W), so W's columns are X's range vectors.
+    interior point of the optimal face.  The face builder handed to
+    `_round_ladder` fixes the face exactly at each rung (W's columns: the
+    unique reduced row echelon basis of the snapped rows) with the
+    conditions <W^T Q W, M> = 0 for every pencil matrix Q and
+    tr(W^T W M) = 1 on the in-face coordinates M of X = W M W^T, which are
+    forgiving: any nearby rational point keeps M positive definite.  When
+    M is nonsingular, range(X) = range(W), so W's columns are X's range
+    vectors.  Returns (certificate, None) or (None, the (rung, reason) of
+    each face rung's failure).
     """
     p = prob.pencil
     n, r = Vr.shape
@@ -518,68 +548,79 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     snaps = _Snaps(np.linalg.solve(Vr.T[:, piv], Vr.T)[:, free].ravel())
     basis = np.full((r, n), _FRACTION_ZERO, dtype=object)
     basis[range(r), piv] = Fraction(1)
-    reason = "no rung to try"
-    for rung in ROUNDING_LADDER:
-        den, extension, _ = rung
+    rhs = [QUAD_ZERO] * (p.m + 1) + [QUAD_ONE]
+
+    def face(rung):
         coords = snaps.at(*rung)
         if coords is None:
-            reason = f"face basis entries not representable at max_den={den}"
-            continue
+            return "face basis entries not representable"
         basis[:, free] = np.array(coords, dtype=object).reshape(r, n - r)
         Wcols = [primitive_integer_vector(w) for w in row_space_basis_exact(basis)]
         W = split(np.array(Wcols, dtype=object).T)
-        # <W^T Q W, M> = 0 for every pencil matrix Q and tr(W^T W M) = 1
-        rows = qconcat([W.T @ p.split @ W, (W.T @ W)[None]])
-        rhs = [QUAD_ZERO] * (p.m + 1) + [QUAD_ONE]
-        found, reason = _round_in_face(
-            W, rows, rhs, Xnum, [rung], lambda X: (X, verify_certificate_matrix(prob, X))
-        )
-        if found is None:
-            continue
-        X, M = found
-        if kernel_basis_exact(M):
-            vectors = tuple(primitive_integer_vector(v) for v in row_space_basis_exact(X))
-        else:
-            vectors = tuple(Wcols)
-        note = (
-            f"face rounding at max_den={den}"
-            + (" over Q(sqrt5)" if extension else "")
-            + f"; rank {len(vectors)}"
-        )
-        return ReducingCertificate(X=X.join(), range_vectors=vectors, note=note), None
-    return None, reason
+        return W, qconcat([W.T @ p.split @ W, (W.T @ W)[None]]), rhs
+
+    found, failures = _round_ladder(
+        face, Xnum, lambda X: (X, verify_certificate_matrix(prob, X))
+    )
+    if found is None:
+        return None, failures
+    X, W, M, rung, inner = found
+    if kernel_basis_exact(M):
+        vectors = tuple(primitive_integer_vector(v) for v in row_space_basis_exact(X))
+    else:
+        vectors = tuple(W.join().T)
+    note = f"face rounding at {_rung_name(rung)}"
+    if inner != rung:
+        note += f", coordinates at {_rung_name(inner)}"
+    note += f"; rank {len(vectors)}"
+    return ReducingCertificate(X=X.join(), range_vectors=vectors, note=note), None
 
 
-def _round_in_face(W: QSplit, rows: QSplit, rhs, Xnum: np.ndarray, rungs, verify):
-    """X = W M W^T for a symmetric M with <rows_k, M> = rhs_k exactly:
-    ((result, M), None) at the first rung where `verify(X)` returns (result,
-    no problems), else (None, reason).  M = particular + sum_j s_j h_j from
-    one exact solve, s fitted to Xnum and snapped; the solutions are one
-    split, so each rung's M is one product on the integers.
+def _round_ladder(face, Xnum: np.ndarray, verify):
+    """The one walk of ROUNDING_LADDER: X = W M W^T for a symmetric M with
+    <rows_k, M> = rhs_k exactly, from the float iterate Xnum.
+
+    At each rung in turn `face(rung)` builds the exact face, (W, rows, rhs),
+    or names why it found none.  One exact solve gives the conditions'
+    solutions M = particular + sum_j s_j h_j; s is fitted to Xnum and
+    snapped at every rung of the ladder in order, and the first X for which
+    `verify(X)` returns (result, no problems) wins.  The solutions are one
+    split, so each M is one product on the integers.  Returns
+    ((result, W, M, the face's rung, the coordinates' rung), None), or
+    (None, [(rung, why it failed) for each face rung]), where a face that
+    was built reports its coordinates' last failure.
     """
-    r = W.shape[1]
-    solved = _affine_solve_exact(_upper_functionals(rows), rhs)
-    if solved is None:
-        return None, "face slice is inconsistent"
-    basis = split(np.array([solved[0], *solved[1]], dtype=object))
-    Wpinv = np.linalg.pinv(to_float(W))
-    mflat = (Wpinv @ Xnum @ Wpinv.T)[np.triu_indices(r)]
-    # to_float of a split is float(QuadExt) bit for bit, row by row
-    Bf = to_float(basis)
-    snaps = _Snaps(np.linalg.lstsq(Bf[1:].T, mflat - Bf[0], rcond=None)[0])
-    reason = "no rung to try"
-    for den, extension, tol in rungs:
-        s = snaps.at(den, extension, tol)
-        if s is None:
-            reason = f"face coordinates not representable at max_den={den}"
+    failures = []
+    for rung in ROUNDING_LADDER:
+        built = face(rung)
+        if isinstance(built, str):
+            failures.append((rung, built))
             continue
-        M = _symmetric_split(split([Fraction(1), *s]) @ basis, r)
-        result, problems = verify(W @ M @ W.T)
-        if problems:
-            reason = f"face rounding at max_den={den}: " + "; ".join(problems)
+        W, rows, rhs = built
+        r = W.shape[1]
+        solved = _affine_solve_exact(_upper_functionals(rows), rhs)
+        if solved is None:
+            failures.append((rung, "face slice is inconsistent"))
             continue
-        return (result, M), None
-    return None, reason
+        basis = split(np.array([solved[0], *solved[1]], dtype=object))
+        Wpinv = np.linalg.pinv(to_float(W))
+        mflat = (Wpinv @ Xnum @ Wpinv.T)[np.triu_indices(r)]
+        # to_float of a split is float(QuadExt) bit for bit, row by row
+        Bf = to_float(basis)
+        snaps = _Snaps(np.linalg.lstsq(Bf[1:].T, mflat - Bf[0], rcond=None)[0])
+        for inner in ROUNDING_LADDER:
+            s = snaps.at(*inner)
+            if s is None:
+                why = f"coordinates not representable at {_rung_name(inner)}"
+                continue
+            M = _symmetric_split(split([Fraction(1), *s]) @ basis, r)
+            result, problems = verify(W @ M @ W.T)
+            if problems:
+                why = f"coordinates at {_rung_name(inner)}: " + "; ".join(problems)
+                continue
+            return (result, W, M, rung, inner), None
+        failures.append((rung, why))
+    return None, failures
 
 
 def find_reducing_certificate(prob: SdpProblem):
@@ -601,8 +642,11 @@ def find_reducing_certificate(prob: SdpProblem):
     traceless), one exact solve proves StrictlyFeasible(exact=True) instead
     (see `_traceless_verdict`).  X is rounded, face first and coordinates
     second, from the rank its spectrum gives down to rank 1 (see
-    `_face_split_certificate`).  Every certificate invariant is re-checked
-    exactly.
+    `_face_split_certificate`): at each rank `_round_ladder` walks the face
+    down the ladder and tries the coordinates of every face it builds at
+    every rung, so the certificate's note names the face's rung and, where
+    it differs, the coordinates' rung.  Every certificate invariant is
+    re-checked exactly.
     """
     margin_prob = build_alternative_problem(prob)
     if margin_prob is None:
@@ -649,42 +693,45 @@ def certify_optimum(
     exact y, the verdict F(y) >= 0, a bound certificate), or
     RoundingFailedError.
 
-    y* is snapped rung by rung until F(y) is exactly PSD with a kernel as
-    large as the solver X's numerical rank.  X = W M W^T over an integer
-    kernel basis W with <W^T F_i W, M> = -b_i (`_round_in_face`) has
-    <F(y), X> = 0, so it bounds the objective by its value at y: zero gap.
-    Only a strictly feasible (reduced) problem's solve is worth rounding.
+    At each rung `_round_ladder` hands it, y* is snapped and kept if F(y)
+    is exactly PSD with a kernel as large as the solver X's numerical rank;
+    an integer basis W of that kernel is the face.  X = W M W^T with
+    <W^T F_i W, M> = -b_i has <F(y), X> = 0, so it bounds the objective by
+    its value at y: zero gap.  The proof is exact weak duality whatever the
+    solve was: a problem that is not strictly feasible (the reduced Bell
+    problems keep a constant kernel) is proved all the same when its
+    rounded y and X verify.
     """
     p = prob.pencil
     rank = max(1, _numerical_rank(np.linalg.eigvalsh(res.X)))
     snaps = _Snaps([res.y[v] for v in p.var_names])
     rhs = [-c for c in prob.objective]
+    points = {}
 
-    def bound(X):
-        out = verify_bound_certificate(prob, X)
-        return out, getattr(out, "violations", ())
-
-    reason = "no rung to try"
-    for den, extension, tol in ROUNDING_LADDER:
-        at = f"y at max_den={den}" + (" over Q(sqrt5)" if extension else "")
-        y = snaps.at(den, extension, tol)
+    def face(rung):
+        y = snaps.at(*rung)
         if y is None:
-            reason = f"{at} is not representable"
-            continue
-        point = dict(zip(p.var_names, map(as_quad, y)))
+            return "y is not representable"
+        point = points[rung] = dict(zip(p.var_names, map(as_quad, y)))
         F = split(pencil_eval(p, point))
         # the float spectrum screens out what the exact check would reject
         lamF = np.linalg.eigvalsh(to_float(F))
         check = lamF[0] >= -KERNEL_TOL and np.sum(lamF <= KERNEL_TOL) >= rank and psd_check_exact(F)
         if not (check and p.n - check.rank >= rank):
-            reason = f"{at}: F(y) is not exactly PSD with a kernel of dimension {rank}"
-            continue
+            return f"F(y) is not exactly PSD with a kernel of dimension {rank}"
         W = split(np.array([primitive_integer_vector(w) for w in kernel_basis_exact(F)]).T)
-        found, why = _round_in_face(W, (W.T @ p.split @ W)[1:], rhs, res.X, ROUNDING_LADDER, bound)
-        if found is not None:
-            return point, PrimalVerdict(feasible=True), found[0]
-        reason = f"{at}: {why}"
-    raise RoundingFailedError(f"could not certify the optimum: {reason}")
+        return W, (W.T @ p.split @ W)[1:], rhs
+
+    def bound(X):
+        out = verify_bound_certificate(prob, X)
+        return out, getattr(out, "violations", ())
+
+    found, failures = _round_ladder(face, res.X, bound)
+    if found is None:
+        reason = "; ".join(f"y at {_rung_name(rung)}: {why}" for rung, why in failures)
+        raise RoundingFailedError(f"could not certify the optimum: {reason}")
+    certificate, _, _, rung, _ = found
+    return points[rung], PrimalVerdict(feasible=True), certificate
 
 
 def verify_certificate_matrix(prob: SdpProblem, X) -> list[str]:

@@ -421,17 +421,13 @@ def reference_split_matmul(X, Y):
 
 def reference_chart_matrices(coords, n):
     """The float chart's matrices built one coordinate vector at a time:
-    roundoff-level entries (below `facial.CHART_ZERO`) set to 0, the sqrt2
-    weights divided out and the upper triangle mirrored."""
-    from strictfeas.facial import CHART_ZERO
-
+    the sqrt2 weights divided out and the upper triangle mirrored."""
     iu = np.triu_indices(n)
     w = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
 
     def to_matrix(c):
-        c = np.where(np.abs(c) < CHART_ZERO, 0.0, c) / w
         M = np.zeros((n, n))
-        M[iu] = c
+        M[iu] = c / w
         return M + np.triu(M, 1).T
 
     return [to_matrix(c) for c in coords]

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -279,16 +280,18 @@ class TestFindCertificate:
             detail="F0 is positive definite, so y = 0 is a strictly feasible point",
         )
 
-    def test_ill_conditioned_traceless_chart_raises(self):
+    def test_ill_conditioned_traceless_chart_is_exact_verdict(self):
         # the same near-identity matrix as the one variable's term, F0 = 0:
-        # the chart looks traceless, I is not in the span, and y = 0 is no
-        # witness, so there is no exact verdict to give
+        # the chart looks traceless and I is not in the span, so nothing is
+        # said about the slice; y = 0 is no witness, but the least-squares
+        # fit I ~ 1 * F_y snaps to c = (0, 1), whose witness y = 1 is one
         pencil = MatrixPencil.from_upper(
             2, "exact", [], [("y", [(0, 0, 1), (1, 1, Fraction(10**10 + 1, 10**10))])]
         )
         prob = SdpProblem(pencil=pencil, objective=(quad(0),), name="near-identity-term")
-        with pytest.raises(SolverFailedError, match="not positive definite"):
-            find_reducing_certificate(prob)
+        assert find_reducing_certificate(prob) == StrictlyFeasible(
+            exact=True, tolerance=None, detail="F(y) is positive definite at y = 1"
+        )
 
     def test_traceless_verdict_names_its_witness(self):
         # I = 0 * F0 + F_1 with F0 the off-diagonal unit: c0 = 0, so the
@@ -337,7 +340,10 @@ class TestFindCertificate:
     def test_irrational_face_rounds_over_sqrt5(self):
         prob = golden_face_problem()
         cert = find_reducing_certificate(prob)
-        assert cert.note == "face rounding at max_den=100 over Q(sqrt5); rank 1"
+        # the face is irrational, its coordinates inside it are not
+        assert cert.note == (
+            "face rounding at max_den=100 over Q(sqrt5), coordinates at max_den=100; rank 1"
+        )
         assert verify_certificate_matrix(prob, cert.X) == []
         assert_same_span(cert.range_vectors, [[quad(2), quad(-1, -1), quad(1, 1)]])
 
@@ -444,23 +450,22 @@ class TestMarginEquivalence:
         got = _margin(build_alternative_problem(prob), lambda r: -r.objective_dual)
         assert got == pytest.approx(-float((1 - eps) / (3 * eps)), rel=1e-8)
 
-    @pytest.mark.parametrize(
-        "k",
-        [
-            8,
-            # I is in the span at float roundoff, so the search takes the
-            # traceless branch, which finds no witness, although F(a = 2,
-            # b = 0) is exactly positive definite
-            pytest.param(10, marks=pytest.mark.xfail(strict=True, raises=SolverFailedError)),
-        ],
-        ids=["1e-8", "1e-10"],
-    )
-    def test_span_at_roundoff_from_the_identity_is_numeric_evidence(self, k):
-        # the margin solve's iterates grow like 1/eps, but a strictly
-        # feasible one beats the cut long before they reach the bound
-        out = find_reducing_certificate(_near_identity_span(Fraction(1, 10**k)))
+    def test_span_at_roundoff_from_the_identity_is_numeric_evidence(self):
+        # eps = 1e-8: the margin solve's iterates grow like 1/eps, but a
+        # strictly feasible one beats the cut long before they reach the
+        # bound
+        out = find_reducing_certificate(_near_identity_span(Fraction(1, 10**8)))
         assert isinstance(out, StrictlyFeasible) and not out.exact
         assert out.tolerance == facial.FEAS_CUT
+
+    def test_span_holding_the_identity_in_floats_only_is_exact_verdict(self):
+        # eps = 1e-10: I is in the span at float roundoff, not exactly; the
+        # least-squares fit I ~ F_a snaps to c = (0, 1, 0), and c0 = 0 gives
+        # the witness y = 2 c, F(2, 0) = diag(3 + 2 eps, 1, 2 - 2 eps)
+        out = find_reducing_certificate(_near_identity_span(Fraction(1, 10**10)))
+        assert out == StrictlyFeasible(
+            exact=True, tolerance=None, detail="F(y) is positive definite at a = 2, b = 0"
+        )
 
 
 def _detail_margin(verdict: StrictlyFeasible) -> float:
@@ -641,7 +646,19 @@ class TestSnaps:
 
 
 class _FirstFace(Exception):
-    """Raised with (W's columns, rungs) by the first in-face step."""
+    """Raised with W's columns by the face built at the first rung."""
+
+
+def _noisy_integer_faces(r, n):
+    """Endless (G, Vr): full-rank integer rows G in [-2, 2]^(r x n) and an
+    orthonormal basis of their span with noise 1e-6 on every entry."""
+    rng = np.random.default_rng(10 * n + r)
+    while True:
+        G = rng.integers(-2, 3, size=(r, n))
+        if np.linalg.matrix_rank(G) < r:
+            continue
+        Q, _ = np.linalg.qr(G.T.astype(float))
+        yield G, Q + rng.uniform(-1e-6, 1e-6, size=Q.shape)
 
 
 class TestEchelonSnap:
@@ -651,24 +668,33 @@ class TestEchelonSnap:
     @pytest.mark.parametrize("n", range(4, 10))
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_first_rung_gives_the_rref_of_an_integer_face(self, r, n, monkeypatch):
-        def first_face(W, rows, rhs, Xnum, rungs, verify):
-            raise _FirstFace(W.join().T.tolist(), rungs)
+        def first_face(face, Xnum, verify):
+            W, _, _ = face(ROUNDING_LADDER[0])
+            raise _FirstFace(W.join().T.tolist())
 
-        monkeypatch.setattr(facial, "_round_in_face", first_face)
+        monkeypatch.setattr(facial, "_round_ladder", first_face)
         prob = SdpProblem(pencil=MatrixPencil.from_upper(n, "exact", [], []), objective=())
-        rng = np.random.default_rng(10 * n + r)
-        faces = 0
-        while faces < 4:
-            G = rng.integers(-2, 3, size=(r, n))
-            if np.linalg.matrix_rank(G) < r:
-                continue
-            faces += 1
-            Q, _ = np.linalg.qr(G.T.astype(float))
-            Vr = Q + rng.uniform(-1e-6, 1e-6, size=Q.shape)
+        for _, (G, Vr) in zip(range(4), _noisy_integer_faces(r, n)):
             want = [primitive_integer_vector(w) for w in row_space_basis_exact(qarray(G.tolist()))]
             with pytest.raises(_FirstFace) as face:
                 _round_face(prob, Vr @ Vr.T / r, Vr)
-            assert face.value.args == ([list(w) for w in want], [ROUNDING_LADDER[0]])
+            assert face.value.args == ([list(w) for w in want],)
+
+    def test_coordinates_take_the_whole_ladder_on_a_coarse_face(self):
+        # the second face of r = 3, n = 5: W is RREF(G) at den 100, but the
+        # in-face coordinates round at no rung before den 10^6; a finer face
+        # rung would snap the noisy basis to a wrong face, so the
+        # coordinates must try every rung on this one
+        _, (G, Vr) = islice(_noisy_integer_faces(3, 5), 2)
+        assert G.tolist() == [[1, 0, 1, -2, 2], [1, 2, 1, 0, 0], [2, -2, 2, 2, -1]]
+        prob = SdpProblem(pencil=MatrixPencil.from_upper(5, "exact", [], []), objective=())
+        cert, reason = _round_face(prob, Vr @ Vr.T / 3, Vr)
+        assert reason is None
+        assert cert.rank == 3
+        assert cert.note == "face rounding at max_den=100, coordinates at max_den=1000000; rank 3"
+        got, _ = rref_exact(np.array(cert.range_vectors, dtype=object))
+        want, _ = rref_exact(qarray(G.tolist()))
+        assert got.tolist() == want.tolist()
 
 
 class TestProjectorSplit:
@@ -1077,11 +1103,10 @@ class TestSoundness:
             ((_, expr),) = r.constraints.eliminated
             assert not bool(expr.const) and not expr.coeffs
 
-    @pytest.mark.xfail(strict=True, raises=RoundingFailedError)
     def test_reduce_problem_planted_degree_three(self):
         # the first margin iterate sits ~gap^(1/4) off the face, beyond the
-        # ladder's tolerances for ~sqrt(gap) iterates: the basis snaps only
-        # to a wrong face, whose slice is inconsistent, at every rank
+        # tolerances of the rungs built for ~sqrt(gap) iterates: only the
+        # ladder's last, coarse rung snaps it to the true face
         prob = planted_chain(np.random.default_rng(104), 4, 3)
         _, rounds, _ = reduce_problem(prob)
         assert [r.constraints.eliminated_names for r in rounds] == [
