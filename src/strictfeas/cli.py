@@ -22,9 +22,9 @@ from .exactnum import format_scalar, quad, row_space_basis_exact
 from .facial import (
     ReductionError,
     StrictlyFeasible,
-    apply_constraints,
+    apply_constraints,  # noqa: F401  (perfbench/spans.py traces the round's steps here)
     certify_optimum,
-    derive_implicit_constraints,
+    derive_implicit_constraints,  # noqa: F401  (perfbench/spans.py, as above)
     find_reducing_certificate,
     reduce_problem,
 )
@@ -141,12 +141,7 @@ def cmd_solve(args, report: RunReport) -> tuple[int, str]:
 
 def _strictly_feasible_lines(verdict: StrictlyFeasible, report: RunReport) -> list[str]:
     """Record a StrictlyFeasible verdict, proof or evidence, and describe it."""
-    report.reduction.update(
-        verdict="StrictlyFeasible",
-        exact=verdict.exact,
-        tolerance=verdict.tolerance,
-        detail=verdict.detail,
-    )
+    report.reduction.update(verdict="StrictlyFeasible", **asdict(verdict))
     return [
         "verdict: StrictlyFeasible",
         "  (exact linear-algebra proof)" if verdict.exact
@@ -173,12 +168,13 @@ def cmd_diagnose(args, report: RunReport) -> tuple[int, str]:
 
 
 def _record_rounds(report: RunReport, rounds, failed=None) -> None:
-    """Every completed round's certificate and constraints, and the verified
-    certificate of a round that failed after its search."""
+    """Every completed round's certificate, constraints and face, and the
+    verified certificate of a round that failed after its search."""
     report.reduction["rounds"] = [
         {
             "certificate": rnd.certificate.as_dict(),
             "constraints": rnd.constraints.as_dict(),
+            "face": [[format_scalar(x) for x in u] for u in rnd.face],
         }
         for rnd in rounds
     ]
@@ -203,10 +199,8 @@ def cmd_reduce(args, report: RunReport) -> tuple[int, str]:
         lines.append(f"round {k}: eliminated variables:")
         for v, expr in rnd.constraints.eliminated:
             lines.append(f"  {v} = {expr}")
-    if verdict is not None:
-        lines += _strictly_feasible_lines(verdict, report)
-    elif not rounds:
-        lines.append("certificate implies no substitutions; problem unchanged")
+        lines.append(f"  restricted to a face of dimension {len(rnd.face)}")
+    lines += _strictly_feasible_lines(verdict, report)
     if args.out_problem:
         store_problem(reduced, args.out_problem)
         lines.append(f"reduced problem written to {args.out_problem}")
@@ -277,10 +271,12 @@ def _reproduce_target(target: str, report: RunReport) -> None:
     )
     report.solver[f"{target}-raw"] = _solve_summary(raw_res)
 
-    cert = find_reducing_certificate(raw)
-    if isinstance(cert, StrictlyFeasible):
-        claim("diagnosis finds a reducing certificate", False, cert.detail)
+    final, rounds, verdict = reduce_problem(raw)
+    if not rounds:
+        claim("diagnosis finds a reducing certificate", False, verdict.detail)
         return
+    # round 1 is the paper's, checked against the hand-derived reduction
+    cert, cons, reduced = rounds[0].certificate, rounds[0].constraints, rounds[0].substituted
     # equal spans have equal reduced row-echelon bases
     bases = [
         np.array(row_space_basis_exact(np.array(vs, dtype=object)))
@@ -293,7 +289,6 @@ def _reproduce_target(target: str, report: RunReport) -> None:
     )
     report.reduction[f"{target}-certificate"] = cert.as_dict()
 
-    cons = derive_implicit_constraints(raw, cert.range_vectors)
     got = {v: (e.const, dict(e.coeffs)) for v, e in cons.eliminated}
     want = {v: (c, dict(co)) for v, (c, co) in relations.items()}
     claim(
@@ -303,14 +298,14 @@ def _reproduce_target(target: str, report: RunReport) -> None:
     )
     report.reduction[f"{target}-constraints"] = cons.as_dict()
 
-    reduced = apply_constraints(raw, cons)
     claim(
         "substitution reproduces the reduced pencil entry for entry",
         _problems_equal(reduced, golden),
         f"{len(reduced.var_names)} variables remain",
     )
+    report.reduction[f"{target}-verdict"] = {"verdict": "StrictlyFeasible", **asdict(verdict)}
 
-    red_res = solve_sdp(to_double(reduced))
+    red_res = solve_sdp(to_double(final))
     clean = (
         red_res.status.tag is StatusTag.OPTIMAL
         and abs(red_res.objective_dual - float(optimum)) <= VALUE_TOL
@@ -324,11 +319,11 @@ def _reproduce_target(target: str, report: RunReport) -> None:
     report.solver[f"{target}-reduced"] = _solve_summary(red_res)
 
     # the reduced solve, rounded, proves the optimum by weak duality
-    point, feasible, bound = certify_optimum(reduced, red_res)
-    value = sum((b * point[v] for v, b in zip(reduced.var_names, reduced.objective)), quad(0))
+    point, feasible, bound = certify_optimum(final, red_res)
+    value = sum((b * point[v] for v, b in zip(final.var_names, final.objective)), quad(0))
     claim(
         "rounded optimal point is exactly feasible and attains the optimum",
-        feasible.feasible and value + reduced.objective_offset == optimum,
+        feasible.feasible and value + final.objective_offset == optimum,
         ", ".join(f"{v} = {format_scalar(x)}" for v, x in point.items()),
     )
     report.verification.append(feasible.as_dict())

@@ -6,46 +6,47 @@ definite, or there is a nonzero X >= 0 with <F0, X> = 0 and <F_i, X> = 0 for
 every i.  Such an X is a *reducing certificate*: every feasible slack matrix
 annihilates range(X), so each range vector v yields linear relations
 (F0 v)_j + sum_i y_i (F_i v)_j = 0 among the variables.  Substituting those
-relations produces an equivalent, smaller problem that solvers handle
-reliably.  One exact RREF in one fixed column order solves them (see
-`derive_implicit_constraints`); relations that reduce to 0 = 1 prove the
-SDP infeasible.
+relations and restricting the pencil to the face orthogonal to range(X)
+gives an equivalent, smaller problem (`reduce_problem`, which repeats the
+round until a search ends it with a verdict).  One exact RREF in one fixed
+column order solves the relations (`derive_implicit_constraints`);
+relations that reduce to 0 = 1 prove the SDP infeasible.
 
 The search runs in floats: an orthonormal float basis of the pencil's span
 L = span{F0, F_i} yields the margin problem (`build_alternative_problem`),
 the dual of maximizing the minimum eigenvalue over the trace-one slice of
 matrices orthogonal to L, and that one solve decides the search's verdict.
-Its primal iterate, shifted along I, is the candidate certificate.  The one
-exact claim about the slice itself, that it is empty or holds only
-traceless matrices (an exact StrictlyFeasible verdict), is the
-linear-algebra fact I in span{F0, F_i}, decided by one exact solve.
+Its primal iterate, shifted along I, is the candidate certificate.  Where
+I lies in L, the slice is empty or traceless and no margin problem is
+posed: an exact StrictlyFeasible verdict then rests on a witness y whose
+F(y) is exactly positive definite (`_traceless_verdict`).
 
 Every exact object rounded from a solver's floats comes out of one loop,
 `_round_ladder`, the only walk of ROUNDING_LADDER: at each rung a face
 builder fixes an exact face W and affine conditions on the coordinates M
 of X = W M W^T; the conditions are solved exactly once per face, and the
 coordinates, fitted to the iterate, are snapped at every rung in ladder
-order until X verifies.  The certificate search builds its face by snapping a
-pivot-normalized basis of the candidate's range; `certify_optimum` builds
-its face as the kernel of F(y) at a snapped y, and rounds the bound
-certificate by which it proves an optimum from a solve.  The face's rank
-is not a setting: the search starts at the rank the spectrum shows and
-steps down one rank at a time until a candidate verifies.  Every
-certificate property is verified exactly; a candidate that cannot be
-rationalized at any rank is surfaced as RoundingFailed, never guessed
-around.
+order until X verifies.  The certificate search builds its face by
+snapping a pivot-normalized basis of the candidate's range;
+`certify_optimum` builds its face as the kernel of F(y) at a snapped y, and
+rounds the bound certificate by which it proves an optimum from a solve.
+The face's rank is not a setting: the search starts at the rank the
+spectrum shows and steps down one rank at a time until a candidate
+verifies.  Every certificate property is verified exactly; a candidate that
+cannot be rationalized at any rank is surfaced as RoundingFailed.
 
 Every pencil-wide step reads the pencil's integer split
 (`MatrixPencil.split`), not its Fractions: the float span basis, the
 traceless verdict, the face congruence, the exact verification, the
-derivation and the substitution, which hands the reduced pencil's split on,
-so later rounds never split again.  Rounding stays on integers too, up to
-the candidate X = W M W^T that the verification reads.
+derivation, the substitution and the restriction, which hand the reduced
+pencil's split on, so later rounds never split again.  Rounding stays on
+integers too, up to the candidate X = W M W^T that the verification reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -179,15 +180,25 @@ class ReducingCertificate:
 class StrictlyFeasible:
     """Verdict that no reducing certificate exists.
 
-    `exact` verdicts are proved by linear algebra (the orthogonal slice is
-    trivial) together with a witness y whose F(y) is positive definite, which
-    `detail` names; numeric verdicts carry the solver tolerance and are
-    evidence, not proof.
+    `exact` verdicts are proved by a witness y whose F(y) is exactly
+    positive definite, which `detail` names (or, at the end of a reduction
+    to the face {0}, by every feasible F(y) being zero); numeric verdicts
+    carry the solver tolerance and are evidence, not proof.
     """
 
     exact: bool
     tolerance: float | None
     detail: str = ""
+
+
+def _primitive_columns(vectors) -> QSplit:
+    """The split of the matrix whose columns are the nonzero exact vectors,
+    each scaled to a primitive integer vector: one split, then each column
+    divided by the gcd of its integers."""
+    S = split(np.array(list(vectors), dtype=object).T)
+    parts = S.A if S.B is None else np.vstack([S.A, S.B])
+    g = np.array([math.gcd(*col) for col in parts.T.tolist()], dtype=object)
+    return QSplit(S.A // g, None if S.B is None else S.B // g, 1)
 
 
 def _upper_functionals(C: QSplit) -> QSplit:
@@ -216,8 +227,8 @@ def _symmetric_split(coords, n: int) -> QSplit:
     return QSplit(full(S.A), full(S.B), S.d)
 
 
-# a distance of I from the pencil's span below this norm is roundoff: one
-# exact solve then decides whether the orthogonal slice is traceless
+# a distance of I from the pencil's span below this norm is roundoff: the
+# orthogonal slice looks traceless, and an exact witness decides the verdict
 TRACE_FLOOR = 1e-9
 
 
@@ -252,78 +263,54 @@ def _span_witness(c, f0):
 
 def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
     """Exact proof of strict feasibility where I lies in the pencil's span
-    in floats (the orthogonal slice looks empty or traceless), or
-    SolverFailedError.
-
-    One exact solve of I = c0 F0 + sum_i c_i F_i over the upper triangles
-    decides the float reading: a solution makes every matrix orthogonal to
-    the pencil traceless (<I, X> = sum_j c_j <Q_j, X> = 0), so no nonzero
-    X >= 0 is orthogonal to it, and the rank of the same system tells
-    whether that complement is {0} altogether.  That settles the
-    homogenized pencil y0 F0 + sum_i y_i F_i only (F0 = -I passes), so the
-    verdict is exact only with a witness y whose F(y) is positive definite,
-    decided exactly (PSD with a trivial kernel).  The candidates are the
-    witness of a solution c (`_span_witness`; a free c0 is first shifted
-    to 1 along a homogeneous solution), then y = 0.
-
-    Where I lies in the span in floats only, no exact solution exists and
-    the verdict says nothing about the slice: y = 0 is tried first, then
-    the witness of the least-squares c, snapped at the ladder's first rung.
+    in floats, or SolverFailedError.  The orthogonal slice then looks empty
+    or traceless, which settles the homogenized pencil only (F0 = -I
+    passes), so the proof is a witness y with F(y) exactly positive
+    definite.  Candidates, cheapest first: y = 0, the witness
+    (`_span_witness`) of the float least-squares c of
+    I = c0 F0 + sum_i c_i F_i snapped down ROUNDING_LADDER, and last that of
+    the exact solve, its c0 shifted to 1 along a free homogeneous solution.
     """
     p = prob.pencil
     iu = np.triu_indices(p.n)
     # one row per upper-triangle entry (i, j), with right-hand side I_ij
     K = p.split[:, iu[0], iu[1]].T
     eye = (iu[0] == iu[1]).astype(int)
-    solved = _affine_solve_exact(K, eye)
-    candidates = [[QUAD_ZERO] * p.m]
-    if solved is None:
-        fit = _Snaps(np.linalg.lstsq(to_float(K), eye, rcond=None)[0]).at(*ROUNDING_LADDER[0])
-        if fit is not None:
-            candidates.append(_span_witness([as_quad(x) for x in fit], p.f0))
+
+    def candidates():
+        yield [QUAD_ZERO] * p.m
+        snaps = _Snaps(np.linalg.lstsq(to_float(K), eye, rcond=None)[0])
+        for rung in ROUNDING_LADDER:
+            fit = snaps.at(*rung)
+            if fit is not None:
+                yield _span_witness([as_quad(x) for x in fit], p.f0)
+        solved = _affine_solve_exact(K, eye)
+        if solved is not None:
+            c, homogeneous = solved
+            free = next((h for h in homogeneous if bool(h[0])), None)
+            if not c[0] > 0 and free is not None:
+                shift = (QUAD_ONE - c[0]) / free[0]
+                c = [ci + shift * hi for ci, hi in zip(c, free)]
+            yield _span_witness(c, p.f0)
+
+    tried = []
+    for y in candidates():
+        if y is None or y in tried:
+            continue
+        tried.append(y)
+        if _positive_definite(pencil_eval(p, dict(zip(p.var_names, y)))):
+            break
     else:
-        c, homogeneous = solved
-        free = next((h for h in homogeneous if bool(h[0])), None)
-        if not c[0] > 0 and free is not None:
-            shift = (QUAD_ONE - c[0]) / free[0]
-            c = [ci + shift * hi for ci, hi in zip(c, free)]
-        candidates.insert(0, _span_witness(c, p.f0))
-    witness = next(
-        (
-            y
-            for y in candidates
-            if y is not None and _positive_definite(pencil_eval(p, dict(zip(p.var_names, y))))
-        ),
-        None,
-    )
-    if witness is not None and p.m:
-        point = ", ".join(f"{v} = {format_scalar(c)}" for v, c in zip(p.var_names, witness))
-        proof = f"F(y) is positive definite at {point}"
-    else:
-        proof = "F0 is positive definite"
-    if solved is None:
-        if witness is None:
-            raise SolverFailedError(
-                "I is in the span of the pencil matrices at float roundoff level, "
-                "but not exactly, and F(y) is positive definite neither at y = 0 "
-                "nor at the snapped least-squares fit of I"
-            )
-        if not p.m:
-            proof += ", so y = 0 is a strictly feasible point"
-        return StrictlyFeasible(exact=True, tolerance=None, detail=proof)
-    if p.m + 1 - len(solved[1]) == len(iu[0]):
-        detail = "no nonzero symmetric matrix is orthogonal to the pencil"
-    else:
-        detail = (
-            "every matrix orthogonal to the pencil is traceless, "
-            "so none is PSD and nonzero"
-        )
-    if witness is None:
         raise SolverFailedError(
-            f"{detail}, but I = c0 F0 + sum_i c_i F_i only with c0 < 0 and F0 is "
-            "not positive definite: no witness y proves strict feasibility"
+            "I is in the span of the pencil matrices in floats, but F(y) is positive "
+            "definite at no candidate: no witness y proves strict feasibility"
         )
-    return StrictlyFeasible(exact=True, tolerance=None, detail=f"{detail}; {proof}")
+    if not p.m:
+        detail = "F0 is positive definite, so y = 0 is a strictly feasible point"
+    else:
+        point = ", ".join(f"{v} = {format_scalar(c)}" for v, c in zip(p.var_names, y))
+        detail = f"F(y) is positive definite at {point}"
+    return StrictlyFeasible(exact=True, tolerance=None, detail=detail)
 
 
 def _positive_definite(M: np.ndarray) -> bool:
@@ -354,7 +341,7 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
     q1..qk, terms -Q_k.
 
     None means I lies in L up to roundoff (TRACE_FLOOR): the slice looks
-    empty or traceless, which `_traceless_verdict` decides exactly.
+    empty or traceless, and `_traceless_verdict` looks for a witness.
     """
     p = prob.pencil
     n = p.n
@@ -528,8 +515,8 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     to small exact entries even though the solver lands at an arbitrary
     interior point of the optimal face.  The face builder handed to
     `_round_ladder` fixes the face exactly at each rung (W's columns: the
-    unique reduced row echelon basis of the snapped rows) with the
-    conditions <W^T Q W, M> = 0 for every pencil matrix Q and
+    unique reduced row echelon basis of the snapped rows, made primitive
+    integer vectors) with the conditions <W^T Q W, M> = 0 for every Q and
     tr(W^T W M) = 1 on the in-face coordinates M of X = W M W^T, which are
     forgiving: any nearby rational point keeps M positive definite.  When
     M is nonsingular, range(X) = range(W), so W's columns are X's range
@@ -555,8 +542,7 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
         if coords is None:
             return "face basis entries not representable"
         basis[:, free] = np.array(coords, dtype=object).reshape(r, n - r)
-        Wcols = [primitive_integer_vector(w) for w in row_space_basis_exact(basis)]
-        W = split(np.array(Wcols, dtype=object).T)
+        W = _primitive_columns(row_space_basis_exact(basis))
         return W, qconcat([W.T @ p.split @ W, (W.T @ W)[None]]), rhs
 
     found, failures = _round_ladder(
@@ -637,16 +623,15 @@ def find_reducing_certificate(prob: SdpProblem):
     Where a certificate exists t* >= 0, so the cut is never reached and the
     solve runs to the optimum.  The solver's primal X~ lands in the
     relative interior of the optimal face, i.e. at maximal rank, and
-    X = X~ + ((1 - tr X~) / n) I is the slice point with
-    X - t* I = X~.  When I lies in the span (the slice is empty or
-    traceless), one exact solve proves StrictlyFeasible(exact=True) instead
-    (see `_traceless_verdict`).  X is rounded, face first and coordinates
-    second, from the rank its spectrum gives down to rank 1 (see
-    `_face_split_certificate`): at each rank `_round_ladder` walks the face
-    down the ladder and tries the coordinates of every face it builds at
-    every rung, so the certificate's note names the face's rung and, where
-    it differs, the coordinates' rung.  Every certificate invariant is
-    re-checked exactly.
+    X = X~ + ((1 - tr X~) / n) I is the slice point with X - t* I = X~.
+    When I lies in the span, an exact witness proves
+    StrictlyFeasible(exact=True) instead (`_traceless_verdict`).  X is
+    rounded, face first and coordinates second, from the rank its spectrum
+    gives down to rank 1 (`_face_split_certificate`): at each rank
+    `_round_ladder` walks the face down the ladder and tries the
+    coordinates of every face it builds at every rung, so the note names
+    the face's rung and, where it differs, the coordinates' rung.  Every
+    certificate invariant is re-checked exactly.
     """
     margin_prob = build_alternative_problem(prob)
     if margin_prob is None:
@@ -697,13 +682,15 @@ def certify_optimum(
     is exactly PSD with a kernel as large as the solver X's numerical rank;
     an integer basis W of that kernel is the face.  X = W M W^T with
     <W^T F_i W, M> = -b_i has <F(y), X> = 0, so it bounds the objective by
-    its value at y: zero gap.  The proof is exact weak duality whatever the
-    solve was: a problem that is not strictly feasible (the reduced Bell
-    problems keep a constant kernel) is proved all the same when its
-    rounded y and X verify.
+    its value at y: zero gap.  A constant objective asks no kernel at all:
+    X = 0 bounds it by its offset, so F(y) may be positive definite, as it
+    is on a face that reduction left strictly feasible.  The proof is
+    exact weak duality whatever the solve was.
     """
     p = prob.pencil
-    rank = max(1, _numerical_rank(np.linalg.eigvalsh(res.X)))
+    rank = 0  # a constant objective is bounded by X = 0, whatever the kernel of F(y)
+    if any(map(bool, prob.objective)):
+        rank = max(1, _numerical_rank(np.linalg.eigvalsh(res.X)))
     snaps = _Snaps([res.y[v] for v in p.var_names])
     rhs = [-c for c in prob.objective]
     points = {}
@@ -719,7 +706,8 @@ def certify_optimum(
         check = lamF[0] >= -KERNEL_TOL and np.sum(lamF <= KERNEL_TOL) >= rank and psd_check_exact(F)
         if not (check and p.n - check.rank >= rank):
             return f"F(y) is not exactly PSD with a kernel of dimension {rank}"
-        W = split(np.array([primitive_integer_vector(w) for w in kernel_basis_exact(F)]).T)
+        kernel = [primitive_integer_vector(w) for w in kernel_basis_exact(F)]
+        W = split(np.array(kernel, dtype=object).reshape(-1, p.n).T)
         return W, (W.T @ p.split @ W)[1:], rhs
 
     def bound(X):
@@ -872,30 +860,44 @@ def lift_assignment(cons: ImplicitConstraintSet, assignment: dict) -> dict:
     return full
 
 
+def _restrict(prob: SdpProblem, U: QSplit) -> SdpProblem:
+    """Every pencil matrix F replaced by U^T F U, one product on the split."""
+    S = qconcat([U.T @ prob.pencil.split @ U])
+    return replace(prob, pencil=MatrixPencil.from_stack(list(S.join()), prob.var_names, S))
+
+
 @dataclass(frozen=True)
 class ReductionRound:
+    """A round's certificate, relations and `substituted` problem, the
+    columns of the face's integer basis U (`face`; none at the face {0})
+    and `problem`: U^T F U of each F, or `substituted` at the face {0}."""
+
     certificate: ReducingCertificate
     constraints: ImplicitConstraintSet
+    substituted: SdpProblem
+    face: tuple
     problem: SdpProblem
 
 
 def reduce_problem(
     prob: SdpProblem,
-) -> tuple[SdpProblem, list[ReductionRound], StrictlyFeasible | None]:
-    """Repeat diagnose -> derive -> substitute until nothing more is implied.
+) -> tuple[SdpProblem, list[ReductionRound], StrictlyFeasible]:
+    """Repeat diagnose -> derive -> substitute -> restrict until a search
+    finds no certificate; return the final problem, the rounds and that
+    search's verdict.
 
-    Each round may expose a smaller face, so a problem of singularity degree
-    d takes d rounds plus one search that finds nothing new.  Every round
-    that goes on eliminates a variable, so there are at most m + 1 searches.
-    Returns the final problem, the rounds performed, and the terminating
-    verdict: a StrictlyFeasible outcome, or None when the last certificate
-    implied no further substitutions (a fixed point, e.g. structurally zero
-    rows that no substitution can remove).
+    Each round restricts the substituted pencil to the face orthogonal to
+    the certificate's range vectors V (Borwein & Wolkowicz 1981): with U an
+    integer basis of ker V^T, every pencil matrix F becomes U^T F U.  Once
+    F(y) V = 0, F(y) >= 0 exactly when U^T F(y) U >= 0, so the feasible y,
+    the objective and `lift_assignment` stay as they are.  A round lowers n
+    by the certificate's rank, so there are at most n + 1 searches.  At the
+    face {0} (a certificate of full rank) every feasible F(y) is zero: the
+    loop ends with the substituted problem and an exact verdict.
 
-    A ReductionError of any round is re-raised carrying what was found
-    before it: `rounds`, the rounds completed, and `certificate`, the
-    failing round's verified certificate (None when its search itself
-    failed).
+    A ReductionError of any round is re-raised carrying `rounds`, the
+    rounds completed, and `certificate`, the failing round's verified
+    certificate (None when its search itself failed).
     """
     rounds: list[ReductionRound] = []
     current, pending = prob, None
@@ -906,12 +908,15 @@ def reduce_problem(
                 return current, rounds, outcome
             pending = outcome
             cons = derive_implicit_constraints(current, outcome.range_vectors)
-            if not cons.eliminated:
-                return current, rounds, None
-            current = apply_constraints(current, cons)
-            rounds.append(
-                ReductionRound(certificate=outcome, constraints=cons, problem=current)
-            )
+            substituted = apply_constraints(current, cons)
+            face = nullspace_exact(np.array(outcome.range_vectors, dtype=object))
+            if not face:
+                rounds.append(ReductionRound(outcome, cons, substituted, (), substituted))
+                detail = "every feasible F(y) is zero: the reduced problem has no conic constraint"
+                return substituted, rounds, StrictlyFeasible(True, None, detail)
+            U = _primitive_columns(face)
+            current = _restrict(substituted, U)
+            rounds.append(ReductionRound(outcome, cons, substituted, tuple(U.T.join()), current))
             pending = None
     except ReductionError as exc:
         exc.rounds, exc.certificate = rounds, pending

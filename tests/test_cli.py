@@ -9,7 +9,7 @@ import pytest
 from strictfeas import cli, facial
 from strictfeas.bell import problem1_simplified
 from strictfeas.cli import BUILTINS, _problems_equal, load_problem, main, store_problem
-from strictfeas.exactnum import quad
+from strictfeas.exactnum import format_scalar, quad
 from strictfeas.facial import RoundingFailedError
 from strictfeas.model import MatrixPencil, SdpProblem, StatusTag, problem_to_json_str, validate
 from strictfeas.solver import solve_sdp
@@ -172,7 +172,7 @@ class TestErrorReports:
     adds the error."""
 
     def test_reproduce_error_names_the_target(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "find_reducing_certificate", rounding_fails)
+        monkeypatch.setattr(facial, "find_reducing_certificate", rounding_fails)
         assert main(["reproduce", "chsh-toy", "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: RoundingFailedError: no candidate verified\n"
@@ -345,7 +345,11 @@ class TestReduceCommand:
         assert main(["reduce", src, "--out", dst]) == 0
         out = capsys.readouterr().out
         assert "eliminated variables:" in out
-        reduced = load_problem(dst)
+        # the file holds the loop's final, restricted problem; round 1's
+        # substituted problem is the hand-reduced pencil, entry for entry
+        final, rounds, _ = facial.reduce_problem(load_problem(src))
+        assert open(dst).read() == problem_to_json_str(final)
+        reduced = rounds[0].substituted
         golden = BUILTINS["problem1-simplified"]()
         assert problem_to_json_str(reduced) == problem_to_json_str(
             golden.__class__(
@@ -364,13 +368,21 @@ class TestReduceCommand:
         assert load_problem(dst).var_names == ("mu",)
 
     def test_already_reduced_unchanged(self, tmpfile, capsys):
+        # the certificate implies no substitution, so variables, objective
+        # and offset stay; its range, the constant kernel of dimension 3,
+        # restricts n from 9 to 6
         src = tmpfile("p2s.json")
         dst = tmpfile("p2s-red.json")
         write_builtin("problem2-simplified", src)
-        assert main(["reduce", src, "--out", dst]) == 0
-        out = capsys.readouterr().out
-        assert "no substitutions" in out or "strictly feasible" in out
-        assert open(src).read() == open(dst).read()
+        assert main(["reduce", src, "--out", dst, "--json"]) == 0
+        reduction = json.loads(capsys.readouterr().out)["reduction"]
+        assert reduction["eliminated"] == []
+        assert [len(r["face"]) for r in reduction["rounds"]] == [6]
+        before, after = load_problem(src), load_problem(dst)
+        assert (before.pencil.n, after.pencil.n) == (9, 6)
+        assert (after.var_names, after.objective, after.objective_offset) == (
+            before.var_names, before.objective, before.objective_offset
+        )
 
     def test_pinned_objective_moves_into_the_offset(self, tmpfile, capsys):
         # the relations fix mu, the objective's only variable: it is
@@ -468,6 +480,31 @@ class TestReproduceCommand:
         claims = [line for line in lines if line.startswith("[PASS] chsh-toy: ")]
         assert len(claims) == len(lines) - 1 == 7
 
+    def test_reproduce_runs_the_library_loop(self, monkeypatch, capsys):
+        calls = []
+        loop = facial.reduce_problem
+
+        def spy(prob):
+            calls.append(prob.name)
+            return loop(prob)
+
+        def unused(*args):
+            raise AssertionError("reproduce runs one round by hand")
+
+        monkeypatch.setattr(cli, "reduce_problem", spy)
+        monkeypatch.setattr(cli, "derive_implicit_constraints", unused)
+        monkeypatch.setattr(cli, "apply_constraints", unused)
+        assert main(["reproduce", "chsh-toy", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert calls == ["chsh-toy-raw"]
+        assert all(c["ok"] for c in doc["claims"])
+        assert list(doc["reduction"]) == [
+            "chsh-toy-certificate", "chsh-toy-constraints", "chsh-toy-verdict"
+        ]
+        verdict = doc["reduction"]["chsh-toy-verdict"]
+        assert verdict["verdict"] == "StrictlyFeasible" and verdict["exact"] is False
+        assert verdict["tolerance"] == facial.FEAS_CUT
+
     def test_report_deterministic(self, tmpfile, capsys):
         r1, r2 = tmpfile("r1.json"), tmpfile("r2.json")
         assert main(["reproduce", "chsh-toy", "--out", r1]) == 0
@@ -526,6 +563,32 @@ class TestReduceRounds:
         assert len(report["reduction"]["rounds"]) == 2
         assert load_problem(dst).var_names == ("s",)
         assert load_problem(dst).name == "planted-chain-reduced"
+
+    def test_rounds_report_their_faces(self, tmpfile, capsys):
+        src = tmpfile("chain.json")
+        store_problem(planted_chain_problem(), src)
+        assert main(["reduce", src, "--json"]) == 0
+        reduction = json.loads(capsys.readouterr().out)["reduction"]
+        _, rounds, _ = facial.reduce_problem(planted_chain_problem())
+        assert [r["face"] for r in reduction["rounds"]] == [
+            [[format_scalar(x) for x in u] for u in r.face] for r in rounds
+        ]
+        assert [len(r["face"]) for r in reduction["rounds"]] == [2, 1]
+        assert reduction["verdict"] == "StrictlyFeasible" and reduction["exact"] is True
+
+    def test_face_zero_ends_with_an_exact_verdict(self, tmpfile, capsys):
+        # diag(y, -y): the certificate I/2 has full rank and implies y = 0
+        src, dst = tmpfile("diag.json"), tmpfile("diag-red.json")
+        pencil = MatrixPencil.from_upper(2, "exact", [], [("y", [(0, 0, 1), (1, 1, -1)])])
+        store_problem(SdpProblem(pencil=pencil, objective=(quad(1),), name="diag"), src)
+        assert main(["reduce", src, "--out", dst, "--json"]) == 0
+        reduction = json.loads(capsys.readouterr().out)["reduction"]
+        assert reduction["eliminated"] == ["y"]
+        assert reduction["rounds"][0]["face"] == []
+        assert reduction["exact"] is True
+        assert reduction["detail"].startswith("every feasible F(y) is zero")
+        final = load_problem(dst)
+        assert (final.pencil.n, final.var_names) == (2, ())
 
     def test_offset_survives_reduce_then_solve(self, tmpfile, capsys):
         # y1 = 1 is pinned: its objective constant must reach the solve

@@ -251,8 +251,7 @@ class TestFindCertificate:
         out = find_reducing_certificate(prob)
         assert isinstance(out, StrictlyFeasible)
         assert out.exact
-        assert "no nonzero symmetric matrix" in out.detail
-        assert out.detail.endswith("; F(y) is positive definite at y1 = 0, y2 = 0")
+        assert out.detail == "F(y) is positive definite at y1 = 0, y2 = 0"
 
     def test_traceless_slice_is_exact_verdict(self):
         # f0 = I and no variables: the orthogonal slice is tr X = 0
@@ -261,8 +260,7 @@ class TestFindCertificate:
         out = find_reducing_certificate(prob)
         assert isinstance(out, StrictlyFeasible)
         assert out.exact
-        assert "traceless" in out.detail
-        assert out.detail.endswith("; F0 is positive definite")
+        assert out.detail == "F0 is positive definite, so y = 0 is a strictly feasible point"
 
     def test_ill_conditioned_chart_with_definite_f0_is_exact_verdict(self):
         # diag(1, 1 + 1e-10) with no variables: the slice's trace functional
@@ -301,7 +299,7 @@ class TestFindCertificate:
             SdpProblem(pencil=pencil, objective=(quad(0),), name="offdiag-f0")
         )
         assert out.exact
-        assert out.detail.endswith("; F(y) is positive definite at y = 2")
+        assert out.detail == "F(y) is positive definite at y = 2"
         # F0 = -I with dependent terms I and 2I: c0 shifts to 1
         pencil = MatrixPencil.from_upper(
             2,
@@ -313,7 +311,7 @@ class TestFindCertificate:
             SdpProblem(pencil=pencil, objective=(quad(0), quad(0)), name="shifted")
         )
         assert out.exact
-        assert out.detail.endswith("; F(y) is positive definite at y = 2, z = 0")
+        assert out.detail == "F(y) is positive definite at y = 2, z = 0"
 
     @pytest.mark.parametrize(
         "f0, terms",
@@ -420,22 +418,27 @@ class TestMarginEquivalence:
     primal-dual pair, so the same optimum and the same verdict."""
 
     def test_every_search_matches_the_chart_side(self):
-        seen = 0
+        seen = traceless = 0
         for label, prob in _margin_inputs():
             alt = build_alternative_problem(prob)
             ref = reference_chart_margin_problem(prob)
             assert (alt is None) == (ref is None), label
-            assert alt is not None, label
+            outcome = find_reducing_certificate(prob)
+            if alt is None:
+                # a planted chain's last search, on its fully parametrized
+                # face: I lies in the span, and a witness decides exactly
+                assert isinstance(outcome, StrictlyFeasible) and outcome.exact, label
+                traceless += 1
+                continue
             got = _margin(alt, lambda r: -r.objective_dual)
             want = _margin(ref, lambda r: r.y["slack_margin"])
             assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (label, got, want)
-            outcome = find_reducing_certificate(prob)
             if want < -facial.FEAS_CUT:
                 assert isinstance(outcome, StrictlyFeasible) and not outcome.exact, label
             else:
                 assert isinstance(outcome, ReducingCertificate), label
             seen += 1
-        assert seen == 3 + 4 * 3 + 2 + 8
+        assert (seen, traceless) == (3 + 4 * 2 + 2 + 8, 4)
 
     @pytest.mark.parametrize("k", [2, 4, 6], ids=["1e-2", "1e-4", "1e-6"])
     def test_span_nearly_holding_the_identity(self, k):
@@ -495,6 +498,8 @@ class TestObjectiveCut:
         carriers = 0
         for label, prob in _margin_inputs():
             alt = build_alternative_problem(prob)
+            if alt is None:
+                continue
             full = solver.solve_sdp(alt)
             if -full.objective_dual < -facial.FEAS_CUT:
                 continue
@@ -502,7 +507,7 @@ class TestObjectiveCut:
             assert cut.status.tag is model.StatusTag.OPTIMAL, label
             assert np.array_equal(cut.X, full.X) and cut.y == full.y, label
             carriers += 1
-        assert carriers == 3 + 4 * 3 + 2
+        assert carriers == 3 + 4 * 2 + 2
 
 
 def _near_identity_span(eps):
@@ -822,13 +827,17 @@ class TestPinnedCertificates:
     @pytest.mark.parametrize(
         "n, digest",
         [
-            (4, "6f6b11e8ae0a5ae44925394589d66bdf698e4bdd52a1f98bda77e555856fa632"),
-            (8, "de416e390666b118b82f804e79441a719b757a261567e2a443281e19c1558f12"),
+            (4, "9a22158cb525b91828d804f6cfc79a2bf355fb82a6d515b56d8e72106e4c4c0a"),
+            (8, "189c08ce3da72a31d623ce422b8e23018e42b09afbcc36de4064dbdf5a23da11"),
         ],
         ids=["n4", "n8"],
     )
     def test_planted_chains_of_degree_two(self, n, digest, sqrt5):
+        # round 2 searches the face of round 1, in its coordinates (n - 1)
         _, rounds, _ = reduce_problem(planted_chain(np.random.default_rng(n), n, 2, sqrt5))
+        assert [(r.certificate.X.shape[0], r.certificate.rank) for r in rounds] == [
+            (n, 1), (n - 1, 1)
+        ]
         assert certificate_digest([r.certificate for r in rounds]) == digest
 
 
@@ -1127,13 +1136,93 @@ class TestSoundness:
         assert expr.const == quad("1/2") and not expr.coeffs
         assert final.var_names == ("a",)
         assert final.objective_offset == quad("1/2")
-        # the second search finds e1 e1^T again, which now implies nothing
-        assert verdict is None
+        # restricted to span(e2), the pencil is [a]: a = 1 is a witness
+        assert final.pencil.n == 1
+        assert verdict == StrictlyFeasible(
+            exact=True, tolerance=None, detail="F(y) is positive definite at a = 1"
+        )
 
     def test_reduce_problem_loop_terminates(self):
         final, rounds, verdict = reduce_problem(chsh_toy_pencil())
         assert len(rounds) == 1
         assert final.var_names == ("pA0", "pA1", "a01")
+
+    def test_reduce_problem_planted_degree_three_n8_sqrt5(self):
+        # round 1's face rounds at the coarse rung; with the face kept at
+        # n = 8, the second search found its range vector again in the
+        # constant kernel and the loop stopped with no verdict
+        prob = planted_chain(np.random.default_rng(102), 8, 3, sqrt5=True)
+        final, rounds, verdict = reduce_problem(prob)
+        assert [r.constraints.eliminated_names for r in rounds] == [
+            ("a1",), ("a2",), ("a3",)
+        ]
+        assert [r.problem.pencil.n for r in rounds] == [7, 6, 5]
+        assert final is rounds[-1].problem
+        assert isinstance(verdict, StrictlyFeasible) and verdict.exact
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            planted_chain_problem,
+            golden_face_problem,
+            pinned_objective_problem,
+            lambda: planted_chain(np.random.default_rng(8), 8, 2, sqrt5=True),
+            lambda: planted_chain(np.random.default_rng(104), 4, 3),
+            lambda: almost_quantum_pencil(line2()),
+            chsh_toy_pencil,
+        ],
+        ids=["chain", "golden", "pinned", "n8-sqrt5", "degree3", "line2", "toy"],
+    )
+    def test_each_round_restricts_its_substituted_problem(self, make):
+        searched = make()
+        _, rounds, _ = reduce_problem(searched)
+        assert rounds
+        for r in rounds:
+            sub, got = r.substituted, r.problem
+            U = np.array(r.face, dtype=object).T
+            # the face: n lowered by the rank, orthogonal to the range
+            # vectors, one primitive integer vector per column
+            assert U.shape == (searched.pencil.n, searched.pencil.n - r.certificate.rank)
+            V = np.array(r.certificate.range_vectors, dtype=object)
+            assert not any(map(bool, exactnum.qmatmul(V, U).flat))
+            for u in r.face:
+                S = split(u)
+                assert S.d == 1 and math.gcd(*S.A, *(() if S.B is None else S.B)) == 1
+            # every pencil matrix is U^T F U, entry for entry
+            assert got.pencil.n == U.shape[1]
+            for F, G in zip((sub.pencil.f0, *sub.pencil.terms), (got.pencil.f0, *got.pencil.terms)):
+                assert exactnum.qmatmul(U.T, F, U).tolist() == G.tolist()
+            assert (got.var_names, got.objective, got.objective_offset, got.name) == (
+                sub.var_names, sub.objective, sub.objective_offset, sub.name
+            )
+            searched = got
+
+    @pytest.mark.parametrize(
+        "pencil, eliminated",
+        [
+            # diag(y, -y) >= 0 forces y = 0
+            (MatrixPencil.from_upper(2, "exact", [], [("y", [(0, 0, 1), (1, 1, -1)])]), ("y",)),
+            # the 3 x 3 zero pencil without variables
+            (MatrixPencil.from_upper(3, "exact", [], []), ()),
+        ],
+        ids=["diag-y-minus-y", "zero-3"],
+    )
+    def test_full_rank_certificate_ends_at_the_face_zero(self, pencil, eliminated):
+        # the certificate I/n has rank n: the face is {0}, so the loop ends
+        # before restricting, with the substituted, all-zero problem
+        prob = SdpProblem(pencil=pencil, objective=(quad(1),) * pencil.m, name="face-zero")
+        final, rounds, verdict = reduce_problem(prob)
+        (r,) = rounds
+        assert (r.certificate.rank, r.face) == (pencil.n, ())
+        assert r.constraints.eliminated_names == eliminated
+        assert final is r.problem is r.substituted
+        assert (final.pencil.n, final.pencil.m) == (pencil.n, 0)
+        assert not any(map(bool, final.pencil.f0.flat))
+        assert verdict == StrictlyFeasible(
+            exact=True,
+            tolerance=None,
+            detail="every feasible F(y) is zero: the reduced problem has no conic constraint",
+        )
 
 
 class TestReductionErrors:
