@@ -99,10 +99,6 @@ class QuadExt:
         raise AttributeError("QuadExt is immutable")
 
     # -- basic predicates -------------------------------------------------
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 
@@ -358,13 +354,6 @@ def qarray(rows) -> np.ndarray:
 def qzeros(n: int, m: int | None = None) -> np.ndarray:
     out = np.empty((n, n if m is None else m), dtype=object)
     out[...] = QUAD_ZERO
-    return out
-
-
-def qeye(n: int) -> np.ndarray:
-    out = qzeros(n)
-    for i in range(n):
-        out[i, i] = QUAD_ONE
     return out
 
 

@@ -239,10 +239,10 @@ def _chart_coordinates(n: int):
     return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
 
 
-def _chart_matrices(coords: np.ndarray, n: int) -> np.ndarray:
+def _chart_matrices(coords: np.ndarray, n: int, iu, w) -> np.ndarray:
     """The (k, n, n) stack of symmetric matrices whose weighted upper
-    triangles are the rows of `coords`, built in one step."""
-    iu, w = _chart_coordinates(n)
+    triangles are the rows of `coords`, built in one step; (iu, w) is
+    `_chart_coordinates(n)`."""
     M = np.zeros((len(coords), n, n))
     M[:, iu[0], iu[1]] = coords / w
     return M + np.triu(M, 1).transpose(0, 2, 1)
@@ -362,7 +362,7 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
         scalar="double",
         f0=np.eye(n) / n,
         var_names=tuple(f"q{k+1}" for k in range(len(Q))),
-        terms=tuple(_chart_matrices(-Q, n)),
+        terms=tuple(_chart_matrices(-Q, n, iu, w)),
     )
     return SdpProblem(
         pencil=pencil,

@@ -40,17 +40,24 @@ iteration makes as few calls as its arithmetic allows:
   positive definite, and one inverse Li = L^{-1}; each of the four Newton
   solves (predictor and corrector, each refined once) is then the two
   matrix-vector products Li^T (Li r), and the exact 1-norm condition number
-  of M is ||M||_1 ||Li^T Li||_1;
+  of M is ||M||_1 ||Li^T Li||_1, each norm one column-sum reduction
+  |M|.sum(axis=0).max(), which is how np.linalg.norm(M, 1) computes it;
 - one stacked eigvalsh for the predictor's two step lengths, one for the
-  corrector's;
+  corrector's, whose scaling 1/sqrt(d_i d_j) is one broadcast product;
 - two products each to scale the dual residual into the frame and to map
   dX back;
+- for the corrector's right-hand side, one broadcast sum d_i + d_j and one
+  add through a strided view of its diagonal;
 - the residuals Rp, Rd and <X, Z> of the accepted merit trial, carried into
   the next iteration rather than recomputed.
-Inner products are flat dot products, a.ravel() @ b.ravel().  Each of these
-is the same float arithmetic as its per-matrix form, so the iterates do not
-depend on the layout.  Each history entry records the iterate's objectives,
-residuals and gap, and the primal step, dual step and sigma taken from it.
+Inner products are flat dot products, a.ravel() @ b.ravel(), with the
+constant term's flat view taken once per solve.  Each of these is the same
+float arithmetic as its per-matrix form (np.outer, np.add.outer, .flat),
+so the iterates do not depend on the layout.  Per solve, a pencil without
+a structurally zero row is used as it is: C is its own F0 and the returned
+X the last iterate, with no index copies.  Each history entry records the
+iterate's objectives, residuals and gap, and the primal step, dual step and
+sigma taken from it.
 
 Honesty is the point: when iterates blow up, steps stagnate or the Newton
 system degenerates, the result is reported as NumericalTrouble rather than
@@ -99,6 +106,8 @@ STAGNATION_ROUNDS = 5
 COND_BOUND = 1e14
 # fraction of the step to the boundary of the cone
 STEP_FRAC = 0.98
+# float64 machine epsilon, computed once
+EPS = np.finfo(float).eps
 # the trouble signature `diagnostics_report` warns of: a non-optimal status,
 # or a final iterate entry beyond TROUBLE_VAR_BOUND
 TROUBLE_VAR_BOUND = 1e6
@@ -152,7 +161,7 @@ def _nt_frame(Lx: np.ndarray, Lz: np.ndarray):
     """
     _, s, Vt = np.linalg.svd(Lz.T @ Lx)
     # singular values below eps * s_max are roundoff, not information
-    s = np.maximum(s, np.finfo(float).eps * s[0])
+    s = np.maximum(s, EPS * s[0])
     return (Lx @ Vt.T) / np.sqrt(s), s
 
 
@@ -192,7 +201,8 @@ def _factor_schur(M: np.ndarray):
     else:
         raise np.linalg.LinAlgError("Schur complement factorization failed")
     Li = np.linalg.inv(L)
-    cond = float(np.linalg.norm(Mreg, 1) * np.linalg.norm(Li.T @ Li, 1))
+    # the 1-norm as numpy's norm(., 1) computes it: the largest column sum
+    cond = float(np.abs(Mreg).sum(axis=0).max() * np.abs(Li.T @ Li).sum(axis=0).max())
     return Li, cond, bool(reg_scale)
 
 
@@ -200,8 +210,8 @@ def _max_steps(scale: np.ndarray, dXh: np.ndarray, dZh: np.ndarray):
     """Largest alphas with D + alpha dXh >= 0 and D + alpha dZh >= 0 for
     D = diag(d) > 0, given scale_ij = 1/sqrt(d_i d_j): D^{-1/2} dS D^{-1/2}
     is dS * scale, and one stacked eigvalsh serves both."""
-    lam_min = np.linalg.eigvalsh(np.array((dXh, dZh)) * scale)[:, 0].tolist()
-    return tuple(np.inf if lam >= 0 else -1.0 / lam for lam in lam_min)
+    lam_x, lam_z = np.linalg.eigvalsh(np.array((dXh, dZh)) * scale)[:, 0].tolist()
+    return (np.inf if lam_x >= 0 else -1.0 / lam_x, np.inf if lam_z >= 0 else -1.0 / lam_z)
 
 
 def _newton(Af: np.ndarray, Li: np.ndarray, Rp: np.ndarray, Rd: np.ndarray, Rc: np.ndarray):
@@ -243,8 +253,11 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
 
     terms = np.asarray(prob.pencil.terms, dtype=float).reshape(m, n_full, n_full)
     rows = _structural_rows(prob.pencil.f0, terms)
-    C = prob.pencil.f0[np.ix_(rows, rows)].copy()
     n = rows.size
+    # without a structurally zero row, C is the pencil's own (read-only) F0
+    full = n == n_full
+    C = prob.pencil.f0 if full else prob.pencil.f0[np.ix_(rows, rows)]
+    c_flat = C.ravel()
     # standard form: sum y_i A_i + Z = C, with A_i = -F_i
     A = -terms[:, rows[:, None], rows]
     Aflat = A.reshape(m, n * n)
@@ -256,11 +269,14 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
     offset = float(prob.objective_offset)
 
     def finish(status: SolveStatus, y, Xred, cond) -> SolveResult:
-        X_full = np.zeros((n_full, n_full))
-        if n:
-            X_full[np.ix_(rows, rows)] = Xred
+        if full:
+            X_full = Xred
+        else:
+            X_full = np.zeros((n_full, n_full))
+            if n:
+                X_full[np.ix_(rows, rows)] = Xred
         ydict = {name: float(val) for name, val in zip(names, y)}
-        obj_p = (float(C.ravel() @ Xred.ravel()) if n else 0.0) + offset
+        obj_p = (float(c_flat @ Xred.ravel()) if n else 0.0) + offset
         obj_d = float(b @ y) + offset
         diag.condition_estimate = cond
         diag.max_abs_variable = max(
@@ -348,7 +364,7 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
 
     for it in range(MAX_ITER):
         Rp, Rd, rp_max, rd_max, xz = state
-        obj_p = float(C.ravel() @ X.ravel())
+        obj_p = float(c_flat @ X.ravel())
         obj_d = float(b @ y)
         gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p))
         res_p = rp_max / b_scale
@@ -404,7 +420,7 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
             Lx, Lz = np.linalg.cholesky(np.array((X, Z)))
             G, d = _nt_frame(Lx, Lz)
             Af, M = _scaled_schur(A, G)
-            if not np.all(np.isfinite(M)):
+            if not np.isfinite(M).all():
                 status = SolveStatus(
                     StatusTag.NUMERICAL_TROUBLE, "Newton system is not finite"
                 )
@@ -426,8 +442,9 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
             D = np.diag(d)
             _, dXh_a, dZh_a = _newton(Af, Li, Rp, Rdh, -D)
             r = 1.0 / np.sqrt(d)
-            scale = np.outer(r, r)
-            ap, ad = (min(1.0, a) for a in _max_steps(scale, dXh_a, dZh_a))
+            scale = r[:, None] * r
+            ap, ad = _max_steps(scale, dXh_a, dZh_a)
+            ap, ad = min(1.0, ap), min(1.0, ad)
             # <X, Z> = <D, D>: both complementarity measures in the frame
             mu = float(d @ d) / n
             mu_aff = float((D + ap * dXh_a).ravel() @ (D + ad * dZh_a).ravel()) / n
@@ -439,10 +456,13 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
             # corrector: the NT second-order term (SDPT3), symmetric in the
             # scaled frame where X and Z commute
             P = dXh_a @ dZh_a
-            Rc = -(P + P.T) / np.add.outer(d, d)
-            Rc.flat[:: n + 1] += sigma * mu / d - d
+            Rc = -(P + P.T) / (d[:, None] + d)
+            # Rc is a new C-contiguous array, so ravel() is a view of it and
+            # every (n+1)-th entry of the view is a diagonal entry of Rc
+            Rc.ravel()[:: n + 1] += sigma * mu / d - d
             dy, dXh, dZh = _newton(Af, Li, Rp, Rdh, Rc)
-            ap, ad = (min(1.0, tau * a) for a in _max_steps(scale, dXh, dZh))
+            ap, ad = _max_steps(scale, dXh, dZh)
+            ap, ad = min(1.0, tau * ap), min(1.0, tau * ad)
             # back to the original frame once: dX = G dXh G^T, and dZ from
             # the dual equation itself, which needs no inverse of G and
             # keeps A^T dy + dZ = Rd to roundoff

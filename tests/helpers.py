@@ -17,9 +17,9 @@ from strictfeas.exactnum import (
     as_quad,
     parse_scalar,
     qarray,
-    qeye,
     qmatmul,
     qsign,
+    qzeros,
     quad,
     split,
 )
@@ -29,6 +29,14 @@ from strictfeas.model import (
     SdpProblem,
     UnknownVariableError,
 )
+
+
+def qeye(n: int) -> np.ndarray:
+    """The exact n x n identity."""
+    out = qzeros(n)
+    for i in range(n):
+        out[i, i] = QUAD_ONE
+    return out
 
 
 def random_certified_sdp(rng: np.random.Generator, n: int, m: int):

@@ -28,7 +28,6 @@ from strictfeas.exactnum import (
     format_scalar,
     kernel_basis_exact,
     psd_check_exact,
-    qeye,
     qsign,
     quad,
     qarray,
@@ -56,6 +55,7 @@ from helpers import (
     problem1_optimal_point,
     problem2_bound_matrix,
     problem2_optimal_point,
+    qeye,
     quadratic_form,
     reference_frob_inner,
 )

@@ -81,16 +81,27 @@ class TestBasics:
         ) <= 1e-12
 
     def test_determinism(self):
-        # m = 30 is the size of a certificate search's margin problem
-        for n, m in ((4, 3), (8, 30)):
-            prob, _, _ = random_certified_sdp(np.random.default_rng(4), n, m)
-            r1 = solve_sdp(prob)
-            r2 = solve_sdp(prob)
-            assert r1.diagnostics.iterations == r2.diagnostics.iterations
+        # m = 30 is the size of a certificate search's margin problem; the
+        # last case is a margin solve that stops at its objective cut
+        cases = [
+            (random_certified_sdp(np.random.default_rng(4), n, m)[0], None)
+            for n, m in ((4, 3), (8, 30))
+        ]
+        prob, _ = interior_problem(np.random.default_rng(778), 9, 8, 3)
+        cases.append((facial.build_alternative_problem(prob), facial.FEAS_CUT))
+        for prob, cut in cases:
+            r1 = solve_sdp(prob, stop_above=cut)
+            r2 = solve_sdp(prob, stop_above=cut)
+            # the whole result: status and message, every diagnostic
+            # (history, condition estimate, regularized iterations, slack
+            # eigenvalue, ...) and the iterate, X bit for bit
+            assert r1.status == r2.status
+            assert r1.diagnostics == r2.diagnostics
             assert r1.objective_primal == r2.objective_primal
             assert r1.objective_dual == r2.objective_dual
             assert r1.y == r2.y
-            assert np.array_equal(r1.X, r2.X)
+            assert r1.X.tobytes() == r2.X.tobytes()
+        assert r1.status.tag is StatusTag.OBJECTIVE_CUT_REACHED
 
     def test_offset_reported_not_iterated(self):
         prob = simple_interval_problem()
@@ -302,6 +313,42 @@ class TestCallLayout:
             # the step found is the one to the boundary: D + a dX is singular
             lam = np.linalg.eigvalsh(np.diag(d) + steps[0] * dX)
             assert abs(lam[0]) <= 1e-9 * np.abs(lam).max()
+
+    def test_reduction_one_norm_matches_norm(self):
+        # the largest column sum of |M| is numpy's own norm(M, 1), and the
+        # condition number is its product for M and Li^T Li
+        rng = np.random.default_rng(37)
+        for m in (1, 9, 35):
+            M = _spd(rng, m)
+            Li, cond, _ = _factor_schur(M)
+            assert cond == float(np.linalg.norm(M, 1) * np.linalg.norm(Li.T @ Li, 1))
+            for S in (M, Li.T @ Li, rng.standard_normal((m, m))):
+                assert np.abs(S).sum(axis=0).max() == np.linalg.norm(S, 1)
+
+    def test_broadcasts_match_outer(self):
+        rng = np.random.default_rng(38)
+        for n in (2, 9, 12):
+            d = rng.uniform(1e-3, 2.0, n)
+            r = 1.0 / np.sqrt(d)
+            assert (r[:, None] * r).tobytes() == np.outer(r, r).tobytes()
+            assert (d[:, None] + d).tobytes() == np.add.outer(d, d).tobytes()
+
+    def test_diagonal_view_add_matches_flat(self):
+        rng = np.random.default_rng(39)
+        for n in (2, 9, 12):
+            d = rng.uniform(1e-3, 2.0, n)
+            P = rng.standard_normal((n, n))
+            shift = 0.3 / d - d
+            Rc = -(P + P.T) / (d[:, None] + d)
+            assert Rc.flags.c_contiguous
+            ref = Rc.copy()
+            ref.flat[:: n + 1] += shift
+            Rc.ravel()[:: n + 1] += shift
+            assert Rc.tobytes() == ref.tobytes()
+            # ravel() of a non-contiguous array is a copy: the add is lost
+            T = ref.T.copy().T
+            T.ravel()[:: n + 1] += shift
+            assert T.tobytes() == ref.tobytes()
 
     def test_flat_dot_matches_tensordot(self):
         rng = np.random.default_rng(35)
