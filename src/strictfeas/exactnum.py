@@ -17,7 +17,11 @@ correctly rounded integer divisions.  Reading the Fractions is the costly
 part, so a split can be kept and passed where an exact array goes:
 `qmatmul`, `to_float`, the eliminations and `psd_check_exact` take one as it
 is (an elimination works on a copy), and an exact pencil keeps the split of
-its whole stack (`model.MatrixPencil.split`), made once.
+its whole stack (`model.MatrixPencil.split`), made once.  One product,
+:func:`qcongruence` (the stacked congruence U^T F_k U that restricts a
+pencil to a face), multiplies in int64 where a bound computed from its
+operands proves that nothing overflows; every other product stays on
+Python ints, whose operands here are small.
 
 Eliminations work over the same split without fractions.  On A + B*sqrt5
 (d scales every row alike, so it drops out) each step is the Bareiss update
@@ -478,7 +482,8 @@ def qconcat(parts, axis: int = 0) -> QSplit:
     if any(x.B is not None for x in parts):
         B = np.concatenate([over_d(x.B, x) for x in parts], axis)
         B = B if any(B.flat) else None
-    g = math.gcd(d, *A.flat, *(() if B is None else B.flat))
+    # over d = 1 the integers have no common factor to take out
+    g = math.gcd(d, *A.flat, *(() if B is None else B.flat)) if d > 1 else 1
     if g > 1:
         A, B, d = A // g, None if B is None else B // g, d // g
     return QSplit(A, B, d)
@@ -526,6 +531,49 @@ def qmatmul(X, Y, *more):
 def frob_inner(A: np.ndarray, B: np.ndarray) -> QuadExt:
     """Exact Frobenius inner product sum_ij A_ij B_ij."""
     return qmatmul(np.ravel(A), np.ravel(B))
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _int64(S: QSplit) -> tuple[QSplit, int] | None:
+    """S with int64 parts and the largest absolute integer in them, or None
+    when an integer of S lies outside int64."""
+    try:
+        S = S._map(lambda X: X.astype(np.int64))
+    except OverflowError:
+        return None
+    # Python ints, so that -(-2^63) does not wrap
+    top = 0
+    for X in (S.A, S.B):
+        if X is not None and X.size:
+            top = max(top, int(X.max()), -int(X.min()))
+    return S, top
+
+
+def qcongruence(U, F) -> QSplit:
+    """The stack U^T F_k U of an exact (k, n, n) stack F and an exact (n, r)
+    matrix U, either given as it is or as its split: `U.T @ F @ U` on the
+    integer splits, over the product of their denominators.
+
+    The integers are multiplied in int64 when a bound computed from the
+    operands proves that every entry and partial sum fits, and as Python
+    ints otherwise.  Every integer of U and F must fit, and with u and f
+    the largest absolute ones, an entry or partial sum of a product X Y over
+    the inner dimension n is at most c n x y, where c = 6 when both X and Y
+    have a sqrt5 part (A1 A2 + 5 B1 B2) and 1 otherwise: so at most
+    t = c n u f in U^T F and c' n t u in (U^T F) U.  int64 is taken when
+    both are at most 2^63 - 1.
+    """
+    U, F = split(U), split(F)
+    U64, F64 = _int64(U), _int64(F)
+    if U64 is not None and F64 is not None:
+        (U64, u), (F64, f) = U64, F64
+        n = U.shape[0]
+        t = (6 if U.B is not None and F.B is not None else 1) * n * u * f
+        if max(t, (6 if U.B is not None else 1) * n * t * u) <= _INT64_MAX:
+            return (U64.T @ F64 @ U64)._map(lambda X: X.astype(object))
+    return U.T @ F @ U
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,11 @@ Every pencil-wide step reads the pencil's integer split
 (`MatrixPencil.split`), not its Fractions: the float span basis, the
 traceless verdict, the face congruence, the exact verification, the
 derivation, the substitution and the restriction, which hand the reduced
-pencil's split on, so later rounds never split again.  Rounding stays on
-integers too, up to the candidate X = W M W^T that the verification reads.
+pencil's split on as the pencil itself (`MatrixPencil.from_split`, whose
+matrices are joined only if something reads them), so later rounds never
+split again.  The restriction's congruence runs in int64 under the bound
+of `qcongruence`.  Rounding stays on integers too, up to the candidate
+X = W M W^T that the verification reads.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .exactnum import (
     primitive_integer_vector,
     psd_check_exact,
     qconcat,
+    qcongruence,
     reconstruct_quadext,  # noqa: F401  (perfbench/spans.py times it here)
     reconstruct_rational,
     row_space_basis_exact,
@@ -347,7 +351,7 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
     n = p.n
     iu, w = _chart_coordinates(n)
     eye = (iu[0] == iu[1]).astype(float)
-    K = to_float(p.split)[:, iu[0], iu[1]] * w
+    K = to_float(p.split[:, iu[0], iu[1]]) * w
     _, s, Vt = np.linalg.svd(K)
     # numpy's matrix_rank tolerance
     rank = int(np.sum(s > max(K.shape) * np.finfo(float).eps * s[0]))
@@ -467,7 +471,7 @@ def _affine_solve_exact(K, rhs) -> tuple | None:
     others span the homogeneous solutions.
     """
     rows, cols = K.shape
-    last = np.array([-as_quad(x) for x in rhs], dtype=object).reshape(rows, 1)
+    last = split(rhs).scaled(-1).reshape(rows, 1)
     basis = nullspace_exact(qconcat([K, last], axis=1))
     if not basis or not bool(basis[-1][cols]):
         return None
@@ -819,7 +823,6 @@ def apply_constraints(prob: SdpProblem, cons: ImplicitConstraintSet) -> SdpProbl
         for w, c in expr.coeffs.items():
             C[row_of[w], k] = c
     stack = p.split.reshape(1 + p.m, -1)
-    mats = [(p.f0, *p.terms)[j] for j in kept]
     objective = np.array([prob.objective_offset, *prob.objective], dtype=object)
     b = list(objective[kept])
     touched = [i for i in range(len(kept)) if any(map(bool, C[i]))]
@@ -832,14 +835,14 @@ def apply_constraints(prob: SdpProblem, cons: ImplicitConstraintSet) -> SdpProbl
         data = qconcat([stack[rows], objective[rows][:, None]], axis=1)
         coeffs = np.hstack([np.eye(len(touched), dtype=int), C[touched]])
         new = split(coeffs) @ data
-        for i, row in zip(touched, new.join()):
-            mats[i], b[i] = row[:-1].reshape(p.n, p.n), row[-1]
+        for i, value in zip(touched, new[:, -1].join()):
+            b[i] = value
         parts.append(new[:, :-1])
     # the reduced pencil's split, from these integers alone: its rows in
     # pencil order, over their least common denominator
     reduced = qconcat(parts)[np.argsort(untouched + touched)]
 
-    pencil = MatrixPencil.from_stack(mats, keep, reduced.reshape(-1, p.n, p.n))
+    pencil = MatrixPencil.from_split(keep, reduced.reshape(-1, p.n, p.n))
     base = prob.name or "problem"
     base = base[: -len("-raw")] if base.endswith("-raw") else base
     new_name = base if base.endswith("-reduced") else base + "-reduced"
@@ -861,9 +864,10 @@ def lift_assignment(cons: ImplicitConstraintSet, assignment: dict) -> dict:
 
 
 def _restrict(prob: SdpProblem, U: QSplit) -> SdpProblem:
-    """Every pencil matrix F replaced by U^T F U, one product on the split."""
-    S = qconcat([U.T @ prob.pencil.split @ U])
-    return replace(prob, pencil=MatrixPencil.from_stack(list(S.join()), prob.var_names, S))
+    """Every pencil matrix F replaced by U^T F U, one congruence of the
+    split (`qcongruence`), whose result is the restricted pencil."""
+    S = qconcat([qcongruence(U, prob.pencil.split)])
+    return replace(prob, pencil=MatrixPencil.from_split(prob.var_names, S))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,15 @@ An exact pencil is split into integers once: `MatrixPencil.split` holds the
 integer split of its stack (F0, F_1, ..., F_m), made on first use and then
 carried, and every pencil-wide exact operation (evaluation, the pairing
 with a matrix X, the downcast, the products of `facial`) reads it instead
-of the Fractions.
+of the Fractions.  A pencil derived from another by the reduction loop is
+built from its split alone (`MatrixPencil.from_split`): its matrices are
+joined from the split on first read only.  The restricted split comes
+from `exactnum.qcongruence`, which multiplies in int64 when a bound from
+its operands' largest integers proves that every entry and partial sum
+fits, and on Python ints otherwise.
 
-Problems are immutable after construction and safe for concurrent reads.
+Problems are immutable after construction and safe for concurrent reads:
+a derived pencil's first join is the one every reader gets.
 """
 
 from __future__ import annotations
@@ -85,7 +91,10 @@ class MatrixPencil:
 
     Matrices are stored as full symmetric arrays; constructors take the upper
     triangle only, which keeps transcription single-entry.  `scalar` is
-    "exact" (object arrays of QuadExt) or "double" (float64).
+    "exact" (object arrays of QuadExt) or "double" (float64).  A pencil
+    made by `from_split` holds only its integer split at first: `f0` and
+    `terms` are joined from it on first read, read-only, and the same
+    arrays whichever caller reads first.
     """
 
     n: int
@@ -118,19 +127,35 @@ class MatrixPencil:
         return _freeze_split(split(np.stack([self.f0, *self.terms])))
 
     @staticmethod
-    def from_stack(mats: Sequence[np.ndarray], var_names: Sequence[str], split: QSplit):
-        """The exact pencil of the matrices `mats` (F0, F_1, ..., F_m), whose
-        stack's integer split is already known: it becomes the pencil's
-        `split` as it is, so these Fractions are never split again."""
-        pencil = MatrixPencil(
-            n=len(mats[0]),
-            scalar="exact",
-            f0=mats[0],
-            var_names=tuple(var_names),
-            terms=tuple(mats[1:]),
+    def from_split(var_names: Sequence[str], split: QSplit) -> "MatrixPencil":
+        """The exact pencil whose stack (F0, F_1, ..., F_m) has the integer
+        split `split`, of shape (m+1, n, n).  The split becomes the pencil's
+        `split` as it is, its arrays made read-only in place, so it is never
+        split again; `f0` and `terms` are joined from it on first read."""
+        if split.shape[0] != len(var_names) + 1:
+            raise ValueError("the split must stack F0 and one matrix per variable")
+        for X in (split.A, split.B):
+            if X is not None:
+                X.setflags(write=False)
+        pencil = object.__new__(MatrixPencil)
+        vars(pencil).update(
+            n=split.shape[1], scalar="exact", var_names=tuple(var_names), split=split
         )
-        pencil.__dict__["split"] = _freeze_split(split)
+        if pencil.n < 1:
+            raise ValueError("pencil dimension must be >= 1")
         return pencil
+
+    def __getattr__(self, name: str):
+        # only a `from_split` pencil lacks its matrices: they are joined from
+        # the split on first read, and the first join stored is the one every
+        # reader gets
+        state = vars(self)
+        if name not in ("f0", "terms") or "split" not in state:
+            raise AttributeError(name)
+        J = state["split"].join()
+        J.setflags(write=False)
+        state["f0"], state["terms"] = state.setdefault("_joined", (J[0], tuple(J[1:])))
+        return state[name]
 
     def term(self, name: str) -> np.ndarray:
         try:
@@ -241,6 +266,13 @@ def validate(prob: SdpProblem) -> list[str]:
     finite and equal to its transpose; only when that fails are the
     matrices checked one by one, to word each violation.
     """
+    return checked_stack(prob)[0]
+
+
+def checked_stack(prob: SdpProblem) -> tuple[list[str], np.ndarray | None]:
+    """The violations `validate` reports, and the float stack
+    (F0, F_1, ..., F_m) it checked: a new (m+1, n, n) array for a double
+    pencil of square matrices, None for any other pencil."""
     violations: list[str] = []
     p = prob.pencil
     mats = [("F0", p.f0)] + list(zip(p.var_names, p.terms))
@@ -249,7 +281,7 @@ def validate(prob: SdpProblem) -> list[str]:
         if name in seen:
             violations.append(f"DuplicateVariable: {name}")
         seen.add(name)
-    clean = False
+    clean, S = False, None
     if p.scalar == "double" and all(M.shape == (p.n, p.n) for _, M in mats):
         S = np.stack([M for _, M in mats])
         clean = bool(np.isfinite(S).all()) and np.array_equal(S, S.transpose(0, 2, 1))
@@ -282,7 +314,7 @@ def validate(prob: SdpProblem) -> list[str]:
             violations.append("NonFinite: objective contains NaN or infinity")
         if not np.isfinite(float(prob.objective_offset)):
             violations.append("NonFinite: offset is NaN or infinity")
-    return violations
+    return violations, S
 
 
 def to_double(prob: SdpProblem) -> SdpProblem:

@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SdpProblem, SolveStatus, StatusTag, pencil_eval, validate
+from .model import SdpProblem, SolveStatus, StatusTag, checked_stack, pencil_eval
 
 
 class InvalidProblemError(ValueError):
@@ -238,7 +238,7 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
     strictly feasible y whose objective, offset included, exceeds it (see
     the module docstring).
     """
-    violations = validate(prob)
+    violations, stack = checked_stack(prob)
     if violations:
         raise InvalidProblemError(violations)
     if prob.pencil.scalar != "double":
@@ -251,7 +251,8 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
     m = b.size
     names = prob.pencil.var_names
 
-    terms = np.asarray(prob.pencil.terms, dtype=float).reshape(m, n_full, n_full)
+    # the stack (F0, F_1, ..., F_m) that validation built, not a second one
+    terms = np.asarray(stack[1:], dtype=float)
     rows = _structural_rows(prob.pencil.f0, terms)
     n = rows.size
     # without a structurally zero row, C is the pencil's own (read-only) F0

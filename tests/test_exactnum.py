@@ -29,6 +29,7 @@ from strictfeas.exactnum import (
     psd_check_exact,
     qarray,
     qconcat,
+    qcongruence,
     qmatmul,
     qsign,
     quad,
@@ -530,6 +531,116 @@ class TestExactProducts:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             qmatmul(np.eye(2), qeye(2))
+
+
+INT64_MAX = 2**63 - 1
+
+
+def congruence_and_dtypes(U, F):
+    """qcongruence(U, F), and the dtypes of the integer parts it multiplied."""
+    seen = set()
+    matmul = QSplit.__matmul__
+
+    def spy(self, other):
+        seen.add(self.A.dtype)
+        return matmul(self, other)
+
+    with mock.patch.object(QSplit, "__matmul__", spy):
+        got = qcongruence(U, F)
+    return got, seen
+
+
+def assert_python_product(got: QSplit, U, F):
+    """got is the split U^T F U that the Python-int product gives, on
+    Python ints."""
+    U, F = split(U), split(F)
+    want = U.T @ F @ U
+    assert got.shape == want.shape and got.d == want.d
+    assert (got.B is None) == (want.B is None)
+    for g, w in ((got.A, want.A), (got.B, want.B)):
+        if w is not None:
+            assert g.dtype == object and all(type(x) is int for x in g.flat)
+            assert np.array_equal(g, w)
+
+
+def random_quads(rng, shape, sqrt5):
+    """Exact entries with numerators up to 2^8 and denominators up to 4."""
+
+    def part():
+        return Fraction(rng.randint(-(2**8), 2**8), rng.randint(1, 4))
+
+    out = np.empty(shape, dtype=object)
+    out.flat[:] = [QuadExt(part(), part() if sqrt5 else 0) for _ in range(out.size)]
+    return out
+
+
+class TestCongruence:
+    """The stacked congruence U^T F_k U, in int64 when a bound from the
+    operands allows it and on Python ints otherwise, is the Python-int
+    product either way."""
+
+    @given(st.data(), st.integers(min_value=1, max_value=3), dims_st, dims_st)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_python_product(self, data, k, n, r):
+        F = data.draw(exact_arrays(k, n, n))
+        U = data.draw(exact_arrays(n, r))
+        assert_python_product(qcongruence(U, F), U, F)
+        assert_python_product(qcongruence(split(U), split(F)), U, F)
+
+    @pytest.mark.parametrize("sqrt5", [False, True], ids=["rational", "sqrt5"])
+    def test_random_stacks_run_in_int64(self, sqrt5):
+        rng = random.Random(28)
+        for _ in range(30):
+            n, k = rng.randint(1, 9), rng.randint(1, 5)
+            F = random_quads(rng, (k, n, n), sqrt5)
+            U = random_quads(rng, (n, rng.randint(1, n)), sqrt5 and rng.random() < 0.5)
+            got, dtypes = congruence_and_dtypes(U, F)
+            assert dtypes == {np.dtype(np.int64)}
+            assert_python_product(got, U, F)
+            assert_same(got.join(), reference_qmatmul(U.T, F, U))
+
+    @pytest.mark.parametrize("entry", [2**63, -(2**63) - 1, 2**100])
+    def test_an_entry_beyond_int64_falls_back(self, entry):
+        F = qarray([[[entry, 1], [1, 2]]])
+        U = qarray([[1], [1]])
+        for X, Y in ((U, F), (qarray([[entry], [1]]), qarray([[[1, 2], [2, 3]]]))):
+            got, dtypes = congruence_and_dtypes(X, Y)
+            assert dtypes == {np.dtype(object)}
+            assert_python_product(got, X, Y)
+
+    def test_a_zero_operand_next_to_huge_entries_falls_back(self):
+        huge = 2**64
+        F = qarray([[[1, huge], [huge, huge]], [[0, 0], [0, 0]]])
+        # U^T F U is 0, and [[1]] and 0: small products of huge entries
+        for U in (qarray([[0], [0]]), qarray([[1], [0]])):
+            got, dtypes = congruence_and_dtypes(U, F)
+            assert dtypes == {np.dtype(object)}
+            assert_python_product(got, U, F)
+        U, zero = qarray([[huge], [1]]), qarray([[[0, 0], [0, 0]]])
+        got, dtypes = congruence_and_dtypes(U, zero)
+        assert dtypes == {np.dtype(object)}
+        assert_python_product(got, U, zero)
+
+    def test_the_bound_at_the_edge_of_int64(self):
+        # rational, n = 1: the bound is u f u = 2^63 - 1, which fits
+        got, dtypes = congruence_and_dtypes(qarray([[1]]), qarray([[[INT64_MAX]]]))
+        assert dtypes == {np.dtype(np.int64)} and got.A[0, 0, 0] == INT64_MAX
+        # n = 2: U^T F = 2 * 2^62 = 2^63 in every entry, one past int64
+        F, U = qarray([[[2**62] * 2] * 2]), qarray([[1], [1]])
+        got, dtypes = congruence_and_dtypes(U, F)
+        assert dtypes == {np.dtype(object)} and got.A[0, 0, 0] == 2**64
+        assert_python_product(got, U, F)
+
+    def test_the_sqrt5_bound_at_the_edge_of_int64(self):
+        # with sqrt5 parts in U and F the bound is 6 u f and then 36 u f u
+        U = qarray([[QuadExt(1, 1)]])
+        f = INT64_MAX // 36
+        for value, dtype in ((f, np.int64), (f + 1, object)):
+            F = qarray([[[QuadExt(value, value)]]])
+            got, dtypes = congruence_and_dtypes(U, F)
+            assert dtypes == {np.dtype(dtype)}
+            # (1 + sqrt5)^2 (1 + sqrt5) = 16 + 8 sqrt5
+            assert (got.A[0, 0, 0], got.B[0, 0, 0]) == (16 * value, 8 * value)
 
 
 # matrices for the eliminations: low rank (a product U V with a short inner

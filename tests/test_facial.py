@@ -1057,6 +1057,14 @@ class TestSubstitutionProduct:
             apply_constraints(prob, cons)
 
 
+def assert_ends_strictly_feasible(prob, final, rounds, verdict):
+    """The reduction ends with an exact StrictlyFeasible verdict on the last
+    restricted problem, whose n is the original n less every round's rank."""
+    assert isinstance(verdict, StrictlyFeasible) and verdict.exact
+    assert final is rounds[-1].problem
+    assert final.pencil.n == prob.pencil.n - sum(r.certificate.rank for r in rounds)
+
+
 class TestSoundness:
     def test_feasible_slack_annihilates_range_vectors(self):
         # at the known optimum of problem 1, the slack of the raw pencil
@@ -1094,11 +1102,12 @@ class TestSoundness:
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_reduce_problem_planted_degree_two(self, n, sqrt5):
         prob = planted_chain(np.random.default_rng(100 + n), n, 2, sqrt5)
-        _, rounds, _ = reduce_problem(prob)
+        final, rounds, verdict = reduce_problem(prob)
         assert [r.constraints.eliminated_names for r in rounds] == [("a1",), ("a2",)]
         for r in rounds:
             ((_, expr),) = r.constraints.eliminated
             assert not bool(expr.const) and not expr.coeffs
+        assert_ends_strictly_feasible(prob, final, rounds, verdict)
 
     def test_reduce_problem_planted_reduce_seed_4903_problem_27(self, monkeypatch):
         # a degree-2 benchmark problem (n = 9) whose faces round from a
@@ -1107,21 +1116,23 @@ class TestSoundness:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         workloads = importlib.import_module("workloads")
         prob = workloads.build_inputs("planted-reduce", 4903)[27]
-        _, rounds, _ = reduce_problem(prob)
+        final, rounds, verdict = reduce_problem(prob)
         assert [r.constraints.eliminated_names for r in rounds] == [("a",), ("b",)]
         for r in rounds:
             ((_, expr),) = r.constraints.eliminated
             assert not bool(expr.const) and not expr.coeffs
+        assert_ends_strictly_feasible(prob, final, rounds, verdict)
 
     def test_reduce_problem_planted_degree_three(self):
         # the first margin iterate sits ~gap^(1/4) off the face, beyond the
         # tolerances of the rungs built for ~sqrt(gap) iterates: only the
         # ladder's last, coarse rung snaps it to the true face
         prob = planted_chain(np.random.default_rng(104), 4, 3)
-        _, rounds, _ = reduce_problem(prob)
+        final, rounds, verdict = reduce_problem(prob)
         assert [r.constraints.eliminated_names for r in rounds] == [
             ("a1",), ("a2",), ("a3",)
         ]
+        assert_ends_strictly_feasible(prob, final, rounds, verdict)
 
     def test_reduce_problem_golden_face(self):
         final, rounds, _ = reduce_problem(golden_face_problem())

@@ -3,6 +3,8 @@ JSON round trips."""
 
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 from dataclasses import replace
@@ -429,17 +431,28 @@ class TestDowncast:
         assert to_exact(e) is e
 
 
+def drawn_pencil(seed: int, m: int) -> MatrixPencil:
+    """A random exact pencil of n <= 4, over Q(sqrt5) half the time."""
+    rng = random.Random(seed)
+    pencil = random_exact_pencil(rng, n=rng.randint(1, 4), m=m)
+    if rng.random() < 0.5:
+        pencil = replace(pencil, terms=tuple(GOLDEN * t for t in pencil.terms))
+    return pencil
+
+
+def from_split_of(pencil: MatrixPencil) -> MatrixPencil:
+    """The pencil built again by `from_split`, from a fresh split of its stack."""
+    return MatrixPencil.from_split(pencil.var_names, split(np.stack([pencil.f0, *pencil.terms])))
+
+
 class TestPencilSplit:
-    """An exact pencil's stack is split once, on first use, and kept."""
+    """An exact pencil's stack is split once, on first use, and kept; a
+    pencil built from its split joins its matrices on first read."""
 
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=3))
     @settings(max_examples=40, deadline=None)
     def test_join_gives_back_the_stack(self, seed, m):
-        rng = random.Random(seed)
-        pencil = random_exact_pencil(rng, n=rng.randint(1, 4), m=m)
-        if rng.random() < 0.5:
-            # Q(sqrt5) data
-            pencil = replace(pencil, terms=tuple(GOLDEN * t for t in pencil.terms))
+        pencil = drawn_pencil(seed, m)
         assert "split" not in vars(pencil)
         S = pencil.split
         assert pencil.split is S
@@ -453,17 +466,91 @@ class TestPencilSplit:
 
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=3))
     @settings(max_examples=40, deadline=None)
+    def test_from_split_joins_its_split_on_first_read(self, seed, m):
+        eager = drawn_pencil(seed, m)
+        S = split(np.stack([eager.f0, *eager.terms]))
+        pencil = MatrixPencil.from_split(eager.var_names, S)
+        assert pencil.split is S
+        assert all(X is None or not X.flags.writeable for X in (S.A, S.B))
+        assert (pencil.n, pencil.scalar, pencil.var_names) == (eager.n, "exact", eager.var_names)
+        assert "f0" not in vars(pencil) and "terms" not in vars(pencil)
+        f0, terms = pencil.f0, pencil.terms
+        J = S.join()
+        assert len(terms) == m
+        for got, want in zip((f0, *terms), J):
+            assert got.shape == (eager.n, eager.n)
+            assert all(g == w for g, w in zip(got.flat, want.flat))
+            assert not got.flags.writeable
+        # read once and kept; the split is never made again
+        assert pencil.f0 is f0 and pencil.terms is terms and pencil.split is S
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_from_split_agrees_with_an_eager_pencil(self, seed, m):
+        eager = drawn_pencil(seed, m)
+        objective = tuple(quad(k) for k in range(m))
+
+        def problem(pencil):
+            return SdpProblem(pencil=pencil, objective=objective, name="p")
+
+        # a fresh pencil for each reader, so that each read is the first
+        copied = replace(from_split_of(eager))
+        assert "split" not in vars(copied)
+        for got, want in zip((copied.f0, *copied.terms), (eager.f0, *eager.terms)):
+            assert all(g == w for g, w in zip(got.flat, want.flat))
+        assert problem_to_json(problem(from_split_of(eager))) == problem_to_json(problem(eager))
+        got, want = to_double(problem(from_split_of(eager))).pencil, to_double(problem(eager)).pencil
+        assert [M.tobytes() for M in (got.f0, *got.terms)] == [
+            M.tobytes() for M in (want.f0, *want.terms)
+        ]
+        y = {v: quad(k - 1, k % 2) for k, v in enumerate(eager.var_names)}
+        value = pencil_eval(from_split_of(eager), y)
+        assert all(g == w for g, w in zip(value.flat, pencil_eval(eager, y).flat))
+
+    def test_concurrent_first_reads_get_the_same_matrices(self):
+        # more readers than cores, switching threads as often as the
+        # interpreter allows: a second join stored over the first would hand
+        # some reader other arrays
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                pencil = from_split_of(drawn_pencil(seed, 3))
+                barrier = threading.Barrier(8, timeout=10)
+                read = []
+
+                def reader():
+                    barrier.wait()
+                    read.append((pencil.f0, pencil.terms))
+
+                threads = [threading.Thread(target=reader) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads) and len(read) == 8
+                assert all(f0 is pencil.f0 and terms is pencil.terms for f0, terms in read)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_from_split_checks_its_stack(self):
+        S = small_exact_problem().pencil.split
+        with pytest.raises(ValueError, match="one matrix per variable"):
+            MatrixPencil.from_split(("y1",), S)
+        pencil = MatrixPencil.from_split(("y1", "y2"), S)
+        assert not hasattr(pencil, "f1")
+        assert pencil.term("y2")[0, 1] == quad("1/2")
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
     def test_to_double_is_the_per_matrix_downcast(self, seed, m):
-        rng = random.Random(seed)
-        pencil = random_exact_pencil(rng, n=rng.randint(1, 4), m=m)
-        if rng.random() < 0.5:
-            pencil = replace(pencil, terms=tuple(GOLDEN * t for t in pencil.terms))
-        prob = SdpProblem(pencil=pencil, objective=(quad(1),) * m)
-        got = to_double(prob).pencil
-        assert got.f0.tobytes() == to_float(pencil.f0).tobytes()
-        assert len(got.terms) == m
-        for g, t in zip(got.terms, pencil.terms):
-            assert g.dtype == np.float64 and g.tobytes() == to_float(t).tobytes()
+        eager = drawn_pencil(seed, m)
+        for pencil in (eager, from_split_of(eager)):
+            got = to_double(SdpProblem(pencil=pencil, objective=(quad(1),) * m)).pencil
+            assert got.f0.tobytes() == to_float(eager.f0).tobytes()
+            assert len(got.terms) == m
+            for g, t in zip(got.terms, eager.terms):
+                assert g.dtype == np.float64 and g.tobytes() == to_float(t).tobytes()
 
     def test_double_pencil_has_no_split(self):
         with pytest.raises(ValueError, match="exact"):
