@@ -116,6 +116,7 @@ def _solve_summary(res: SolveResult) -> dict:
         "objective_primal": res.objective_primal,
         "objective_dual": res.objective_dual,
         "iterations": d.iterations,
+        "start": d.start,
         "final_gap": d.final_gap,
         "max_abs_variable": d.max_abs_variable,
         "min_slack_eigenvalue_estimate": d.min_slack_eigenvalue_estimate,

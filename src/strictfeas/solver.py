@@ -59,6 +59,21 @@ X the last iterate, with no index copies.  Each history entry records the
 iterate's objectives, residuals and gap, and the primal step, dual step and
 sigma taken from it.
 
+The start depends on F0.  When F0 is strictly diagonally dominant with a
+positive diagonal (every margin problem of the certificate search, whose F0
+is I/n), Z = F0 and y = 0 make the dual residual zero and X = xi I with xi =
+max(1, |b|, |F0|).  Otherwise the start is Mehrotra's least-squares point
+(SIAM J. Optim. 1992): X~ = A^T (A A^T)^{-1} b and y~ = (A A^T)^{-1} A vec(C)
+solve the two linear equations in the least-squares sense, Z~ = C - A^T y~,
+and each side is shifted by max(-1.5 lambda_min, 0) I, then by
+0.5 <X^, Z^> / tr Z^ (for X) and 0.5 <X^, Z^> / tr X^ (for Z) times I, so
+both residuals start at the size of the shifts.  One thin SVD of A gives
+both least-squares solves and is the rank test that rejects linearly
+dependent constraint matrices.  When the shifted pair has <X^, Z^> <= 0 (b =
+0, or C in the span of the A_i) that point carries no scale, and the start
+is X = xi I, Z = max(1, |F0|) I and y = 0.  `Diagnostics.start` says which
+start a solve took.
+
 Honesty is the point: when iterates blow up, steps stagnate or the Newton
 system degenerates, the result is reported as NumericalTrouble rather than
 passing off the last iterate as optimal.  Maximization problems whose optimum
@@ -126,6 +141,10 @@ class Diagnostics:
     condition_estimate: float = 0.0
     # iterations whose Schur complement was factored only after regularization
     regularized_iterations: int = 0
+    # the interior-point start: "F0" (Z = F0, y = 0), "least-squares"
+    # (Mehrotra's), "identity" (Z a multiple of I, y = 0), or "none" when
+    # the solve needed no iterations
+    start: str = "none"
     history: list = field(default_factory=list)
 
 
@@ -231,6 +250,35 @@ def _newton(Af: np.ndarray, Li: np.ndarray, Rp: np.ndarray, Rd: np.ndarray, Rc: 
     return dy, Rc - dZh, dZh
 
 
+def _least_squares_start(U: np.ndarray, s: np.ndarray, Vt: np.ndarray,
+                         b: np.ndarray, C: np.ndarray):
+    """(X, y, Z): Mehrotra's least-squares start from the thin SVD
+    A = U diag(s) Vt of the flat constraint rows, or None when the shifted
+    pair has <X, Z> <= 0 (b = 0 or C in the span of the A_i, say).
+
+    X~ = A^T (A A^T)^{-1} b and y~ = (A A^T)^{-1} A vec(C) are the
+    least-squares solutions of A(X) = b and A^T y + Z = C with Z = 0, and
+    Z~ = C - A^T y~.  Each is shifted by max(-1.5 lambda_min, 0) I to the
+    positive semidefinite X^ and Z^, then by 0.5 <X^, Z^> / tr Z^ and
+    0.5 <X^, Z^> / tr X^ times I off the boundary.
+    """
+    n = C.shape[0]
+    X = _sym((Vt.T @ ((U.T @ b) / s)).reshape(n, n))
+    # A^T y~ = Vt^T Vt vec(C), the projection of C onto the span of the A_i
+    w = Vt @ C.ravel()
+    y = U @ (w / s)
+    Z = _sym(C - (w @ Vt).reshape(n, n))
+    lam_x, lam_z = np.linalg.eigvalsh(np.array((X, Z)))[:, 0].tolist()
+    eye = np.eye(n)
+    X = X + max(-1.5 * lam_x, 0.0) * eye
+    Z = Z + max(-1.5 * lam_z, 0.0) * eye
+    xz = float(X.ravel() @ Z.ravel())
+    # both are positive semidefinite, so xz > 0 makes both traces positive
+    if not xz > 0:
+        return None
+    return X + 0.5 * xz / np.trace(Z) * eye, y, Z + 0.5 * xz / np.trace(X) * eye
+
+
 def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResult:
     """Solve max <b,y> s.t. F0 + sum y_i F_i >= 0 (numeric scalars only).
 
@@ -329,7 +377,20 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
             diag.final_gap = diag.primal_residual = diag.dual_residual = 0.0
         return finish(SolveStatus(tag, msg), np.zeros(0), np.zeros((n, n)), 0.0)
 
-    if np.linalg.matrix_rank(Aflat, tol=1e-12) < m:
+    # the start (module docstring): Z = F0 when it is strictly diagonally
+    # dominant with a positive diagonal, else the least-squares point
+    c_scale = float(np.abs(C).max()) if np.any(C) else 1.0
+    c_diag = np.diag(C)
+    dom = np.all(c_diag > 0) and np.all(2 * c_diag > np.abs(C).sum(axis=1))
+    # one SVD of A is the rank test (numpy's matrix_rank at tol 1e-12) and,
+    # off the dominant branch, the least-squares solves; the dominant branch
+    # skips the singular vectors, which nearly triple the SVD's cost at a
+    # margin problem's size (m = 35, n = 9)
+    if dom:
+        s = np.linalg.svd(Aflat, compute_uv=False)
+    else:
+        U, s, Vt = np.linalg.svd(Aflat, full_matrices=False)
+    if np.count_nonzero(s > 1e-12) < m:
         raise InvalidProblemError(["linearly dependent constraint matrices"])
 
     def a_of(M: np.ndarray) -> np.ndarray:
@@ -346,15 +407,15 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
         xz = float(X.ravel() @ Z.ravel())
         return Rp, Rd, float(np.abs(Rp).max()), float(np.abs(Rd).max()), xz
 
-    # initial point: dual-feasible start from the constant term when it is
-    # strictly diagonally dominant with a positive diagonal, identity otherwise
-    c_scale = float(np.abs(C).max()) if np.any(C) else 1.0
-    c_diag = np.diag(C)
-    dom = np.all(c_diag > 0) and np.all(2 * c_diag > np.abs(C).sum(axis=1))
-    Z = C.copy() if dom else max(1.0, c_scale) * np.eye(n)
-    xi = max(1.0, float(np.abs(b).max()), c_scale)
-    X = xi * np.eye(n)
-    y = np.zeros(m)
+    start = None if dom else _least_squares_start(U, s, Vt, b, C)
+    if start is not None:
+        X, y, Z = start
+        diag.start = "least-squares"
+    else:
+        X = max(1.0, float(np.abs(b).max()), c_scale) * np.eye(n)
+        y = np.zeros(m)
+        Z = C.copy() if dom else max(1.0, c_scale) * np.eye(n)
+        diag.start = "F0" if dom else "identity"
     state = residuals(X, y, Z)
 
     b_scale = 1.0 + float(np.abs(b).max())
@@ -524,6 +585,7 @@ def diagnostics_report(res: SolveResult) -> str:
         f"relative gap: {d.final_gap:.3e}",
         f"residuals: primal {d.primal_residual:.3e}, dual {d.dual_residual:.3e}",
         f"iterations: {d.iterations}",
+        f"start: {d.start}",
         f"largest iterate magnitude: {d.max_abs_variable:.3e}",
         f"min slack eigenvalue estimate: {d.min_slack_eigenvalue_estimate:.3e}",
         f"Newton system condition number (1-norm): {d.condition_estimate:.3e}",

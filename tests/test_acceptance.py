@@ -30,6 +30,7 @@ from strictfeas.facial import (
     certify_optimum,
     derive_implicit_constraints,
     find_reducing_certificate,
+    reduce_problem,
 )
 from strictfeas.model import StatusTag, to_double
 from strictfeas.solver import solve_sdp
@@ -193,6 +194,12 @@ def test_criterion_6_failure_mode_reproduction():
         )
         ok = ok and signature
         res = solve_sdp(to_double(reduceds[key]))
+        ok = ok and res.status.tag is StatusTag.OPTIMAL
+        ok = ok and abs(res.objective_dual - certified[key]) <= 1e-6
+        ok = ok and res.diagnostics.max_abs_variable < 1e3
+        # the problem `reproduce` solves: the reduction loop's final, on its face
+        final, _, _ = reduce_problem(raws[key])
+        res = solve_sdp(to_double(final))
         ok = ok and res.status.tag is StatusTag.OPTIMAL
         ok = ok and abs(res.objective_dual - certified[key]) <= 1e-6
         ok = ok and res.diagnostics.max_abs_variable < 1e3

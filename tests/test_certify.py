@@ -1,8 +1,11 @@
 """Exact certification: feasibility, weak-duality bounds, and optima proved
 from a numeric solve."""
 
+import importlib
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +367,21 @@ class TestCertifyOptimum:
         assert len(rounds) == 2
         _, bound = certified(reduced)
         assert bound.certified_bound == quad(1)
+
+    def test_restricted_planted_finals(self, monkeypatch):
+        # a restricted planted final is fully parametrized, so its X is
+        # pinned; from the least-squares start every solve still rounds to
+        # an exact proof (46 of 64 on seeds 778 and 840 from the identity
+        # start).  maximize -s2_2 over I + S >= 0 has optimum 1
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        problems = workloads.build_inputs("planted-reduce", 778)
+        assert len(problems) == 32
+        for prob in problems:
+            final, _, _ = reduce_problem(prob)
+            _, bound = certified(final)
+            assert bound.certified_bound == quad(1), prob.name
 
     def test_infeasible_point_never_certifies(self):
         prob = problem2_simplified()

@@ -279,6 +279,12 @@ class TestSolveCommand:
         on_disk = json.load(open(report_path))
         assert on_disk["solver"]["status"] == "Optimal"
 
+    def test_json_report_names_the_start(self, tmpfile, capsys):
+        path = tmpfile("p2s.json")
+        write_builtin("problem2-simplified", path)
+        assert main(["solve", path, "--json"]) == 0
+        assert strict_json(capsys.readouterr().out)["solver"]["start"] == "least-squares"
+
     def test_optimum_without_iterations_reports_zero_gap(self, tmpfile, capsys):
         path = tmpfile("one-entry.json")
         write_doc({"n": 1, "scalar": "exact", "F0": [[1, 1, "1"]], "vars": []}, path)

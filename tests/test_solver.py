@@ -1,5 +1,6 @@
 """Interior-point solver: correctness on certified problems, honest failure modes."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -433,6 +434,117 @@ class TestIterationGuard:
                 total += res.diagnostics.iterations
         assert total <= 250
 
+    def test_raw_solves_of_interior_problems(self):
+        # the least-squares start begins with both residuals at the size of
+        # its shifts; from the identity start the total was 294, the largest
+        # count 15
+        total = 0
+        for seed in (778, 779, 905):
+            rng = np.random.default_rng(seed)
+            for rank in range(1, 9):
+                prob, optimum = interior_problem(rng, 9, 8, rank)
+                res = solve_sdp(to_double(prob))
+                assert res.status.tag is StatusTag.OPTIMAL, (seed, rank, res.status)
+                assert res.objective_dual == pytest.approx(float(optimum), abs=1e-6)
+                assert res.diagnostics.iterations <= 12, (seed, rank)
+                total += res.diagnostics.iterations
+        assert total <= 215
+
+
+def _hex(v) -> str:
+    return "None" if v is None else float(v).hex()
+
+
+def _solve_digest(results) -> str:
+    """sha256 over each result's status, iteration count, y, X and history,
+    every float by its exact bits."""
+    h = hashlib.sha256()
+    for res in results:
+        d = res.diagnostics
+        h.update(f"{res.status.tag.value}|{d.iterations}|".encode())
+        h.update(",".join(f"{k}={_hex(v)}" for k, v in res.y.items()).encode())
+        h.update(np.ascontiguousarray(res.X, dtype=float).tobytes())
+        for snap in d.history:
+            h.update(";".join(f"{k}={_hex(v)}" for k, v in snap.items()).encode())
+    return h.hexdigest()
+
+
+def _two_by_two(f0, terms, objective) -> SdpProblem:
+    pencil = MatrixPencil(
+        n=2,
+        scalar="double",
+        f0=np.array(f0, dtype=float),
+        var_names=tuple(f"y{i}" for i in range(len(terms))),
+        terms=tuple(np.array(t, dtype=float) for t in terms),
+    )
+    return SdpProblem(pencil=pencil, objective=tuple(objective))
+
+
+# positive definite, but not diagonally dominant: 2 * 1 < 1 + 2
+NOT_DOMINANT = [[1.0, 2.0], [2.0, 5.0]]
+
+
+class TestStartingPoint:
+    def test_dominant_f0_starts_dual_feasible(self):
+        # Z = F0 and y = 0 satisfy the dual equation exactly
+        res = solve_sdp(simple_interval_problem())
+        assert res.diagnostics.start == "F0"
+        assert res.diagnostics.history[0]["res_d"] == 0.0
+
+    def test_margin_solves_are_the_f0_start_bit_for_bit(self):
+        # every margin problem has F0 = I/n, so it takes the F0 start; the
+        # digest is the one these solves gave before the least-squares start
+        probs = [
+            bell.almost_quantum_pencil(bell.line1()),
+            bell.almost_quantum_pencil(bell.line2()),
+            bell.chsh_toy_pencil(),
+        ]
+        rng = np.random.default_rng(778)
+        probs += [interior_problem(rng, 9, 8, rank)[0] for rank in range(1, 9)]
+        results = [solve_sdp(facial.build_alternative_problem(p)) for p in probs]
+        assert {r.diagnostics.start for r in results} == {"F0"}
+        assert _solve_digest(results) == (
+            "2ee9352ef6fdc12fd1d93d44d50080abc5625351d35738f8718fd30f08abfaf6"
+        )
+
+    def test_least_squares_start_on_a_non_dominant_f0(self):
+        prob, optimum = interior_problem(np.random.default_rng(778), 9, 8, 3)
+        res = solve_sdp(to_double(prob))
+        assert res.diagnostics.start == "least-squares"
+        assert res.status.tag is StatusTag.OPTIMAL
+        assert res.objective_dual == pytest.approx(float(optimum), abs=1e-6)
+        # X~ solves A(X) = b and Z~ the dual equation, so the first
+        # residuals are the shifts' alone (1.4 and 0.24; from the identity
+        # start they are 228 and 2.0)
+        first = res.diagnostics.history[0]
+        assert first["res_p"] < 10.0 and first["res_d"] < 1.0
+
+    @pytest.mark.parametrize(
+        "f0, terms, objective, value",
+        [
+            # b = 0: X~ = 0, and every feasible y is optimal
+            (NOT_DOMINANT, [[[1.0, 0.0], [0.0, -1.0]]], [0.0], 0.0),
+            # C = 0: Z~ = 0; maximize -y s.t. y I >= 0 has optimum 0
+            ([[0.0, 0.0], [0.0, 0.0]], [[[1.0, 0.0], [0.0, 1.0]]], [-1.0], 0.0),
+        ],
+        ids=["b=0", "C=0"],
+    )
+    def test_start_without_scale_keeps_the_identity(self, f0, terms, objective, value):
+        # <X^, Z^> = 0: the least-squares point carries no scale, and the
+        # test comes before any division by it
+        res = solve_sdp(_two_by_two(f0, terms, objective))
+        assert res.diagnostics.start == "identity"
+        assert res.status.tag is StatusTag.OPTIMAL
+        assert res.objective_dual == pytest.approx(value, abs=1e-7)
+
+    def test_dependent_constraint_matrices_are_rejected(self):
+        # the least-squares start's SVD is the rank test off the dominant
+        # branch (TestDegenerateCases covers F0 = I)
+        t = [[1.0, 0.0], [0.0, -1.0]]
+        prob = _two_by_two(NOT_DOMINANT, [t, [[2.0, 0.0], [0.0, -2.0]]], [1.0, 0.0])
+        with pytest.raises(InvalidProblemError, match="linearly dependent constraint matrices"):
+            solve_sdp(prob)
+
 
 def _same_iterates(r1, r2) -> bool:
     return (
@@ -625,6 +737,13 @@ class TestReport:
         assert "stopped at the objective cut; not an optimum." in text
         assert "strict-feasibility warning" not in text
         assert "recommendation" not in text
+
+    def test_start_line(self):
+        text = diagnostics_report(solve_sdp(simple_interval_problem()))
+        assert "start: F0" in text.splitlines()
+        prob, _ = interior_problem(np.random.default_rng(778), 9, 8, 3)
+        text = diagnostics_report(solve_sdp(to_double(prob)))
+        assert "start: least-squares" in text.splitlines()
 
     def test_troubled_report(self):
         res = solve_sdp(unattained_problem())
