@@ -32,7 +32,9 @@ with the conjugate and dividing by the integer norm.  A division that
 leaves a remainder raises AssertionError.  :func:`rref_exact` is the
 fraction-free Gauss-Jordan form and divides once at the end;
 :func:`psd_check_exact` is a fraction-free LDL^T that signs its pivots
-with :func:`qsign` and divides only a witness back.
+with :func:`qsign` and divides only a witness back, and
+:func:`leading_minors_positive` the same elimination on integers alone,
+without the witness rows, that decides positive definiteness.
 
 The exact scalar string grammar is ``p/q`` for rationals and
 ``p/q+r/s*sqrt5`` for extension elements (signs inline, either term may be
@@ -203,16 +205,6 @@ class QuadExt:
     # -- conversion -------------------------------------------------------
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * SQRT5
-
-    def decimal(self, dps: int = 50) -> mpmath.mpf:
-        """Evaluate to a decimal with `dps` digits, for display; signs are
-        decided exactly by `qsign`, not from this value."""
-        with mpmath.workdps(dps):
-            value = (
-                mpmath.mpf(self.a.numerator) / self.a.denominator
-                + mpmath.mpf(self.b.numerator) / self.b.denominator * mpmath.sqrt(5)
-            )
-            return +value
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -780,6 +772,30 @@ def psd_check_exact(M: np.ndarray) -> PsdCheck:
         prev = _entry(A, B, k, k)
         rank += 1
     return PsdCheck(True, rank=rank)
+
+
+def leading_minors_positive(A: np.ndarray) -> bool:
+    """Whether the symmetric integer matrix A (an object array of Python
+    ints) is positive definite, by Sylvester's criterion: every leading
+    principal minor is positive.
+
+    One fraction-free LDL^T without pivoting: the Bareiss update of
+    `_bareiss_step`, applied to the trailing block of a copy of A by
+    slicing.  Its k-th pivot is the k-th leading principal minor, so the
+    elimination stops at the first pivot that is not positive; every
+    division by the previous pivot is exact (Sylvester's identity), so
+    floor division returns the quotient itself.  Unlike `psd_check_exact`
+    it tracks no rows for a witness and decides definiteness only, which
+    is what a rational witness of strict feasibility needs.
+    """
+    A, prev = A.copy(), 1
+    for k in range(len(A)):
+        pivot, col = A[k, k], A[k + 1 :, k]
+        if pivot <= 0:
+            return False
+        A[k + 1 :, k + 1 :] = (pivot * A[k + 1 :, k + 1 :] - np.outer(col, col)) // prev
+        prev = pivot
+    return True
 
 
 def primitive_integer_vector(v: Sequence) -> np.ndarray:

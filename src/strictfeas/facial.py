@@ -12,14 +12,19 @@ round until a search ends it with a verdict).  One exact RREF in one fixed
 column order solves the relations (`derive_implicit_constraints`);
 relations that reduce to 0 = 1 prove the SDP infeasible.
 
-The search runs in floats: an orthonormal float basis of the pencil's span
-L = span{F0, F_i} yields the margin problem (`build_alternative_problem`),
-the dual of maximizing the minimum eigenvalue over the trace-one slice of
-matrices orthogonal to L, and that one solve decides the search's verdict.
-Its primal iterate, shifted along I, is the candidate certificate.  Where
-I lies in L, the slice is empty or traceless and no margin problem is
-posed: an exact StrictlyFeasible verdict then rests on a witness y whose
-F(y) is exactly positive definite (`_traceless_verdict`).
+The search runs in floats, from one SVD of an orthonormal float basis of
+the pencil's span L = span{F0, F_i} (`_span_svd`).  Cheap witnesses come
+first, for every pencil: a y whose F(y) is exactly positive definite rules
+out every certificate and proves an exact StrictlyFeasible verdict.  They
+are y = 0 and the least-squares fit of I in L read off the SVD, rounded
+(`_fit_witnesses`) or, where I lies in L and the slice is empty or
+traceless, snapped down the ladder and solved exactly
+(`_traceless_verdict`); each is decided on the integers of F(y)
+(`_witness_verdict`).  Otherwise the same SVD yields the margin problem
+(`build_alternative_problem`), the dual of maximizing the minimum
+eigenvalue over the trace-one slice of matrices orthogonal to L, and that
+one solve decides the search's verdict.  Its primal iterate, shifted
+along I, is the candidate certificate.
 
 Every exact object rounded from a solver's floats comes out of one loop,
 `_round_ladder`, the only walk of ROUNDING_LADDER: at each rung a face
@@ -48,6 +53,7 @@ X = W M W^T that the verification reads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -66,6 +72,7 @@ from .exactnum import (
     format_scalar,
     frob_inner,  # noqa: F401  (perfbench/spans.py times it here)
     kernel_basis_exact,
+    leading_minors_positive,
     nullspace_exact,
     primitive_integer_vector,
     psd_check_exact,
@@ -210,7 +217,7 @@ def _upper_functionals(C: QSplit) -> QSplit:
     M, one row per matrix C_k of the stack C (one row for a matrix C):
     weighted on the integers, 1 on the diagonal and 2 off it, where M_ij
     counts twice."""
-    iu = np.triu_indices(C.shape[-1])
+    iu = _chart_coordinates(C.shape[-1])[0]
     return C[..., iu[0], iu[1]].scaled(np.where(iu[0] == iu[1], 1, 2))
 
 
@@ -218,7 +225,7 @@ def _symmetric_split(coords, n: int) -> QSplit:
     """The split of the symmetric n x n matrix whose upper triangle, row by
     row, holds the exact scalars `coords`."""
     S = split(coords)
-    iu = np.triu_indices(n)
+    iu = _chart_coordinates(n)[0]
 
     def full(U):
         if U is None:
@@ -236,11 +243,16 @@ def _symmetric_split(coords, n: int) -> QSplit:
 TRACE_FLOOR = 1e-9
 
 
+@functools.cache
 def _chart_coordinates(n: int):
     """The upper-triangle indices of an n x n matrix and their sqrt2
-    weights, under which the Frobenius product is the dot product."""
+    weights, under which the Frobenius product is the dot product; made
+    once per n and shared, read-only."""
     iu = np.triu_indices(n)
-    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    w = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    for a in (*iu, w):
+        a.setflags(write=False)
+    return iu, w
 
 
 def _chart_matrices(coords: np.ndarray, n: int, iu, w) -> np.ndarray:
@@ -250,6 +262,54 @@ def _chart_matrices(coords: np.ndarray, n: int, iu, w) -> np.ndarray:
     M = np.zeros((len(coords), n, n))
     M[:, iu[0], iu[1]] = coords / w
     return M + np.triu(M, 1).transpose(0, 2, 1)
+
+
+def _span_svd(p: MatrixPencil):
+    """The pencil's span L = span{F0, F_i} from one SVD, K = U diag(s) Vt,
+    of the chart coordinates K of F0, F_1, ..., F_m (`_chart_coordinates`):
+    (K, V, traces, fit, traceless).  V, Vt's first rank rows, is an
+    orthonormal basis of L, and its rows have the traces `traces`; the
+    other rows of Vt span L's complement, and I lies in L up to roundoff
+    (TRACE_FLOOR) when its part there is `traceless`.  `fit` is the
+    least-squares c of I = c0 F0 + sum_i c_i F_i, of least norm when the
+    matrices are dependent: c = U_r (V I / s_r)."""
+    iu, w = _chart_coordinates(p.n)
+    K = to_float(p.split[:, iu[0], iu[1]]) * w
+    U, s, Vt = np.linalg.svd(K)
+    # numpy's matrix_rank tolerance
+    r = int(np.sum(s > max(K.shape) * np.finfo(float).eps * s[0]))
+    eye = (iu[0] == iu[1]).astype(float)
+    traces = Vt[:r] @ eye
+    traceless = np.linalg.norm(Vt[r:] @ eye) < TRACE_FLOOR
+    return K, Vt[:r], traces, U[:, :r] @ (traces / s[:r]), traceless
+
+
+def _factors(coords, n: int) -> bool:
+    """Whether the symmetric matrix with chart coordinates `coords` has a
+    float Cholesky factor, i.e. is positive definite in floats; the
+    factorization reads the lower triangle only."""
+    iu, w = _chart_coordinates(n)
+    lower = np.zeros((n, n))
+    lower[iu[1], iu[0]] = coords / w
+    try:
+        np.linalg.cholesky(lower)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _fit_witnesses(p: MatrixPencil, K, c):
+    """The cheap witnesses, cheapest first, each passed on only if F(y)
+    factors in floats: y = 0, and, when the fit c of I has c0 > 0 and
+    sum_k c_k F_k = c0 F(c / c0) factors, y = c / c0 rounded to
+    denominators 1, 10 and 100."""
+    if _factors(K[0], p.n):
+        yield [_FRACTION_ZERO] * p.m
+    if c[0] > 0 and _factors(c @ K, p.n):
+        for den in (1, 10, 100):
+            a = np.rint(den * c[1:] / c[0])
+            if _factors(np.concatenate([[den], a]) @ K, p.n):
+                yield [Fraction(int(x), den) for x in a]
 
 
 def _span_witness(c, f0):
@@ -265,30 +325,29 @@ def _span_witness(c, f0):
     return [t * ci for ci in c[1:]]
 
 
-def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
+def _traceless_verdict(prob: SdpProblem, fit: np.ndarray) -> StrictlyFeasible:
     """Exact proof of strict feasibility where I lies in the pencil's span
     in floats, or SolverFailedError.  The orthogonal slice then looks empty
     or traceless, which settles the homogenized pencil only (F0 = -I
     passes), so the proof is a witness y with F(y) exactly positive
     definite.  Candidates, cheapest first: y = 0, the witness
-    (`_span_witness`) of the float least-squares c of
-    I = c0 F0 + sum_i c_i F_i snapped down ROUNDING_LADDER, and last that of
-    the exact solve, its c0 shifted to 1 along a free homogeneous solution.
+    (`_span_witness`) of `fit`, the float least-squares c of
+    I = c0 F0 + sum_i c_i F_i, snapped down ROUNDING_LADDER, and last that
+    of the exact solve, its c0 shifted to 1 along a free homogeneous
+    solution.
     """
     p = prob.pencil
-    iu = np.triu_indices(p.n)
-    # one row per upper-triangle entry (i, j), with right-hand side I_ij
-    K = p.split[:, iu[0], iu[1]].T
-    eye = (iu[0] == iu[1]).astype(int)
 
     def candidates():
         yield [QUAD_ZERO] * p.m
-        snaps = _Snaps(np.linalg.lstsq(to_float(K), eye, rcond=None)[0])
+        snaps = _Snaps(fit)
         for rung in ROUNDING_LADDER:
-            fit = snaps.at(*rung)
-            if fit is not None:
-                yield _span_witness([as_quad(x) for x in fit], p.f0)
-        solved = _affine_solve_exact(K, eye)
+            snapped = snaps.at(*rung)
+            if snapped is not None:
+                yield _span_witness([as_quad(x) for x in snapped], p.f0)
+        iu = _chart_coordinates(p.n)[0]
+        # one row per upper-triangle entry (i, j), with right-hand side I_ij
+        solved = _affine_solve_exact(p.split[:, iu[0], iu[1]].T, (iu[0] == iu[1]).astype(int))
         if solved is not None:
             c, homogeneous = solved
             free = next((h for h in homogeneous if bool(h[0])), None)
@@ -297,18 +356,30 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
                 c = [ci + shift * hi for ci, hi in zip(c, free)]
             yield _span_witness(c, p.f0)
 
-    tried = []
-    for y in candidates():
-        if y is None or y in tried:
-            continue
-        tried.append(y)
-        if _positive_definite(pencil_eval(p, dict(zip(p.var_names, y)))):
-            break
-    else:
+    verdict = _witness_verdict(p, candidates())
+    if verdict is None:
         raise SolverFailedError(
             "I is in the span of the pencil matrices in floats, but F(y) is positive "
             "definite at no candidate: no witness y proves strict feasibility"
         )
+    return verdict
+
+
+def _witness_verdict(p: MatrixPencil, candidates) -> StrictlyFeasible | None:
+    """The exact verdict of the first candidate y, a list of exact scalars
+    (None skips), with F(y) exactly positive definite, each distinct y
+    tried once; or None.  One product of (1, y) with the pencil's split
+    gives the integers of a positive multiple of F(y)."""
+    tried = []
+    stack = p.split.reshape(p.m + 1, -1)
+    for y in candidates:
+        if y is None or y in tried:
+            continue
+        tried.append(y)
+        if _positive_definite((split([Fraction(1), *y]) @ stack).reshape(p.n, p.n)):
+            break
+    else:
+        return None
     if not p.m:
         detail = "F0 is positive definite, so y = 0 is a strictly feasible point"
     else:
@@ -317,10 +388,16 @@ def _traceless_verdict(prob: SdpProblem) -> StrictlyFeasible:
     return StrictlyFeasible(exact=True, tolerance=None, detail=detail)
 
 
-def _positive_definite(M: np.ndarray) -> bool:
-    """M > 0 exactly: PSD of full rank, in one elimination."""
-    check = psd_check_exact(M)
-    return check.is_psd and check.rank == len(M)
+def _positive_definite(M) -> bool:
+    """M > 0 exactly, for an exact matrix or its split.  A rational M is a
+    positive multiple of its split's integers, whose leading principal
+    minors decide (`leading_minors_positive`); over Q(sqrt5)
+    `psd_check_exact` decides, PSD of full rank."""
+    S = split(M)
+    if S.B is None:
+        return leading_minors_positive(S.A)
+    check = psd_check_exact(S)
+    return check.is_psd and check.rank == len(S.A)
 
 
 def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
@@ -336,9 +413,9 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
 
     In sqrt2-weighted upper-triangle coordinates the Frobenius inner product
     is the dot product, so the SVD of the pencil's constraint rows gives an
-    orthonormal basis V of L and one of its complement; the distance of I
-    from L is the norm of I's part in the complement.  One more SVD
-    orthonormalizes the trace-free parts of V: Q_k = Y_k - (c_k / n) I for
+    orthonormal basis V of L and one of its complement (`_span_svd`); the
+    distance of I from L is the norm of I's part in the complement.  One
+    more SVD orthonormalizes the trace-free parts of V: Q_k = Y_k - (c_k / n) I for
     some Y_k in L with tr Y_k = c_k.  With Y = -sum_k q_k Y_k the trace
     condition eliminates mu = (1 + c.q) / n, so S = I/n - sum_k q_k Q_k,
     and maximizing -mu is objective -c/n with offset -1/n.  Variables
@@ -347,18 +424,16 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
     None means I lies in L up to roundoff (TRACE_FLOOR): the slice looks
     empty or traceless, and `_traceless_verdict` looks for a witness.
     """
-    p = prob.pencil
-    n = p.n
+    _, V, traces, _, traceless = _span_svd(prob.pencil)
+    return None if traceless else _margin_problem(prob, V, traces)
+
+
+def _margin_problem(prob: SdpProblem, V, traces) -> SdpProblem:
+    """`build_alternative_problem`'s margin SDP, from `_span_svd`'s basis V
+    of the span and its traces."""
+    n = prob.pencil.n
     iu, w = _chart_coordinates(n)
     eye = (iu[0] == iu[1]).astype(float)
-    K = to_float(p.split[:, iu[0], iu[1]]) * w
-    _, s, Vt = np.linalg.svd(K)
-    # numpy's matrix_rank tolerance
-    rank = int(np.sum(s > max(K.shape) * np.finfo(float).eps * s[0]))
-    if np.linalg.norm(Vt[rank:] @ eye) < TRACE_FLOOR:
-        return None
-    V = Vt[:rank]
-    traces = V @ eye
     U, sq, Q = np.linalg.svd(V - np.outer(traces / n, eye), full_matrices=False)
     c = (U.T @ traces) / sq
     pencil = MatrixPencil(
@@ -594,7 +669,7 @@ def _round_ladder(face, Xnum: np.ndarray, verify):
             continue
         basis = split(np.array([solved[0], *solved[1]], dtype=object))
         Wpinv = np.linalg.pinv(to_float(W))
-        mflat = (Wpinv @ Xnum @ Wpinv.T)[np.triu_indices(r)]
+        mflat = (Wpinv @ Xnum @ Wpinv.T)[_chart_coordinates(r)[0]]
         # to_float of a split is float(QuadExt) bit for bit, row by row
         Bf = to_float(basis)
         snaps = _Snaps(np.linalg.lstsq(Bf[1:].T, mflat - Bf[0], rcond=None)[0])
@@ -616,8 +691,20 @@ def _round_ladder(face, Xnum: np.ndarray, verify):
 def find_reducing_certificate(prob: SdpProblem):
     """Search for a reducing certificate; verify it exactly or report back.
 
-    A float basis of the pencil's span yields the margin problem that is
-    solved, `build_alternative_problem`, and the search decides every
+    One SVD of the pencil's span (`_span_svd`) serves the whole search.  Cheap
+    witnesses come first: a y with F(y) exactly positive definite rules
+    out every reducing certificate (Borwein & Wolkowicz 1981), so it proves
+    StrictlyFeasible(exact=True) and no margin problem is posed.  They are
+    y = 0, then the least-squares fit c of I = c0 F0 + sum_i c_i F_i read
+    off the SVD, as y = c / c0 rounded to denominators 1, 10 and 100 when
+    c0 > 0 and sum_k c_k F_k factors in floats (`_fit_witnesses`).  Each
+    is screened by a float Cholesky factorization of F(y) and then decided
+    exactly on the integers of one product with the pencil's split.  When
+    I lies in the span, the same fit and the same exact test decide instead
+    (`_traceless_verdict`).
+
+    Otherwise the same SVD yields the margin problem that is solved,
+    `build_alternative_problem`, and the search decides every remaining
     verdict: its optimum is t* = -objective_dual, the largest minimum
     eigenvalue of a trace-one X orthogonal to the pencil, and a margin below
     -FEAS_CUT is numeric StrictlyFeasible evidence.  The solve's objective
@@ -627,9 +714,7 @@ def find_reducing_certificate(prob: SdpProblem):
     Where a certificate exists t* >= 0, so the cut is never reached and the
     solve runs to the optimum.  The solver's primal X~ lands in the
     relative interior of the optimal face, i.e. at maximal rank, and
-    X = X~ + ((1 - tr X~) / n) I is the slice point with X - t* I = X~.
-    When I lies in the span, an exact witness proves
-    StrictlyFeasible(exact=True) instead (`_traceless_verdict`).  X is
+    X = X~ + ((1 - tr X~) / n) I is the slice point with X - t* I = X~.  X is
     rounded, face first and coordinates second, from the rank its spectrum
     gives down to rank 1 (`_face_split_certificate`): at each rank
     `_round_ladder` walks the face down the ladder and tries the
@@ -637,10 +722,14 @@ def find_reducing_certificate(prob: SdpProblem):
     the face's rung and, where it differs, the coordinates' rung.  Every
     certificate invariant is re-checked exactly.
     """
-    margin_prob = build_alternative_problem(prob)
-    if margin_prob is None:
-        return _traceless_verdict(prob)
-    res = solve_sdp(margin_prob, stop_above=FEAS_CUT)
+    p = prob.pencil
+    K, V, traces, fit, traceless = _span_svd(p)
+    if traceless:
+        return _traceless_verdict(prob, fit)
+    verdict = _witness_verdict(p, _fit_witnesses(p, K, fit))
+    if verdict is not None:
+        return verdict
+    res = solve_sdp(_margin_problem(prob, V, traces), stop_above=FEAS_CUT)
     if res.status.tag not in (StatusTag.OPTIMAL, StatusTag.OBJECTIVE_CUT_REACHED):
         raise SolverFailedError(
             f"alternative-problem solve ended with {res.status.tag.value}: "

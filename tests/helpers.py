@@ -16,6 +16,7 @@ from strictfeas.exactnum import (
     QSplit,
     as_quad,
     parse_scalar,
+    psd_check_exact,
     qarray,
     qmatmul,
     qsign,
@@ -28,6 +29,7 @@ from strictfeas.model import (
     MissingVariableError,
     SdpProblem,
     UnknownVariableError,
+    pencil_eval,
 )
 
 
@@ -326,6 +328,24 @@ def problem2_bound_matrix() -> np.ndarray:
     """
     v = qarray([[0, "1+sqrt5", 2, "-1-sqrt5", -2, 0, 0, 0, 0]])
     return v.T * v
+
+
+def assert_witness_proves(pencil: MatrixPencil, detail: str) -> dict:
+    """Re-prove the witness an exact StrictlyFeasible detail names: F(y) at
+    the y it states is positive definite, by `pencil_eval` and
+    `psd_check_exact`.  Returns that y."""
+    if detail == "F0 is positive definite, so y = 0 is a strictly feasible point":
+        assert pencil.m == 0, detail
+        y = {}
+    else:
+        prefix = "F(y) is positive definite at "
+        assert detail.startswith(prefix), detail
+        pairs = (part.split(" = ") for part in detail[len(prefix):].split(", "))
+        y = {name: parse_scalar(value) for name, value in pairs}
+        assert sorted(y) == sorted(pencil.var_names), detail
+    check = psd_check_exact(pencil_eval(pencil, y))
+    assert check.is_psd and check.rank == pencil.n, detail
+    return y
 
 
 def mat_vec(M, v):

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from strictfeas.model import MatrixPencil, SdpProblem, StatusTag, problem_to_jso
 from strictfeas.solver import solve_sdp
 
 from helpers import (
+    assert_witness_proves,
     pinned_objective_problem,
     pinned_offset_problem,
     planted_chain_problem,
@@ -406,18 +408,22 @@ class TestReduceCommand:
         assert solved["objective_dual"] == pytest.approx(0.5, abs=1e-9)
 
     def test_numeric_verdict_reported_as_evidence(self, tmpfile, capsys):
-        # the slice orthogonal to diag(3, 1) holds no PSD matrix, which only
-        # the solver sees: reduce must not pass the verdict off as a proof.
-        # With the off-diagonal unit as a variable's term, the margin solve
-        # stops at the objective cut instead of the optimum
-        offdiag = [("y", [(0, 1, 1)])]
-        for name, terms in (("indefinite-slice", []), ("offdiag-variable", offdiag)):
-            pencil = MatrixPencil.from_upper(2, "exact", [(0, 0, 3), (1, 1, 1)], terms)
-            prob = SdpProblem(pencil=pencil, objective=(quad(1),) * len(terms), name=name)
-            if terms:
-                margin = facial.build_alternative_problem(prob)
-                cut = solve_sdp(margin, stop_above=facial.FEAS_CUT)
-                assert cut.status.tag is StatusTag.OBJECTIVE_CUT_REACHED
+        # strictly feasible pencils (F(y) > 0 for y > (1 + sqrt3)/2 and for
+        # y > 2) whose cheap witnesses prove nothing: F0 is not positive
+        # definite and the least-squares fit of I has c0 < 0 (-1/7 and
+        # -2/3).  Only the margin solve, stopped at its objective cut, sees
+        # that the slice holds no PSD matrix: reduce must not pass the
+        # verdict off as a proof
+        pencils = (
+            ("negative-fit", [(0, 0, -1), (0, 1, -1)], [(0, 0, 1), (1, 1, 2)]),
+            ("negative-fit-offdiag", [(0, 0, -1)], [(0, 0, 1), (0, 1, 1), (1, 1, 2)]),
+        )
+        for name, f0, term in pencils:
+            pencil = MatrixPencil.from_upper(2, "exact", f0, [("y", term)])
+            prob = SdpProblem(pencil=pencil, objective=(quad(1),), name=name)
+            margin = facial.build_alternative_problem(prob)
+            cut = solve_sdp(margin, stop_above=facial.FEAS_CUT)
+            assert cut.status.tag is StatusTag.OBJECTIVE_CUT_REACHED
             path = tmpfile(f"{name}.json")
             store_problem(prob, path)
             assert main(["reduce", path, "--json"]) == 0
@@ -487,12 +493,14 @@ class TestReproduceCommand:
         assert len(claims) == len(lines) - 1 == 7
 
     def test_reproduce_runs_the_library_loop(self, monkeypatch, capsys):
-        calls = []
+        calls, finals = [], []
         loop = facial.reduce_problem
 
         def spy(prob):
             calls.append(prob.name)
-            return loop(prob)
+            out = loop(prob)
+            finals.append(out[0])
+            return out
 
         def unused(*args):
             raise AssertionError("reproduce runs one round by hand")
@@ -507,9 +515,40 @@ class TestReproduceCommand:
         assert list(doc["reduction"]) == [
             "chsh-toy-certificate", "chsh-toy-constraints", "chsh-toy-verdict"
         ]
+        # the reduced problem's fit of I proves it strictly feasible exactly
         verdict = doc["reduction"]["chsh-toy-verdict"]
-        assert verdict["verdict"] == "StrictlyFeasible" and verdict["exact"] is False
-        assert verdict["tolerance"] == facial.FEAS_CUT
+        assert verdict["verdict"] == "StrictlyFeasible" and verdict["exact"] is True
+        assert verdict["tolerance"] is None
+        assert_witness_proves(finals[0].pencil, verdict["detail"])
+
+    @pytest.mark.parametrize("target, exact", [("problem1", False), ("problem2", True)])
+    def test_final_verdict(self, target, exact, monkeypatch, capsys):
+        # problem 2's reduced problem is proved strictly feasible by a
+        # rounded fit of I; problem 1's fit is indefinite (its smallest
+        # eigenvalue is about -0.016), so its verdict stays the margin
+        # solve's evidence
+        finals = []
+        loop = facial.reduce_problem
+
+        def spy(prob):
+            out = loop(prob)
+            finals.append(out[0])
+            return out
+
+        monkeypatch.setattr(cli, "reduce_problem", spy)
+        assert main(["reproduce", target, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(c["ok"] for c in doc["claims"])
+        verdict = doc["reduction"][f"{target}-verdict"]
+        assert verdict["verdict"] == "StrictlyFeasible" and verdict["exact"] is exact
+        if exact:
+            assert verdict["tolerance"] is None
+            assert assert_witness_proves(finals[0].pencil, verdict["detail"]) == {
+                "mu": quad(Fraction(1, 100))
+            }
+        else:
+            assert verdict["tolerance"] == facial.FEAS_CUT
+            assert "slack margin at most" in verdict["detail"]
 
     def test_report_deterministic(self, tmpfile, capsys):
         r1, r2 = tmpfile("r1.json"), tmpfile("r2.json")

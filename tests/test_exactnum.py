@@ -23,6 +23,7 @@ from strictfeas.exactnum import (
     format_scalar,
     frob_inner,
     kernel_basis_exact,
+    leading_minors_positive,
     nullspace_exact,
     parse_scalar,
     primitive_integer_vector,
@@ -192,6 +193,46 @@ class TestPsdCheck:
         assert found > 50  # the sample really exercised the negative branch
 
 
+@st.composite
+def integer_symmetric(draw):
+    """(kind, M): a symmetric integer matrix, an object array of Python ints,
+    that is positive definite, singular PSD, indefinite (a negative diagonal
+    entry) or has a zero leading pivot; n = 1 is drawn too."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["definite", "singular", "indefinite", "zero-lead"]))
+    k = n - 1 if kind == "singular" else n
+    B = np.array(draw(st.lists(st.integers(-4, 4), min_size=n * k, max_size=n * k)))
+    B = B.reshape(n, k).astype(np.int64)
+    M = B @ B.T
+    if kind != "singular":
+        M = M + np.eye(n, dtype=np.int64)
+    if kind == "indefinite":
+        i = draw(st.integers(0, n - 1))
+        M[i, i] = -draw(st.integers(1, 4))
+    if kind == "zero-lead":
+        M[0, 0] = 0
+    return kind, M.astype(object)
+
+
+class TestLeadingMinors:
+    """The fraction-free definiteness test against the exact PSD decision."""
+
+    @given(integer_symmetric())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_psd_check(self, drawn):
+        kind, M = drawn
+        before = M.copy()
+        check = psd_check_exact(QSplit(M, None, 1))
+        got = leading_minors_positive(M)
+        assert got == (check.is_psd and check.rank == len(M))
+        assert got == (kind == "definite")
+        assert np.array_equal(M, before)
+
+    def test_one_by_one(self):
+        for a, want in ((3, True), (0, False), (-2, False)):
+            assert leading_minors_positive(np.array([[a]], dtype=object)) is want
+
+
 class TestKernel:
     def test_identity_trivial_kernel(self):
         assert kernel_basis_exact(qeye(4)) == []
@@ -269,9 +310,9 @@ class TestReconstruction:
         assert reconstruct_quadext(0.25, 10) == quad(Fraction(1, 4))
 
     def test_quadext_alpha(self):
-        # 0.1779982111 is the 10-digit decimal of (9 - sqrt5)/38, computed
-        # with the 50-digit oracle: float(ALPHA.decimal(50)) -> 0.17799821111...
-        assert float(ALPHA.decimal(50)) == pytest.approx(0.1779982111, abs=5e-11)
+        # 0.1779982111 is the 10-digit decimal of (9 - sqrt5)/38:
+        # float(ALPHA) -> 0.17799821111...
+        assert float(ALPHA) == pytest.approx(0.1779982111, abs=5e-11)
         assert reconstruct_quadext(0.1779982111, 100) == ALPHA
 
     @given(

@@ -78,6 +78,7 @@ from strictfeas.facial import (
 from strictfeas.model import MatrixPencil, SdpProblem, pencil_eval, problem_to_json_str
 
 from helpers import (
+    assert_witness_proves,
     mat_vec,
     PLANTED_U,
     golden_face_problem,
@@ -336,6 +337,42 @@ class TestFindCertificate:
         with pytest.raises(SolverFailedError, match="no witness y"):
             find_reducing_certificate(prob)
 
+    def test_interior_witness_comes_before_any_margin_solve(self, monkeypatch):
+        # F(y) > 0 at the rounded fit of I rules out every certificate, so
+        # the search poses no margin problem
+        prob, _ = interior_problem(np.random.default_rng(778), 9, 8, 1)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the margin problem was solved")
+
+        monkeypatch.setattr(facial, "solve_sdp", unused)
+        out = find_reducing_certificate(prob)
+        assert out.exact and out.tolerance is None
+        assert_witness_proves(prob.pencil, out.detail)
+
+    def test_definiteness_over_sqrt5_takes_the_psd_check(self, monkeypatch):
+        # a rational matrix is decided on its integers alone; one with a
+        # sqrt5 part keeps the elimination that signs over Q(sqrt5)
+        checked = []
+        check = facial.psd_check_exact
+
+        def spy(M):
+            checked.append(M)
+            return check(M)
+
+        monkeypatch.setattr(facial, "psd_check_exact", spy)
+        indefinite = qarray([[2, 1], [1, 1]])
+        indefinite[0, 1] = indefinite[1, 0] = quad(0, 1)  # det 2 - 5 < 0
+        for M, want, via_check in (
+            (qarray([[2, 1], [1, 1]]), True, False),
+            (split(qarray([[1, 1], [1, 1]])), False, False),
+            (split(indefinite), False, True),
+            (qarray([[3, 0], [0, 1]]) * quad(2, 1), True, True),
+        ):
+            checked.clear()
+            assert facial._positive_definite(M) is want
+            assert bool(checked) is via_check
+
     def test_irrational_face_rounds_over_sqrt5(self):
         prob = golden_face_problem()
         cert = find_reducing_certificate(prob)
@@ -349,13 +386,16 @@ class TestFindCertificate:
     def test_numeric_strictly_feasible_verdict(self):
         # the orthogonal slice holds trace-one matrices but none PSD:
         # X orthogonal to diag(3, 1) means X = a diag(1, -3) + s offdiag,
-        # always indefinite when nonzero
+        # always indefinite when nonzero.  F0 itself is positive definite,
+        # so the witness y = 0 proves it before any margin problem
         pencil = MatrixPencil.from_upper(2, "exact", [(0, 0, 3), (1, 1, 1)], [])
         prob = SdpProblem(pencil=pencil, objective=(), name="indefinite-slice")
         out = find_reducing_certificate(prob)
-        assert isinstance(out, StrictlyFeasible)
-        assert not out.exact
-        assert out.tolerance is not None
+        assert out == StrictlyFeasible(
+            exact=True,
+            tolerance=None,
+            detail="F0 is positive definite, so y = 0 is a strictly feasible point",
+        )
 
     def test_rank_steps_down_past_spurious_eigenvalue(self):
         # a margin iterate ~sqrt(gap) off the face: the rank-1 certificate
@@ -435,7 +475,12 @@ class TestMarginEquivalence:
             want = _margin(ref, lambda r: r.y["slack_margin"])
             assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (label, got, want)
             if want < -facial.FEAS_CUT:
-                assert isinstance(outcome, StrictlyFeasible) and not outcome.exact, label
+                # the margin solve itself, stopped at its cut, bounds t*
+                cut = -solver.solve_sdp(alt, stop_above=facial.FEAS_CUT).objective_dual
+                assert want - 1e-7 * max(1.0, abs(want)) <= cut < -facial.FEAS_CUT, label
+                assert isinstance(outcome, StrictlyFeasible), label
+                if outcome.exact:
+                    assert_witness_proves(prob.pencil, outcome.detail)
             else:
                 assert isinstance(outcome, ReducingCertificate), label
             seen += 1
@@ -484,16 +529,27 @@ class TestObjectiveCut:
     such point exists and its solve runs to the optimum."""
 
     def test_interior_verdicts_bound_the_full_margin(self):
+        # every margin solve stops at a bound on t*, whatever the search
+        # returns; an exact verdict stands on its re-proved witness, and a
+        # numeric one states the cut's bound
         for seed in (778, 779, 905):
             rng = np.random.default_rng(seed)
             for rank in range(1, 9):
                 prob, _ = interior_problem(rng, 9, 8, rank)
-                out = find_reducing_certificate(prob)
-                assert isinstance(out, StrictlyFeasible) and not out.exact, (seed, rank)
-                assert out.tolerance == facial.FEAS_CUT
-                tstar = _margin(build_alternative_problem(prob), lambda r: -r.objective_dual)
-                margin = _detail_margin(out)
+                alt = build_alternative_problem(prob)
+                tstar = _margin(alt, lambda r: -r.objective_dual)
+                cut = solver.solve_sdp(alt, stop_above=facial.FEAS_CUT)
+                assert cut.status.tag is model.StatusTag.OBJECTIVE_CUT_REACHED, (seed, rank)
+                margin = -cut.objective_dual
                 assert tstar <= margin < -facial.FEAS_CUT, (seed, rank, tstar, margin)
+                out = find_reducing_certificate(prob)
+                assert isinstance(out, StrictlyFeasible), (seed, rank)
+                if out.exact:
+                    assert out.tolerance is None
+                    assert_witness_proves(prob.pencil, out.detail)
+                else:
+                    assert out.tolerance == facial.FEAS_CUT
+                    assert _detail_margin(out) == float(f"{margin:.3e}"), (seed, rank)
 
     def test_no_certificate_carrier_reaches_the_cut(self):
         carriers = 0
