@@ -32,7 +32,7 @@ from .exactnum import (
     split,
     to_float,
 )
-from .model import SdpProblem, pencil_eval, pencil_pairing
+from .model import SdpProblem, pairing_split, pencil_eval
 
 
 class WrongShapeError(ValueError):
@@ -59,8 +59,8 @@ def verify_primal_point(prob: SdpProblem, assignment) -> PrimalVerdict:
 
 
 def check_dual_matrix(prob: SdpProblem, X) -> tuple:
-    """(X's split, problems, pairing) of X, an exact matrix or its split,
-    against an exact problem's pencil.
+    """(X's split, problems, the pairing's split) of X, an exact matrix or
+    its split, against an exact problem's pencil.
 
     X is split once.  A non-exact entry, a wrong shape or an asymmetric X is
     the one problem, with split and pairing None.  Otherwise one exact
@@ -72,7 +72,7 @@ def check_dual_matrix(prob: SdpProblem, X) -> tuple:
     except TypeError:
         return None, ["X has a non-exact entry"], None
     try:
-        pairing = pencil_pairing(prob.pencil, S)
+        pairing = pairing_split(prob.pencil, S)
     except ValueError as exc:  # X is not n x n, or the pencil is not exact
         return None, [str(exc)], None
     try:
@@ -128,7 +128,7 @@ def verify_bound_certificate(prob: SdpProblem, X) -> BoundCertificate | InvalidC
         return InvalidCertificate(tuple(violations))
     b = prob.objective
     lead = next((k for k, c in enumerate(b) if bool(c)), None)
-    f0_inner, *inner = pairing
+    f0_inner, *inner = pairing.join()
     # a constant objective is bounded by its offset: scale 1, <F_i, X> = 0
     scale = quad(1) if lead is None else -inner[lead] / b[lead]
     if qsign(scale) <= 0:

@@ -32,7 +32,6 @@ from .model import (
     SdpProblem,
     StatusTag,
     problem_from_json,
-    problem_to_json,
     problem_to_json_str,
     to_double,
     to_exact,
@@ -241,10 +240,14 @@ REPRODUCE = {
 
 
 def _problems_equal(a: SdpProblem, b: SdpProblem) -> bool:
-    """Same dimension, variable names, entries and objective: the same
-    canonical problem file, up to name, note and offset."""
-    da, db = problem_to_json(a), problem_to_json(b)
-    return all(da[key] == db[key] for key in ("n", "F0", "vars"))
+    """Same variable names, objective and entries, up to name, note and
+    offset: exact pencils' splits, over the least common denominator, are
+    equal exactly when their entries are."""
+    x, y = a.pencil.split, b.pencil.split
+    same = lambda X, Y: X is Y or X is not None is not Y and np.array_equal(X, Y)  # noqa: E731
+    return (a.var_names, a.objective, x.d) == (b.var_names, b.objective, y.d) and (
+        same(x.A, y.A) and same(x.B, y.B)
+    )
 
 
 def _trouble_signature(res: SolveResult, certified: float) -> bool:

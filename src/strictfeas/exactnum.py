@@ -7,34 +7,33 @@ here is immutable and side-effect free, so values can be shared freely, and
 they are: :func:`qarray` and :meth:`QSplit.join` build each distinct entry
 once and put that one QuadExt wherever the value repeats.
 
-Exact products (:func:`qmatmul`, and through it :func:`frob_inner`) do not
-multiply QuadExt entry by entry: each operand is written once as a
-:class:`QSplit` (A + B*sqrt5)/d, with A and B object arrays of Python ints
-and d a common denominator, and numpy's object matmul multiplies the
-integer parts.  Only the result becomes
-QuadExt again.  :func:`to_float` reads the same split: A/d and B/d are
-correctly rounded integer divisions.  Reading the Fractions is the costly
-part, so a split can be kept and passed where an exact array goes:
-`qmatmul`, `to_float`, the eliminations and `psd_check_exact` take one as it
-is (an elimination works on a copy), and an exact pencil keeps the split of
-its whole stack (`model.MatrixPencil.split`), made once.  One product,
-:func:`qcongruence` (the stacked congruence U^T F_k U that restricts a
-pencil to a face), multiplies in int64 where a bound computed from its
-operands proves that nothing overflows; every other product stays on
-Python ints, whose operands here are small.
+Exact products (:func:`qmatmul`, :func:`frob_inner`) write each operand
+once as a :class:`QSplit` (A + B*sqrt5)/d, with A and B object arrays of
+Python ints and d a common denominator, and numpy's object matmul
+multiplies the integers.  :func:`to_float` reads a split too: A/d and B/d
+are correctly rounded integer divisions.  Reading Fractions is the costly
+part, so a split is kept and passed where an exact array goes (an
+elimination works on a copy); an exact pencil keeps the split of its stack
+(`model.MatrixPencil.split`).  :func:`qcongruence`, the congruence
+U^T F_k U that restricts a pencil to a face, multiplies in int64 where a
+bound from its operands proves that nothing overflows.
 
-Eliminations work over the same split without fractions.  On A + B*sqrt5
-(d scales every row alike, so it drops out) each step is the Bareiss update
-(p X - c r)/prev, done as numpy object-array outer products over Z[sqrt5]:
-every entry it produces is a minor of the input (Sylvester's identity), so
-the division by the previous pivot is exact, and it is done by multiplying
-with the conjugate and dividing by the integer norm.  A division that
-leaves a remainder raises AssertionError.  :func:`rref_exact` is the
-fraction-free Gauss-Jordan form and divides once at the end;
-:func:`psd_check_exact` is a fraction-free LDL^T that signs its pivots
-with :func:`qsign` and divides only a witness back, and
-:func:`leading_minors_positive` the same elimination on integers alone,
-without the witness rows, that decides positive definiteness.
+Eliminations run on the split without fractions: each step is the Bareiss
+update (p X - c r)/prev over Z[sqrt5] (d drops out), whose entries are
+minors of the input (Sylvester's identity), so the division by the previous
+pivot, by its conjugate and integer norm, is exact; a remainder raises
+AssertionError.  :func:`gauss_jordan_split` returns the integer state of
+the fraction-free Gauss-Jordan form, and :func:`nullspace_split` (the
+kernel, for a square matrix) and :func:`row_space_split` each return a
+basis as one split, one vector per row, divided once by the last pivot
+(:meth:`QSplit.divided`).  :func:`psd_check_exact` is a fraction-free
+LDL^T that signs its pivots with :func:`qsign`, and
+:func:`leading_minors_positive` decides definiteness on integers alone.
+
+QuadExt entries are made only by a join (:meth:`QSplit.join`), where a
+result leaves: :func:`qmatmul`, a PSD witness, and :func:`rref_exact`,
+:func:`nullspace_exact`, :func:`row_space_basis_exact` and
+:func:`kernel_basis_exact`, the joins of the split forms.
 
 The exact scalar string grammar is ``p/q`` for rationals and
 ``p/q+r/s*sqrt5`` for extension elements (signs inline, either term may be
@@ -425,6 +424,13 @@ class QSplit:
         """Object array of the QuadExt entries (A + B*sqrt5)/d."""
         return _join(self.A, self.B, self.d)
 
+    def divided(self, q) -> "QSplit":
+        """The split of X/q for a nonzero q = qa + qb*sqrt5 in Z[sqrt5]: times
+        the conjugate of q over d times the norm qa^2 - 5 qb^2, reduced as
+        `split` would make it (`_reduced`; a negative norm flips the sign)."""
+        A, B, norm = _times_conjugate(self.A, self.B, q)
+        return _reduced(A, B, self.d * norm)
+
 
 def split(X) -> QSplit:
     """The integer split of an exact array, over the least common
@@ -473,7 +479,17 @@ def qconcat(parts, axis: int = 0) -> QSplit:
     B = None
     if any(x.B is not None for x in parts):
         B = np.concatenate([over_d(x.B, x) for x in parts], axis)
-        B = B if any(B.flat) else None
+    return _reduced(A, B, d)
+
+
+def _reduced(A, B, d) -> QSplit:
+    """(A + B*sqrt5)/d for a nonzero int d over the least common denominator
+    of its entries, the split `split` makes of the joined array: d positive,
+    B None when zero and the gcd of d and every integer taken out."""
+    if d < 0:
+        A, B, d = -A, None if B is None else -B, -d
+    if B is not None and not any(B.flat):
+        B = None
     # over d = 1 the integers have no common factor to take out
     g = math.gcd(d, *A.flat, *(() if B is None else B.flat)) if d > 1 else 1
     if g > 1:
@@ -622,21 +638,19 @@ def _entry(A, B, i: int, j: int) -> tuple:
     return A[i, j], 0 if B is None else B[i, j]
 
 
-def rref_exact(M: np.ndarray, column_order: Sequence[int] | None = None):
-    """Exact reduced row-echelon form over Q(sqrt5).
+def gauss_jordan_split(M, column_order: Sequence[int] | None = None) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of an exact matrix or its split
+    (left as it is), pivots preferred in the optional column order:
+    (E, p, pivots), with pivots mapping pivot column -> row.
 
-    Returns (R, pivots) where pivots maps pivot column -> row.  The optional
-    column order controls which columns are preferred as pivots.  M is an
-    exact matrix or its split; a split operand is left as it is.
-
-    Fraction-free Gauss-Jordan on the integer split M = (A + B*sqrt5)/d:
-    each pivot updates every other row by `_bareiss_step`, so all entries
-    stay in Z[sqrt5] and every pivot row ends with the last pivot p at its
-    pivot column.  One division at the end gives the unique RREF: pivot rows
-    by p, the remaining rows (the Schur complement of d*M) by d*p.
+    On the split M = (A + B*sqrt5)/d each pivot updates every other row by
+    `_bareiss_step`, so every pivot row ends with the last pivot p = (pa, pb)
+    at its pivot column.  E is that integer state, over 1: the RREF is E's r
+    pivot rows divided by p (`E[:r].divided(p)`) and its other rows, the
+    Schur complement of d*M, divided by d*p.
     """
     S = split(M)
-    A, B, d = S.A, S.B, S.d
+    A, B = S.A, S.B
     if S is M:
         # the caller's split (perhaps a read-only pencil slice): eliminate on
         # a copy
@@ -649,7 +663,7 @@ def rref_exact(M: np.ndarray, column_order: Sequence[int] | None = None):
     for c in order:
         if r >= rows:
             break
-        pivot_row = next((i for i in range(r, rows) if any(_entry(A, B, i, c))), None)
+        pivot_row = next((i for i in range(r, rows) if A[i, c] or B is not None and B[i, c]), None)
         if pivot_row is None:
             continue
         for X in (A, B):
@@ -660,30 +674,53 @@ def rref_exact(M: np.ndarray, column_order: Sequence[int] | None = None):
         prev = _entry(A, B, r, c)
         pivots[c] = r
         r += 1
-    R = np.empty((rows, cols), dtype=object)
-    R[:r] = _join(A[:r], None if B is None else B[:r], 1, prev)
-    R[r:] = _join(A[r:], None if B is None else B[r:], d, prev)
+    return QSplit(A, B, 1), prev, pivots
+
+
+def rref_exact(M: np.ndarray, column_order: Sequence[int] | None = None):
+    """Exact reduced row-echelon form over Q(sqrt5) of an exact matrix or its
+    split: (R, pivots), the join of `gauss_jordan_split`."""
+    S = split(M)
+    E, p, pivots = gauss_jordan_split(S, column_order)
+    R = np.empty(E.shape, dtype=object)
+    for rows, d in ((slice(len(pivots)), 1), (slice(len(pivots), None), S.d)):
+        R[rows] = _join(E.A[rows], None if E.B is None else E.B[rows], d, p)
     return R, pivots
 
 
-def nullspace_exact(M: np.ndarray) -> list[np.ndarray]:
-    """Exact basis of {v : Mv = 0} for a rectangular exact matrix."""
-    rows, cols = M.shape
-    R, pivots = rref_exact(M)
+def nullspace_split(M) -> QSplit:
+    """Exact basis of {v : Mv = 0} (M exact or a split) as one split, a
+    vector per row: one per non-pivot column f, in order, 1 at f and 0 at
+    the other non-pivot columns."""
+    E, p, pivots = gauss_jordan_split(M)
+    cols = E.shape[1]
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.empty(cols, dtype=object)
-        v[...] = QUAD_ZERO
-        v[f] = QUAD_ONE
-        for c, r in pivots.items():
-            v[c] = -R[r, f]
-        basis.append(v)
-    return basis
+
+    def times_p(X, pk):
+        # p times the vectors: p at f, minus row r's entry at f at pivot c
+        V = np.zeros((len(free), cols), dtype=object)
+        V[range(len(free)), free] = pk
+        V[:, list(pivots)] = -X[np.ix_(list(pivots.values()), free)].T
+        return V
+
+    B = None if E.B is None else times_p(E.B, p[1])
+    return QSplit(times_p(E.A, p[0]), B, 1).divided(p)
+
+
+def row_space_split(M) -> QSplit:
+    """Exact basis of the row space (= range, for symmetric M) as one split:
+    the nonzero rows of the RREF."""
+    E, p, pivots = gauss_jordan_split(M)
+    return E[: len(pivots)].divided(p)
+
+
+def nullspace_exact(M: np.ndarray) -> list[np.ndarray]:
+    """The rows of `nullspace_split`, as QuadExt vectors."""
+    return list(nullspace_split(M).join())
 
 
 def kernel_basis_exact(M: np.ndarray) -> list[np.ndarray]:
-    """Exact kernel basis of a square matrix; empty iff M is nonsingular."""
+    """`nullspace_exact` of a square matrix: empty iff M is nonsingular."""
     n, m = M.shape
     if n != m:
         raise ValueError("kernel_basis_exact expects a square matrix")
@@ -691,9 +728,8 @@ def kernel_basis_exact(M: np.ndarray) -> list[np.ndarray]:
 
 
 def row_space_basis_exact(M: np.ndarray) -> list[np.ndarray]:
-    """Exact basis of the row space (= range, for symmetric M)."""
-    R, pivots = rref_exact(M)
-    return [np.array(R[r], dtype=object) for r in sorted(pivots.values())]
+    """The rows of `row_space_split`, as QuadExt vectors."""
+    return list(row_space_split(M).join())
 
 
 @dataclass(frozen=True)
@@ -798,21 +834,26 @@ def leading_minors_positive(A: np.ndarray) -> bool:
     return True
 
 
-def primitive_integer_vector(v: Sequence) -> np.ndarray:
-    """Rescale an exact vector to primitive form.
-
-    The result is an integer multiple of v with coefficient content 1 (gcd of
-    all integer coefficients, over both the rational and sqrt5 parts) and a
-    positive leading entry.  On the integer split d*v = A + B*sqrt5 that is
-    (A + B*sqrt5)/g, with g the gcd of A and B signed like the lead entry.
-    """
-    S = split(list(v))
+def primitive_rows(S: QSplit, positive_lead: bool = False) -> QSplit:
+    """Each row of the split S times the positive rational that makes it a
+    primitive integer vector (the gcd of its integers, over both parts, is 1;
+    a zero row stays zero), over d = 1.  With positive_lead a row whose first
+    nonzero entry is negative is negated too."""
     B = np.zeros_like(S.A) if S.B is None else S.B
-    g = math.gcd(*S.A.tolist(), *B.tolist()) or 1
-    lead = next((QuadExt(a, b) for a, b in zip(S.A, B) if a or b), None)
-    if lead is not None and qsign(lead) < 0:
-        g = -g
-    return _join(S.A, S.B, g)
+    g = []
+    for a, b in zip(S.A.tolist(), B.tolist()):
+        k = math.gcd(*a, *b) or 1
+        lead = positive_lead and next((QuadExt(x, y) for x, y in zip(a, b) if x or y), 0)
+        g.append(-k if lead and qsign(lead) < 0 else k)
+    g = np.array(g, dtype=object).reshape(-1, 1)
+    return QSplit(S.A // g, None if S.B is None else S.B // g, 1)
+
+
+def primitive_integer_vector(v: Sequence) -> np.ndarray:
+    """An exact vector rescaled to primitive form: the integer multiple of v
+    with coefficient content 1 (gcd of all integer coefficients, over both
+    the rational and sqrt5 parts) and a positive leading entry."""
+    return primitive_rows(split(list(v)).reshape(1, -1), positive_lead=True).join()[0]
 
 
 # ---------------------------------------------------------------------------

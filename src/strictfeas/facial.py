@@ -12,50 +12,37 @@ round until a search ends it with a verdict).  One exact RREF in one fixed
 column order solves the relations (`derive_implicit_constraints`);
 relations that reduce to 0 = 1 prove the SDP infeasible.
 
-The search runs in floats, from one SVD of an orthonormal float basis of
-the pencil's span L = span{F0, F_i} (`_span_svd`).  Cheap witnesses come
-first, for every pencil: a y whose F(y) is exactly positive definite rules
-out every certificate and proves an exact StrictlyFeasible verdict.  They
-are y = 0 and the least-squares fit of I in L read off the SVD, rounded
-(`_fit_witnesses`) or, where I lies in L and the slice is empty or
-traceless, snapped down the ladder and solved exactly
-(`_traceless_verdict`); each is decided on the integers of F(y)
-(`_witness_verdict`).  Otherwise the same SVD yields the margin problem
-(`build_alternative_problem`), the dual of maximizing the minimum
-eigenvalue over the trace-one slice of matrices orthogonal to L, and that
-one solve decides the search's verdict.  Its primal iterate, shifted
-along I, is the candidate certificate.
+The search runs in floats, from one SVD of the pencil's span
+L = span{F0, F_i} (`_span_svd`).  Cheap witnesses come first: a y with F(y)
+exactly positive definite proves an exact StrictlyFeasible verdict
+(`_fit_witnesses`, `_traceless_verdict`, `_witness_verdict`).  Otherwise
+one margin solve over the same SVD (`build_alternative_problem`) decides
+the verdict, and its primal iterate, shifted along I, is the candidate.
 
 Every exact object rounded from a solver's floats comes out of one loop,
 `_round_ladder`, the only walk of ROUNDING_LADDER: at each rung a face
 builder fixes an exact face W and affine conditions on the coordinates M
-of X = W M W^T; the conditions are solved exactly once per face, and the
-coordinates, fitted to the iterate, are snapped at every rung in ladder
-order until X verifies.  The certificate search builds its face by
-snapping a pivot-normalized basis of the candidate's range;
-`certify_optimum` builds its face as the kernel of F(y) at a snapped y, and
-rounds the bound certificate by which it proves an optimum from a solve.
-The face's rank is not a setting: the search starts at the rank the
-spectrum shows and steps down one rank at a time until a candidate
-verifies.  Every certificate property is verified exactly; a candidate that
-cannot be rationalized at any rank is surfaced as RoundingFailed.
+of X = W M W^T, solved exactly once per face, and the coordinates fitted
+to the iterate are snapped at every rung until X verifies.  The search's
+face snaps a pivot-normalized basis of the candidate's range, from the
+rank the spectrum shows down to 1; `certify_optimum`'s face is the kernel
+of F(y) at a snapped y.  A candidate that verifies at no rank is surfaced
+as RoundingFailed.
 
 Every pencil-wide step reads the pencil's integer split
-(`MatrixPencil.split`), not its Fractions: the float span basis, the
-traceless verdict, the face congruence, the exact verification, the
-derivation, the substitution and the restriction, which hand the reduced
-pencil's split on as the pencil itself (`MatrixPencil.from_split`, whose
-matrices are joined only if something reads them), so later rounds never
-split again.  The restriction's congruence runs in int64 under the bound
-of `qcongruence`.  Rounding stays on integers too, up to the candidate
-X = W M W^T that the verification reads.
+(`MatrixPencil.split`), not its Fractions, and so does every elimination
+of a round: the face bases, the affine solves and the derivation take and
+return splits.  The restriction hands the reduced pencil's split on as the
+pencil itself (`MatrixPencil.from_split`), in int64 under the bound of
+`qcongruence`, so later rounds never split again.  QuadExt entries are made
+only where a round's result leaves: the certificate's X and range vectors,
+the relations and `ReductionRound.face`.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -70,20 +57,26 @@ from .exactnum import (
     QuadExt,
     as_quad,
     format_scalar,
-    frob_inner,  # noqa: F401  (perfbench/spans.py times it here)
-    kernel_basis_exact,
+    gauss_jordan_split,
     leading_minors_positive,
-    nullspace_exact,
-    primitive_integer_vector,
+    nullspace_split,
+    primitive_rows,
     psd_check_exact,
     qconcat,
     qcongruence,
-    reconstruct_quadext,  # noqa: F401  (perfbench/spans.py times it here)
     reconstruct_rational,
-    row_space_basis_exact,
-    rref_exact,
+    row_space_split,
     split,
     to_float,
+)
+
+# not called here: perfbench/spans.py times them in this namespace
+from .exactnum import (  # noqa: F401
+    frob_inner,
+    kernel_basis_exact,
+    nullspace_exact,
+    reconstruct_quadext,
+    row_space_basis_exact,
 )
 from .model import (
     MatrixPencil,
@@ -91,7 +84,6 @@ from .model import (
     StatusTag,
     UnknownVariableError,
     matrix_entries,
-    pencil_eval,
 )
 from .solver import SolveResult, solve_sdp
 
@@ -166,11 +158,13 @@ class ImplicitConstraintSet:
 
 @dataclass(frozen=True)
 class ReducingCertificate:
-    """Exact nonzero X >= 0 orthogonal to the whole pencil, plus range basis."""
+    """Exact nonzero X >= 0 orthogonal to the whole pencil, plus range basis
+    and, from a search, its split (rows: the vectors) for the next round."""
 
     X: np.ndarray
     range_vectors: tuple
     note: str = ""
+    range_split: QSplit | None = field(default=None, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -200,16 +194,6 @@ class StrictlyFeasible:
     exact: bool
     tolerance: float | None
     detail: str = ""
-
-
-def _primitive_columns(vectors) -> QSplit:
-    """The split of the matrix whose columns are the nonzero exact vectors,
-    each scaled to a primitive integer vector: one split, then each column
-    divided by the gcd of its integers."""
-    S = split(np.array(list(vectors), dtype=object).T)
-    parts = S.A if S.B is None else np.vstack([S.A, S.B])
-    g = np.array([math.gcd(*col) for col in parts.T.tolist()], dtype=object)
-    return QSplit(S.A // g, None if S.B is None else S.B // g, 1)
 
 
 def _upper_functionals(C: QSplit) -> QSplit:
@@ -349,7 +333,7 @@ def _traceless_verdict(prob: SdpProblem, fit: np.ndarray) -> StrictlyFeasible:
         # one row per upper-triangle entry (i, j), with right-hand side I_ij
         solved = _affine_solve_exact(p.split[:, iu[0], iu[1]].T, (iu[0] == iu[1]).astype(int))
         if solved is not None:
-            c, homogeneous = solved
+            c, *homogeneous = solved.join()
             free = next((h for h in homogeneous if bool(h[0])), None)
             if not c[0] > 0 and free is not None:
                 shift = (QUAD_ONE - c[0]) / free[0]
@@ -473,10 +457,7 @@ RANK_CUTOFF = 1e-6
 # gap^(2^-d) off the face (Sturm, SIAM J. Optim. 2000), beyond the first
 # rung's tolerance: a face with small integer entries still snaps at den 10
 # within 1e-2.  It comes last, so it is tried only where every other rung
-# fails.  A rung snaps every entry the way `reconstruct_rational` or
-# `reconstruct_quadext` would, but `_Snaps` does each entry's work once
-# across the rungs: a rational zero needs no Fraction, and the Q(sqrt5)
-# rungs share one PSLQ per entry.
+# fails.  `_Snaps` does each entry's work once across the rungs.
 ROUNDING_LADDER = (
     (100, False, 1e-3),
     (10**4, False, 1e-5),
@@ -537,21 +518,20 @@ class _Snaps:
         return out
 
 
-def _affine_solve_exact(K, rhs) -> tuple | None:
-    """Exact particular solution and nullspace basis of K x = rhs, or None.
+def _affine_solve_exact(K, rhs) -> QSplit | None:
+    """The solutions of K x = rhs as one split, a particular solution in row
+    0 and a basis of the homogeneous ones after it; or None.
 
     One elimination of [K | -rhs] (K an exact matrix or its split): the
     system is consistent exactly when the last column is free, and then its
-    basis vector (last entry 1) carries the particular solution while the
-    others span the homogeneous solutions.
+    nullspace vector (last entry 1, the last row) is the particular solution.
     """
     rows, cols = K.shape
     last = split(rhs).scaled(-1).reshape(rows, 1)
-    basis = nullspace_exact(qconcat([K, last], axis=1))
-    if not basis or not bool(basis[-1][cols]):
+    N = nullspace_split(qconcat([K, last], axis=1))
+    if not N.shape[0] or not N.A[-1, cols]:
         return None
-    *homogeneous, particular = basis
-    return particular[:cols], [h[:cols] for h in homogeneous]
+    return N[[-1, *range(N.shape[0] - 1)], :cols]
 
 
 def _numerical_rank(lam: np.ndarray) -> int:
@@ -586,18 +566,14 @@ def _face_split_certificate(prob: SdpProblem, Xnum: np.ndarray):
 def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     """Round the face spanned by the orthonormal columns Vr, then X in it.
 
-    A column-pivoted Gram-Schmidt pass over the columns of Vr^T (each step
-    takes the one of largest residual norm and projects it out) picks r
+    A column-pivoted Gram-Schmidt pass over the columns of Vr^T picks r
     pivots, and E = Vr^T[:, piv]^-1 Vr^T is the face's basis with
-    E[:, piv] = I.  Only E's other entries are snapped, once for all rungs
-    (`_Snaps`); E depends on the face and the pivots alone, so they round
-    to small exact entries even though the solver lands at an arbitrary
-    interior point of the optimal face.  The face builder handed to
-    `_round_ladder` fixes the face exactly at each rung (W's columns: the
-    unique reduced row echelon basis of the snapped rows, made primitive
-    integer vectors) with the conditions <W^T Q W, M> = 0 for every Q and
-    tr(W^T W M) = 1 on the in-face coordinates M of X = W M W^T, which are
-    forgiving: any nearby rational point keeps M positive definite.  When
+    E[:, piv] = I.  E depends on the face and the pivots alone, so its
+    other entries, snapped once for all rungs (`_Snaps`), round to small
+    exact numbers wherever in the face the solver lands.  At each rung the
+    face builder fixes W, the reduced row echelon basis of the snapped rows
+    as primitive integer columns, with the conditions <W^T Q W, M> = 0 for
+    every Q and tr(W^T W M) = 1 on the coordinates M of X = W M W^T.  When
     M is nonsingular, range(X) = range(W), so W's columns are X's range
     vectors.  Returns (certificate, None) or (None, the (rung, reason) of
     each face rung's failure).
@@ -621,7 +597,7 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
         if coords is None:
             return "face basis entries not representable"
         basis[:, free] = np.array(coords, dtype=object).reshape(r, n - r)
-        W = _primitive_columns(row_space_basis_exact(basis))
+        W = primitive_rows(row_space_split(basis)).T
         return W, qconcat([W.T @ p.split @ W, (W.T @ W)[None]]), rhs
 
     found, failures = _round_ladder(
@@ -630,15 +606,13 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     if found is None:
         return None, failures
     X, W, M, rung, inner = found
-    if kernel_basis_exact(M):
-        vectors = tuple(primitive_integer_vector(v) for v in row_space_basis_exact(X))
-    else:
-        vectors = tuple(W.join().T)
+    # M of rank below r: range(X) is smaller than range(W)
+    V = primitive_rows(row_space_split(X)) if len(gauss_jordan_split(M)[2]) < r else W.T
     note = f"face rounding at {_rung_name(rung)}"
     if inner != rung:
         note += f", coordinates at {_rung_name(inner)}"
-    note += f"; rank {len(vectors)}"
-    return ReducingCertificate(X=X.join(), range_vectors=vectors, note=note), None
+    note += f"; rank {V.shape[0]}"
+    return ReducingCertificate(X.join(), tuple(V.join()), note, V), None
 
 
 def _round_ladder(face, Xnum: np.ndarray, verify):
@@ -663,11 +637,10 @@ def _round_ladder(face, Xnum: np.ndarray, verify):
             continue
         W, rows, rhs = built
         r = W.shape[1]
-        solved = _affine_solve_exact(_upper_functionals(rows), rhs)
-        if solved is None:
+        basis = _affine_solve_exact(_upper_functionals(rows), rhs)
+        if basis is None:
             failures.append((rung, "face slice is inconsistent"))
             continue
-        basis = split(np.array([solved[0], *solved[1]], dtype=object))
         Wpinv = np.linalg.pinv(to_float(W))
         mflat = (Wpinv @ Xnum @ Wpinv.T)[_chart_coordinates(r)[0]]
         # to_float of a split is float(QuadExt) bit for bit, row by row
@@ -691,36 +664,24 @@ def _round_ladder(face, Xnum: np.ndarray, verify):
 def find_reducing_certificate(prob: SdpProblem):
     """Search for a reducing certificate; verify it exactly or report back.
 
-    One SVD of the pencil's span (`_span_svd`) serves the whole search.  Cheap
-    witnesses come first: a y with F(y) exactly positive definite rules
-    out every reducing certificate (Borwein & Wolkowicz 1981), so it proves
-    StrictlyFeasible(exact=True) and no margin problem is posed.  They are
-    y = 0, then the least-squares fit c of I = c0 F0 + sum_i c_i F_i read
-    off the SVD, as y = c / c0 rounded to denominators 1, 10 and 100 when
-    c0 > 0 and sum_k c_k F_k factors in floats (`_fit_witnesses`).  Each
-    is screened by a float Cholesky factorization of F(y) and then decided
-    exactly on the integers of one product with the pencil's split.  When
-    I lies in the span, the same fit and the same exact test decide instead
-    (`_traceless_verdict`).
+    One SVD of the pencil's span (`_span_svd`) serves the whole search.  A y
+    with F(y) exactly positive definite rules out every reducing
+    certificate (Borwein & Wolkowicz 1981), so the cheap witnesses come
+    first (`_fit_witnesses`, or `_traceless_verdict` when I lies in the
+    span): each is screened by a float Cholesky factorization and decided
+    on the integers of one product with the pencil's split.
 
-    Otherwise the same SVD yields the margin problem that is solved,
-    `build_alternative_problem`, and the search decides every remaining
-    verdict: its optimum is t* = -objective_dual, the largest minimum
-    eigenvalue of a trace-one X orthogonal to the pencil, and a margin below
-    -FEAS_CUT is numeric StrictlyFeasible evidence.  The solve's objective
-    cut is FEAS_CUT (its objective is -mu), so on that side it stops at the
-    first strictly feasible q with mu(q) < -FEAS_CUT, and the verdict's
-    detail states the bound "slack margin at most mu(q)", not t* itself.
-    Where a certificate exists t* >= 0, so the cut is never reached and the
-    solve runs to the optimum.  The solver's primal X~ lands in the
-    relative interior of the optimal face, i.e. at maximal rank, and
-    X = X~ + ((1 - tr X~) / n) I is the slice point with X - t* I = X~.  X is
-    rounded, face first and coordinates second, from the rank its spectrum
-    gives down to rank 1 (`_face_split_certificate`): at each rank
-    `_round_ladder` walks the face down the ladder and tries the
-    coordinates of every face it builds at every rung, so the note names
-    the face's rung and, where it differs, the coordinates' rung.  Every
-    certificate invariant is re-checked exactly.
+    Otherwise the margin problem (`build_alternative_problem`) is solved.
+    Its optimum t* = -objective_dual is the largest minimum eigenvalue of a
+    trace-one X orthogonal to the pencil.  Its objective cut is FEAS_CUT, so
+    where no certificate exists it stops at the first q with
+    mu(q) < -FEAS_CUT: numeric StrictlyFeasible evidence whose detail
+    states that bound, not t*.  Where one exists t* >= 0 and the solve runs
+    to the optimum: the solver's primal X~ lies in the relative interior of
+    the optimal face, and X = X~ + ((1 - tr X~) / n) I, with X - t* I = X~,
+    is rounded face first and coordinates second, from the rank its
+    spectrum gives down to rank 1 (`_face_split_certificate`).  The note
+    names the face's rung and, where it differs, the coordinates' rung.
     """
     p = prob.pencil
     K, V, traces, fit, traceless = _span_svd(p)
@@ -787,20 +748,20 @@ def certify_optimum(
     snaps = _Snaps([res.y[v] for v in p.var_names])
     rhs = [-c for c in prob.objective]
     points = {}
+    stack = p.split.reshape(p.m + 1, -1)
 
     def face(rung):
         y = snaps.at(*rung)
         if y is None:
             return "y is not representable"
         point = points[rung] = dict(zip(p.var_names, map(as_quad, y)))
-        F = split(pencil_eval(p, point))
+        F = (split([Fraction(1), *y]) @ stack).reshape(p.n, p.n)
         # the float spectrum screens out what the exact check would reject
         lamF = np.linalg.eigvalsh(to_float(F))
         check = lamF[0] >= -KERNEL_TOL and np.sum(lamF <= KERNEL_TOL) >= rank and psd_check_exact(F)
         if not (check and p.n - check.rank >= rank):
             return f"F(y) is not exactly PSD with a kernel of dimension {rank}"
-        kernel = [primitive_integer_vector(w) for w in kernel_basis_exact(F)]
-        W = split(np.array(kernel, dtype=object).reshape(-1, p.n).T)
+        W = primitive_rows(nullspace_split(F), positive_lead=True).T
         return W, (W.T @ p.split @ W)[1:], rhs
 
     def bound(X):
@@ -826,8 +787,11 @@ def verify_certificate_matrix(prob: SdpProblem, X) -> list[str]:
     if not any(X.A.flat) and (X.B is None or not any(X.B.flat)):
         problems.append("X is zero")
     labels = ("F0", *(f"F_{name}" for name in prob.var_names))
-    for label, v in zip(labels, pairing):
-        if bool(v):
+    # judged on the integers; only a nonzero entry is joined, to be shown
+    B = pairing.A * 0 if pairing.B is None else pairing.B
+    for label, a, b in zip(labels, pairing.A, B):
+        if a or b:
+            v = QuadExt(Fraction(a, pairing.d), Fraction(b, pairing.d))
             problems.append(f"<{label}, X> = {format_scalar(v)} != 0")
     return problems
 
@@ -850,7 +814,7 @@ def derive_implicit_constraints(prob: SdpProblem, vectors) -> ImplicitConstraint
     last = support if len(support) == 1 else []
     order = [k for k in reversed(range(p.m)) if k not in last] + last
 
-    V = split(np.array(list(vectors), dtype=object).reshape(-1, p.n).T)
+    V = split(vectors).reshape(-1, p.n).T
     # one product with the pencil's split gives (F_i v)_j for every term i,
     # range vector v and index j; F0 moved last and transposed, it is one
     # row per (v, j), and all-zero rows are dropped on the integers
@@ -858,21 +822,24 @@ def derive_implicit_constraints(prob: SdpProblem, vectors) -> ImplicitConstraint
     nonzero = (S.A != 0).any(axis=1)
     if S.B is not None:
         nonzero |= (S.B != 0).any(axis=1)
-    R, pivots = rref_exact(S[nonzero], column_order=order)
+    E, pivot, pivots = gauss_jordan_split(S[nonzero], column_order=order)
     # every variable column is ordered, so the rows past the pivot rows read
-    # 0 = their constant
-    if any(map(bool, R[len(pivots):, p.m])):
+    # 0 = their constant, decided on the integers
+    rest = E[len(pivots):, p.m]
+    if any(rest.A) or rest.B is not None and any(rest.B):
         raise InconsistentConstraintsError(
             "the implied linear relations are inconsistent: "
             "the original SDP is infeasible"
         )
+    # the pivot rows of the RREF, negated: v = const + sum_k coeffs_k y_k
+    R = E[: len(pivots)].scaled(-1).divided(pivot).join()
     return ImplicitConstraintSet(
         eliminated=tuple(
             (
                 names[c],
                 AffineExpr(
-                    const=-R[r, p.m],
-                    coeffs={names[k]: -R[r, k] for k in range(p.m) if k != c},
+                    const=R[r, p.m],
+                    coeffs={names[k]: R[r, k] for k in range(p.m) if k != c},
                 ),
             )
             for c, r in pivots.items()
@@ -988,9 +955,8 @@ def reduce_problem(
     face {0} (a certificate of full rank) every feasible F(y) is zero: the
     loop ends with the substituted problem and an exact verdict.
 
-    A ReductionError of any round is re-raised carrying `rounds`, the
-    rounds completed, and `certificate`, the failing round's verified
-    certificate (None when its search itself failed).
+    A ReductionError of any round is re-raised carrying the rounds
+    completed and the failing round's certificate (see ReductionError).
     """
     rounds: list[ReductionRound] = []
     current, pending = prob, None
@@ -1000,14 +966,14 @@ def reduce_problem(
             if isinstance(outcome, StrictlyFeasible):
                 return current, rounds, outcome
             pending = outcome
-            cons = derive_implicit_constraints(current, outcome.range_vectors)
+            cons = derive_implicit_constraints(current, outcome.range_split)
             substituted = apply_constraints(current, cons)
-            face = nullspace_exact(np.array(outcome.range_vectors, dtype=object))
-            if not face:
+            face = nullspace_split(outcome.range_split)
+            if not face.shape[0]:
                 rounds.append(ReductionRound(outcome, cons, substituted, (), substituted))
                 detail = "every feasible F(y) is zero: the reduced problem has no conic constraint"
                 return substituted, rounds, StrictlyFeasible(True, None, detail)
-            U = _primitive_columns(face)
+            U = primitive_rows(face).T
             current = _restrict(substituted, U)
             rounds.append(ReductionRound(outcome, cons, substituted, tuple(U.T.join()), current))
             pending = None

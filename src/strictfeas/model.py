@@ -249,14 +249,19 @@ def pencil_eval(pencil: MatrixPencil, y: Mapping[str, object]) -> np.ndarray:
     return qmatmul(coeffs, stack).reshape(pencil.n, pencil.n)
 
 
-def pencil_pairing(pencil: MatrixPencil, X) -> np.ndarray:
-    """(<F0, X>, <F_1, X>, ..., <F_m, X>) for an exact n x n matrix X or its
-    split, the adjoint of `pencil_eval`: one product of the pencil's split,
-    flattened, with vec(X).  ValueError when X is not n x n."""
+def pairing_split(pencil: MatrixPencil, X) -> QSplit:
+    """The split of (<F0, X>, <F_1, X>, ..., <F_m, X>) for an exact n x n
+    matrix X or its split: one product of the pencil's split, flattened,
+    with vec(X).  ValueError when X is not n x n."""
     X = split(X)
     if X.shape != (pencil.n, pencil.n):
         raise ValueError(f"X has shape {X.shape}, expected {(pencil.n, pencil.n)}")
-    return (pencil.split.reshape(pencil.m + 1, -1) @ X.reshape(-1)).join()
+    return pencil.split.reshape(pencil.m + 1, -1) @ X.reshape(-1)
+
+
+def pencil_pairing(pencil: MatrixPencil, X) -> np.ndarray:
+    """The adjoint of `pencil_eval`: `pairing_split`, joined."""
+    return pairing_split(pencil, X).join()
 
 
 def validate(prob: SdpProblem) -> list[str]:

@@ -2,6 +2,8 @@
 small exact problems that need reduction, exact products the tests use and
 loop-based exact kernels."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -546,6 +548,61 @@ def reference_rref_exact(M, column_order=None):
         pivots[c] = r
         r += 1
     return R, pivots
+
+
+def reference_bases(M):
+    """(nullspace basis, row-space basis) of an exact matrix as lists of
+    QuadExt vectors, read off `reference_rref_exact` the way the library
+    reads its RREF: a nullspace vector per non-pivot column f, 1 at f and
+    minus the pivot rows' entries at f at the pivot columns; the row space
+    the nonzero RREF rows.  A matrix without rows has no pivots."""
+    rows, cols = M.shape
+    R, pivots = reference_rref_exact(M) if rows else (np.empty((0, cols), dtype=object), {})
+    null = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [QUAD_ZERO] * cols
+        v[f] = QUAD_ONE
+        for c, r in pivots.items():
+            v[c] = -R[r, f]
+        null.append(v)
+    return null, [list(R[r]) for r in sorted(pivots.values())]
+
+
+def reduction_digest(problems) -> str:
+    """sha256 of everything `reduce_problem` hands out on each problem, in
+    canonical JSON: per round the certificate (X, range vectors, note), the
+    relations, the face and the restricted pencil's split, then the final
+    verdict, or the error and the rounds before it."""
+    from dataclasses import asdict
+
+    from strictfeas.exactnum import format_scalar
+    from strictfeas.facial import ReductionError, reduce_problem
+
+    def split_doc(S):
+        return [S.A.tolist(), None if S.B is None else S.B.tolist(), S.d]
+
+    docs = []
+    for prob in problems:
+        try:
+            _, rounds, verdict = reduce_problem(prob)
+            end = asdict(verdict)
+        except ReductionError as exc:
+            rounds, end = exc.rounds, f"{type(exc).__name__}: {exc}"
+        docs.append(
+            {
+                "rounds": [
+                    {
+                        "certificate": r.certificate.as_dict(),
+                        "constraints": r.constraints.as_dict(),
+                        "face": [[format_scalar(x) for x in u] for u in r.face],
+                        "restricted": split_doc(r.problem.pencil.split),
+                    }
+                    for r in rounds
+                ],
+                "verdict": end,
+            }
+        )
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
 
 
 def reference_psd_check_exact(M):

@@ -12,7 +12,15 @@ from strictfeas.bell import problem1_simplified
 from strictfeas.cli import BUILTINS, _problems_equal, load_problem, main, store_problem
 from strictfeas.exactnum import format_scalar, quad
 from strictfeas.facial import RoundingFailedError
-from strictfeas.model import MatrixPencil, SdpProblem, StatusTag, problem_to_json_str, validate
+from strictfeas.model import (
+    MatrixPencil,
+    SdpProblem,
+    StatusTag,
+    problem_from_json,
+    problem_to_json,
+    problem_to_json_str,
+    validate,
+)
 from strictfeas.solver import solve_sdp
 
 from helpers import (
@@ -586,6 +594,27 @@ class TestProblemComparison:
         names = ("mu", "a01", "b01", "c0,10")
         pencil = replace(golden.pencil, var_names=names)
         assert not _problems_equal(replace(golden, pencil=pencil), golden)
+
+    def test_one_rational_entry_differs(self):
+        # the pencils are compared on their integer splits: one entry of F0
+        # moved by 1/7 changes the common denominator as well
+        golden = problem1_simplified()
+        p = golden.pencil
+        f0 = p.f0.copy()
+        f0[0, 1] = f0[1, 0] = f0[0, 1] + quad(Fraction(1, 7))
+        pencil = MatrixPencil(n=p.n, scalar="exact", f0=f0, var_names=p.var_names, terms=p.terms)
+        assert not _problems_equal(replace(golden, pencil=pencil), golden)
+        assert not _problems_equal(golden, replace(golden, pencil=pencil))
+
+    def test_name_note_and_offset_do_not_count(self):
+        golden = problem1_simplified()
+        other = replace(golden, name="other", note="another note", objective_offset=quad(3))
+        assert _problems_equal(other, golden)
+        # the same entries from another construction: a pencil made from a
+        # split, and one read back from its problem file
+        pencil = MatrixPencil.from_split(golden.var_names, golden.pencil.split)
+        assert _problems_equal(replace(golden, pencil=pencil), golden)
+        assert _problems_equal(problem_from_json(problem_to_json(golden)), golden)
 
 
 class TestExportCommand:

@@ -22,9 +22,11 @@ from strictfeas.exactnum import (
     as_quad,
     format_scalar,
     frob_inner,
+    gauss_jordan_split,
     kernel_basis_exact,
     leading_minors_positive,
     nullspace_exact,
+    nullspace_split,
     parse_scalar,
     primitive_integer_vector,
     psd_check_exact,
@@ -38,6 +40,7 @@ from strictfeas.exactnum import (
     reconstruct_quadext,
     reconstruct_rational,
     row_space_basis_exact,
+    row_space_split,
     rref_exact,
     split,
     to_float,
@@ -53,6 +56,7 @@ from helpers import (
     reference_matmul,
     reference_primitive_integer_vector,
     reference_psd_check_exact,
+    reference_bases,
     reference_qmatmul,
     reference_rref_exact,
 )
@@ -784,12 +788,10 @@ class TestFractionFree:
     @settings(max_examples=60, deadline=None)
     def test_bases_match_reference(self, M):
         fast = (nullspace_exact(M), row_space_basis_exact(M))
-        with mock.patch.object(exactnum, "rref_exact", reference_rref_exact):
-            slow = (nullspace_exact(M), row_space_basis_exact(M))
-        for got, want in zip(fast, slow):
+        for got, want in zip(fast, reference_bases(M)):
             assert len(got) == len(want)
             for g, w in zip(got, want):
-                assert_same(g, w)
+                assert_same(g, qarray(w))
 
     @given(gram_matrices())
     @settings(max_examples=60, deadline=None)
@@ -841,6 +843,89 @@ class TestFractionFree:
             A = np.array([[1, 1], [1, 2]], dtype=object)
             with pytest.raises(AssertionError, match="remainder"):
                 exactnum._bareiss_step(A, B, [1], [1], 0, 0, prev)
+
+
+@st.composite
+def field_matrices(draw, entries):
+    """Matrices over one field, of 0 to 4 rows and columns: arbitrary, of
+    rank at most 2 (a product U V), or with an all-zero row."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def matrix(r, c):
+        M = np.empty(r * c, dtype=object)
+        M[:] = [as_quad(x) for x in draw(st.lists(entries, min_size=r * c, max_size=r * c))]
+        return M.reshape(r, c)
+
+    kind = draw(st.sampled_from(["any", "low-rank", "zero-row"]))
+    if kind == "low-rank":
+        k = draw(st.integers(0, 2))
+        return reference_matmul(matrix(rows, k), matrix(k, cols))
+    M = matrix(rows, cols)
+    if kind == "zero-row" and rows:
+        M[draw(st.integers(0, rows - 1))] = quad(0)
+    return M
+
+
+# Q(sqrt5) matrices whose last pivot p = pa + pb*sqrt5 has a negative norm
+# pa^2 - 5 pb^2: dividing by p multiplies by its conjugate and divides by
+# that norm, so the sign moves into the integers
+NEGATIVE_NORM_PIVOTS = [
+    [["1+2*sqrt5", 3]],
+    [[1, 1, 2], [1, "3*sqrt5", 0]],
+    [[1, 1], [1, "3*sqrt5"]],
+    [["1+2*sqrt5", 3], ["2+4*sqrt5", 6]],
+]
+
+
+class TestSplitBases:
+    """`nullspace_split` and `row_space_split` against the bases read off
+    `reference_rref_exact`, value for value, each one split over a positive
+    least common denominator (the split `split` makes of the joined
+    vectors); `nullspace_exact`, `row_space_basis_exact` and
+    `kernel_basis_exact` are their joins."""
+
+    @staticmethod
+    def assert_basis(S, want, cols):
+        assert isinstance(S, QSplit) and S.shape == (len(want), cols) and S.d > 0
+        assert_same(S.join(), qarray(want) if want else np.empty((0, cols), dtype=object))
+        canonical = split(S.join())
+        assert canonical.d == S.d and np.array_equal(canonical.A, S.A)
+        assert (canonical.B is None) == (S.B is None)
+        assert S.B is None or np.array_equal(canonical.B, S.B)
+
+    def check(self, M):
+        null, rows = reference_bases(M)
+        cols = M.shape[1]
+        self.assert_basis(nullspace_split(M), null, cols)
+        self.assert_basis(row_space_split(M), rows, cols)
+        for got, want in ((nullspace_exact(M), null), (row_space_basis_exact(M), rows)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same(g, qarray(w))
+        if M.shape[0] == cols:
+            got = kernel_basis_exact(M)
+            assert len(got) == len(null)
+            for g, w in zip(got, null):
+                assert_same(g, qarray(w))
+
+    @pytest.mark.parametrize("entries", [fractions_st, quads_st], ids=["Q", "Q(sqrt5)"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bases_match_reference(self, entries, data):
+        self.check(data.draw(field_matrices(entries)))
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 0), (0, 3), (3, 0), (1, 3), (2, 2)], ids=["empty", "no-row", "no-column", "one-row", "square"]
+    )
+    def test_zero_and_empty_matrices(self, shape):
+        self.check(qzeros(*shape) if shape[0] else np.empty(shape, dtype=object))
+
+    @pytest.mark.parametrize("rows", NEGATIVE_NORM_PIVOTS, ids=range(len(NEGATIVE_NORM_PIVOTS)))
+    def test_last_pivot_with_a_negative_norm(self, rows):
+        M = qarray(rows)
+        _, (pa, pb), _ = gauss_jordan_split(M)
+        assert pb and pa * pa - 5 * pb * pb < 0
+        self.check(M)
 
 
 class TestSplitOperands:

@@ -93,6 +93,7 @@ from helpers import (
     reference_constraint_rows,
     reference_qmatmul,
     reference_split_matmul,
+    reduction_digest,
 )
 
 
@@ -898,15 +899,39 @@ class TestPinnedCertificates:
         assert certificate_digest([r.certificate for r in rounds]) == digest
 
 
+class TestPinnedReductions:
+    """Everything a reduction hands out stays byte-identical across
+    refactors of the exact layer: on the planted-reduce benchmark inputs,
+    the certificates (X, range vectors, note), the relations, the faces, the
+    restricted pencils' splits and the final verdicts are pinned by one
+    digest per seed (`helpers.reduction_digest`)."""
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (778, "f6aae9a94e0b874a064a4c3738c9de453ceb80740fbf7f57c7b3443d35a983a3"),
+            (840, "c92e4962a40706b45dc6f827be0ff61ac2ba02718ccdb2f4194d4ac9a8eb53e9"),
+        ],
+    )
+    def test_planted_reduce_rounds(self, seed, digest, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        problems = workloads.build_inputs("planted-reduce", seed)
+        assert reduction_digest(problems) == digest
+
+
 class TestAffineSolve:
+    # the solutions are one split: the particular solution first, then the
+    # homogeneous basis
     def test_particular_and_homogeneous(self):
         K = qarray([[1, 2], [2, 4]])
-        particular, homogeneous = _affine_solve_exact(K, [quad(1), quad(2)])
+        particular, *homogeneous = _affine_solve_exact(K, [quad(1), quad(2)]).join()
         assert list(particular) == [quad(1), quad(0)]
         assert [list(h) for h in homogeneous] == [[quad(-2), quad(1)]]
 
     def test_unique_solution_has_no_homogeneous_part(self):
-        particular, homogeneous = _affine_solve_exact(qarray([[2]]), [quad(3)])
+        particular, *homogeneous = _affine_solve_exact(qarray([[2]]), [quad(3)]).join()
         assert list(particular) == [quad(Fraction(3, 2))]
         assert homogeneous == []
 
