@@ -901,10 +901,11 @@ class TestPinnedCertificates:
 
 class TestPinnedReductions:
     """Everything a reduction hands out stays byte-identical across
-    refactors of the exact layer: on the planted-reduce benchmark inputs,
-    the certificates (X, range vectors, note), the relations, the faces, the
+    refactors of the exact layer: on the planted-reduce and
+    interior-diagnose benchmark inputs and on degree-3 chains, the
+    certificates (X, range vectors, note), the relations, the faces, the
     restricted pencils' splits and the final verdicts are pinned by one
-    digest per seed (`helpers.reduction_digest`)."""
+    digest per input set (`helpers.reduction_digest`)."""
 
     @pytest.mark.parametrize(
         "seed, digest",
@@ -914,11 +915,34 @@ class TestPinnedReductions:
         ],
     )
     def test_planted_reduce_rounds(self, seed, digest, monkeypatch):
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        workloads = importlib.import_module("workloads")
-        problems = workloads.build_inputs("planted-reduce", seed)
+        problems = _benchmark_inputs(monkeypatch, "planted-reduce", seed)
         assert reduction_digest(problems) == digest
+
+    def test_interior_diagnose_verdicts(self, monkeypatch):
+        # strictly feasible pencils: the witness walk's verdicts and details
+        cases = _benchmark_inputs(monkeypatch, "interior-diagnose", 840)
+        assert reduction_digest([c.problem for c in cases]) == (
+            "aa79b59acd1a35114e43f726287f4e8ef9f86ddf3dccbf8ad5f51cb3845e5b10"
+        )
+
+    def test_degree_three_chains(self):
+        problems = [
+            planted_chain(np.random.default_rng(seed), n, 3, sqrt5)
+            for seed in range(100, 104)
+            for n in (4, 8)
+            for sqrt5 in (False, True)
+        ]
+        assert reduction_digest(problems) == (
+            "9455c0f198e0bc5db0e183db9572ae919fcb1167432b4bd208a821a6160fc216"
+        )
+
+
+def _benchmark_inputs(monkeypatch, workload: str, seed: int) -> list:
+    """`perfbench/workloads.build_inputs(workload, seed)`, imported without
+    writing bytecode into the benchmark's directory."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("workloads").build_inputs(workload, seed)
 
 
 class TestAffineSolve:
