@@ -32,7 +32,7 @@ from .exactnum import (
     split,
     to_float,
 )
-from .model import SdpProblem, pairing_split, pencil_eval
+from .model import SdpProblem, eval_split, pairing_split, pencil_eval
 
 
 class WrongShapeError(ValueError):
@@ -52,9 +52,10 @@ class PrimalVerdict:
 
 
 def verify_primal_point(prob: SdpProblem, assignment) -> PrimalVerdict:
-    """Exact feasibility decision of the pencil at an exact assignment
-    (MissingVariableError, from `pencil_eval`, when a variable has none)."""
-    check = psd_check_exact(pencil_eval(prob.pencil, assignment))
+    """Exact feasibility decision of the pencil at an exact assignment, on
+    the split of F(y) (MissingVariableError, from `eval_split`, when a
+    variable has none)."""
+    check = psd_check_exact(eval_split(prob.pencil, assignment))
     return PrimalVerdict(feasible=check.is_psd, witness=check.witness)
 
 

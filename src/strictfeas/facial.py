@@ -13,14 +13,14 @@ column order solves the relations (`derive_implicit_constraints`);
 relations that reduce to 0 = 1 prove the SDP infeasible.
 
 The search runs in floats, from one SVD of the pencil's span
-L = span{F0, F_i} (`_span_svd`).  Cheap witnesses come first: a y with F(y)
-exactly positive definite proves an exact StrictlyFeasible verdict
-(`_fit_witnesses`, `_traceless_verdict`, `_witness_verdict`).  Otherwise
-one margin solve over the same SVD (`build_alternative_problem`) decides
-the verdict, and its primal iterate, shifted along I, is the candidate.
+L = span{F0, F_i} (`_span_svd`).  One witness walk comes first: a y with
+F(y) exactly positive definite proves an exact StrictlyFeasible verdict
+(`_witnesses`, `_witness_verdict`).  Otherwise, unless I lies in L, one
+margin solve over the same SVD (`build_alternative_problem`) decides the
+verdict, and its primal iterate, shifted along I, is the candidate.
 
-Every exact object rounded from a solver's floats comes out of one loop,
-`_round_ladder`, the only walk of ROUNDING_LADDER: at each rung a face
+Every exact object rounded from a solver's iterate comes out of one loop,
+`_round_ladder`: at each rung a face
 builder fixes an exact face W and affine conditions on the coordinates M
 of X = W M W^T, solved exactly once per face, and the coordinates fitted
 to the iterate are snapped at every rung until X verifies.  The search's
@@ -83,6 +83,7 @@ from .model import (
     SdpProblem,
     StatusTag,
     UnknownVariableError,
+    eval_split,
     matrix_entries,
 )
 from .solver import SolveResult, solve_sdp
@@ -282,18 +283,38 @@ def _factors(coords, n: int) -> bool:
     return True
 
 
-def _fit_witnesses(p: MatrixPencil, K, c):
-    """The cheap witnesses, cheapest first, each passed on only if F(y)
-    factors in floats: y = 0, and, when the fit c of I has c0 > 0 and
-    sum_k c_k F_k = c0 F(c / c0) factors, y = c / c0 rounded to
-    denominators 1, 10 and 100."""
+def _witnesses(p: MatrixPencil, K, c, traceless: bool):
+    """The candidate witnesses y, cheapest first: y = 0, then, when the fit
+    c of I has c0 > 0 and sum_k c_k F_k = c0 F(c / c0) factors, y = c / c0
+    rounded to denominators 1, 10 and 100, each passed on only if F(y)
+    factors in floats.  When I lies in the span (`traceless`), the
+    witnesses (`_span_witness`) of c snapped down ROUNDING_LADDER follow,
+    for a c0 = 0 that holds in floats only, and last that of the exact
+    solve, its c0 shifted to 1 along a free homogeneous solution."""
     if _factors(K[0], p.n):
-        yield [_FRACTION_ZERO] * p.m
+        yield [QUAD_ZERO] * p.m
     if c[0] > 0 and _factors(c @ K, p.n):
         for den in (1, 10, 100):
             a = np.rint(den * c[1:] / c[0])
             if _factors(np.concatenate([[den], a]) @ K, p.n):
                 yield [Fraction(int(x), den) for x in a]
+    if not traceless:
+        return
+    snaps = _Snaps(c)
+    for rung in ROUNDING_LADDER:
+        snapped = snaps.at(*rung)
+        if snapped is not None:
+            yield _span_witness([as_quad(x) for x in snapped], p.f0)
+    iu = _chart_coordinates(p.n)[0]
+    # one row per upper-triangle entry (i, j), with right-hand side I_ij
+    solved = _affine_solve_exact(p.split[:, iu[0], iu[1]].T, (iu[0] == iu[1]).astype(int))
+    if solved is not None:
+        exact, *homogeneous = solved.join()
+        free = next((h for h in homogeneous if bool(h[0])), None)
+        if not exact[0] > 0 and free is not None:
+            shift = (QUAD_ONE - exact[0]) / free[0]
+            exact = [ei + shift * hi for ei, hi in zip(exact, free)]
+        yield _span_witness(exact, p.f0)
 
 
 def _span_witness(c, f0):
@@ -309,58 +330,16 @@ def _span_witness(c, f0):
     return [t * ci for ci in c[1:]]
 
 
-def _traceless_verdict(prob: SdpProblem, fit: np.ndarray) -> StrictlyFeasible:
-    """Exact proof of strict feasibility where I lies in the pencil's span
-    in floats, or SolverFailedError.  The orthogonal slice then looks empty
-    or traceless, which settles the homogenized pencil only (F0 = -I
-    passes), so the proof is a witness y with F(y) exactly positive
-    definite.  Candidates, cheapest first: y = 0, the witness
-    (`_span_witness`) of `fit`, the float least-squares c of
-    I = c0 F0 + sum_i c_i F_i, snapped down ROUNDING_LADDER, and last that
-    of the exact solve, its c0 shifted to 1 along a free homogeneous
-    solution.
-    """
-    p = prob.pencil
-
-    def candidates():
-        yield [QUAD_ZERO] * p.m
-        snaps = _Snaps(fit)
-        for rung in ROUNDING_LADDER:
-            snapped = snaps.at(*rung)
-            if snapped is not None:
-                yield _span_witness([as_quad(x) for x in snapped], p.f0)
-        iu = _chart_coordinates(p.n)[0]
-        # one row per upper-triangle entry (i, j), with right-hand side I_ij
-        solved = _affine_solve_exact(p.split[:, iu[0], iu[1]].T, (iu[0] == iu[1]).astype(int))
-        if solved is not None:
-            c, *homogeneous = solved.join()
-            free = next((h for h in homogeneous if bool(h[0])), None)
-            if not c[0] > 0 and free is not None:
-                shift = (QUAD_ONE - c[0]) / free[0]
-                c = [ci + shift * hi for ci, hi in zip(c, free)]
-            yield _span_witness(c, p.f0)
-
-    verdict = _witness_verdict(p, candidates())
-    if verdict is None:
-        raise SolverFailedError(
-            "I is in the span of the pencil matrices in floats, but F(y) is positive "
-            "definite at no candidate: no witness y proves strict feasibility"
-        )
-    return verdict
-
-
 def _witness_verdict(p: MatrixPencil, candidates) -> StrictlyFeasible | None:
     """The exact verdict of the first candidate y, a list of exact scalars
     (None skips), with F(y) exactly positive definite, each distinct y
-    tried once; or None.  One product of (1, y) with the pencil's split
-    gives the integers of a positive multiple of F(y)."""
+    tried once; or None.  F(y) is decided on its split (`eval_split`)."""
     tried = []
-    stack = p.split.reshape(p.m + 1, -1)
     for y in candidates:
         if y is None or y in tried:
             continue
         tried.append(y)
-        if _positive_definite((split([Fraction(1), *y]) @ stack).reshape(p.n, p.n)):
+        if _positive_definite(eval_split(p, dict(zip(p.var_names, y)))):
             break
     else:
         return None
@@ -406,7 +385,7 @@ def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
     q1..qk, terms -Q_k.
 
     None means I lies in L up to roundoff (TRACE_FLOOR): the slice looks
-    empty or traceless, and `_traceless_verdict` looks for a witness.
+    empty or traceless, and only a witness y decides (`_witnesses`).
     """
     _, V, traces, _, traceless = _span_svd(prob.pencil)
     return None if traceless else _margin_problem(prob, V, traces)
@@ -448,10 +427,11 @@ FEAS_CUT = 1e-8
 # largest one count toward its rank; the search starts at that rank
 RANK_CUTOFF = 1e-6
 
-# rounding rungs (max denominator, over Q(sqrt5), tolerance), walked by
-# `_round_ladder` alone, in order.  Iterates sit ~sqrt(gap) off the optimal
-# face, so the small-denominator rational snaps need a loose acceptance;
-# that is sound because exact verification guards every snap.  Q(sqrt5)
+# rounding rungs (max denominator, over Q(sqrt5), tolerance), walked in
+# order by `_round_ladder` and, for the fit of I, by `_witnesses`.
+# Iterates sit ~sqrt(gap) off the optimal face, so the small-denominator
+# rational snaps need a loose acceptance; that is sound because exact
+# verification guards every snap.  Q(sqrt5)
 # reconstruction comes only after plain rationals fail.  The last, coarse
 # rung is for chains of singularity degree d >= 3, whose iterates sit about
 # gap^(2^-d) off the face (Sturm, SIAM J. Optim. 2000), beyond the first
@@ -616,7 +596,7 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
 
 
 def _round_ladder(face, Xnum: np.ndarray, verify):
-    """The one walk of ROUNDING_LADDER: X = W M W^T for a symmetric M with
+    """ROUNDING_LADDER walked for a matrix: X = W M W^T for a symmetric M with
     <rows_k, M> = rhs_k exactly, from the float iterate Xnum.
 
     At each rung in turn `face(rung)` builds the exact face, (W, rows, rhs),
@@ -666,10 +646,10 @@ def find_reducing_certificate(prob: SdpProblem):
 
     One SVD of the pencil's span (`_span_svd`) serves the whole search.  A y
     with F(y) exactly positive definite rules out every reducing
-    certificate (Borwein & Wolkowicz 1981), so the cheap witnesses come
-    first (`_fit_witnesses`, or `_traceless_verdict` when I lies in the
-    span): each is screened by a float Cholesky factorization and decided
-    on the integers of one product with the pencil's split.
+    certificate (Borwein & Wolkowicz 1981), so the witness walk comes first
+    (`_witnesses`).  When I lies in the span no margin problem is posed:
+    its slice settles only the homogenized pencil (F0 = -I passes), so a
+    walk that proves nothing raises SolverFailedError.
 
     Otherwise the margin problem (`build_alternative_problem`) is solved.
     Its optimum t* = -objective_dual is the largest minimum eigenvalue of a
@@ -685,11 +665,14 @@ def find_reducing_certificate(prob: SdpProblem):
     """
     p = prob.pencil
     K, V, traces, fit, traceless = _span_svd(p)
-    if traceless:
-        return _traceless_verdict(prob, fit)
-    verdict = _witness_verdict(p, _fit_witnesses(p, K, fit))
+    verdict = _witness_verdict(p, _witnesses(p, K, fit, traceless))
     if verdict is not None:
         return verdict
+    if traceless:
+        raise SolverFailedError(
+            "I is in the span of the pencil matrices in floats, but F(y) is positive "
+            "definite at no candidate: no witness y proves strict feasibility"
+        )
     res = solve_sdp(_margin_problem(prob, V, traces), stop_above=FEAS_CUT)
     if res.status.tag not in (StatusTag.OPTIMAL, StatusTag.OBJECTIVE_CUT_REACHED):
         raise SolverFailedError(
@@ -748,14 +731,13 @@ def certify_optimum(
     snaps = _Snaps([res.y[v] for v in p.var_names])
     rhs = [-c for c in prob.objective]
     points = {}
-    stack = p.split.reshape(p.m + 1, -1)
 
     def face(rung):
         y = snaps.at(*rung)
         if y is None:
             return "y is not representable"
         point = points[rung] = dict(zip(p.var_names, map(as_quad, y)))
-        F = (split([Fraction(1), *y]) @ stack).reshape(p.n, p.n)
+        F = eval_split(p, point)
         # the float spectrum screens out what the exact check would reject
         lamF = np.linalg.eigvalsh(to_float(F))
         check = lamF[0] >= -KERNEL_TOL and np.sum(lamF <= KERNEL_TOL) >= rank and psd_check_exact(F)

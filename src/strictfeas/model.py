@@ -32,13 +32,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exactnum import (
-    QUAD_ONE,
     QSplit,
     as_quad,
     format_scalar,
     frob_inner,  # noqa: F401  (perfbench/spans.py times it here)
     qarray,
-    qmatmul,
     qzeros,
     split,
     to_float,
@@ -228,25 +226,40 @@ class SdpProblem:
         return self.pencil.var_names
 
 
-def pencil_eval(pencil: MatrixPencil, y: Mapping[str, object]) -> np.ndarray:
-    """Evaluate F0 + sum_i y_i F_i; exact when the pencil is exact."""
+def _require_assignment(pencil: MatrixPencil, y: Mapping[str, object]) -> None:
     missing = [v for v in pencil.var_names if v not in y]
     if missing:
         raise MissingVariableError(f"missing assignment for {missing}")
-    if pencil.scalar == "double":
-        out = pencil.f0.copy()
-        for name, term in zip(pencil.var_names, pencil.terms):
-            out = out + float(y[name]) * term
-        return out
-    coeffs = [QUAD_ONE]
+
+
+def pencil_eval(pencil: MatrixPencil, y: Mapping[str, object]) -> np.ndarray:
+    """Evaluate F0 + sum_i y_i F_i; exact when the pencil is exact: then it
+    is `eval_split`, joined."""
+    if pencil.scalar == "exact":
+        return eval_split(pencil, y).join()
+    _require_assignment(pencil, y)
+    out = pencil.f0.copy()
+    for name, term in zip(pencil.var_names, pencil.terms):
+        out = out + float(y[name]) * term
+    return out
+
+
+def eval_split(pencil: MatrixPencil, y: Mapping[str, object]) -> QSplit:
+    """The split of F0 + sum_i y_i F_i for an exact pencil: one product of
+    (1, y_1, ..., y_m) with the pencil's split, flattened.
+    MissingVariableError when a variable has no value, TypeError when a
+    value is not an exact scalar (`to_quad`)."""
+    _require_assignment(pencil, y)
+    # `split` reads Fractions as they are, with no QuadExt made of them
+    coeffs = [Fraction(1)]
     for name in pencil.var_names:
+        x = y[name]
         try:
-            coeffs.append(to_quad(y[name]))
+            coeffs.append(x if type(x) is Fraction else to_quad(x))
         except TypeError:
             raise TypeError(f"assignment for {name} is not an exact scalar") from None
-    # one product: (1, y_1, ..., y_m) times the flattened stack (F0, F_1, ...)
     stack = pencil.split.reshape(pencil.m + 1, -1)
-    return qmatmul(coeffs, stack).reshape(pencil.n, pencil.n)
+    return (split(coeffs) @ stack).reshape(pencil.n, pencil.n)
 
 
 def pairing_split(pencil: MatrixPencil, X) -> QSplit:

@@ -315,6 +315,15 @@ class TestFindCertificate:
         )
         assert out.exact
         assert out.detail == "F(y) is positive definite at y = 2, z = 0"
+        # F0 = diag(1, -1), F_y = diag(0, 1): I = F0 + 2 F_y, so c0 = 1 > 0
+        # and the fit itself is the witness y = 2
+        pencil = MatrixPencil.from_upper(2, "exact", [(0, 0, 1), (1, 1, -1)], [("y", [(1, 1, 1)])])
+        assert facial._span_svd(pencil)[4]
+        out = find_reducing_certificate(
+            SdpProblem(pencil=pencil, objective=(quad(0),), name="positive-c0")
+        )
+        assert out.exact
+        assert out.detail == "F(y) is positive definite at y = 2"
 
     @pytest.mark.parametrize(
         "f0, terms",
@@ -329,12 +338,19 @@ class TestFindCertificate:
             ([(0, 0, -1), (1, 1, -1)], [("y", [(0, 0, 1), (1, 1, 2)])]),
         ],
     )
-    def test_traceless_pencil_without_witness_gets_no_exact_proof(self, f0, terms):
+    def test_traceless_pencil_without_witness_gets_no_exact_proof(
+        self, f0, terms, monkeypatch
+    ):
         # I is in the span of the pencil matrices only with a negative F0
         # coefficient: that proves the homogenized pencil strictly feasible,
-        # not this one
+        # not this one, and no margin problem is posed
         pencil = MatrixPencil.from_upper(2, "exact", f0, terms)
         prob = SdpProblem(pencil=pencil, objective=tuple(quad(0) for _ in terms))
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a margin problem was solved")
+
+        monkeypatch.setattr(facial, "solve_sdp", unused)
         with pytest.raises(SolverFailedError, match="no witness y"):
             find_reducing_certificate(prob)
 
