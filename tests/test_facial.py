@@ -318,7 +318,7 @@ class TestFindCertificate:
         # F0 = diag(1, -1), F_y = diag(0, 1): I = F0 + 2 F_y, so c0 = 1 > 0
         # and the fit itself is the witness y = 2
         pencil = MatrixPencil.from_upper(2, "exact", [(0, 0, 1), (1, 1, -1)], [("y", [(1, 1, 1)])])
-        assert facial._span_svd(pencil)[4]
+        assert facial._span_svd(pencil)[4]  # traceless: I lies in the span
         out = find_reducing_certificate(
             SdpProblem(pencil=pencil, objective=(quad(0),), name="positive-c0")
         )
