@@ -287,11 +287,13 @@ def _witnesses(p: MatrixPencil, K, c, traceless: bool):
     """The candidate witnesses y, cheapest first: y = 0, then, when the fit
     c of I has c0 > 0 and sum_k c_k F_k = c0 F(c / c0) factors, y = c / c0
     rounded to denominators 1, 10 and 100, each passed on only if F(y)
-    factors in floats.  When I lies in the span (`traceless`), the
-    witnesses (`_span_witness`) of c snapped down ROUNDING_LADDER follow,
-    for a c0 = 0 that holds in floats only, and last that of the exact
-    solve, its c0 shifted to 1 along a free homogeneous solution."""
-    if _factors(K[0], p.n):
+    factors in floats.  When I lies in the span (`traceless`), y = 0 skips
+    that screen, since no margin problem follows to catch an F0 positive
+    definite exactly but not in floats, and the witnesses (`_span_witness`)
+    of c snapped down ROUNDING_LADDER follow, for a c0 = 0 that holds in
+    floats only, and last that of the exact solve, its c0 shifted to 1
+    along a free homogeneous solution."""
+    if traceless or _factors(K[0], p.n):
         yield [QUAD_ZERO] * p.m
     if c[0] > 0 and _factors(c @ K, p.n):
         for den in (1, 10, 100):

@@ -324,6 +324,22 @@ class TestFindCertificate:
         )
         assert out.exact
         assert out.detail == "F(y) is positive definite at y = 2"
+        # F0 = [[1, 1], [1, 1 + d]] with d = 10^-20 is positive definite
+        # exactly (leading minors 1 and d) but singular in floats, and
+        # I = -F0 + F_y gives c0 = -1: only the exact test of y = 0 proves it
+        d = Fraction(1, 10**20)
+        pencil = MatrixPencil.from_upper(
+            2,
+            "exact",
+            [(0, 0, 1), (0, 1, 1), (1, 1, 1 + d)],
+            [("y", [(0, 0, 2), (0, 1, 1), (1, 1, 2 + d)])],
+        )
+        assert facial._span_svd(pencil)[4]  # traceless: I lies in the span
+        out = find_reducing_certificate(
+            SdpProblem(pencil=pencil, objective=(quad(0),), name="float-singular-f0")
+        )
+        assert out.exact
+        assert out.detail == "F(y) is positive definite at y = 0"
 
     @pytest.mark.parametrize(
         "f0, terms",
