@@ -16,8 +16,11 @@ The search runs in floats, from one SVD of the pencil's span
 L = span{F0, F_i} (`_span_svd`).  One witness walk comes first: a y with
 F(y) exactly positive definite proves an exact StrictlyFeasible verdict
 (`_witnesses`, `_witness_verdict`).  Otherwise, unless I lies in L, one
-margin solve over the same SVD (`build_alternative_problem`) decides the
-verdict, and its primal iterate, shifted along I, is the candidate.
+margin solve decides the verdict (`build_alternative_problem`), posed from
+the same SVD on its smaller side: over the trace-one slice of L's
+complement, whose optimal point is the candidate, or over L, whose primal
+iterate, shifted along I, is the candidate.  Only the span form's solve
+stops at an objective cut (FEAS_CUT).
 
 Every exact object rounded from a solver's iterate comes out of one loop,
 `_round_ladder`: at each rung a face
@@ -85,6 +88,7 @@ from .model import (
     UnknownVariableError,
     eval_split,
     matrix_entries,
+    pencil_eval,
 )
 from .solver import SolveResult, solve_sdp
 
@@ -252,10 +256,10 @@ def _chart_matrices(coords: np.ndarray, n: int, iu, w) -> np.ndarray:
 def _span_svd(p: MatrixPencil):
     """The pencil's span L = span{F0, F_i} from one SVD, K = U diag(s) Vt,
     of the chart coordinates K of F0, F_1, ..., F_m (`_chart_coordinates`):
-    (K, V, traces, fit, traceless).  V, Vt's first rank rows, is an
-    orthonormal basis of L, and its rows have the traces `traces`; the
-    other rows of Vt span L's complement, and I lies in L up to roundoff
-    (TRACE_FLOOR) when its part there is `traceless`.  `fit` is the
+    (K, V, traces, fit, traceless, perp).  V, Vt's first rank rows, is an
+    orthonormal basis of L, and its rows have the traces `traces`; perp,
+    the other rows of Vt, is one of L's complement, and I lies in L up to
+    roundoff (TRACE_FLOOR) when its part there is `traceless`.  `fit` is the
     least-squares c of I = c0 F0 + sum_i c_i F_i, of least norm when the
     matrices are dependent: c = U_r (V I / s_r)."""
     iu, w = _chart_coordinates(p.n)
@@ -266,7 +270,7 @@ def _span_svd(p: MatrixPencil):
     eye = (iu[0] == iu[1]).astype(float)
     traces = Vt[:r] @ eye
     traceless = np.linalg.norm(Vt[r:] @ eye) < TRACE_FLOOR
-    return K, Vt[:r], traces, U[:, :r] @ (traces / s[:r]), traceless
+    return K, Vt[:r], traces, U[:, :r] @ (traces / s[:r]), traceless, Vt[r:]
 
 
 def _factors(coords, n: int) -> bool:
@@ -366,36 +370,76 @@ def _positive_definite(M) -> bool:
 
 
 def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:
-    """The margin SDP of the second alternative, or None on a traceless slice.
+    """The margin SDP of the second alternative, posed on its smaller side,
+    or None on a traceless slice.
 
     The search's margin is t* = max t s.t. X - t I >= 0, X orthogonal to
     L = span{F0, F_i} and tr X = 1: the largest minimum eigenvalue on that
-    slice, nonnegative iff a reducing certificate exists.  This is its dual,
-    min mu s.t. S = mu I + Y >= 0, tr S = 1 and Y in L, with the same
-    optimum and the same PSD pair (X - t I, S), the solver's primal and
-    dual roles swapped.  It has one variable per dimension of L, not of
-    L's complement.
-
-    In sqrt2-weighted upper-triangle coordinates the Frobenius inner product
-    is the dot product, so the SVD of the pencil's constraint rows gives an
-    orthonormal basis V of L and one of its complement (`_span_svd`); the
-    distance of I from L is the norm of I's part in the complement.  One
-    more SVD orthonormalizes the trace-free parts of V: Q_k = Y_k - (c_k / n) I for
-    some Y_k in L with tr Y_k = c_k.  With Y = -sum_k q_k Y_k the trace
-    condition eliminates mu = (1 + c.q) / n, so S = I/n - sum_k q_k Q_k,
-    and maximizing -mu is objective -c/n with offset -1/n.  Variables
-    q1..qk, terms -Q_k.
+    slice, nonnegative iff a reducing certificate exists.  In sqrt2-weighted
+    upper-triangle coordinates the Frobenius inner product is the dot
+    product, so the SVD of the pencil's constraint rows gives orthonormal
+    bases of L and of its complement (`_span_svd`).  With N = n(n+1)/2 and
+    r = dim L, the problem is posed over the trace-one slice of the
+    complement, N - r variables (`_slice_margin_problem`), when that is
+    fewer than r, and otherwise over L from the dual side, r variables
+    (`_span_margin_problem`): the Schur complement grows with the variable
+    count.  Both are named `<name>-alternative-margin`.
 
     None means I lies in L up to roundoff (TRACE_FLOOR): the slice looks
     empty or traceless, and only a witness y decides (`_witnesses`).
     """
-    _, V, traces, _, traceless = _span_svd(prob.pencil)
-    return None if traceless else _margin_problem(prob, V, traces)
+    _, V, traces, _, traceless, perp = _span_svd(prob.pencil)
+    return None if traceless else _smaller_side(prob, V, traces, perp)[0]
 
 
-def _margin_problem(prob: SdpProblem, V, traces) -> SdpProblem:
-    """`build_alternative_problem`'s margin SDP, from `_span_svd`'s basis V
-    of the span and its traces."""
+def _smaller_side(prob: SdpProblem, V, traces, perp):
+    """(the margin SDP on its smaller side, whether that is the slice side),
+    from `_span_svd`'s bases of L and of its complement; a tie takes L."""
+    if len(perp) < len(V):
+        return _slice_margin_problem(prob, perp), True
+    return _span_margin_problem(prob, V, traces), False
+
+
+def _slice_margin_problem(prob: SdpProblem, perp) -> SdpProblem:
+    """The margin SDP over the trace-one slice of L's complement, from
+    `_span_svd`'s orthonormal basis perp of it: max t s.t.
+    X0 + sum_k z_k B_k - t I >= 0, variables z1..zk and slack_margin, terms
+    B_k and -I.  With tau = perp I the trace functional on the complement,
+    X0 = tau perp / |tau|^2 is its minimum-norm trace-one point, and one QR
+    of tau gives an orthonormal basis B of its trace-free directions.  Its
+    optimum is t* itself, and X(z*) = X0 + sum_k z_k B_k is the certificate
+    candidate."""
+    n = prob.pencil.n
+    iu, w = _chart_coordinates(n)
+    tau = perp @ (iu[0] == iu[1])
+    Q, _ = np.linalg.qr(tau[:, None], mode="complete")
+    coords = np.vstack([tau @ perp / (tau @ tau), Q[:, 1:].T @ perp])
+    X0, *B = _chart_matrices(coords, n, iu, w)
+    pencil = MatrixPencil(
+        n=n,
+        scalar="double",
+        f0=X0,
+        var_names=(*(f"z{k+1}" for k in range(len(B))), "slack_margin"),
+        terms=(*B, -np.eye(n)),
+    )
+    return SdpProblem(
+        pencil=pencil,
+        objective=(0.0,) * len(B) + (1.0,),
+        name=f"{prob.name or 'problem'}-alternative-margin",
+        note="margin problem of the second alternative, over the trace-one slice of L's complement",
+    )
+
+
+def _span_margin_problem(prob: SdpProblem, V, traces) -> SdpProblem:
+    """The margin SDP from the dual side, from `_span_svd`'s basis V of the
+    span and its traces: min mu s.t. S = mu I + Y >= 0, tr S = 1 and Y in
+    L, with the same optimum t* as `_slice_margin_problem` and the same PSD
+    pair (X - t I, S), the solver's primal and dual roles swapped.  One more
+    SVD orthonormalizes the trace-free parts of V: Q_k = Y_k - (c_k / n) I
+    for some Y_k in L with tr Y_k = c_k.  With Y = -sum_k q_k Y_k the trace
+    condition eliminates mu = (1 + c.q) / n, so S = I/n - sum_k q_k Q_k,
+    and maximizing -mu is objective -c/n with offset -1/n.  Variables
+    q1..qk, terms -Q_k."""
     n = prob.pencil.n
     iu, w = _chart_coordinates(n)
     eye = (iu[0] == iu[1]).astype(float)
@@ -419,10 +463,11 @@ def _margin_problem(prob: SdpProblem, V, traces) -> SdpProblem:
 
 # a best slack margin below -FEAS_CUT is numerical evidence that no
 # certificate exists (ten times the solver's feasibility tolerance).  It is
-# also the margin solve's objective cut: the first strictly feasible point
-# of the margin problem with slack margin mu(q) < -FEAS_CUT settles that
+# also the span form's objective cut: the first strictly feasible point of
+# `_span_margin_problem` with slack margin mu(q) < -FEAS_CUT settles that
 # verdict, since t* <= mu(q), so the solve stops there.  A certificate
-# means t* >= 0, which no such point can beat
+# means t* >= 0, which no such point can beat.  The slice form maximizes t
+# itself, so a cut there would only bound t* from below: it runs uncut
 FEAS_CUT = 1e-8
 
 # eigenvalues of the numerical certificate at or above this fraction of the
@@ -653,20 +698,23 @@ def find_reducing_certificate(prob: SdpProblem):
     its slice settles only the homogenized pencil (F0 = -I passes), so a
     walk that proves nothing raises SolverFailedError.
 
-    Otherwise the margin problem (`build_alternative_problem`) is solved.
-    Its optimum t* = -objective_dual is the largest minimum eigenvalue of a
-    trace-one X orthogonal to the pencil.  Its objective cut is FEAS_CUT, so
-    where no certificate exists it stops at the first q with
-    mu(q) < -FEAS_CUT: numeric StrictlyFeasible evidence whose detail
-    states that bound, not t*.  Where one exists t* >= 0 and the solve runs
-    to the optimum: the solver's primal X~ lies in the relative interior of
-    the optimal face, and X = X~ + ((1 - tr X~) / n) I, with X - t* I = X~,
-    is rounded face first and coordinates second, from the rank its
+    Otherwise the margin problem (`build_alternative_problem`) is solved on
+    its smaller side; its optimum t* is the largest minimum eigenvalue of a
+    trace-one X orthogonal to the pencil.  The slice form runs to its
+    optimum, and X = X(z*) is the candidate.  The span form's t* is
+    -objective_dual, and its objective cut is FEAS_CUT, so where no
+    certificate exists it stops at the first q with mu(q) < -FEAS_CUT; where
+    one exists t* >= 0 and the solve runs to the optimum, and X = X~ +
+    ((1 - tr X~) / n) I, with X - t* I = X~ the solver's primal.  A margin
+    below -FEAS_CUT is numeric StrictlyFeasible evidence whose detail states
+    it (at the span form's cut, as the bound it is).  Otherwise X, which an
+    interior-point optimum puts in the relative interior of the optimal
+    face, is rounded face first and coordinates second, from the rank its
     spectrum gives down to rank 1 (`_face_split_certificate`).  The note
     names the face's rung and, where it differs, the coordinates' rung.
     """
     p = prob.pencil
-    K, V, traces, fit, traceless = _span_svd(p)
+    K, V, traces, fit, traceless, perp = _span_svd(p)
     verdict = _witness_verdict(p, _witnesses(p, K, fit, traceless))
     if verdict is not None:
         return verdict
@@ -675,30 +723,36 @@ def find_reducing_certificate(prob: SdpProblem):
             "I is in the span of the pencil matrices in floats, but F(y) is positive "
             "definite at no candidate: no witness y proves strict feasibility"
         )
-    res = solve_sdp(_margin_problem(prob, V, traces), stop_above=FEAS_CUT)
+    alt, on_slice = _smaller_side(prob, V, traces, perp)
+    res = solve_sdp(alt, stop_above=None if on_slice else FEAS_CUT)
     if res.status.tag not in (StatusTag.OPTIMAL, StatusTag.OBJECTIVE_CUT_REACHED):
         raise SolverFailedError(
             f"alternative-problem solve ended with {res.status.tag.value}: "
             f"{res.status.message}"
         )
-    # mu(q) = -objective_dual at the solver's y: t* itself at an optimum, an
-    # upper bound on t* below -FEAS_CUT at the cut
-    margin = -res.objective_dual
+    # the slice form's objective is t; the span form's is -mu(q) at the
+    # solver's y: t* itself at an optimum, an upper bound on t* at the cut
+    margin = res.objective_dual if on_slice else -res.objective_dual
     if margin < -FEAS_CUT:
+        bound = "" if on_slice else "at most "
         return StrictlyFeasible(
             exact=False,
             tolerance=FEAS_CUT,
             detail=(
                 "the alternative problem is infeasible at solver tolerance "
-                f"(slack margin at most {margin:.3e}); this is numerical evidence, "
+                f"(slack margin {bound}{margin:.3e}); this is numerical evidence, "
                 "not an exact proof"
             ),
         )
 
-    # the solver's primal X~ pairs with Q_k as -c_k / n; shifted along I to
-    # trace one it is orthogonal to L, and X - t* I = X~
     n = prob.pencil.n
-    Xnum = res.X + ((1.0 - np.trace(res.X)) / n) * np.eye(n)
+    if on_slice:
+        # X(z*) = X0 + sum_k z_k B_k, the slice pencil at t = 0
+        Xnum = pencil_eval(alt.pencil, {**res.y, "slack_margin": 0.0})
+    else:
+        # the solver's primal X~ pairs with Q_k as -c_k / n; shifted along I
+        # to trace one it is orthogonal to L, and X - t* I = X~
+        Xnum = res.X + ((1.0 - np.trace(res.X)) / n) * np.eye(n)
     cert, reason = _face_split_certificate(prob, Xnum)
     if cert is None:
         raise RoundingFailedError(

@@ -60,8 +60,8 @@ iterate's objectives, residuals and gap, and the primal step, dual step and
 sigma taken from it.
 
 The start depends on F0.  When F0 is strictly diagonally dominant with a
-positive diagonal (every margin problem of the certificate search, whose F0
-is I/n), Z = F0 and y = 0 make the dual residual zero and X = xi I with xi =
+positive diagonal (every margin problem posed over the span, whose F0 is
+I/n), Z = F0 and y = 0 make the dual residual zero and X = xi I with xi =
 max(1, |b|, |F0|).  Otherwise the start is Mehrotra's least-squares point
 (SIAM J. Optim. 1992): X~ = A^T (A A^T)^{-1} b and y~ = (A A^T)^{-1} A vec(C)
 solve the two linear equations in the least-squares sense, Z~ = C - A^T y~,

@@ -507,6 +507,24 @@ def reference_chart_margin_problem(prob):
     )
 
 
+def span_margin_problem(prob):
+    """The search's margin SDP posed over the pencil's span, whichever side
+    the search itself takes (`facial._span_margin_problem`)."""
+    from strictfeas import facial
+
+    _, V, traces, *_ = facial._span_svd(prob.pencil)
+    return facial._span_margin_problem(prob, V, traces)
+
+
+def slice_margin_problem(prob):
+    """The search's margin SDP posed over the trace-one slice of the span's
+    complement, whichever side the search itself takes
+    (`facial._slice_margin_problem`)."""
+    from strictfeas import facial
+
+    return facial._slice_margin_problem(prob, facial._span_svd(prob.pencil)[5])
+
+
 def reference_constraint_rows(mats, pairs):
     """<Q, M> as a functional of the upper-triangle entries (i, j) in pairs
     of a symmetric M, one row per matrix Q, one QuadExt product at a time."""

@@ -416,22 +416,40 @@ class TestReduceCommand:
         assert solved["objective_dual"] == pytest.approx(0.5, abs=1e-9)
 
     def test_numeric_verdict_reported_as_evidence(self, tmpfile, capsys):
-        # strictly feasible pencils (F(y) > 0 for y > (1 + sqrt3)/2 and for
-        # y > 2) whose cheap witnesses prove nothing: F0 is not positive
-        # definite and the least-squares fit of I has c0 < 0 (-1/7 and
-        # -2/3).  Only the margin solve, stopped at its objective cut, sees
-        # that the slice holds no PSD matrix: reduce must not pass the
-        # verdict off as a proof
+        # strictly feasible pencils whose cheap witnesses prove nothing: F0
+        # is not positive definite and the least-squares fit of I has c0 < 0
+        # (-1/7 and -2/3; F(y) > 0 for y > (1 + sqrt3)/2 and for y > 2), or
+        # F0 is indefinite and I lies 1e-2 off the span.  Only the margin
+        # solve sees that the slice holds no PSD matrix: reduce must not pass
+        # the verdict off as a proof.  The 2 x 2 pencils span 2 of the 3
+        # symmetric dimensions, so the margin SDP is posed on the slice side
+        # and the detail states its optimum t*; the 3 x 3 one spans 3 of 6, a
+        # tie, so it is posed over the span and stops at its objective cut
+        eps = Fraction(1, 100)
         pencils = (
-            ("negative-fit", [(0, 0, -1), (0, 1, -1)], [(0, 0, 1), (1, 1, 2)]),
-            ("negative-fit-offdiag", [(0, 0, -1)], [(0, 0, 1), (0, 1, 1), (1, 1, 2)]),
+            ("negative-fit", 2, [(0, 0, -1), (0, 1, -1)], [("y", [(0, 0, 1), (1, 1, 2)])]),
+            ("negative-fit-offdiag", 2, [(0, 0, -1)], [("y", [(0, 0, 1), (0, 1, 1), (1, 1, 2)])]),
+            (
+                "near-identity-span",
+                3,
+                [(0, 0, 1), (1, 1, -1)],
+                [("a", [(0, 0, 1 + eps), (1, 1, 1), (2, 2, 1 - eps)]), ("b", [(0, 1, 1)])],
+            ),
         )
-        for name, f0, term in pencils:
-            pencil = MatrixPencil.from_upper(2, "exact", f0, [("y", term)])
-            prob = SdpProblem(pencil=pencil, objective=(quad(1),), name=name)
+        for name, n, f0, terms in pencils:
+            pencil = MatrixPencil.from_upper(n, "exact", f0, terms)
+            prob = SdpProblem(pencil=pencil, objective=(quad(1),) * len(terms), name=name)
             margin = facial.build_alternative_problem(prob)
-            cut = solve_sdp(margin, stop_above=facial.FEAS_CUT)
-            assert cut.status.tag is StatusTag.OBJECTIVE_CUT_REACHED
+            if n == 2:
+                assert margin.var_names == ("slack_margin",)
+                full = solve_sdp(margin)
+                assert full.status.tag is StatusTag.OPTIMAL
+                assert full.objective_dual < -facial.FEAS_CUT
+                stated = f"slack margin {full.objective_dual:.3e})"
+            else:
+                cut = solve_sdp(margin, stop_above=facial.FEAS_CUT)
+                assert cut.status.tag is StatusTag.OBJECTIVE_CUT_REACHED
+                stated = f"slack margin at most {-cut.objective_dual:.3e})"
             path = tmpfile(f"{name}.json")
             store_problem(prob, path)
             assert main(["reduce", path, "--json"]) == 0
@@ -439,7 +457,7 @@ class TestReduceCommand:
             assert reduced["verdict"] == "StrictlyFeasible"
             assert reduced["exact"] is False
             assert reduced["tolerance"] > 0
-            assert "slack margin at most" in reduced["detail"]
+            assert stated in reduced["detail"]
             assert main(["diagnose", path, "--json"]) == 0
             diagnosed = json.loads(capsys.readouterr().out)["reduction"]
             assert {k: reduced[k] for k in diagnosed} == diagnosed

@@ -94,6 +94,8 @@ from helpers import (
     reference_qmatmul,
     reference_split_matmul,
     reduction_digest,
+    slice_margin_problem,
+    span_margin_problem,
 )
 
 
@@ -190,10 +192,11 @@ class TestAlternativeProblem:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: almost_quantum_pencil(line2()), planted_chain_problem],
-        ids=["line2", "chain"],
+        [lambda: almost_quantum_pencil(line2()), planted_chain_problem, chsh_toy_pencil],
+        ids=["line2", "chain", "toy"],
     )
     def test_the_search_solves_the_margin_problem(self, make, monkeypatch):
+        # the span form with its objective cut, or the slice form uncut
         prob = make()
         solved = []
         solve = facial.solve_sdp
@@ -206,7 +209,7 @@ class TestAlternativeProblem:
         find_reducing_certificate(prob)
         want = build_alternative_problem(prob)
         ((got, stop_above),) = solved
-        assert stop_above == facial.FEAS_CUT
+        assert stop_above == (None if _on_slice(want) else facial.FEAS_CUT)
         assert got.name == want.name
         assert got.var_names == want.var_names
         assert got.objective == want.objective
@@ -214,6 +217,62 @@ class TestAlternativeProblem:
         assert np.array_equal(got.pencil.f0, want.pencil.f0)
         assert len(got.pencil.terms) == len(want.pencil.terms)
         assert all(np.array_equal(a, b) for a, b in zip(got.pencil.terms, want.pencil.terms))
+
+
+def _on_slice(alt: SdpProblem) -> bool:
+    """Whether a margin problem is posed on the slice side."""
+    return alt.var_names[-1:] == ("slack_margin",)
+
+
+class TestMarginForm:
+    """The search poses its margin SDP on the side with fewer variables:
+    the slice of L's complement when N - r < r, for N = n(n+1)/2 and
+    r = dim L, and otherwise, a tie included, the span L."""
+
+    @staticmethod
+    def _sides(prob):
+        p = prob.pencil
+        r = len(facial._span_svd(p)[1])
+        return p.n * (p.n + 1) // 2 - r, r
+
+    def _assert_side(self, prob, on_slice):
+        alt = build_alternative_problem(prob)
+        free, r = self._sides(prob)
+        assert (free < r) is on_slice, (prob.name, free, r)
+        assert _on_slice(alt) is on_slice, prob.name
+        assert len(alt.var_names) == (free if on_slice else r), prob.name
+        assert alt.name == f"{prob.name}-alternative-margin"
+
+    def test_bell_lines_and_interior_diagnose_take_the_span(self, monkeypatch):
+        for line in (line1, line2):
+            self._assert_side(almost_quantum_pencil(line()), False)
+        for case in _benchmark_inputs(monkeypatch, "interior-diagnose", 840):
+            assert self._sides(case.problem) == (36, 9)
+            self._assert_side(case.problem, False)
+
+    def test_planted_rounds_take_the_slice(self, monkeypatch):
+        searches = 0
+        for prob in _benchmark_inputs(monkeypatch, "planted-reduce", 840):
+            _, rounds, _ = reduce_problem(prob)
+            assert len(rounds) == 2
+            for search in (prob, rounds[0].problem):
+                self._assert_side(search, True)
+                searches += 1
+        assert searches == 64
+
+    def test_the_toy_takes_the_slice(self):
+        assert self._sides(chsh_toy_pencil()) == (6, 9)
+        self._assert_side(chsh_toy_pencil(), True)
+
+    @pytest.mark.parametrize(
+        "make",
+        [planted_chain_problem, lambda: _near_identity_span(Fraction(1, 100))],
+        ids=["chain", "near-identity"],
+    )
+    def test_a_tie_takes_the_span(self, make):
+        prob = make()
+        assert self._sides(prob) == (3, 3)
+        self._assert_side(prob, False)
 
 
 class TestFindCertificate:
@@ -486,6 +545,13 @@ def _margin(prob: SdpProblem, read) -> float:
     return read(res)
 
 
+def _t_star(alt: SdpProblem) -> float:
+    """The optimum t* of a margin problem of either form."""
+    if _on_slice(alt):
+        return _margin(alt, lambda r: r.y["slack_margin"])
+    return _margin(alt, lambda r: -r.objective_dual)
+
+
 class TestMarginEquivalence:
     """The margin problem over the pencil's span against the one over the
     float chart of the trace-one orthogonal slice: two sides of one
@@ -504,13 +570,14 @@ class TestMarginEquivalence:
                 assert isinstance(outcome, StrictlyFeasible) and outcome.exact, label
                 traceless += 1
                 continue
-            got = _margin(alt, lambda r: -r.objective_dual)
+            got = _t_star(alt)
             want = _margin(ref, lambda r: r.y["slack_margin"])
             assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (label, got, want)
             if want < -facial.FEAS_CUT:
-                # the margin solve itself, stopped at its cut, bounds t*
-                cut = -solver.solve_sdp(alt, stop_above=facial.FEAS_CUT).objective_dual
-                assert want - 1e-7 * max(1.0, abs(want)) <= cut < -facial.FEAS_CUT, label
+                if not _on_slice(alt):
+                    # the span form's solve, stopped at its cut, bounds t*
+                    cut = -solver.solve_sdp(alt, stop_above=facial.FEAS_CUT).objective_dual
+                    assert want - 1e-7 * max(1.0, abs(want)) <= cut < -facial.FEAS_CUT, label
                 assert isinstance(outcome, StrictlyFeasible), label
                 if outcome.exact:
                     assert_witness_proves(prob.pencil, outcome.detail)
@@ -518,6 +585,25 @@ class TestMarginEquivalence:
                 assert isinstance(outcome, ReducingCertificate), label
             seen += 1
         assert (seen, traceless) == (3 + 4 * 2 + 2 + 8, 4)
+
+    def test_planted_reduce_searches_agree_on_both_sides(self, monkeypatch):
+        # every search of the planted-reduce benchmark that poses a margin
+        # problem: the span form and the slice form it takes give the same
+        # t* and the same verdict class; the last search of each reduction
+        # is traceless and poses none
+        searches = 0
+        for prob in _benchmark_inputs(monkeypatch, "planted-reduce", 840):
+            _, rounds, _ = reduce_problem(prob)
+            for search in (prob, *(r.problem for r in rounds)):
+                if build_alternative_problem(search) is None:
+                    continue
+                t_span = _t_star(span_margin_problem(search))
+                t_slice = _t_star(slice_margin_problem(search))
+                label = (prob.name, searches, t_span, t_slice)
+                assert abs(t_span - t_slice) <= 1e-7 * max(1.0, abs(t_slice)), label
+                assert (t_span < -facial.FEAS_CUT) == (t_slice < -facial.FEAS_CUT), label
+                searches += 1
+        assert searches == 64
 
     @pytest.mark.parametrize("k", [2, 4, 6], ids=["1e-2", "1e-4", "1e-6"])
     def test_span_nearly_holding_the_identity(self, k):
@@ -531,6 +617,47 @@ class TestMarginEquivalence:
         assert isinstance(out, StrictlyFeasible) and not out.exact
         got = _margin(build_alternative_problem(prob), lambda r: -r.objective_dual)
         assert got == pytest.approx(-float((1 - eps) / (3 * eps)), rel=1e-8)
+
+    def test_slice_form_without_a_certificate(self, monkeypatch):
+        # the near-identity pencil padded with the off-diagonal units e1 e2
+        # and e0 e2: r = 5 of N = 6, so the slice side has one variable, t.
+        # No PSD X is orthogonal to it and no witness proves it, so the
+        # slice solve runs uncut to its optimum, and the numeric verdict
+        # states that t*, the chart side's
+        eps = Fraction(1, 100)
+        pencil = MatrixPencil.from_upper(
+            3,
+            "exact",
+            [(0, 0, 1), (1, 1, -1)],
+            [
+                ("a", [(0, 0, 1 + eps), (1, 1, 1), (2, 2, 1 - eps)]),
+                ("b", [(0, 1, 1)]),
+                ("c", [(1, 2, 1)]),
+                ("d", [(0, 2, 1)]),
+            ],
+        )
+        prob = SdpProblem(pencil=pencil, objective=(quad(0),) * 4, name="padded-near-identity")
+        solved = []
+        solve = facial.solve_sdp
+
+        def spy(problem, *, stop_above=None):
+            solved.append((problem, stop_above))
+            res = solve(problem, stop_above=stop_above)
+            solved.append(res)
+            return res
+
+        monkeypatch.setattr(facial, "solve_sdp", spy)
+        out = find_reducing_certificate(prob)
+        (alt, stop_above), res = solved
+        assert alt.var_names == ("slack_margin",) and stop_above is None
+        assert res.status.tag is model.StatusTag.OPTIMAL
+        want = _margin(reference_chart_margin_problem(prob), lambda r: r.y["slack_margin"])
+        assert want < -facial.FEAS_CUT
+        assert res.objective_dual == pytest.approx(want, rel=1e-7)
+        assert isinstance(out, StrictlyFeasible) and not out.exact
+        assert out.tolerance == facial.FEAS_CUT
+        assert f"(slack margin {res.objective_dual:.3e})" in out.detail
+        assert _detail_margin(out) == pytest.approx(want, rel=1e-3)
 
     def test_span_at_roundoff_from_the_identity_is_numeric_evidence(self):
         # eps = 1e-8: the margin solve's iterates grow like 1/eps, but a
@@ -551,8 +678,9 @@ class TestMarginEquivalence:
 
 
 def _detail_margin(verdict: StrictlyFeasible) -> float:
-    """The slack margin bound a numeric verdict's detail states."""
-    (margin,) = re.findall(r"slack margin at most (\S+)\)", verdict.detail)
+    """The slack margin a numeric verdict's detail states: the span form's
+    bound at its cut, or the slice form's optimum."""
+    (margin,) = re.findall(r"slack margin (?:at most )?(\S+)\)", verdict.detail)
     return float(margin)
 
 
@@ -585,11 +713,12 @@ class TestObjectiveCut:
                     assert _detail_margin(out) == float(f"{margin:.3e}"), (seed, rank)
 
     def test_no_certificate_carrier_reaches_the_cut(self):
+        # the cut is the span form's, whichever side the search takes
         carriers = 0
         for label, prob in _margin_inputs():
-            alt = build_alternative_problem(prob)
-            if alt is None:
+            if build_alternative_problem(prob) is None:
                 continue
+            alt = span_margin_problem(prob)
             full = solver.solve_sdp(alt)
             if -full.objective_dual < -facial.FEAS_CUT:
                 continue
@@ -610,10 +739,20 @@ def _near_identity_span(eps):
     return SdpProblem(pencil=pencil, objective=(quad(0), quad(0)), name="near-identity-span")
 
 
+def _negative_fit_problem() -> SdpProblem:
+    # F0 = [[-1, -1], [-1, 0]], F_y = diag(1, 2): r = 2 of N = 3, so the
+    # trace-one slice of the span's complement is one point, X0
+    pencil = MatrixPencil.from_upper(
+        2, "exact", [(0, 0, -1), (0, 1, -1)], [("y", [(0, 0, 1), (1, 1, 2)])]
+    )
+    return SdpProblem(pencil=pencil, objective=(quad(1),), name="negative-fit")
+
+
 class TestFloatSliceChart:
-    """The float chart of the trace-one orthogonal slice that
-    `reference_chart_margin_problem` poses the margin problem over, and the
-    chart matrices the margin problem's terms are built with."""
+    """The float chart of the trace-one orthogonal slice that the slice
+    form of the margin problem is posed over (`facial._slice_margin_problem`),
+    against `reference_chart_margin_problem`'s, and the chart matrices the
+    margin problems' terms are built with."""
 
     @pytest.mark.parametrize(
         "make",
@@ -621,17 +760,21 @@ class TestFloatSliceChart:
             lambda: almost_quantum_pencil(line1()),
             lambda: almost_quantum_pencil(line2()),
             chsh_toy_pencil,
+            _negative_fit_problem,
         ],
-        ids=["line1", "line2", "toy"],
+        ids=["line1", "line2", "toy", "one-dimensional"],
     )
     def test_chart_is_orthonormal_trace_one_slice(self, make):
         prob = make()
         p = prob.pencil
-        ref = reference_chart_margin_problem(prob)
-        X0, B = ref.pencil.f0, ref.pencil.terms[:-1]
+        alt = slice_margin_problem(prob)
+        X0, B = alt.pencil.f0, alt.pencil.terms[:-1]
+        assert alt.var_names == (*(f"z{k+1}" for k in range(len(B))), "slack_margin")
+        assert alt.objective == (0.0,) * len(B) + (1.0,)
+        assert np.array_equal(alt.pencil.terms[-1], -np.eye(p.n))
         assert np.trace(X0) == pytest.approx(1.0, abs=1e-12)
-        gram = np.array([[np.sum(a * b) for b in B] for a in B])
-        assert np.abs(gram - np.eye(len(B))).max() < 1e-12
+        gram = np.array([[np.sum(a * b) for b in B] for a in B]).reshape(len(B), len(B))
+        assert np.abs(gram - np.eye(len(B))).max(initial=0.0) < 1e-12
         for Q in (p.f0, *p.terms):
             Qf = to_float(Q)
             for M in (X0, *B):
@@ -643,8 +786,15 @@ class TestFloatSliceChart:
         # the pencil matrices themselves
         K = _upper_functionals(p.split).join()
         assert np.array_equal(K, reference_constraint_rows((p.f0, *p.terms), pairs))
+        # B is empty when the slice is one point (N - r = 1)
         assert len(B) == len(nullspace_exact(K)) - 1
-
+        # the reference chart: the same minimum-norm point, and directions
+        # spanning the same subspace (equal orthogonal projectors)
+        ref = reference_chart_margin_problem(prob)
+        assert np.abs(X0 - ref.pencil.f0).max() < 1e-12
+        Bf = np.array(B).reshape(len(B), p.n * p.n)
+        Rf = np.array(ref.pencil.terms[:-1]).reshape(len(B), p.n * p.n)
+        assert np.abs(Bf.T @ Bf - Rf.T @ Rf).max(initial=0.0) < 1e-12
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -1306,6 +1456,24 @@ class TestSoundness:
             ("a1",), ("a2",), ("a3",)
         ]
         assert [r.problem.pencil.n for r in rounds] == [7, 6, 5]
+        assert final is rounds[-1].problem
+        assert isinstance(verdict, StrictlyFeasible) and verdict.exact
+
+    def test_reduce_problem_planted_degree_three_n12_sqrt5(self):
+        # the pencil spans 48 of the 78 symmetric dimensions, so each margin
+        # problem is posed on the slice side (30 variables, then 19 and 9);
+        # round 1's iterate rounds there, its coordinates at the coarse
+        # rung, where the span side's found no face and raised
+        # RoundingFailedError
+        prob = planted_chain(np.random.default_rng(103), 12, 3, sqrt5=True)
+        final, rounds, verdict = reduce_problem(prob)
+        assert [r.constraints.eliminated_names for r in rounds] == [
+            ("a1",), ("a2",), ("a3",)
+        ]
+        assert [r.problem.pencil.n for r in rounds] == [11, 10, 9]
+        assert rounds[0].certificate.note == (
+            "face rounding at max_den=100, coordinates at max_den=10; rank 1"
+        )
         assert final is rounds[-1].problem
         assert isinstance(verdict, StrictlyFeasible) and verdict.exact
 

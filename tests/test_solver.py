@@ -27,7 +27,7 @@ from strictfeas.solver import (
     solve_sdp,
 )
 
-from helpers import interior_problem, random_certified_sdp
+from helpers import interior_problem, random_certified_sdp, span_margin_problem
 
 
 def simple_interval_problem():
@@ -492,8 +492,10 @@ class TestStartingPoint:
         assert res.diagnostics.history[0]["res_d"] == 0.0
 
     def test_margin_solves_are_the_f0_start_bit_for_bit(self):
-        # every margin problem has F0 = I/n, so it takes the F0 start; the
-        # digest is the one these solves gave before the least-squares start
+        # every margin problem over the pencil's span has F0 = I/n, so it
+        # takes the F0 start; the digest is the one these solves gave before
+        # the least-squares start.  The toy's search poses its margin SDP on
+        # the slice side, so its span form is built here directly
         probs = [
             bell.almost_quantum_pencil(bell.line1()),
             bell.almost_quantum_pencil(bell.line2()),
@@ -501,7 +503,7 @@ class TestStartingPoint:
         ]
         rng = np.random.default_rng(778)
         probs += [interior_problem(rng, 9, 8, rank)[0] for rank in range(1, 9)]
-        results = [solve_sdp(facial.build_alternative_problem(p)) for p in probs]
+        results = [solve_sdp(span_margin_problem(p)) for p in probs]
         assert {r.diagnostics.start for r in results} == {"F0"}
         assert _solve_digest(results) == (
             "2ee9352ef6fdc12fd1d93d44d50080abc5625351d35738f8718fd30f08abfaf6"
