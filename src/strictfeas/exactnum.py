@@ -346,8 +346,8 @@ def qarray(rows) -> np.ndarray:
     return _shared(list(zip(map(type, flat), flat)), lambda k: to_quad(k[1]), data.shape)
 
 
-def qzeros(n: int, m: int | None = None) -> np.ndarray:
-    out = np.empty((n, n if m is None else m), dtype=object)
+def qzeros(n: int) -> np.ndarray:
+    out = np.empty((n, n), dtype=object)
     out[...] = QUAD_ZERO
     return out
 
@@ -876,24 +876,6 @@ def reconstruct_rational(
     return cand if abs(x - float(cand)) <= tol else None
 
 
-def _convergents(x: float, max_den: int, max_terms: int = 30) -> list[Fraction]:
-    """Continued-fraction convergents of x with denominator <= max_den."""
-    out: list[Fraction] = []
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    value = x
-    for _ in range(max_terms):
-        a = math.floor(value)
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > max_den:
-            break
-        out.append(Fraction(p1, q1))
-        frac = value - a
-        if frac < 1e-15:
-            break
-        value = 1.0 / frac
-    return out
-
-
 def _height(f: Fraction) -> int:
     return max(abs(f.numerator), f.denominator)
 
@@ -934,7 +916,10 @@ class QuadCandidates:
 
     def best(self, max_den: int) -> QuadExt | None:
         """Small-height a + b*sqrt5 within 1e-6 of x, or None (see
-        `reconstruct_quadext`)."""
+        `reconstruct_quadext`): 0 when |x| <= 1e-6, else the admissible
+        candidate of least height among the rational fit of x and the PSLQ
+        relations at each of _PSLQ_TOLS in turn, up to the first admissible
+        one."""
         if max_den < 1:
             raise ValueError("max_den must be >= 1")
         x = self.x
@@ -949,10 +934,6 @@ class QuadCandidates:
         r = reconstruct_rational(x, max_den)
         if r is not None:
             candidates.append(QuadExt(r))
-
-        for a in [Fraction(0)] + _convergents(x, max_den):
-            b = Fraction((x - float(a)) / SQRT5).limit_denominator(max_den)
-            candidates.append(QuadExt(a, b))
 
         def admissible(q: QuadExt) -> bool:
             return (
@@ -985,9 +966,10 @@ class QuadCandidates:
 def reconstruct_quadext(x: float, max_den: int = 10**6) -> QuadExt | None:
     """Small-height a + b*sqrt5 with |x - (a + b*sqrt5)| <= 1e-6, or None.
 
-    Candidates come from three generators: a plain rational reconstruction,
-    pairs (a, b) with a among the convergents of x and b reconstructed from
-    (x - a)/sqrt5, and a PSLQ integer relation between (x, 1, sqrt5).  The
-    verified candidate of smallest height wins.
+    Candidates come from two generators: a plain rational reconstruction,
+    which keeps a small-denominator answer for a noisy rational x, and a
+    PSLQ integer relation p x + q + r sqrt5 = 0 between (x, 1, sqrt5), the
+    only source of a nonzero b.  The verified candidate of smallest height
+    wins.
     """
     return QuadCandidates(x).best(max_den)

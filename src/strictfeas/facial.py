@@ -244,10 +244,11 @@ def _chart_coordinates(n: int):
     return iu, w
 
 
-def _chart_matrices(coords: np.ndarray, n: int, iu, w) -> np.ndarray:
+def _chart_matrices(coords: np.ndarray, n: int) -> np.ndarray:
     """The (k, n, n) stack of symmetric matrices whose weighted upper
-    triangles are the rows of `coords`, built in one step; (iu, w) is
-    `_chart_coordinates(n)`."""
+    triangles are the rows of `coords` (`_chart_coordinates(n)`), built in
+    one step."""
+    iu, w = _chart_coordinates(n)
     M = np.zeros((len(coords), n, n))
     M[:, iu[0], iu[1]] = coords / w
     return M + np.triu(M, 1).transpose(0, 2, 1)
@@ -410,11 +411,11 @@ def _slice_margin_problem(prob: SdpProblem, perp) -> SdpProblem:
     optimum is t* itself, and X(z*) = X0 + sum_k z_k B_k is the certificate
     candidate."""
     n = prob.pencil.n
-    iu, w = _chart_coordinates(n)
+    iu = _chart_coordinates(n)[0]
     tau = perp @ (iu[0] == iu[1])
     Q, _ = np.linalg.qr(tau[:, None], mode="complete")
     coords = np.vstack([tau @ perp / (tau @ tau), Q[:, 1:].T @ perp])
-    X0, *B = _chart_matrices(coords, n, iu, w)
+    X0, *B = _chart_matrices(coords, n)
     pencil = MatrixPencil(
         n=n,
         scalar="double",
@@ -441,7 +442,7 @@ def _span_margin_problem(prob: SdpProblem, V, traces) -> SdpProblem:
     and maximizing -mu is objective -c/n with offset -1/n.  Variables
     q1..qk, terms -Q_k."""
     n = prob.pencil.n
-    iu, w = _chart_coordinates(n)
+    iu = _chart_coordinates(n)[0]
     eye = (iu[0] == iu[1]).astype(float)
     U, sq, Q = np.linalg.svd(V - np.outer(traces / n, eye), full_matrices=False)
     c = (U.T @ traces) / sq
@@ -450,7 +451,7 @@ def _span_margin_problem(prob: SdpProblem, V, traces) -> SdpProblem:
         scalar="double",
         f0=np.eye(n) / n,
         var_names=tuple(f"q{k+1}" for k in range(len(Q))),
-        terms=tuple(_chart_matrices(-Q, n, iu, w)),
+        terms=tuple(_chart_matrices(-Q, n)),
     )
     return SdpProblem(
         pencil=pencil,

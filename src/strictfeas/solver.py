@@ -383,13 +383,8 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
     c_diag = np.diag(C)
     dom = np.all(c_diag > 0) and np.all(2 * c_diag > np.abs(C).sum(axis=1))
     # one SVD of A is the rank test (numpy's matrix_rank at tol 1e-12) and,
-    # off the dominant branch, the least-squares solves; the dominant branch
-    # skips the singular vectors, which nearly triple the SVD's cost at a
-    # margin problem's size (m = 35, n = 9)
-    if dom:
-        s = np.linalg.svd(Aflat, compute_uv=False)
-    else:
-        U, s, Vt = np.linalg.svd(Aflat, full_matrices=False)
+    # off the dominant branch, the least-squares solves
+    U, s, Vt = np.linalg.svd(Aflat, full_matrices=False)
     if np.count_nonzero(s > 1e-12) < m:
         raise InvalidProblemError(["linearly dependent constraint matrices"])
 
@@ -422,7 +417,6 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
     stagnant = 0
     cond = 0.0
     tau = STEP_FRAC
-    status = None
 
     for it in range(MAX_ITER):
         Rp, Rd, rp_max, rd_max, xz = state
@@ -568,8 +562,6 @@ def solve_sdp(prob: SdpProblem, *, stop_above: float | None = None) -> SolveResu
     else:
         status = SolveStatus(StatusTag.ITERATION_LIMIT, f"no convergence in {MAX_ITER} iterations")
 
-    if status is None:  # pragma: no cover - defensive
-        status = SolveStatus(StatusTag.ITERATION_LIMIT, "no status recorded")
     return finish(status, y, X, cond)
 
 

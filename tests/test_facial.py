@@ -60,7 +60,6 @@ from strictfeas.facial import (
     ROUNDING_LADDER,
     StrictlyFeasible,
     _affine_solve_exact,
-    _chart_coordinates,
     _chart_matrices,
     _face_split_certificate,
     _round_face,
@@ -809,7 +808,7 @@ class TestFloatSliceChart:
         coords = np.array(
             data.draw(st.lists(st.lists(entry, min_size=size, max_size=size), min_size=k, max_size=k))
         )
-        got = _chart_matrices(coords, n, *_chart_coordinates(n))
+        got = _chart_matrices(coords, n)
         want = np.stack(reference_chart_matrices(coords, n))
         assert got.shape == (k, n, n)
         assert got.tobytes() == want.tobytes()
@@ -1413,11 +1412,18 @@ class TestSoundness:
     def test_reduce_problem_planted_degree_three(self):
         # the first margin iterate sits ~gap^(1/4) off the face, beyond the
         # tolerances of the rungs built for ~sqrt(gap) iterates: only the
-        # ladder's last, coarse rung snaps it to the true face
+        # ladder's last, coarse rung snaps it to the true face.  The data
+        # are rational, and every face and coordinate snaps at a rational
+        # rung
         prob = planted_chain(np.random.default_rng(104), 4, 3)
         final, rounds, verdict = reduce_problem(prob)
         assert [r.constraints.eliminated_names for r in rounds] == [
             ("a1",), ("a2",), ("a3",)
+        ]
+        assert [r.certificate.note for r in rounds] == [
+            "face rounding at max_den=10, coordinates at max_den=100; rank 1",
+            "face rounding at max_den=100; rank 1",
+            "face rounding at max_den=100; rank 1",
         ]
         assert_ends_strictly_feasible(prob, final, rounds, verdict)
 
