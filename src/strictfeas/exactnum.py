@@ -884,92 +884,61 @@ def _height(f: Fraction) -> int:
 _PSLQ_TOLS = ("1e-12", "1e-9", "1e-7")
 
 
-class QuadCandidates:
-    """The Q(sqrt5) reconstruction of one float, for any max_den.
-
-    `reconstruct_quadext(x, max_den)` is `QuadCandidates(x).best(max_den)`.
-    The PSLQ relations, the costly candidates, depend on max_den only
-    through their maxcoeff, max(max_den, 10**6); each is computed once per
-    object, so snapping one value at several denominator bounds runs PSLQ at
-    most once per tolerance.
-    """
-
-    __slots__ = ("x", "_relations")
-
-    def __init__(self, x: float):
-        if not math.isfinite(x):
-            raise NonFiniteError(f"cannot reconstruct from {x!r}")
-        self.x = x
-        self._relations: dict = {}
-
-    def _relation(self, maxcoeff: int, tol: str):
-        key = (maxcoeff, tol)
-        if key not in self._relations:
-            with mpmath.workdps(40):
-                self._relations[key] = mpmath.pslq(
-                    [mpmath.mpf(self.x), mpmath.mpf(1), mpmath.sqrt(5)],
-                    tol=mpmath.mpf(tol),
-                    maxcoeff=maxcoeff,
-                    maxsteps=10000,
-                )
-        return self._relations[key]
-
-    def best(self, max_den: int) -> QuadExt | None:
-        """Small-height a + b*sqrt5 within 1e-6 of x, or None (see
-        `reconstruct_quadext`): 0 when |x| <= 1e-6, else the admissible
-        candidate of least height among the rational fit of x and the PSLQ
-        relations at each of _PSLQ_TOLS in turn, up to the first admissible
-        one."""
-        if max_den < 1:
-            raise ValueError("max_den must be >= 1")
-        x = self.x
-        if abs(x) <= RECONSTRUCT_TOL:
-            # 0 is admissible and has the smallest height; PSLQ would reject
-            # an exact zero, and at its working precision treats a tiny x as
-            # one
-            return QUAD_ZERO
-
-        candidates: list[QuadExt] = []
-
-        r = reconstruct_rational(x, max_den)
-        if r is not None:
-            candidates.append(QuadExt(r))
-
-        def admissible(q: QuadExt) -> bool:
-            return (
-                q.a.denominator <= max_den
-                and q.b.denominator <= max_den
-                and abs(x - float(q)) <= RECONSTRUCT_TOL
-            )
-
-        for tol in _PSLQ_TOLS:
-            rel = self._relation(max(max_den, 10**6), tol)
-            if rel and rel[0] != 0:
-                cand = QuadExt(Fraction(-rel[1], rel[0]), Fraction(-rel[2], rel[0]))
-                candidates.append(cand)
-                if admissible(cand):
-                    break
-
-        verified = [q for q in candidates if admissible(q)]
-        if not verified:
-            return None
-        return min(
-            verified,
-            key=lambda q: (
-                max(_height(q.a), _height(q.b)),
-                _height(q.b),
-                _height(q.a),
-            ),
-        )
-
-
 def reconstruct_quadext(x: float, max_den: int = 10**6) -> QuadExt | None:
     """Small-height a + b*sqrt5 with |x - (a + b*sqrt5)| <= 1e-6, or None.
 
-    Candidates come from two generators: a plain rational reconstruction,
-    which keeps a small-denominator answer for a noisy rational x, and a
-    PSLQ integer relation p x + q + r sqrt5 = 0 between (x, 1, sqrt5), the
-    only source of a nonzero b.  The verified candidate of smallest height
-    wins.
+    0 when |x| <= 1e-6.  Otherwise the candidates are the rational fit of
+    x (`reconstruct_rational`), which keeps a small-denominator answer for
+    a noisy rational x, and the PSLQ integer relation p x + q + r sqrt5 = 0
+    between (x, 1, sqrt5) at each of _PSLQ_TOLS in turn, up to the first
+    admissible one: the only source of a nonzero b.  A candidate is
+    admissible when both parts have denominators at most max_den and it
+    lies within 1e-6 of x; the admissible one of least height wins.
     """
-    return QuadCandidates(x).best(max_den)
+    if not math.isfinite(x):
+        raise NonFiniteError(f"cannot reconstruct from {x!r}")
+    if max_den < 1:
+        raise ValueError("max_den must be >= 1")
+    if abs(x) <= RECONSTRUCT_TOL:
+        # 0 is admissible and has the smallest height; PSLQ would reject an
+        # exact zero, and at its working precision treats a tiny x as one
+        return QUAD_ZERO
+
+    candidates: list[QuadExt] = []
+
+    r = reconstruct_rational(x, max_den)
+    if r is not None:
+        candidates.append(QuadExt(r))
+
+    def admissible(q: QuadExt) -> bool:
+        return (
+            q.a.denominator <= max_den
+            and q.b.denominator <= max_den
+            and abs(x - float(q)) <= RECONSTRUCT_TOL
+        )
+
+    for tol in _PSLQ_TOLS:
+        with mpmath.workdps(40):
+            rel = mpmath.pslq(
+                [mpmath.mpf(x), mpmath.mpf(1), mpmath.sqrt(5)],
+                tol=mpmath.mpf(tol),
+                maxcoeff=max(max_den, 10**6),
+                maxsteps=10000,
+            )
+        if rel and rel[0] != 0:
+            cand = QuadExt(Fraction(-rel[1], rel[0]), Fraction(-rel[2], rel[0]))
+            candidates.append(cand)
+            if admissible(cand):
+                break
+
+    verified = [q for q in candidates if admissible(q)]
+    if not verified:
+        return None
+    return min(
+        verified,
+        key=lambda q: (
+            max(_height(q.a), _height(q.b)),
+            _height(q.b),
+            _height(q.a),
+        ),
+    )

@@ -56,7 +56,6 @@ from .exactnum import (
     QUAD_ZERO,
     RECONSTRUCT_TOL,
     QSplit,
-    QuadCandidates,
     QuadExt,
     as_quad,
     format_scalar,
@@ -67,6 +66,7 @@ from .exactnum import (
     psd_check_exact,
     qconcat,
     qcongruence,
+    reconstruct_quadext,
     reconstruct_rational,
     row_space_split,
     split,
@@ -78,7 +78,6 @@ from .exactnum import (  # noqa: F401
     frob_inner,
     kernel_basis_exact,
     nullspace_exact,
-    reconstruct_quadext,
     row_space_basis_exact,
 )
 from .model import (
@@ -307,9 +306,8 @@ def _witnesses(p: MatrixPencil, K, c, traceless: bool):
                 yield [Fraction(int(x), den) for x in a]
     if not traceless:
         return
-    snaps = _Snaps(c)
     for rung in ROUNDING_LADDER:
-        snapped = snaps.at(*rung)
+        snapped = _snap(c, *rung)
         if snapped is not None:
             yield _span_witness([as_quad(x) for x in snapped], p.f0)
     iu = _chart_coordinates(p.n)[0]
@@ -479,20 +477,19 @@ RANK_CUTOFF = 1e-6
 # order by `_round_ladder` and, for the fit of I, by `_witnesses`.
 # Iterates sit ~sqrt(gap) off the optimal face, so the small-denominator
 # rational snaps need a loose acceptance; that is sound because exact
-# verification guards every snap.  Q(sqrt5)
-# reconstruction comes only after plain rationals fail.  The last, coarse
-# rung is for chains of singularity degree d >= 3, whose iterates sit about
-# gap^(2^-d) off the face (Sturm, SIAM J. Optim. 2000), beyond the first
-# rung's tolerance: a face with small integer entries still snaps at den 10
-# within 1e-2.  It comes last, so it is tried only where every other rung
-# fails.  `_Snaps` does each entry's work once across the rungs.
+# verification guards every snap.  Q(sqrt5) reconstruction comes only after
+# plain rationals fail, and only at max_den 100, where Bell problem 2's
+# optimum face snaps; no walk wins at a larger Q(sqrt5) height.  The last,
+# coarse rung is for chains of singularity degree d >= 3, whose iterates sit
+# about gap^(2^-d) off the face (Sturm, SIAM J. Optim. 2000), beyond the
+# first rung's tolerance: a face with small integer entries still snaps at
+# den 10 within 1e-2.  It comes last, so it is tried only where every other
+# rung fails.
 ROUNDING_LADDER = (
     (100, False, 1e-3),
     (10**4, False, 1e-5),
     (10**6, False, RECONSTRUCT_TOL),
     (100, True, RECONSTRUCT_TOL),
-    (10**4, True, RECONSTRUCT_TOL),
-    (10**6, True, RECONSTRUCT_TOL),
     (10, False, 1e-2),
 )
 
@@ -505,45 +502,35 @@ def _rung_name(rung) -> str:
 _FRACTION_ZERO = Fraction(0)
 
 
-class _Snaps:
-    """The rounding ladder's snaps of one float vector, each entry's work
-    done once.
+def _snap(x, den: int, extension: bool, tol: float) -> list | None:
+    """The float vector x snapped at one rung of the rounding ladder:
+    Fractions at a rational rung, QuadExt over Q(sqrt5) (`reconstruct_quadext`
+    per entry), or None when an entry does not snap.
 
     At a rational rung (den, tol) an entry with |x| < 1/(2 den) snaps to 0,
     which is then the closest fraction with denominator at most den and so
     what `reconstruct_rational` returns, and it is accepted iff |x| <= tol;
-    any other entry goes through `reconstruct_rational`.  At a Q(sqrt5) rung
-    each entry's candidates are built once (`QuadCandidates`) and filtered
-    by den, so PSLQ runs at most once per entry and tolerance.
+    any other entry goes through `reconstruct_rational`.
     """
-
-    def __init__(self, values):
-        self.x = np.asarray(values, dtype=float)
-        self._quads: list[QuadCandidates] | None = None
-
-    def at(self, den: int, extension: bool, tol: float) -> list | None:
-        """The snapped exact scalars (Fractions at a rational rung, QuadExt
-        over Q(sqrt5)), or None when an entry does not snap."""
-        xs = self.x.tolist()
-        if extension:
-            if self._quads is None:
-                self._quads = [QuadCandidates(x) for x in xs]
-            snapped = (q.best(den) for q in self._quads)
-        else:
-            # rounding is monotone, so a float product below 1 is an exact one
-            tiny = (np.abs(self.x) * (2 * den) < 1.0).tolist()
-            snapped = (
-                (_FRACTION_ZERO if abs(x) <= tol else None)
-                if zero
-                else reconstruct_rational(x, den, tol)
-                for x, zero in zip(xs, tiny)
-            )
-        out = []
-        for r in snapped:
-            if r is None:
-                return None
-            out.append(r)
-        return out
+    x = np.asarray(x, dtype=float)
+    xs = x.tolist()
+    if extension:
+        snapped = (reconstruct_quadext(v, den) for v in xs)
+    else:
+        # rounding is monotone, so a float product below 1 is an exact one
+        tiny = (np.abs(x) * (2 * den) < 1.0).tolist()
+        snapped = (
+            (_FRACTION_ZERO if abs(v) <= tol else None)
+            if zero
+            else reconstruct_rational(v, den, tol)
+            for v, zero in zip(xs, tiny)
+        )
+    out = []
+    for r in snapped:
+        if r is None:
+            return None
+        out.append(r)
+    return out
 
 
 def _affine_solve_exact(K, rhs) -> QSplit | None:
@@ -597,7 +584,7 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
     A column-pivoted Gram-Schmidt pass over the columns of Vr^T picks r
     pivots, and E = Vr^T[:, piv]^-1 Vr^T is the face's basis with
     E[:, piv] = I.  E depends on the face and the pivots alone, so its
-    other entries, snapped once for all rungs (`_Snaps`), round to small
+    other entries, snapped at each rung (`_snap`), round to small
     exact numbers wherever in the face the solver lands.  At each rung the
     face builder fixes W, the reduced row echelon basis of the snapped rows
     as primitive integer columns, with the conditions <W^T Q W, M> = 0 for
@@ -615,13 +602,13 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
         residual -= np.outer(q, q @ residual)
         piv.append(k)
     free = [k for k in range(n) if k not in piv]
-    snaps = _Snaps(np.linalg.solve(Vr.T[:, piv], Vr.T)[:, free].ravel())
+    entries = np.linalg.solve(Vr.T[:, piv], Vr.T)[:, free].ravel()
     basis = np.full((r, n), _FRACTION_ZERO, dtype=object)
     basis[range(r), piv] = Fraction(1)
     rhs = [QUAD_ZERO] * (p.m + 1) + [QUAD_ONE]
 
     def face(rung):
-        coords = snaps.at(*rung)
+        coords = _snap(entries, *rung)
         if coords is None:
             return "face basis entries not representable"
         basis[:, free] = np.array(coords, dtype=object).reshape(r, n - r)
@@ -673,9 +660,9 @@ def _round_ladder(face, Xnum: np.ndarray, verify):
         mflat = (Wpinv @ Xnum @ Wpinv.T)[_chart_coordinates(r)[0]]
         # to_float of a split is float(QuadExt) bit for bit, row by row
         Bf = to_float(basis)
-        snaps = _Snaps(np.linalg.lstsq(Bf[1:].T, mflat - Bf[0], rcond=None)[0])
+        fit = np.linalg.lstsq(Bf[1:].T, mflat - Bf[0], rcond=None)[0]
         for inner in ROUNDING_LADDER:
-            s = snaps.at(*inner)
+            s = _snap(fit, *inner)
             if s is None:
                 why = f"coordinates not representable at {_rung_name(inner)}"
                 continue
@@ -702,7 +689,9 @@ def find_reducing_certificate(prob: SdpProblem):
     Otherwise the margin problem (`build_alternative_problem`) is solved on
     its smaller side; its optimum t* is the largest minimum eigenvalue of a
     trace-one X orthogonal to the pencil.  The slice form runs to its
-    optimum, and X = X(z*) is the candidate.  The span form's t* is
+    optimum, and X = X(z*) is the candidate; a slice of one point X0
+    (N - r = 1) poses no SDP: t* = lambda_min(X0), and X0 is the
+    candidate.  The span form's t* is
     -objective_dual, and its objective cut is FEAS_CUT, so where no
     certificate exists it stops at the first q with mu(q) < -FEAS_CUT; where
     one exists t* >= 0 and the solve runs to the optimum, and X = X~ +
@@ -725,15 +714,27 @@ def find_reducing_certificate(prob: SdpProblem):
             "definite at no candidate: no witness y proves strict feasibility"
         )
     alt, on_slice = _smaller_side(prob, V, traces, perp)
-    res = solve_sdp(alt, stop_above=None if on_slice else FEAS_CUT)
-    if res.status.tag not in (StatusTag.OPTIMAL, StatusTag.OBJECTIVE_CUT_REACHED):
-        raise SolverFailedError(
-            f"alternative-problem solve ended with {res.status.tag.value}: "
-            f"{res.status.message}"
-        )
-    # the slice form's objective is t; the span form's is -mu(q) at the
-    # solver's y: t* itself at an optimum, an upper bound on t* at the cut
-    margin = res.objective_dual if on_slice else -res.objective_dual
+    if on_slice and len(perp) == 1:
+        # a one-point slice {X0}: t* = lambda_min(X0), and no SDP to solve
+        Xnum = alt.pencil.f0
+        margin = float(np.linalg.eigvalsh(Xnum)[0])
+    else:
+        res = solve_sdp(alt, stop_above=None if on_slice else FEAS_CUT)
+        if res.status.tag not in (StatusTag.OPTIMAL, StatusTag.OBJECTIVE_CUT_REACHED):
+            raise SolverFailedError(
+                f"alternative-problem solve ended with {res.status.tag.value}: "
+                f"{res.status.message}"
+            )
+        # the slice form's objective is t; the span form's is -mu(q) at the
+        # solver's y: t* itself at an optimum, an upper bound on t* at the cut
+        margin = res.objective_dual if on_slice else -res.objective_dual
+        if on_slice:
+            # X(z*) = X0 + sum_k z_k B_k, the slice pencil at t = 0
+            Xnum = pencil_eval(alt.pencil, {**res.y, "slack_margin": 0.0})
+        else:
+            # the solver's primal X~ pairs with Q_k as -c_k / n; shifted
+            # along I to trace one it is orthogonal to L, and X - t* I = X~
+            Xnum = res.X + ((1.0 - np.trace(res.X)) / p.n) * np.eye(p.n)
     if margin < -FEAS_CUT:
         bound = "" if on_slice else "at most "
         return StrictlyFeasible(
@@ -745,15 +746,6 @@ def find_reducing_certificate(prob: SdpProblem):
                 "not an exact proof"
             ),
         )
-
-    n = prob.pencil.n
-    if on_slice:
-        # X(z*) = X0 + sum_k z_k B_k, the slice pencil at t = 0
-        Xnum = pencil_eval(alt.pencil, {**res.y, "slack_margin": 0.0})
-    else:
-        # the solver's primal X~ pairs with Q_k as -c_k / n; shifted along I
-        # to trace one it is orthogonal to L, and X - t* I = X~
-        Xnum = res.X + ((1.0 - np.trace(res.X)) / n) * np.eye(n)
     cert, reason = _face_split_certificate(prob, Xnum)
     if cert is None:
         raise RoundingFailedError(
@@ -785,12 +777,12 @@ def certify_optimum(
     rank = 0  # a constant objective is bounded by X = 0, whatever the kernel of F(y)
     if any(map(bool, prob.objective)):
         rank = max(1, _numerical_rank(np.linalg.eigvalsh(res.X)))
-    snaps = _Snaps([res.y[v] for v in p.var_names])
+    ystar = [res.y[v] for v in p.var_names]
     rhs = [-c for c in prob.objective]
     points = {}
 
     def face(rung):
-        y = snaps.at(*rung)
+        y = _snap(ystar, *rung)
         if y is None:
             return "y is not representable"
         point = points[rung] = dict(zip(p.var_names, map(as_quad, y)))

@@ -17,7 +17,6 @@ from strictfeas.exactnum import (
     NonFiniteError,
     NonSymmetricError,
     QSplit,
-    QuadCandidates,
     QuadExt,
     as_quad,
     format_scalar,
@@ -318,21 +317,6 @@ class TestReconstruction:
         # float(ALPHA) -> 0.17799821111...
         assert float(ALPHA) == pytest.approx(0.1779982111, abs=5e-11)
         assert reconstruct_quadext(0.1779982111, 100) == ALPHA
-
-    @given(
-        st.one_of(
-            quads_st.map(float),
-            st.floats(min_value=-3, max_value=3),
-            st.sampled_from([0.0, -0.0, 1e-7, -2e-6, 5e-324]),
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_candidates_serve_every_bound(self, x):
-        # one QuadCandidates, its PSLQ relations reused, against a fresh
-        # reconstruction at each bound
-        cands = QuadCandidates(x)
-        for den in (100, 10**4, 10**6, 10**7, 100):
-            assert repr(cands.best(den)) == repr(reconstruct_quadext(x, den))
 
     def test_quadext_round_trip(self):
         rng = random.Random(5)

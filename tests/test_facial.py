@@ -63,7 +63,7 @@ from strictfeas.facial import (
     _chart_matrices,
     _face_split_certificate,
     _round_face,
-    _Snaps,
+    _snap,
     _symmetric_split,
     _upper_functionals,
     apply_constraints,
@@ -619,10 +619,11 @@ class TestMarginEquivalence:
 
     def test_slice_form_without_a_certificate(self, monkeypatch):
         # the near-identity pencil padded with the off-diagonal units e1 e2
-        # and e0 e2: r = 5 of N = 6, so the slice side has one variable, t.
-        # No PSD X is orthogonal to it and no witness proves it, so the
-        # slice solve runs uncut to its optimum, and the numeric verdict
-        # states that t*, the chart side's
+        # and e0 e2: r = 5 of N = 6, so the slice side is the one point X0
+        # and its margin problem has the one variable t.  No SDP is solved:
+        # t* = lambda_min(X0), the chart side's optimum.  No PSD X is
+        # orthogonal to the pencil and no witness proves it, so the numeric
+        # verdict states that t*
         eps = Fraction(1, 100)
         pencil = MatrixPencil.from_upper(
             3,
@@ -636,27 +637,27 @@ class TestMarginEquivalence:
             ],
         )
         prob = SdpProblem(pencil=pencil, objective=(quad(0),) * 4, name="padded-near-identity")
-        solved = []
-        solve = facial.solve_sdp
-
-        def spy(problem, *, stop_above=None):
-            solved.append((problem, stop_above))
-            res = solve(problem, stop_above=stop_above)
-            solved.append(res)
-            return res
-
-        monkeypatch.setattr(facial, "solve_sdp", spy)
-        out = find_reducing_certificate(prob)
-        (alt, stop_above), res = solved
-        assert alt.var_names == ("slack_margin",) and stop_above is None
-        assert res.status.tag is model.StatusTag.OPTIMAL
+        alt = build_alternative_problem(prob)
+        assert alt.var_names == ("slack_margin",)
+        t_star = np.linalg.eigvalsh(alt.pencil.f0)[0]
         want = _margin(reference_chart_margin_problem(prob), lambda r: r.y["slack_margin"])
         assert want < -facial.FEAS_CUT
-        assert res.objective_dual == pytest.approx(want, rel=1e-7)
-        assert isinstance(out, StrictlyFeasible) and not out.exact
-        assert out.tolerance == facial.FEAS_CUT
-        assert f"(slack margin {res.objective_dual:.3e})" in out.detail
-        assert _detail_margin(out) == pytest.approx(want, rel=1e-3)
+        assert t_star == pytest.approx(want, rel=1e-7)
+
+        def no_solve(problem, *, stop_above=None):
+            raise AssertionError(f"solved {problem.name}")
+
+        monkeypatch.setattr(facial, "solve_sdp", no_solve)
+        out = find_reducing_certificate(prob)
+        assert out == StrictlyFeasible(
+            exact=False,
+            tolerance=facial.FEAS_CUT,
+            detail=(
+                "the alternative problem is infeasible at solver tolerance "
+                "(slack margin -3.300e+01); this is numerical evidence, not an exact proof"
+            ),
+        )
+        assert f"(slack margin {t_star:.3e})" in out.detail
 
     def test_span_at_roundoff_from_the_identity_is_numeric_evidence(self):
         # eps = 1e-8: the margin solve's iterates grow like 1/eps, but a
@@ -839,20 +840,19 @@ snap_floats = st.one_of(
 
 
 class TestSnaps:
-    """The once-per-entry snapper of the rounding ladder against the
-    reconstruction it replaces, rung by rung."""
+    """The rounding ladder's snap of a float vector against the
+    reconstruction of each entry, rung by rung."""
 
     @given(st.lists(snap_floats, min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_snaps_equal_reconstruction_rung_by_rung(self, xs):
-        snaps = _Snaps(np.array(xs))
         for den, extension, tol in ROUNDING_LADDER:
             want = [
                 reconstruct_quadext(x, den) if extension else reconstruct_rational(x, den, tol)
                 for x in xs
             ]
             want = None if any(w is None for w in want) else want
-            assert repr(snaps.at(den, extension, tol)) == repr(want)
+            assert repr(_snap(np.array(xs), den, extension, tol)) == repr(want)
 
     @pytest.mark.parametrize("den", [1, 2, 3, 100, 10**4, 10**6])
     def test_rational_snaps_at_the_zero_bound(self, den):
@@ -866,13 +866,12 @@ class TestSnaps:
                 xs += [x, -x]
                 x = math.nextafter(x, direction)
         for tol in (1.0, 1 / den, 1e-3, 1e-6):
-            snaps = _Snaps(xs)
             want = [reconstruct_rational(x, den, tol) for x in xs]
             for k, x in enumerate(xs):
-                assert repr(_Snaps([x]).at(den, False, tol)) == repr(
+                assert repr(_snap([x], den, False, tol)) == repr(
                     None if want[k] is None else [want[k]]
                 )
-            assert repr(snaps.at(den, False, tol)) == repr(
+            assert repr(_snap(xs, den, False, tol)) == repr(
                 None if None in want else want
             )
 
@@ -880,12 +879,12 @@ class TestSnaps:
         # 0.004 < 1/200 snaps to 0 at max_den 100, but lies further than 1e-3
         # from it
         assert reconstruct_rational(0.004, 100, 1e-3) is None
-        assert _Snaps([0.5, 0.004]).at(100, False, 1e-3) is None
-        assert _Snaps([0.5, -0.0009]).at(100, False, 1e-3) == [Fraction(1, 2), Fraction(0)]
+        assert _snap([0.5, 0.004], 100, False, 1e-3) is None
+        assert _snap([0.5, -0.0009], 100, False, 1e-3) == [Fraction(1, 2), Fraction(0)]
 
     def test_signed_zeros(self):
         for den, extension, tol in ROUNDING_LADDER:
-            got = _Snaps([0.0, -0.0]).at(den, extension, tol)
+            got = _snap([0.0, -0.0], den, extension, tol)
             assert repr(got) == repr([Fraction(0)] * 2 if not extension else [quad(0)] * 2)
 
 
@@ -1116,6 +1115,61 @@ class TestPinnedReductions:
         assert reduction_digest(problems) == (
             "9455c0f198e0bc5db0e183db9572ae919fcb1167432b4bd208a821a6160fc216"
         )
+
+
+def _presented(prob: SdpProblem, order, c) -> SdpProblem:
+    """prob with its variables in `order` and every F_i and b_i times c, the
+    substitution y_i -> y_i / c: the same problem written differently."""
+    p = prob.pencil
+    return SdpProblem(
+        pencil=MatrixPencil(
+            n=p.n,
+            scalar=p.scalar,
+            f0=p.f0,
+            var_names=tuple(p.var_names[k] for k in order),
+            terms=tuple(p.terms[k] * c for k in order),
+        ),
+        objective=tuple(prob.objective[k] * c for k in order),
+        name=prob.name,
+    )
+
+
+def _reduction_outcome(prob: SdpProblem) -> tuple:
+    """(status, rounds, eliminated count, exactness) of `reduce_problem`."""
+    try:
+        _, rounds, verdict = reduce_problem(prob)
+    except ReductionError as exc:
+        return type(exc).__name__, len(exc.rounds), None, None
+    eliminated = sum(len(r.constraints.eliminated_names) for r in rounds)
+    return type(verdict).__name__, len(rounds), eliminated, verdict.exact
+
+
+class TestPresentationInvariance:
+    """A metamorphic property (Chen, Cheung & Yiu, *Metamorphic testing: a
+    new approach for generating next test cases*, HKUST-CS98-01, 1998): a
+    reduction's outcome must not depend on how the pencil is written.
+    Facial reduction commutes with an invertible reparametrization
+    (Borwein & Wolkowicz 1981), so reordering the variables or scaling
+    every F_i and b_i keeps the status, the number of rounds, the count of
+    eliminated variables and the exactness of the verdict.  Seed 105 at
+    n = 4 over Q(sqrt5) searches a one-point slice in round 3, X0 with
+    eigenvalues about {0, 1}: scaled, roundoff puts lambda_min(X0) above 0,
+    where a margin SDP posed on that single point can end NumericalTrouble."""
+
+    @pytest.mark.parametrize("sqrt5", [False, True], ids=["Q", "Q(sqrt5)"])
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("seed", range(100, 106))
+    def test_degree_three_chain_outcome_survives_presentation(self, seed, n, sqrt5):
+        prob = planted_chain(np.random.default_rng(seed), n, 3, sqrt5)
+        want = _reduction_outcome(prob)
+        identity = range(prob.pencil.m)
+        permutation = np.random.default_rng(seed).permutation(prob.pencil.m)
+        for label, order, c in [
+            ("permuted", permutation, quad(1)),
+            ("times 2", identity, quad(2)),
+            ("times 1/3", identity, quad(Fraction(1, 3))),
+        ]:
+            assert _reduction_outcome(_presented(prob, order, c)) == want, label
 
 
 def _benchmark_inputs(monkeypatch, workload: str, seed: int) -> list:
@@ -1482,6 +1536,21 @@ class TestSoundness:
         )
         assert final is rounds[-1].problem
         assert isinstance(verdict, StrictlyFeasible) and verdict.exact
+
+    @pytest.mark.parametrize("sqrt5", [False, True], ids=["Q", "Q(sqrt5)"])
+    def test_reduce_problem_planted_degree_three_n12_face_at_den_ten_thousand(self, sqrt5):
+        # round 1's face snaps at no rung before (10^4, 1e-5): its iterate
+        # sits too far off the face for the first rung's tolerance, and the
+        # coarse rung comes after it
+        prob = planted_chain(np.random.default_rng(101), 12, 3, sqrt5)
+        final, rounds, verdict = reduce_problem(prob)
+        assert [r.constraints.eliminated_names for r in rounds] == [
+            ("a1",), ("a2",), ("a3",)
+        ]
+        assert rounds[0].certificate.note == (
+            "face rounding at max_den=10000, coordinates at max_den=100; rank 1"
+        )
+        assert_ends_strictly_feasible(prob, final, rounds, verdict)
 
     @pytest.mark.parametrize(
         "make",
