@@ -42,6 +42,7 @@ K = qarray([[1, 2, 3], [2, 4, 6], [3, 6, 9]])
 for v in kernel_basis_exact(K):
     print("kernel vector:", [format_scalar(x) for x in v])
 
-# floats round back to exact candidates through continued fractions / PSLQ
+# floats round back to exact candidates through continued fractions and an
+# integer relation found by lattice reduction
 print("\n0.16666667 ->", reconstruct_rational(0.16666667, 100))
 print("0.1803398875 ->", reconstruct_quadext(0.1803398875, 100))

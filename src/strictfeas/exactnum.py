@@ -35,6 +35,10 @@ result leaves: :func:`qmatmul`, a PSD witness, and :func:`rref_exact`,
 :func:`nullspace_exact`, :func:`row_space_basis_exact` and
 :func:`kernel_basis_exact`, the joins of the split forms.
 
+:func:`lll_reduce` is an integral LLL reduction on Python ints, in any
+dimension; :func:`reconstruct_quadext` reads a float's Q(sqrt5) value off
+the integer relation it finds, with no float and no multiprecision package.
+
 The exact scalar string grammar is ``p/q`` for rationals and
 ``p/q+r/s*sqrt5`` for extension elements (signs inline, either term may be
 omitted, no whitespace, locale independent).
@@ -50,7 +54,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 
@@ -857,6 +860,74 @@ def primitive_integer_vector(v: Sequence) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# integer lattice reduction
+
+
+def lll_reduce(basis: Sequence[Sequence[int]]) -> list[list[int]]:
+    """An LLL-reduced basis (delta = 3/4) of the lattice spanned by the
+    rows of `basis`, linearly independent integer vectors of any dimension.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7), on Python ints alone: d[i] is the Gram determinant
+    of the first i rows and lam[k][j] = d[j+1] mu[k][j] a scaled
+    Gram-Schmidt coefficient, both integers, so every division is exact.
+    Raises ValueError when the rows are linearly dependent.
+    """
+    b = [[int(x) for x in row] for row in basis]
+    n = len(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def size_reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int) -> None:
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        m = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    k, k_max = 0, -1
+    while k < n:
+        if k > k_max:
+            # incremental Gram-Schmidt of the new row
+            k_max = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("lll_reduce needs linearly independent rows")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        size_reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b
+
+
+# ---------------------------------------------------------------------------
 # float -> exact reconstruction
 
 
@@ -880,8 +951,8 @@ def _height(f: Fraction) -> int:
     return max(abs(f.numerator), f.denominator)
 
 
-# PSLQ relations between (x, 1, sqrt5), tried at these tolerances in turn
-_PSLQ_TOLS = ("1e-12", "1e-9", "1e-7")
+# scales W of the integer relation p x + q + r sqrt5 ~ 0, tried in turn
+_RELATION_SCALES = (10**12, 10**9, 10**7)
 
 
 def reconstruct_quadext(x: float, max_den: int = 10**6) -> QuadExt | None:
@@ -889,9 +960,13 @@ def reconstruct_quadext(x: float, max_den: int = 10**6) -> QuadExt | None:
 
     0 when |x| <= 1e-6.  Otherwise the candidates are the rational fit of
     x (`reconstruct_rational`), which keeps a small-denominator answer for
-    a noisy rational x, and the PSLQ integer relation p x + q + r sqrt5 = 0
-    between (x, 1, sqrt5) at each of _PSLQ_TOLS in turn, up to the first
-    admissible one: the only source of a nonzero b.  A candidate is
+    a noisy rational x, and an integer relation p x + q + r sqrt5 ~ 0 at
+    each scale W of _RELATION_SCALES in turn, up to the first admissible
+    one: the only source of a nonzero b.  The relation is the first row
+    with p != 0 of the LLL-reduced basis (`lll_reduce`) of the rows
+    (1, 0, 0, round(W x)), (0, 1, 0, W) and (0, 0, 1, floor(W sqrt5)), with
+    x read exactly, so a short row (p, q, r, ~W (p x + q + r sqrt5)) is a
+    small relation; it gives -q/p - (r/p) sqrt5.  A candidate is
     admissible when both parts have denominators at most max_den and it
     lies within 1e-6 of x; the admissible one of least height wins.
     """
@@ -900,15 +975,14 @@ def reconstruct_quadext(x: float, max_den: int = 10**6) -> QuadExt | None:
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     if abs(x) <= RECONSTRUCT_TOL:
-        # 0 is admissible and has the smallest height; PSLQ would reject an
-        # exact zero, and at its working precision treats a tiny x as one
+        # 0 is admissible and has the smallest height
         return QUAD_ZERO
 
     candidates: list[QuadExt] = []
 
-    r = reconstruct_rational(x, max_den)
-    if r is not None:
-        candidates.append(QuadExt(r))
+    fit = reconstruct_rational(x, max_den)
+    if fit is not None:
+        candidates.append(QuadExt(fit))
 
     def admissible(q: QuadExt) -> bool:
         return (
@@ -917,19 +991,15 @@ def reconstruct_quadext(x: float, max_den: int = 10**6) -> QuadExt | None:
             and abs(x - float(q)) <= RECONSTRUCT_TOL
         )
 
-    for tol in _PSLQ_TOLS:
-        with mpmath.workdps(40):
-            rel = mpmath.pslq(
-                [mpmath.mpf(x), mpmath.mpf(1), mpmath.sqrt(5)],
-                tol=mpmath.mpf(tol),
-                maxcoeff=max(max_den, 10**6),
-                maxsteps=10000,
-            )
-        if rel and rel[0] != 0:
-            cand = QuadExt(Fraction(-rel[1], rel[0]), Fraction(-rel[2], rel[0]))
-            candidates.append(cand)
-            if admissible(cand):
-                break
+    exact = Fraction(x)
+    for w in _RELATION_SCALES:
+        rows = [[1, 0, 0, round(w * exact)], [0, 1, 0, w], [0, 0, 1, math.isqrt(5 * w * w)]]
+        # the lattice holds (1, 0, 0, .), so some basis row has p != 0
+        p, q, r, _ = next(row for row in lll_reduce(rows) if row[0])
+        cand = QuadExt(Fraction(-q, p), Fraction(-r, p))
+        candidates.append(cand)
+        if admissible(cand):
+            break
 
     verified = [q for q in candidates if admissible(q)]
     if not verified:

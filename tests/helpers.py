@@ -2,6 +2,7 @@
 small exact problems that need reduction, exact products the tests use and
 loop-based exact kernels."""
 
+import decimal
 import hashlib
 import json
 import math
@@ -33,6 +34,14 @@ from strictfeas.model import (
     UnknownVariableError,
     pencil_eval,
 )
+
+
+def decimal_sign(x) -> int:
+    """The sign of a + b*sqrt5 by an independent 60-digit decimal evaluation."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        D = decimal.Decimal
+        v = D(x.a.numerator) / x.a.denominator + D(x.b.numerator) / x.b.denominator * D(5).sqrt()
+    return (v > 0) - (v < 0)
 
 
 def qeye(n: int) -> np.ndarray:

@@ -8,7 +8,6 @@ import random
 import time
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from strictfeas import bell, certify
@@ -36,6 +35,7 @@ from strictfeas.model import StatusTag, to_double
 from strictfeas.solver import solve_sdp
 
 from helpers import (
+    decimal_sign,
     problem1_optimal_point,
     problem2_bound_matrix,
     quadratic_form,
@@ -239,15 +239,10 @@ def test_criterion_8_exactnum_property_suite():
         ok = ok and (x + y) * z == x * z + y * z
         if bool(x):
             ok = ok and x * x.inverse() == quad(1)
-    # sign agreement with a 50-digit decimal oracle
+    # sign agreement with a 60-digit decimal oracle
     for _ in range(1000):
         x = rq()
-        with mpmath.workdps(50):
-            v = (
-                mpmath.mpf(x.a.numerator) / x.a.denominator
-                + mpmath.mpf(x.b.numerator) / x.b.denominator * mpmath.sqrt(5)
-            )
-            ok = ok and qsign(x) == int(mpmath.sign(v))
+        ok = ok and qsign(x) == decimal_sign(x)
     # 500 PSD decisions: Gram matrices must pass, witnessed indefinite must fail
     for trial in range(500):
         n = rnd.randint(1, 4)

@@ -1,5 +1,4 @@
-"""Package layout: modules share only public names and need only numpy and
-mpmath."""
+"""Package layout: modules share only public names and need only numpy."""
 
 import ast
 import os
@@ -50,6 +49,25 @@ def test_a_pipeline_run_imports_no_scipy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['reproduce', 'chsh-toy'])\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "0 []\n"
+
+
+def test_a_reproduction_runs_without_mpmath():
+    # every claim, the Q(sqrt5) optimum of problem 2 among them, with mpmath
+    # made unimportable: a None entry in sys.modules fails its import
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from strictfeas import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['reproduce', 'all'])\n"
+        "print(code, sorted(m for m, mod in sys.modules.items()\n"
+        "                   if m.split('.')[0] == 'mpmath' and mod is not None))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
