@@ -75,9 +75,17 @@ def load_problem(path: str) -> SdpProblem:
     return prob
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write a file; an OS error is a CliError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def store_problem(prob: SdpProblem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(problem_to_json_str(prob))
+    _write_text(path, problem_to_json_str(prob))
 
 
 BUILTINS = {
@@ -435,8 +443,11 @@ def main(argv=None) -> int:
     elif text:
         print(text)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        try:
+            _write_text(args.out, report.to_json())
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
     return code
 
 

@@ -26,9 +26,9 @@ AssertionError.  :func:`gauss_jordan_split` returns the integer state of
 the fraction-free Gauss-Jordan form, and :func:`nullspace_split` (the
 kernel, for a square matrix) and :func:`row_space_split` each return a
 basis as one split, one vector per row, divided once by the last pivot
-(:meth:`QSplit.divided`).  :func:`psd_check_exact` is a fraction-free
-LDL^T that signs its pivots with :func:`qsign`, and
-:func:`leading_minors_positive` decides definiteness on integers alone.
+(:meth:`QSplit.divided`).  :func:`psd_check_exact`, the one exact
+definiteness test, is a fraction-free LDL^T signed on the integers that
+tracks rows for a witness only for a matrix that fails.
 
 QuadExt entries are made only by a join (:meth:`QSplit.join`), where a
 result leaves: :func:`qmatmul`, a PSD witness, and :func:`rref_exact`,
@@ -245,16 +245,19 @@ def quad(a=0, b=0) -> QuadExt:
 
 
 def qsign(x) -> int:
-    """Exact sign of a + b*sqrt5 in {-1, 0, +1}, no floating point.
-
-    Case analysis on the signs of a and b; the mixed-sign cases compare
-    a^2 against 5 b^2, which decides because sqrt5 is irrational.
-    """
+    """Exact sign of a + b*sqrt5 in {-1, 0, +1}, no floating point."""
     x = as_quad(x)
     if x is NotImplemented:
         raise TypeError("qsign expects an exact scalar")
-    sa = (x.a > 0) - (x.a < 0)
-    sb = (x.b > 0) - (x.b < 0)
+    return _sign(x.a, x.b)
+
+
+def _sign(a, b) -> int:
+    """`qsign` of a + b*sqrt5 for rational a and b, with no QuadExt made:
+    case analysis on the signs of a and b; the mixed-sign cases compare
+    a^2 against 5 b^2, which decides because sqrt5 is irrational."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
     if sb == 0:
         return sa
     if sa == 0:
@@ -262,7 +265,7 @@ def qsign(x) -> int:
     if sa == sb:
         return sa
     # opposite signs: |a| vs sqrt5 |b|
-    cmp = x.a * x.a - 5 * x.b * x.b
+    cmp = a * a - 5 * b * b
     if cmp == 0:
         # would force a = b = 0, handled above
         raise AssertionError("a^2 = 5 b^2 with nonzero parts is impossible")
@@ -615,7 +618,7 @@ def _divide_exact(A, B, q) -> tuple:
     return tuple(out)
 
 
-def _bareiss_step(A, B, rows, cols, r: int, c: int, prev: tuple) -> None:
+def _bareiss_step(A, B, rows, cols: slice, r: int, c: int, prev: tuple) -> None:
     """One fraction-free elimination step on X = A + B*sqrt5, in place.
 
     For i in rows and j in cols, X[i, j] <- (p X[i, j] - X[i, c] X[r, j]) / prev
@@ -623,9 +626,10 @@ def _bareiss_step(A, B, rows, cols, r: int, c: int, prev: tuple) -> None:
     (Bareiss, Math. Comp. 1968).  Every entry this produces is a minor of
     the input (Sylvester's identity), so the division is exact in Z[sqrt5].
     A and B are object arrays of Python ints; B is None for a rational X.
+    rows is a slice or an index list without r, and cols a slice, so the
+    block X[rows, cols] is indexed as it is, with no index arrays built.
     """
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    block = np.ix_(rows, cols)
+    block = (rows, cols)
     pa, ca, ra = A[r, c], A[rows, c][:, None], A[r, cols]
     if B is None:
         A[block], _ = _divide_exact(pa * A[block] - ca * ra, None, prev)
@@ -673,7 +677,7 @@ def gauss_jordan_split(M, column_order: Sequence[int] | None = None) -> tuple:
             if X is not None:
                 X[[r, pivot_row]] = X[[pivot_row, r]]
         others = [i for i in range(rows) if i != r]
-        _bareiss_step(A, B, others, range(cols), r, c, prev)
+        _bareiss_step(A, B, others, slice(None), r, c, prev)
         prev = _entry(A, B, r, c)
         pivots[c] = r
         r += 1
@@ -754,21 +758,42 @@ class PsdCheck:
         return self.is_psd
 
 
+def _ldl(A, B, n: int) -> tuple:
+    """The pivoted fraction-free LDL^T of `psd_check_exact` on the integers
+    X = A + B*sqrt5, in place, its pivots signed on the integers: step k
+    eliminates column k of the n x n block from the rows below it (by
+    `_bareiss_step`, on every column right of k, T's too if X carries it).
+    Returns (k, rank, prev): k the first step that proves X not PSD (None
+    if none does), rank the positive pivots (PsdCheck.rank), prev the last."""
+    prev, rank = (1, 0), 0
+    for k in range(n):
+        s = _sign(*_entry(A, B, k, k))
+        if s == 0 and not (any(A[k, k + 1 : n]) or B is not None and any(B[k, k + 1 : n])):
+            continue
+        if s <= 0:
+            return k, rank, prev
+        # one congruence step: the trailing block becomes the Schur complement
+        _bareiss_step(A, B, slice(k + 1, n), slice(k + 1, None), k, k, prev)
+        prev = _entry(A, B, k, k)
+        rank += 1
+    return None, rank, prev
+
+
 def psd_check_exact(M: np.ndarray) -> PsdCheck:
     """Exact PSD decision by pivoted symmetric Gaussian elimination.
 
     At step k: a positive pivot eliminates its row/column; a zero pivot must
     have an all-zero remaining row (otherwise an indefinite 2x2 block gives a
     witness); a negative pivot yields its own witness direction.  Returns PSD
-    iff M >= 0 exactly.
+    iff M >= 0 exactly; M is positive definite iff it is PSD of rank n.
 
-    The elimination is fraction-free (an LDL^T by `_bareiss_step`) on the
-    integer split d*M = A + B*sqrt5, next to the rows of T that track it:
-    the current form is T M T^T.  Each stored row is its fractional value
-    times the last positive pivot, which is positive, so every sign is the
-    sign of a stored entry; witnesses are divided back by that pivot.  M is
-    an exact matrix or its split, and symmetry is decided on the integers.
-    Each positive pivot counts towards `PsdCheck.rank`.
+    The elimination, `_ldl`, runs on a copy of the integer split
+    d*M = A + B*sqrt5.  Only a matrix that fails is eliminated a second
+    time, next to the rows of T that track it: the current form is T M T^T.
+    Each stored row is its fractional value times the last positive pivot,
+    which is positive, so every sign is the sign of a stored entry;
+    witnesses are divided back by that pivot.  M is an exact matrix or its
+    split (left as it is), and symmetry is decided on the integers.
     """
     n, m = M.shape
     if n != m:
@@ -777,64 +802,31 @@ def psd_check_exact(M: np.ndarray) -> PsdCheck:
     A, B, d = S.A, S.B, S.d
     if not all(X is None or np.array_equal(X, X.T) for X in (A, B)):
         raise NonSymmetricError("matrix is not symmetric")
+    k, rank, _ = _ldl(A.copy(), None if B is None else B.copy(), n)
+    if k is None:
+        return PsdCheck(True, rank=rank)
     # [A | T] with T = I; a rational M keeps a rational T, so B stays None
     eye = np.eye(n, dtype=int).astype(object)
     A = np.hstack([A, eye])
     B = None if B is None else np.hstack([B, eye * 0])
-    prev = (1, 0)
-    rank = 0
+    k, rank, prev = _ldl(A, B, n)
 
     def row(i: int) -> np.ndarray:
         return _join(A[i, n:], None if B is None else B[i, n:], 1, prev)
 
-    def value(i: int, j: int) -> QuadExt:
-        return QuadExt(*_entry(A, B, i, j))
-
-    for k in range(n):
-        s = qsign(value(k, k))
-        if s < 0:
-            return PsdCheck(False, k, tuple(row(k)), rank)
-        if s == 0:
-            bad = next((j for j in range(k + 1, n) if any(_entry(A, B, k, j))), None)
-            if bad is None:
-                continue
-            sd = qsign(value(bad, bad))
-            if sd < 0:
-                return PsdCheck(False, k, tuple(row(bad)), rank)
-            # u = e_k + t e_bad has value 2 t A[k,bad] + t^2 A[bad,bad] < 0,
-            # with A the form of M itself: stored entries are d * prev * A
-            t = -value(k, bad) / (QuadExt(*prev) * d if sd == 0 else value(bad, bad))
-            Tk, Tbad = row(k), row(bad)
-            return PsdCheck(False, k, tuple(Tk[j] + t * Tbad[j] for j in range(n)), rank)
-        # one congruence step: the trailing block becomes the Schur complement
-        _bareiss_step(A, B, range(k + 1, n), range(k + 1, 2 * n), k, k, prev)
-        prev = _entry(A, B, k, k)
-        rank += 1
-    return PsdCheck(True, rank=rank)
-
-
-def leading_minors_positive(A: np.ndarray) -> bool:
-    """Whether the symmetric integer matrix A (an object array of Python
-    ints) is positive definite, by Sylvester's criterion: every leading
-    principal minor is positive.
-
-    One fraction-free LDL^T without pivoting: the Bareiss update of
-    `_bareiss_step`, applied to the trailing block of a copy of A by
-    slicing.  Its k-th pivot is the k-th leading principal minor, so the
-    elimination stops at the first pivot that is not positive; every
-    division by the previous pivot is exact (Sylvester's identity), so
-    floor division returns the quotient itself.  Unlike `psd_check_exact`
-    it tracks no rows for a witness and decides definiteness only, which
-    is what a rational witness of strict feasibility needs.
-    """
-    A, prev = A.copy(), 1
-    for k in range(len(A)):
-        pivot, col = A[k, k], A[k + 1 :, k]
-        if pivot <= 0:
-            return False
-        A[k + 1 :, k + 1 :] = (pivot * A[k + 1 :, k + 1 :] - np.outer(col, col)) // prev
-        prev = pivot
-    return True
+    if _sign(*_entry(A, B, k, k)) < 0:
+        return PsdCheck(False, k, tuple(row(k)), rank)
+    # a zero pivot with a nonzero entry in its row
+    bad = next(j for j in range(k + 1, n) if any(_entry(A, B, k, j)))
+    sd = _sign(*_entry(A, B, bad, bad))
+    if sd < 0:
+        return PsdCheck(False, k, tuple(row(bad)), rank)
+    # u = e_k + t e_bad has value 2 t A[k,bad] + t^2 A[bad,bad] < 0,
+    # with A the form of M itself: stored entries are d * prev * A
+    at_k, at_bad = (QuadExt(*_entry(A, B, i, bad)) for i in (k, bad))
+    t = -at_k / (QuadExt(*prev) * d if sd == 0 else at_bad)
+    Tk, Tbad = row(k), row(bad)
+    return PsdCheck(False, k, tuple(Tk[j] + t * Tbad[j] for j in range(n)), rank)
 
 
 def primitive_rows(S: QSplit, positive_lead: bool = False) -> QSplit:
@@ -846,8 +838,8 @@ def primitive_rows(S: QSplit, positive_lead: bool = False) -> QSplit:
     g = []
     for a, b in zip(S.A.tolist(), B.tolist()):
         k = math.gcd(*a, *b) or 1
-        lead = positive_lead and next((QuadExt(x, y) for x, y in zip(a, b) if x or y), 0)
-        g.append(-k if lead and qsign(lead) < 0 else k)
+        lead = positive_lead and next((_sign(x, y) for x, y in zip(a, b) if x or y), 0)
+        g.append(-k if lead < 0 else k)
     g = np.array(g, dtype=object).reshape(-1, 1)
     return QSplit(S.A // g, None if S.B is None else S.B // g, 1)
 

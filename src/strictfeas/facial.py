@@ -60,7 +60,6 @@ from .exactnum import (
     as_quad,
     format_scalar,
     gauss_jordan_split,
-    leading_minors_positive,
     nullspace_split,
     primitive_rows,
     psd_check_exact,
@@ -338,13 +337,15 @@ def _span_witness(c, f0):
 def _witness_verdict(p: MatrixPencil, candidates) -> StrictlyFeasible | None:
     """The exact verdict of the first candidate y, a list of exact scalars
     (None skips), with F(y) exactly positive definite, each distinct y
-    tried once; or None.  F(y) is decided on its split (`eval_split`)."""
+    tried once; or None.  F(y), taken as its split (`eval_split`), is
+    positive definite when `psd_check_exact` finds it PSD of rank n."""
     tried = []
     for y in candidates:
         if y is None or y in tried:
             continue
         tried.append(y)
-        if _positive_definite(eval_split(p, dict(zip(p.var_names, y)))):
+        check = psd_check_exact(eval_split(p, dict(zip(p.var_names, y))))
+        if check.is_psd and check.rank == p.n:
             break
     else:
         return None
@@ -354,18 +355,6 @@ def _witness_verdict(p: MatrixPencil, candidates) -> StrictlyFeasible | None:
         point = ", ".join(f"{v} = {format_scalar(c)}" for v, c in zip(p.var_names, y))
         detail = f"F(y) is positive definite at {point}"
     return StrictlyFeasible(exact=True, tolerance=None, detail=detail)
-
-
-def _positive_definite(M) -> bool:
-    """M > 0 exactly, for an exact matrix or its split.  A rational M is a
-    positive multiple of its split's integers, whose leading principal
-    minors decide (`leading_minors_positive`); over Q(sqrt5)
-    `psd_check_exact` decides, PSD of full rank."""
-    S = split(M)
-    if S.B is None:
-        return leading_minors_positive(S.A)
-    check = psd_check_exact(S)
-    return check.is_psd and check.rank == len(S.A)
 
 
 def build_alternative_problem(prob: SdpProblem) -> SdpProblem | None:

@@ -21,6 +21,7 @@ from strictfeas.exactnum import (
     parse_scalar,
     psd_check_exact,
     qarray,
+    qcongruence,
     qmatmul,
     qsign,
     qzeros,
@@ -188,34 +189,27 @@ def planted_chain(
     for d = 2 this is the planted-reduce benchmark problem.
     """
     U, _ = _unimodular(rng, n, ops=2 * n)
-    hide = lambda M: U.T @ M @ U  # noqa: E731
-
-    def exact(M):
-        return qarray(hide(M).tolist())
-
-    terms, names = [], []
+    block = [(i, j) for i in range(d, n) for j in range(i, n)]
+    names = [f"a{k + 1}" for k in range(d)] + [f"s{i}_{j}" for i, j in block]
+    # the stack (F0, F_1, ..., F_m) as integers over den: the golden ratio
+    # is (1 + sqrt5)/2
+    den = 2 if sqrt5 else 1
+    A = np.zeros((len(names) + 1, n, n), dtype=object)
+    B = np.zeros_like(A)
+    A[0, d:, d:] = den * np.eye(n - d, dtype=int)
     for k in range(d):
-        F = np.zeros((n, n), dtype=object)
-        F[...] = QUAD_ZERO
-        F[k, d] = F[d, k] = GOLDEN if sqrt5 else quad(1)
+        A[1 + k, k, d] = A[1 + k, d, k] = B[1 + k, k, d] = B[1 + k, d, k] = 1
         if k + 1 < d:
-            F[k + 1, k + 1] = quad(1)
-        terms.append(hide(F))
-        names.append(f"a{k + 1}")
-    for i in range(d, n):
-        for j in range(i, n):
-            E = np.zeros((n, n), dtype=np.int64)
-            E[i, j] = E[j, i] = 1
-            terms.append(exact(E))
-            names.append(f"s{i}_{j}")
-    F0 = np.zeros((n, n), dtype=np.int64)
-    F0[d:, d:] = np.eye(n - d, dtype=np.int64)
+            A[1 + k, k + 1, k + 1] = den
+    for t, (i, j) in enumerate(block, 1 + d):
+        A[t, i, j] = A[t, j, i] = den
+    f0, *terms = qcongruence(U, QSplit(A, B if sqrt5 else None, den)).join()
     objective = [quad(0)] * len(terms)
     objective[names.index(f"s{d}_{d}")] = quad(-1)
     pencil = MatrixPencil(
         n=n,
         scalar="exact",
-        f0=exact(F0),
+        f0=f0,
         var_names=tuple(names),
         terms=tuple(terms),
     )

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON reports, file round trips."""
 
+import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -247,6 +248,34 @@ class TestErrorReports:
         assert doc["reduction"]["eliminated"] == ["a"]
         assert len(doc["reduction"]["rounds"]) == 1
         assert "failed_round" not in doc["reduction"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "{toy}", "--out", "{bad}"],
+            ["reduce", "{toy}", "--report", "{bad}"],
+            ["export", "chsh-toy", "--out", "{bad}"],
+            ["solve", "{toy}", "--out", "{bad}"],
+            ["diagnose", "{toy}", "--out", "{bad}"],
+            ["reproduce", "chsh-toy", "--out", "{bad}"],
+        ],
+        ids=["reduce-out", "reduce-report", "export", "solve", "diagnose", "reproduce"],
+    )
+    def test_unwritable_output_reports_the_path(self, argv, tmpfile, capsys):
+        toy, bad = tmpfile("toy.json"), tmpfile("missing/x.json")
+        write_builtin("chsh-toy", toy)
+        assert main([a.format(toy=toy, bad=bad) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
+
+    def test_unwritable_reduced_problem_keeps_the_rounds(self, tmpfile, capsys):
+        toy, bad = tmpfile("toy.json"), tmpfile("missing/x.json")
+        write_builtin("chsh-toy", toy)
+        assert main(["reduce", toy, "--out", bad, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        (error,) = doc["errors"]
+        assert error.startswith(f"cannot write {bad}: ")
+        assert len(doc["reduction"]["rounds"]) == 1 and doc["reduction"]["verdict"]
 
     def test_unreadable_file_reports_the_file(self, tmpfile, capsys):
         path = tmpfile("missing.json")
@@ -510,6 +539,15 @@ class TestReproduceCommand:
         assert main(["reproduce", "all", "--json"]) == 0
         doc = strict_json(capsys.readouterr().out)
         assert doc["claims"] and all(c["ok"] for c in doc["claims"])
+
+    def test_exact_sections_are_pinned(self, capsys):
+        # claims, reduction and verification are exact and host independent;
+        # solver and timings hold floats that move with BLAS and host
+        assert main(["reproduce", "all", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        exact = {k: doc[k] for k in ("claims", "reduction", "verification")}
+        digest = hashlib.sha256(json.dumps(exact, sort_keys=True).encode()).hexdigest()
+        assert digest == "2cedd35ac460046d098ad34bda0f4e9f9660123d7d193cc8e5b8cd5db29e7347"
 
     def test_plain_run_prints_every_claim(self, capsys):
         assert main(["reproduce", "chsh-toy"]) == 0

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strictfeas import exactnum
@@ -22,7 +22,6 @@ from strictfeas.exactnum import (
     frob_inner,
     gauss_jordan_split,
     kernel_basis_exact,
-    leading_minors_positive,
     lll_reduce,
     nullspace_exact,
     nullspace_split,
@@ -208,23 +207,20 @@ def integer_symmetric(draw):
     return kind, M.astype(object)
 
 
-class TestLeadingMinors:
-    """The fraction-free definiteness test against the exact PSD decision."""
+class TestDefiniteness:
+    """The exact PSD decision decides definiteness: PSD of rank n."""
 
     @given(integer_symmetric())
+    @example(("definite", np.array([[3]], dtype=object)))
+    @example(("zero-lead", np.array([[0]], dtype=object)))
+    @example(("indefinite", np.array([[-2]], dtype=object)))
     @settings(max_examples=200, deadline=None)
-    def test_agrees_with_psd_check(self, drawn):
+    def test_positive_definite_exactly_when_drawn_definite(self, drawn):
         kind, M = drawn
         before = M.copy()
         check = psd_check_exact(QSplit(M, None, 1))
-        got = leading_minors_positive(M)
-        assert got == (check.is_psd and check.rank == len(M))
-        assert got == (kind == "definite")
+        assert (check.is_psd and check.rank == len(M)) == (kind == "definite")
         assert np.array_equal(M, before)
-
-    def test_one_by_one(self):
-        for a, want in ((3, True), (0, False), (-2, False)):
-            assert leading_minors_positive(np.array([[a]], dtype=object)) is want
 
 
 class TestKernel:
@@ -1029,15 +1025,19 @@ class TestSplitOperands:
         with pytest.raises(NonSymmetricError):
             psd_check_exact(split(qarray([[1, "sqrt5"], [0, 1]])))
 
-    def test_frozen_pencil_slices(self):
-        # a pencil's split is read-only; eliminating on one of its slices
-        # used to write into it
-        pencil = MatrixPencil.from_upper(
+    @staticmethod
+    def frozen_pencil():
+        return MatrixPencil.from_upper(
             3,
             "exact",
             [(0, 0, 2), (0, 1, "1/2"), (1, 1, "sqrt5")],
             [("y", [(0, 2, 2), (2, 2, -1)]), ("z", [(1, 2, "1/3")])],
         )
+
+    def test_frozen_pencil_slices(self):
+        # a pencil's split is read-only; eliminating on one of its slices
+        # used to write into it
+        pencil = self.frozen_pencil()
         S = pencil.split
         before = self.parts(S)
         for k, Q in enumerate((pencil.f0, *pencil.terms)):
@@ -1045,6 +1045,21 @@ class TestSplitOperands:
             assert_same_rref(rref_exact(S[k]), rref_exact(Q))
             assert len(nullspace_exact(S[k])) == len(nullspace_exact(Q))
             assert len(row_space_basis_exact(S[k])) == len(row_space_basis_exact(Q))
+        assert all(np.array_equal(a, b) for a, b in zip(self.parts(S), before))
+
+    def test_psd_check_on_frozen_pencil_slices(self):
+        # F0 is PSD and each term is not, so both the single pass and the
+        # witness pass run on a read-only slice
+        pencil = self.frozen_pencil()
+        S = pencil.split
+        before = self.parts(S)
+        verdicts = []
+        for k, Q in enumerate((pencil.f0, *pencil.terms)):
+            assert not S[k].A.flags.writeable
+            got = psd_check_exact(S[k])
+            assert_same_check(got, psd_check_exact(Q))
+            verdicts.append(got.is_psd)
+        assert verdicts == [True, False, False]
         assert all(np.array_equal(a, b) for a, b in zip(self.parts(S), before))
 
 

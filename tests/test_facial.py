@@ -441,9 +441,10 @@ class TestFindCertificate:
         assert out.exact and out.tolerance is None
         assert_witness_proves(prob.pencil, out.detail)
 
-    def test_definiteness_over_sqrt5_takes_the_psd_check(self, monkeypatch):
-        # a rational matrix is decided on its integers alone; one with a
-        # sqrt5 part keeps the elimination that signs over Q(sqrt5)
+    def test_definiteness_is_decided_by_the_psd_check(self, monkeypatch):
+        # a rational candidate and one over Q(sqrt5) are both decided by the
+        # one exact test, PSD of rank n: diag(-1, 1) is not definite, and
+        # diag(sqrt5, 1) is
         checked = []
         check = facial.psd_check_exact
 
@@ -452,17 +453,10 @@ class TestFindCertificate:
             return check(M)
 
         monkeypatch.setattr(facial, "psd_check_exact", spy)
-        indefinite = qarray([[2, 1], [1, 1]])
-        indefinite[0, 1] = indefinite[1, 0] = quad(0, 1)  # det 2 - 5 < 0
-        for M, want, via_check in (
-            (qarray([[2, 1], [1, 1]]), True, False),
-            (split(qarray([[1, 1], [1, 1]])), False, False),
-            (split(indefinite), False, True),
-            (qarray([[3, 0], [0, 1]]) * quad(2, 1), True, True),
-        ):
-            checked.clear()
-            assert facial._positive_definite(M) is want
-            assert bool(checked) is via_check
+        p = MatrixPencil.from_upper(2, "exact", [(1, 1, 1)], [("y", [(0, 0, 1)])])
+        verdict = facial._witness_verdict(p, [[quad(-1)], None, [quad(0, 1)]])
+        assert verdict.exact and verdict.detail == "F(y) is positive definite at y = 1*sqrt5"
+        assert [S.B is None for S in checked] == [True, False]
 
     def test_irrational_face_rounds_over_sqrt5(self):
         prob = golden_face_problem()
