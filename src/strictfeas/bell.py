@@ -95,23 +95,31 @@ ALPHA = quad(Fraction(9, 38), Fraction(-1, 38))  # (9 - sqrt5)/38
 MU2_STAR = quad(-11, 5)  # 5*sqrt5 - 11, the optimum of problem 2
 
 
-def builtin_points() -> BuiltinPoints:
-    """The PR box P, the local point L, and the Hardy-line point H."""
-    half = Fraction(1, 2)
-    P = CollinsGisinTable.from_rows(
-        [[1, half, half], [half, half, half], [half, half, 0]]
+_HALF = Fraction(1, 2)
+
+
+def _pr_box() -> CollinsGisinTable:
+    return CollinsGisinTable.from_rows(
+        [[1, _HALF, _HALF], [_HALF, _HALF, _HALF], [_HALF, _HALF, 0]]
     )
-    L = CollinsGisinTable.from_rows(
-        [
-            [1, half, half],
-            [half, Fraction(1, 3), Fraction(1, 3)],
-            [Fraction(2, 3), half, Fraction(1, 6)],
-        ]
+
+
+def _local_point() -> CollinsGisinTable:
+    third = Fraction(1, 3)
+    return CollinsGisinTable.from_rows(
+        [[1, _HALF, _HALF], [_HALF, third, third], [Fraction(2, 3), _HALF, Fraction(1, 6)]]
     )
-    H = CollinsGisinTable.from_rows(
+
+
+def _hardy_point() -> CollinsGisinTable:
+    return CollinsGisinTable.from_rows(
         [[1, ALPHA, 2 * ALPHA], [ALPHA, 0, ALPHA], [2 * ALPHA, ALPHA, 0]]
     )
-    return BuiltinPoints(P=P, L=L, H=H, alpha=ALPHA)
+
+
+def builtin_points() -> BuiltinPoints:
+    """The PR box P, the local point L, and the Hardy-line point H."""
+    return BuiltinPoints(P=_pr_box(), L=_local_point(), H=_hardy_point(), alpha=ALPHA)
 
 
 @dataclass(frozen=True)
@@ -124,13 +132,15 @@ class BehaviorLine:
 
 
 def line1() -> BehaviorLine:
-    pts = builtin_points()
-    return BehaviorLine(endpoint_P=pts.P, endpoint_Q=pts.L, name="problem1")
+    """From the local point L to the PR box P: `builtin_points`' P and L,
+    built alone."""
+    return BehaviorLine(endpoint_P=_pr_box(), endpoint_Q=_local_point(), name="problem1")
 
 
 def line2() -> BehaviorLine:
-    pts = builtin_points()
-    return BehaviorLine(endpoint_P=pts.P, endpoint_Q=pts.H, name="problem2")
+    """From the Hardy-line point H to the PR box P: `builtin_points`' P and
+    H, built alone."""
+    return BehaviorLine(endpoint_P=_pr_box(), endpoint_Q=_hardy_point(), name="problem2")
 
 
 def line_behavior(line: BehaviorLine, mu) -> CollinsGisinTable:

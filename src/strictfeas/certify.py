@@ -32,7 +32,8 @@ from .exactnum import (
     split,
     to_float,
 )
-from .model import SdpProblem, eval_split, pairing_split, pencil_eval
+from .model import SdpProblem, eval_split, pairing_split
+from .model import pencil_eval  # noqa: F401  (perfbench/spans.py times it here)
 
 
 class WrongShapeError(ValueError):
@@ -188,7 +189,7 @@ def check_eigenvalue_formula(prob2_simplified: SdpProblem) -> FormulaVerdict:
         if qsign(B) < 0:
             return FormulaVerdict(False, f"discriminant negative at mu = {format_scalar(mu)}")
         lam = (float(A) - math.sqrt(float(B))) / 76.0
-        M = to_float(pencil_eval(prob2_simplified.pencil, {var: mu}))
+        M = to_float(eval_split(prob2_simplified.pencil, {var: mu}))
         eigs = np.linalg.eigvalsh(M)
         dist = float(np.min(np.abs(eigs - lam)))
         if dist > 1e-10:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bell, certify
-from .exactnum import format_scalar, quad, row_space_basis_exact
+from .exactnum import QSplit, format_scalar, quad, row_space_split
 from .facial import (
     ReductionError,
     StrictlyFeasible,
@@ -251,11 +251,17 @@ def _problems_equal(a: SdpProblem, b: SdpProblem) -> bool:
     """Same variable names, objective and entries, up to name, note and
     offset: exact pencils' splits, over the least common denominator, are
     equal exactly when their entries are."""
-    x, y = a.pencil.split, b.pencil.split
-    same = lambda X, Y: X is Y or X is not None is not Y and np.array_equal(X, Y)  # noqa: E731
-    return (a.var_names, a.objective, x.d) == (b.var_names, b.objective, y.d) and (
-        same(x.A, y.A) and same(x.B, y.B)
+    return (a.var_names, a.objective) == (b.var_names, b.objective) and _splits_equal(
+        a.pencil.split, b.pencil.split
     )
+
+
+def _splits_equal(x: QSplit, y: QSplit) -> bool:
+    """Whether two splits over their least common denominator (as `split`
+    and the eliminations make them) are the same: their entries are equal
+    exactly when A, B and d are."""
+    same = lambda X, Y: X is Y or X is not None is not Y and np.array_equal(X, Y)  # noqa: E731
+    return x.d == y.d and same(x.A, y.A) and same(x.B, y.B)
 
 
 def _trouble_signature(res: SolveResult, certified: float) -> bool:
@@ -290,13 +296,11 @@ def _reproduce_target(target: str, report: RunReport) -> None:
     # round 1 is the paper's, checked against the hand-derived reduction
     cert, cons, reduced = rounds[0].certificate, rounds[0].constraints, rounds[0].substituted
     # equal spans have equal reduced row-echelon bases
-    bases = [
-        np.array(row_space_basis_exact(np.array(vs, dtype=object)))
-        for vs in (cert.range_vectors, vectors)
-    ]
     claim(
         "certificate range matches the known null directions exactly",
-        np.array_equal(*bases),
+        _splits_equal(
+            row_space_split(cert.range_split), row_space_split(np.array(vectors, dtype=object))
+        ),
         cert.note,
     )
     report.reduction[f"{target}-certificate"] = cert.as_dict()

@@ -645,11 +645,15 @@ def _round_ladder(face, Xnum: np.ndarray, verify):
         if basis is None:
             failures.append((rung, "face slice is inconsistent"))
             continue
-        Wpinv = np.linalg.pinv(to_float(W))
-        mflat = (Wpinv @ Xnum @ Wpinv.T)[_chart_coordinates(r)[0]]
-        # to_float of a split is float(QuadExt) bit for bit, row by row
-        Bf = to_float(basis)
-        fit = np.linalg.lstsq(Bf[1:].T, mflat - Bf[0], rcond=None)[0]
+        if basis.shape[0] == 1:
+            # the particular solution is the only one: there is nothing to fit
+            fit = np.empty(0)
+        else:
+            Wpinv = np.linalg.pinv(to_float(W))
+            mflat = (Wpinv @ Xnum @ Wpinv.T)[_chart_coordinates(r)[0]]
+            # to_float of a split is float(QuadExt) bit for bit, row by row
+            Bf = to_float(basis)
+            fit = np.linalg.lstsq(Bf[1:].T, mflat - Bf[0], rcond=None)[0]
         for inner in ROUNDING_LADDER:
             s = _snap(fit, *inner)
             if s is None:

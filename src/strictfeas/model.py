@@ -6,15 +6,19 @@ whose values `pencil_pairing` gives exactly.
 One data model carries both numeric (float64) and exact (QuadExt) entries,
 tagged by ``scalar``; exact -> double conversion is explicit and lossy.
 An exact pencil is split into integers once: `MatrixPencil.split` holds the
-integer split of its stack (F0, F_1, ..., F_m), made on first use and then
-carried, and every pencil-wide exact operation (evaluation, the pairing
-with a matrix X, the downcast, the products of `facial`) reads it instead
-of the Fractions.  A pencil derived from another by the reduction loop is
-built from its split alone (`MatrixPencil.from_split`): its matrices are
-joined from the split on first read only.  The restricted split comes
-from `exactnum.qcongruence`, which multiplies in int64 when a bound from
-its operands' largest integers proves that every entry and partial sum
-fits, and on Python ints otherwise.
+integer split of its stack (F0, F_1, ..., F_m), carried with the pencil,
+and every pencil-wide exact operation (evaluation, the pairing with a
+matrix X, the downcast, the products of `facial`) reads it instead of the
+Fractions.  Two kinds of pencil are born split, their matrices joined from
+the split on first read only: one built from upper-triangle entries
+(`MatrixPencil.from_upper`: the bundled problems and every exact JSON
+file), whose split is assembled in one pass over the entries, and one
+built from its split alone (`MatrixPencil.from_split`: every pencil the
+reduction loop derives).  A pencil given QuadExt matrices through the
+constructor (`to_exact`'s, say) is split on first use.  The restricted
+split comes from `exactnum.qcongruence`, which multiplies in int64 when a
+bound from its operands' largest integers proves that every entry and
+partial sum fits, and on Python ints otherwise.
 
 Problems are immutable after construction and safe for concurrent reads:
 a derived pencil's first join is the one every reader gets.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -37,7 +42,6 @@ from .exactnum import (
     format_scalar,
     frob_inner,  # noqa: F401  (perfbench/spans.py times it here)
     qarray,
-    qzeros,
     split,
     to_float,
     to_quad,
@@ -89,10 +93,10 @@ class MatrixPencil:
 
     Matrices are stored as full symmetric arrays; constructors take the upper
     triangle only, which keeps transcription single-entry.  `scalar` is
-    "exact" (object arrays of QuadExt) or "double" (float64).  A pencil
-    made by `from_split` holds only its integer split at first: `f0` and
-    `terms` are joined from it on first read, read-only, and the same
-    arrays whichever caller reads first.
+    "exact" (object arrays of QuadExt) or "double" (float64).  An exact
+    pencil made by `from_upper` or `from_split` holds only its integer split
+    at first: `f0` and `terms` are joined from it on first read, read-only,
+    and the same arrays whichever caller reads first.
     """
 
     n: int
@@ -117,8 +121,10 @@ class MatrixPencil:
     def split(self) -> QSplit:
         """Integer split of the stack (F0, F_1, ..., F_m), of shape (m+1, n, n).
 
-        Exact pencils only.  It is made on first use, never at construction,
-        and then kept (read-only, like the matrices).
+        Exact pencils only.  A pencil given its matrices through the
+        constructor makes it on first use, never at construction, and then
+        keeps it (read-only, like the matrices); `from_upper` and
+        `from_split` pencils are born with it.
         """
         if self.scalar != "exact":
             raise ValueError("only an exact pencil has an integer split")
@@ -170,34 +176,67 @@ class MatrixPencil:
     ) -> "MatrixPencil":
         """Build from 0-based upper-triangle (i, j, value) triples; each
         (i, j) at most once per matrix (ValueError on a repeat, which would
-        otherwise overwrite the earlier value)."""
+        otherwise overwrite the earlier value).
+
+        An exact pencil is born split: its stack's integer split is made in
+        one pass over the entries (`_upper_split`) and the pencil is
+        `from_split`'s, its matrices joined on first read."""
+        names = tuple(name for name, _ in var_entries)
+        matrices = [f0_entries, *(e for _, e in var_entries)]
+        if scalar == "exact":
+            return MatrixPencil.from_split(names, _upper_split(n, matrices))
 
         def build(entries):
-            if scalar == "exact":
-                M = qzeros(n)
-                coerce = to_quad
-            else:
-                M = np.zeros((n, n))
-                coerce = float
-            placed = set()
-            for i, j, v in entries:
-                if not (0 <= i <= j < n):
-                    raise ValueError(f"entry ({i},{j}) outside upper triangle of n={n}")
-                if (i, j) in placed:
-                    raise ValueError(f"duplicate entry ({i},{j})")
-                placed.add((i, j))
-                M[i, j] = coerce(v)
-                M[j, i] = M[i, j]
+            M = np.zeros((n, n))
+            for i, j, v in _checked_upper(n, entries):
+                M[i, j] = M[j, i] = float(v)
             return M
 
-        names = tuple(name for name, _ in var_entries)
-        return MatrixPencil(
-            n=n,
-            scalar=scalar,
-            f0=build(f0_entries),
-            var_names=names,
-            terms=tuple(build(e) for _, e in var_entries),
-        )
+        f0, *terms = map(build, matrices)
+        return MatrixPencil(n=n, scalar=scalar, f0=f0, var_names=names, terms=tuple(terms))
+
+
+def _checked_upper(n: int, entries: Iterable[tuple[int, int, object]]):
+    """The (i, j, value) triples of one matrix, each checked to lie in the
+    upper triangle of an n x n matrix and to come only once (ValueError)."""
+    placed = set()
+    for i, j, v in entries:
+        if not (0 <= i <= j < n):
+            raise ValueError(f"entry ({i},{j}) outside upper triangle of n={n}")
+        if (i, j) in placed:
+            raise ValueError(f"duplicate entry ({i},{j})")
+        placed.add((i, j))
+        yield i, j, v
+
+
+def _upper_split(n: int, matrices: Sequence[Iterable[tuple[int, int, object]]]) -> QSplit:
+    """The integer split of the stack of symmetric n x n matrices given by
+    their upper-triangle (i, j, value) entries, with no QuadExt matrix made:
+    the split `split` makes of the joined stack, over the least common
+    denominator of the values and with B None when they are all rational.
+    A value is an exact scalar (`to_quad`): TypeError for a float,
+    ValueError for a malformed string."""
+    where, a, b = [], [], []
+    for k, entries in enumerate(matrices):
+        for i, j, v in _checked_upper(n, entries):
+            # ints and Fractions are their own rational part, no QuadExt made
+            if type(v) is int or type(v) is Fraction:
+                x, y = v, 0
+            else:
+                q = to_quad(v)
+                x, y = q.a, q.b
+            where.append((k, i, j))
+            a.append(x)
+            b.append(y)
+    d = math.lcm(*{x.denominator for x in a}, *{y.denominator for y in b})
+    k, i, j = np.array(where, dtype=np.intp).reshape(-1, 3).T
+
+    def scaled(parts) -> np.ndarray:
+        X = np.zeros((len(matrices), n, n), dtype=object)
+        X[k, i, j] = X[k, j, i] = [x.numerator * (d // x.denominator) for x in parts]
+        return X
+
+    return QSplit(scaled(a), scaled(b) if any(b) else None, d)
 
 
 @dataclass(frozen=True)

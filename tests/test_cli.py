@@ -11,7 +11,7 @@ import pytest
 from strictfeas import cli, facial
 from strictfeas.bell import problem1_simplified
 from strictfeas.cli import BUILTINS, _problems_equal, load_problem, main, store_problem
-from strictfeas.exactnum import format_scalar, quad
+from strictfeas.exactnum import format_scalar, qarray, quad
 from strictfeas.facial import RoundingFailedError
 from strictfeas.model import (
     MatrixPencil,
@@ -25,6 +25,7 @@ from strictfeas.model import (
 from strictfeas.solver import solve_sdp
 
 from helpers import (
+    GOLDEN,
     assert_witness_proves,
     pinned_objective_problem,
     pinned_offset_problem,
@@ -614,6 +615,31 @@ class TestReproduceCommand:
             assert verdict["tolerance"] == facial.FEAS_CUT
             assert "slack margin at most" in verdict["detail"]
 
+    @pytest.mark.parametrize(
+        "known, ok",
+        [
+            (lambda e3, e4: [e3 + e4, 2 * e4], True),
+            (lambda e3, e4: [GOLDEN * e3, e4], True),
+            (lambda e3, e4: [e3], False),
+            (lambda e3, e4: [e3, e4, qarray([1, 0, 0, 0, 0])], False),
+            (lambda e3, e4: [e3, e4 + GOLDEN * qarray([0, 1, 0, 0, 0])], False),
+        ],
+        ids=["recombined", "golden-scaled", "too-few", "too-many", "other-span"],
+    )
+    def test_range_claim_compares_spans(self, known, ok, monkeypatch, capsys):
+        # the toy's certificate range is spanned by e3 and e4
+        build = cli.REPRODUCE["chsh-toy"]
+
+        def patched():
+            raw, golden, vectors, relations, optimum = build()
+            return raw, golden, known(*vectors), relations, optimum
+
+        monkeypatch.setitem(cli.REPRODUCE, "chsh-toy", patched)
+        assert main(["reproduce", "chsh-toy", "--json"]) == (0 if ok else 1)
+        claims = {c["claim"]: c["ok"] for c in json.loads(capsys.readouterr().out)["claims"]}
+        assert claims["certificate range matches the known null directions exactly"] is ok
+        assert sum(not v for v in claims.values()) == (0 if ok else 1)
+
     def test_report_deterministic(self, tmpfile, capsys):
         r1, r2 = tmpfile("r1.json"), tmpfile("r2.json")
         assert main(["reproduce", "chsh-toy", "--out", r1]) == 0
@@ -673,12 +699,51 @@ class TestProblemComparison:
         assert _problems_equal(problem_from_json(problem_to_json(golden)), golden)
 
 
+# sha256 of each bundled problem's exported file, and of problem2-raw's
+# `reduce --out` file, as pinned when the bundled pencils were built entry by
+# entry into QuadExt matrices
+EXPORTED_SHA256 = {
+    "chsh-toy": "95a6e88ff18b195072d7facd9bde616f21f05eb97219044f0c0d1d1e2d703e28",
+    "chsh-toy-simplified": "ea285bde99afd5b031a5569bab707d6b9f3ed439ee700b750fbafa1025fea111",
+    "problem1-raw": "86fafd9c3fcbf25ce7863e58b69b13259a5b6a8d5ccdb369bb432229ce4f477b",
+    "problem1-simplified": "2d5aff633285f0932fa0a278998a2edb3bba95d01aa070c8543f5da024708a4c",
+    "problem2-raw": "6419f154aac3db6d8042367c1a4619edd860571849bc96d05954ee92b1337a11",
+    "problem2-simplified": "71c1b90cebc942c06d63295219e1707ddd217bae589ecd69c009f639199ce625",
+}
+REDUCED_PROBLEM2_SHA256 = "01fcb12d14d404e2933a14a468190c83a79280e1dd74a9d98d9657f5f514f9e2"
+
+
+def file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 class TestExportCommand:
     def test_export_stdout(self, capsys):
         assert main(["export", "chsh-toy"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 5
         assert len(doc["vars"]) == 8
+
+    @pytest.mark.parametrize("target", sorted(BUILTINS))
+    def test_exported_file_is_pinned_and_loads_born_split(self, target, tmpfile):
+        assert sorted(EXPORTED_SHA256) == sorted(BUILTINS)
+        path = tmpfile(f"{target}.json")
+        assert main(["export", target, "--out", path]) == 0
+        assert file_sha256(path) == EXPORTED_SHA256[target]
+        with open(path, encoding="utf-8") as fh:
+            born = problem_from_json(json.load(fh)).pencil
+        assert "f0" not in vars(born) and "terms" not in vars(born)
+        bundled = BUILTINS[target]()
+        loaded = load_problem(path)
+        assert cli._splits_equal(loaded.pencil.split, bundled.pencil.split)
+        assert _problems_equal(loaded, bundled)
+
+    def test_reduced_problem2_file_is_pinned(self, tmpfile):
+        src, dst = tmpfile("p2.json"), tmpfile("p2-reduced.json")
+        assert main(["export", "problem2-raw", "--out", src]) == 0
+        assert main(["reduce", src, "--out", dst]) == 0
+        assert file_sha256(dst) == REDUCED_PROBLEM2_SHA256
 
 
 class TestReduceRounds:

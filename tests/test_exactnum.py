@@ -906,7 +906,7 @@ class TestFractionFree:
         for prev, B in (((3, 0), None), ((1, 1), np.zeros((2, 2), dtype=object))):
             A = np.array([[1, 1], [1, 2]], dtype=object)
             with pytest.raises(AssertionError, match="remainder"):
-                exactnum._bareiss_step(A, B, [1], [1], 0, 0, prev)
+                exactnum._bareiss_step(A, B, [1], slice(1, 2), 0, 0, prev)
 
 
 @st.composite

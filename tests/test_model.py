@@ -22,6 +22,7 @@ from strictfeas.exactnum import (
     quad,
     split,
     to_float,
+    to_quad,
 )
 from strictfeas.model import (
     MatrixPencil,
@@ -334,6 +335,104 @@ class TestFromUpper:
         with pytest.raises(TypeError):
             MatrixPencil.from_upper(2, "exact", [(0, 0, 0.5)], [])
 
+    @pytest.mark.parametrize("scalar", ["exact", "double"])
+    @pytest.mark.parametrize("where", ["f0", "term"])
+    @pytest.mark.parametrize("ij", [(1, 0), (0, 2), (-1, 0)])
+    def test_entry_outside_the_upper_triangle_rejected(self, scalar, where, ij):
+        bad = [(0, 0, 1), (*ij, 1)]
+        f0, term = (bad, []) if where == "f0" else ([(0, 0, 1)], bad)
+        message = rf"^entry \({ij[0]},{ij[1]}\) outside upper triangle of n=2$"
+        with pytest.raises(ValueError, match=message):
+            MatrixPencil.from_upper(2, scalar, f0, [("y", term)])
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [(0.5, TypeError), (None, TypeError), ("1/2 ", ValueError), ("1/0", ValueError)],
+    )
+    def test_non_exact_term_entry_rejected(self, value, error):
+        # after valid entries, in the last matrix of the stack
+        with pytest.raises(error):
+            MatrixPencil.from_upper(
+                2,
+                "exact",
+                [(0, 0, 1)],
+                [("y1", [(0, 1, "sqrt5")]), ("y2", [(0, 0, 1), (1, 1, value)])],
+            )
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _upper_entries(draw, n: int, sqrt5: bool) -> list:
+    """Upper-triangle (i, j, value) triples of one n x n matrix, each cell at
+    most once, explicit zeros among them; a value is an int, a Fraction, a
+    QuadExt or a grammar string, whichever can carry it."""
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    out = []
+    for i, j in draw(st.lists(st.sampled_from(cells), unique=True)):
+        a = draw(_RATIONALS)
+        b = draw(_RATIONALS) if sqrt5 and draw(st.booleans()) else Fraction(0)
+        forms = [quad(a, b), format_scalar(quad(a, b))]
+        if not b:
+            forms.append(a)
+            if a.denominator == 1:
+                forms.append(int(a))
+        out.append((i, j, draw(st.sampled_from(forms))))
+    return out
+
+
+@st.composite
+def _upper_pencils(draw) -> tuple:
+    """(n, F0's entries, [(name, F_k's entries), ...]), over Q or Q(sqrt5)."""
+    n, m, sqrt5 = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.booleans())
+    f0 = draw(_upper_entries(n, sqrt5))
+    return n, f0, [(f"v{k}", draw(_upper_entries(n, sqrt5))) for k in range(m)]
+
+
+def entry_by_entry(n: int, entries) -> np.ndarray:
+    """The QuadExt matrix of upper-triangle triples, placed one by one."""
+    M = np.empty((n, n), dtype=object)
+    M[...] = quad(0)
+    for i, j, v in entries:
+        M[i, j] = M[j, i] = to_quad(v)
+    return M
+
+
+class TestBornSplit:
+    """`from_upper` builds an exact pencil's integer split straight from its
+    entries: the pencil is born split, its matrices joined on first read."""
+
+    @given(_upper_pencils())
+    @settings(max_examples=150, deadline=None)
+    def test_split_is_the_split_of_the_joined_stack(self, drawn):
+        n, f0, var_entries = drawn
+        pencil = MatrixPencil.from_upper(n, "exact", f0, var_entries)
+        assert "f0" not in vars(pencil) and "terms" not in vars(pencil)
+        S = pencil.split
+        assert pencil.var_names == tuple(v for v, _ in var_entries)
+        fresh = split(np.stack([pencil.f0, *pencil.terms]))
+        assert S.shape == fresh.shape == (len(var_entries) + 1, n, n)
+        assert S.d == fresh.d and np.array_equal(S.A, fresh.A)
+        assert (S.B is None) == (fresh.B is None)
+        assert S.B is None or np.array_equal(S.B, fresh.B)
+        assert all(type(x) is int for X in (S.A, S.B) if X is not None for x in X.flat)
+        assert all(not X.flags.writeable for X in (S.A, S.B) if X is not None)
+
+    @given(_upper_pencils())
+    @settings(max_examples=150, deadline=None)
+    def test_joined_entries_are_the_entry_by_entry_build(self, drawn):
+        n, f0, var_entries = drawn
+        pencil = MatrixPencil.from_upper(n, "exact", f0, var_entries)
+        want = [entry_by_entry(n, f0), *(entry_by_entry(n, e) for _, e in var_entries)]
+        got = [pencil.f0, *pencil.terms]
+        assert len(got) == len(want)
+        for G, W in zip(got, want):
+            assert G.shape == (n, n)
+            assert all(type(g) is QuadExt and g == w for g, w in zip(G.flat, W.flat))
+        rational = all(not x.b for W in want for x in W.flat)
+        assert (pencil.split.B is None) == rational
+
 
 class TestJson:
     def test_round_trip_exact(self):
@@ -446,13 +545,16 @@ def from_split_of(pencil: MatrixPencil) -> MatrixPencil:
 
 
 class TestPencilSplit:
-    """An exact pencil's stack is split once, on first use, and kept; a
-    pencil built from its split joins its matrices on first read."""
+    """An exact pencil's stack is split once and kept: on first use when the
+    constructor is given QuadExt matrices; a pencil built from its split
+    joins its matrices on first read."""
 
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=3))
     @settings(max_examples=40, deadline=None)
     def test_join_gives_back_the_stack(self, seed, m):
-        pencil = drawn_pencil(seed, m)
+        # the constructor given QuadExt matrices splits them on first use
+        drawn = drawn_pencil(seed, m)
+        pencil = MatrixPencil(drawn.n, "exact", drawn.f0, drawn.var_names, drawn.terms)
         assert "split" not in vars(pencil)
         S = pencil.split
         assert pencil.split is S
