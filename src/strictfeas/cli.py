@@ -9,6 +9,7 @@ status, 1 on errors.  `main` makes every run report: `--json` prints it, and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -376,6 +377,7 @@ def cmd_export(args, report: RunReport) -> tuple[int, str]:
     return 0, f"{args.target} written to {args.out_problem}"
 
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strictfeas",

@@ -14,9 +14,9 @@ multiplies the integers.  :func:`to_float` reads a split too: A/d and B/d
 are correctly rounded integer divisions.  Reading Fractions is the costly
 part, so a split is kept and passed where an exact array goes (an
 elimination works on a copy); an exact pencil keeps the split of its stack
-(`model.MatrixPencil.split`).  :func:`qcongruence`, the congruence
-U^T F_k U that restricts a pencil to a face, multiplies in int64 where a
-bound from its operands proves that nothing overflows.
+(`model.MatrixPencil.split`).  :func:`qcongruence`, the one congruence
+U^T F_k U (a face's conditions, a pencil restricted to a face), multiplies
+in int64 where a bound from its operands proves that nothing overflows.
 
 Eliminations run on the split without fractions: each step is the Bareiss
 update (p X - c r)/prev over Z[sqrt5] (d drops out), whose entries are
@@ -842,13 +842,6 @@ def primitive_rows(S: QSplit, positive_lead: bool = False) -> QSplit:
         g.append(-k if lead < 0 else k)
     g = np.array(g, dtype=object).reshape(-1, 1)
     return QSplit(S.A // g, None if S.B is None else S.B // g, 1)
-
-
-def primitive_integer_vector(v: Sequence) -> np.ndarray:
-    """An exact vector rescaled to primitive form: the integer multiple of v
-    with coefficient content 1 (gcd of all integer coefficients, over both
-    the rational and sqrt5 parts) and a positive leading entry."""
-    return primitive_rows(split(list(v)).reshape(1, -1), positive_lead=True).join()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,12 @@ as RoundingFailed.
 Every pencil-wide step reads the pencil's integer split
 (`MatrixPencil.split`), not its Fractions, and so does every elimination
 of a round: the face bases, the affine solves and the derivation take and
-return splits.  The restriction hands the reduced pencil's split on as the
-pencil itself (`MatrixPencil.from_split`), in int64 under the bound of
-`qcongruence`, so later rounds never split again.  QuadExt entries are made
-only where a round's result leaves: the certificate's X and range vectors,
-the relations and `ReductionRound.face`.
+return splits.  Every congruence W^T F W (a face's conditions, the
+restriction) is `qcongruence`, in int64 under its bound, and the restricted
+split is handed on as the reduced pencil itself (`MatrixPencil.from_split`),
+so later rounds never split again.  QuadExt entries are made only where a
+round's result leaves: the certificate's X and range vectors, the relations
+and `ReductionRound.face`.
 """
 
 from __future__ import annotations
@@ -602,7 +603,7 @@ def _round_face(prob: SdpProblem, Xnum: np.ndarray, Vr: np.ndarray):
             return "face basis entries not representable"
         basis[:, free] = np.array(coords, dtype=object).reshape(r, n - r)
         W = primitive_rows(row_space_split(basis)).T
-        return W, qconcat([W.T @ p.split @ W, (W.T @ W)[None]]), rhs
+        return W, qconcat([qcongruence(W, p.split), (W.T @ W)[None]]), rhs
 
     found, failures = _round_ladder(
         face, Xnum, lambda X: (X, verify_certificate_matrix(prob, X))
@@ -630,8 +631,8 @@ def _round_ladder(face, Xnum: np.ndarray, verify):
     `verify(X)` returns (result, no problems) wins.  The solutions are one
     split, so each M is one product on the integers.  Returns
     ((result, W, M, the face's rung, the coordinates' rung), None), or
-    (None, [(rung, why it failed) for each face rung]), where a face that
-    was built reports its coordinates' last failure.
+    (None, [(rung, why it failed) for each face rung]), where a built face
+    reports its coordinates' last failure; one solution's X is verified once.
     """
     failures = []
     for rung in ROUNDING_LADDER:
@@ -661,10 +662,11 @@ def _round_ladder(face, Xnum: np.ndarray, verify):
                 continue
             M = _symmetric_split(split([Fraction(1), *s]) @ basis, r)
             result, problems = verify(W @ M @ W.T)
-            if problems:
-                why = f"coordinates at {_rung_name(inner)}: " + "; ".join(problems)
-                continue
-            return (result, W, M, rung, inner), None
+            if not problems:
+                return (result, W, M, rung, inner), None
+            why = f"coordinates at {_rung_name(inner)}: " + "; ".join(problems)
+            if basis.shape[0] == 1:
+                break  # every later inner rung would verify this X again
         failures.append((rung, why))
     return None, failures
 
@@ -786,7 +788,7 @@ def certify_optimum(
         if not (check and p.n - check.rank >= rank):
             return f"F(y) is not exactly PSD with a kernel of dimension {rank}"
         W = primitive_rows(nullspace_split(F), positive_lead=True).T
-        return W, (W.T @ p.split @ W)[1:], rhs
+        return W, qcongruence(W, p.split)[1:], rhs
 
     def bound(X):
         out = verify_bound_certificate(prob, X)

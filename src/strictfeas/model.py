@@ -7,8 +7,8 @@ One data model carries both numeric (float64) and exact (QuadExt) entries,
 tagged by ``scalar``; exact -> double conversion is explicit and lossy.
 An exact pencil is split into integers once: `MatrixPencil.split` holds the
 integer split of its stack (F0, F_1, ..., F_m), carried with the pencil,
-and every pencil-wide exact operation (evaluation, the pairing with a
-matrix X, the downcast, the products of `facial`) reads it instead of the
+and every pencil-wide exact operation (validation, evaluation, the pairing
+with X, the downcast, the products of `facial`) reads it, not the
 Fractions.  Two kinds of pencil are born split, their matrices joined from
 the split on first read only: one built from upper-triangle entries
 (`MatrixPencil.from_upper`: the bundled problems and every exact JSON
@@ -319,9 +319,11 @@ def pencil_pairing(pencil: MatrixPencil, X) -> np.ndarray:
 def validate(prob: SdpProblem) -> list[str]:
     """Structural checks; an empty list means the problem is well formed.
 
-    A double pencil of square matrices is checked as one (m+1, n, n) stack,
-    finite and equal to its transpose; only when that fails are the
-    matrices checked one by one, to word each violation.
+    A pencil of square matrices is checked as one (m+1, n, n) stack equal to
+    its transpose: a double pencil's floats, also finite, and an exact
+    one's integer split, so a born-split pencil joins no matrix for it.
+    Only when that fails are the matrices checked one by one, to word each
+    violation; an exact matrix with an entry `split` cannot read is NotExact.
     """
     return checked_stack(prob)[0]
 
@@ -330,42 +332,43 @@ def checked_stack(prob: SdpProblem) -> tuple[list[str], np.ndarray | None]:
     """The violations `validate` reports, and the float stack
     (F0, F_1, ..., F_m) it checked: a new (m+1, n, n) array for a double
     pencil of square matrices, None for any other pencil."""
-    violations: list[str] = []
     p = prob.pencil
-    mats = [("F0", p.f0)] + list(zip(p.var_names, p.terms))
-    seen = set()
-    for name in p.var_names:
-        if name in seen:
-            violations.append(f"DuplicateVariable: {name}")
-        seen.add(name)
-    clean, S = False, None
-    if p.scalar == "double" and all(M.shape == (p.n, p.n) for _, M in mats):
-        S = np.stack([M for _, M in mats])
-        clean = bool(np.isfinite(S).all()) and np.array_equal(S, S.transpose(0, 2, 1))
-    if not clean:
-        for name, M in mats:
+    names = p.var_names
+    violations = [f"DuplicateVariable: {v}" for k, v in enumerate(names) if names.index(v) < k]
+    S, stacks = None, []
+    if p.scalar == "double":
+        if all(M.shape == (p.n, p.n) for M in (p.f0, *p.terms)):
+            S = np.stack([p.f0, *p.terms])
+            stacks = [S] if np.isfinite(S).all() else []
+    else:
+        try:
+            X = p.split
+        except (TypeError, ValueError):  # an entry it cannot read, or unstackable matrices
+            X = None
+        if X is not None and X.shape[1:] == (p.n, p.n):
+            # over one d, entries agree exactly when both their integers do
+            stacks = [Y for Y in (X.A, X.B) if Y is not None]
+    if not (stacks and all(np.array_equal(Y, Y.transpose(0, 2, 1)) for Y in stacks)):
+        for name, M in zip(("F0", *names), (p.f0, *p.terms)):
             if M.shape != (p.n, p.n):
                 violations.append(
                     f"DimensionMismatch: {name} has shape {M.shape}, expected {(p.n, p.n)}"
                 )
-                continue
-            if p.scalar == "double":
+            elif p.scalar == "double":
                 if not np.all(np.isfinite(M)):
                     violations.append(f"NonFinite: {name} contains NaN or infinity")
                 if not np.array_equal(M, M.T):
                     violations.append(f"NotSymmetric: {name}")
             else:
-                bad = next(
-                    (
-                        (i, j)
-                        for i in range(p.n)
-                        for j in range(i + 1, p.n)
-                        if M[i, j] != M[j, i]
-                    ),
-                    None,
-                )
-                if bad:
-                    violations.append(f"NotSymmetric: {name} at {bad}")
+                try:
+                    X = split(M)
+                except TypeError:
+                    violations.append(f"NotExact: {name}")
+                    continue
+                off = [np.triu(Y != Y.T, 1) for Y in (X.A, X.B) if Y is not None]
+                bad = np.argwhere(np.any(off, axis=0))  # row-major order
+                if len(bad):
+                    violations.append(f"NotSymmetric: {name} at {tuple(map(int, bad[0]))}")
     if p.scalar == "double":
         if not np.all(np.isfinite(np.asarray(prob.objective, dtype=float))):
             violations.append("NonFinite: objective contains NaN or infinity")

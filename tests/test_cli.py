@@ -649,6 +649,25 @@ class TestReproduceCommand:
         d1.pop("timings"), d2.pop("timings")
         assert d1 == d2
 
+    def test_parser_is_built_once_and_reused(self, monkeypatch, capsys):
+        # the first call builds it, and a second `main` reuses that parser
+        seen = []
+        parse = cli.argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            seen.append(self)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", spy)
+        cli.build_parser.cache_clear()
+        outs = []
+        for _ in range(2):
+            assert main(["reproduce", "chsh-toy"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert len(seen) == 2 and seen[0] is seen[1] is cli.build_parser()
+        assert cli.build_parser.cache_info().misses == 1
+        assert outs[0] == outs[1] and outs[0].endswith("overall: all checks passed\n")
+
 
 class TestProblemComparison:
     """The reproduce claim "substitution reproduces the reduced pencil entry
@@ -738,6 +757,14 @@ class TestExportCommand:
         loaded = load_problem(path)
         assert cli._splits_equal(loaded.pencil.split, bundled.pencil.split)
         assert _problems_equal(loaded, bundled)
+
+    @pytest.mark.parametrize("target", sorted(BUILTINS))
+    def test_loading_validates_on_the_split(self, target, tmpfile):
+        # validate reads the born split and joins no QuadExt matrix
+        path = tmpfile(f"{target}.json")
+        assert main(["export", target, "--out", path]) == 0
+        pencil = load_problem(path).pencil
+        assert "f0" not in vars(pencil) and "terms" not in vars(pencil)
 
     def test_reduced_problem2_file_is_pinned(self, tmpfile):
         src, dst = tmpfile("p2.json"), tmpfile("p2-reduced.json")

@@ -26,7 +26,7 @@ from strictfeas.exactnum import (
     nullspace_exact,
     nullspace_split,
     parse_scalar,
-    primitive_integer_vector,
+    primitive_rows,
     psd_check_exact,
     qarray,
     qconcat,
@@ -510,13 +510,14 @@ class TestQarray:
 class TestVectors:
     def test_primitive_scaling(self):
         v = qarray([[Fraction(-2, 3), Fraction(4, 3), 0]])[0]
-        out = primitive_integer_vector(v)
+        out = primitive_rows(split([v]), positive_lead=True).join()[0]
         assert list(out) == [quad(1), quad(-2), quad(0)]
 
     def test_primitive_sign_follows_the_lead_entry_over_sqrt5(self):
         # 4 - 2 sqrt5 < 0 although its rational part is positive
         v = [quad(0), quad(Fraction(4, 3), Fraction(-2, 3)), quad(1)]
-        assert list(primitive_integer_vector(v)) == [quad(0), quad(-4, 2), quad(-3)]
+        out = primitive_rows(split([v]), positive_lead=True).join()[0]
+        assert list(out) == [quad(0), quad(-4, 2), quad(-3)]
 
     def test_frobenius_inner(self):
         A = qeye(2)
@@ -564,18 +565,33 @@ def assert_same(got, want):
         assert isinstance(got, QuadExt) and got == want
 
 
-class TestPrimitiveVector:
-    """The integer-split primitive_integer_vector against its QuadExt loop."""
+def rows_st(entries):
+    """One to three rows of the same length, 0 to 5, of exact entries."""
+    return st.integers(0, 5).flatmap(
+        lambda k: st.lists(st.lists(entries, min_size=k, max_size=k), min_size=1, max_size=3)
+    )
 
-    @given(st.lists(fractions_st, max_size=5))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_reference_over_q(self, v):
-        assert_same(primitive_integer_vector(v), reference_primitive_integer_vector(v))
 
-    @given(st.lists(entries_st, max_size=5))
+class TestPrimitiveRows:
+    """`primitive_rows` with a positive lead, row by row against the QuadExt
+    loop of `reference_primitive_integer_vector`."""
+
+    @staticmethod
+    def assert_rows_match(rows):
+        got = primitive_rows(split(np.array(rows, dtype=object)), positive_lead=True)
+        assert got.d == 1
+        for g, v in zip(got.join(), rows, strict=True):
+            assert_same(g, reference_primitive_integer_vector(v))
+
+    @given(rows_st(fractions_st))
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference_over_sqrt5(self, v):
-        assert_same(primitive_integer_vector(v), reference_primitive_integer_vector(v))
+    def test_matches_reference_over_q(self, rows):
+        self.assert_rows_match(rows)
+
+    @given(rows_st(entries_st))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_over_sqrt5(self, rows):
+        self.assert_rows_match(rows)
 
 
 class TestExactProducts:

@@ -37,7 +37,7 @@ from strictfeas.exactnum import (
     as_quad,
     kernel_basis_exact,
     nullspace_exact,
-    primitive_integer_vector,
+    primitive_rows,
     qarray,
     quad,
     qzeros,
@@ -108,6 +108,12 @@ def span_canonical(vectors):
 
 def assert_same_span(got, want):
     assert span_canonical(got) == span_canonical(want)
+
+
+def primitive_range(X):
+    """The rows of X's reduced row echelon basis, each rescaled to a primitive
+    integer vector with a positive leading entry (`primitive_rows`)."""
+    return list(primitive_rows(split(row_space_basis_exact(X)), positive_lead=True).join())
 
 
 def relations_as_dict(cons):
@@ -912,7 +918,7 @@ class TestEchelonSnap:
         monkeypatch.setattr(facial, "_round_ladder", first_face)
         prob = SdpProblem(pencil=MatrixPencil.from_upper(n, "exact", [], []), objective=())
         for _, (G, Vr) in zip(range(4), _noisy_integer_faces(r, n)):
-            want = [primitive_integer_vector(w) for w in row_space_basis_exact(qarray(G.tolist()))]
+            want = primitive_range(qarray(G.tolist()))
             with pytest.raises(_FirstFace) as face:
                 _round_face(prob, Vr @ Vr.T / r, Vr)
             assert face.value.args == ([list(w) for w in want],)
@@ -932,6 +938,32 @@ class TestEchelonSnap:
         got, _ = rref_exact(np.array(cert.range_vectors, dtype=object))
         want, _ = rref_exact(qarray(G.tolist()))
         assert got.tolist() == want.tolist()
+
+
+class TestOnePointFace:
+    """A face whose conditions have one solution M gives one X whatever the
+    inner rung, so a failing X is verified once per face rung."""
+
+    def test_failing_face_verifies_once_per_face_rung(self, monkeypatch):
+        # W = I: 2 M01 = 0, M00 + 2 M11 = 0 and tr M = 1 leave M = diag(2, -1)
+        pencil = MatrixPencil.from_upper(
+            2, "exact", [], [("a", [(0, 1, 1)]), ("b", [(0, 0, 1), (1, 1, 2)])]
+        )
+        prob = SdpProblem(pencil=pencil, objective=(0, 0))
+        calls = []
+        check = facial.verify_certificate_matrix
+
+        def spy(prob, X):
+            calls.append(X.join().tolist())
+            return check(prob, X)
+
+        monkeypatch.setattr(facial, "verify_certificate_matrix", spy)
+        cert, failures = _round_face(prob, np.diag([0.5, 0.5]), np.eye(2))
+        assert cert is None
+        assert calls == [[[quad(2), quad(0)], [quad(0), quad(-1)]]] * len(ROUNDING_LADDER)
+        assert [rung for rung, _ in failures] == list(ROUNDING_LADDER)
+        first = f"coordinates at {facial._rung_name(ROUNDING_LADDER[0])}: "
+        assert all(why.startswith(first) and "PSD" in why for _, why in failures)
 
 
 class TestProjectorSplit:
@@ -999,7 +1031,7 @@ class TestRangeReuse:
         certs = [c for c in certs if isinstance(c, ReducingCertificate)]
         assert certs
         for cert in certs:
-            want = [primitive_integer_vector(v) for v in row_space_basis_exact(cert.X)]
+            want = primitive_range(cert.X)
             assert repr(list(cert.range_vectors)) == repr(want)
 
     def test_singular_face_coordinates_take_the_row_space_pass(self):
@@ -1202,7 +1234,7 @@ class TestNullVectors:
         X = qzeros(5)
         X[3, 3] = quad(1)
         cert = ReducingCertificate(X=X, range_vectors=())
-        vecs = [primitive_integer_vector(v) for v in row_space_basis_exact(cert.X)]
+        vecs = primitive_range(cert.X)
         assert len(vecs) == 1
         assert list(vecs[0]) == [quad(0), quad(0), quad(0), quad(1), quad(0)]
 

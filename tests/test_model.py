@@ -434,6 +434,81 @@ class TestBornSplit:
         assert (pencil.split.B is None) == rational
 
 
+def looped_violations(names, mats, n: int) -> list:
+    """The symmetry check of exact matrices one entry pair at a time: the
+    first (i, j), i < j in row-major order, with M[i, j] != M[j, i]."""
+    out = []
+    for name, M in zip(names, mats):
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+        bad = next((ij for ij in pairs if M[ij] != M[ij[::-1]]), None)
+        if bad:
+            out.append(f"NotSymmetric: {name} at {bad}")
+    return out
+
+
+def exact_problem(n: int, f0, terms) -> SdpProblem:
+    names = tuple(f"y{k + 1}" for k in range(len(terms)))
+    pencil = MatrixPencil(n=n, scalar="exact", f0=f0, var_names=names, terms=tuple(terms))
+    return SdpProblem(pencil=pencil, objective=(0,) * len(terms))
+
+
+class TestValidateOnTheSplit:
+    """An exact pencil is validated on its integer split: one comparison of
+    the stack with its transpose, matrix by matrix only to word a failure."""
+
+    @given(_upper_pencils().filter(lambda drawn: drawn[0] > 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_changed_mirror_entry_is_worded_as_by_the_loop(self, drawn, data):
+        n, f0, var_entries = drawn
+        mats = [entry_by_entry(n, e) for e in (f0, *(e for _, e in var_entries))]
+        cells = st.tuples(st.integers(0, len(mats) - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+        sqrt5 = data.draw(st.booleans())
+        for k, i, j in data.draw(st.lists(cells.filter(lambda c: c[1] != c[2]), min_size=1, max_size=3)):
+            b = data.draw(_RATIONALS) if sqrt5 else 0
+            mats[k][i, j] = quad(data.draw(_RATIONALS), b)
+        prob = exact_problem(n, mats[0], mats[1:])
+        want = looped_violations(("F0", *prob.var_names), mats, n)
+        assert validate(prob) == want
+        born = MatrixPencil.from_upper(n, "exact", f0, var_entries)
+        assert validate(SdpProblem(pencil=born, objective=(0,) * born.m)) == []
+        assert "f0" not in vars(born) and "terms" not in vars(born)
+
+    def test_first_pair_is_taken_in_row_major_order(self):
+        # (0, 3) comes before (1, 2) by rows, after it by columns
+        M = np.full((4, 4), quad(1), dtype=object)
+        M[3, 0], M[2, 1] = quad(0, 1), quad(2)
+        prob = exact_problem(4, np.full((4, 4), quad(0), dtype=object), [M])
+        assert validate(prob) == looped_violations(("F0", "y1"), [prob.pencil.f0, M], 4)
+        assert validate(prob) == ["NotSymmetric: y1 at (0, 3)"]
+
+    def test_asymmetric_split_is_worded_per_matrix(self):
+        S = split(qarray([[[1, 0], [0, 1]], [[0, quad(0, 1)], [quad(1, 1), 2]]]))
+        pencil = MatrixPencil.from_split(("y",), S)
+        prob = SdpProblem(pencil=pencil, objective=(0,))
+        assert validate(prob) == ["NotSymmetric: y at (0, 1)"]
+
+    @pytest.mark.parametrize(
+        "shapes", [[(2, 2), (3, 3)], [(3, 3), (3, 3)], [(2, 3), (2, 3)], [(2, 2), (4,)]]
+    )
+    def test_mis_shaped_matrix_is_a_dimension_mismatch(self, shapes):
+        mats = [np.full(s, quad(1), dtype=object) for s in shapes]
+        prob = exact_problem(2, mats[0], mats[1:])
+        want = [
+            f"DimensionMismatch: {name} has shape {s}, expected (2, 2)"
+            for name, s in zip(("F0", "y1"), shapes)
+            if s != (2, 2)
+        ]
+        assert validate(prob) == want
+
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.5), "1/2", None])
+    def test_unreadable_entry_is_not_exact(self, value):
+        f0 = qarray([[1, 2], [0, 1]])
+        term = qarray([[1, 0], [0, 1]])
+        term[1, 1] = value
+        prob = exact_problem(2, f0, [term])
+        assert validate(prob) == ["NotSymmetric: F0 at (0, 1)", "NotExact: y1"]
+
+
 class TestJson:
     def test_round_trip_exact(self):
         prob = small_exact_problem()
